@@ -105,22 +105,16 @@ def flatten_metrics(results: dict, path=()) -> dict:
 
 
 def _engine_metadata() -> dict:
-    """Array-backend/engine fingerprint embedded in every benchmark
-    envelope and history row (never raises -- benchmarks must record
-    even on a pure-stdlib install, where every entry is None).  The
-    numba version rides along so jit-engine numbers are never compared
-    across compiler versions (or against uncompiled runs) silently."""
+    """Array-library fingerprint embedded in every benchmark envelope
+    and history row (never raises -- benchmarks must record even on a
+    pure-stdlib install, where every entry is None).  The numba version
+    rides along so jit-engine numbers are never compared across
+    compiler versions (or against uncompiled runs) silently."""
     numpy_version = None
     try:
         import numpy
         numpy_version = numpy.__version__
     except ImportError:
-        pass
-    backend = None
-    try:
-        from repro.engines.backend import default_backend_name
-        backend = default_backend_name()
-    except Exception:
         pass
     numba_version = None
     try:
@@ -128,8 +122,7 @@ def _engine_metadata() -> dict:
         numba_version = NUMBA_VERSION
     except Exception:
         pass
-    return {"numpy": numpy_version, "backend": backend,
-            "numba": numba_version}
+    return {"numpy": numpy_version, "numba": numba_version}
 
 
 def record_bench(name: str, results: dict,
@@ -137,10 +130,9 @@ def record_bench(name: str, results: dict,
     """Write one benchmark's results as ``BENCH_<name>.json``.
 
     ``results`` must be JSON-serialisable; the envelope adds the
-    Python/platform fingerprint, the array-backend metadata (numpy
-    version + default backend name) and a timestamp so numbers from
-    different machines -- or different array backends -- are never
-    compared silently.
+    Python/platform fingerprint, the numpy and numba versions and a
+    timestamp so numbers from different machines -- or different array
+    libraries -- are never compared silently.
 
     With ``section`` the file holds one sub-dict per microbenchmark
     (``results[section]``) and this call replaces only its own
@@ -183,7 +175,6 @@ def record_bench(name: str, results: dict,
             "implementation": platform.python_implementation(),
             "platform": platform.platform(),
             "numpy": engine_meta["numpy"],
-            "backend": engine_meta["backend"],
             "numba": engine_meta["numba"],
             "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ",
                                          time.gmtime()),
@@ -198,7 +189,6 @@ def record_bench(name: str, results: dict,
             "python": payload["python"],
             "platform": payload["platform"],
             "numpy": engine_meta["numpy"],
-            "backend": engine_meta["backend"],
             "numba": engine_meta["numba"],
             "metrics": flatten_metrics(results),
         }

@@ -111,6 +111,7 @@ def main_sharded(num_sequences: int, num_workers: int,
     assert rerun.from_cache and rerun.result == single_job.result
     print("\nresubmitted the single-error campaign: served from the "
           "scheduler's result cache, no chunks executed")
+    scheduler.close()
 
 
 def main_batched(num_sequences: int, num_workers: int = 1,

@@ -180,8 +180,8 @@ class CorrectionCapabilityTask(CampaignTask):
     def empty_result(self) -> CorrectionCounters:
         return CorrectionCounters()
 
-    def run_chunk(self, chunk_seed: int,
-                  num_sequences: int) -> CorrectionCounters:
+    def run_chunk_on(self, state, chunk_seed: int,
+                     num_sequences: int) -> CorrectionCounters:
         simulate = SEQUENCE_ENGINES[self.engine]
         code = HammingCode(self.code_n, self.code_k)
         rng = random.Random(chunk_seed)
@@ -263,7 +263,8 @@ def correction_capability_curve(code: HammingCode,
     error count keeps its own seed-split campaign root, so the
     statistics are bit-identical to the historical one-runner-per-point
     execution for any worker count and executor kind (given the same
-    ``chunk_size``).
+    ``chunk_size``).  A scheduler built here is closed on return; a
+    passed-in ``scheduler`` is left to its owner.
     """
     if num_bits < max(error_counts):
         raise ValueError("cannot inject more errors than there are bits")
@@ -271,13 +272,18 @@ def correction_capability_curve(code: HammingCode,
         raise ValueError(
             f"unknown engine {engine!r}; choose from "
             f"{tuple(SEQUENCE_ENGINES)}")
-    if scheduler is None:
+    owned = scheduler is None
+    if owned:
         scheduler = CampaignScheduler(executor=executor,
                                       num_workers=num_workers)
-    jobs = _submit_curve(scheduler, code, error_counts, num_bits,
-                         sequences, seed, engine, chunk_size,
-                         progress_callback=progress_callback)
-    scheduler.run()
+    try:
+        jobs = _submit_curve(scheduler, code, error_counts, num_bits,
+                             sequences, seed, engine, chunk_size,
+                             progress_callback=progress_callback)
+        scheduler.run()
+    finally:
+        if owned:
+            scheduler.close()
     return _curve_results(code, jobs)
 
 
@@ -312,17 +318,17 @@ def fig10_curves(error_counts: Sequence[int] = tuple(range(1, 11)),
         raise ValueError(
             f"unknown engine {engine!r}; choose from "
             f"{tuple(SEQUENCE_ENGINES)}")
-    scheduler = CampaignScheduler(executor=executor,
-                                  num_workers=num_workers)
-    submitted = []
-    for n, k in family:
-        code = HammingCode(n, k)
-        curve_seed = (None if seed is None
-                      else child_seed(seed, "fig10", n, k))
-        submitted.append((code, _submit_curve(
-            scheduler, code, error_counts, num_bits, sequences,
-            curve_seed, engine, chunk_size)))
-    scheduler.run()
+    with CampaignScheduler(executor=executor,
+                           num_workers=num_workers) as scheduler:
+        submitted = []
+        for n, k in family:
+            code = HammingCode(n, k)
+            curve_seed = (None if seed is None
+                          else child_seed(seed, "fig10", n, k))
+            submitted.append((code, _submit_curve(
+                scheduler, code, error_counts, num_bits, sequences,
+                curve_seed, engine, chunk_size)))
+        scheduler.run()
     return {(code.n, code.k): _curve_results(code, jobs)
             for code, jobs in submitted}
 

@@ -9,18 +9,16 @@ one layer per concern so each can evolve (and be swapped) alone:
   total_sequences, chunk_size)`` and nothing else -- the reason merged
   statistics are bit-identical for any executor and worker count;
 * :mod:`repro.campaigns.executors` -- **where** chunks run: inline
-  (:class:`~repro.campaigns.executors.SerialExecutor`), thread pool
-  (:class:`~repro.campaigns.executors.ThreadExecutor`), process
-  fan-out (:class:`~repro.campaigns.executors.ProcessExecutor`, tasks
-  pickled once per worker), or the **warm persistent pools**
+  (:class:`~repro.campaigns.executors.SerialExecutor`) or on a
+  persistent pool
   (:class:`~repro.campaigns.executors.PersistentProcessExecutor` /
   :class:`~repro.campaigns.executors.PersistentThreadExecutor`) whose
   workers, task tables and per-fingerprint state caches survive
-  across calls and scheduler jobs, with failures wrapped as
-  :class:`~repro.campaigns.executors.ChunkExecutionError` naming the
-  chunk that died;
+  across calls and scheduler jobs until ``close()``, with failures
+  wrapped as :class:`~repro.campaigns.executors.ChunkExecutionError`
+  naming the chunk that died;
 * :mod:`repro.campaigns.worker_cache` -- the worker-side memo behind
-  the warm pools: seed-independent heavy state per task fingerprint
+  every executor: seed-independent heavy state per task fingerprint
   (:class:`~repro.campaigns.worker_cache.WorkerStateCache`), rebuilt
   seed-dependent streams per chunk, bit-identity preserved;
 * :mod:`repro.campaigns.checkpoints` -- **durability**: the JSON
@@ -66,9 +64,7 @@ from repro.campaigns.executors import (
     ChunkTiming,
     PersistentProcessExecutor,
     PersistentThreadExecutor,
-    ProcessExecutor,
     SerialExecutor,
-    ThreadExecutor,
     resolve_executor,
 )
 from repro.campaigns.worker_cache import WorkerStateCache
@@ -94,8 +90,6 @@ __all__ = [
     "ChunkExecutor",
     "ChunkTiming",
     "SerialExecutor",
-    "ThreadExecutor",
-    "ProcessExecutor",
     "PersistentProcessExecutor",
     "PersistentThreadExecutor",
     "WorkerStateCache",

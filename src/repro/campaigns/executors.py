@@ -7,41 +7,32 @@ Executors own *where* chunks run and nothing else: the plan layer has
 already fixed every seed and boundary, so any executor at any
 concurrency produces bit-identical merged statistics for the same plan.
 
-Five implementations ship, in two families:
+Every executor runs a chunk the same way: lease the task's
+seed-independent state from a :class:`~repro.campaigns.worker_cache.\
+WorkerStateCache` (built through ``task.build_worker_state()`` on first
+sight) and call ``task.run_chunk_on(state, chunk_seed, count)``.  Three
+implementations ship:
 
-**One-shot** (pool per ``submit_jobs`` call):
+* :class:`SerialExecutor` -- inline in the calling thread, with one
+  state cache for the executor's lifetime;
+* :class:`PersistentThreadExecutor` -- a long-lived thread pool with
+  one state cache per worker thread;
+* :class:`PersistentProcessExecutor` -- long-lived worker processes;
+  a task ships to a worker at most once per process lifetime, keyed on
+  ``task.fingerprint()``, and each worker keeps its own state cache.
 
-* :class:`SerialExecutor` -- inline in the calling thread; the
-  ``num_workers == 1`` path and the degenerate single-chunk fallback.
-* :class:`ThreadExecutor` -- a ``concurrent.futures`` thread pool.
-  Useful when chunk work releases the GIL (numpy kernels in the simd
-  engine) and for the campaign service's many-small-interactive-jobs
-  regime, where process fan-out overhead dominates tiny jobs.
-* :class:`ProcessExecutor` -- ``multiprocessing`` fan-out.  Each
-  worker receives the task table **once**, through the pool
-  initializer, instead of a task copy pickled into every job tuple;
-  job tuples carry only ``(position, slot, index, seed, count)``.
-
-**Warm persistent** (pool outlives ``submit_jobs`` calls; explicit
-``close()`` / context-manager lifecycle, optional idle teardown):
-
-* :class:`PersistentProcessExecutor` -- long-lived worker processes
-  created once and reused by every subsequent call (and every
-  scheduler job).  Tasks ship **incrementally**: a worker receives a
-  task at most once per process lifetime, keyed on
-  ``task.fingerprint()``; workers memoize seed-independent heavy
-  state per fingerprint in a :class:`~repro.campaigns.worker_cache.\
-WorkerStateCache` and run chunks through ``run_chunk_warm``.
-  Dispatch streams through a bounded in-flight window, so a
-  10^5-chunk plan never materializes 10^5 job tuples.
-* :class:`PersistentThreadExecutor` -- the same warm lifecycle over a
-  long-lived thread pool, with one state cache per worker thread.
+The pools are created on first use and survive across ``submit_jobs``
+calls (and so across scheduler jobs) until ``close()``.  Dispatch
+streams through a bounded in-flight window, so a 10^5-chunk plan never
+materializes 10^5 job tuples.  After each yielded result,
+``last_chunk_timing`` holds that chunk's
+:class:`~repro.campaigns.worker_cache.ChunkTiming`.
 
 Chunk failures surface as :class:`ChunkExecutionError` carrying the
 failing chunk's index, seed and count (plus the worker traceback for
 process pools), so a 10^7-sequence campaign names the chunk that died
 and a resume can re-run exactly that work.  A failed chunk does not
-poison a warm pool: the pool survives, stale in-flight results are
+poison a pool: the pool survives, stale in-flight results are
 discarded by epoch, and the next ``submit_jobs`` replaces any worker
 that died.
 
@@ -59,12 +50,10 @@ import sys
 import threading
 import time
 import traceback
-from typing import (Any, Dict, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.campaigns.plan import ChunkPlanEntry
 from repro.campaigns.worker_cache import (
-    DEFAULT_MAX_ENTRIES,
     ChunkTiming,
     WorkerStateCache,
     task_state_key,
@@ -122,25 +111,36 @@ class ChunkExecutor(Protocol):
     ``submit`` runs one task's plan entries and yields ``(index,
     result)`` pairs as they complete (any order); implementations that
     also support :meth:`ChunkExecutorBase.submit_jobs` can serve the
-    multi-campaign scheduler.  Failures are raised as
-    :class:`ChunkExecutionError` from the consuming iterator.
+    multi-campaign scheduler.  Right after each yielded pair,
+    ``last_chunk_timing`` holds that chunk's setup/compute split.
+    Failures are raised as :class:`ChunkExecutionError` from the
+    consuming iterator.  ``close`` releases workers and cached state.
     """
+
+    last_chunk_timing: ChunkTiming
 
     def submit(self, entries: Iterable[ChunkPlanEntry],
                task: Any) -> Iterator[Tuple[int, Any]]:
         ...
 
+    def close(self) -> None:
+        ...
+
 
 class ChunkExecutorBase:
-    """Shared plumbing: ``submit`` in terms of ``submit_jobs``."""
+    """Shared plumbing: ``submit`` in terms of ``submit_jobs``, and the
+    ``close()``/context-manager lifecycle."""
+
+    #: Timing of the most recently yielded chunk (consumers read it
+    #: right after each ``submit_jobs`` yield); all zero before any.
+    last_chunk_timing = ChunkTiming(0.0, 0.0)
 
     def submit(self, entries: Iterable[ChunkPlanEntry],
                task: Any) -> Iterator[Tuple[int, Any]]:
         """Run one task's entries; yield ``(index, result)`` pairs.
 
-        ``entries`` is consumed lazily: streaming executors pull from
-        it as their in-flight window frees up (one-shot executors
-        materialize it).
+        ``entries`` is consumed lazily: the pools pull from it as their
+        in-flight window frees up.
         """
         for _, index, result in self.submit_jobs(
                 ((None, entry, task) for entry in entries)):
@@ -152,11 +152,31 @@ class ChunkExecutorBase:
         result)`` as chunks complete."""
         raise NotImplementedError
 
+    def close(self) -> None:
+        """Release the executor's workers and cached states."""
 
-def _run_entry(task: Any, entry: ChunkPlanEntry) -> Any:
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        self.close()
+
+
+def _run_cached(cache: WorkerStateCache, task: Any, chunk_seed: int,
+                count: int) -> Tuple[Any, ChunkTiming]:
+    """Run one chunk on the task's cached worker state, timed."""
+    state, setup, cache_hit = cache.lease(task)
+    started = time.perf_counter()
+    result = task.run_chunk_on(state, chunk_seed, count)
+    return result, ChunkTiming(setup, time.perf_counter() - started,
+                               cache_hit)
+
+
+def _run_entry(cache: WorkerStateCache, task: Any,
+               entry: ChunkPlanEntry) -> Tuple[Any, ChunkTiming]:
     """Run one entry in-process, wrapping failures."""
     try:
-        return task.run_chunk(entry.chunk_seed, entry.count)
+        return _run_cached(cache, task, entry.chunk_seed, entry.count)
     except ChunkExecutionError:
         raise
     except Exception as exc:
@@ -164,54 +184,27 @@ def _run_entry(task: Any, entry: ChunkPlanEntry) -> Any:
 
 
 class SerialExecutor(ChunkExecutorBase):
-    """Run every chunk inline, in submission order."""
+    """Run every chunk inline, in submission order.
+
+    States are cached for the executor's lifetime, so a campaign builds
+    each task's bench once rather than once per chunk.
+    """
+
+    def __init__(self) -> None:
+        self._cache = WorkerStateCache()
 
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
         for tag, entry, task in jobs:
-            yield tag, entry.index, _run_entry(task, entry)
+            result, self.last_chunk_timing = _run_entry(self._cache, task,
+                                                        entry)
+            yield tag, entry.index, result
+
+    def close(self) -> None:
+        self._cache.clear()
 
     def __repr__(self) -> str:
         return "SerialExecutor()"
-
-
-class ThreadExecutor(ChunkExecutorBase):
-    """Fan chunks out over a thread pool.
-
-    Threads share the interpreter, so this pays no pickling or process
-    start-up cost; it overlaps real work only where the chunk's inner
-    loop releases the GIL (numpy kernels) or blocks on IO.  Jobs are
-    dispatched in submission order, which is what gives the scheduler
-    its fair-share interleaving.
-    """
-
-    def __init__(self, num_workers: int):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-
-    def submit_jobs(self, jobs: Iterable[TaggedJob]
-                    ) -> Iterator[Tuple[Any, int, Any]]:
-        from concurrent.futures import FIRST_COMPLETED
-        from concurrent.futures import ThreadPoolExecutor as _Pool
-        from concurrent.futures import wait
-
-        jobs = list(jobs)
-        if len(jobs) <= 1 or self.num_workers == 1:
-            yield from SerialExecutor().submit_jobs(jobs)
-            return
-        with _Pool(max_workers=min(self.num_workers, len(jobs))) as pool:
-            futures = {pool.submit(_run_entry, task, entry): (tag, entry)
-                       for tag, entry, task in jobs}
-            pending = set(futures)
-            while pending:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for future in done:
-                    tag, entry = futures[future]
-                    yield tag, entry.index, future.result()
-
-    def __repr__(self) -> str:
-        return f"ThreadExecutor(num_workers={self.num_workers})"
 
 
 def _start_context(start_method: Optional[str]):
@@ -224,157 +217,72 @@ def _start_context(start_method: Optional[str]):
     return multiprocessing.get_context(method)
 
 
+class _PooledExecutor(ChunkExecutorBase):
+    """Shared lifecycle of the pools: sizing, the bounded dispatch
+    window and the final ``close()``.  Subclasses implement
+    ``_teardown()`` (drop the pool)."""
+
+    def __init__(self, num_workers: int):
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        self.num_workers = num_workers
+        #: In-flight dispatch bound; enough to keep every worker busy
+        #: plus a small ready queue, small enough that a huge plan is
+        #: never materialized.
+        self.window = max(2 * num_workers, 4)
+        self._closed = False
+
+    def __del__(self):  # pragma: no cover - GC safety net only
+        try:
+            self.close()
+        except Exception:
+            pass
+
+    def _check_open(self) -> None:
+        if self._closed:
+            raise RuntimeError(
+                f"{type(self).__name__} is closed; create a new "
+                f"executor (close() is final)")
+
+    def _teardown(self) -> None:
+        raise NotImplementedError
+
+    def close(self) -> None:
+        """Tear the pool down and retire the executor (idempotent)."""
+        self._teardown()
+        self._closed = True
+
+
 # -- process pool plumbing (module level: pickled by name) -------------
-#: Worker-side task table, installed once per worker by the pool
-#: initializer.  Keys are small integer slots assigned by the parent,
-#: so job tuples never carry a task copy.
-_WORKER_TASKS: Dict[int, Any] = {}
-
-
-def _init_worker(parent_sys_path: List[str],
-                 tasks: Dict[int, Any]) -> None:
-    """Pool initializer: import path + the per-worker task table.
+def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
+                            job_queue: Any, result_queue: Any) -> None:
+    """Long-lived worker loop of :class:`PersistentProcessExecutor`.
 
     With the ``spawn`` start method a fresh interpreter imports this
     module from scratch; when the parent runs from a source checkout
     (``sys.path`` patched by conftest rather than PYTHONPATH), the
-    child needs the same entries to unpickle the tasks.  The task
-    table itself is the once-per-worker pickle that replaces the
-    historical once-per-job task copy.
-    """
-    for entry in reversed(parent_sys_path):
-        if entry not in sys.path:
-            sys.path.insert(0, entry)
-    _WORKER_TASKS.clear()
-    _WORKER_TASKS.update(tasks)
-
-
-def _slot_jobs(jobs: Sequence[TaggedJob]
-               ) -> Tuple[List[Tuple[int, int, int, int, int]],
-                          Dict[int, Any]]:
-    """Assign task-table slots and build the pool's job tuples.
-
-    Slots are keyed on ``task.fingerprint()`` -- **not** ``id(task)``:
-    object identity is neither stable (a freed task's id can be
-    reused by a different task while the pool is still running) nor
-    meaningful (two equal-fingerprint task objects describe the same
-    work and must share one table entry).  Factored out of
-    :meth:`ProcessExecutor.submit_jobs` so the slotting contract is
-    directly testable.
-    """
-    slots: Dict[str, int] = {}
-    tasks: Dict[int, Any] = {}
-    tuples: List[Tuple[int, int, int, int, int]] = []
-    for position, (_tag, entry, task) in enumerate(jobs):
-        key = task_state_key(task)
-        slot = slots.get(key)
-        if slot is None:
-            slot = slots[key] = len(slots)
-            tasks[slot] = task
-        tuples.append((position, slot, entry.index, entry.chunk_seed,
-                       entry.count))
-    return tuples, tasks
-
-
-def _run_pool_job(job: Tuple[int, int, int, int, int]
-                  ) -> Tuple[int, Any, Optional[str]]:
-    """Worker-side entry point: run one chunk from the task table.
-
-    Returns ``(position, result, None)`` on success and ``(position,
-    None, traceback_text)`` on failure -- the traceback crosses the
-    process boundary as text because live exception objects (and their
-    frames) may not pickle.
-    """
-    position, slot, _index, chunk_seed, count = job
-    try:
-        return position, _WORKER_TASKS[slot].run_chunk(chunk_seed,
-                                                       count), None
-    except Exception:
-        return position, None, traceback.format_exc()
-
-
-class ProcessExecutor(ChunkExecutorBase):
-    """Fan chunks out over worker processes (today's scaling path).
-
-    Each distinct task object is pickled exactly once per worker, via
-    the pool initializer's task table; the per-job tuples carry only
-    plan coordinates.  Worker failures come back as
-    :class:`ChunkExecutionError` with the worker traceback attached.
-
-    Parameters
-    ----------
-    num_workers:
-        Process count.  A single worker (or a single pending job)
-        degrades to inline execution -- same results, no pool.
-    start_method:
-        ``multiprocessing`` start method; default prefers ``fork``
-        (cheap, inherits ``sys.path``) and falls back to ``spawn``.
-    """
-
-    def __init__(self, num_workers: int,
-                 start_method: Optional[str] = None):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        self._start_method = start_method
-
-    def _pool_context(self):
-        return _start_context(self._start_method)
-
-    def submit_jobs(self, jobs: Iterable[TaggedJob]
-                    ) -> Iterator[Tuple[Any, int, Any]]:
-        jobs = list(jobs)
-        if len(jobs) <= 1 or self.num_workers == 1:
-            yield from SerialExecutor().submit_jobs(jobs)
-            return
-        tuples, tasks = _slot_jobs(jobs)
-        context = self._pool_context()
-        workers = min(self.num_workers, len(tuples))
-        with context.Pool(workers, initializer=_init_worker,
-                          initargs=(list(sys.path), tasks)) as pool:
-            for position, result, failure in pool.imap_unordered(
-                    _run_pool_job, tuples):
-                tag, entry, _task = jobs[position]
-                if failure is not None:
-                    raise ChunkExecutionError(
-                        entry.index, entry.chunk_seed, entry.count,
-                        "worker process raised",
-                        worker_traceback=failure)
-                yield tag, entry.index, result
-
-    def __repr__(self) -> str:
-        return (f"ProcessExecutor(num_workers={self.num_workers}, "
-                f"start_method={self._start_method!r})")
-
-
-# -- warm persistent pool plumbing (module level: pickled by name) -----
-def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
-                            job_queue: Any, result_queue: Any,
-                            max_cached: int) -> None:
-    """Long-lived worker loop of :class:`PersistentProcessExecutor`.
+    child needs the same entries to unpickle the tasks.
 
     Protocol (one job queue per worker, one shared result queue):
 
     * ``("task", key, task)`` -- install ``task`` in this worker's
       table under its fingerprint ``key``.  The parent sends this at
-      most once per (worker lifetime, fingerprint): that is the
-      incremental task shipping that replaces the cold pool's
-      re-shipping of the whole table on every ``submit_jobs``.
+      most once per (worker lifetime, fingerprint).
     * ``("job", epoch, position, key, chunk_seed, count)`` -- run one
-      chunk through the warm path: lease the task's memoized state
-      from the worker's :class:`~repro.campaigns.worker_cache.\
-WorkerStateCache` (building it on first sight -- that build is the
-      ``setup`` half of the reported timing) and ``run_chunk_warm``.
-      Replies ``(worker_id, epoch, position, result, (setup, compute,
-      cache_hit), None)`` on success, ``(worker_id, epoch, position,
-      None, None, traceback_text)`` on failure.
+      chunk on the task's state from this worker's
+      :class:`~repro.campaigns.worker_cache.WorkerStateCache`.
+      Replies ``(worker_id, epoch, position, result, timing, None)``
+      on success, ``(worker_id, epoch, position, None, None,
+      traceback_text)`` on failure -- the traceback crosses the
+      process boundary as text because live exception objects (and
+      their frames) may not pickle.
     * ``("stop",)`` -- exit the loop (sent by ``close()``).
     """
     for entry in reversed(parent_sys_path):
         if entry not in sys.path:
             sys.path.insert(0, entry)
     tasks: Dict[str, Any] = {}
-    cache = WorkerStateCache(max_entries=max_cached)
+    cache = WorkerStateCache()
     while True:
         try:
             message = job_queue.get()
@@ -388,13 +296,10 @@ WorkerStateCache` (building it on first sight -- that build is the
             continue
         _, epoch, position, key, chunk_seed, count = message
         try:
-            task = tasks[key]
-            state, setup, cache_hit = cache.lease(task)
-            started = time.perf_counter()
-            result = task.run_chunk_warm(state, chunk_seed, count)
-            compute = time.perf_counter() - started
-            result_queue.put((worker_id, epoch, position, result,
-                              (setup, compute, cache_hit), None))
+            result, timing = _run_cached(cache, tasks[key], chunk_seed,
+                                         count)
+            result_queue.put((worker_id, epoch, position, result, timing,
+                              None))
         except Exception:
             result_queue.put((worker_id, epoch, position, None, None,
                               traceback.format_exc()))
@@ -414,131 +319,53 @@ class _WorkerRecord:
         self.inflight = 0
 
 
-class _WarmLifecycleMixin:
-    """Shared close/context-manager/idle-timer plumbing of the warm
-    executors.  Subclasses implement ``_teardown()`` (drop the pool,
-    keep the executor reusable) and set ``_closed`` in ``close()``."""
+class PersistentProcessExecutor(_PooledExecutor):
+    """Process fan-out: one pool, many ``submit_jobs`` calls.
 
-    def __enter__(self):
-        return self
+    Pool spin-up, task shipping and bench construction are paid once
+    per worker lifetime:
 
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.close()
-
-    def __del__(self):  # pragma: no cover - GC safety net only
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                f"{type(self).__name__} is closed; create a new "
-                f"executor (close() is final)")
-
-    def _cancel_idle_timer(self) -> None:
-        if self._idle_timer is not None:
-            self._idle_timer.cancel()
-            self._idle_timer = None
-
-    def _start_idle_timer(self) -> None:
-        if self.idle_timeout is None:
-            return
-        timer = threading.Timer(self.idle_timeout, self._idle_teardown)
-        timer.daemon = True
-        timer.start()
-        self._idle_timer = timer
-
-    def _idle_teardown(self) -> None:
-        with self._lock:
-            if self._closed:
-                return
-            # Drop the idle pool but stay usable: the next submit_jobs
-            # simply pays one (cold) pool spin-up again.
-            self._teardown()
-
-    def close(self) -> None:
-        """Tear the pool down and retire the executor (idempotent)."""
-        with self._lock:
-            self._cancel_idle_timer()
-            self._teardown()
-            self._closed = True
-
-
-class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
-    """Warm process fan-out: one pool, many ``submit_jobs`` calls.
-
-    The cold :class:`ProcessExecutor` pays pool spin-up, task-table
-    shipping and per-chunk bench construction on **every** call; this
-    executor pays each cost once per worker lifetime:
-
-    * worker processes are created on first use and reused by every
-      subsequent ``submit_jobs`` (and so by every scheduler job);
+    * worker processes start on demand, up to ``num_workers``, and are
+      reused by every subsequent ``submit_jobs`` (and so by every
+      scheduler job);
     * a task ships to a worker at most once, keyed on
       ``task.fingerprint()``;
     * workers memoize seed-independent heavy state (design, engine,
-      workspaces, LUTs, jit warm-up) per fingerprint and run chunks
-      via ``run_chunk_warm`` -- bit-identical to the cold path, for
-      any worker count and any pool-reuse order.
+      workspaces, LUTs, jit warm-up) per fingerprint -- results are
+      bit-identical to serial for any worker count and any pool-reuse
+      order.
 
     Dispatch streams: jobs are pulled from the (lazily consumed)
     iterable only while fewer than ``window`` are in flight, each to
-    the least-loaded worker.  After each yielded result,
-    :attr:`last_chunk_timing` holds that chunk's
-    :class:`~repro.campaigns.worker_cache.ChunkTiming` -- the runner
-    and scheduler surface the cumulative split through
-    ``CampaignProgress``.
+    the least-loaded worker.  A one-worker pool still runs its chunks
+    out of process.
 
     Failure containment: a raised :class:`ChunkExecutionError` leaves
     the pool warm.  Results of abandoned calls are discarded by epoch,
     dead workers are replaced (with cold caches) on the next call, and
-    ``close()``/``with`` tears everything down; ``idle_timeout``
-    additionally reclaims the pool after that many idle seconds (the
-    executor stays usable -- the next call re-spawns).
+    ``close()``/``with`` tears everything down, terminating workers
+    still busy with abandoned chunks rather than waiting for them.
 
-    Unlike the cold executor there is **no** inline degradation for
-    single-job calls or ``num_workers=1`` -- a one-worker warm pool is
-    precisely the many-small-interactive-jobs service regime.
+    ``start_method`` is the ``multiprocessing`` start method; the
+    default prefers ``fork`` (cheap, inherits ``sys.path``) and falls
+    back to ``spawn``.
     """
 
     def __init__(self, num_workers: int,
-                 start_method: Optional[str] = None,
-                 window: Optional[int] = None,
-                 idle_timeout: Optional[float] = None,
-                 max_cached_states: int = DEFAULT_MAX_ENTRIES):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-        self.num_workers = num_workers
+                 start_method: Optional[str] = None):
+        super().__init__(num_workers)
         self._start_method = start_method
-        #: In-flight dispatch bound; enough to keep every worker busy
-        #: plus a small ready queue, small enough that a huge plan is
-        #: never materialized.
-        self.window = window if window is not None else max(
-            2 * num_workers, 4)
-        self.idle_timeout = idle_timeout
-        self._max_cached = max_cached_states
         self._context: Any = None
         self._workers: Dict[int, _WorkerRecord] = {}
         self._next_worker_id = 0
         self._result_queue: Any = None
         self._epoch = 0
-        self._closed = False
-        self._lock = threading.RLock()
-        self._idle_timer: Optional[threading.Timer] = None
-        #: Timing of the most recently yielded chunk (consumers read it
-        #: right after each ``submit_jobs`` yield).
-        self.last_chunk_timing: Optional[ChunkTiming] = None
 
     # -- pool management ------------------------------------------------
     @property
     def alive_workers(self) -> int:
         """Live worker processes right now (0 before first use and
-        after close/idle teardown)."""
+        after close)."""
         return sum(1 for record in self._workers.values()
                    if record.process.is_alive())
 
@@ -550,22 +377,24 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
         self._drain_stale_results()
         for worker_id, record in list(self._workers.items()):
             if not record.process.is_alive():
-                # A crashed worker's warm cache died with it; replace
-                # below with a cold one rather than poisoning the pool.
+                # A crashed worker's warm cache died with it; _dispatch
+                # starts a cold replacement rather than poisoning the
+                # pool.
                 record.process.join(timeout=0.1)
                 del self._workers[worker_id]
-        while len(self._workers) < self.num_workers:
-            worker_id = self._next_worker_id
-            self._next_worker_id += 1
-            job_queue = self._context.Queue()
-            process = self._context.Process(
-                target=_persistent_worker_main,
-                args=(list(sys.path), worker_id, job_queue,
-                      self._result_queue, self._max_cached),
-                daemon=True,
-                name=f"repro-warm-worker-{worker_id}")
-            process.start()
-            self._workers[worker_id] = _WorkerRecord(process, job_queue)
+
+    def _start_worker(self) -> Tuple[int, _WorkerRecord]:
+        worker_id = self._next_worker_id
+        self._next_worker_id += 1
+        job_queue = self._context.Queue()
+        process = self._context.Process(
+            target=_persistent_worker_main,
+            args=(list(sys.path), worker_id, job_queue, self._result_queue),
+            daemon=True,
+            name=f"repro-warm-worker-{worker_id}")
+        process.start()
+        record = self._workers[worker_id] = _WorkerRecord(process, job_queue)
+        return worker_id, record
 
     def _drain_stale_results(self) -> None:
         """Consume results of abandoned epochs without blocking."""
@@ -581,17 +410,25 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                 record.inflight -= 1
 
     def _teardown(self) -> None:
+        self._drain_stale_results()
         workers, self._workers = self._workers, {}
         result_queue, self._result_queue = self._result_queue, None
         for record in workers.values():
-            if record.process.is_alive():
-                try:
-                    record.queue.put(("stop",))
-                except Exception:  # pragma: no cover - queue torn down
-                    pass
+            if not record.process.is_alive():
+                continue
+            if record.inflight > 0:
+                # Still busy with chunks of an abandoned call (a raised
+                # chunk, an interrupted run): their results are stale,
+                # so do not wait for them.
+                record.process.terminate()
+                continue
+            try:
+                record.queue.put(("stop",))
+            except Exception:  # pragma: no cover - queue torn down
+                pass
         for record in workers.values():
             record.process.join(timeout=5.0)
-            if record.process.is_alive():  # pragma: no cover - stuck chunk
+            if record.process.is_alive():  # pragma: no cover - stuck
                 record.process.terminate()
                 record.process.join(timeout=1.0)
             record.queue.close()
@@ -608,9 +445,18 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
     # -- dispatch -------------------------------------------------------
     def _dispatch(self, epoch: int, position: int, entry: ChunkPlanEntry,
                   task: Any) -> int:
-        """Send one job to the least-loaded worker; returns its id."""
-        worker_id, record = min(self._workers.items(),
-                                key=lambda item: item[1].inflight)
+        """Send one job to the least-loaded worker; returns its id.
+
+        Workers start on demand: a new one only when every live worker
+        is busy, so a one-chunk run starts one process however large
+        ``num_workers`` is.
+        """
+        if self._workers:
+            worker_id, record = min(self._workers.items(),
+                                    key=lambda item: item[1].inflight)
+        if not self._workers or (record.inflight > 0 and
+                                 len(self._workers) < self.num_workers):
+            worker_id, record = self._start_worker()
         key = task_state_key(task)
         if key not in record.shipped:
             record.queue.put(("task", key, task))
@@ -646,12 +492,10 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
 
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
-        with self._lock:
-            self._check_open()
-            self._cancel_idle_timer()
-            self._ensure_pool()
-            self._epoch += 1
-            epoch = self._epoch
+        self._check_open()
+        self._ensure_pool()
+        self._epoch += 1
+        epoch = self._epoch
         jobs_iter = iter(jobs)
         pending: Dict[int, Tuple[Any, ChunkPlanEntry]] = {}
         assigned: Dict[int, int] = {}
@@ -691,58 +535,38 @@ class PersistentProcessExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                         entry.index, entry.chunk_seed, entry.count,
                         "worker process raised",
                         worker_traceback=failure)
-                self.last_chunk_timing = ChunkTiming(*timing)
+                self.last_chunk_timing = timing
                 yield tag, entry.index, result
         finally:
-            with self._lock:
-                # Whatever this call leaves in flight (early consumer
-                # exit, a raised chunk) is stale for the next one.
-                self._epoch += 1
-                if not self._closed:
-                    self._start_idle_timer()
+            # Whatever this call leaves in flight (early consumer
+            # exit, a raised chunk) is stale for the next one.
+            self._epoch += 1
 
     def __repr__(self) -> str:
         return (f"PersistentProcessExecutor(num_workers="
                 f"{self.num_workers}, start_method="
-                f"{self._start_method!r}, window={self.window}, "
-                f"alive_workers={self.alive_workers})")
+                f"{self._start_method!r}, alive_workers="
+                f"{self.alive_workers})")
 
 
-class PersistentThreadExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
-    """Warm thread fan-out: a long-lived thread pool with per-thread
-    state caches.
+class PersistentThreadExecutor(_PooledExecutor):
+    """Thread fan-out: a long-lived thread pool with per-thread state
+    caches.
 
     The thread twin of :class:`PersistentProcessExecutor`: the pool
     survives across ``submit_jobs`` calls, each worker thread keeps
     its own :class:`~repro.campaigns.worker_cache.WorkerStateCache`
     (designs are not thread-safe, so states are never shared between
-    threads), dispatch streams through the same bounded window, and
-    the same ``close()``/context-manager/``idle_timeout`` lifecycle
-    applies.  Best for GIL-releasing chunk work and for warm service
-    regimes where even process spin-up is too much latency.
+    threads), and dispatch streams through the same bounded window.
+    Threads pay no pickling or process start-up; they overlap real
+    work only where chunks release the GIL (numpy kernels) or block
+    on IO.
     """
 
-    def __init__(self, num_workers: int,
-                 window: Optional[int] = None,
-                 idle_timeout: Optional[float] = None,
-                 max_cached_states: int = DEFAULT_MAX_ENTRIES):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if window is not None and window < 1:
-            raise ValueError("window must be >= 1")
-        if idle_timeout is not None and idle_timeout <= 0:
-            raise ValueError("idle_timeout must be positive")
-        self.num_workers = num_workers
-        self.window = window if window is not None else max(
-            2 * num_workers, 4)
-        self.idle_timeout = idle_timeout
-        self._max_cached = max_cached_states
+    def __init__(self, num_workers: int):
+        super().__init__(num_workers)
         self._pool: Any = None
         self._local = threading.local()
-        self._closed = False
-        self._lock = threading.RLock()
-        self._idle_timer: Optional[threading.Timer] = None
-        self.last_chunk_timing: Optional[ChunkTiming] = None
 
     def _ensure_pool(self) -> None:
         if self._pool is None:
@@ -755,36 +579,20 @@ class PersistentThreadExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
         if pool is not None:
             pool.shutdown(wait=True)
 
-    def _thread_cache(self) -> WorkerStateCache:
+    def _run_in_thread(self, entry: ChunkPlanEntry, task: Any
+                       ) -> Tuple[Any, ChunkTiming]:
         cache = getattr(self._local, "cache", None)
         if cache is None:
-            cache = WorkerStateCache(max_entries=self._max_cached)
-            self._local.cache = cache
-        return cache
-
-    def _run_warm(self, entry: ChunkPlanEntry, task: Any
-                  ) -> Tuple[Any, ChunkTiming]:
-        try:
-            state, setup, cache_hit = self._thread_cache().lease(task)
-            started = time.perf_counter()
-            result = task.run_chunk_warm(state, entry.chunk_seed,
-                                         entry.count)
-        except ChunkExecutionError:
-            raise
-        except Exception as exc:
-            raise ChunkExecutionError.wrap(entry, exc) from exc
-        return result, ChunkTiming(setup, time.perf_counter() - started,
-                                   cache_hit)
+            cache = self._local.cache = WorkerStateCache()
+        return _run_entry(cache, task, entry)
 
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
         from concurrent.futures import FIRST_COMPLETED, wait
 
-        with self._lock:
-            self._check_open()
-            self._cancel_idle_timer()
-            self._ensure_pool()
-            pool = self._pool
+        self._check_open()
+        self._ensure_pool()
+        pool = self._pool
         jobs_iter = iter(jobs)
         futures: Dict[Any, Tuple[Any, ChunkPlanEntry]] = {}
         exhausted = False
@@ -796,7 +604,7 @@ class PersistentThreadExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                     except StopIteration:
                         exhausted = True
                         break
-                    future = pool.submit(self._run_warm, entry, task)
+                    future = pool.submit(self._run_in_thread, entry, task)
                     futures[future] = (tag, entry)
                 if not futures:
                     break
@@ -804,23 +612,20 @@ class PersistentThreadExecutor(_WarmLifecycleMixin, ChunkExecutorBase):
                                return_when=FIRST_COMPLETED)
                 for future in done:
                     tag, entry = futures.pop(future)
-                    result, timing = future.result()
-                    self.last_chunk_timing = timing
+                    result, self.last_chunk_timing = future.result()
                     yield tag, entry.index, result
         finally:
             for future in futures:
                 future.cancel()
-            with self._lock:
-                if not self._closed:
-                    self._start_idle_timer()
 
     def __repr__(self) -> str:
         return (f"PersistentThreadExecutor(num_workers="
-                f"{self.num_workers}, window={self.window}, "
-                f"warm={self._pool is not None})")
+                f"{self.num_workers}, warm={self._pool is not None})")
 
 
-#: Executor spec strings accepted by :func:`resolve_executor`.
+#: Executor spec strings accepted by :func:`resolve_executor`: the
+#: three kinds, then ``"thread-warm"``/``"process-warm"``, which are
+#: aliases of ``"thread"``/``"process"`` (every pool is persistent).
 EXECUTOR_KINDS = ("serial", "thread", "process", "thread-warm",
                   "process-warm")
 
@@ -830,34 +635,28 @@ def resolve_executor(executor: "ChunkExecutor | str | None",
                      start_method: Optional[str] = None) -> ChunkExecutor:
     """Resolve an executor spec to an instance.
 
-    ``None`` keeps the historical behaviour: inline for one worker,
-    process fan-out otherwise.  A string names a kind from
-    ``EXECUTOR_KINDS`` sized by ``num_workers``; an object exposing
-    ``submit`` is returned as-is.  The warm kinds
-    (``"process-warm"``/``"thread-warm"``) build persistent executors
-    whose pool outlives individual calls -- whoever resolves a spec
-    string owns the resulting lifecycle (the runner and scheduler
-    close spec-resolved executors themselves; pass a pre-built
-    instance to share one warm pool across runners/schedulers and
-    close it yourself).
+    ``None`` runs inline for one worker and on a process pool
+    otherwise.  A string from ``EXECUTOR_KINDS`` names the kind, sized
+    by ``num_workers``: ``"serial"``, or ``"thread"``/``"process"``
+    for the persistent pools (spelled ``"thread-warm"``/
+    ``"process-warm"`` too).  A process pool starts its workers on
+    demand, never more than there are chunks in flight.  An object exposing ``submit`` is returned as-is.
+    Whoever resolves a spec owns the resulting executor and closes it:
+    the runner and scheduler do so for the executors they resolve;
+    pass a pre-built instance to share one pool across
+    runners/schedulers and close it yourself.
     """
     if executor is None:
-        if num_workers == 1:
-            return SerialExecutor()
-        return ProcessExecutor(num_workers, start_method=start_method)
+        executor = "serial" if num_workers == 1 else "process"
     if isinstance(executor, str):
         kind = executor.strip().lower()
         if kind == "serial":
             return SerialExecutor()
-        if kind in ("thread", "threads"):
-            return ThreadExecutor(num_workers)
-        if kind in ("process", "processes"):
-            return ProcessExecutor(num_workers, start_method=start_method)
-        if kind in ("process-warm", "warm-process"):
+        if kind in ("thread", "thread-warm"):
+            return PersistentThreadExecutor(num_workers)
+        if kind in ("process", "process-warm"):
             return PersistentProcessExecutor(num_workers,
                                              start_method=start_method)
-        if kind in ("thread-warm", "warm-thread"):
-            return PersistentThreadExecutor(num_workers)
         raise ValueError(
             f"unknown executor {executor!r}; choose from "
             f"{EXECUTOR_KINDS} or pass a ChunkExecutor instance")
@@ -876,8 +675,6 @@ __all__ = [
     "EXECUTOR_KINDS",
     "PersistentProcessExecutor",
     "PersistentThreadExecutor",
-    "ProcessExecutor",
     "SerialExecutor",
-    "ThreadExecutor",
     "resolve_executor",
 ]

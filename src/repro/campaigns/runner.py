@@ -12,10 +12,11 @@ each --
   chunk_size)`` alone (never the worker count), which is why the
   merged statistics are **bit-identical for any executor and any
   number of workers**;
-* :mod:`repro.campaigns.executors` -- where chunks run: inline,
-  thread pool, or process pool (tasks pickled once per worker), with
-  failures wrapped as :class:`~repro.campaigns.executors.\
-ChunkExecutionError` naming the chunk that died;
+* :mod:`repro.campaigns.executors` -- where chunks run: inline, or on
+  a persistent thread or process pool (tasks shipped once per worker,
+  worker state built once per task), with failures wrapped as
+  :class:`~repro.campaigns.executors.ChunkExecutionError` naming the
+  chunk that died;
 * :mod:`repro.campaigns.checkpoints` -- the JSON checkpoint: header
   validation, atomic replace, and the ``save_interval`` flush policy
   (plus a final flush -- also on the way out of a failed run, so a
@@ -26,7 +27,7 @@ ChunkExecutionError` naming the chunk that died;
 Work is described by a :class:`CampaignTask`: a small picklable object
 that knows how to run one chunk from one chunk seed.  Tasks build
 their (unpicklable) simulation state -- test benches, protected
-designs -- inside ``run_chunk``, in the worker process.
+designs -- in ``build_worker_state``, in the worker.
 
 :class:`ShardedCampaignRunner` keeps its historical constructor and
 ``run()`` semantics (existing callers are untouched); ``executor=``
@@ -58,46 +59,46 @@ from repro.campaigns.seeding import child_seed
 class CampaignTask:
     """Picklable description of a campaign's unit of work.
 
-    Subclasses implement :meth:`run_chunk` and :meth:`empty_result`;
-    results must be mergeable counter objects exposing ``merge``,
-    ``to_dict`` and a ``from_dict`` classmethod (see
+    Subclasses implement :meth:`run_chunk_on` and :meth:`empty_result`,
+    and override :meth:`build_worker_state` when chunks share heavy
+    state; results must be mergeable counter objects exposing
+    ``merge``, ``to_dict`` and a ``from_dict`` classmethod (see
     :mod:`repro.campaigns.stats`).  Keep task fields down to plain
     primitives so the task pickles cheaply to worker processes; any
-    heavyweight simulation state belongs inside :meth:`run_chunk`.
+    heavyweight simulation state belongs in :meth:`build_worker_state`.
     """
-
-    def run_chunk(self, chunk_seed: int, num_sequences: int) -> Any:
-        """Run ``num_sequences`` sequences seeded from ``chunk_seed``."""
-        raise NotImplementedError
 
     def build_worker_state(self) -> Any:
         """Seed-independent heavy state reused across chunks.
 
-        The warm executors call this once per ``(worker,
-        fingerprint())`` and memoize the result in a
+        Every executor calls this once per ``(worker, fingerprint())``
+        and memoizes the result in a
         :class:`~repro.campaigns.worker_cache.WorkerStateCache`; the
-        state is then passed to every :meth:`run_chunk_warm` call that
+        state is then passed to every :meth:`run_chunk_on` call that
         worker serves for this task.  Only **seed-independent** work
         belongs here (circuit construction, engine instances, LUTs,
-        kernel warm-up) -- anything derived from a chunk seed must stay
-        in ``run_chunk_warm`` or warm results diverge from cold ones.
-        The default returns ``None``: tasks without a warm path run
-        unchanged (``run_chunk_warm`` falls back to :meth:`run_chunk`).
+        kernel warm-up) -- anything derived from a chunk seed belongs
+        in :meth:`run_chunk_on`.  The default returns ``None``.
         """
         return None
 
-    def run_chunk_warm(self, state: Any, chunk_seed: int,
-                       num_sequences: int) -> Any:
-        """Run one chunk against prebuilt worker ``state``.
+    def run_chunk_on(self, state: Any, chunk_seed: int,
+                     num_sequences: int) -> Any:
+        """Run ``num_sequences`` sequences seeded from ``chunk_seed`` on
+        worker ``state``.
 
-        Must be bit-identical to ``run_chunk(chunk_seed,
-        num_sequences)`` for any prior use of ``state`` -- including a
-        previous chunk that raised mid-flight -- which in practice
-        means re-deriving every random stream from ``chunk_seed`` and
-        restoring any mutated simulation state before running.  The
-        default ignores ``state`` and delegates to :meth:`run_chunk`.
+        The result must depend only on ``(self, chunk_seed,
+        num_sequences)``, whatever ``state`` served before -- including
+        a previous chunk that raised mid-flight -- which in practice
+        means deriving every random stream from ``chunk_seed`` and
+        restoring any mutated simulation state before running.
         """
-        return self.run_chunk(chunk_seed, num_sequences)
+        raise NotImplementedError
+
+    def run_chunk(self, chunk_seed: int, num_sequences: int) -> Any:
+        """Run one chunk on freshly built worker state."""
+        return self.run_chunk_on(self.build_worker_state(), chunk_seed,
+                                 num_sequences)
 
     def empty_result(self) -> Any:
         """A zero-valued result object (the merge identity)."""
@@ -142,12 +143,11 @@ class CampaignProgress:
     not report an impossible rate.
 
     ``setup_seconds``/``compute_seconds`` are the campaign's cumulative
-    worker-side setup-vs-compute split, reported by executors that
-    expose per-chunk timing (the warm persistent executors; see
-    :class:`~repro.campaigns.worker_cache.ChunkTiming`).  On a warm
-    pool, ``setup_seconds`` stops growing once every worker has built
-    the task's state -- that plateau is the amortization being
-    observable.  Executors without timing leave both at ``0.0``.
+    worker-side setup-vs-compute split, from the per-chunk
+    :class:`~repro.campaigns.worker_cache.ChunkTiming` every executor
+    publishes.  ``setup_seconds`` stops growing once every worker has
+    built the task's state -- that plateau is the amortization being
+    observable.
     """
 
     chunk_index: int
@@ -204,8 +204,8 @@ class ShardedCampaignRunner:
         draws a random root (recorded in the checkpoint so a resume
         stays coherent).
     num_workers:
-        Worker count; ``1`` runs inline (no pool), which is also the
-        fallback when only one chunk is pending.
+        Worker count; with the default ``executor=None``, ``1`` runs
+        inline (no pool).
     chunk_size:
         Sequences per chunk; defaults to
         :func:`~repro.campaigns.plan.default_chunk_size` rounded to the
@@ -221,14 +221,16 @@ class ShardedCampaignRunner:
         Called in the parent after each chunk with a
         :class:`CampaignProgress` (including elapsed/rate/ETA fields).
     start_method:
-        ``multiprocessing`` start method for the default process
-        executor; default prefers ``fork`` and falls back to ``spawn``.
+        ``multiprocessing`` start method for a process pool; default
+        prefers ``fork`` and falls back to ``spawn``.
     executor:
-        ``None`` (historical behaviour: inline for one worker,
-        processes otherwise), an
+        ``None`` (inline for one worker, a process pool otherwise), an
         :data:`~repro.campaigns.executors.EXECUTOR_KINDS` string sized
         by ``num_workers``, or a
         :class:`~repro.campaigns.executors.ChunkExecutor` instance.
+        A pool the runner resolved from ``None`` or a string is closed
+        when :meth:`run` returns or raises; an instance is left to its
+        owner.
     save_interval:
         Checkpoint flush policy: rewrite the payload every this many
         completed chunks (default 1, the historical write-per-chunk
@@ -342,8 +344,7 @@ class ShardedCampaignRunner:
         store.attach(self._checkpoint_header(), completed)
         restored = sum(counts[i] for i in completed)
         started = time.perf_counter()
-        # Cumulative worker-side setup/compute split, accumulated from
-        # executors that report per-chunk timing (the warm pools).
+        # Cumulative worker-side setup/compute split of this run.
         timing = {"setup": 0.0, "compute": 0.0}
 
         def emit(chunk_index: int, from_checkpoint: bool = False) -> None:
@@ -374,11 +375,9 @@ class ShardedCampaignRunner:
             try:
                 for index, result in executor.submit(
                         plan.iter_pending(completed), self.task):
-                    chunk_timing = getattr(executor, "last_chunk_timing",
-                                           None)
-                    if chunk_timing is not None:
-                        timing["setup"] += chunk_timing.setup_seconds
-                        timing["compute"] += chunk_timing.compute_seconds
+                    chunk_timing = executor.last_chunk_timing
+                    timing["setup"] += chunk_timing.setup_seconds
+                    timing["compute"] += chunk_timing.compute_seconds
                     store.record(index, result)
                     emit(index)
             finally:
@@ -386,7 +385,7 @@ class ShardedCampaignRunner:
                 # (ChunkExecutionError) and interruption alike, so a
                 # fixed run resumes from everything that completed.
                 store.flush()
-                if owns_executor and hasattr(executor, "close"):
+                if owns_executor:
                     executor.close()
 
         merged = self.task.empty_result()

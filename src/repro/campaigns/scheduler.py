@@ -16,10 +16,10 @@ ChunkPlan`, never on what it was interleaved with.
 
 Typical use::
 
-    scheduler = CampaignScheduler(num_workers=4)
-    single = scheduler.submit(single_task, 10**6, seed=1)
-    burst = scheduler.submit(burst_task, 10**6, seed=2)
-    scheduler.run()                  # both campaigns share the pool
+    with CampaignScheduler(num_workers=4) as scheduler:
+        single = scheduler.submit(single_task, 10**6, seed=1)
+        burst = scheduler.submit(burst_task, 10**6, seed=2)
+        scheduler.run()              # both campaigns share the pool
     single.result, burst.result      # merged statistics per job
 """
 
@@ -65,8 +65,7 @@ class CampaignJob:
         self.done = False
         self.from_cache = False
         #: Cumulative worker-side setup/compute seconds of this job's
-        #: chunks, from executors that report per-chunk timing (the
-        #: warm pools); stays 0.0 elsewhere.
+        #: chunks, as the executor reports them per chunk.
         self.setup_seconds = 0.0
         self.compute_seconds = 0.0
         self._counts = plan.counts()
@@ -141,18 +140,15 @@ class CampaignScheduler:
     Parameters
     ----------
     executor:
-        ``None`` (inline for ``num_workers == 1``, processes
+        ``None`` (inline for ``num_workers == 1``, a process pool
         otherwise), an executor-kind string, or a
         :class:`~repro.campaigns.executors.ChunkExecutor`; every job
-        submitted to this scheduler shares it.  The scheduler is the
-        natural home of the warm kinds: with
-        ``executor="process-warm"`` every ``run()`` round -- and
-        every job within a round -- reuses one hot pool with its
+        submitted to this scheduler shares it.  Every ``run()`` round
+        -- and every job within a round -- reuses one pool with its
         worker-side state caches (close with :meth:`close` or use the
-        scheduler as a context manager).  A pre-built persistent
-        executor can also be passed in to share one pool across
-        several schedulers/runners; its lifecycle then stays with the
-        caller.
+        scheduler as a context manager).  A pre-built executor can
+        also be passed in to share one pool across several
+        schedulers/runners; its lifecycle then stays with the caller.
     num_workers, start_method:
         Sizing of the default/string-spec executor, as in
         :class:`~repro.campaigns.runner.ShardedCampaignRunner`.
@@ -266,11 +262,9 @@ CheckpointStore`).
         try:
             for job, index, result in self._executor.submit_jobs(
                     interleaved()):
-                timing = getattr(self._executor, "last_chunk_timing",
-                                 None)
-                if timing is not None:
-                    job.setup_seconds += timing.setup_seconds
-                    job.compute_seconds += timing.compute_seconds
+                timing = self._executor.last_chunk_timing
+                job.setup_seconds += timing.setup_seconds
+                job.compute_seconds += timing.compute_seconds
                 job.store.record(index, result)
                 job._emit(index)
         finally:
@@ -290,13 +284,12 @@ CheckpointStore`).
         """Release the scheduler's executor, if the scheduler owns it.
 
         ``run()`` deliberately does **not** tear the executor down --
-        with a warm spec (``executor="process-warm"``) the whole point
-        is that later ``submit``/``run`` rounds reuse the hot pool.
-        Call this (or use the scheduler as a context manager) when the
-        scheduler is done for good.  Executors passed in as pre-built
-        instances are left running for their owner.
+        later ``submit``/``run`` rounds reuse the hot pool.  Call this
+        (or use the scheduler as a context manager) when the scheduler
+        is done for good.  Executors passed in as pre-built instances
+        are left running for their owner.
         """
-        if self._owns_executor and hasattr(self._executor, "close"):
+        if self._owns_executor:
             self._executor.close()
 
     def __enter__(self) -> "CampaignScheduler":

@@ -2,9 +2,9 @@
 
 A task carries only plain parameters (geometry, code names, pattern
 kind); the unpicklable simulation objects -- the protected design, the
-FIFO test bench -- are built *inside* ``run_chunk`` in the worker
-process, with all per-chunk random streams (stimulus data, error
-placement, injector LFSRs) derived from the chunk seed via
+FIFO test bench -- are built by ``build_worker_state`` in the worker,
+and every per-chunk random stream (stimulus data, error placement,
+injector LFSRs) is derived from the chunk seed via
 :mod:`repro.campaigns.seeding`.  That is what makes chunks independent
 and the campaign's result a pure function of the root seed and chunk
 plan.
@@ -179,15 +179,12 @@ run_sequence_batch`: one stimulus burst per group, one injection per
                                                    self.burst_size, rng)
         return lambda rng: None
 
-    def _build_bench(self, chunk_seed: int):
-        """Build the protected design + test bench for one chunk seed.
+    def _build_bench(self):
+        """Build the seed-independent protected design + test bench.
 
-        The construction half of :meth:`run_chunk`; the warm-pool
-        :class:`~repro.campaigns.worker_cache.FIFOChunkWorkspace` calls
-        it once per worker (with a placeholder seed -- its ``reseed``
-        re-derives the seed-dependent parts per chunk) and the cold
-        path calls it per chunk, so both paths are built by the same
-        code.
+        The injector and stimulus built here carry default seeds; the
+        :class:`~repro.campaigns.worker_cache.FIFOChunkWorkspace` that
+        owns the bench reseeds both from every chunk seed.
         """
         # Heavy imports stay inside the worker-side call so the task
         # module itself is import-cycle-free and cheap to pickle.
@@ -201,43 +198,28 @@ run_sequence_batch`: one stimulus burst per group, one injection per
             {} if self.engine is None else {"engine": self.engine}
         design = ProtectedDesign(
             fifo, codes=list(self.codes), num_chains=self.num_chains,
-            lfsr_seed=child_seed(chunk_seed, "lfsr"), **engine_kwargs)
+            **engine_kwargs)
         testbench = FIFOTestbench(
-            design, words_per_sequence=self.words_per_sequence,
-            seed=child_seed(chunk_seed, "stimulus"))
+            design, words_per_sequence=self.words_per_sequence)
         return design, testbench
 
-    def run_chunk(self, chunk_seed: int,
-                  num_sequences: int) -> StreamingCampaignResult:
-        """Build a fresh test bench and run one chunk of sequences."""
-        design, testbench = self._build_bench(chunk_seed)
-        return self._run_sequences(design, testbench, chunk_seed,
-                                   num_sequences)
-
     def build_worker_state(self):
-        """Warm-pool state: one reusable bench per task fingerprint."""
+        """One reusable bench per task fingerprint."""
         from repro.campaigns.worker_cache import FIFOChunkWorkspace
         return FIFOChunkWorkspace(self)
 
-    def run_chunk_warm(self, state, chunk_seed: int,
-                       num_sequences: int) -> StreamingCampaignResult:
-        """Run one chunk on a cached workspace, bit-identical to
-        :meth:`run_chunk`.
+    def run_chunk_on(self, state, chunk_seed: int,
+                     num_sequences: int) -> StreamingCampaignResult:
+        """Run one chunk of sequences on a (possibly reused) workspace.
 
         ``state.reseed`` restores the bench to its as-built state and
-        re-derives every seed-dependent stream from ``chunk_seed``
-        exactly as :meth:`_build_bench` would, so only construction
-        cost differs between the warm and cold paths.
+        derives every seed-dependent stream from ``chunk_seed``, so the
+        result depends only on ``(self, chunk_seed, num_sequences)``.
         """
-        state.reseed(chunk_seed)
-        return self._run_sequences(state.design, state.testbench,
-                                   chunk_seed, num_sequences)
-
-    def _run_sequences(self, design, testbench, chunk_seed: int,
-                       num_sequences: int) -> StreamingCampaignResult:
-        """The chunk's sequence loop, shared by the cold and warm paths."""
         import random
 
+        state.reseed(chunk_seed)
+        design, testbench = state.design, state.testbench
         if self.sampler == "array":
             return self._run_chunk_array(chunk_seed, num_sequences, design,
                                          testbench)

@@ -1,12 +1,12 @@
-"""Worker-side state cache for the warm persistent executors.
+"""Worker-side state cache behind every executor.
 
-A cold chunk pays for everything: the protected design (circuit,
-chains, monitor bank), the engine instance with its workspaces, the
-memoized GF(2) LUTs, and -- on the jit engine -- kernel warm-up.  The
-kernels have long out-scaled those fixed costs, so the persistent
-executors (:class:`~repro.campaigns.executors.PersistentProcessExecutor`
-and friends) keep one :class:`WorkerStateCache` per worker *lifetime*
-and rebuild only the cheap seed-dependent wrappers per chunk.
+Building a chunk's bench pays for everything: the protected design
+(circuit, chains, monitor bank), the engine instance with its
+workspaces, the memoized GF(2) LUTs, and -- on the jit engine --
+kernel warm-up.  The kernels have long out-scaled those fixed costs,
+so every executor (:mod:`repro.campaigns.executors`) keeps one
+:class:`WorkerStateCache` per worker *lifetime* and rebuilds only the
+cheap seed-dependent wrappers per chunk.
 
 The split is the determinism contract of this module:
 
@@ -17,12 +17,11 @@ The split is the determinism contract of this module:
 build_worker_state` and memoized here;
 * **seed-dependent** state -- the injector's LFSRs, the stimulus RNG,
   the pattern RNG -- is rebuilt every chunk from ``child_seed(
-  chunk_seed, ...)`` by the task's ``run_chunk_warm``, exactly as the
-  cold ``run_chunk`` path derives it.
+  chunk_seed, ...)`` by the task's ``run_chunk_on``.
 
 Because chunk results then depend only on ``(task fingerprint,
-chunk_seed, count)``, a warm worker is bit-identical to a cold one for
-any worker count and any pool-reuse order (property-tested in
+chunk_seed, count)``, a reused state is bit-identical to a fresh one
+for any worker count and any pool-reuse order (property-tested in
 ``tests/campaigns/test_worker_cache.py``).
 
 Everything stored in this module outlives single chunks inside
@@ -46,7 +45,7 @@ DEFAULT_MAX_ENTRIES = 4
 
 
 class ChunkTiming(NamedTuple):
-    """Per-chunk setup-vs-compute split reported by warm executors.
+    """Per-chunk setup-vs-compute split reported by every executor.
 
     ``setup_seconds`` is the worker-state build cost this chunk paid
     (zero on a cache hit -- that zero is the amortization being
@@ -110,9 +109,9 @@ class WorkerStateCache:
         """State for ``task``: ``(state, setup_seconds, cache_hit)``.
 
         ``setup_seconds`` is the build cost paid by *this* lease --
-        zero on a hit.  The state may be ``None`` for tasks without a
-        warm path (the default ``build_worker_state``); such tasks are
-        still memoized so repeat leases stay O(1).
+        zero on a hit.  The state may be ``None`` for tasks without
+        shared state (the default ``build_worker_state``); such tasks
+        are still memoized so repeat leases stay O(1).
         """
         key = task_state_key(task)
         if key in self._states:
@@ -141,9 +140,9 @@ class FIFOChunkWorkspace:
     :class:`~repro.campaigns.tasks.FIFOValidationCampaignTask`'s chunk
     setup: the protected FIFO, the reference FIFO, the test bench, and
     (lazily, via the design's keyed engine cache) the engine instance
-    with its workspaces.  :meth:`reseed` then makes the bench
-    indistinguishable from a freshly built one for the given chunk
-    seed:
+    with its workspaces.  :meth:`reseed` is the only place a bench is
+    seeded; it makes the bench indistinguishable from a freshly built
+    one for the given chunk seed:
 
     * every flip-flop of the DUT, the scan padding, and the reference
       FIFO is forced back to its pristine construction snapshot
@@ -155,7 +154,7 @@ class FIFOChunkWorkspace:
       across chunks -- nor survive a chunk that died mid-sleep);
     * the injector is rebuilt from ``child_seed(chunk_seed, "lfsr")``
       and the stimulus stream reseeded from ``child_seed(chunk_seed,
-      "stimulus")``, the exact streams the cold path derives;
+      "stimulus")``;
     * the corrector's event list is cleared.
 
     What deliberately survives: the design's engine cache (and with it
@@ -165,10 +164,7 @@ class FIFOChunkWorkspace:
 
     def __init__(self, task: Any):
         self.task = task
-        # Placeholder seed: the injector and stimulus built here are
-        # thrown away by the first reseed(); only the seed-independent
-        # structure built around them is kept.
-        self.design, self.testbench = task._build_bench(0)
+        self.design, self.testbench = task._build_bench()
         if task.engine == "jit":
             # Pay kernel load/compile once per worker lifetime, inside
             # setup, never inside a timed chunk.
@@ -195,7 +191,7 @@ class FIFOChunkWorkspace:
         design.controller = MonitoredPowerGatingController()
         # The task builds its design with default power-domain
         # configuration (no switches/rlc/upset-model override), so a
-        # default-rebuilt domain is identical to a cold chunk's.
+        # default-rebuilt domain is identical to a freshly built one.
         design.domain = PowerDomain(design.circuit)
         design.injector = ScanErrorInjector(
             design.chains, lfsr_seed=child_seed(chunk_seed, "lfsr"))

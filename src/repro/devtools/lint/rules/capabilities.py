@@ -185,7 +185,7 @@ def check_conditional_registration(
         conditional=None, engine_names: Optional[Tuple[str, ...]] = None
         ) -> Iterator[Finding]:
     """Gate-versus-registry cross-check for the conditionally
-    registered built-ins (``simd``/``cuda``/``jit``).
+    registered built-ins (``simd``/``jit``).
 
     The reflection pass above only sees engines that *are* registered,
     so a rotted registration gate -- the dependency importable but the

@@ -29,7 +29,6 @@ from repro.devtools.lint.findings import (
 #: Files (relpath suffixes) carrying the uint64 word-pipeline
 #: discipline.
 SCOPED_FILES = (
-    "engines/backend.py",
     "engines/delta.py",
     "engines/jit.py",
     "engines/simd.py",
@@ -52,7 +51,7 @@ def in_scope(file: SourceFile) -> bool:
 class DtypeRule(Rule):
     id = "dtype"
     description = ("ndarray constructors in the word-pipeline modules "
-                   "(engines/backend.py, engines/delta.py, "
+                   "(engines/delta.py, "
                    "engines/jit.py, engines/simd.py, "
                    "engines/summary.py, faults/batch.py) must pass an "
                    "explicit dtype=")

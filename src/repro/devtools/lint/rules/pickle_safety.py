@@ -1,6 +1,6 @@
 """Rule ``pickle``: campaign tasks stay process-pool safe.
 
-``ProcessChunkExecutor`` ships every distinct task to the workers by
+The process pool ships every distinct task to the workers by
 pickling it once per worker; a task carrying a lambda, a local
 closure, or an open OS handle pickles never (lambdas, nested
 functions) or wrongly (file positions, sockets), and the failure
@@ -13,16 +13,16 @@ tree it flags
   reference;
 * dataclass fields whose annotation names an unpicklable family
   (``Callable``, ``IO``/``TextIO``/``BinaryIO``, generators, locks,
-  sockets) -- duck-typed escape hatches belong in ``run_chunk``, built
-  worker-side;
+  sockets) -- duck-typed escape hatches belong in
+  ``build_worker_state``, built worker-side;
 * ``self.<attr> = lambda ...`` / ``self.<attr> = open(...)``
   assignments anywhere in the class body (the non-dataclass route to
   the same unpicklable state).
 
-The warm persistent executors widened the blast radius: state stored
-in :mod:`repro.campaigns.worker_cache` outlives single chunks inside
-long-lived worker processes (and tasks themselves now cross the
-process boundary through the warm pool's incremental shipping), so
+The persistent pools widened the blast radius: state stored in
+:mod:`repro.campaigns.worker_cache` outlives single chunks inside
+long-lived worker processes (and tasks themselves cross the process
+boundary through the pool's incremental shipping), so
 in the worker-cache module **every** class is checked -- not just
 ``CampaignTask`` subclasses.  A lambda smuggled into a cached
 workspace would otherwise survive until some unrelated chunk, hours
@@ -107,12 +107,12 @@ class PickleSafetyRule(Rule):
                     f"{cls.name}.{name} is annotated {family}-like: "
                     f"such fields do not survive pickling to "
                     f"process-pool workers; build it inside "
-                    f"run_chunk() instead")
+                    f"build_worker_state() instead")
             if isinstance(item.value, ast.Lambda):
                 yield project.finding(
                     self.id, file, item,
                     f"{cls.name}.{name} defaults to a lambda: lambdas "
-                    f"pickle never, so ProcessChunkExecutor dies on "
+                    f"pickle never, so the process pool dies on "
                     f"the first num_workers > 1 run")
 
     def _check_self_assignments(self, project, file,
@@ -140,7 +140,7 @@ class PickleSafetyRule(Rule):
                             f"{cls.name}.{func.name} stores an open "
                             f"file handle on self.{target.attr}: "
                             f"handles do not pickle; open (and close) "
-                            f"inside run_chunk()")
+                            f"inside run_chunk_on()")
 
 
 RULE = PickleSafetyRule()

@@ -27,26 +27,13 @@ capability additionally run whole batches through
 :meth:`SimulationEngine.run_batch_summary`, returning columnar
 :class:`BatchOutcomeArrays` (one ndarray per outcome field) with no
 per-sequence objects at all -- the campaign fast path; the shared
-vectorised helpers live in :mod:`repro.engines.summary`.
-
-The array namespace behind the array-native engines is itself
-pluggable (:mod:`repro.engines.backend`, the ``xp`` convention):
-``"numpy"`` is the default backend, and ``"cuda"`` -- the same
-word-packed engine on CuPy arrays, selectable as ``engine="cuda"`` --
-registers automatically when CuPy is importable, gated exactly like
-the ``[simd]`` extra.
+vectorised helpers live in :mod:`repro.engines.summary`.  The
+array-native engines run on numpy directly.
 
 See the README's "Engine architecture" section for when to pick which
 engine and how to register a custom one.
 """
 
-from repro.engines.backend import (
-    ArrayBackend,
-    available_backends,
-    get_backend,
-    register_backend,
-    unregister_backend,
-)
 from repro.engines.base import (
     BatchDecodeResult,
     BatchOutcomeArrays,
@@ -62,18 +49,13 @@ from repro.engines.registry import (
 )
 
 __all__ = [
-    "ArrayBackend",
     "BatchDecodeResult",
     "BatchOutcomeArrays",
     "EngineCapabilities",
     "SimulationEngine",
-    "available_backends",
     "available_engines",
-    "get_backend",
     "get_engine",
-    "register_backend",
     "register_engine",
-    "unregister_backend",
     "unregister_engine",
     "validate_engine",
 ]

@@ -233,25 +233,17 @@ def _unsupported(reason: str) -> DeltaPlan:
 
 def build_plan(groups: Sequence[Any], observing: Sequence[Any],
                overlapping_correctors: bool, num_chains: int,
-               chain_length: int, xp: Any = None) -> DeltaPlan:
+               chain_length: int) -> DeltaPlan:
     """Precompute the delta path's gather tables for one monitor bank.
 
     ``groups`` / ``observing`` are the dense engine's code groups and
-    stream monitors (see :class:`DeltaPlan`); ``xp`` is the injected
-    array namespace (default numpy) the per-batch arrays should live
-    in -- the shared LUT/column tables are built on the host and
-    converted once here.
+    stream monitors (see :class:`DeltaPlan`).
     """
-    xp = np if xp is None else xp
     if overlapping_correctors:
         return _unsupported(
             "correcting blocks share scan chains; their last-block-wins "
             "replay is order-dependent, which superposition cannot "
             "express")
-    if not hasattr(getattr(xp, "bitwise_xor", None), "reduceat"):
-        return _unsupported(
-            f"array backend {getattr(xp, '__name__', xp)!r} provides no "
-            f"ufunc.reduceat for the per-slice XOR folds")
 
     chain_monitor = np.full(num_chains, -1, dtype=np.int64)
     chain_col = np.zeros(num_chains, dtype=np.uint32)
@@ -259,11 +251,11 @@ def build_plan(groups: Sequence[Any], observing: Sequence[Any],
     mon_k: List[int] = []
     mon_group: List[int] = []
     mon_chain_rows: List[np.ndarray] = []
-    luts: List[Any] = []
+    luts: List[np.ndarray] = []
     for g, group in enumerate(groups):
         code = group.kernel.code
         try:
-            luts.append(xp.asarray(verdict_lut(code)))
+            luts.append(verdict_lut(code))
             columns = syndrome_columns(code)
         except ValueError as exc:
             return _unsupported(str(exc))
@@ -287,19 +279,19 @@ def build_plan(groups: Sequence[Any], observing: Sequence[Any],
     plan.num_chains = num_chains
     plan.chain_length = chain_length
     plan.num_monitors = len(mon_width)
-    plan.mon_width = xp.asarray(np.array(mon_width, dtype=np.int16))
-    plan.mon_k = xp.asarray(np.array(mon_k, dtype=np.int16))
-    plan.mon_group = xp.asarray(np.array(mon_group, dtype=np.int64))
+    plan.mon_width = np.array(mon_width, dtype=np.int16)
+    plan.mon_k = np.array(mon_k, dtype=np.int16)
+    plan.mon_group = np.array(mon_group, dtype=np.int64)
     kmax = max((row.size for row in mon_chain_rows), default=0)
     mon_chain = np.zeros((len(mon_chain_rows), kmax), dtype=np.int64)
     for index, row in enumerate(mon_chain_rows):
         mon_chain[index, :row.size] = row
-    plan.mon_chain = xp.asarray(mon_chain)
-    plan.chain_monitor = xp.asarray(chain_monitor)
-    plan.chain_col = xp.asarray(chain_col)
+    plan.mon_chain = mon_chain
+    plan.chain_monitor = chain_monitor
+    plan.chain_col = chain_col
     plan.luts = tuple(luts)
 
-    obs_cols: List[Any] = []
+    obs_cols: List[np.ndarray] = []
     for monitor in observing:
         column = np.zeros(num_chains * chain_length, dtype=np.uint64)
         width = len(monitor.rows_flat)
@@ -307,7 +299,7 @@ def build_plan(groups: Sequence[Any], observing: Sequence[Any],
             if row.size:
                 column[np.asarray(row, dtype=np.int64)] |= \
                     np.uint64(1 << (width - 1 - j))
-        obs_cols.append(xp.asarray(column))
+        obs_cols.append(column)
     plan.obs_cols = tuple(obs_cols)
     return plan
 
@@ -315,15 +307,16 @@ def build_plan(groups: Sequence[Any], observing: Sequence[Any],
 # ----------------------------------------------------------------------
 # The per-batch pass
 # ----------------------------------------------------------------------
-def _run_starts(keys: Any, xp: Any) -> Any:
+def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Start indices of the equal-value runs of a sorted key array."""
-    head = xp.ones(1, dtype=bool)
-    return xp.flatnonzero(xp.concatenate((head, keys[1:] != keys[:-1])))
+    head = np.ones(1, dtype=bool)
+    return np.flatnonzero(np.concatenate((head, keys[1:] != keys[:-1])))
 
 
-def delta_summary(plan: DeltaPlan, known_bits: Any, seqs: Any, cells: Any,
-                  injected: Any, batch_size: int,
-                  xp: Any = None) -> BatchOutcomeArrays:
+def delta_summary(plan: DeltaPlan, known_bits: np.ndarray,
+                  seqs: np.ndarray, cells: np.ndarray,
+                  injected: np.ndarray,
+                  batch_size: int) -> BatchOutcomeArrays:
     """One batch's columnar verdicts from its flip coordinates alone.
 
     ``seqs``/``cells`` are the known-gated, per-sequence-deduplicated
@@ -334,14 +327,13 @@ def delta_summary(plan: DeltaPlan, known_bits: Any, seqs: Any, cells: Any,
     state itself never enters (it cancels by superposition).  Returns
     arrays bit-identical to the dense summary pass.
     """
-    xp = np if xp is None else xp
     length = plan.chain_length
     num_cells = plan.num_chains * length
-    detected = xp.zeros(batch_size, dtype=bool)
-    uncorrectable = xp.zeros(batch_size, dtype=bool)
-    corrections = xp.zeros(batch_size, dtype=np.int64)
+    detected = np.zeros(batch_size, dtype=bool)
+    uncorrectable = np.zeros(batch_size, dtype=bool)
+    corrections = np.zeros(batch_size, dtype=np.int64)
     unknown_positions = int(known_bits.size) - int(known_bits.sum())
-    residuals = xp.full(batch_size, unknown_positions, dtype=np.int64)
+    residuals = np.full(batch_size, unknown_positions, dtype=np.int64)
 
     # -- block verdicts: per (sequence, decode slice) syndrome XOR ------
     fix_seqs = fix_cells = None
@@ -355,10 +347,10 @@ def delta_summary(plan: DeltaPlan, known_bits: Any, seqs: Any, cells: Any,
             c_pos = cells[covered] - chains[covered] * length
             c_col = plan.chain_col[chains[covered]]
             key = (c_seq * plan.num_monitors + c_mon) * length + c_pos
-            order = xp.argsort(key, kind="stable")
+            order = np.argsort(key, kind="stable")
             sorted_key = key[order]
-            starts = _run_starts(sorted_key, xp)
-            syndrome = xp.bitwise_xor.reduceat(c_col[order], starts)
+            starts = _run_starts(sorted_key)
+            syndrome = np.bitwise_xor.reduceat(c_col[order], starts)
             slice_key = sorted_key[starts]
             err = syndrome != 0
             if err.any():
@@ -369,7 +361,7 @@ def delta_summary(plan: DeltaPlan, known_bits: Any, seqs: Any, cells: Any,
                 e_mon = remainder // length
                 e_pos = remainder - e_mon * length
                 detected[e_seq] = True
-                verdict = xp.empty(e_syn.shape, dtype=np.int16)
+                verdict = np.empty(e_syn.shape, dtype=np.int16)
                 group_of = plan.mon_group[e_mon]
                 for g, lut in enumerate(plan.luts):
                     in_group = group_of == g
@@ -383,7 +375,7 @@ def delta_summary(plan: DeltaPlan, known_bits: Any, seqs: Any, cells: Any,
                 fix = (verdict >= 0) & (verdict < widths)
                 if fix.any():
                     fix_seqs = e_seq[fix]
-                    corrections += xp.bincount(fix_seqs,
+                    corrections += np.bincount(fix_seqs,
                                                minlength=batch_size)
                     fix_chain = plan.mon_chain[
                         e_mon[fix], verdict[fix].astype(np.int64)]
@@ -391,13 +383,13 @@ def delta_summary(plan: DeltaPlan, known_bits: Any, seqs: Any, cells: Any,
 
     # -- net state delta: flips XOR correction feedback -----------------
     if fix_cells is not None:
-        all_seqs = xp.concatenate((seqs, fix_seqs))
-        all_cells = xp.concatenate((cells, fix_cells))
+        all_seqs = np.concatenate((seqs, fix_seqs))
+        all_cells = np.concatenate((cells, fix_cells))
     else:
         all_seqs, all_cells = seqs, cells
     if len(all_cells):
         okey = all_seqs * num_cells + all_cells
-        unique_keys, multiplicity = xp.unique(okey, return_counts=True)
+        unique_keys, multiplicity = np.unique(okey, return_counts=True)
         odd = (multiplicity & 1).astype(bool)
         if odd.any():
             d_key = unique_keys[odd]
@@ -408,17 +400,17 @@ def delta_summary(plan: DeltaPlan, known_bits: Any, seqs: Any, cells: Any,
             # per-sequence constant (the decode pass drives them).
             known_cells = known_bits.reshape(-1)[d_cell]
             if known_cells.any():
-                residuals += xp.bincount(d_seq[known_cells],
+                residuals += np.bincount(d_seq[known_cells],
                                          minlength=batch_size)
             # Stream verdicts: a signature mismatches iff the XOR of
             # the delta cells' signature columns is non-zero
             # (correction feedback -- miscorrections included -- is in
             # the delta by construction).
             if plan.obs_cols:
-                run_starts = _run_starts(d_seq, xp)
+                run_starts = _run_starts(d_seq)
                 run_seqs = d_seq[run_starts]
                 for sig_col in plan.obs_cols:
-                    signature = xp.bitwise_xor.reduceat(sig_col[d_cell],
+                    signature = np.bitwise_xor.reduceat(sig_col[d_cell],
                                                         run_starts)
                     mismatch = run_seqs[signature != 0]
                     if len(mismatch):

@@ -29,8 +29,8 @@ order-dependent); there the engine inherits the numpy path.
 **Gating.**  The kernels are written in nopython-compatible Python and
 wrapped with ``numba.njit(parallel=True, cache=True)`` only when numba
 is importable (the ``[jit]`` packaging extra); the registry then lists
-``engine="jit"`` -- gated exactly like ``[simd]``/CuPy, silently
-absent otherwise.  The *uncompiled* functions remain first-class:
+``engine="jit"`` -- gated exactly like ``[simd]``, silently absent
+otherwise.  The *uncompiled* functions remain first-class:
 ``JitFusedEngine(compiled=False)`` executes the identical kernel logic
 through the interpreter, which is how the bit-identity property suite
 (``tests/engines/test_jit_equivalence.py``) covers every code family,
@@ -309,7 +309,7 @@ class JitFusedEngine(SimdBatchedEngine):
 
     def __init__(self, bank, num_chains: int, chain_length: int,
                  compiled: Optional[bool] = None):
-        super().__init__(bank, num_chains, chain_length, backend=None)
+        super().__init__(bank, num_chains, chain_length)
         if compiled is None:
             compiled = _fused_summary_compiled is not None
         if compiled and _fused_summary_compiled is None:

@@ -91,7 +91,6 @@ def available_engines() -> Tuple[str, ...]:
 #: is merely *absent*, not misspelled.
 CONDITIONAL_ENGINES = {
     "simd": ("numpy", "the [simd] packaging extra"),
-    "cuda": ("cupy", "the same word-packed engine on GPU arrays"),
     "jit": ("numba", "the [jit] packaging extra"),
 }
 
@@ -105,7 +104,7 @@ def validate_engine(name: str) -> str:
     before any worker process is spawned.  The returned name is the
     registry key itself, so everything downstream (engine caches,
     ``design.engine``) speaks one spelling.  Optional engines
-    (``"simd"``/``"cuda"``/``"jit"``) that are absent because their
+    (``"simd"``/``"jit"``) that are absent because their
     dependency is not installed fail with the dependency named, so a
     forced selection on a bare install is actionable rather than
     looking like a typo.
@@ -159,13 +158,6 @@ def _register_builtins() -> None:
                                  len(design.chains),
                                  len(design.chains[0]))
 
-    def cuda_factory(design):  # pragma: no cover - exercised with CuPy
-        from repro.engines.simd import SimdBatchedEngine
-        return SimdBatchedEngine(design.monitor_bank,
-                                 len(design.chains),
-                                 len(design.chains[0]),
-                                 backend="cuda")
-
     def jit_factory(design):  # pragma: no cover - exercised with numba
         from repro.engines.jit import JitFusedEngine
         return JitFusedEngine(design.monitor_bank,
@@ -182,11 +174,6 @@ def _register_builtins() -> None:
     import importlib.util
     if importlib.util.find_spec("numpy") is not None:
         register_engine("simd", simd_factory)
-        # The same word-packed engine on the CuPy array backend, gated
-        # the same way: without CuPy there is simply no "cuda" entry
-        # (no error, degrades silently -- CI smokes this).
-        if importlib.util.find_spec("cupy") is not None:  # pragma: no cover
-            register_engine("cuda", cuda_factory)
         # The Numba-fused single-pass summary engine ([jit] extra),
         # gated identically: without numba there is simply no "jit"
         # entry -- no error, degrades silently (CI smokes this), and

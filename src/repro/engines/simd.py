@@ -45,14 +45,9 @@ side, and the path actually taken is published as
 ``engine.last_summary_path``.  The two paths are bit-identical
 (property-tested in ``tests/engines/test_delta_path.py``).
 
-The array namespace is injected through
-:mod:`repro.engines.backend` (the ``xp`` convention): the engine
-resolves an :class:`~repro.engines.backend.ArrayBackend` at
-construction (numpy by default, ``backend="cuda"`` when CuPy is
-installed) and reuses per-engine :class:`~repro.engines.backend.\
-Workspace` buffers for the dense summary pass's dominant arrays, so
-steady-state equally-shaped batches stop allocating fresh state each
-pass.
+Each engine reuses per-instance :class:`Workspace` buffers for the
+dense summary pass's dominant arrays, so steady-state equally-shaped
+batches stop allocating fresh state each pass.
 
 Bit-exactness with the reference engine is property-tested in
 ``tests/engines/test_simd_equivalence.py`` across all registered
@@ -74,7 +69,6 @@ from repro.codes.plane import block_parity_matrix, crc_stream_matrix
 from repro.codes.secded import SECDEDCode
 from repro.core.corrector import CorrectionEvent
 from repro.core.monitor import MonitorBank, MonitorReport
-from repro.engines.backend import Workspace, get_backend
 from repro.engines.base import (
     BatchDecodeResult,
     BatchOutcomeArrays,
@@ -393,6 +387,38 @@ class _BlockGroup:
         self.stored: Optional[np.ndarray] = None
 
 
+class Workspace:
+    """Keyed reusable buffers for an engine's steady-state passes.
+
+    ``take(key, shape, dtype)`` returns the buffer registered under
+    ``key``, allocating (``np.empty``) only when the key is new or its
+    shape/dtype changed -- so a campaign running equally-shaped batches
+    through one engine allocates its large arrays once and then reuses
+    them every pass.  Buffers come back **uninitialised**: the caller
+    owns every element it reads (the word pipeline fully overwrites
+    its buffers each pass).  One workspace belongs to one engine
+    instance; buffers must never escape the pass that took them.
+    """
+
+    __slots__ = ("_buffers",)
+
+    def __init__(self) -> None:
+        self._buffers: Dict[object, np.ndarray] = {}
+
+    def take(self, key: object, shape: Tuple[int, ...],
+             dtype: object) -> np.ndarray:
+        buffer = self._buffers.get(key)
+        if (buffer is None or buffer.shape != tuple(shape)
+                or buffer.dtype != dtype):
+            buffer = np.empty(shape, dtype=dtype)
+            self._buffers[key] = buffer
+        return buffer
+
+    def clear(self) -> None:
+        """Drop every buffer (e.g. before a geometry change)."""
+        self._buffers.clear()
+
+
 class SimdBatchedEngine(SimulationEngine):
     """NumPy word-packed simulation of B independent sequences per pass.
 
@@ -404,11 +430,6 @@ class SimdBatchedEngine(SimulationEngine):
         are stored inside the engine; the bank's blocks are untouched.
     num_chains, chain_length:
         Geometry of the chain set the passes run over.
-    backend:
-        Array-backend name resolved through
-        :func:`repro.engines.backend.get_backend` (``None`` -> the
-        default, numpy).  The resolved namespace is published as
-        ``self.xp``; ``"cuda"`` exists whenever CuPy is installed.
 
     Raises ``ValueError`` at construction for codes without a
     structured GF(2) form (adapter-only codes) -- those run on the
@@ -422,10 +443,8 @@ class SimdBatchedEngine(SimulationEngine):
     delta_crossover = DELTA_CROSSOVER_FLIPS_PER_SEQ
 
     def __init__(self, bank: MonitorBank, num_chains: int,
-                 chain_length: int, backend: Optional[str] = None):
-        self._backend = get_backend(backend)
-        self.xp = self._backend.xp
-        self._workspace = Workspace(self.xp)
+                 chain_length: int):
+        self._workspace = Workspace()
         self.num_chains = num_chains
         self.chain_length = chain_length
         (self._order, self._correcting, self._observing,
@@ -464,26 +483,6 @@ class SimdBatchedEngine(SimulationEngine):
         #: The path the last run_batch_summary call actually took
         #: ("delta" or "dense"); None before any summary pass.
         self.last_summary_path: Optional[str] = None
-        if self._backend.name != "numpy":  # pragma: no cover - no CuPy CI
-            self._adopt_backend()
-
-    def _adopt_backend(self) -> None:  # pragma: no cover - no CuPy CI
-        """Move the per-pass hot structure arrays (gather/scatter
-        indices, LUTs, stream rows) into the backend's native memory;
-        the host keeps the protocol-boundary packers."""
-        move = self._backend.asarray
-        for group in self._groups:
-            group.gather_idx = move(group.gather_idx)
-            kernel = group.kernel
-            kernel.rows = tuple(move(row) for row in kernel.rows)
-            if hasattr(kernel, "lut"):
-                kernel.lut = move(kernel.lut)
-        for monitor in self._observing:
-            monitor.rows_flat = [move(row) for row in monitor.rows_flat]
-            monitor.const_idx = move(monitor.const_idx)
-            if monitor.gather_all is not None:
-                monitor.gather_all = move(monitor.gather_all)
-                monitor.offsets = move(monitor.offsets)
 
     # ------------------------------------------------------------------
     def _full_words(self, batch_size: int) -> np.ndarray:
@@ -529,7 +528,7 @@ class SimdBatchedEngine(SimulationEngine):
         if out is None:
             data = words[idx]
         else:
-            data = self.xp.take(words, idx, axis=0, out=out)
+            data = np.take(words, idx, axis=0, out=out)
         data = data.reshape(len(group.monitors), group.kernel.k,
                             self.chain_length, -1)
         if group.pad_mask is not None:
@@ -805,7 +804,7 @@ class SimdBatchedEngine(SimulationEngine):
             self._delta_plan = build_plan(
                 self._groups, self._observing,
                 self._overlapping_correctors, self.num_chains,
-                self.chain_length, xp=self.xp)
+                self.chain_length)
         return self._delta_plan
 
     def _delta_summary(self, plan, knowns: Sequence[int],
@@ -826,12 +825,8 @@ class SimdBatchedEngine(SimulationEngine):
         else:
             seqs, cells, injected = batch_flips_coords(
                 flips, knowns, batch_size, self.chain_length)
-        if self._backend.name != "numpy":  # pragma: no cover - no CuPy CI
-            move = self._backend.asarray
-            seqs, cells, injected = move(seqs), move(cells), move(injected)
-            known_bits = move(known_bits)
         return delta_summary(plan, known_bits, seqs, cells, injected,
-                             batch_size, xp=self.xp)
+                             batch_size)
 
     def _dense_summary(self, states: Sequence[int], knowns: Sequence[int],
                        known_bits: np.ndarray, flips,
@@ -859,8 +854,7 @@ class SimdBatchedEngine(SimulationEngine):
             state_bits, full,
             out=self._workspace.take(
                 "summary_words", state_bits.shape + (full.size,),
-                np.uint64),
-            xp=self.xp)
+                np.uint64))
         self._encode_words(words, batch_size)
         # A PatternBatch resolves to scatter arrays without any
         # per-flip Python work; a BatchFlips dict goes through the
@@ -949,8 +943,7 @@ class SimdBatchedEngine(SimulationEngine):
         residuals = residual_counts_words(states, knowns, words,
                                           batch_size,
                                           state_bits=state_bits,
-                                          known_bits=known_bits,
-                                          xp=self.xp)
+                                          known_bits=known_bits)
 
         return BatchOutcomeArrays(
             injected=injected.astype(np.int64),
@@ -978,6 +971,7 @@ class SimdBatchedEngine(SimulationEngine):
 
 __all__ = [
     "SimdBatchedEngine",
+    "Workspace",
     "planes_to_words",
     "words_to_planes",
     "full_words",

@@ -76,42 +76,37 @@ def bits_matrix(values: Sequence[int], length: int) -> np.ndarray:
 
 def replicate_state_words(state_bits: np.ndarray,
                           full: np.ndarray,
-                          out: "np.ndarray | None" = None,
-                          xp=None) -> np.ndarray:
+                          out: "np.ndarray | None" = None) -> np.ndarray:
     """Broadcast a ``(C, L)`` bool state into ``(C, L, W)`` uint64 words
     (every sequence of the batch starts from the same state).
 
     ``full`` is the all-sequences word mask
     (:func:`repro.engines.simd.full_words`).  ``out`` (shape ``(C, L,
-    W)``, uint64) is fully overwritten when given -- the hook the
-    engines' :class:`~repro.engines.backend.Workspace` buffers plug
-    into; ``xp`` is the injected array namespace (default numpy).
+    W)``, uint64) is fully overwritten when given -- the hook the simd
+    engine's :class:`~repro.engines.simd.Workspace` buffers plug into.
     """
-    xp = np if xp is None else xp
     if out is None:
-        return xp.where(state_bits[:, :, None], full, xp.uint64(0))
-    out[...] = xp.uint64(0)
+        return np.where(state_bits[:, :, None], full, np.uint64(0))
+    out[...] = np.uint64(0)
     out[state_bits] = full
     return out
 
 
-def per_sequence_popcounts(words: np.ndarray, batch_size: int,
-                           xp=None) -> np.ndarray:
+def per_sequence_popcounts(words: np.ndarray,
+                           batch_size: int) -> np.ndarray:
     """Per-sequence set-bit counts of an ``(..., W)`` word array.
 
     The leading axes are summed away: the result is ``(batch_size,)``
     with entry ``b`` counting the set bits belonging to sequence ``b``
     across every word row.  Rows that are entirely zero should be
     filtered by the caller first -- the unpack cost is proportional to
-    the rows passed in.  ``xp`` is the injected array namespace
-    (default numpy); it must provide numpy's ``unpackbits``.
+    the rows passed in.
     """
-    xp = np if xp is None else xp
-    flat = xp.ascontiguousarray(words, dtype=xp.uint64).reshape(
+    flat = np.ascontiguousarray(words, dtype=np.uint64).reshape(
         -1, words.shape[-1])
     if not flat.size:
-        return xp.zeros(batch_size, dtype=np.int64)
-    bits = xp.unpackbits(flat.view(xp.uint8), axis=-1, bitorder="little")
+        return np.zeros(batch_size, dtype=np.int64)
+    bits = np.unpackbits(flat.view(np.uint8), axis=-1, bitorder="little")
     return bits[:, :batch_size].sum(axis=0, dtype=np.int64)
 
 
@@ -119,8 +114,8 @@ def residual_counts_words(states: Sequence[int], knowns: Sequence[int],
                           corrected_words: np.ndarray,
                           batch_size: int,
                           state_bits: "np.ndarray | None" = None,
-                          known_bits: "np.ndarray | None" = None,
-                          xp=None) -> np.ndarray:
+                          known_bits: "np.ndarray | None" = None
+                          ) -> np.ndarray:
     """Vectorised state-domain comparator over word-packed batch state.
 
     Returns the ``(batch_size,)`` per-sequence count of register bits
@@ -133,27 +128,25 @@ def residual_counts_words(states: Sequence[int], knowns: Sequence[int],
     Callers that already hold the expanded ``(C, L)`` bool matrices of
     ``states``/``knowns`` pass them via ``state_bits``/``known_bits``
     to skip the re-expansion; the comparison rule itself lives only
-    here.  ``xp`` is the injected array namespace (default numpy);
-    ``corrected_words`` and the bit matrices must live in it.
+    here.
     """
-    xp = np if xp is None else xp
     num_chains, length, _num_words = corrected_words.shape
     if state_bits is None:
         state_bits = bits_matrix(states, length)
     if known_bits is None:
         known_bits = bits_matrix(knowns, length)
     unknown_positions = int(known_bits.size - known_bits.sum())
-    diff = xp.where(state_bits[:, :, None],
+    diff = np.where(state_bits[:, :, None],
                     ~corrected_words, corrected_words)
     # The all-ones complement above sets the unused tail bits of the
     # last word; clear them so the `changed` filter stays proportional
     # to the cells that actually differ (the popcount slice would drop
     # them anyway, but only after unpacking every flagged row).
     if batch_size % 64:
-        diff[..., -1] &= xp.uint64((1 << (batch_size % 64)) - 1)
+        diff[..., -1] &= np.uint64((1 << (batch_size % 64)) - 1)
     diff[~known_bits] = 0
     changed = diff.any(axis=2)
-    counts = per_sequence_popcounts(diff[changed], batch_size, xp=xp)
+    counts = per_sequence_popcounts(diff[changed], batch_size)
     return counts + unknown_positions
 
 

@@ -218,8 +218,7 @@ def run_sharded_campaign(task: FIFOValidationCampaignTask,
     """Run a validation campaign task through the sharded runner.
 
     The result is bit-identical for any ``num_workers`` and any
-    ``executor`` (``"serial"``, ``"thread"``, ``"process"``, the warm
-    persistent kinds ``"thread-warm"``/``"process-warm"``, or a
+    ``executor`` (``"serial"``, ``"thread"``, ``"process"``, or a
     :class:`~repro.campaigns.executors.ChunkExecutor` instance --
     pass a pre-built
     :class:`~repro.campaigns.executors.PersistentProcessExecutor` to
@@ -232,7 +231,7 @@ def run_sharded_campaign(task: FIFOValidationCampaignTask,
     :class:`~repro.campaigns.scheduler.CampaignScheduler` as
     ``scheduler`` routes the campaign through its shared executor and
     result cache instead (``num_workers``/``executor`` are then the
-    scheduler's business).  Note the sharded campaigns build their
+    scheduler's business).  Note the sharded campaigns seed their
     test benches per chunk from seed-split streams, so their
     statistics are not sequence-for-sequence identical to a
     single-process :class:`ValidationCampaign` run -- the two are

@@ -93,19 +93,19 @@ class TestCrashWindow:
         assert 7 - len(persisted) <= interval
 
         reruns = []
-        original = TrialTask.run_chunk
+        original = TrialTask.run_chunk_on
 
-        def counting(self, seed, count):
+        def counting(self, state, seed, count):
             reruns.append(seed)
-            return original(self, seed, count)
+            return original(self, state, seed, count)
 
-        TrialTask.run_chunk = counting
+        TrialTask.run_chunk_on = counting
         try:
             resumed = ShardedCampaignRunner(
                 TrialTask(), 100, seed=42, chunk_size=10,
                 checkpoint_path=str(path), save_interval=interval).run()
         finally:
-            TrialTask.run_chunk = original
+            TrialTask.run_chunk_on = original
         assert resumed == reference
         assert len(reruns) == 10 - len(persisted)
 

@@ -1,8 +1,9 @@
-"""Executor layer: equivalence across executors, error wrapping,
-once-per-worker task shipping."""
+"""Executor layer: equivalence across executors, error wrapping, the
+serial state cache, and pool lifecycle (no leaked workers)."""
 
 import multiprocessing
-import pickle
+import threading
+import time
 from dataclasses import dataclass
 
 import pytest
@@ -12,14 +13,14 @@ from hypothesis import strategies as st
 from repro.analysis.correction_capability import CorrectionCounters
 from repro.campaigns.executors import (
     ChunkExecutionError,
-    ProcessExecutor,
+    PersistentProcessExecutor,
+    PersistentThreadExecutor,
     SerialExecutor,
-    ThreadExecutor,
-    _slot_jobs,
     resolve_executor,
 )
 from repro.campaigns.plan import ChunkPlan
 from repro.campaigns.runner import CampaignTask, ShardedCampaignRunner
+from repro.campaigns.scheduler import CampaignScheduler
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 
 EXECUTORS = ("serial", "thread", "process")
@@ -35,7 +36,7 @@ class TrialTask(CampaignTask):
     def empty_result(self):
         return CorrectionCounters()
 
-    def run_chunk(self, chunk_seed, num_sequences):
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
         import random
         rng = random.Random(chunk_seed)
         value = sum(rng.randrange(self.scale * 1000)
@@ -50,10 +51,49 @@ class FailingTask(TrialTask):
 
     poison_seed: int = -1
 
-    def run_chunk(self, chunk_seed, num_sequences):
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
         if chunk_seed == self.poison_seed:
             raise RuntimeError("poisoned chunk")
-        return super().run_chunk(chunk_seed, num_sequences)
+        return super().run_chunk_on(state, chunk_seed, num_sequences)
+
+
+@dataclass
+class SlowFailingTask(TrialTask):
+    """Fails at once on ``poison_seed``; every other chunk is slow."""
+
+    poison_seed: int = -1
+    delay: float = 5.0
+
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
+        if chunk_seed == self.poison_seed:
+            raise RuntimeError("poisoned chunk")
+        import time
+        time.sleep(self.delay)
+        return super().run_chunk_on(state, chunk_seed, num_sequences)
+
+
+@dataclass
+class BuildCountingTask(TrialTask):
+    """Counts worker-state builds and checks each chunk gets its own
+    task's state."""
+
+    builds = 0
+
+    def build_worker_state(self):
+        BuildCountingTask.builds += 1
+        return ("state", self.scale)
+
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
+        assert state == ("state", self.scale)
+        return super().run_chunk_on(state, chunk_seed, num_sequences)
+
+
+def _serial_counters(task, seed=3, total=20, chunk=5):
+    """Counters of ``task`` with a fresh state for every chunk."""
+    merged = task.empty_result()
+    for entry in ChunkPlan.build(seed, total, chunk).entries:
+        merged.merge(task.run_chunk(entry.chunk_seed, entry.count))
+    return merged
 
 
 def _sampler_task(mode: str) -> FIFOValidationCampaignTask:
@@ -68,6 +108,13 @@ def _sampler_task(mode: str) -> FIFOValidationCampaignTask:
                                           **common)
     return FIFOValidationCampaignTask(engine="simd", batch_size=4,
                                       sampler="array", **common)
+
+
+def _leftover_workers():
+    """Live child processes and pool threads of this process."""
+    threads = [thread.name for thread in threading.enumerate()
+               if thread.name.startswith("repro-warm")]
+    return multiprocessing.active_children(), threads
 
 
 class TestExecutorEquivalence:
@@ -110,6 +157,63 @@ class TestExecutorEquivalence:
                                          chunk_size=chunk, num_workers=3,
                                          executor="thread").run()
         assert serial == threaded
+
+
+class TestSerialStateCache:
+    def test_bench_built_once_per_campaign(self):
+        """A 4-chunk serial campaign pays setup on its first chunk only
+        and is served from the cache after that -- with counters equal
+        to building a fresh bench for every chunk."""
+        task = _sampler_task("scalar")
+        entries = ChunkPlan.build(5, 16, 4).entries
+        executor = SerialExecutor()
+        timings = []
+        merged = task.empty_result()
+        for _index, result in executor.submit(iter(entries), task):
+            timings.append(executor.last_chunk_timing)
+            merged.merge(result)
+        assert len(timings) == 4
+        assert timings[0].setup_seconds > 0.0
+        assert not timings[0].cache_hit
+        assert all(t.cache_hit and t.setup_seconds == 0.0
+                   for t in timings[1:])
+        fresh = task.empty_result()
+        for entry in entries:
+            fresh.merge(task.run_chunk(entry.chunk_seed, entry.count))
+        assert merged == fresh
+
+    def test_equal_valued_tasks_share_one_state(self):
+        """Distinct but equal-valued task objects are one cache entry:
+        the state is keyed by fingerprint, not object identity."""
+        entries = ChunkPlan.build(3, 20, 5).entries
+        tasks = [BuildCountingTask(), BuildCountingTask()]
+        BuildCountingTask.builds = 0
+        executor = SerialExecutor()
+        results = list(executor.submit_jobs(
+            (tag, entry, tasks[tag]) for entry in entries
+            for tag in (0, 1)))
+        assert BuildCountingTask.builds == 1
+        by_tag = {0: CorrectionCounters(), 1: CorrectionCounters()}
+        for tag, _index, result in results:
+            by_tag[tag].merge(result)
+        assert by_tag[0] == by_tag[1] == _serial_counters(tasks[0])
+
+    def test_distinct_tasks_get_distinct_states(self):
+        """Tasks that differ in value never share a state: each builds
+        its own and gets its own results."""
+        entries = ChunkPlan.build(3, 20, 5).entries
+        tasks = {3: BuildCountingTask(scale=3), 5: BuildCountingTask(scale=5)}
+        BuildCountingTask.builds = 0
+        executor = SerialExecutor()
+        merged = {scale: CorrectionCounters() for scale in tasks}
+        for scale, _index, result in executor.submit_jobs(
+                (scale, entry, task) for entry in entries
+                for scale, task in tasks.items()):
+            merged[scale].merge(result)
+        assert BuildCountingTask.builds == 2
+        assert merged[3] != merged[5]
+        for scale, task in tasks.items():
+            assert merged[scale] == _serial_counters(task)
 
 
 class TestChunkExecutionError:
@@ -162,106 +266,87 @@ class TestChunkExecutionError:
         # interval: both chunks that completed before the poison.
         resumed_calls = []
         fixed_task = TrialTask()
-        original = TrialTask.run_chunk
+        original = TrialTask.run_chunk_on
 
-        def counting(self, seed, count):
+        def counting(self, state, seed, count):
             resumed_calls.append(seed)
-            return original(self, seed, count)
+            return original(self, state, seed, count)
 
-        TrialTask.run_chunk = counting
+        TrialTask.run_chunk_on = counting
         try:
             resumed = ShardedCampaignRunner(
                 fixed_task, 40, seed=7, chunk_size=10,
                 checkpoint_path=path).run()
         finally:
-            TrialTask.run_chunk = original
+            TrialTask.run_chunk_on = original
         assert resumed == reference
         assert len(resumed_calls) == 2  # only the poisoned chunk + tail
 
 
-class TestProcessExecutorShipping:
-    def test_task_not_pickled_per_job_under_fork(self):
-        if "fork" not in multiprocessing.get_all_start_methods():
-            pytest.skip("fork start method unavailable")
+class TestNoLeakedWorkers:
+    """Spec-resolved pools are closed by whoever resolved them, on
+    success and on failure alike."""
 
-        class CountingTask(TrialTask):
-            pickles = 0
+    SPECS = (None, "process", "thread")
 
-            def __reduce__(self):
-                CountingTask.pickles += 1
-                return (TrialTask, (self.scale,))
-
-        CountingTask.pickles = 0
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_runner_closes_its_pool(self, spec):
         result = ShardedCampaignRunner(
-            CountingTask(), 120, seed=3, chunk_size=10, num_workers=2,
-            executor=ProcessExecutor(2, start_method="fork")).run()
-        assert result.sequences == 120
-        # 12 chunks historically meant 12 task pickles through the job
-        # queue; the initializer table under fork means zero.
-        assert CountingTask.pickles == 0
+            TrialTask(), 60, seed=3, chunk_size=10, num_workers=2,
+            executor=spec).run()
+        assert result.sequences == 60
+        assert _leftover_workers() == ([], [])
 
-    def test_task_pickled_once_per_worker_under_spawn(self):
-        if "spawn" not in multiprocessing.get_all_start_methods():
-            pytest.skip("spawn start method unavailable")
-        task = TrialTask()
-        payload = pickle.dumps(task)
-        # The job tuples the pool ships are plan coordinates only.
-        entries = ChunkPlan.build(3, 40, 10).entries
-        tuples = [(pos, 0, e.index, e.chunk_seed, e.count)
-                  for pos, e in enumerate(entries)]
-        assert all(isinstance(v, int) for job in tuples for v in job)
-        assert len(pickle.dumps(tuples)) < len(payload) * len(entries)
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_failed_runner_closes_its_pool(self, spec):
+        poison = ChunkPlan.build(7, 40, 10).entries[2].chunk_seed
+        runner = ShardedCampaignRunner(
+            FailingTask(poison_seed=poison), 40, seed=7, chunk_size=10,
+            num_workers=2, executor=spec)
+        with pytest.raises(ChunkExecutionError):
+            runner.run()
+        assert _leftover_workers() == ([], [])
 
+    @pytest.mark.parametrize("spec", (None, "process"))
+    def test_failed_runner_does_not_wait_for_busy_workers(self, spec):
+        # The first chunk fails while both workers still hold slow
+        # chunks: closing the pool terminates them instead of letting
+        # the abandoned chunks run to completion.
+        poison = ChunkPlan.build(7, 40, 10).entries[0].chunk_seed
+        runner = ShardedCampaignRunner(
+            SlowFailingTask(poison_seed=poison), 40, seed=7,
+            chunk_size=10, num_workers=2, executor=spec)
+        started = time.perf_counter()
+        with pytest.raises(ChunkExecutionError):
+            runner.run()
+        assert time.perf_counter() - started < 3.0
+        assert _leftover_workers() == ([], [])
 
-class TestSlotJobs:
-    """Task-table slots key on ``fingerprint()``, never ``id()``."""
-
-    def _jobs(self, *tasks):
-        entries = ChunkPlan.build(1, 10 * len(tasks), 10).entries
-        return [(None, entry, task)
-                for entry, task in zip(entries, tasks)]
-
-    def test_equal_fingerprint_tasks_share_one_slot(self):
-        # Two distinct objects describing the same work: one table
-        # entry, one per-worker pickle.
-        a, b = TrialTask(scale=5), TrialTask(scale=5)
-        assert a is not b
-        tuples, tasks = _slot_jobs(self._jobs(a, b))
-        assert len(tasks) == 1
-        assert [slot for _pos, slot, *_ in tuples] == [0, 0]
-
-    def test_distinct_fingerprints_get_distinct_slots(self):
-        tuples, tasks = _slot_jobs(
-            self._jobs(TrialTask(scale=1), TrialTask(scale=2)))
-        assert len(tasks) == 2
-        assert [slot for _pos, slot, *_ in tuples] == [0, 1]
-
-    def test_id_reuse_cannot_alias_slots(self):
-        # The historical id(task)-keyed table could alias two
-        # *different* tasks if CPython reused a freed id mid-run.
-        # Fingerprint keys are value-based, so even tasks constructed
-        # at the same recycled address slot separately.
-        jobs = []
-        entries = ChunkPlan.build(1, 20, 10).entries
-        for entry, scale in zip(entries, (1, 2)):
-            task = TrialTask(scale=scale)
-            jobs.append((None, entry, task))
-            del task  # eligible for id reuse before slotting runs
-        tuples, tasks = _slot_jobs(jobs)
-        assert len(tasks) == 2
-        assert sorted(t.scale for t in tasks.values()) == [1, 2]
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_scheduler_close_releases_its_pool(self, spec):
+        scheduler = CampaignScheduler(executor=spec, num_workers=2)
+        job = scheduler.submit(TrialTask(), 60, seed=3, chunk_size=10)
+        scheduler.run()
+        assert job.result.sequences == 60
+        scheduler.close()
+        assert _leftover_workers() == ([], [])
 
 
 class TestResolveExecutor:
     def test_none_keeps_historical_behaviour(self):
+        # Inline for one worker, a process pool otherwise.
         assert isinstance(resolve_executor(None, 1), SerialExecutor)
-        assert isinstance(resolve_executor(None, 4), ProcessExecutor)
+        pool = resolve_executor(None, 4)
+        assert isinstance(pool, PersistentProcessExecutor)
+        assert pool.num_workers == 4
 
     def test_strings_and_instances(self):
         assert isinstance(resolve_executor("serial", 4), SerialExecutor)
-        assert isinstance(resolve_executor("thread", 4), ThreadExecutor)
-        assert isinstance(resolve_executor("process", 4), ProcessExecutor)
-        instance = ThreadExecutor(2)
+        assert isinstance(resolve_executor("thread", 4),
+                          PersistentThreadExecutor)
+        assert isinstance(resolve_executor("process", 4),
+                          PersistentProcessExecutor)
+        instance = PersistentThreadExecutor(2)
         assert resolve_executor(instance) is instance
 
     def test_rejects_unknown_specs(self):
@@ -269,7 +354,3 @@ class TestResolveExecutor:
             resolve_executor("gpu", 2)
         with pytest.raises(TypeError):
             resolve_executor(42, 2)
-        with pytest.raises(ValueError):
-            ThreadExecutor(0)
-        with pytest.raises(ValueError):
-            ProcessExecutor(0)

@@ -28,7 +28,7 @@ class TrialTask(CampaignTask):
     def empty_result(self):
         return CorrectionCounters()
 
-    def run_chunk(self, chunk_seed, num_sequences):
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
         import random
         rng = random.Random(chunk_seed)
         value = sum(rng.randrange(self.scale * 1000)
@@ -140,18 +140,18 @@ class TestCheckpointResume:
                                         chunk_size=10,
                                         checkpoint_path=path)
         calls = []
-        original = TrialTask.run_chunk
+        original = TrialTask.run_chunk_on
 
-        def counting(self, seed, count):
+        def counting(self, state, seed, count):
             calls.append(seed)
-            return original(self, seed, count)
+            return original(self, state, seed, count)
 
-        TrialTask.run_chunk = counting
+        TrialTask.run_chunk_on = counting
         try:
             assert resumed.run() == first
             assert calls == []
         finally:
-            TrialTask.run_chunk = original
+            TrialTask.run_chunk_on = original
 
     def test_partial_resume_matches_uninterrupted_run(self, tmp_path):
         path = str(tmp_path / "campaign.json")

@@ -9,11 +9,11 @@ from tests.campaigns.test_executors import TrialTask
 
 
 def _counting(calls):
-    original = TrialTask.run_chunk
+    original = TrialTask.run_chunk_on
 
-    def counting(self, seed, count):
+    def counting(self, state, seed, count):
         calls.append(seed)
-        return original(self, seed, count)
+        return original(self, state, seed, count)
 
     return counting, original
 
@@ -68,13 +68,13 @@ class TestResultCache:
         scheduler.run()
         calls = []
         counting, original = _counting(calls)
-        TrialTask.run_chunk = counting
+        TrialTask.run_chunk_on = counting
         try:
             again = scheduler.submit(TrialTask(), 60, seed=9,
                                      chunk_size=10)
             results = scheduler.run()
         finally:
-            TrialTask.run_chunk = original
+            TrialTask.run_chunk_on = original
         assert calls == []
         assert again.from_cache and again.done
         assert again.result == first.result
@@ -120,11 +120,12 @@ class TestSchedulerDeterminism:
                     for task, total, seed in tasks]
         for spec, workers in (("serial", 1), ("thread", 3),
                               ("process", 2)):
-            scheduler = CampaignScheduler(executor=spec,
-                                          num_workers=workers)
-            jobs = [scheduler.submit(task, total, seed=seed, chunk_size=10)
-                    for task, total, seed in tasks]
-            scheduler.run()
+            with CampaignScheduler(executor=spec,
+                                   num_workers=workers) as scheduler:
+                jobs = [scheduler.submit(task, total, seed=seed,
+                                         chunk_size=10)
+                        for task, total, seed in tasks]
+                scheduler.run()
             assert [job.result for job in jobs] == expected, (spec, workers)
 
     def test_fifo_jobs_share_a_process_pool(self):
@@ -135,10 +136,11 @@ class TestSchedulerDeterminism:
                                          chunk_size=4).run()
         expected_two = ShardedCampaignRunner(task, 12, seed=77,
                                              chunk_size=4).run()
-        scheduler = CampaignScheduler(executor="process", num_workers=2)
-        one = scheduler.submit(task, 12, seed=20100308, chunk_size=4)
-        two = scheduler.submit(task, 12, seed=77, chunk_size=4)
-        scheduler.run()
+        with CampaignScheduler(executor="process",
+                               num_workers=2) as scheduler:
+            one = scheduler.submit(task, 12, seed=20100308, chunk_size=4)
+            two = scheduler.submit(task, 12, seed=77, chunk_size=4)
+            scheduler.run()
         assert one.result == expected
         assert two.result == expected_two
         assert two.result.stats.num_sequences == 12

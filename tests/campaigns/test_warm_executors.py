@@ -1,10 +1,9 @@
-"""Warm persistent executors: lifecycle, pool reuse, incremental task
+"""Persistent executors: lifecycle, pool reuse, incremental task
 shipping, streaming backpressure, failure containment, and the
-bit-identity acceptance invariant (warm == cold == serial)."""
+bit-identity acceptance invariant (pool == serial)."""
 
 import multiprocessing
 import os
-import time
 from dataclasses import dataclass
 
 import pytest
@@ -34,7 +33,7 @@ class TrialTask(CampaignTask):
     def empty_result(self):
         return CorrectionCounters()
 
-    def run_chunk(self, chunk_seed, num_sequences):
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
         import random
         rng = random.Random(chunk_seed)
         value = sum(rng.randrange(self.scale * 1000)
@@ -49,10 +48,10 @@ class FailingTask(TrialTask):
 
     poison_seed: int = -1
 
-    def run_chunk(self, chunk_seed, num_sequences):
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
         if chunk_seed == self.poison_seed:
             raise RuntimeError("poisoned chunk")
-        return super().run_chunk(chunk_seed, num_sequences)
+        return super().run_chunk_on(state, chunk_seed, num_sequences)
 
 
 @dataclass
@@ -61,10 +60,10 @@ class DyingTask(TrialTask):
 
     poison_seed: int = -1
 
-    def run_chunk(self, chunk_seed, num_sequences):
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
         if chunk_seed == self.poison_seed:
             os._exit(13)
-        return super().run_chunk(chunk_seed, num_sequences)
+        return super().run_chunk_on(state, chunk_seed, num_sequences)
 
 
 def _sampler_task(mode: str) -> FIFOValidationCampaignTask:
@@ -109,6 +108,14 @@ class TestLifecycle:
         assert pool.alive_workers == 0
         assert _warm_children() == []
 
+    def test_workers_start_on_demand(self):
+        # One chunk in flight needs one worker, however large the pool.
+        with PersistentProcessExecutor(8) as pool:
+            assert _run(pool, TrialTask(), total=10, chunk=10) == \
+                _serial(TrialTask(), total=10, chunk=10)
+            assert pool.alive_workers == 1
+        assert _warm_children() == []
+
     def test_close_is_final_and_idempotent(self):
         pool = PersistentProcessExecutor(1)
         _run(pool, TrialTask())
@@ -126,27 +133,12 @@ class TestLifecycle:
             list(pool.submit(iter(ChunkPlan.build(1, 10, 5).entries),
                              TrialTask()))
 
-    def test_idle_timeout_reclaims_then_respawns(self):
-        with PersistentProcessExecutor(1, idle_timeout=0.2) as pool:
-            reference = _run(pool, TrialTask())
-            assert pool.alive_workers == 1
-            deadline = time.monotonic() + 10.0
-            while pool.alive_workers and time.monotonic() < deadline:
-                time.sleep(0.05)
-            # The pool was reclaimed, but the executor stays usable:
-            # the next call pays one cold spin-up again.
-            assert pool.alive_workers == 0
-            assert _run(pool, TrialTask()) == reference
-            assert pool.alive_workers == 1
-
     def test_constructor_validation(self):
         for cls in (PersistentProcessExecutor, PersistentThreadExecutor):
             with pytest.raises(ValueError):
                 cls(0)
-            with pytest.raises(ValueError):
-                cls(2, window=0)
-            with pytest.raises(ValueError):
-                cls(2, idle_timeout=0.0)
+            assert cls(1).window == 4
+            assert cls(3).window == 6
 
 
 class TestPoolReuse:
@@ -214,8 +206,8 @@ class TestBackpressure:
 
         task = TrialTask()
         entries = ChunkPlan.build(9, 200, 10).entries  # 20 chunks
-        window = 3
-        with PersistentProcessExecutor(1, window=window) as pool:
+        with PersistentProcessExecutor(1) as pool:
+            window = pool.window
             feed = CountingFeed((None, e, task) for e in entries)
             consumed = 0
             for _ in pool.submit_jobs(feed):
@@ -236,11 +228,11 @@ class TestBackpressure:
                 pulled.append(entry.index)
                 yield (None, entry, task)
 
-        with PersistentThreadExecutor(2, window=4) as pool:
+        with PersistentThreadExecutor(2) as pool:
             consumed = 0
             for _ in pool.submit_jobs(feed()):
                 consumed += 1
-                assert len(pulled) <= consumed + 4
+                assert len(pulled) <= consumed + pool.window
 
 
 class TestFailureContainment:
@@ -328,12 +320,12 @@ class TestWarmBitIdentity:
 
 class TestResolveWarmSpecs:
     def test_warm_kind_strings(self):
-        for spec in ("process-warm", "warm-process"):
+        for spec in ("process-warm", "process"):
             pool = resolve_executor(spec, 3)
             assert isinstance(pool, PersistentProcessExecutor)
             assert pool.num_workers == 3
             pool.close()
-        for spec in ("thread-warm", "warm-thread"):
+        for spec in ("thread-warm", "thread"):
             pool = resolve_executor(spec, 3)
             assert isinstance(pool, PersistentThreadExecutor)
             assert pool.num_workers == 3

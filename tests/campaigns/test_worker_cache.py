@@ -27,7 +27,7 @@ class StatefulTask(CampaignTask):
     def empty_result(self):
         return CorrectionCounters()
 
-    def run_chunk(self, chunk_seed, num_sequences):
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
         return CorrectionCounters(sequences=num_sequences)
 
     def build_worker_state(self):
@@ -42,7 +42,7 @@ class StatelessTask(CampaignTask):
     def empty_result(self):
         return CorrectionCounters()
 
-    def run_chunk(self, chunk_seed, num_sequences):
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
         return CorrectionCounters(sequences=num_sequences)
 
 
@@ -151,7 +151,7 @@ class TestChunkTiming:
 
 
 class TestFIFOChunkWorkspace:
-    """The bit-identity contract: a reseeded warm bench is
+    """The bit-identity contract: a reseeded reused bench is
     indistinguishable from a freshly built one, in every sampler mode,
     for any reuse order, even after a poisoned chunk."""
 
@@ -166,7 +166,7 @@ class TestFIFOChunkWorkspace:
         assert isinstance(workspace, FIFOChunkWorkspace)
         for chunk_seed in self.SEEDS:
             cold = task.run_chunk(chunk_seed, 4)
-            warm = task.run_chunk_warm(workspace, chunk_seed, 4)
+            warm = task.run_chunk_on(workspace, chunk_seed, 4)
             assert warm == cold, (mode, chunk_seed)
         assert workspace.chunks_run == len(self.SEEDS)
 
@@ -190,16 +190,76 @@ class TestFIFOChunkWorkspace:
             flop.force(1)
         design.controller.sleep_request()
 
-        assert task.run_chunk_warm(workspace, 777, 4) == reference
+        assert task.run_chunk_on(workspace, 777, 4) == reference
+
+    # Counters and post-chunk stream states of an 8-sequence chunk of
+    # _golden_task(mode), recorded from a bench built directly with
+    # lfsr_seed=child_seed(seed, "lfsr") and a stimulus seeded with
+    # child_seed(seed, "stimulus") -- a seeding path independent of
+    # reseed().  Per (mode, seed): corrected (= intact) sequences,
+    # residual bits, comparator mismatches, inconsistent sequences,
+    # injector (row, col) LFSR states, and the next four stimulus words.
+    GOLDEN = {
+        ("scalar", 111): (7, 2, 1, 1, (33, 36), (0, 14, 13, 4)),
+        ("scalar", 222): (4, 9, 3, 3, (15, 45), (0, 11, 0, 3)),
+        ("batched", 111): (7, 2, 1, 1, (33, 36), (0, 9, 6, 9)),
+        ("batched", 222): (4, 9, 4, 4, (15, 45), (11, 3, 7, 14)),
+        ("array", 111): (5, 8, 3, 3, (33, 36), (0, 9, 6, 9)),
+        ("array", 222): (5, 8, 3, 3, (15, 45), (11, 3, 7, 14)),
+    }
+
+    @staticmethod
+    def _golden_task(mode: str) -> FIFOValidationCampaignTask:
+        common = dict(width=4, depth=4, codes=("hamming(7,4)",),
+                      num_chains=4, pattern="multiple", burst_size=3,
+                      words_per_sequence=2)
+        if mode == "scalar":
+            return FIFOValidationCampaignTask(engine="packed", **common)
+        if mode == "batched":
+            return FIFOValidationCampaignTask(engine="batched",
+                                              batch_size=4, **common)
+        return FIFOValidationCampaignTask(engine="simd", batch_size=4,
+                                          sampler="array", **common)
+
+    @pytest.mark.parametrize("mode", ("scalar", "batched", "array"))
+    def test_reseed_matches_golden_streams(self, mode):
+        if mode == "array":
+            pytest.importorskip("numpy")
+        task = self._golden_task(mode)
+        workspace = task.build_worker_state()
+        for seed in (222, 111):  # reused bench, out of order
+            (corrected, residual, mismatches, inconsistent, lfsr,
+             stimulus) = self.GOLDEN[(mode, seed)]
+            result = task.run_chunk_on(workspace, seed, 8)
+            assert result.to_dict() == {
+                "stats": {
+                    "num_sequences": 8, "sequences_with_errors": 8,
+                    "total_injected": 24, "detected_sequences": 8,
+                    "detected_with_errors": 8, "silent_corruptions": 0,
+                    "corrected_sequences": corrected,
+                    "corrected_with_errors": corrected,
+                    "intact_sequences": corrected,
+                    "total_residual_errors": residual,
+                },
+                "errors_reported_by_dut": 8,
+                "mismatches_reported_by_comparator": mismatches,
+                "inconsistent_sequences": inconsistent,
+            }, (mode, seed)
+            injector = workspace.design.injector
+            assert (injector._row_lfsr.state,
+                    injector._col_lfsr.state) == lfsr, (mode, seed)
+            assert tuple(workspace.testbench.stimulus.next_int()
+                         for _ in range(4)) == stimulus, (mode, seed)
+            assert task.run_chunk(seed, 8) == result
 
     def test_engine_cache_survives_reseed(self):
         # The whole point of the workspace: the design's keyed engine
         # cache (workspaces, LUT memos) must not be dropped per chunk.
         task = _sampler_task("batched")
         workspace = task.build_worker_state()
-        task.run_chunk_warm(workspace, 1, 4)
+        task.run_chunk_on(workspace, 1, 4)
         cached = dict(workspace.design._engine_cache)
         assert cached  # the batched run instantiated its engine
-        task.run_chunk_warm(workspace, 2, 4)
+        task.run_chunk_on(workspace, 2, 4)
         for key, engine in cached.items():
             assert workspace.design._engine_cache[key] is engine

@@ -4,9 +4,8 @@ The CI regression guard must fail with a *message*, never a
 traceback, on the common decay modes of the committed bench files:
 malformed JSON, a fresh file missing a guarded metric, an empty or
 absent history trajectory.  The companion ``record_bench`` writer must
-stamp the array-backend metadata (numpy version + backend name) into
-every envelope and history row so cross-machine numbers are never
-compared silently.
+stamp the numpy and numba versions into every envelope and history row
+so cross-machine numbers are never compared silently.
 """
 
 import importlib.util
@@ -172,6 +171,23 @@ def test_corrupt_history_lines_are_skipped(guard, capsys):
     assert "+50.0% vs 2026-01-01T00:00:00Z" in capsys.readouterr().out
 
 
+def test_old_files_carrying_backend_are_still_read(guard, capsys):
+    """Envelopes and history rows recorded while the array-backend
+    registry existed carry a ``backend`` entry; the guard still reads
+    both."""
+    guard.HISTORY_PATH.write_text(
+        json.dumps({"bench": "engines", "section": "s",
+                    "recorded_at": "2026-01-01T00:00:00Z",
+                    "numpy": "2.4.6", "backend": "numpy", "numba": None,
+                    "metrics": {"m": 2.0}}) + "\n")
+    results = {"s": {"m": 3.0, "floors": {"m": 2.0}}}
+    _write(guard.REPO_ROOT / "BENCH_engines.json",
+           dict(_bench_payload(results), backend="numpy"))
+    _write(guard.FRESH_DIR / "BENCH_engines.json", _bench_payload(results))
+    assert guard.main(["engines"]) == 0
+    assert "+50.0% vs 2026-01-01T00:00:00Z" in capsys.readouterr().out
+
+
 def test_non_numeric_history_value_degrades_to_note(guard):
     assert guard.format_delta(3.0, ("fast", "t")) == "no committed history"
     assert guard.format_delta(3.0, (True, "t")) == "no committed history"
@@ -192,18 +208,18 @@ def recorder(tmp_path, monkeypatch):
     return module
 
 
-def test_record_bench_embeds_backend_metadata(recorder, tmp_path):
-    """Satellite: every envelope and history row carries the numpy
-    version and the default backend name."""
+def test_record_bench_embeds_version_metadata(recorder, tmp_path):
+    """Every envelope and history row carries the numpy version (and
+    no longer the removed array-backend name)."""
     recorder.record_bench("engines", {"seq_per_s": 10.0},
                           section="campaign_delta_path")
     payload = json.loads(
         (tmp_path / "results" / "BENCH_engines.json").read_text())
-    assert "numpy" in payload and "backend" in payload
+    assert "numpy" in payload and "backend" not in payload
     row = json.loads(
         (tmp_path / "results" / "BENCH_history.jsonl").read_text()
         .splitlines()[-1])
-    assert "numpy" in row and "backend" in row
+    assert "numpy" in row and "backend" not in row
     assert row["section"] == "campaign_delta_path"
     # The numba version rides along the same way: the installed
     # version string, or null where the [jit] extra is absent.
@@ -216,15 +232,13 @@ def test_record_bench_embeds_backend_metadata(recorder, tmp_path):
     if importlib.util.find_spec("numpy") is not None:
         import numpy
         assert payload["numpy"] == numpy.__version__
-        assert payload["backend"] == "numpy"
         assert row["numpy"] == numpy.__version__
-        assert row["backend"] == "numpy"
     else:  # pragma: no cover - pure-stdlib install
         assert payload["numpy"] is None
 
 
 def test_engine_metadata_never_raises(recorder, monkeypatch):
-    """A broken backend import degrades to None entries (benchmarks
+    """A broken numpy/repro import degrades to None entries (benchmarks
     must record even on a pure-stdlib install)."""
     import builtins
 
@@ -239,5 +253,4 @@ def test_engine_metadata_never_raises(recorder, monkeypatch):
                 if m.startswith(("numpy", "repro"))]:
         monkeypatch.delitem(sys.modules, mod)
     monkeypatch.setattr(builtins, "__import__", failing)
-    assert recorder._engine_metadata() == {"numpy": None, "backend": None,
-                                           "numba": None}
+    assert recorder._engine_metadata() == {"numpy": None, "numba": None}

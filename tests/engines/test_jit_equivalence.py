@@ -288,11 +288,11 @@ def test_jit_registration_tracks_numba():
     assert ("jit" in available_engines()) == HAVE_NUMBA
 
 
-@pytest.mark.parametrize("name", ("jit", "cuda"))
+@pytest.mark.parametrize("name", ("jit",))
 def test_forced_optional_engine_error_is_actionable(name):
     """Forcing an optional engine on an install without its dependency
-    raises the same shape for jit as for cuda: 'unknown engine' plus
-    the gating module, not a bare typo-style error."""
+    raises 'unknown engine' plus the gating module, not a bare
+    typo-style error."""
     module, _ = CONDITIONAL_ENGINES[name]
     import importlib.util
     if importlib.util.find_spec(module) is not None:
@@ -303,6 +303,17 @@ def test_forced_optional_engine_error_is_actionable(name):
     assert "unknown engine" in message
     assert module in message
     assert f"'{name}'" in message
+
+
+def test_cuda_is_not_an_engine():
+    """There is no device engine: ``"cuda"`` is neither registered nor
+    conditionally registrable, so selecting it is a plain unknown-engine
+    error."""
+    assert "cuda" not in available_engines()
+    assert "cuda" not in CONDITIONAL_ENGINES
+    with pytest.raises(ValueError, match="unknown engine 'cuda'") as excinfo:
+        validate_engine("cuda")
+    assert "registers only when" not in str(excinfo.value)
 
 
 def test_compiled_true_without_numba_raises_import_error():
