@@ -1,25 +1,21 @@
-"""Benchmark: engine throughput -- simd vs batched vs packed vs
-reference.
+"""Benchmark: engine throughput -- simd vs packed vs reference.
 
 Four guarded benchmarks, all recorded (with their acceptance floors)
 in ``BENCH_engines.json`` and enforced by the CI regression guard
 (``benchmarks/check_regression.py``):
 
-* **single_error_campaign** -- the batch engines' best case: a
+* **single_error_campaign** -- the batch engine's best case: a
   1024-flop, B=256 campaign where each sequence carries one random
-  single-bit error.  The bit-plane engine must hold its >= 5x over the
-  packed engine, and the SIMD engine must be at least as fast as the
-  bit-plane engine (floor 1x) -- vectorised decode must not cost
-  anything where the sparse path shines.
+  single-bit error.  The SIMD engine's one batched pass must hold
+  >= 5x over the packed engine's per-sequence cycles.
 * **dense_error_campaign** -- the regime behind the paper's burst and
   droop-storm figures: every sequence carries a dense two-chain burst
-  (every scan slice of two adjacent chains corrupted).  Here the
-  bit-plane engine degenerates to its per-sequence scalar decoder
-  while the SIMD engine stays vectorised: the floor is **10x** at the
-  engine level (one encode+decode pass over prepared bit planes) and
-  2x at the cycle level (full ``sleep_wake_cycle_batch``, which is
-  dominated by the engine-independent outcome bookkeeping both
-  engines share).
+  (every scan slice of two adjacent chains corrupted).  The SIMD
+  engine stays vectorised at this density: its full
+  ``sleep_wake_cycle_batch`` must hold >= 10x over the packed engine's
+  per-sequence ``sleep_wake_cycle``, timed on a 64-sequence sample of
+  the same batch.  The engine pass alone (one encode+decode over
+  prepared bit planes) is recorded as an absolute rate.
 * **campaign_summary_path** -- end-to-end single-error campaign chunk
   on the paper's 32x32-FIFO configuration: the columnar summary path
   (``sampler="array"``) must hold >= 2x over the batched object path.
@@ -32,7 +28,7 @@ Configuration: 1024 registers balanced into 64 chains of 16 flops;
 the single-error campaign uses the paper's stacked Hamming(7,4)+CRC-16
 FPGA configuration, the dense campaign uses the paper's widest
 Table III Hamming member, (63,57), stacked with CRC-16 -- wide
-codewords are where the scalar slice decoder is most expensive.
+codewords are where per-sequence slice decoding is most expensive.
 Bit-exactness of the measured work itself is asserted inline (the full
 property suites live in ``tests/engines/``).
 """
@@ -51,9 +47,9 @@ from repro.faults.batch import apply_batch_flips, batch_pattern_flips
 from repro.faults.patterns import ErrorPattern, single_error_pattern
 
 #: The SIMD engine registers only when numpy is importable (the [simd]
-#: extra); on a pure-stdlib install the simd comparisons skip instead
-#: of erroring.  Note the regression guard then (correctly) fails on
-#: the missing simd metrics -- CI always installs numpy.
+#: extra); on a pure-stdlib install the benchmarks skip instead of
+#: erroring.  Note the regression guard then (correctly) fails on the
+#: missing metrics -- CI always installs numpy.
 SIMD_AVAILABLE = "simd" in available_engines()
 requires_simd = pytest.mark.skipif(
     not SIMD_AVAILABLE,
@@ -64,12 +60,11 @@ NUM_CHAINS = 64
 BATCH = 256
 CODES = ["hamming(7,4)", "crc16"]
 SPEEDUP_FLOOR = 5.0
-SIMD_SINGLE_FLOOR = 1.0
 
 DENSE_BATCH = 1024
 DENSE_CODES = ["hamming(63,57)", "crc16"]
-DENSE_ENGINE_FLOOR = 10.0
-DENSE_CYCLE_FLOOR = 2.0
+DENSE_PACKED_SAMPLE = 64
+DENSE_CYCLE_FLOOR = 10.0
 
 
 def _build(engine, codes=CODES):
@@ -96,28 +91,24 @@ def _outcomes_equal(left, right):
          right.corrections_applied, right.reports)
 
 
+@requires_simd
 @pytest.mark.benchmark(group="engines")
 def test_single_error_campaign_throughput():
-    """1024-flop, B=256 single-error campaign: batched >= 5x packed,
-    simd >= batched."""
+    """1024-flop, B=256 single-error campaign: simd >= 5x packed."""
     pattern_rng = random.Random(20100308)
-    probe = _build("batched")
+    probe = _build("simd")
     patterns = [single_error_pattern(probe.num_chains, probe.chain_length,
                                      pattern_rng) for _ in range(BATCH)]
 
-    # -- batch engines: one pass for the whole batch -------------------
-    batch_engines = ("batched", "simd") if SIMD_AVAILABLE else ("batched",)
-    batch_outcomes = {}
-    batch_times = {}
-    for engine in batch_engines:
-        design = _build(engine)
-        design.sleep_wake_cycle_batch(patterns[:8])  # warm-up
+    # -- simd engine: one pass for the whole batch ---------------------
+    design_simd = _build("simd")
+    design_simd.sleep_wake_cycle_batch(patterns[:8])  # warm-up
+    outcomes_simd = {}
 
-        def run(design=design, engine=engine):
-            batch_outcomes[engine] = design.sleep_wake_cycle_batch(
-                patterns)
+    def simd_run():
+        outcomes_simd["out"] = design_simd.sleep_wake_cycle_batch(patterns)
 
-        batch_times[engine] = _time(run, repeats=3) / BATCH
+    simd_time = _time(simd_run, repeats=3) / BATCH
 
     # -- packed engine: one scalar cycle per sequence ------------------
     design_packed = _build("packed")
@@ -142,18 +133,16 @@ def test_single_error_campaign_throughput():
 
     reference_time = _time(reference_run, repeats=2) / reference_sample
 
-    # Bit-exactness of the measured work itself: batched and simd
-    # outcomes must equal the packed ones field for field (and every
-    # single error is detected and corrected).
-    for engine in batch_engines:
-        for outcome_b, outcome_p in zip(batch_outcomes[engine],
-                                        outcomes_packed["out"]):
-            assert outcome_b.detected and outcome_b.state_intact
-            assert _outcomes_equal(outcome_b, outcome_p), engine
+    # Bit-exactness of the measured work itself: simd outcomes must
+    # equal the packed ones field for field (and every single error is
+    # detected and corrected).
+    for outcome_s, outcome_p in zip(outcomes_simd["out"],
+                                    outcomes_packed["out"]):
+        assert outcome_s.detected and outcome_s.state_intact
+        assert _outcomes_equal(outcome_s, outcome_p)
 
-    batched_time = batch_times["batched"]
-    speedup_vs_packed = packed_time / batched_time
-    speedup_vs_reference = reference_time / batched_time
+    speedup_vs_packed = packed_time / simd_time
+    speedup_vs_reference = reference_time / simd_time
     results = {
         "num_flops": NUM_FLOPS,
         "num_chains": NUM_CHAINS,
@@ -163,45 +152,30 @@ def test_single_error_campaign_throughput():
         "seconds_per_sequence": {
             "reference": reference_time,
             "packed": packed_time,
-            "batched": batched_time,
+            "simd": simd_time,
         },
         "sequences_per_second": {
             "reference": 1.0 / reference_time,
             "packed": 1.0 / packed_time,
-            "batched": 1.0 / batched_time,
+            "simd": 1.0 / simd_time,
         },
-        "batched_speedup_vs_packed": speedup_vs_packed,
-        "batched_speedup_vs_reference": speedup_vs_reference,
+        "simd_speedup_vs_packed": speedup_vs_packed,
+        "simd_speedup_vs_reference": speedup_vs_reference,
         "floors": {
-            "batched_speedup_vs_packed": SPEEDUP_FLOOR,
+            "simd_speedup_vs_packed": SPEEDUP_FLOOR,
         },
     }
-    lines = [
-        f"reference engine : {reference_time * 1e3:9.2f} ms per sequence",
-        f"packed engine    : {packed_time * 1e6:9.1f} us per sequence",
-        f"batched engine   : {batched_time * 1e6:9.1f} us per sequence",
-    ]
-    if SIMD_AVAILABLE:
-        simd_time = batch_times["simd"]
-        simd_vs_batched = batched_time / simd_time
-        results["seconds_per_sequence"]["simd"] = simd_time
-        results["sequences_per_second"]["simd"] = 1.0 / simd_time
-        results["simd_speedup_vs_batched"] = simd_vs_batched
-        results["floors"]["simd_speedup_vs_batched"] = SIMD_SINGLE_FLOOR
-        lines.append(f"simd engine      : {simd_time * 1e6:9.1f} us "
-                     f"per sequence")
-        lines.append(f"simd / batched   : {simd_vs_batched:9.2f}x "
-                     f"(acceptance: >= {SIMD_SINGLE_FLOOR:.0f}x)")
-    lines.append(f"batched / packed : {speedup_vs_packed:9.1f}x "
-                 f"(acceptance: >= {SPEEDUP_FLOOR:.0f}x)")
-    lines.append(f"batched / ref    : {speedup_vs_reference:9.0f}x")
     record_bench("engines", results, section="single_error_campaign")
 
-    print_section("Engines -- 1024-flop, B=256 single-error campaign",
-                  "\n".join(lines))
+    print_section(
+        "Engines -- 1024-flop, B=256 single-error campaign",
+        f"reference engine : {reference_time * 1e3:9.2f} ms per sequence\n"
+        f"packed engine    : {packed_time * 1e6:9.1f} us per sequence\n"
+        f"simd engine      : {simd_time * 1e6:9.1f} us per sequence\n"
+        f"simd / packed    : {speedup_vs_packed:9.1f}x "
+        f"(acceptance: >= {SPEEDUP_FLOOR:.0f}x)\n"
+        f"simd / ref       : {speedup_vs_reference:9.0f}x")
     assert speedup_vs_packed >= SPEEDUP_FLOOR
-    if SIMD_AVAILABLE:
-        assert simd_vs_batched >= SIMD_SINGLE_FLOOR
 
 
 def _dense_burst_pattern(num_chains, chain_length, rng):
@@ -219,17 +193,16 @@ def _dense_burst_pattern(num_chains, chain_length, rng):
 @requires_simd
 @pytest.mark.benchmark(group="engines")
 def test_dense_error_campaign_throughput():
-    """Dense bursts on every sequence: simd >= 10x batched at the
-    engine level (where the bit-plane engine falls back to its scalar
-    slice decoder for every sequence)."""
+    """Dense bursts on every sequence: the simd batch cycle >= 10x the
+    packed engine's per-sequence cycle."""
     rng = random.Random(20100309)
-    probe = _build("batched", codes=DENSE_CODES)
+    probe = _build("simd", codes=DENSE_CODES)
     length = probe.chain_length
     patterns = [_dense_burst_pattern(NUM_CHAINS, length, rng)
                 for _ in range(DENSE_BATCH)]
 
-    # Shared, engine-independent preparation: pre-sleep state planes
-    # and the same planes with every burst injected.
+    # Engine level: one encode+decode pass over prepared bit planes
+    # (pre-sleep state, and the same state with every burst injected).
     states, knowns = pack_chains(probe.chains)
     flips = batch_pattern_flips(patterns, NUM_CHAINS, length)
     full = (1 << DENSE_BATCH) - 1
@@ -240,24 +213,22 @@ def test_dense_error_campaign_throughput():
         apply_batch_flips(corrupted, knowns, flips, DENSE_BATCH)
         return clean, corrupted
 
-    engine_times = {}
+    engine = get_engine("simd", _build("simd", codes=DENSE_CODES))
+    clean, corrupted = prepared_planes()
     engine_results = {}
-    for name in ("batched", "simd"):
-        design = _build(name, codes=DENSE_CODES)
-        engine = get_engine(name, design)
-        clean, corrupted = prepared_planes()
 
-        def engine_pass(engine=engine, clean=clean, corrupted=corrupted,
-                        name=name):
-            engine.encode_pass_batch(clean, knowns, DENSE_BATCH)
-            engine_results[name] = engine.decode_pass_batch(
-                corrupted, knowns, DENSE_BATCH)
+    def engine_pass():
+        engine.encode_pass_batch(clean, knowns, DENSE_BATCH)
+        engine_results["out"] = engine.decode_pass_batch(
+            corrupted, knowns, DENSE_BATCH)
 
-        engine_pass()  # warm-up
-        engine_times[name] = _time(engine_pass, repeats=3) / DENSE_BATCH
+    engine_pass()  # warm-up
+    engine_time = _time(engine_pass, repeats=3) / DENSE_BATCH
+    # Every sequence carries (at least detected) errors.
+    assert engine_results["out"].detected_mask == full
 
     # The ndarray injection form must corrupt the word-packed state
-    # exactly like the plane form the engines were driven with.
+    # exactly like the plane form the engine was driven with.
     from repro.engines.simd import planes_to_words, words_to_planes
     from repro.faults.batch import apply_batch_flips_words
 
@@ -268,78 +239,73 @@ def test_dense_error_campaign_throughput():
     assert words_to_planes(words) == corrupted
     assert word_counts.tolist() == [2 * length] * DENSE_BATCH
 
-    # The measured work is bit-identical between the engines, and every
-    # sequence carries (at least detected) errors.
-    batched_result = engine_results["batched"]
-    simd_result = engine_results["simd"]
-    assert simd_result.detected_mask == batched_result.detected_mask \
-        == (1 << DENSE_BATCH) - 1
-    assert simd_result.uncorrectable_mask \
-        == batched_result.uncorrectable_mask
-    assert simd_result.corrected == batched_result.corrected
-    assert simd_result.reports == batched_result.reports
+    # Cycle level: the dense batch through the full monitored
+    # sleep/wake sequence on simd, against the packed engine's
+    # per-sequence cycles on a sample of the same patterns.
+    design_simd = _build("simd", codes=DENSE_CODES)
+    design_simd.sleep_wake_cycle_batch(patterns[:8])  # warm-up
+    outcomes_simd = {}
 
-    # Cycle level: the same dense batch through the full monitored
-    # sleep/wake sequence.
-    cycle_times = {}
-    cycle_outcomes = {}
-    for name in ("batched", "simd"):
-        design = _build(name, codes=DENSE_CODES)
-        design.sleep_wake_cycle_batch(patterns[:8])  # warm-up
+    def simd_run():
+        outcomes_simd["out"] = design_simd.sleep_wake_cycle_batch(patterns)
 
-        def cycle_run(design=design, name=name):
-            cycle_outcomes[name] = design.sleep_wake_cycle_batch(patterns)
+    simd_time = _time(simd_run, repeats=2) / DENSE_BATCH
 
-        cycle_times[name] = _time(cycle_run, repeats=2) / DENSE_BATCH
-    for outcome_b, outcome_s in zip(cycle_outcomes["batched"],
-                                    cycle_outcomes["simd"]):
-        assert _outcomes_equal(outcome_s, outcome_b)
+    sample = patterns[:DENSE_PACKED_SAMPLE]
+    design_packed = _build("packed", codes=DENSE_CODES)
+    design_packed.sleep_wake_cycle(injection=sample[0])  # warm-up
+    outcomes_packed = {}
 
-    engine_speedup = engine_times["batched"] / engine_times["simd"]
-    cycle_speedup = cycle_times["batched"] / cycle_times["simd"]
+    def packed_run():
+        outcomes_packed["out"] = [
+            design_packed.sleep_wake_cycle(injection=pattern)
+            for pattern in sample]
+
+    packed_time = _time(packed_run, repeats=2) / DENSE_PACKED_SAMPLE
+
+    # The measured work is bit-identical between the engines on the
+    # sample, and every sampled sequence is detected.
+    for outcome_s, outcome_p in zip(outcomes_simd["out"],
+                                    outcomes_packed["out"]):
+        assert outcome_s.detected
+        assert _outcomes_equal(outcome_s, outcome_p)
+
+    cycle_speedup = packed_time / simd_time
     record_bench("engines", {
         "num_flops": NUM_FLOPS,
         "num_chains": NUM_CHAINS,
         "chain_length": length,
         "batch_size": DENSE_BATCH,
+        "packed_sample": DENSE_PACKED_SAMPLE,
         "codes": DENSE_CODES,
         "errors_per_sequence": 2 * length,
-        "engine_seconds_per_sequence": {
-            "batched": engine_times["batched"],
-            "simd": engine_times["simd"],
-        },
-        "engine_sequences_per_second": {
-            "batched": 1.0 / engine_times["batched"],
-            "simd": 1.0 / engine_times["simd"],
-        },
+        "engine_seconds_per_sequence": {"simd": engine_time},
+        "engine_sequences_per_second": {"simd": 1.0 / engine_time},
         "cycle_seconds_per_sequence": {
-            "batched": cycle_times["batched"],
-            "simd": cycle_times["simd"],
+            "packed": packed_time,
+            "simd": simd_time,
         },
-        "simd_engine_speedup_vs_batched": engine_speedup,
-        "simd_cycle_speedup_vs_batched": cycle_speedup,
+        "cycle_sequences_per_second": {
+            "packed": 1.0 / packed_time,
+            "simd": 1.0 / simd_time,
+        },
+        "simd_cycle_speedup_vs_packed": cycle_speedup,
         "floors": {
-            "simd_engine_speedup_vs_batched": DENSE_ENGINE_FLOOR,
-            "simd_cycle_speedup_vs_batched": DENSE_CYCLE_FLOOR,
+            "simd_cycle_speedup_vs_packed": DENSE_CYCLE_FLOOR,
         },
     }, section="dense_error_campaign")
 
     print_section(
         "Engines -- 1024-flop, B=1024 dense-burst campaign "
         "(every sequence corrupted)",
-        f"batched engine pass : {engine_times['batched'] * 1e6:9.1f} us "
+        f"simd engine pass    : {engine_time * 1e6:9.1f} us "
         f"per sequence\n"
-        f"simd engine pass    : {engine_times['simd'] * 1e6:9.1f} us "
+        f"packed full cycle   : {packed_time * 1e6:9.1f} us "
+        f"per sequence ({DENSE_PACKED_SAMPLE}-sequence sample)\n"
+        f"simd full cycle     : {simd_time * 1e6:9.1f} us "
         f"per sequence\n"
-        f"simd / batched      : {engine_speedup:9.1f}x "
-        f"(acceptance: >= {DENSE_ENGINE_FLOOR:.0f}x)\n"
-        f"batched full cycle  : {cycle_times['batched'] * 1e6:9.1f} us "
-        f"per sequence\n"
-        f"simd full cycle     : {cycle_times['simd'] * 1e6:9.1f} us "
-        f"per sequence\n"
-        f"simd / batched      : {cycle_speedup:9.1f}x "
+        f"simd / packed       : {cycle_speedup:9.1f}x "
         f"(acceptance: >= {DENSE_CYCLE_FLOOR:.0f}x)")
-    assert engine_speedup >= DENSE_ENGINE_FLOOR
     assert cycle_speedup >= DENSE_CYCLE_FLOOR
 
 
@@ -529,11 +495,12 @@ def test_campaign_delta_path_throughput():
     assert speedup >= DELTA_FLOOR
 
 
+@requires_simd
 @pytest.mark.benchmark(group="engines")
 def test_batch_size_scaling():
     """Throughput grows with the batch size (amortisation is real)."""
     rng = random.Random(7)
-    design = _build("batched")
+    design = _build("simd")
     patterns = [single_error_pattern(design.num_chains,
                                      design.chain_length, rng)
                 for _ in range(BATCH)]

@@ -14,7 +14,6 @@ Run with::
 
     python examples/fault_injection_campaign.py [num_sequences] [num_workers]
     python examples/fault_injection_campaign.py [num_sequences] [n] --threads
-    python examples/fault_injection_campaign.py [num_sequences] --batched
     python examples/fault_injection_campaign.py [num_sequences] --simd
     python examples/fault_injection_campaign.py [num_sequences] --array
 
@@ -25,12 +24,11 @@ toward the paper's 10^8-sequence scale): O(1)-memory counter
 statistics, per-job progress with live throughput/ETA, and results
 that are bit-identical for any worker count and executor kind
 (``--threads`` swaps the process pool for a thread pool).  With
-``--batched`` they run on the bit-plane batched engine
-(:mod:`repro.engines.bitplane`), which simulates 256 sequences per
-pass; with ``--simd`` on the numpy word-packed SIMD engine
-(:mod:`repro.engines.simd`), whose fully vectorised decode keeps that
-throughput even when every sequence carries errors -- exactly the
-regime of the clustered multi-error experiment below.  ``--array``
+``--simd`` they run on the numpy word-packed SIMD engine
+(:mod:`repro.engines.simd`), which simulates 256 sequences per pass
+and whose fully vectorised decode keeps that throughput even when
+every sequence carries errors -- exactly the regime of the clustered
+multi-error experiment below.  ``--array``
 additionally switches the campaign bookkeeping to the columnar summary
 path (vectorised pattern sampling, ndarray counter ingestion -- see
 the README's "Campaign throughput guide"), the fastest full-cycle
@@ -115,9 +113,9 @@ def main_sharded(num_sequences: int, num_workers: int,
 
 
 def main_batched(num_sequences: int, num_workers: int = 1,
-                 engine: str = "batched",
+                 engine: str = "simd",
                  sampler: str = "scalar") -> None:
-    """The same two campaigns on a batch engine (bit-plane or SIMD)."""
+    """The same two campaigns on the SIMD batch engine."""
     batch = min(1024 if sampler == "array" else 256, num_sequences)
     mode = " + columnar summary path" if sampler == "array" else ""
     print(f"running {num_sequences} sequences per campaign on the "
@@ -142,23 +140,18 @@ def main_batched(num_sequences: int, num_workers: int = 1,
 
 def main() -> None:
     flags = [a for a in sys.argv[1:] if a.startswith("--")]
-    unknown = [f for f in flags if f not in ("--batched", "--simd",
-                                             "--array", "--threads")]
+    unknown = [f for f in flags if f not in ("--simd", "--array",
+                                             "--threads")]
     if unknown:
         raise SystemExit(f"unknown option(s): {', '.join(unknown)} "
-                         f"(supported: --batched, --simd, --array, "
-                         f"--threads)")
+                         f"(supported: --simd, --array, --threads)")
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     num_sequences = int(args[0]) if args else 50
     num_workers = int(args[1]) if len(args) > 1 else 1
     if "--array" in flags:
-        main_batched(num_sequences, num_workers, engine="simd",
-                     sampler="array")
+        main_batched(num_sequences, num_workers, sampler="array")
         return
     if "--simd" in flags:
-        main_batched(num_sequences, num_workers, engine="simd")
-        return
-    if "--batched" in flags:
         main_batched(num_sequences, num_workers)
         return
     if num_workers > 1 or "--threads" in flags:

@@ -56,12 +56,13 @@ contribution:
 
 ``repro.engines``
     Pluggable simulation engines behind a name-based registry:
-    ``"reference"`` (bit-serial), ``"packed"`` (packed integers) and
-    ``"batched"`` -- a bit-plane engine that simulates B independent
-    test sequences per pass by storing bit position *i* of all B
-    sequences in one integer.  ``ProtectedDesign.sleep_wake_cycle_batch``
-    and the campaign drivers' ``batch_size`` option ride on it;
-    third-party engines plug in with
+    ``"reference"`` (bit-serial), ``"packed"`` (packed integers) and,
+    with numpy installed, ``"simd"`` -- a word-packed engine that
+    simulates B independent test sequences per vectorised pass by
+    storing bit position *i* of 64 sequences in one uint64 word.
+    ``ProtectedDesign.sleep_wake_cycle_batch`` and the campaign
+    drivers' ``batch_size`` option ride on it; third-party engines
+    plug in with
     :func:`repro.engines.register_engine` without touching the core.
 
 ``repro.campaigns``

@@ -193,9 +193,9 @@ def section4_validation_rows(num_sequences: int = 100,
     :data:`repro.analysis.paper_data.VALIDATION_SUMMARY`.
 
     ``engine`` accepts any registered simulation engine;
-    ``engine="batched"`` with a ``batch_size`` runs the campaigns on
-    the bit-plane batch path, the fastest way to push the sequence
-    count toward the paper's 10^8.
+    ``engine="simd"`` with a ``batch_size`` runs the campaigns on the
+    vectorised batch path, the fastest way to push the sequence count
+    toward the paper's 10^8.
     """
     single = run_sharded_single_error_campaign(
         num_sequences, width=width, depth=depth, num_chains=num_chains,

@@ -55,7 +55,7 @@ def resolve_chunk_size(total_sequences: int, chunk_size: "int | None",
 
     An explicit ``chunk_size`` is always respected as-is; otherwise the
     default is rounded up to a multiple of the task's ``granularity``
-    (e.g. a bit-plane batch size), so default-sized chunks never
+    (e.g. a batch engine's batch size), so default-sized chunks never
     truncate every batch.
     """
     if chunk_size is not None:

@@ -122,8 +122,8 @@ class CampaignTask:
     def chunk_granularity(self) -> int:
         """Preferred multiple for the runner's *default* chunk size.
 
-        Tasks whose chunks have internal structure (e.g. bit-plane
-        batches of ``batch_size`` sequences) return that size here, and
+        Tasks whose chunks have internal structure (e.g. batch-engine
+        passes of ``batch_size`` sequences) return that size here, and
         the runner rounds its default chunk size up to a multiple of it
         -- otherwise a small campaign's default ~total/64 chunks would
         silently truncate every batch.  An explicitly passed

@@ -51,9 +51,9 @@ class FIFOValidationCampaignTask(CampaignTask):
         injects through the scan chains (Fig. 6).
     engine:
         Simulation engine override, validated against the registry of
-        :mod:`repro.engines` (``"packed"`` for large per-sequence
-        campaigns, ``"batched"`` together with ``batch_size`` for the
-        bit-plane fast path); ``None`` keeps
+        :mod:`repro.engines` (``"packed"`` for per-sequence campaigns
+        and adapter codes, ``"simd"`` together with ``batch_size`` for
+        the vectorised batch path); ``None`` keeps
         :class:`~repro.core.protected.ProtectedDesign`'s default.
     words_per_sequence:
         Words written in stage 2 of each sequence (default: half the
@@ -66,8 +66,8 @@ run_sequence_batch`: one stimulus burst per group, one injection per
         :class:`~repro.validation.testbench.BatchSequenceResult`.  The
         statistics depend on ``batch_size`` (it sets the stimulus
         granularity) but **not** on the engine -- a batched campaign is
-        bit-identical between ``engine="batched"`` and any scalar
-        engine, which is what the CI smoke checks.  ``None`` keeps the
+        bit-identical between ``engine="simd"`` and any scalar engine,
+        which is what the CI smoke checks.  ``None`` keeps the
         historical per-sequence path (read-out comparator).
     sampler:
         ``"scalar"`` (default) draws patterns one at a time from a
@@ -158,8 +158,8 @@ run_sequence_batch`: one stimulus burst per group, one injection per
         return StreamingCampaignResult()
 
     def chunk_granularity(self) -> int:
-        """Default chunk sizes align to whole batches, so the bit-plane
-        engine's amortization survives the runner's chunking."""
+        """Default chunk sizes align to whole batches, so the batch
+        engines' amortization survives the runner's chunking."""
         return self.batch_size if self.batch_size is not None else 1
 
     def _pattern_factory(self, num_chains: int, chain_length: int):
@@ -237,7 +237,7 @@ run_sequence_batch`: one stimulus burst per group, one injection per
 
         # Batch-aware chunk execution: the chunk's sequences run in
         # groups of batch_size (last group short), each group sharing
-        # one stimulus burst and one bit-plane (or fallback) pass.
+        # one stimulus burst and one batch-engine (or fallback) pass.
         remaining = num_sequences
         while remaining:
             group = min(self.batch_size, remaining)

@@ -1,44 +1,34 @@
-"""Bit-plane (batch-parallel) implementations of the monitoring codes.
+"""Shared GF(2) matrices of the structured monitoring codes.
 
-The packed codes in :mod:`repro.codes.packed` collapse the *bit* axis:
-one scan slice becomes one integer and a whole test sequence is a
-handful of integer operations.  This module collapses the *sequence*
-axis instead: bit ``b`` of a **plane** integer is the value of one wire
-for test sequence ``b`` of a batch, so a single bitwise operation
-advances every sequence of the batch at once.
+Every built-in monitoring code is linear (affine) over GF(2): a parity
+bit is an XOR of data bits and a CRC signature is an XOR of the
+columns of the stream positions holding a 1.  This module derives that
+matrix form once per code -- :func:`block_parity_matrix` for the
+Hamming family, SECDED and parity, :func:`crc_stream_matrix` for CRCs
+-- as a numpy-free :class:`GF2Matrix`, memoised on the code parameters
+in :data:`_MATRIX_CACHE`.
 
-All codes here are linear over GF(2), which is exactly what makes the
-transposition work: a parity bit is an XOR of data bits, so the parity
-*plane* is the XOR of the data *planes* -- one expression computes the
-parity bit of ``B`` independent sequences.
-
-Conventions shared with :mod:`repro.fastpath` and
-:mod:`repro.engines.bitplane`:
-
-* a *plane* is a Python int whose bit ``b`` belongs to batch sequence
-  ``b``; ``full`` is the all-sequences mask ``(1 << B) - 1``;
-* a ``k``-bit data word is a list of ``k`` planes ordered MSB first
-  (``data_planes[i]`` is data bit ``i``, i.e. bit ``k - 1 - i`` of the
-  packed integer form);
-* parity words are ``r`` planes ordered MSB first the same way.
-
-Each plane code wraps the corresponding packed code
-(:func:`repro.codes.packed.packed_block_code` /
-:func:`~repro.codes.packed.packed_stream_code`); the packed scalar
-decoder remains the per-sequence authority, which is how the batched
-engine stays bit-exact: planes locate *which* sequences disagree, the
-packed decoder then rules on each disagreeing sequence individually.
+The batch engines consume these matrices: the word-packed SIMD engine
+(:mod:`repro.engines.simd`) evaluates each row as an XOR fold over an
+ndarray gather, and the sparse-delta summary path
+(:mod:`repro.engines.delta`, whose plan tables the fused kernels of
+:mod:`repro.engines.jit` also read) gathers their column responses.
+Row order is MSB first, matching the packed codes' word layouts
+(:mod:`repro.codes.packed`).  Codes without a structured matrix form
+(interleaved wrappers, user-defined codes) raise :class:`CodeError`
+here and run on the object-path engines (``"packed"``/``"reference"``)
+instead.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
-from repro.codes.base import BlockCode, CodeError, StreamCode
+from repro.codes.base import BlockCode, CodeError
 from repro.codes.crc import CRCCode
 from repro.codes.hamming import HammingCode
-from repro.codes.packed import PackedCRC, packed_block_code, packed_stream_code
+from repro.codes.packed import PackedCRC
 from repro.codes.parity import ParityCode
 from repro.codes.secded import SECDEDCode
 
@@ -49,11 +39,10 @@ class GF2Matrix:
 
     Output bit ``j`` is ``const[j] XOR (XOR of input bits rows[j])``.
     The representation is deliberately numpy-free (index tuples and
-    0/1 constants) so the pure-Python bit-plane engine and the
-    numpy-based SIMD engine consume the *same* matrices: the bit-plane
-    engine evaluates a row as a chain of plane XORs, the SIMD engine as
-    an XOR-fold over an ndarray gather.  Row/plane order is MSB first,
-    matching the packed codes' word layouts.
+    0/1 constants), so deriving and caching a matrix never needs the
+    array stack; the SIMD engine evaluates a row as an XOR fold over
+    an ndarray gather.  Row order is MSB first, matching the packed
+    codes' word layouts.
     """
 
     rows: Tuple[Tuple[int, ...], ...]
@@ -127,8 +116,8 @@ def block_parity_matrix(code: BlockCode) -> GF2Matrix:
     and the base parity bits, so substituting the base equations leaves
     a plain XOR over the data bits whose total fan-in count is odd.
     Raises :class:`CodeError` for codes without a structured matrix
-    form (e.g. interleaved wrappers) -- those run through the adapter
-    plane classes instead.
+    form (e.g. interleaved wrappers) -- those run on the object-path
+    engines instead.
 
     Matrices for the built-in code types are memoised on the code
     parameters, so rebuilding a design (as sharded campaign workers do
@@ -166,7 +155,7 @@ def _build_block_parity_matrix(code: BlockCode) -> GF2Matrix:
                          num_inputs=code.k)
     raise CodeError(
         f"{type(code).__name__} has no structured GF(2) parity matrix; "
-        f"use the plane/packed adapter classes instead")
+        f"use engine='packed' instead")
 
 
 def crc_stream_matrix(code: CRCCode, nbits: int) -> GF2Matrix:
@@ -218,263 +207,8 @@ def _build_crc_stream_matrix(code: CRCCode, nbits: int) -> GF2Matrix:
                      num_inputs=max(nbits, 1))
 
 
-def extract_word(planes: Sequence[int], sequence: int) -> int:
-    """Collapse one sequence's bits out of an MSB-first plane list.
-
-    ``planes[i]`` holds bit ``i`` of the word (MSB first), so the
-    returned integer matches the packed codes' word layout.
-    """
-    word = 0
-    for plane in planes:
-        word = (word << 1) | ((plane >> sequence) & 1)
-    return word
-
-
-class PlaneHamming:
-    """Batch-parallel Hamming parity over bit planes.
-
-    Parity bit ``j`` is the XOR of the data bits listed in row ``j`` of
-    the shared :func:`block_parity_matrix`; in plane space that is the
-    XOR of the corresponding data planes (plus ``full`` for rows with a
-    constant 1, e.g. odd parity).
-    """
-
-    def __init__(self, code: HammingCode):
-        self.code = code
-        self.packed = packed_block_code(code)
-        self.k = code.k
-        self.r = code.r
-        self.matrix = block_parity_matrix(code)
-
-    def parity_planes(self, data_planes: Sequence[int],
-                      full: int) -> List[int]:
-        """The ``r`` parity planes (MSB first) of a batch of data words."""
-        out = []
-        for row, const in zip(self.matrix.rows, self.matrix.const):
-            plane = full if const else 0
-            for index in row:
-                plane ^= data_planes[index]
-            out.append(plane)
-        return out
-
-
-class PlaneSECDED(PlaneHamming):
-    """Batch-parallel extended-Hamming (SECDED) parity.
-
-    The parity word is the base Hamming parities followed by the
-    overall parity bit, matching
-    :meth:`repro.codes.packed.PackedSECDED.parity`: the overall bit
-    covers the data bits *and* the base parity bits.
-    :func:`block_parity_matrix` returns the overall row in expanded
-    (data-bits-only) form, so the inherited row evaluation already
-    computes it -- nothing to override.
-    """
-
-
-class PlaneParity(PlaneHamming):
-    """Batch-parallel single-parity-bit computation.
-
-    The matrix has one row covering every data bit, with a constant 1
-    for odd parity; the inherited row evaluation covers it.
-    """
-
-    def __init__(self, code: ParityCode):
-        self.code = code
-        self.packed = packed_block_code(code)
-        self.k = code.k
-        self.r = 1
-        self.matrix = block_parity_matrix(code)
-
-
-class PlaneBlockAdapter:
-    """Plane facade over an arbitrary reference :class:`BlockCode`.
-
-    Transposes each sequence's word out of the planes and runs the
-    packed code on it, so correctness holds for any code (interleaved
-    wrappers, user-defined codes) at the cost of per-sequence work.
-    The structured codes above are the fast path.
-    """
-
-    def __init__(self, code: BlockCode):
-        self.code = code
-        self.packed = packed_block_code(code)
-        self.k = code.k
-        self.r = code.r
-
-    def parity_planes(self, data_planes: Sequence[int],
-                      full: int) -> List[int]:
-        out = [0] * self.r
-        remaining = full
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            sequence = low.bit_length() - 1
-            parity = self.packed.parity(extract_word(data_planes, sequence))
-            for j in range(self.r):
-                if (parity >> (self.r - 1 - j)) & 1:
-                    out[j] |= low
-        return out
-
-
-class PlaneCRCState:
-    """The batch's CRC registers as ``width`` planes (circular buffer).
-
-    ``bit(p)`` is the plane of register bit ``p`` (``p = width - 1`` is
-    the MSB).  The shift of every sequence's register is realised by
-    moving the buffer's base pointer instead of moving ``width`` planes,
-    so one input plane costs O(taps) plane operations for the whole
-    batch.
-    """
-
-    __slots__ = ("_planes", "_base", "_width")
-
-    def __init__(self, width: int, init: int, full: int):
-        self._width = width
-        self._base = 0
-        self._planes = [full if (init >> p) & 1 else 0
-                        for p in range(width)]
-
-    def bit(self, position: int) -> int:
-        """Plane of register bit ``position``."""
-        return self._planes[(self._base + position) % self._width]
-
-    def signature_planes(self) -> List[int]:
-        """Register planes in MSB-first order (signature bit layout)."""
-        return [self.bit(p) for p in range(self._width - 1, -1, -1)]
-
-    def extract(self, sequence: int) -> int:
-        """One sequence's register value (for cross-checks and tests)."""
-        value = 0
-        for p in range(self._width - 1, -1, -1):
-            value = (value << 1) | ((self.bit(p) >> sequence) & 1)
-        return value
-
-    def snapshot(self) -> List[int]:
-        """Stored-signature form consumed by :meth:`mismatch_mask`."""
-        return self.signature_planes()
-
-    def mismatch_mask(self, stored: Sequence[int]) -> int:
-        """Plane of sequences whose signature differs from ``stored``."""
-        mask = 0
-        for fresh, old in zip(self.signature_planes(), stored):
-            mask |= fresh ^ old
-        return mask
-
-
-class PlaneCRC:
-    """Batch-parallel CRC over bit planes.
-
-    One :meth:`step` folds one stream *plane* (one stream bit of every
-    sequence) into the batch's registers, mirroring
-    :meth:`repro.codes.crc.CRCCode._step` per sequence:
-
-    ``feedback = register[msb] ^ input; register <<= 1;
-    if feedback: register ^= poly``
-
-    The feedback branch is data-dependent per sequence, but since XOR
-    with ``poly`` is linear the plane form is branch-free: every tap
-    plane absorbs ``feedback_plane``.
-    """
-
-    def __init__(self, code: CRCCode):
-        self.code = code
-        self.packed = packed_stream_code(code)
-        self.width = code.width
-        self.poly = code.poly
-        self.init = code.init
-        self._taps = tuple(p for p in range(code.width)
-                           if (code.poly >> p) & 1)
-
-    def new_state(self, full: int) -> PlaneCRCState:
-        return PlaneCRCState(self.width, self.init, full)
-
-    def step(self, state: PlaneCRCState, in_plane: int) -> None:
-        width = state._width
-        feedback = state.bit(width - 1) ^ in_plane
-        # Shift left: new bit p is old bit p - 1; the freed bit-0 slot
-        # is the old MSB slot, cleared before the taps absorb feedback.
-        state._base = (state._base - 1) % width
-        state._planes[state._base] = 0
-        if feedback:
-            planes = state._planes
-            base = state._base
-            for p in self._taps:
-                planes[(base + p) % width] ^= feedback
-
-
-class PlaneStreamAdapter:
-    """Plane facade over an arbitrary :class:`StreamCode`.
-
-    Keeps one scalar register per sequence and steps each of them per
-    input plane -- correct for any stream code, with no batch speedup.
-    Registered CRCs use :class:`PlaneCRC` instead.
-    """
-
-    class State:
-        __slots__ = ("registers",)
-
-        def __init__(self, registers: List[int]):
-            self.registers = registers
-
-        def extract(self, sequence: int) -> int:
-            return self.registers[sequence]
-
-        def snapshot(self) -> List[int]:
-            return list(self.registers)
-
-        def mismatch_mask(self, stored: Sequence[int]) -> int:
-            mask = 0
-            for b, (fresh, old) in enumerate(zip(self.registers, stored)):
-                if fresh != old:
-                    mask |= 1 << b
-            return mask
-
-    def __init__(self, code: StreamCode):
-        self.code = code
-        self.packed = packed_stream_code(code)
-        self.width = code.signature_bits
-
-    def new_state(self, full: int) -> "PlaneStreamAdapter.State":
-        init = self.code._initial_register()
-        return self.State([init] * full.bit_length())
-
-    def step(self, state: "PlaneStreamAdapter.State", in_plane: int) -> None:
-        step = self.code._step
-        registers = state.registers
-        for b in range(len(registers)):
-            registers[b] = step(registers[b], (in_plane >> b) & 1)
-
-
-def plane_block_code(code: BlockCode):
-    """Fastest plane implementation for a reference block code."""
-    if type(code) is HammingCode:
-        return PlaneHamming(code)
-    if isinstance(code, SECDEDCode):
-        return PlaneSECDED(code)
-    if isinstance(code, ParityCode):
-        return PlaneParity(code)
-    return PlaneBlockAdapter(code)
-
-
-def plane_stream_code(code: StreamCode):
-    """Fastest plane implementation for a reference stream code."""
-    if isinstance(code, CRCCode):
-        return PlaneCRC(code)
-    return PlaneStreamAdapter(code)
-
-
 __all__ = [
     "GF2Matrix",
     "block_parity_matrix",
     "crc_stream_matrix",
-    "PlaneHamming",
-    "PlaneSECDED",
-    "PlaneParity",
-    "PlaneBlockAdapter",
-    "PlaneCRC",
-    "PlaneCRCState",
-    "PlaneStreamAdapter",
-    "plane_block_code",
-    "plane_stream_code",
-    "extract_word",
 ]

@@ -195,15 +195,14 @@ class ProtectedDesign:
         (default) drives the bit-serial per-flop models in
         :mod:`repro.core.monitor`; ``"packed"`` runs the bit-exact
         packed-integer fast path of
-        :class:`repro.fastpath.engine.PackedMonitorEngine`;
-        ``"batched"`` runs the bit-plane engine of
-        :class:`repro.engines.bitplane.BitPlaneBatchedEngine`, which
+        :class:`repro.fastpath.engine.PackedMonitorEngine`, the
+        engine for adapter codes (interleaved wrappers, custom codes);
+        ``"simd"`` (available when numpy is installed, the ``[simd]``
+        extra) runs the word-packed fully vectorised engine of
+        :class:`repro.engines.simd.SimdBatchedEngine`, which
         additionally unlocks the fast path of
-        :meth:`sleep_wake_cycle_batch`; ``"simd"`` (available when
-        numpy is installed, the ``[simd]`` extra) runs the word-packed
-        fully vectorised engine of
-        :class:`repro.engines.simd.SimdBatchedEngine`, the fastest
-        option for dense-error batched campaigns.  Third-party engines
+        :meth:`sleep_wake_cycle_batch` and the columnar summary path
+        at every error density.  Third-party engines
         appear here automatically once registered with
         :func:`repro.engines.register_engine`.  Results are identical
         across engines (property-tested); only the wall-clock cost
@@ -532,13 +531,15 @@ class ProtectedDesign:
         running :meth:`sleep_wake_cycle` once per pattern from this
         same state (the property suite enforces this).
 
-        When the active engine supports batching (``"batched"``), the
-        whole batch is simulated in bit-plane form -- the physical
-        controller and power domain are sequenced **once** for the
-        batch, the per-sequence outcomes are computed virtually, and
-        the circuit's own state is left exactly as it was.  Engines
-        without batch support fall back to a per-sequence loop with a
-        state snapshot/restore around each sequence, so the semantics
+        When the active engine supports batching (``"simd"`` or
+        ``"jit"``), the whole batch is simulated in one pass -- the
+        physical controller and power domain are sequenced **once**
+        for the batch, the per-sequence outcomes are computed
+        virtually, and the circuit's own state is left exactly as it
+        was.  Engines without batch support (``"packed"``,
+        ``"reference"``; on an install without numpy that is every
+        built-in) fall back to a per-sequence loop with a state
+        snapshot/restore around each sequence, so the semantics
         (including the untouched final state) are engine-independent.
 
         Restrictions: the domain must have no ``upset_model`` (batched
@@ -807,7 +808,7 @@ class ProtectedDesign:
         register state (circuit plus padding) is restored afterwards,
         so every sequence starts from the same state and the batch
         leaves the design untouched -- the same virtual-copies
-        semantics as the bit-plane path.
+        semantics as the batch-engine path.
         """
         flops = list(self.circuit.registers) + self._padding
         snapshot = [flop.q for flop in flops]

@@ -56,15 +56,15 @@ class EngineCapabilities:
     Attributes
     ----------
     batch:
-        True when the engine implements the bit-plane batch interface
-        (``encode_pass_batch`` / ``decode_pass_batch``).  Engines
+        True when the engine implements the batch interface over bit
+        planes (``encode_pass_batch`` / ``decode_pass_batch``).  Engines
         without it still work in batched campaigns through the
         per-sequence fallback loop.
     summary:
         True when the engine implements the columnar summary pass
         (``run_batch_summary``).  Summary support may carry additional
-        runtime requirements (the built-in implementations need
-        numpy), so consumers should gate on
+        runtime requirements (an optional array library, say), so
+        consumers should gate on
         :attr:`SimulationEngine.supports_summary`, which folds those
         in.
     """
@@ -187,7 +187,7 @@ class SimulationEngine(ABC):
 
     @property
     def supports_batch(self) -> bool:
-        """True when the bit-plane batch interface is available."""
+        """True when the batch interface over bit planes is available."""
         return self.capabilities.batch
 
     @property
@@ -195,9 +195,10 @@ class SimulationEngine(ABC):
         """True when the columnar summary pass is usable *right now*.
 
         Defaults to the capability flag; engines whose summary pass has
-        extra runtime requirements (numpy for the built-ins) override
-        this to fold the availability check in, so campaign tasks can
-        gate their fast path on one property.
+        extra runtime requirements override this to fold the
+        availability check in, so campaign tasks can gate their fast
+        path on one property.  (The built-in summary engines register
+        only when numpy is importable, so the flag suffices for them.)
         """
         return self.capabilities.summary
 

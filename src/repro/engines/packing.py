@@ -1,8 +1,8 @@
 """Chain-state packing helpers shared by the integer-based engines.
 
-Both the packed and the bit-plane engines snapshot the design's
-per-flop chains into packed integers before a pass and write the
-corrected integers back afterwards; these helpers are the single
+The packed and SIMD engines snapshot the design's per-flop chains
+into packed integers before a pass and write the corrected integers
+back afterwards; these helpers are the single
 implementation of that boundary (bit ``i`` of a packed chain state is
 the flop at scan position ``i``; unknown flops have a 0 known bit and a
 0 state bit, matching the monitors' treat-X-as-0 rule).

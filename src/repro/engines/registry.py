@@ -2,8 +2,8 @@
 
 The twin of :mod:`repro.codes.registry`, for engines: campaign drivers
 and designs select an engine by name (``"reference"``, ``"packed"``,
-``"batched"``, ``"simd"`` when numpy is installed, or anything
-registered by a third party), and
+``"simd"`` when numpy is installed, or anything registered by a third
+party), and
 :class:`~repro.core.protected.ProtectedDesign` resolves the name to a
 constructed :class:`~repro.engines.base.SimulationEngine` through this
 module.  Registering an engine here is the *only* step needed to make
@@ -146,12 +146,6 @@ def _register_builtins() -> None:
                                    len(design.chains),
                                    len(design.chains[0]))
 
-    def batched_factory(design):
-        from repro.engines.bitplane import BitPlaneBatchedEngine
-        return BitPlaneBatchedEngine(design.monitor_bank,
-                                     len(design.chains),
-                                     len(design.chains[0]))
-
     def simd_factory(design):
         from repro.engines.simd import SimdBatchedEngine
         return SimdBatchedEngine(design.monitor_bank,
@@ -166,7 +160,6 @@ def _register_builtins() -> None:
 
     register_engine("reference", reference_factory)
     register_engine("packed", packed_factory)
-    register_engine("batched", batched_factory)
     # The numpy word-packed SIMD engine is part of the optional [simd]
     # extra; the core install stays pure Python, so the registration is
     # gated on numpy being importable (find_spec keeps the probe cheap

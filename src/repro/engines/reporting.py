@@ -1,10 +1,10 @@
-"""Shared batch-decode result assembly for the batched engines.
+"""Batch-decode result assembly for the batch engines.
 
-Both the bit-plane engine (:mod:`repro.engines.bitplane`) and the
-numpy SIMD engine (:mod:`repro.engines.simd`) finish a batched decode
-pass with the same bookkeeping: per-monitor detection/uncorrectable
-sequence masks, per-sequence correction events and bad-slice lists.
-This module is the single implementation of turning that bookkeeping
+The numpy SIMD engine (:mod:`repro.engines.simd`, and the jit engine
+built on it) finishes a batched decode pass with per-monitor
+detection/uncorrectable sequence masks, per-sequence correction events
+and bad-slice lists.  This module is the single implementation of
+turning that bookkeeping
 into a :class:`~repro.engines.base.BatchDecodeResult` with the exact
 report layout of the reference engine -- clean sequences share one
 cached report tuple, error-carrying sequences get materialised

@@ -1,16 +1,14 @@
 """The NumPy word-packed SIMD engine: fully vectorised batched passes.
 
-The bit-plane engine (:mod:`repro.engines.bitplane`) vectorises the
-*encode* side of a batch -- one Python big-int operation advances all B
-sequences -- but delegates every error-carrying sequence to the packed
-scalar decoder.  On sparse campaigns (one error per ~10^2 sequences)
-that cost is negligible; on the dense-error workloads behind the
-paper's headline figures (burst sweeps, droop storms, the multi-error
-Fig. 10 curves) essentially *every* sequence pays the scalar path and
-throughput collapses back toward per-sequence speed.
-
-This engine keeps the entire pass vectorised with **no per-sequence
-fallback at any error density**:
+The packed engine (:mod:`repro.fastpath.engine`) collapses the bit
+axis -- one chain becomes one integer -- but still pays its per-pass
+Python overhead once per test sequence, which is what dominates a
+Monte-Carlo campaign at the paper's 10^8-sequence scale.  This engine
+collapses the *sequence* axis as well, and keeps the entire pass
+vectorised with **no per-sequence fallback at any error density** --
+the dense-error workloads behind the paper's headline figures (burst
+sweeps, droop storms, the multi-error Fig. 10 curves) corrupt
+essentially every sequence of a batch:
 
 * batch state is a ``(num_chains, chain_length, num_words)`` ndarray of
   little-endian ``uint64`` words -- bit ``b`` of word ``w`` is batch
@@ -103,10 +101,9 @@ _NO_FLIPS: Tuple[np.ndarray, np.ndarray] = (
 # ----------------------------------------------------------------------
 # Plane <-> word-array boundary
 # ----------------------------------------------------------------------
-# The planes -> words packer is a generic array kernel shared with the
-# bit-plane engine's summary pass, so its single implementation lives
-# in repro.engines.summary; re-exported here because this module is the
-# word layout's home.
+# The planes -> words packer is a generic array kernel, so its single
+# implementation lives in repro.engines.summary; re-exported here
+# because this module is the word layout's home.
 from repro.engines.summary import planes_to_words  # noqa: E402
 
 
@@ -327,7 +324,7 @@ def _make_kernel(code):
         return _ParityKernel(code)
     raise ValueError(
         f"engine 'simd' has no vectorised decoder for "
-        f"{type(code).__name__}; use engine='batched' for adapter codes")
+        f"{type(code).__name__}; use engine='packed' for adapter codes")
 
 
 # ----------------------------------------------------------------------
@@ -354,7 +351,7 @@ class _SimdStreamMonitor:
         if not isinstance(block.code, CRCCode):
             raise ValueError(
                 f"engine 'simd' has no vectorised signature for "
-                f"{type(block.code).__name__}; use engine='batched' for "
+                f"{type(block.code).__name__}; use engine='packed' for "
                 f"adapter stream codes")
         self.block = block
         self.code = block.code
@@ -433,7 +430,7 @@ class SimdBatchedEngine(SimulationEngine):
 
     Raises ``ValueError`` at construction for codes without a
     structured GF(2) form (adapter-only codes) -- those run on the
-    bit-plane engine instead.
+    object-path engines (``"packed"``/``"reference"``) instead.
     """
 
     capabilities = EngineCapabilities(batch=True, summary=True)

@@ -2,9 +2,9 @@
 
 The summary interface of :mod:`repro.engines.base`
 (:meth:`~repro.engines.base.SimulationEngine.run_batch_summary`)
-returns per-sequence verdicts as ndarrays; this module is the single
-implementation of the array kernels both built-in batch engines build
-that answer from:
+returns per-sequence verdicts as ndarrays; this module holds the
+generic array kernels the SIMD engine (and the jit engine built on it)
+builds that answer from:
 
 * :func:`bits_matrix` -- packed chain integers to a ``(C, L)`` boolean
   matrix (the replication/masking front end);
@@ -16,10 +16,7 @@ that answer from:
   is used by the engines' summary passes *and* by
   :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
   whenever the decode result carries ``corrected_words``, replacing
-  the per-position Python loop;
-* :func:`mask_bools` / :func:`counts_array` -- Python-int sequence
-  masks and per-sequence count dicts (the bit-plane engine's native
-  bookkeeping) to boolean/integer ndarrays.
+  the per-position Python loop.
 
 Everything here requires numpy; callers gate on
 :attr:`~repro.engines.base.SimulationEngine.supports_summary`, so a
@@ -28,7 +25,7 @@ pure-stdlib install never imports this module.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,9 +37,8 @@ def planes_to_words(planes: Sequence[Sequence[int]],
     Bit ``b`` of word ``w`` is batch sequence ``64 * w + b``; raises
     ``ValueError`` when a plane holds bits outside the batch (including
     negative planes).  The boundary between the engine protocol's
-    Python-int planes and every array kernel here, shared by the simd
-    engine (which re-exports it) and the bit-plane engine's summary
-    pass.
+    Python-int planes and every array kernel here (the simd engine
+    re-exports it).
     """
     num_words = (batch_size + 63) // 64
     nbytes = num_words * 8
@@ -150,28 +146,10 @@ def residual_counts_words(states: Sequence[int], knowns: Sequence[int],
     return counts + unknown_positions
 
 
-def mask_bools(mask: int, batch_size: int) -> np.ndarray:
-    """A Python-int sequence mask as a ``(batch_size,)`` bool array."""
-    nbytes = (batch_size + 7) // 8
-    packed = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-    return np.unpackbits(packed, count=batch_size,
-                         bitorder="little").astype(bool)
-
-
-def counts_array(counts: Dict[int, int], batch_size: int) -> np.ndarray:
-    """A sparse per-sequence count dict as a dense int64 array."""
-    out = np.zeros(batch_size, dtype=np.int64)
-    for sequence, count in counts.items():
-        out[sequence] = count
-    return out
-
-
 __all__ = [
     "planes_to_words",
     "bits_matrix",
     "replicate_state_words",
     "per_sequence_popcounts",
     "residual_counts_words",
-    "mask_bools",
-    "counts_array",
 ]

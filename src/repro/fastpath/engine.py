@@ -95,7 +95,7 @@ class _PackedStreamMonitor:
 def classify_monitors(bank: MonitorBank, block_factory, stream_factory):
     """Build an engine's monitor wrappers from a bank, in bank order.
 
-    Shared by the packed and bit-plane engines so the classification
+    Shared by the packed and SIMD engines so the classification
     policy (correcting vs observing, report order, and the
     overlapping-correctors criterion the replay path keys on) lives in
     one place.  Returns ``(order, correcting, observing, overlapping)``
@@ -133,9 +133,10 @@ def replay_overlapping_feedback(monitors, states: Sequence[int],
     The reference lets every correcting block assign its (possibly
     uncorrected) slice onto the feedback path in bank order, so on
     shared chains the last block wins even where an earlier block
-    corrected.  This is the single implementation of that rule, shared
-    by the packed and bit-plane engines (which otherwise assume
-    disjoint coverage): ``monitors`` expose ``chain_indices`` /
+    corrected.  This is the packed engine's implementation of that
+    rule (its sparse decode otherwise assumes disjoint coverage; the
+    SIMD engine vectorises the same reassignment): ``monitors`` expose
+    ``chain_indices`` /
     ``width`` / ``k`` and a packed ``decode_slice``;
     ``stored_word(monitor, cycle)`` returns the stored parity word of
     one cycle.  Operates on (and returns) packed per-chain states.

@@ -10,10 +10,11 @@ Implements the paper's validation machinery (Section IV):
   (burst) patterns of Fig. 7;
 * :mod:`repro.faults.droop` -- a physically motivated injector that
   derives upsets from the rush-current droop model instead of an LFSR;
-* :mod:`repro.faults.batch` -- batch fault injection over bit-plane
-  state: one XOR per targeted scan cell injects a whole batch of
-  per-sequence patterns (the injection side of
-  :mod:`repro.engines.bitplane`);
+* :mod:`repro.faults.batch` -- batch fault injection over bit planes
+  and word-packed state: one XOR per targeted scan cell injects a
+  whole batch of per-sequence patterns (the injection side of
+  :mod:`repro.engines.simd`), plus the vectorised pattern sampler of
+  the campaign summary path;
 * :mod:`repro.faults.campaign` -- bookkeeping of injected / detected /
   corrected counts across a campaign.
 """

@@ -1,12 +1,12 @@
-"""Batch fault injection over bit-plane state.
+"""Batch fault injection over bit planes and word-packed batch state.
 
 One :class:`~repro.faults.patterns.ErrorPattern` per sequence of a
 batch is turned into per-``(chain, position)`` *sequence masks*: bit
 ``b`` of the mask says "flip this scan cell in sequence ``b``".
 Applying a whole batch's worth of injections then costs one XOR per
 targeted scan cell -- independent of the batch size -- which is the
-injection-side counterpart of the bit-plane engine's batched passes
-(:mod:`repro.engines.bitplane`).
+injection-side counterpart of the batch engines' passes
+(:mod:`repro.engines.simd`).
 
 Flips are gated by the chains' known masks, matching the reference
 injector's no-op on unknown (``None``) flops, and the per-sequence

@@ -27,7 +27,7 @@ from repro.power.rush_current import RLCParameters, RushCurrentModel
 #: workers rebuild the whole design -- domain included -- per chunk,
 #: paying the searches over and over for identical electricals; the
 #: shared cache makes the cost once-per-process (the same reasoning as
-#: the GF(2) matrix cache of :mod:`repro.codes.plane`).
+#: the GF(2) matrix cache ``_MATRIX_CACHE`` of :mod:`repro.codes.plane`).
 _TRANSIENT_CACHE: dict = {}
 
 

@@ -273,8 +273,8 @@ def run_sharded_single_error_campaign(
         scheduler=None) -> StreamingCampaignResult:
     """Sharded form of :func:`run_single_error_campaign`.
 
-    ``batch_size`` (with ``engine="batched"`` for the fast path) runs
-    each chunk's sequences in bit-plane batches;
+    ``batch_size`` (with ``engine="simd"`` for the fast path) runs
+    each chunk's sequences in batches of that size;
     ``sampler="array"`` (with a summary-capable engine such as
     ``"simd"`` for the columnar fast path) additionally vectorises the
     pattern sampling and counter ingestion, and ``summary_path`` forces
@@ -320,8 +320,8 @@ def run_sharded_multiple_error_campaign(
         scheduler=None) -> StreamingCampaignResult:
     """Sharded form of :func:`run_multiple_error_campaign`.
 
-    ``batch_size`` (with ``engine="batched"`` for the fast path) runs
-    each chunk's sequences in bit-plane batches;
+    ``batch_size`` (with ``engine="simd"`` for the fast path) runs
+    each chunk's sequences in batches of that size;
     ``sampler="array"`` (with a summary-capable engine such as
     ``"simd"`` for the columnar fast path) additionally vectorises the
     pattern sampling and counter ingestion, and ``summary_path`` forces

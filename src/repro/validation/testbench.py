@@ -88,7 +88,7 @@ class BatchSequenceResult:
     corruption hiding in unobserved state (unoccupied rows, pointer
     wrap bits) still counts as a mismatch -- and it is identical across
     engines, which is what makes batched campaigns bit-reproducible
-    between the bit-plane engine and the per-sequence fallback.
+    between the batch engines and the per-sequence fallback.
 
     The property names mirror :class:`TestSequenceResult` so the
     streaming campaign counters consume either interchangeably.
@@ -199,7 +199,7 @@ class FIFOTestbench:
         :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
         with one injection per sequence; stage 5 uses the state-domain
         comparator of :class:`BatchSequenceResult`.  With a
-        batch-capable engine the whole batch costs one bit-plane pass;
+        batch-capable engine the whole batch costs one batch pass;
         with any other engine the design falls back to an equivalent
         per-sequence loop, so the returned statistics are engine-
         independent (the batched-campaign CI smoke relies on this).

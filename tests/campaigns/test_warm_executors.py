@@ -73,7 +73,7 @@ def _sampler_task(mode: str) -> FIFOValidationCampaignTask:
     if mode == "scalar":
         return FIFOValidationCampaignTask(engine="packed", **common)
     if mode == "batched":
-        return FIFOValidationCampaignTask(engine="batched", batch_size=4,
+        return FIFOValidationCampaignTask(engine="simd", batch_size=4,
                                           **common)
     return FIFOValidationCampaignTask(engine="simd", batch_size=4,
                                       sampler="array", **common)
@@ -293,7 +293,7 @@ class TestWarmBitIdentity:
 
     @pytest.mark.parametrize("mode", ("scalar", "batched", "array"))
     def test_sampler_modes_fresh_and_reused_pools(self, mode):
-        if mode == "array":
+        if mode != "scalar":
             pytest.importorskip("numpy")
         task = _sampler_task(mode)
         reference = _serial(task, total=12, seed=20100308, chunk=4)

@@ -53,7 +53,10 @@ def _sampler_task(mode: str) -> FIFOValidationCampaignTask:
     if mode == "scalar":
         return FIFOValidationCampaignTask(engine="packed", **common)
     if mode == "batched":
-        return FIFOValidationCampaignTask(engine="batched", batch_size=4,
+        return FIFOValidationCampaignTask(engine="simd", batch_size=4,
+                                          **common)
+    if mode == "fallback":
+        return FIFOValidationCampaignTask(engine="packed", batch_size=4,
                                           **common)
     return FIFOValidationCampaignTask(engine="simd", batch_size=4,
                                       sampler="array", **common)
@@ -157,9 +160,9 @@ class TestFIFOChunkWorkspace:
 
     SEEDS = (111, 222, 111, 333)  # includes a revisit
 
-    @pytest.mark.parametrize("mode", ("scalar", "batched", "array"))
+    @pytest.mark.parametrize("mode", ("scalar", "batched", "fallback", "array"))
     def test_warm_equals_cold_across_reuse_orders(self, mode):
-        if mode == "array":
+        if mode not in ("scalar", "fallback"):
             pytest.importorskip("numpy")
         task = _sampler_task(mode)
         workspace = task.build_worker_state()
@@ -199,6 +202,9 @@ class TestFIFOChunkWorkspace:
     # reseed().  Per (mode, seed): corrected (= intact) sequences,
     # residual bits, comparator mismatches, inconsistent sequences,
     # injector (row, col) LFSR states, and the next four stimulus words.
+    # The "fallback" mode (batch_size on the packed engine, the batch
+    # path without numpy) is held to the "batched" rows: a batched
+    # campaign does not depend on the engine.
     GOLDEN = {
         ("scalar", 111): (7, 2, 1, 1, (33, 36), (0, 14, 13, 4)),
         ("scalar", 222): (4, 9, 3, 3, (15, 45), (0, 11, 0, 3)),
@@ -216,20 +222,24 @@ class TestFIFOChunkWorkspace:
         if mode == "scalar":
             return FIFOValidationCampaignTask(engine="packed", **common)
         if mode == "batched":
-            return FIFOValidationCampaignTask(engine="batched",
+            return FIFOValidationCampaignTask(engine="simd",
+                                              batch_size=4, **common)
+        if mode == "fallback":
+            return FIFOValidationCampaignTask(engine="packed",
                                               batch_size=4, **common)
         return FIFOValidationCampaignTask(engine="simd", batch_size=4,
                                           sampler="array", **common)
 
-    @pytest.mark.parametrize("mode", ("scalar", "batched", "array"))
+    @pytest.mark.parametrize("mode", ("scalar", "batched", "fallback", "array"))
     def test_reseed_matches_golden_streams(self, mode):
-        if mode == "array":
+        if mode not in ("scalar", "fallback"):
             pytest.importorskip("numpy")
         task = self._golden_task(mode)
         workspace = task.build_worker_state()
         for seed in (222, 111):  # reused bench, out of order
             (corrected, residual, mismatches, inconsistent, lfsr,
-             stimulus) = self.GOLDEN[(mode, seed)]
+             stimulus) = self.GOLDEN[
+                 ("batched" if mode == "fallback" else mode, seed)]
             result = task.run_chunk_on(workspace, seed, 8)
             assert result.to_dict() == {
                 "stats": {
@@ -255,6 +265,7 @@ class TestFIFOChunkWorkspace:
     def test_engine_cache_survives_reseed(self):
         # The whole point of the workspace: the design's keyed engine
         # cache (workspaces, LUT memos) must not be dropped per chunk.
+        pytest.importorskip("numpy")
         task = _sampler_task("batched")
         workspace = task.build_worker_state()
         task.run_chunk_on(workspace, 1, 4)

@@ -130,7 +130,7 @@ class TestRegistryReflection:
     def test_every_builtin_engine_is_covered(self):
         names = available_engines()
         assert "reference" in names and "packed" in names \
-            and "batched" in names
+            and "simd" in names
 
     def test_inconsistent_registration_fires(self):
         register_engine("lint_probe_bad",

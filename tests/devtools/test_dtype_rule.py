@@ -44,7 +44,7 @@ class TestDtypeDiscipline:
     def test_out_of_scope_file_is_quiet(self, run_rule):
         findings = run_rule(
             RULE, "import numpy as np\nX = np.zeros(4)\n",
-            "repro/engines/bitplane.py")
+            "repro/engines/packed.py")
         assert findings == []
 
     def test_real_word_pipeline_modules_are_clean(self):

@@ -5,12 +5,13 @@ The single-error regime the original property tests leaned on is the
 batch engines' best case: almost no per-sequence work.  Dense patterns
 -- burst windows spanning chain and monitoring-block boundaries,
 multi-error storms, droop storms where a sizeable fraction of all
-retention latches flips -- exercise the exact paths that degenerate
-(scalar fallback in the bit-plane engine, vectorised correction
-scatter in the SIMD engine).  Every engine advertising
+retention latches flips -- exercise the SIMD engine's vectorised correction scatter on every
+sequence of the batch.  Every engine advertising
 ``capabilities.batch`` is discovered from the registry and checked
 against the per-sequence reference fallback, so third-party batch
-engines get the same scrutiny for free.
+engines get the same scrutiny for free.  The packed engine's
+per-sequence fallback -- the batch path of adapter codes and of
+installs without numpy -- is held to the same dense batches.
 """
 
 import importlib.util
@@ -56,9 +57,12 @@ def batch_capable_engines():
     return names
 
 
+#: Every batch-capable engine, plus the packed per-sequence fallback.
+ENGINES_UNDER_TEST = batch_capable_engines() + ["packed"]
+
+
 def test_batch_capable_engines_discovered():
     names = batch_capable_engines()
-    assert "batched" in names
     if importlib.util.find_spec("numpy") is not None:
         assert "simd" in names
 
@@ -116,7 +120,7 @@ def _outcome_tuple(outcome):
             outcome.corrections_applied, outcome.reports)
 
 
-@pytest.mark.parametrize("engine", batch_capable_engines())
+@pytest.mark.parametrize("engine", ENGINES_UNDER_TEST)
 @pytest.mark.parametrize("batch_size", (1, 9, 65))
 def test_dense_batches_match_reference(engine, batch_size):
     rng = random.Random(zlib.crc32(f"{engine}/{batch_size}".encode()))
@@ -137,7 +141,7 @@ def test_dense_batches_match_reference(engine, batch_size):
             [c.read_state() for c in reference.chains]
 
 
-@pytest.mark.parametrize("engine", batch_capable_engines())
+@pytest.mark.parametrize("engine", ENGINES_UNDER_TEST)
 def test_every_sequence_dense_burst(engine):
     """The dense-campaign regime itself: 100% of sequences carry a
     multi-bit burst (no clean sequences to amortise against)."""

@@ -9,6 +9,8 @@ tests pin that behaviour down.
 
 import random
 
+import pytest
+
 from repro.circuit.generators import make_random_state_circuit
 from repro.circuit.scan import ScanChain
 from repro.core.monitor import MonitorBank, build_monitor_blocks
@@ -57,8 +59,9 @@ class TestEngineCacheInvalidation:
     def test_results_follow_the_new_bank(self):
         """After a bank swap, every engine must simulate the *new*
         monitoring structure -- all engines agree with the reference."""
+        pytest.importorskip("numpy")
         designs = {name: _design(name) for name in
-                   ("reference", "packed", "batched")}
+                   ("reference", "packed", "simd")}
         for design in designs.values():
             design.sleep_wake_cycle()  # populate the engine caches
             _swap_bank(design, ["hamming(15,11)", "crc16-ccitt"])
@@ -70,7 +73,7 @@ class TestEngineCacheInvalidation:
             outcomes[name] = _outcome_tuple(
                 design.sleep_wake_cycle(injection=pattern))
         assert outcomes["packed"] == outcomes["reference"]
-        assert outcomes["batched"] == outcomes["reference"]
+        assert outcomes["simd"] == outcomes["reference"]
 
     def test_cache_survives_engine_switching(self):
         """Switching engines back and forth reuses cached instances as
@@ -78,7 +81,7 @@ class TestEngineCacheInvalidation:
         design = _design("packed")
         design.sleep_wake_cycle()
         first = design._get_packed_engine()
-        design.set_engine("batched")
+        design.set_engine("reference")
         design.sleep_wake_cycle()
         design.set_engine("packed")
         design.sleep_wake_cycle()

@@ -43,7 +43,6 @@ class TestBuiltins:
         names = available_engines()
         assert "reference" in names
         assert "packed" in names
-        assert "batched" in names
 
     def test_validate_engine_roundtrip(self):
         assert validate_engine("packed") == "packed"
@@ -52,8 +51,8 @@ class TestBuiltins:
         """Case variants resolve to the canonical registry key, so the
         design's engine cache never aliases one engine twice."""
         assert validate_engine("Packed") == "packed"
-        design = _design(engine="BATCHED")
-        assert design.engine == "batched"
+        design = _design(engine="REFERENCE")
+        assert design.engine == "reference"
         design.set_engine("Packed")
         assert design.engine == "packed"
         first = design._get_packed_engine()
@@ -73,16 +72,18 @@ class TestBuiltins:
             ProtectedDesign.validate_engine("fpga")
 
     def test_get_engine_builds_per_design(self):
+        pytest.importorskip("numpy")
         design = _design()
-        engine = get_engine("batched", design)
-        assert engine.name == "batched"
+        engine = get_engine("simd", design)
+        assert engine.name == "simd"
         assert engine.supports_batch
 
     def test_batch_capability_flags(self):
         design = _design()
         assert not get_engine("reference", design).supports_batch
         assert not get_engine("packed", design).supports_batch
-        assert get_engine("batched", design).supports_batch
+        if "simd" in available_engines():
+            assert get_engine("simd", design).supports_batch
 
     def test_non_batch_engine_refuses_batch_passes(self):
         design = _design()

@@ -305,14 +305,17 @@ def test_forced_optional_engine_error_is_actionable(name):
     assert f"'{name}'" in message
 
 
-def test_cuda_is_not_an_engine():
-    """There is no device engine: ``"cuda"`` is neither registered nor
-    conditionally registrable, so selecting it is a plain unknown-engine
+@pytest.mark.parametrize("name", ("cuda", "batched"))
+def test_cuda_is_not_an_engine(name):
+    """There is no device engine and no bit-plane engine: ``"cuda"``
+    and ``"batched"`` are neither registered nor conditionally
+    registrable, so selecting either is a plain unknown-engine
     error."""
-    assert "cuda" not in available_engines()
-    assert "cuda" not in CONDITIONAL_ENGINES
-    with pytest.raises(ValueError, match="unknown engine 'cuda'") as excinfo:
-        validate_engine("cuda")
+    assert name not in available_engines()
+    assert name not in CONDITIONAL_ENGINES
+    with pytest.raises(ValueError,
+                       match=f"unknown engine '{name}'") as excinfo:
+        validate_engine(name)
     assert "registers only when" not in str(excinfo.value)
 
 

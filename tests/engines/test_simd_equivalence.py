@@ -1,13 +1,15 @@
 """Bit-exactness of the numpy word-packed SIMD engine.
 
-Mirrors the bit-plane equivalence suite: ``sleep_wake_cycle_batch`` on
-``engine="simd"`` must match the per-sequence reference fallback bit
+``sleep_wake_cycle_batch`` on ``engine="simd"`` must match the per-sequence reference fallback bit
 for bit (outcome fields, per-block reports including correction
 events, final register state) across every registered code family,
 geometries with and without padding, batch sizes including B=1 and
 non-powers-of-two (and word-boundary-straddling sizes like 65), and
 single/burst/dense fault patterns.  Engine-level heterogeneous-state
-batches are cross-checked against the packed engine.
+batches are cross-checked against the packed engine.  The
+engine-generic batch contracts (untouched design state, the corrector
+aggregate, eager validation) run here against the SIMD engine and the
+per-sequence fallback alike.
 """
 
 import random
@@ -33,9 +35,10 @@ from repro.faults.patterns import (
     single_error_pattern,
 )
 
-#: Same configuration matrix as the bit-plane suite: every registered
-#: code family, the stacked paper configuration, padded geometries and
-#: tied-off tail blocks.
+#: Every registered code family appears at least once (the full CRC
+#: table, the whole paper Hamming family, SECDED and parity), plus the
+#: paper's stacked Hamming+CRC configuration and geometries that force
+#: padding cells and tied-off tail blocks.
 CONFIGS = [
     ("hamming74_crc16", ["hamming(7,4)", "crc16"], 8, 56),
     ("hamming74_padded", "hamming(7,4)", 5, 33),
@@ -166,15 +169,90 @@ def test_overlapping_correcting_blocks_batch():
 
 def test_adapter_codes_are_rejected_with_guidance():
     """Codes without a structured GF(2) form fail engine construction
-    with a pointer at the bit-plane engine."""
+    with a pointer at the packed engine."""
     from repro.codes.interleave import InterleavedCode
 
     circuit = make_random_state_circuit(32, seed=5)
     code = InterleavedCode(get_code("hamming(7,4)"), depth=2)
     design = ProtectedDesign(circuit, codes=code, num_chains=8,
                              engine="reference")
-    with pytest.raises(ValueError, match="batched"):
+    with pytest.raises(ValueError, match="engine='packed'"):
         get_engine("simd", design)
+
+
+def test_batch_leaves_design_state_untouched():
+    """A batch is virtual: the circuit holds its pre-batch state after,
+    for the SIMD path and the fallback alike."""
+    for engine in ("simd", "reference"):
+        circuit = make_random_state_circuit(40, seed=5)
+        design = ProtectedDesign(circuit, codes=["hamming(7,4)", "crc16"],
+                                 num_chains=8, engine=engine)
+        before = [c.read_state() for c in design.chains]
+        rng = random.Random(17)
+        patterns = [multi_error_pattern(design.num_chains,
+                                        design.chain_length, 5, rng)
+                    for _ in range(4)]
+        design.sleep_wake_cycle_batch(patterns)
+        assert [c.read_state() for c in design.chains] == before
+
+
+def test_corrector_aggregate_is_engine_independent():
+    """After a batch, design.corrector holds the whole batch's events
+    on every engine (the fallback must not leave only the last
+    sequence's)."""
+    counts = {}
+    for engine in ("reference", "packed", "simd"):
+        circuit = make_random_state_circuit(56, seed=6)
+        design = ProtectedDesign(circuit, codes=["hamming(7,4)", "crc16"],
+                                 num_chains=8, engine=engine)
+        prng = random.Random(9)
+        patterns = [single_error_pattern(design.num_chains,
+                                         design.chain_length, prng)
+                    for _ in range(4)]
+        outcomes = design.sleep_wake_cycle_batch(patterns)
+        assert all(o.corrections_applied == 1 for o in outcomes)
+        counts[engine] = design.corrector.num_corrections
+    assert counts["reference"] == counts["packed"] \
+        == counts["simd"] == 4
+
+
+def test_empty_batch_rejected():
+    circuit = make_random_state_circuit(20, seed=1)
+    design = ProtectedDesign(circuit, codes="crc16", num_chains=4,
+                             engine="simd")
+    with pytest.raises(ValueError):
+        design.sleep_wake_cycle_batch([])
+
+
+@pytest.mark.parametrize("engine", ["simd", "packed", "reference"])
+def test_bad_pattern_fails_before_sleep_entry(engine):
+    """A malformed pattern must be rejected while the controller and
+    domain are still ACTIVE, on the SIMD path and the fallback alike --
+    never strand the design mid-sleep."""
+    from repro.core.controller import ControllerState
+    from repro.faults.patterns import ErrorPattern
+
+    circuit = make_random_state_circuit(20, seed=1)
+    design = ProtectedDesign(circuit, codes="crc16", num_chains=4,
+                             engine=engine)
+    bad = ErrorPattern(locations=frozenset({(99, 0)}), kind="single")
+    with pytest.raises(ValueError):
+        design.sleep_wake_cycle_batch([None, bad])
+    assert design.controller.state is ControllerState.ACTIVE
+    assert not design.domain.is_asleep
+    # The design stays fully usable.
+    assert design.sleep_wake_cycle().state_intact
+
+
+def test_batch_rejects_upset_model():
+    from repro.power.retention import RetentionUpsetModel
+
+    circuit = make_random_state_circuit(20, seed=1)
+    design = ProtectedDesign(circuit, codes="crc16", num_chains=4,
+                             engine="simd",
+                             upset_model=RetentionUpsetModel(seed=1))
+    with pytest.raises(ValueError):
+        design.sleep_wake_cycle_batch([None])
 
 
 class TestEngineLevelBatch:

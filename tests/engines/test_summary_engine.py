@@ -10,7 +10,6 @@ from repro.engines.base import BatchOutcomeArrays               # noqa: E402
 from repro.engines.registry import get_engine                   # noqa: E402
 from repro.engines.summary import (                             # noqa: E402
     bits_matrix,
-    mask_bools,
     residual_counts_words,
 )
 
@@ -24,7 +23,6 @@ def _design(engine, codes=("hamming(7,4)", "crc16")):
 def test_summary_capability_flags():
     design = _design("reference")
     assert get_engine("simd", design).supports_summary
-    assert get_engine("batched", design).supports_summary
     assert not get_engine("packed", design).supports_summary
     assert not get_engine("reference", design).supports_summary
     assert not design.supports_batch_summary
@@ -78,7 +76,11 @@ def test_summary_validates_pattern_batch_eagerly():
     design.sleep_wake_cycle_batch_summary(batch(), 4)
 
 
-@pytest.mark.parametrize("engine", ("simd", "batched"))
+def _mask_bools(mask, batch_size):
+    return np.array([bool((mask >> b) & 1) for b in range(batch_size)])
+
+
+@pytest.mark.parametrize("engine", ("simd",))
 def test_engine_summary_matches_batch_masks(engine):
     """run_batch_summary's detected/uncorrectable columns equal the
     decode_pass_batch masks for the same injected batch."""
@@ -101,9 +103,9 @@ def test_engine_summary_matches_batch_masks(engine):
     result = reference.decode_pass_batch(planes, knowns, batch)
 
     assert np.array_equal(summary.detected,
-                          mask_bools(result.detected_mask, batch))
+                          _mask_bools(result.detected_mask, batch))
     assert np.array_equal(summary.uncorrectable,
-                          mask_bools(result.uncorrectable_mask, batch))
+                          _mask_bools(result.uncorrectable_mask, batch))
     assert summary.injected.tolist() == injected
     counts = [result.corrections.get(b, 0) for b in range(batch)]
     assert summary.corrections_applied.tolist() == counts

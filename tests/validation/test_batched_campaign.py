@@ -4,6 +4,8 @@ import pytest
 
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 from repro.circuit.fifo import SyncFIFO
+from repro.codes.hamming import HammingCode
+from repro.codes.interleave import InterleavedCode
 from repro.core.protected import ProtectedDesign
 from repro.validation.campaign import (
     run_sharded_multiple_error_campaign,
@@ -18,59 +20,70 @@ KWARGS = dict(width=8, depth=8, num_chains=8, seed=20100308, chunk_size=16,
 class TestBatchedCampaignEquivalence:
     def test_single_error_campaign_engine_independent(self):
         """A batched campaign is bit-identical across engines: the
-        bit-plane fast path and the per-sequence fallback describe the
-        same experiment."""
+        vectorised batch path and the per-sequence fallback describe
+        the same experiment."""
         reference = run_sharded_single_error_campaign(
             64, engine="reference", **KWARGS)
-        batched = run_sharded_single_error_campaign(
-            64, engine="batched", **KWARGS)
+        simd = run_sharded_single_error_campaign(
+            64, engine="simd", **KWARGS)
         packed = run_sharded_single_error_campaign(
             64, engine="packed", **KWARGS)
-        assert batched == reference
+        assert simd == reference
         assert packed == reference
         # The paper's single-error headline: everything detected and
         # corrected, nothing silent.
-        assert batched.stats.detection_rate() == 1.0
-        assert batched.stats.correction_rate() == 1.0
-        assert batched.stats.silent_corruptions == 0
-        assert batched.mismatches_reported_by_comparator == 0
+        assert simd.stats.detection_rate() == 1.0
+        assert simd.stats.correction_rate() == 1.0
+        assert simd.stats.silent_corruptions == 0
+        assert simd.mismatches_reported_by_comparator == 0
 
     def test_multiple_error_campaign_engine_independent(self):
         reference = run_sharded_multiple_error_campaign(
             48, engine="reference", **KWARGS)
-        batched = run_sharded_multiple_error_campaign(
-            48, engine="batched", **KWARGS)
-        assert batched == reference
+        simd = run_sharded_multiple_error_campaign(
+            48, engine="simd", **KWARGS)
+        assert simd == reference
         # Clustered bursts defeat Hamming but never escape detection.
-        assert batched.stats.detection_rate() == 1.0
-        assert batched.stats.silent_corruptions == 0
+        assert simd.stats.detection_rate() == 1.0
+        assert simd.stats.silent_corruptions == 0
+        # Adapter codes (no structured GF(2) form) run batched campaigns
+        # on the object path; interleaving turns the same bursts into
+        # correctable single errors per inner codeword.
+        interleaved = (InterleavedCode(HammingCode(7, 4), depth=4), "crc16")
+        reference = run_sharded_multiple_error_campaign(
+            48, engine="reference", codes=interleaved, **KWARGS)
+        packed = run_sharded_multiple_error_campaign(
+            48, engine="packed", codes=interleaved, **KWARGS)
+        assert packed == reference
+        assert packed.stats.correction_rate() == 1.0
+        assert packed.stats.silent_corruptions == 0
 
     def test_worker_count_determinism(self):
         one = run_sharded_single_error_campaign(
-            64, engine="batched", num_workers=1, **KWARGS)
+            64, engine="simd", num_workers=1, **KWARGS)
         two = run_sharded_single_error_campaign(
-            64, engine="batched", num_workers=2, **KWARGS)
+            64, engine="simd", num_workers=2, **KWARGS)
         assert one == two
 
     def test_repeatability(self):
         first = run_sharded_single_error_campaign(
-            32, engine="batched", **KWARGS)
+            32, engine="simd", **KWARGS)
         second = run_sharded_single_error_campaign(
-            32, engine="batched", **KWARGS)
+            32, engine="simd", **KWARGS)
         assert first == second
 
     def test_short_final_group(self):
         """Sequence counts that do not divide the batch size run a
         short final group, covering every sequence exactly once."""
         result = run_sharded_single_error_campaign(
-            21, engine="batched", width=8, depth=8, num_chains=8,
+            21, engine="simd", width=8, depth=8, num_chains=8,
             seed=1, chunk_size=21, batch_size=8)
         assert result.stats.num_sequences == 21
         assert result.stats.sequences_with_errors == 21
 
 
 class TestBatchedTestbench:
-    def _bench(self, engine="batched"):
+    def _bench(self, engine="simd"):
         fifo = SyncFIFO(4, 4, name="fifo4x4")
         design = ProtectedDesign(fifo, codes=["hamming(7,4)", "crc16"],
                                  num_chains=4, engine=engine)
@@ -106,12 +119,12 @@ class TestBatchedTestbench:
 class TestChunkGranularity:
     def test_default_chunk_size_aligns_to_batches(self):
         """The runner's default chunk size rounds up to a whole number
-        of batches, so small campaigns keep full-size bit-plane passes
+        of batches, so small campaigns keep full-size batch passes
         instead of silently truncating every batch to the chunk."""
         from repro.campaigns.runner import ShardedCampaignRunner
 
         task = FIFOValidationCampaignTask(width=8, depth=8, num_chains=8,
-                                          engine="batched", batch_size=256)
+                                          engine="simd", batch_size=256)
         runner = ShardedCampaignRunner(task, 1000, seed=1)
         assert runner.chunk_size == 256
         unbatched = FIFOValidationCampaignTask(width=8, depth=8,
@@ -123,7 +136,7 @@ class TestChunkGranularity:
         from repro.campaigns.runner import ShardedCampaignRunner
 
         task = FIFOValidationCampaignTask(width=8, depth=8, num_chains=8,
-                                          engine="batched", batch_size=256)
+                                          engine="simd", batch_size=256)
         runner = ShardedCampaignRunner(task, 1000, seed=1, chunk_size=10)
         assert runner.chunk_size == 10
 
@@ -136,8 +149,8 @@ class TestTaskValidation:
     def test_engine_validated_against_registry(self):
         with pytest.raises(ValueError):
             FIFOValidationCampaignTask(engine="fpga")
-        task = FIFOValidationCampaignTask(engine="batched", batch_size=4)
-        assert task.engine == "batched"
+        task = FIFOValidationCampaignTask(engine="simd", batch_size=4)
+        assert task.engine == "simd"
         assert task.batch_size == 4
 
     def test_fingerprint_includes_batch_size(self):
