@@ -15,7 +15,7 @@ in ``BENCH_engines.json`` and enforced by the CI regression guard
   ``sleep_wake_cycle_batch`` must hold >= 10x over the packed engine's
   per-sequence ``sleep_wake_cycle``, timed on a 64-sequence sample of
   the same batch.  The engine pass alone (one encode+decode over
-  prepared bit planes) is recorded as an absolute rate.
+  prepared word arrays) is recorded as an absolute rate.
 * **campaign_summary_path** -- end-to-end single-error campaign chunk
   on the paper's 32x32-FIFO configuration: the columnar summary path
   (``sampler="array"``) must hold >= 2x over the batched object path.
@@ -41,9 +41,8 @@ import pytest
 from benchmarks.conftest import print_section, record_bench
 from repro.circuit.generators import make_random_state_circuit
 from repro.core.protected import ProtectedDesign
-from repro.engines.packing import pack_chains, replicate_states
+from repro.engines.packing import pack_chains
 from repro.engines.registry import available_engines, get_engine
-from repro.faults.batch import apply_batch_flips, batch_pattern_flips
 from repro.faults.patterns import ErrorPattern, single_error_pattern
 
 #: The SIMD engine registers only when numpy is importable (the [simd]
@@ -201,20 +200,26 @@ def test_dense_error_campaign_throughput():
     patterns = [_dense_burst_pattern(NUM_CHAINS, length, rng)
                 for _ in range(DENSE_BATCH)]
 
-    # Engine level: one encode+decode pass over prepared bit planes
+    # Engine level: one encode+decode pass over prepared word arrays
     # (pre-sleep state, and the same state with every burst injected).
-    states, knowns = pack_chains(probe.chains)
-    flips = batch_pattern_flips(patterns, NUM_CHAINS, length)
-    full = (1 << DENSE_BATCH) - 1
+    from repro.engines.summary import (
+        bits_matrix,
+        full_words,
+        replicate_state_words,
+    )
+    from repro.faults.batch import PatternBatch, pattern_batch_arrays
 
-    def prepared_planes():
-        clean = replicate_states(states, length, full)
-        corrupted = replicate_states(states, length, full)
-        apply_batch_flips(corrupted, knowns, flips, DENSE_BATCH)
-        return clean, corrupted
+    states, knowns = pack_chains(probe.chains)
+    clean = replicate_state_words(bits_matrix(states, length),
+                                  full_words(DENSE_BATCH))
+    corrupted = clean.copy()
+    chains, positions, masks, injected = pattern_batch_arrays(
+        PatternBatch.from_patterns(patterns, NUM_CHAINS, length), knowns,
+        DENSE_BATCH)
+    corrupted[chains, positions] ^= masks
+    assert injected.tolist() == [2 * length] * DENSE_BATCH
 
     engine = get_engine("simd", _build("simd", codes=DENSE_CODES))
-    clean, corrupted = prepared_planes()
     engine_results = {}
 
     def engine_pass():
@@ -225,19 +230,7 @@ def test_dense_error_campaign_throughput():
     engine_pass()  # warm-up
     engine_time = _time(engine_pass, repeats=3) / DENSE_BATCH
     # Every sequence carries (at least detected) errors.
-    assert engine_results["out"].detected_mask == full
-
-    # The ndarray injection form must corrupt the word-packed state
-    # exactly like the plane form the engine was driven with.
-    from repro.engines.simd import planes_to_words, words_to_planes
-    from repro.faults.batch import apply_batch_flips_words
-
-    clean, corrupted = prepared_planes()
-    words = planes_to_words(clean, DENSE_BATCH)
-    word_counts = apply_batch_flips_words(words, knowns, flips,
-                                          DENSE_BATCH)
-    assert words_to_planes(words) == corrupted
-    assert word_counts.tolist() == [2 * length] * DENSE_BATCH
+    assert engine_results["out"].detected_mask.all()
 
     # Cycle level: the dense batch through the full monitored
     # sleep/wake sequence on simd, against the packed engine's

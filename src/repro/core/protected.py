@@ -40,12 +40,7 @@ from repro.core.monitor import (
 from repro.core.scan_config import ScanChainConfig
 from repro.engines import registry as engine_registry
 from repro.engines.base import SimulationEngine
-from repro.engines.packing import pack_chains, replicate_states
-from repro.faults.batch import (
-    PatternBatch,
-    apply_batch_flips,
-    batch_pattern_flips,
-)
+from repro.engines.packing import pack_chains
 from repro.faults.injector import ScanErrorInjector
 from repro.faults.patterns import ErrorPattern
 from repro.power.domain import PowerDomain, SwitchNetwork, WakeEvent
@@ -532,14 +527,18 @@ class ProtectedDesign:
         same state (the property suite enforces this).
 
         When the active engine supports batching (``"simd"`` or
-        ``"jit"``), the whole batch is simulated in one pass -- the
-        physical controller and power domain are sequenced **once**
-        for the batch, the per-sequence outcomes are computed
+        ``"jit"``), the whole batch is simulated in one pass over a
+        ``(C, L, W)`` uint64 word array -- the shared state replicated
+        into every sequence, the patterns injected as one
+        :class:`~repro.faults.batch.PatternBatch` scatter, the
+        residuals counted by the vectorised state-domain comparator.
+        The physical controller and power domain are sequenced
+        **once** for the batch, the per-sequence outcomes are computed
         virtually, and the circuit's own state is left exactly as it
         was.  Engines without batch support (``"packed"``,
         ``"reference"``; on an install without numpy that is every
-        built-in) fall back to a per-sequence loop with a state
-        snapshot/restore around each sequence, so the semantics
+        built-in) fall back to a stdlib-only per-sequence loop with a
+        state snapshot/restore around each sequence, so the semantics
         (including the untouched final state) are engine-independent.
 
         Restrictions: the domain must have no ``upset_model`` (batched
@@ -562,28 +561,37 @@ class ProtectedDesign:
                 "sleep_wake_cycle_batch requires upset_model=None: "
                 "droop-driven upsets would be shared across the whole "
                 "batch; inject errors explicitly instead")
-        # Resolve the injection coordinates eagerly: a malformed
-        # pattern must fail before the controller/domain leave ACTIVE
-        # on EITHER path -- never strand the design mid-sleep (same
-        # validate-eagerly policy as the engine names).
-        flips = batch_pattern_flips(patterns, self.num_chains,
-                                    self.chain_length)
         engine = self._resolve_engine()
         if not engine.supports_batch:
             return self._batch_fallback(patterns, inject_phase)
 
+        from repro.engines.summary import (
+            bits_matrix,
+            full_words,
+            replicate_state_words,
+            residual_counts_words,
+        )
+        from repro.faults.batch import PatternBatch, pattern_batch_arrays
+
         batch_size = len(patterns)
-        full = (1 << batch_size) - 1
         length = self.chain_length
+        # Validate the injection eagerly: a malformed pattern must fail
+        # before the controller/domain leave ACTIVE -- never strand the
+        # design mid-sleep (same validate-eagerly policy as the engine
+        # names).
+        batch = PatternBatch.from_patterns(patterns, self.num_chains,
+                                           length)
+        batch.validate(self.num_chains, length, batch_size)
         self.corrector.clear()
         states, knowns = self._pack_chains()
-        unknown_positions = sum(length - known.bit_count()
-                                for known in knowns)
+        flip_chains, flip_positions, flip_masks, injected = \
+            pattern_batch_arrays(batch, knowns, batch_size)
 
         # -- encode sequence (shared pre-sleep state) ----------------------
         self.controller.sleep_request()
-        planes = replicate_states(states, length, full)
-        engine.encode_pass_batch(planes, knowns, batch_size)
+        state_bits = bits_matrix(states, length)
+        words = replicate_state_words(state_bits, full_words(batch_size))
+        engine.encode_pass_batch(words, knowns, batch_size)
         self.controller.encode_completed()
 
         # -- sleep sequence (the physical domain cycles once) --------------
@@ -591,7 +599,7 @@ class ProtectedDesign:
         self.controller.sleep_entered()
 
         if inject_phase == "sleep":
-            injected = apply_batch_flips(planes, knowns, flips, batch_size)
+            words[flip_chains, flip_positions] ^= flip_masks
 
         # -- wake-up sequence ----------------------------------------------
         self.controller.wake_request()
@@ -599,46 +607,31 @@ class ProtectedDesign:
         self.controller.wake_completed()
 
         if inject_phase == "post_wake":
-            injected = apply_batch_flips(planes, knowns, flips, batch_size)
+            words[flip_chains, flip_positions] ^= flip_masks
 
         # -- decode sequence -----------------------------------------------
-        result = engine.decode_pass_batch(planes, knowns, batch_size)
+        result = engine.decode_pass_batch(words, knowns, batch_size)
         for sequence_reports in result.reports:
             for report in sequence_reports:
                 if report.corrections:
                     self.corrector.record(report.corrections)
 
         # Ground truth per sequence: positions still differing from the
-        # pre-sleep state.  Unknown pre-sleep bits always count -- the
-        # decode pass drives them, so they differ from X by definition
-        # (same rule as StateSnapshot.diff in the scalar path).  When
-        # the engine hands back its word-packed corrected state, the
-        # comparison runs through the vectorised state-domain
-        # comparator instead of the per-position plane loop.
-        if result.corrected_words is not None:
-            from repro.engines.summary import residual_counts_words
-            residuals = residual_counts_words(
-                states, knowns, result.corrected_words,
-                batch_size).tolist()
-        else:
-            residuals = [unknown_positions] * batch_size
-            corrected = result.corrected
-            for c, (state, known) in enumerate(zip(states, knowns)):
-                chain_planes = corrected[c]
-                for i in range(length):
-                    if not (known >> i) & 1:
-                        continue
-                    diff = (full if (state >> i) & 1 else 0) \
-                        ^ chain_planes[i]
-                    while diff:
-                        low = diff & -diff
-                        diff ^= low
-                        residuals[low.bit_length() - 1] += 1
+        # pre-sleep state (unknown pre-sleep bits always count -- the
+        # decode pass drives them, so they differ from X by definition,
+        # the same rule as StateSnapshot.diff in the scalar path).
+        residuals = residual_counts_words(states, knowns, result.corrected,
+                                          batch_size,
+                                          state_bits=state_bits).tolist()
+        detected_all = result.detected_mask.tolist()
+        uncorrectable_all = result.uncorrectable_mask.tolist()
+        corrections = result.corrections.tolist()
+        injected = injected.tolist()
 
         # The shared controller consumes one aggregate verdict; the
         # per-sequence error codes replay its pure decode mapping.
-        any_detected = result.detected_mask != 0
-        any_uncorrectable = result.uncorrectable_mask != 0
+        any_detected = any(detected_all)
+        any_uncorrectable = any(uncorrectable_all)
         batch_code = self.controller.decode_completed(
             error_detected=any_detected,
             fully_corrected=any_detected and not any_uncorrectable)
@@ -647,10 +640,8 @@ class ProtectedDesign:
 
         outcomes: List[CycleOutcome] = []
         for b in range(batch_size):
-            bit = 1 << b
-            detected = bool(result.detected_mask & bit)
-            uncorrectable = bool(result.uncorrectable_mask & bit)
-            corrected_claim = detected and not uncorrectable
+            detected = detected_all[b]
+            corrected_claim = detected and not uncorrectable_all[b]
             if not detected:
                 error_code = ErrorCode.NONE
             elif corrected_claim:
@@ -664,7 +655,7 @@ class ProtectedDesign:
                 state_intact=(residuals[b] == 0),
                 residual_errors=residuals[b],
                 error_code=error_code,
-                corrections_applied=result.corrections.get(b, 0),
+                corrections_applied=corrections[b],
                 wake_event=wake_event,
                 reports=result.reports[b]))
         return outcomes
@@ -676,9 +667,9 @@ class ProtectedDesign:
 
         The summary twin of :meth:`sleep_wake_cycle_batch` for
         consumers that only reduce outcomes to counters (campaign
-        statistics): the injection arrives as per-cell sequence masks
-        (:data:`repro.faults.batch.BatchFlips` -- what
-        :meth:`~repro.faults.batch.PatternBatch.flips` produces), the
+        statistics): the injection arrives as a
+        :class:`~repro.faults.batch.PatternBatch` (what
+        :func:`~repro.faults.batch.sample_pattern_batch` draws), the
         engine runs the whole batch in its native array layout, and the
         result is one :class:`~repro.engines.base.BatchOutcomeArrays`
         -- **no per-sequence object is materialised anywhere**.  The
@@ -730,45 +721,7 @@ class ProtectedDesign:
         # Validate the injection eagerly -- a malformed flip must fail
         # before the controller/domain leave ACTIVE (same policy as the
         # object batch path).
-        num_chains, length = self.num_chains, self.chain_length
-        if isinstance(flips, PatternBatch):
-            if (flips.num_chains != num_chains
-                    or flips.chain_length != length):
-                raise ValueError(
-                    f"pattern batch was sampled for a "
-                    f"{flips.num_chains}x{flips.chain_length} scan array, "
-                    f"not this design's {num_chains}x{length}")
-            if flips.batch_size != batch_size:
-                raise ValueError(
-                    f"pattern batch holds {flips.batch_size} sequences, "
-                    f"not {batch_size}")
-            # The coordinate arrays themselves must be in range too --
-            # negative indices would silently wrap in the engines'
-            # ndarray scatters.
-            if flips.num_flips and not (
-                    bool(((flips.chains >= 0)
-                          & (flips.chains < num_chains)).all())
-                    and bool(((flips.positions >= 0)
-                              & (flips.positions < length)).all())):
-                raise ValueError(
-                    f"pattern batch addresses cells outside the "
-                    f"{num_chains}x{length} scan array")
-            if flips.num_flips and not bool(
-                    ((flips.seqs >= 0) & (flips.seqs < batch_size)).all()):
-                raise ValueError(
-                    f"pattern batch addresses sequences outside the "
-                    f"{batch_size}-sequence batch")
-        else:
-            for chain, position in flips:
-                if not (0 <= chain < num_chains and 0 <= position < length):
-                    raise ValueError(
-                        f"error location ({chain}, {position}) outside "
-                        f"the {num_chains}x{length} scan array")
-            for mask in flips.values():
-                if mask < 0 or mask >> batch_size:
-                    raise ValueError(
-                        f"flip mask addresses sequences outside the "
-                        f"{batch_size}-sequence batch")
+        flips.validate(self.num_chains, self.chain_length, batch_size)
 
         states, knowns = self._pack_chains()
         self.corrector.clear()
@@ -808,8 +761,19 @@ class ProtectedDesign:
         register state (circuit plus padding) is restored afterwards,
         so every sequence starts from the same state and the batch
         leaves the design untouched -- the same virtual-copies
-        semantics as the batch-engine path.
+        semantics as the batch-engine path.  Stdlib only: this is the
+        batch path of an install without numpy.
         """
+        # A malformed pattern must fail before the first sequence takes
+        # the controller/domain out of ACTIVE.
+        for pattern in patterns:
+            if pattern is None:
+                continue
+            for chain, position in pattern.locations:
+                if chain >= self.num_chains or position >= self.chain_length:
+                    raise ValueError(
+                        f"error location ({chain}, {position}) outside the "
+                        f"{self.num_chains}x{self.chain_length} scan array")
         flops = list(self.circuit.registers) + self._padding
         snapshot = [flop.q for flop in flops]
         outcomes: List[CycleOutcome] = []

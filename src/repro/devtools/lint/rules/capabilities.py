@@ -1,7 +1,10 @@
 """Rule ``capability``: EngineCapabilities flags match implementations.
 
 An engine advertising ``batch=True`` without overriding the batch
-passes crashes the first batched campaign that selects it; the reverse
+passes (``encode_pass_batch`` / ``decode_pass_batch`` over a ``(C, L,
+W)`` uint64 word array) or ``summary=True`` without
+``run_batch_summary`` (over a ``PatternBatch`` injection) crashes the
+first batched campaign that selects it; the reverse
 -- implemented batch/summary methods behind a ``False`` flag -- is dead
 code that every consumer politely routes around (PR 3's capability
 gating means such an engine silently runs the slow path forever).

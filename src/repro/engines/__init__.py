@@ -3,9 +3,10 @@
 The subsystem has three parts:
 
 * :mod:`repro.engines.base` -- the :class:`SimulationEngine` protocol
-  (scalar ``encode_pass``/``decode_pass`` plus an optional batch
-  interface over bit planes, advertised through
-  :class:`EngineCapabilities`);
+  (scalar ``encode_pass``/``decode_pass`` plus optional batch passes
+  over one ``(C, L, W)`` uint64 word array and a columnar summary pass
+  over a :class:`~repro.faults.batch.PatternBatch` injection, both
+  advertised through :class:`EngineCapabilities`);
 * :mod:`repro.engines.registry` -- name-based registration and lookup,
   mirroring :mod:`repro.codes.registry`; registering a factory is the
   only step needed for an engine to be selectable everywhere;

@@ -6,7 +6,7 @@ A *simulation engine* owns the encode/decode monitoring passes of a
 now hold the (corrected) state".  The design object sequences the
 controller, the power domain and the fault injection; the engine only
 decides *how* the passes are computed -- per-flop objects, packed
-integers, bit planes, or anything a third party registers.
+integers, word-packed arrays, or anything a third party registers.
 
 Engines are constructed per design (one engine instance serves one
 monitor bank / chain geometry) by the factories in
@@ -23,9 +23,11 @@ Two interfaces exist:
 * the **batch** interface (:meth:`~SimulationEngine.encode_pass_batch`
   / :meth:`~SimulationEngine.decode_pass_batch`), advertised through
   :class:`EngineCapabilities`, which simulates ``B`` independent
-  sequences per call over *bit planes*: plane ``planes[c][i]`` holds
-  scan position ``i`` of chain ``c`` for every sequence at once, bit
-  ``b`` belonging to batch sequence ``b``.
+  sequences per call over one ``(C, L, W)`` uint64 *word array*:
+  ``words[c, i]`` holds scan position ``i`` of chain ``c`` for every
+  sequence at once, bit ``b`` of word ``w`` belonging to batch
+  sequence ``64 * w + b`` (:func:`repro.engines.summary.full_words`
+  is the all-sequences mask).
   :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
   uses it when available and falls back to a per-sequence loop (with
   identical semantics) when not;
@@ -34,17 +36,18 @@ Two interfaces exist:
   whole batch -- replicate, encode, inject, decode, compare against the
   pre-sleep state -- in the engine's native layout and returns only the
   **columnar** per-sequence verdicts (:class:`BatchOutcomeArrays`, one
-  ndarray per outcome field).  Summary consumers (campaign counters)
-  never materialise per-sequence report/outcome objects; the object
-  path of :mod:`repro.engines.reporting` remains available for
-  consumers that need them.
+  ndarray per outcome field); the batch's injection is a
+  :class:`~repro.faults.batch.PatternBatch`.  Summary consumers
+  (campaign counters) never materialise per-sequence report/outcome
+  objects; the object path of :mod:`repro.engines.reporting` remains
+  available for consumers that need them.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, List, Sequence, Tuple
 
 from repro.core.monitor import MonitorReport
 
@@ -56,8 +59,8 @@ class EngineCapabilities:
     Attributes
     ----------
     batch:
-        True when the engine implements the batch interface over bit
-        planes (``encode_pass_batch`` / ``decode_pass_batch``).  Engines
+        True when the engine implements the batch interface over word
+        arrays (``encode_pass_batch`` / ``decode_pass_batch``).  Engines
         without it still work in batched campaigns through the
         per-sequence fallback loop.
     summary:
@@ -139,33 +142,24 @@ class BatchDecodeResult:
         order.  Clean sequences share one cached tuple (reports are
         frozen), so a mostly-clean batch allocates almost nothing.
     corrected:
-        The post-decode bit planes, ``corrected[c][i]`` being scan
-        position ``i`` of chain ``c`` (every bit driven -- the decode
-        pass reloads unknown bits as 0, like the reference).
+        The post-decode ``(C, L, W)`` uint64 word array (every bit
+        driven -- the decode pass reloads unknown bits as 0, like the
+        reference).
     detected_mask / uncorrectable_mask:
-        Planes of the per-sequence ``any(r.error_detected)`` /
-        ``any(r.uncorrectable)`` verdicts.
+        ``(B,)`` bool arrays of the per-sequence
+        ``any(r.error_detected)`` / ``any(r.uncorrectable)`` verdicts.
     corrections:
-        Per-sequence count of issued bit corrections, keyed by sequence
-        index; absent sequences had none.
-    corrected_words:
-        Optional ``(chains, length, words)`` uint64 ndarray holding the
-        same post-decode state as ``corrected`` in the word-packed
-        layout of :mod:`repro.engines.simd`.  Engines that already hold
-        the corrected state in that form attach it so downstream
-        consumers (the vectorised state-domain comparator of
-        :mod:`repro.engines.summary`) can skip the plane conversion;
-        excluded from equality so results stay comparable across
-        engines.
+        ``(B,)`` int64 array of per-sequence issued bit corrections.
+
+    Only ``reports`` takes part in equality (ndarray ``==`` has no
+    truth value); the reports determine every verdict array.
     """
 
     reports: List[Tuple[MonitorReport, ...]]
-    corrected: List[List[int]]
-    detected_mask: int = 0
-    uncorrectable_mask: int = 0
-    corrections: Dict[int, int] = field(default_factory=dict)
-    corrected_words: Optional[Any] = field(default=None, compare=False,
-                                           repr=False)
+    corrected: Any = field(compare=False, repr=False)
+    detected_mask: Any = field(compare=False)
+    uncorrectable_mask: Any = field(compare=False)
+    corrections: Any = field(compare=False)
 
 
 class SimulationEngine(ABC):
@@ -187,7 +181,7 @@ class SimulationEngine(ABC):
 
     @property
     def supports_batch(self) -> bool:
-        """True when the batch interface over bit planes is available."""
+        """True when the batch interface over word arrays is available."""
         return self.capabilities.batch
 
     @property
@@ -223,30 +217,31 @@ class SimulationEngine(ABC):
         """
 
     # -- batch interface (optional) ------------------------------------
-    def encode_pass_batch(self, planes: Sequence[Sequence[int]],
-                          knowns: Sequence[int], batch_size: int) -> int:
-        """Batched encode over bit planes; see the module docstring.
+    def encode_pass_batch(self, words: Any, knowns: Sequence[int],
+                          batch_size: int) -> int:
+        """Batched encode over a ``(C, L, W)`` uint64 word array; see
+        the module docstring.
 
         ``knowns[c]`` is chain ``c``'s known-bit mask (bit ``i`` = scan
-        position ``i``), shared by every sequence of the batch; planes
+        position ``i``), shared by every sequence of the batch; words
         at unknown positions must be all-zero (the monitors'
-        treat-X-as-0 rule).
+        treat-X-as-0 rule), as must the bits past ``batch_size``.
         """
         raise NotImplementedError(
             f"engine {self.name or type(self).__name__!r} does not "
             f"implement batched passes (capabilities.batch is False)")
 
-    def decode_pass_batch(self, planes: Sequence[Sequence[int]],
-                          knowns: Sequence[int],
+    def decode_pass_batch(self, words: Any, knowns: Sequence[int],
                           batch_size: int) -> BatchDecodeResult:
-        """Batched decode over bit planes; see the module docstring."""
+        """Batched decode over a word array; ``words`` is left
+        untouched and the corrected state is returned in the result."""
         raise NotImplementedError(
             f"engine {self.name or type(self).__name__!r} does not "
             f"implement batched passes (capabilities.batch is False)")
 
     # -- summary interface (optional) -----------------------------------
     def run_batch_summary(self, states: Sequence[int],
-                          knowns: Sequence[int], flips,
+                          knowns: Sequence[int], flips: Any,
                           batch_size: int,
                           path: str = "auto") -> BatchOutcomeArrays:
         """Run a whole batch end to end, returning columnar verdicts.
@@ -254,13 +249,11 @@ class SimulationEngine(ABC):
         ``states[c]`` / ``knowns[c]`` are chain ``c``'s packed
         pre-sleep state and known-bit mask (bit ``i`` = scan position
         ``i``), shared by every sequence; ``flips`` is the batch's
-        injection, either as per-cell sequence masks
-        (:data:`repro.faults.batch.BatchFlips`) or as a sampled
-        :class:`~repro.faults.batch.PatternBatch` (which array-native
-        engines resolve without per-flip Python work).  The engine replicates
-        the state in its native layout, runs one encode pass, applies
-        the (known-gated) flips, runs one decode pass with correction
-        and compares the corrected state against the pre-sleep state --
+        injection as a :class:`~repro.faults.batch.PatternBatch`.  The
+        engine replicates the state in its native layout, runs one
+        encode pass, applies the (known-gated) flips, runs one decode
+        pass with correction and compares the corrected state against
+        the pre-sleep state --
         semantically the virtual-copies batch of
         :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`,
         minus every per-sequence object.  The returned arrays are

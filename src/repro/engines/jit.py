@@ -290,7 +290,7 @@ class JitFusedEngine(SimdBatchedEngine):
     ----------
     bank, num_chains, chain_length:
         As :class:`~repro.engines.simd.SimdBatchedEngine` (the scalar
-        and bit-plane batch interfaces are inherited unchanged, so the
+        and word-array batch interfaces are inherited unchanged, so the
         engine is a drop-in everywhere the registry is consulted).
     compiled:
         ``None`` (default) uses the njit-compiled kernels when numba is
@@ -359,29 +359,16 @@ class JitFusedEngine(SimdBatchedEngine):
             return super().run_batch_summary(states, knowns, flips,
                                              batch_size, path="dense")
         from repro.engines.summary import bits_matrix
-        from repro.faults.batch import (
-            PatternBatch,
-            batch_flips_csr,
-            pattern_batch_csr,
-        )
+        from repro.faults.batch import pattern_batch_csr
 
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if len(states) != self.num_chains or len(knowns) != self.num_chains:
-            raise ValueError(
-                f"expected {self.num_chains} chain states, got "
-                f"{len(states)}")
+        self._check_chains(states=states, knowns=knowns)
         known_bits = bits_matrix(knowns, self.chain_length)
-        if isinstance(flips, PatternBatch):
-            starts, cells, injected = pattern_batch_csr(
-                flips, known_bits, batch_size,
-                starts_out=self._workspace.take(
-                    "jit_starts", (batch_size + 1,), np.int64))
-        else:
-            starts, cells, injected = batch_flips_csr(
-                flips, knowns, batch_size, self.chain_length,
-                starts_out=self._workspace.take(
-                    "jit_starts", (batch_size + 1,), np.int64))
+        starts, cells, injected = pattern_batch_csr(
+            flips, known_bits, batch_size,
+            starts_out=self._workspace.take(
+                "jit_starts", (batch_size + 1,), np.int64))
         if self._jit_plan is None:
             self._jit_plan = _JitPlan(plan)
         jp = self._jit_plan

@@ -52,57 +52,7 @@ def write_back_chains(chains: Sequence[ScanChain], old_states: Sequence[int],
             flops[i].force((new >> i) & 1)
 
 
-def replicate_states(states: Sequence[int], chain_length: int,
-                     full: int) -> List[List[int]]:
-    """Broadcast packed chain states into bit planes (every sequence of
-    the batch starts from the same state).
-
-    ``planes[c][i]`` is scan position ``i`` of chain ``c``: ``full``
-    (all sequences 1) where the state bit is set, 0 otherwise.
-    """
-    return [[full if (state >> i) & 1 else 0 for i in range(chain_length)]
-            for state in states]
-
-
-def planes_from_states(per_sequence_states: Sequence[Sequence[int]],
-                       chain_length: int) -> List[List[int]]:
-    """Transpose per-sequence packed chain states into bit planes.
-
-    ``per_sequence_states[b][c]`` is sequence ``b``'s packed state of
-    chain ``c``; the result is indexed ``planes[c][i]`` with bit ``b``
-    belonging to sequence ``b``.  O(total set bits) -- intended for
-    tests and adapters, not hot loops (hot paths generate plane-form
-    state directly).
-    """
-    if not per_sequence_states:
-        raise ValueError("at least one sequence is required")
-    num_chains = len(per_sequence_states[0])
-    planes = [[0] * chain_length for _ in range(num_chains)]
-    for b, states in enumerate(per_sequence_states):
-        bit = 1 << b
-        for c, state in enumerate(states):
-            chain_planes = planes[c]
-            remaining = state
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                chain_planes[low.bit_length() - 1] |= bit
-    return planes
-
-
-def states_from_planes(planes: Sequence[Sequence[int]],
-                       sequence: int) -> List[int]:
-    """Collapse one sequence's packed chain states out of bit planes."""
-    bit = 1 << sequence
-    return [sum(1 << i for i, plane in enumerate(chain_planes)
-                if plane & bit)
-            for chain_planes in planes]
-
-
 __all__ = [
     "pack_chains",
     "write_back_chains",
-    "replicate_states",
-    "planes_from_states",
-    "states_from_planes",
 ]

@@ -2,7 +2,7 @@
 
 The numpy SIMD engine (:mod:`repro.engines.simd`, and the jit engine
 built on it) finishes a batched decode pass with per-monitor
-detection/uncorrectable sequence masks, per-sequence correction events
+detection/uncorrectable verdict arrays, per-sequence correction events
 and bad-slice lists.  This module is the single implementation of
 turning that bookkeeping
 into a :class:`~repro.engines.base.BatchDecodeResult` with the exact
@@ -22,19 +22,22 @@ this module entirely; report materialisation then happens only where
 something actually consumes the objects.
 
 Bookkeeping layout (keyed by ``id(monitor_wrapper)``, the wrappers
-produced by :func:`repro.fastpath.engine.classify_monitors`):
+produced by :func:`repro.fastpath.engine.classify_monitors`; monitors
+that reported nothing are absent):
 
-* ``block_results[id] = (detected_mask, uncorrectable_mask,
-  corrections, bad_slices)`` where the masks are batch-sequence bit
-  masks, ``corrections`` maps sequence index to its
+* ``block_results[id] = (detected, uncorrectable, corrections,
+  bad_slices)`` where the first two are ``(B,)`` bool arrays,
+  ``corrections`` maps sequence index to its
   :class:`~repro.core.corrector.CorrectionEvent` list (cycle order)
   and ``bad_slices`` maps sequence index to its cycle list;
-* ``stream_results[id] = mismatch_mask``.
+* ``stream_results[id] = mismatch``, a ``(B,)`` bool array.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.monitor import MonitorReport
 from repro.engines.base import BatchDecodeResult
@@ -52,11 +55,16 @@ def clean_report_tuple(
 def assemble_batch_result(order: Sequence[Tuple[str, object]],
                           clean: Tuple[MonitorReport, ...],
                           block_results: Dict[int, tuple],
-                          stream_results: Dict[int, int],
-                          corrected: List[List[int]],
-                          batch_size: int) -> BatchDecodeResult:
+                          stream_results: Dict[int, np.ndarray],
+                          corrected: np.ndarray, detected: np.ndarray,
+                          uncorrectable: np.ndarray,
+                          corrections: np.ndarray) -> BatchDecodeResult:
     """Assemble the engine-independent batch result; see the module
     docstring for the bookkeeping layout.
+
+    ``detected`` / ``uncorrectable`` / ``corrections`` are the batch's
+    aggregate ``(B,)`` verdicts and ``corrected`` its post-decode word
+    array; they pass through to the result unchanged.
 
     Assembly cost is proportional to the number of *error events*, not
     ``batch_size x blocks``: detected sequences start as one copy of
@@ -68,55 +76,33 @@ def assemble_batch_result(order: Sequence[Tuple[str, object]],
     -- stay dominated by the per-event work instead of per-sequence
     report construction.
     """
-    detected_mask = 0
-    uncorrectable_mask = 0
-    for det, unc, _corr, _bad in block_results.values():
-        detected_mask |= det
-        uncorrectable_mask |= unc
-    for mismatch in stream_results.values():
-        detected_mask |= mismatch
-        uncorrectable_mask |= mismatch
-
-    corrections_count: Dict[int, int] = {}
-    for _det, _unc, corr, _bad in block_results.values():
-        for b, events in corr.items():
-            corrections_count[b] = corrections_count.get(b, 0) \
-                + len(events)
-
-    reports: List[Tuple[MonitorReport, ...]] = [clean] * batch_size
-    rows: Dict[int, List[MonitorReport]] = {}
-    remaining = detected_mask
-    while remaining:
-        low = remaining & -remaining
-        remaining ^= low
-        rows[low.bit_length() - 1] = list(clean)
+    reports: List[Tuple[MonitorReport, ...]] = [clean] * len(detected)
+    rows = {b: list(clean) for b in np.flatnonzero(detected).tolist()}
 
     for slot, (kind, monitor) in enumerate(order):
         if kind == "block":
-            det, unc, corr, bad = block_results[id(monitor)]
+            entry = block_results.get(id(monitor))
+            if entry is None:
+                continue
+            det, unc, corr, bad = entry
             block_index = monitor.block.block_index
-            remaining = det
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                b = low.bit_length() - 1
+            unc = unc.tolist()
+            for b in np.flatnonzero(det).tolist():
                 # Positional construction: report creation is the hot
                 # term of dense batches (fields: block_index,
                 # error_detected, corrections, uncorrectable,
                 # slices_with_errors).
                 rows[b][slot] = MonitorReport(
-                    block_index, True, tuple(corr.get(b, ())),
-                    bool(unc & low), tuple(bad.get(b, ())))
+                    block_index, True, tuple(corr.get(b, ())), unc[b],
+                    tuple(bad.get(b, ())))
         else:
-            remaining = stream_results[id(monitor)]
-            if not remaining:
+            mismatch = stream_results.get(id(monitor))
+            if mismatch is None:
                 continue
             mismatch_report = MonitorReport(
                 monitor.block.block_index, True, (), True)
-            while remaining:
-                low = remaining & -remaining
-                remaining ^= low
-                rows[low.bit_length() - 1][slot] = mismatch_report
+            for b in np.flatnonzero(mismatch).tolist():
+                rows[b][slot] = mismatch_report
 
     for b, row in rows.items():
         reports[b] = tuple(row)
@@ -124,9 +110,9 @@ def assemble_batch_result(order: Sequence[Tuple[str, object]],
     return BatchDecodeResult(
         reports=reports,
         corrected=corrected,
-        detected_mask=detected_mask,
-        uncorrectable_mask=uncorrectable_mask,
-        corrections=corrections_count)
+        detected_mask=detected,
+        uncorrectable_mask=uncorrectable,
+        corrections=corrections)
 
 
 __all__ = ["clean_report_tuple", "assemble_batch_result"]

@@ -12,8 +12,7 @@ essentially every sequence of a batch:
 
 * batch state is a ``(num_chains, chain_length, num_words)`` ndarray of
   little-endian ``uint64`` words -- bit ``b`` of word ``w`` is batch
-  sequence ``64 * w + b``, the word-packed transposition of the engine
-  protocol's bit planes;
+  sequence ``64 * w + b``, the engine protocol's batch layout;
 * parities and CRC signatures are GF(2) linear maps, evaluated as XOR
   folds over ndarray gathers using the shared matrices of
   :mod:`repro.codes.plane` (:func:`~repro.codes.plane.block_parity_matrix`
@@ -24,7 +23,8 @@ essentially every sequence of a batch:
   bank at once;
 * correction itself is a vectorised syndrome -> systematic-position
   table lookup plus a masked XOR scatter (``np.bitwise_xor.at``) into
-  the packed words; per-sequence Python work is limited to
+  the packed words -- one decode core serves the object pass and the
+  dense summary alike; per-sequence Python work is limited to
   materialising the :class:`~repro.core.monitor.MonitorReport` objects
   the protocol requires, proportional to the number of *error events*,
   never the batch size.
@@ -44,8 +44,9 @@ side, and the path actually taken is published as
 (property-tested in ``tests/engines/test_delta_path.py``).
 
 Each engine reuses per-instance :class:`Workspace` buffers for the
-dense summary pass's dominant arrays, so steady-state equally-shaped
-batches stop allocating fresh state each pass.
+decode core's and the dense summary pass's dominant arrays, so
+steady-state equally-shaped batches stop allocating fresh state each
+pass.
 
 Bit-exactness with the reference engine is property-tested in
 ``tests/engines/test_simd_equivalence.py`` across all registered
@@ -79,13 +80,14 @@ from repro.engines.delta import (
     correction_lut,
     delta_summary,
 )
-from repro.engines.packing import (
-    pack_chains,
-    replicate_states,
-    states_from_planes,
-    write_back_chains,
-)
+from repro.engines.packing import pack_chains, write_back_chains
 from repro.engines.reporting import assemble_batch_result, clean_report_tuple
+from repro.engines.summary import (
+    bits_matrix,
+    full_words,
+    replicate_state_words,
+    residual_counts_words,
+)
 from repro.fastpath.engine import classify_monitors
 
 if not np.little_endian:  # pragma: no cover - no big-endian CI targets
@@ -93,64 +95,12 @@ if not np.little_endian:  # pragma: no cover - no big-endian CI targets
         "repro.engines.simd packs batch words little-endian and has "
         "only been validated on little-endian platforms")
 
-_ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
-_NO_FLIPS: Tuple[np.ndarray, np.ndarray] = (
-    np.empty(0, dtype=np.int64), np.empty(0, dtype=np.uint64))
-
-
-# ----------------------------------------------------------------------
-# Plane <-> word-array boundary
-# ----------------------------------------------------------------------
-# The planes -> words packer is a generic array kernel, so its single
-# implementation lives in repro.engines.summary; re-exported here
-# because this module is the word layout's home.
-from repro.engines.summary import planes_to_words  # noqa: E402
-
-
-def words_to_planes(words: np.ndarray) -> List[List[int]]:
-    """Unpack a ``(C, L, W)`` uint64 word array into protocol planes."""
-    num_chains, length, num_words = words.shape
-    nbytes = num_words * 8
-    data = np.ascontiguousarray(words, dtype=np.uint64).tobytes()
-    planes: List[List[int]] = []
-    offset = 0
-    for _chain in range(num_chains):
-        chain_planes = []
-        for _position in range(length):
-            chain_planes.append(
-                int.from_bytes(data[offset:offset + nbytes], "little"))
-            offset += nbytes
-        planes.append(chain_planes)
-    return planes
-
-
-def full_words(batch_size: int) -> np.ndarray:
-    """The all-sequences mask as a ``(W,)`` word array."""
-    num_words = (batch_size + 63) // 64
-    mask = np.full(num_words, _ALL_ONES, dtype=np.uint64)
-    if batch_size % 64:
-        mask[-1] = np.uint64((1 << (batch_size % 64)) - 1)
-    return mask
-
-
 def _unpack_bits(words: np.ndarray, batch_size: int) -> np.ndarray:
     """Expand packed words ``(..., W)`` into per-sequence bits
     ``(..., B)`` (uint8 0/1)."""
     flat = np.ascontiguousarray(words, dtype=np.uint64)
     bits = np.unpackbits(flat.view(np.uint8), axis=-1, bitorder="little")
     return bits[..., :batch_size]
-
-
-def _mask_ints(mask: np.ndarray) -> List[int]:
-    """Per-row Python-int sequence masks of a ``(G, B)`` bool array."""
-    packed = np.packbits(mask, axis=-1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
-
-
-def _words_to_int(words: np.ndarray) -> int:
-    """One ``(W,)`` word row as a Python-int sequence mask."""
-    return int.from_bytes(
-        np.ascontiguousarray(words, dtype=np.uint64).tobytes(), "little")
 
 
 def _runs(group_idx: np.ndarray, seqs: np.ndarray):
@@ -246,7 +196,8 @@ class _SECDEDKernel:
     observed overall parity folds the received data word with the
     *stored* base parity bits, so the four case splits (clean / overall
     bit flipped / single corrected / double detected) are mask algebra
-    over two unpacked planes.
+    over two unpacked bit arrays (syndrome and overall-parity
+    mismatch).
     """
 
     def __init__(self, code: SECDEDCode):
@@ -272,13 +223,13 @@ class _SECDEDKernel:
                                    data, full)
         stored_base = stored[:, :base_r]
         diff = fresh_base ^ stored_base
-        pm_plane = np.bitwise_xor.reduce(data, axis=1)
-        pm_plane = pm_plane ^ np.bitwise_xor.reduce(stored_base, axis=1)
-        pm_plane ^= stored[:, base_r]
-        if not (diff.any() or pm_plane.any()):
+        pm_mismatch = np.bitwise_xor.reduce(data, axis=1)
+        pm_mismatch = pm_mismatch ^ np.bitwise_xor.reduce(stored_base, axis=1)
+        pm_mismatch ^= stored[:, base_r]
+        if not (diff.any() or pm_mismatch.any()):
             return None
         syn = _fold_syndrome(_unpack_bits(diff, batch_size))
-        mismatch = _unpack_bits(pm_plane, batch_size).astype(bool)
+        mismatch = _unpack_bits(pm_mismatch, batch_size).astype(bool)
         nonzero = syn != 0
         err = nonzero | mismatch
         pos = np.full(syn.shape, -2, dtype=np.int16)
@@ -340,8 +291,6 @@ class _SimdBlockMonitor:
         self.chain_indices = block.chain_indices
         self.chain_idx_arr = np.array(block.chain_indices, dtype=np.int64)
         self.width = block.width
-        #: Per-pass XOR-scatter coordinates (for the overlap replay).
-        self._flips: Tuple[np.ndarray, np.ndarray] = _NO_FLIPS
 
 
 class _SimdStreamMonitor:
@@ -487,45 +436,50 @@ class SimdBatchedEngine(SimulationEngine):
             self._full_cache = (batch_size, full_words(batch_size))
         return self._full_cache[1]
 
-    def _to_words(self, planes: Sequence[Sequence[int]],
-                  knowns: Sequence[int], batch_size: int) -> np.ndarray:
-        """Validate the protocol inputs and pack them into words."""
+    def _check_chains(self, **per_chain) -> None:
+        """Raise ``ValueError`` naming the first per-chain argument
+        whose length is not the engine's chain count."""
+        for name, value in per_chain.items():
+            if len(value) != self.num_chains:
+                raise ValueError(
+                    f"{name}: expected {self.num_chains} chains, got "
+                    f"{len(value)}")
+
+    def _check_words(self, words: np.ndarray, knowns: Sequence[int],
+                     batch_size: int) -> None:
+        """Validate the batch protocol's inputs: a ``(C, L, W)`` uint64
+        word array with no bits past ``batch_size`` and all-zero words
+        at unknown positions (the treat-X-as-0 rule)."""
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if len(planes) != self.num_chains or len(knowns) != self.num_chains:
-            raise ValueError(
-                f"expected {self.num_chains} plane chains, got "
-                f"{len(planes)}")
+        self._check_chains(words=words, knowns=knowns)
         length = self.chain_length
-        chain_full = (1 << length) - 1
-        for chain_planes, known in zip(planes, knowns):
-            if len(chain_planes) != length:
-                raise ValueError(
-                    f"expected {length} planes per chain, got "
-                    f"{len(chain_planes)}")
-            if not 0 <= known <= chain_full:
-                raise ValueError("known mask exceeds the chain length")
-        words = planes_to_words(planes, batch_size)
-        for c, known in enumerate(knowns):
-            unknown = chain_full & ~known
-            while unknown:
-                low = unknown & -unknown
-                unknown ^= low
-                if words[c, low.bit_length() - 1].any():
-                    raise ValueError(
-                        "unknown positions must hold all-zero planes")
-        return words
+        shape = (self.num_chains, length, (batch_size + 63) // 64)
+        if (not isinstance(words, np.ndarray) or words.dtype != np.uint64
+                or words.shape != shape):
+            raise ValueError(
+                f"words: expected a uint64 array of shape {shape}, got "
+                f"{getattr(words, 'dtype', type(words).__name__)} "
+                f"{np.shape(words)}")
+        if not all(0 <= known < 1 << length for known in knowns):
+            raise ValueError("known mask exceeds the chain length")
+        if batch_size % 64 and (
+                words[..., -1] >> np.uint64(batch_size % 64)).any():
+            raise ValueError(
+                f"words hold bits outside the {batch_size}-sequence batch")
+        if words[~bits_matrix(knowns, length)].any():
+            raise ValueError("unknown positions must hold all-zero words")
 
-    def _gather(self, group: _BlockGroup, words: np.ndarray,
-                out: Optional[np.ndarray] = None) -> np.ndarray:
-        """The group's data words ``(G, k, L, W)``; tied-off padding
-        inputs are constant-zero rows.  ``out`` (workspace buffer of
-        shape ``(G * k, L, W)``) is fully overwritten when given."""
+    def _gather(self, index: int, group: _BlockGroup,
+                words: np.ndarray) -> np.ndarray:
+        """Group ``index``'s data words ``(G, k, L, W)`` in a per-group
+        workspace buffer (the gathered view never escapes the pass that
+        took it); tied-off padding inputs are constant-zero rows."""
         idx = group.gather_idx.reshape(-1)
-        if out is None:
-            data = words[idx]
-        else:
-            data = np.take(words, idx, axis=0, out=out)
+        buf = self._workspace.take(
+            ("gather", index), (idx.size, self.chain_length, words.shape[2]),
+            np.uint64)
+        data = np.take(words, idx, axis=0, out=buf)
         data = data.reshape(len(group.monitors), group.kernel.k,
                             self.chain_length, -1)
         if group.pad_mask is not None:
@@ -535,7 +489,7 @@ class SimdBatchedEngine(SimulationEngine):
     def _stream_signature(self, monitor: _SimdStreamMonitor,
                           words_flat: np.ndarray,
                           full: np.ndarray) -> np.ndarray:
-        """The batch's signature planes of one stream block."""
+        """The batch's signature words of one stream block."""
         if monitor.gather_all is not None:
             sig = np.bitwise_xor.reduceat(words_flat[monitor.gather_all],
                                           monitor.offsets, axis=0)
@@ -555,26 +509,18 @@ class SimdBatchedEngine(SimulationEngine):
     # ------------------------------------------------------------------
     # Batch interface
     # ------------------------------------------------------------------
-    def encode_pass_batch(self, planes: Sequence[Sequence[int]],
-                          knowns: Sequence[int], batch_size: int) -> int:
+    def encode_pass_batch(self, words: np.ndarray, knowns: Sequence[int],
+                          batch_size: int) -> int:
         """Run one batched encoding pass; returns the cycle count."""
-        words = self._to_words(planes, knowns, batch_size)
+        self._check_words(words, knowns, batch_size)
         return self._encode_words(words, batch_size)
-
-    def _gather_ws(self, index: int, group: _BlockGroup,
-                   words: np.ndarray) -> np.ndarray:
-        """:meth:`_gather` through a per-group workspace buffer (the
-        gathered view never escapes the pass that took it)."""
-        shape = (group.gather_idx.size, self.chain_length, words.shape[2])
-        buf = self._workspace.take(("gather", index), shape, np.uint64)
-        return self._gather(group, words, out=buf)
 
     def _encode_words(self, words: np.ndarray, batch_size: int) -> int:
         """Encode a word-packed batch, storing the check words."""
         full = self._full_words(batch_size)
         for index, group in enumerate(self._groups):
             group.stored = group.kernel.encode(
-                self._gather_ws(index, group, words), full)
+                self._gather(index, group, words), full)
         words_flat = words.reshape(-1, words.shape[2])
         for monitor in self._observing:
             monitor.stored = self._stream_signature(monitor, words_flat,
@@ -582,106 +528,133 @@ class SimdBatchedEngine(SimulationEngine):
         self._encoded_batch = batch_size
         return self.chain_length
 
-    def decode_pass_batch(self, planes: Sequence[Sequence[int]],
-                          knowns: Sequence[int],
+    def decode_pass_batch(self, words: np.ndarray, knowns: Sequence[int],
                           batch_size: int) -> BatchDecodeResult:
-        """Run one batched decoding pass with on-the-fly correction."""
+        """Run one batched decoding pass with on-the-fly correction.
+
+        ``words`` is left untouched; the corrected state is a fresh
+        array in the result."""
         if self._encoded_batch is None:
             raise RuntimeError("no stored check bits: encode first")
         if batch_size != self._encoded_batch:
             raise RuntimeError(
                 f"decode batch size {batch_size} does not match the "
                 f"encoded batch size {self._encoded_batch}")
-        words = self._to_words(planes, knowns, batch_size)
-        full = self._full_words(batch_size)
-
+        self._check_words(words, knowns, batch_size)
+        corrected = words.copy()
+        detected, uncorrectable, corrections, reported, mismatches = \
+            self._decode_words(corrected, batch_size)
         block_results: Dict[int, tuple] = {}
-        group_flips: List[Tuple[np.ndarray, np.ndarray]] = []
-        for group in self._groups:
-            flips = self._decode_group(group, words, full, batch_size,
-                                       block_results)
-            if flips is not None:
-                group_flips.append(flips)
+        for decoded in reported:
+            self._block_bookkeeping(*decoded, block_results)
+        stream_results = {id(monitor): mismatch
+                          for monitor, mismatch in mismatches}
+        return assemble_batch_result(
+            self._order, self._clean_report_tuple(), block_results,
+            stream_results, corrected, detected, uncorrectable, corrections)
 
-        corrected_words = words.copy()
-        corrected_flat = corrected_words.reshape(-1)
-        if self._overlapping_correctors:
+    # ------------------------------------------------------------------
+    def _decode_words(self, words: np.ndarray, batch_size: int):
+        """The decode pass over a word-packed batch, correcting
+        ``words`` in place.
+
+        Decodes every code group, XOR-scatters the corrections into
+        ``words`` and checks every stream signature against the
+        corrected state.  Returns ``(detected, uncorrectable,
+        corrections, reported, mismatches)``: the three ``(B,)``
+        aggregate verdict arrays, the ``(group, err, pos, uncorr, fix)``
+        kernel outputs of every group that saw a mismatch, and the
+        ``(monitor, mismatch)`` pairs of every stream block that did.
+        The object pass and the dense summary share this core and
+        differ only in what they build from those outputs.
+        """
+        length = self.chain_length
+        num_words = words.shape[2]
+        full = self._full_words(batch_size)
+        detected = np.zeros(batch_size, dtype=bool)
+        uncorrectable = np.zeros(batch_size, dtype=bool)
+        corrections = np.zeros(batch_size, dtype=np.int64)
+        overlap = self._overlapping_correctors
+        if overlap:
+            pre_correction = self._workspace.take("pre_correction",
+                                                  words.shape, np.uint64)
+            pre_correction[...] = words
+        reported = []
+        group_flips: List[Tuple[np.ndarray, np.ndarray]] = []
+        monitor_flips: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        for index, group in enumerate(self._groups):
+            out = group.kernel.decode(self._gather(index, group, words),
+                                      group.stored, full, batch_size)
+            if out is None:
+                continue
+            err_b, pos = out
+            k = group.kernel.k
+            width = group.width[:, None, None]
+            uncorr_b = err_b & ((pos == -2) | ((pos >= width) & (pos < k)))
+            data_fix = err_b & (pos >= 0) & (pos < width)
+            detected |= err_b.any(axis=(0, 1))
+            uncorrectable |= uncorr_b.any(axis=(0, 1))
+            corrections += data_fix.sum(axis=(0, 1), dtype=np.int64)
+            reported.append((group, err_b, pos, uncorr_b, data_fix))
+            group_idx, positions, seqs = np.nonzero(data_fix)
+            if not group_idx.size:
+                continue
+            fix_pos = pos[group_idx, positions, seqs]
+            chains = group.gather_idx[group_idx, fix_pos]
+            flat = (chains * length + positions) * num_words + (seqs >> 6)
+            bits = np.left_shift(np.uint64(1),
+                                 (seqs & 63).astype(np.uint64))
+            if overlap:
+                for g, monitor in enumerate(group.monitors):
+                    mask = group_idx == g
+                    monitor_flips[id(monitor)] = (flat[mask], bits[mask])
+            else:
+                group_flips.append((flat, bits))
+
+        words_flat = words.reshape(-1)
+        if overlap:
             # Reference-faithful last-block-wins feedback: every
             # correcting block assigns its slice in bank order, so on a
             # shared chain the last block's (possibly uncorrected)
             # version survives.  Each block's flips were computed from
-            # the original words, so reassign-then-flip per block.
+            # the pre-correction words, so reassign-then-flip per block.
             for monitor in self._correcting:
                 idx = monitor.chain_idx_arr
-                corrected_words[idx] = words[idx]
-                flat, bits = monitor._flips
-                if flat.size:
-                    np.bitwise_xor.at(corrected_flat, flat, bits)
+                words[idx] = pre_correction[idx]
+                if id(monitor) in monitor_flips:
+                    np.bitwise_xor.at(words_flat, *monitor_flips[id(monitor)])
         else:
             for flat, bits in group_flips:
-                np.bitwise_xor.at(corrected_flat, flat, bits)
+                np.bitwise_xor.at(words_flat, flat, bits)
 
-        stream_results: Dict[int, int] = {}
-        words_flat = corrected_words.reshape(-1, corrected_words.shape[2])
+        mismatches = []
+        corrected_rows = words.reshape(-1, num_words)
         for monitor in self._observing:
-            if monitor.stored is None:
-                raise RuntimeError("no stored signature: encode first")
-            fresh = self._stream_signature(monitor, words_flat, full)
+            fresh = self._stream_signature(monitor, corrected_rows, full)
             mismatch = np.bitwise_or.reduce(fresh ^ monitor.stored, axis=0)
-            stream_results[id(monitor)] = _words_to_int(mismatch)
+            if mismatch.any():
+                mismatch_bits = _unpack_bits(mismatch,
+                                             batch_size).astype(bool)
+                detected |= mismatch_bits
+                uncorrectable |= mismatch_bits
+                mismatches.append((monitor, mismatch_bits))
+        return detected, uncorrectable, corrections, reported, mismatches
 
-        # Convert only the cells the decode actually changed back into
-        # plane ints; unchanged cells reuse the caller's (immutable)
-        # plane objects, so a sparse batch pays almost no conversion.
-        changed = (corrected_words != words).any(axis=2)
-        corrected_planes = [list(chain_planes) for chain_planes in planes]
-        if changed.any():
-            for c, position in zip(*(idx.tolist()
-                                     for idx in np.nonzero(changed))):
-                corrected_planes[c][position] = int.from_bytes(
-                    np.ascontiguousarray(
-                        corrected_words[c, position],
-                        dtype=np.uint64).tobytes(),
-                    "little")
-
-        result = assemble_batch_result(self._order,
-                                       self._clean_report_tuple(),
-                                       block_results, stream_results,
-                                       corrected_planes,
-                                       batch_size)
-        # The word form of the corrected state rides along so that
-        # downstream consumers (the vectorised state-domain comparator)
-        # never re-pack the planes.
-        result.corrected_words = corrected_words
-        return result
-
-    # ------------------------------------------------------------------
-    def _decode_group(self, group: _BlockGroup, words: np.ndarray,
-                      full: np.ndarray, batch_size: int,
-                      block_results: Dict[int, tuple]
-                      ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Decode one code group; returns its XOR-scatter flips."""
+    def _block_bookkeeping(self, group: _BlockGroup, err_b: np.ndarray,
+                           pos: np.ndarray, uncorr_b: np.ndarray,
+                           data_fix: np.ndarray,
+                           block_results: Dict[int, tuple]) -> None:
+        """The object pass's per-monitor verdicts, correction events and
+        bad-slice lists for one reporting group (see
+        :mod:`repro.engines.reporting` for the layout)."""
         monitors = group.monitors
-        out = group.kernel.decode(self._gather(group, words), group.stored,
-                                  full, batch_size)
-        if out is None:
-            for monitor in monitors:
-                monitor._flips = _NO_FLIPS
-                block_results[id(monitor)] = (0, 0, {}, {})
-            return None
-        err_b, pos = out
-        k = group.kernel.k
-        width = group.width[:, None, None]
-        uncorr_b = err_b & ((pos == -2) | ((pos >= width) & (pos < k)))
-        data_fix = err_b & (pos >= 0) & (pos < width)
-        det_ints = _mask_ints(err_b.any(axis=1))
-        unc_ints = _mask_ints(uncorr_b.any(axis=1))
+        detected = err_b.any(axis=1)
+        uncorrectable = uncorr_b.any(axis=1)
 
         # Sequence-major, cycle-ascending enumeration: transposing to
         # (G, B, cycle) makes np.nonzero emit each (monitor, sequence)
         # pair's entries contiguously, so the per-sequence lists are
         # built by slicing runs instead of appending per entry.
-        length = self.chain_length
         bad: List[Dict[int, List[int]]] = [{} for _ in monitors]
         group_idx, seqs, cycles = np.nonzero(err_b.transpose(0, 2, 1)
                                              [:, :, ::-1])
@@ -690,17 +663,12 @@ class SimdBatchedEngine(SimulationEngine):
             bad[g][b] = cycle_list[start:end]
 
         corr: List[Dict[int, List[CorrectionEvent]]] = [{} for _ in monitors]
-        fix_t = data_fix.transpose(0, 2, 1)[:, :, ::-1]
-        group_idx, seqs, cycles = np.nonzero(fix_t)
+        group_idx, seqs, cycles = np.nonzero(
+            data_fix.transpose(0, 2, 1)[:, :, ::-1])
         if group_idx.size:
             fix_pos = pos.transpose(0, 2, 1)[:, :, ::-1][group_idx, seqs,
                                                          cycles]
-            chains = group.gather_idx[group_idx, fix_pos]
-            flat = (chains * length + (length - 1 - cycles)) \
-                * words.shape[2] + (seqs >> 6)
-            bits = np.left_shift(np.uint64(1),
-                                 (seqs & 63).astype(np.uint64))
-            chain_list = chains.tolist()
+            chain_list = group.gather_idx[group_idx, fix_pos].tolist()
             cycle_list = cycles.tolist()
             for g, b, start, end in _runs(group_idx, seqs):
                 block_index = monitors[g].block.block_index
@@ -710,21 +678,10 @@ class SimdBatchedEngine(SimulationEngine):
                     CorrectionEvent(block_index, chain_list[i],
                                     cycle_list[i])
                     for i in range(start, end)]
-        else:
-            flat, bits = _NO_FLIPS
-
-        if self._overlapping_correctors and group_idx.size:
-            for g, monitor in enumerate(monitors):
-                mask = group_idx == g
-                monitor._flips = (flat[mask], bits[mask])
-        else:
-            for monitor in monitors:
-                monitor._flips = _NO_FLIPS
 
         for g, monitor in enumerate(monitors):
-            block_results[id(monitor)] = (det_ints[g], unc_ints[g],
+            block_results[id(monitor)] = (detected[g], uncorrectable[g],
                                           corr[g], bad[g])
-        return flat, bits
 
     def _clean_report_tuple(self) -> Tuple[MonitorReport, ...]:
         if self._clean_reports is None:
@@ -732,7 +689,7 @@ class SimdBatchedEngine(SimulationEngine):
         return self._clean_reports
 
     # ------------------------------------------------------------------
-    # Summary interface (columnar, never touches plane ints)
+    # Summary interface (columnar, never builds a report object)
     # ------------------------------------------------------------------
     def run_batch_summary(self, states: Sequence[int],
                           knowns: Sequence[int], flips,
@@ -743,9 +700,9 @@ class SimdBatchedEngine(SimulationEngine):
 
         The numbers are bit-identical to driving
         :meth:`encode_pass_batch` / :meth:`decode_pass_batch` with the
-        replicated/injected planes and folding the object results field
-        by field; the summary pass simply skips every report,
-        correction-event and plane-int materialisation.
+        replicated/injected words and folding the object results field
+        by field; the summary pass simply skips every report and
+        correction-event materialisation.
 
         ``path`` selects the implementation: ``"auto"`` (default)
         takes the sparse-delta fast path when the bank structure
@@ -756,31 +713,20 @@ class SimdBatchedEngine(SimulationEngine):
         Both paths return bit-identical arrays; the one taken is
         published as ``self.last_summary_path``.
         """
-        from repro.engines.summary import bits_matrix
-        from repro.faults.batch import PatternBatch
-
         if path not in ("auto", "delta", "dense"):
             raise ValueError(
                 f"unknown summary path {path!r}; choose 'auto', "
                 f"'delta' or 'dense'")
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
-        if len(states) != self.num_chains or len(knowns) != self.num_chains:
-            raise ValueError(
-                f"expected {self.num_chains} chain states, got "
-                f"{len(states)}")
+        self._check_chains(states=states, knowns=knowns)
         known_bits = bits_matrix(knowns, self.chain_length)
         use_delta = False
         if path != "dense":
             plan = self._delta_plan_for()
             if plan.supported:
-                if isinstance(flips, PatternBatch):
-                    num_flips = flips.num_flips
-                else:
-                    num_flips = sum(bin(mask).count("1")
-                                    for mask in flips.values())
                 use_delta = (path == "delta"
-                             or num_flips
+                             or flips.num_flips
                              <= self.delta_crossover * batch_size)
             elif path == "delta":
                 raise ValueError(
@@ -788,8 +734,7 @@ class SimdBatchedEngine(SimulationEngine):
                     f"monitor bank: {plan.reason}")
         if use_delta:
             self.last_summary_path = "delta"
-            return self._delta_summary(plan, knowns, known_bits, flips,
-                                       batch_size)
+            return self._delta_summary(plan, known_bits, flips, batch_size)
         self.last_summary_path = "dense"
         return self._dense_summary(states, knowns, known_bits, flips,
                                    batch_size)
@@ -804,48 +749,29 @@ class SimdBatchedEngine(SimulationEngine):
                 self.chain_length)
         return self._delta_plan
 
-    def _delta_summary(self, plan, knowns: Sequence[int],
-                       known_bits: np.ndarray, flips,
+    def _delta_summary(self, plan, known_bits: np.ndarray, flips,
                        batch_size: int) -> BatchOutcomeArrays:
         """The sparse fast path: verdicts from flip coordinates alone
         (the baseline cancels by GF(2) superposition -- see
         :mod:`repro.engines.delta`)."""
-        from repro.faults.batch import (
-            PatternBatch,
-            batch_flips_coords,
-            pattern_batch_coords,
-        )
+        from repro.faults.batch import pattern_batch_coords
 
-        if isinstance(flips, PatternBatch):
-            seqs, cells, injected = pattern_batch_coords(
-                flips, known_bits, batch_size)
-        else:
-            seqs, cells, injected = batch_flips_coords(
-                flips, knowns, batch_size, self.chain_length)
+        seqs, cells, injected = pattern_batch_coords(flips, known_bits,
+                                                     batch_size)
         return delta_summary(plan, known_bits, seqs, cells, injected,
                              batch_size)
 
     def _dense_summary(self, states: Sequence[int], knowns: Sequence[int],
                        known_bits: np.ndarray, flips,
                        batch_size: int) -> BatchOutcomeArrays:
-        """The dense word pipeline (every density), with workspace-
-        backed state buffers."""
-        from repro.engines.summary import (
-            bits_matrix,
-            replicate_state_words,
-            residual_counts_words,
-        )
-        from repro.faults.batch import (
-            PatternBatch,
-            batch_flips_arrays,
-            pattern_batch_arrays,
-        )
+        """The dense word pipeline (every density): workspace-backed
+        replicate and inject around the shared decode core."""
+        from repro.faults.batch import pattern_batch_arrays
 
-        length = self.chain_length
         full = self._full_words(batch_size)
-        state_bits = bits_matrix(states, length)
-        # Unknown positions hold all-zero planes (the treat-X-as-0
-        # rule), exactly like _to_words requires of protocol callers.
+        state_bits = bits_matrix(states, self.chain_length)
+        # Unknown positions hold all-zero words (the treat-X-as-0
+        # rule), exactly like _check_words requires of protocol callers.
         state_bits &= known_bits
         words = replicate_state_words(
             state_bits, full,
@@ -853,87 +779,12 @@ class SimdBatchedEngine(SimulationEngine):
                 "summary_words", state_bits.shape + (full.size,),
                 np.uint64))
         self._encode_words(words, batch_size)
-        # A PatternBatch resolves to scatter arrays without any
-        # per-flip Python work; a BatchFlips dict goes through the
-        # shared dict resolver.
-        if isinstance(flips, PatternBatch):
-            flip_chains, flip_positions, flip_masks, injected = \
-                pattern_batch_arrays(flips, knowns, batch_size)
-        else:
-            flip_chains, flip_positions, flip_masks, injected = \
-                batch_flips_arrays(flips, knowns, batch_size)
+        flip_chains, flip_positions, flip_masks, injected = \
+            pattern_batch_arrays(flips, knowns, batch_size)
         if flip_chains.size:
             words[flip_chains, flip_positions] ^= flip_masks
-
-        detected = np.zeros(batch_size, dtype=bool)
-        uncorrectable = np.zeros(batch_size, dtype=bool)
-        corrections = np.zeros(batch_size, dtype=np.int64)
-        num_words = words.shape[2]
-        overlap = self._overlapping_correctors
-        group_flips: List[Tuple[np.ndarray, np.ndarray]] = []
-        if overlap:
-            pre_correction = self._workspace.take("summary_pre",
-                                                  words.shape, np.uint64)
-            pre_correction[...] = words
-        else:
-            pre_correction = None
-        words_flat = words.reshape(-1)
-        for index, group in enumerate(self._groups):
-            out = group.kernel.decode(self._gather_ws(index, group, words),
-                                      group.stored, full, batch_size)
-            if out is None:
-                for monitor in group.monitors:
-                    monitor._flips = _NO_FLIPS
-                continue
-            err_b, pos = out
-            k = group.kernel.k
-            width = group.width[:, None, None]
-            detected |= err_b.any(axis=(0, 1))
-            uncorr_b = err_b & ((pos == -2) | ((pos >= width) & (pos < k)))
-            uncorrectable |= uncorr_b.any(axis=(0, 1))
-            data_fix = err_b & (pos >= 0) & (pos < width)
-            corrections += data_fix.sum(axis=(0, 1), dtype=np.int64)
-            group_idx, positions, seqs = np.nonzero(data_fix)
-            if not group_idx.size:
-                for monitor in group.monitors:
-                    monitor._flips = _NO_FLIPS
-                continue
-            fix_pos = pos[group_idx, positions, seqs]
-            chains = group.gather_idx[group_idx, fix_pos]
-            flat = (chains * length + positions) * num_words + (seqs >> 6)
-            bits = np.left_shift(np.uint64(1),
-                                 (seqs & 63).astype(np.uint64))
-            if overlap:
-                for g, monitor in enumerate(group.monitors):
-                    mask = group_idx == g
-                    monitor._flips = (flat[mask], bits[mask])
-            else:
-                group_flips.append((flat, bits))
-
-        if overlap:
-            # Reference-faithful last-block-wins feedback, as in
-            # decode_pass_batch: reassign each block's slice from the
-            # pre-correction words in bank order, then apply its flips.
-            for monitor in self._correcting:
-                idx = monitor.chain_idx_arr
-                words[idx] = pre_correction[idx]
-                flat, bits = monitor._flips
-                if flat.size:
-                    np.bitwise_xor.at(words_flat, flat, bits)
-        else:
-            for flat, bits in group_flips:
-                np.bitwise_xor.at(words_flat, flat, bits)
-
-        corrected_flat2 = words.reshape(-1, num_words)
-        for monitor in self._observing:
-            fresh = self._stream_signature(monitor, corrected_flat2, full)
-            mismatch = np.bitwise_or.reduce(fresh ^ monitor.stored, axis=0)
-            if mismatch.any():
-                mismatch_bits = _unpack_bits(mismatch,
-                                             batch_size).astype(bool)
-                detected |= mismatch_bits
-                uncorrectable |= mismatch_bits
-
+        detected, uncorrectable, corrections, _reported, _mismatches = \
+            self._decode_words(words, batch_size)
         # Vectorised state-domain comparator against the replicated
         # pre-sleep state (the shared kernel; bit matrices are already
         # expanded, so pass them through).
@@ -941,7 +792,6 @@ class SimdBatchedEngine(SimulationEngine):
                                           batch_size,
                                           state_bits=state_bits,
                                           known_bits=known_bits)
-
         return BatchOutcomeArrays(
             injected=injected.astype(np.int64),
             detected=detected,
@@ -952,16 +802,23 @@ class SimdBatchedEngine(SimulationEngine):
     # ------------------------------------------------------------------
     # Scalar interface (a batch of one, through the same word path)
     # ------------------------------------------------------------------
+    def _single_words(self, states: Sequence[int]) -> np.ndarray:
+        """Packed chain states as the word array of a batch of one."""
+        return bits_matrix(states, self.chain_length)[:, :, None] \
+            .astype(np.uint64)
+
     def encode_pass(self, design) -> int:
         states, knowns = pack_chains(design.chains)
-        planes = replicate_states(states, self.chain_length, 1)
-        return self.encode_pass_batch(planes, knowns, 1)
+        return self.encode_pass_batch(self._single_words(states), knowns, 1)
 
     def decode_pass(self, design) -> List[MonitorReport]:
         states, knowns = pack_chains(design.chains)
-        planes = replicate_states(states, self.chain_length, 1)
-        result = self.decode_pass_batch(planes, knowns, 1)
-        corrected_states = states_from_planes(result.corrected, 0)
+        result = self.decode_pass_batch(self._single_words(states),
+                                        knowns, 1)
+        rows = np.packbits(result.corrected[:, :, 0].astype(bool), axis=1,
+                           bitorder="little")
+        corrected_states = [int.from_bytes(row.tobytes(), "little")
+                            for row in rows]
         write_back_chains(design.chains, states, knowns, corrected_states)
         return list(result.reports[0])
 
@@ -969,7 +826,5 @@ class SimdBatchedEngine(SimulationEngine):
 __all__ = [
     "SimdBatchedEngine",
     "Workspace",
-    "planes_to_words",
-    "words_to_planes",
     "full_words",
 ]

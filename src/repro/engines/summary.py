@@ -6,19 +6,23 @@ returns per-sequence verdicts as ndarrays; this module holds the
 generic array kernels the SIMD engine (and the jit engine built on it)
 builds that answer from:
 
+* :func:`full_words` -- the all-sequences mask of a batch;
 * :func:`bits_matrix` -- packed chain integers to a ``(C, L)`` boolean
   matrix (the replication/masking front end);
+* :func:`replicate_state_words` -- that matrix broadcast into the
+  ``(C, L, W)`` uint64 batch state every sequence starts from;
 * :func:`residual_counts_words` -- the **vectorised state-domain
   comparator**: per-sequence Hamming distance between the corrected
   ``(C, L, W)`` word state and the packed pre-sleep state, with the
   object path's rule that unknown pre-sleep bits always count (the
   decode pass drives them, so they differ from X by definition).  It
-  is used by the engines' summary passes *and* by
+  is the only state comparator of the batch paths: the engines'
+  summary passes and
   :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
-  whenever the decode result carries ``corrected_words``, replacing
-  the per-position Python loop.
+  both call it on the decode pass's corrected word array.
 
 Everything here requires numpy; callers gate on
+:attr:`~repro.engines.base.SimulationEngine.supports_batch` /
 :attr:`~repro.engines.base.SimulationEngine.supports_summary`, so a
 pure-stdlib install never imports this module.
 """
@@ -30,34 +34,14 @@ from typing import Sequence
 import numpy as np
 
 
-def planes_to_words(planes: Sequence[Sequence[int]],
-                    batch_size: int) -> np.ndarray:
-    """Pack protocol bit planes into a ``(C, L, W)`` uint64 word array.
-
-    Bit ``b`` of word ``w`` is batch sequence ``64 * w + b``; raises
-    ``ValueError`` when a plane holds bits outside the batch (including
-    negative planes).  The boundary between the engine protocol's
-    Python-int planes and every array kernel here (the simd engine
-    re-exports it).
-    """
+def full_words(batch_size: int) -> np.ndarray:
+    """The all-sequences mask as a ``(W,)`` word array (bit ``b`` of
+    word ``w`` is batch sequence ``64 * w + b``)."""
     num_words = (batch_size + 63) // 64
-    nbytes = num_words * 8
-    buf = bytearray()
-    for chain_planes in planes:
-        for plane in chain_planes:
-            try:
-                buf += plane.to_bytes(nbytes, "little")
-            except OverflowError:
-                raise ValueError(
-                    f"plane has bits outside the {batch_size}-sequence "
-                    f"batch") from None
-    words = np.frombuffer(buf, dtype=np.uint64)
-    words = words.reshape(len(planes), -1, num_words)
+    mask = np.full(num_words, np.uint64(0xFFFFFFFFFFFFFFFF), dtype=np.uint64)
     if batch_size % 64:
-        if (words[..., -1] >> np.uint64(batch_size % 64)).any():
-            raise ValueError(
-                f"plane has bits outside the {batch_size}-sequence batch")
-    return words
+        mask[-1] = np.uint64((1 << (batch_size % 64)) - 1)
+    return mask
 
 
 def bits_matrix(values: Sequence[int], length: int) -> np.ndarray:
@@ -76,10 +60,10 @@ def replicate_state_words(state_bits: np.ndarray,
     """Broadcast a ``(C, L)`` bool state into ``(C, L, W)`` uint64 words
     (every sequence of the batch starts from the same state).
 
-    ``full`` is the all-sequences word mask
-    (:func:`repro.engines.simd.full_words`).  ``out`` (shape ``(C, L,
-    W)``, uint64) is fully overwritten when given -- the hook the simd
-    engine's :class:`~repro.engines.simd.Workspace` buffers plug into.
+    ``full`` is the all-sequences word mask (:func:`full_words`).
+    ``out`` (shape ``(C, L, W)``, uint64) is fully overwritten when
+    given -- the hook the simd engine's
+    :class:`~repro.engines.simd.Workspace` buffers plug into.
     """
     if out is None:
         return np.where(state_bits[:, :, None], full, np.uint64(0))
@@ -107,7 +91,7 @@ def per_sequence_popcounts(words: np.ndarray,
 
 
 def residual_counts_words(states: Sequence[int], knowns: Sequence[int],
-                          corrected_words: np.ndarray,
+                          corrected: np.ndarray,
                           batch_size: int,
                           state_bits: "np.ndarray | None" = None,
                           known_bits: "np.ndarray | None" = None
@@ -126,14 +110,13 @@ def residual_counts_words(states: Sequence[int], knowns: Sequence[int],
     to skip the re-expansion; the comparison rule itself lives only
     here.
     """
-    num_chains, length, _num_words = corrected_words.shape
+    num_chains, length, _num_words = corrected.shape
     if state_bits is None:
         state_bits = bits_matrix(states, length)
     if known_bits is None:
         known_bits = bits_matrix(knowns, length)
     unknown_positions = int(known_bits.size - known_bits.sum())
-    diff = np.where(state_bits[:, :, None],
-                    ~corrected_words, corrected_words)
+    diff = np.where(state_bits[:, :, None], ~corrected, corrected)
     # The all-ones complement above sets the unused tail bits of the
     # last word; clear them so the `changed` filter stays proportional
     # to the cells that actually differ (the popcount slice would drop
@@ -147,7 +130,7 @@ def residual_counts_words(states: Sequence[int], knowns: Sequence[int],
 
 
 __all__ = [
-    "planes_to_words",
+    "full_words",
     "bits_matrix",
     "replicate_state_words",
     "per_sequence_popcounts",

@@ -10,11 +10,11 @@ Implements the paper's validation machinery (Section IV):
   (burst) patterns of Fig. 7;
 * :mod:`repro.faults.droop` -- a physically motivated injector that
   derives upsets from the rush-current droop model instead of an LFSR;
-* :mod:`repro.faults.batch` -- batch fault injection over bit planes
-  and word-packed state: one XOR per targeted scan cell injects a
-  whole batch of per-sequence patterns (the injection side of
-  :mod:`repro.engines.simd`), plus the vectorised pattern sampler of
-  the campaign summary path;
+* :mod:`repro.faults.batch` -- batch fault injection in coordinate-array
+  form (:class:`~repro.faults.batch.PatternBatch`, one flip per array
+  entry) and its resolvers into the engines' word masks, coordinates
+  and CSR slices, plus the vectorised pattern sampler of the campaign
+  summary path; it requires numpy, so it is not imported here;
 * :mod:`repro.faults.campaign` -- bookkeeping of injected / detected /
   corrected counts across a campaign.
 """
@@ -28,7 +28,6 @@ from repro.faults.patterns import (
     burst_error_pattern,
     random_pattern,
 )
-from repro.faults.batch import apply_batch_flips, batch_pattern_flips
 from repro.faults.droop import DroopFaultInjector
 from repro.faults.campaign import CampaignStats, InjectionRecord
 
@@ -43,8 +42,6 @@ __all__ = [
     "multi_error_pattern",
     "burst_error_pattern",
     "random_pattern",
-    "apply_batch_flips",
-    "batch_pattern_flips",
     "DroopFaultInjector",
     "CampaignStats",
     "InjectionRecord",

@@ -1,151 +1,50 @@
-"""Batch fault injection over bit planes and word-packed batch state.
+"""Batch fault injection in coordinate-array form.
 
-One :class:`~repro.faults.patterns.ErrorPattern` per sequence of a
-batch is turned into per-``(chain, position)`` *sequence masks*: bit
-``b`` of the mask says "flip this scan cell in sequence ``b``".
-Applying a whole batch's worth of injections then costs one XOR per
-targeted scan cell -- independent of the batch size -- which is the
-injection-side counterpart of the batch engines' passes
-(:mod:`repro.engines.simd`).
+A batch injection is a :class:`PatternBatch`: one flip per entry of
+three parallel int64 arrays (sequence, chain, scan position), the batch
+counterpart of one :class:`~repro.faults.patterns.ErrorPattern` per
+sequence.  The resolvers below turn it into the input form each engine
+kernel consumes, with no per-flip Python work:
 
-Flips are gated by the chains' known masks, matching the reference
-injector's no-op on unknown (``None``) flops, and the per-sequence
-count of *effective* flips is returned so campaign statistics see the
-same ``injected_errors`` the reference path reports.
+* :func:`pattern_batch_arrays` -- per-cell uint64 sequence masks for
+  the XOR scatter into the ``(C, L, W)`` word-packed batch state of
+  :mod:`repro.engines.simd`;
+* :func:`pattern_batch_coords` -- flat (sequence, cell) coordinates for
+  the sparse-delta summary path (:mod:`repro.engines.delta`);
+* :func:`pattern_batch_csr` -- CSR slices for the fused kernels of
+  :mod:`repro.engines.jit`.
 
-Two application forms share the same resolution
-(:func:`batch_pattern_flips`): :func:`apply_batch_flips` XORs into the
-Python-int bit planes of the engine protocol (what
-``sleep_wake_cycle_batch`` uses), and :func:`apply_batch_flips_words`
-/ :func:`batch_flips_arrays` apply the same flips to the ``(C, L, W)``
-uint64 word layout of :mod:`repro.engines.simd` -- for pipelines that
-keep batch state in ndarray form end to end.  The two forms are
-asserted equivalent by ``tests/faults/test_batch_arrays.py`` and
-cross-checked at campaign scale by the dense-error benchmark; numpy is
-imported lazily, so the plane path stays stdlib-only.
+All three gate flips by the chains' known masks, matching the
+reference injector's no-op on unknown (``None``) flops, collapse
+repeated (sequence, cell) pairs to the ``ErrorPattern`` set semantics,
+and return the per-sequence count of *effective* flips, so campaign
+statistics see the same ``injected_errors`` the reference path
+reports.
 
 The module also hosts the **vectorised pattern sampler** of the
-campaign summary path (:func:`sample_pattern_batch` /
-:class:`PatternBatch`): one ``numpy.random.Generator`` call draws a
-whole group's single/burst/multi patterns as coordinate arrays, the
-batch counterpart of the scalar factories in
-:mod:`repro.faults.patterns`.  The sampled batch converts losslessly
-both ways -- :meth:`PatternBatch.flips` for the array-native engines,
-:meth:`PatternBatch.patterns` for the per-sequence object path -- which
-is what lets campaign tasks fall back to the object path on
+campaign summary path (:func:`sample_pattern_batch`): one
+``numpy.random.Generator`` call draws a whole group's
+single/burst/multi patterns as coordinate arrays, the batch
+counterpart of the scalar factories in :mod:`repro.faults.patterns`.
+:meth:`PatternBatch.from_patterns` and :meth:`PatternBatch.patterns`
+convert losslessly between a batch and its per-sequence patterns,
+which is what lets campaign tasks fall back to the object path on
 non-summary engines with bit-identical statistics.
+
+Everything here requires numpy; the per-sequence fallback of
+:meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
+never imports this module, so a pure-stdlib install keeps working.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
+
+import numpy as np
 
 from repro.faults.patterns import ErrorPattern
 
-#: Per-(chain, position) sequence masks of a batch injection.
-BatchFlips = Dict[Tuple[int, int], int]
 
-
-def batch_pattern_flips(patterns: Sequence[Optional[ErrorPattern]],
-                        num_chains: int, chain_length: int) -> BatchFlips:
-    """Resolve one pattern per sequence into per-cell sequence masks.
-
-    ``None`` entries are clean sequences.  Raises ``ValueError`` when a
-    pattern addresses a cell outside the ``num_chains x chain_length``
-    scan array (same eager check as the scalar injectors).
-    """
-    flips: BatchFlips = {}
-    for b, pattern in enumerate(patterns):
-        if pattern is None:
-            continue
-        bit = 1 << b
-        for chain, position in pattern.locations:
-            if chain >= num_chains or position >= chain_length:
-                raise ValueError(
-                    f"error location ({chain}, {position}) outside the "
-                    f"{num_chains}x{chain_length} scan array")
-            key = (chain, position)
-            flips[key] = flips.get(key, 0) | bit
-    return flips
-
-
-def batch_flips_arrays(flips: BatchFlips, knowns: Sequence[int],
-                       batch_size: int):
-    """Resolve a :data:`BatchFlips` dict into ndarray coordinate form.
-
-    Returns ``(chains, positions, masks, counts)`` where the first
-    three are parallel arrays -- ``masks`` is ``(N, W)`` uint64 in the
-    word-packed layout of :mod:`repro.engines.simd` -- and ``counts``
-    is the per-sequence number of *effective* flips (flips landing on
-    unknown positions are dropped, exactly like
-    :func:`apply_batch_flips`).  Requires numpy (the ``[simd]``
-    extra); the plain-plane path never imports it.
-    """
-    import numpy as np
-
-    num_words = (batch_size + 63) // 64
-    chains: List[int] = []
-    positions: List[int] = []
-    mask_bytes = bytearray()
-    for (chain, position), mask in sorted(flips.items()):
-        if not (knowns[chain] >> position) & 1:
-            continue
-        chains.append(chain)
-        positions.append(position)
-        mask_bytes += mask.to_bytes(num_words * 8, "little")
-    masks = np.frombuffer(bytes(mask_bytes), dtype=np.uint64)
-    masks = masks.reshape(len(chains), num_words)
-    if len(chains):
-        counts = np.unpackbits(
-            np.ascontiguousarray(masks, dtype=np.uint64).view(np.uint8),
-            axis=-1, bitorder="little")[:, :batch_size].sum(axis=0)
-    else:
-        counts = np.zeros(batch_size, dtype=np.intp)
-    return (np.array(chains, dtype=np.int64),
-            np.array(positions, dtype=np.int64), masks, counts)
-
-
-def apply_batch_flips_words(words, knowns: Sequence[int],
-                            flips: BatchFlips, batch_size: int):
-    """XOR a batch's flips into a ``(C, L, W)`` word array in place.
-
-    The ndarray counterpart of :func:`apply_batch_flips` for the SIMD
-    engine's word-packed state: one vectorised XOR scatter covers the
-    whole batch.  Returns the per-sequence effective-flip counts as an
-    ndarray (same values as :func:`apply_batch_flips`).
-    """
-    chains, positions, masks, counts = batch_flips_arrays(
-        flips, knowns, batch_size)
-    if chains.size:
-        words[chains, positions] ^= masks
-    return counts
-
-
-def apply_batch_flips(planes: Sequence[List[int]], knowns: Sequence[int],
-                      flips: BatchFlips, batch_size: int) -> List[int]:
-    """XOR a batch's flips into the planes; returns per-sequence counts.
-
-    Flips landing on unknown positions are dropped (the reference
-    injector cannot flip an X), so ``counts[b]`` equals the Hamming
-    distance the reference path would report for sequence ``b``'s
-    injection.
-    """
-    counts = [0] * batch_size
-    for (chain, position), mask in flips.items():
-        if not (knowns[chain] >> position) & 1:
-            continue
-        planes[chain][position] ^= mask
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            remaining ^= low
-            counts[low.bit_length() - 1] += 1
-    return counts
-
-
-# ----------------------------------------------------------------------
-# Vectorised pattern sampling (the campaign summary path's front end)
-# ----------------------------------------------------------------------
 class PatternBatch:
     """A whole group's sampled error patterns in coordinate-array form.
 
@@ -156,10 +55,10 @@ class PatternBatch:
     coordinate arrays carry exactly the information of one pattern per
     sequence without materialising any per-sequence object.
 
-    Two lossless views exist: :meth:`flips` for the batch injectors and
-    the engines' array-native summary passes, and :meth:`patterns` for
-    the per-sequence object path -- a campaign group routed through
-    either view produces bit-identical statistics (property-tested in
+    :meth:`from_patterns` and :meth:`patterns` convert losslessly to and
+    from one pattern per sequence -- a campaign group routed through the
+    summary pass or the per-sequence object path produces bit-identical
+    statistics (property-tested in
     ``tests/campaigns/test_summary_path.py``).
     """
 
@@ -183,15 +82,61 @@ class PatternBatch:
         """Total flips across the whole batch."""
         return len(self.seqs)
 
-    def flips(self) -> BatchFlips:
-        """The batch as per-cell sequence masks (:data:`BatchFlips`)."""
-        flips: BatchFlips = {}
-        for b, chain, position in zip(self.seqs.tolist(),
-                                      self.chains.tolist(),
-                                      self.positions.tolist()):
-            key = (chain, position)
-            flips[key] = flips.get(key, 0) | (1 << b)
-        return flips
+    @classmethod
+    def from_patterns(cls, patterns: Sequence[Optional[ErrorPattern]],
+                      num_chains: int, chain_length: int) -> "PatternBatch":
+        """The batch injecting ``patterns[b]`` into sequence ``b``
+        (``None`` entries are clean sequences) -- the inverse of
+        :meth:`patterns`.  Coordinates are not range-checked here; see
+        :meth:`validate`."""
+        seqs: List[int] = []
+        chains: List[int] = []
+        positions: List[int] = []
+        for b, pattern in enumerate(patterns):
+            if pattern is None:
+                continue
+            for chain, position in pattern.locations:
+                seqs.append(b)
+                chains.append(chain)
+                positions.append(position)
+        kinds = {pattern.kind for pattern in patterns if pattern is not None}
+        kind = kinds.pop() if len(kinds) == 1 else "mixed"
+        return cls(num_chains, chain_length, len(patterns), kind,
+                   np.array(seqs, dtype=np.int64),
+                   np.array(chains, dtype=np.int64),
+                   np.array(positions, dtype=np.int64))
+
+    def validate(self, num_chains: int, chain_length: int,
+                 batch_size: int) -> None:
+        """Raise ``ValueError`` unless the batch fits a ``num_chains x
+        chain_length`` scan array and a ``batch_size``-sequence batch.
+
+        Every coordinate is checked, not only the geometry fields:
+        negative indices would silently wrap in the engines' ndarray
+        scatters.  The batch entry points call this before the
+        controller leaves ACTIVE.
+        """
+        if (self.num_chains, self.chain_length) != (num_chains,
+                                                    chain_length):
+            raise ValueError(
+                f"pattern batch was sampled for a {self.num_chains}x"
+                f"{self.chain_length} scan array, not this design's "
+                f"{num_chains}x{chain_length}")
+        if self.batch_size != batch_size:
+            raise ValueError(
+                f"pattern batch holds {self.batch_size} sequences, "
+                f"not {batch_size}")
+        if not self.num_flips:
+            return
+        if not (_in_range(self.chains, num_chains)
+                and _in_range(self.positions, chain_length)):
+            raise ValueError(
+                f"pattern batch addresses cells outside the "
+                f"{num_chains}x{chain_length} scan array")
+        if not _in_range(self.seqs, batch_size):
+            raise ValueError(
+                f"pattern batch addresses sequences outside the "
+                f"{batch_size}-sequence batch")
 
     def patterns(self) -> List[Optional[ErrorPattern]]:
         """The batch as one :class:`ErrorPattern` (or ``None``) per
@@ -208,6 +153,13 @@ class PatternBatch:
                 for cells in locations]
 
 
+def _in_range(values, bound: int) -> bool:
+    return bool(((values >= 0) & (values < bound)).all())
+
+
+# ----------------------------------------------------------------------
+# Vectorised pattern sampling (the campaign summary path's front end)
+# ----------------------------------------------------------------------
 def _distinct_cells(rng, batch_size: int, population: int, draws: int):
     """``draws`` distinct uniform indices out of ``population`` for each
     of ``batch_size`` sequences, as a ``(batch_size, draws)`` array.
@@ -218,8 +170,6 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
     -- fine for scan arrays of a few thousand cells; campaigns over
     vastly larger state should shrink the group size accordingly.
     """
-    import numpy as np
-
     if draws > population:
         raise ValueError(
             f"cannot place {draws} distinct errors in {population} cells")
@@ -233,19 +183,17 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
 
 def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
                          batch_size: int):
-    """Resolve a :class:`PatternBatch` straight into ndarray scatter
-    form, skipping the :data:`BatchFlips` dict round-trip.
+    """Resolve a :class:`PatternBatch` into ndarray scatter form.
 
-    Returns ``(chains, positions, masks, counts)`` with exactly the
-    contract of :func:`batch_flips_arrays` (one row per distinct
-    targeted cell, cells in ascending order, flips on unknown cells
-    dropped from both masks and counts) -- asserted equivalent by
-    ``tests/faults/test_pattern_batch.py``.  Unlike the dict path,
-    every step is a vector operation, so resolving a batch's injection
-    costs no per-flip Python work.
+    Returns ``(chains, positions, masks, counts)``: one row per distinct
+    targeted cell, cells in ascending order, ``masks`` the ``(N, W)``
+    uint64 sequence masks in the word-packed layout of
+    :mod:`repro.engines.simd` (bit ``b`` of word ``w`` is sequence
+    ``64 * w + b``), and ``counts`` the per-sequence effective-flip
+    counts.  Flips on unknown cells (``knowns[c]`` bit clear) are
+    dropped from both masks and counts.  XOR-ing ``masks`` into
+    ``words[chains, positions]`` applies the whole batch's injection.
     """
-    import numpy as np
-
     from repro.engines.summary import bits_matrix
 
     length = batch.chain_length
@@ -262,7 +210,7 @@ def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
     cells = chains * length + positions
     # Enforce the set semantics of ErrorPattern: a caller-built batch
     # repeating a (sequence, cell) pair must count (and flip) the cell
-    # once, exactly like the flips()/patterns() views collapse it.
+    # once, exactly like the patterns() view collapses it.
     unique_flips = np.unique(seqs * (batch.num_chains * length) + cells,
                              return_index=True)[1]
     if unique_flips.size != cells.size:
@@ -292,8 +240,6 @@ def pattern_batch_coords(batch: "PatternBatch", known_bits,
     ``known_bits`` is the expanded ``(C, L)`` bool known matrix the
     summary pass already holds.
     """
-    import numpy as np
-
     length = batch.chain_length
     chains, positions, seqs = batch.chains, batch.positions, batch.seqs
     if len(chains):
@@ -322,8 +268,6 @@ def _coords_to_csr(cells, counts, batch_size: int, starts_out=None):
     ``starts_out`` (shape ``(batch_size + 1,)``, int64) is fully
     overwritten when given -- the engines' workspace-buffer hook.
     """
-    import numpy as np
-
     if starts_out is None:
         starts_out = np.empty(batch_size + 1, dtype=np.int64)
     starts_out[0] = 0
@@ -352,44 +296,6 @@ def pattern_batch_csr(batch: "PatternBatch", known_bits, batch_size: int,
             cells, counts)
 
 
-def batch_flips_csr(flips: BatchFlips, knowns: Sequence[int],
-                    batch_size: int, chain_length: int, starts_out=None):
-    """Resolve a :data:`BatchFlips` dict into the CSR slice form of
-    :func:`pattern_batch_csr` (``(starts, cells, counts)``)."""
-    seqs, cells, counts = batch_flips_coords(flips, knowns, batch_size,
-                                             chain_length)
-    del seqs
-    return (_coords_to_csr(cells, counts, batch_size, starts_out),
-            cells, counts)
-
-
-def batch_flips_coords(flips: BatchFlips, knowns: Sequence[int],
-                       batch_size: int, chain_length: int):
-    """Resolve a :data:`BatchFlips` dict into the flat flip-coordinate
-    form of :func:`pattern_batch_coords` (``(seqs, cells, counts)``,
-    flips on unknown positions dropped).
-
-    A dict already holds one mask per distinct cell, so no dedup is
-    needed; the masks simply unpack into (sequence, cell) pairs.
-    """
-    import numpy as np
-
-    chains, positions, masks, counts = batch_flips_arrays(
-        flips, knowns, batch_size)
-    if not chains.size:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty.copy(), counts.astype(np.int64)
-    bits = np.unpackbits(
-        np.ascontiguousarray(masks, dtype=np.uint64).view(np.uint8),
-        axis=-1, bitorder="little")[:, :batch_size]
-    rows, seqs = np.nonzero(bits)
-    cells = chains[rows] * chain_length + positions[rows]
-    order = np.argsort(seqs * (len(knowns) * chain_length) + cells,
-                       kind="stable")
-    return seqs[order].astype(np.int64), cells[order], \
-        counts.astype(np.int64)
-
-
 def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
                          batch_size: int, rng,
                          num_errors: int = 4) -> PatternBatch:
@@ -407,8 +313,6 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
     flip-for-flip identical to the scalar ``random.Random`` factories
     (the two modes are statistically equivalent samplings).
     """
-    import numpy as np
-
     if num_chains <= 0 or chain_length <= 0:
         raise ValueError("chain geometry must be positive")
     if batch_size < 1:
@@ -458,14 +362,7 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
 
 
 __all__ = [
-    "BatchFlips",
-    "batch_pattern_flips",
-    "apply_batch_flips",
-    "batch_flips_arrays",
-    "apply_batch_flips_words",
     "PatternBatch",
-    "batch_flips_coords",
-    "batch_flips_csr",
     "pattern_batch_arrays",
     "pattern_batch_coords",
     "pattern_batch_csr",

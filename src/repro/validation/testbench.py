@@ -13,6 +13,15 @@ protected FIFO (FIFO_A) and an error-free reference FIFO (FIFO_B):
 The event counter of Fig. 8 is represented by the returned
 :class:`TestSequenceResult` records and the aggregation performed by
 :mod:`repro.validation.campaign`.
+
+Batched runs load the FIFO once and simulate every sequence of the
+batch as a virtual copy of that state, with stage 5 replaced by a
+state-domain comparator: :meth:`FIFOTestbench.run_sequence_batch`
+takes one :class:`~repro.faults.patterns.ErrorPattern` (or ``None``)
+per sequence and returns per-sequence records, and
+:meth:`FIFOTestbench.run_sequence_batch_summary` takes the whole
+injection as one :class:`~repro.faults.batch.PatternBatch` and returns
+columnar verdicts.
 """
 
 from __future__ import annotations
@@ -225,10 +234,8 @@ class FIFOTestbench:
         :meth:`~repro.core.protected.ProtectedDesign.\
 sleep_wake_cycle_batch_summary` whose vectorised state-domain
         comparator doubles as stage 5.  ``flips`` is the batch's
-        injection: a sampled :class:`~repro.faults.batch.PatternBatch`
-        (preferred -- array engines resolve it without per-flip Python
-        work) or a per-cell sequence-mask dict
-        (:data:`~repro.faults.batch.BatchFlips`).  Returns a
+        injection, a :class:`~repro.faults.batch.PatternBatch` (array
+        engines resolve it without per-flip Python work).  Returns a
         :class:`~repro.engines.base.BatchOutcomeArrays`; the campaign
         counters ingest it through
         :meth:`~repro.campaigns.stats.StreamingCampaignResult.add_batch`

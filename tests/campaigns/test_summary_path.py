@@ -66,7 +66,7 @@ def test_summary_equals_object_path(engine, kind, phase):
                                    design.chain_length, batch, rng,
                                    num_errors=4)
 
-    arrays = tb_summary.run_sequence_batch_summary(sampled.flips(), batch,
+    arrays = tb_summary.run_sequence_batch_summary(sampled, batch,
                                                    phase)
     results = tb_object.run_sequence_batch(sampled.patterns(), phase)
 
@@ -100,9 +100,9 @@ def test_summary_leaves_design_state_untouched(engine):
     sampled = sample_pattern_batch("burst", design.num_chains,
                                    design.chain_length, 16, rng,
                                    num_errors=6)
-    tb.run_sequence_batch_summary(sampled.flips(), 16, "sleep")
+    tb.run_sequence_batch_summary(sampled, 16, "sleep")
     before = design._all_state()
-    tb.dut_design.sleep_wake_cycle_batch_summary(sampled.flips(), 16)
+    tb.dut_design.sleep_wake_cycle_batch_summary(sampled, 16)
     assert design._all_state() == before
 
 

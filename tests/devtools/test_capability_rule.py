@@ -62,7 +62,7 @@ class TestAstPass:
                 def decode_pass(self, design):
                     pass
 
-                def run_batch_summary(self, design, planes, patterns):
+                def run_batch_summary(self, states, knowns, flips, batch_size):
                     pass
             """), "repro/engines/fixture.py")
         assert len(findings) == 1
@@ -80,13 +80,13 @@ class TestAstPass:
                 def decode_pass(self, design):
                     pass
 
-                def encode_pass_batch(self, design, planes):
+                def encode_pass_batch(self, words, knowns, batch_size):
                     pass
 
-                def decode_pass_batch(self, design, planes):
+                def decode_pass_batch(self, words, knowns, batch_size):
                     pass
 
-                def run_batch_summary(self, design, planes, patterns):
+                def run_batch_summary(self, states, knowns, flips, batch_size):
                     pass
             """), "repro/engines/fixture.py")
         assert findings == []

@@ -27,7 +27,10 @@ from repro.engines.delta import (                               # noqa: E402
     verdict_lut,
 )
 from repro.engines.registry import get_engine                   # noqa: E402
-from repro.faults.batch import sample_pattern_batch             # noqa: E402
+from repro.faults.batch import (                                # noqa: E402
+    PatternBatch,
+    sample_pattern_batch,
+)
 
 #: Code/geometry matrix: every registered family, correcting and
 #: detecting codes alone and stacked, padded tails, plus the paper's
@@ -128,13 +131,23 @@ def test_delta_matches_dense_paper_config(kind):
     assert_identical(*_both_paths(design, sampled, 257))
 
 
-def test_delta_matches_dense_dict_flips():
-    """The legacy dict-of-masks flips form goes through the same
-    coordinate extraction."""
+def _coords_batch(design, batch_size, coords):
+    """A caller-built batch from ``(sequence, chain, position)`` flips."""
+    seqs, chains, positions = (
+        np.array([flip[axis] for flip in coords], dtype=np.int64)
+        for axis in range(3))
+    return PatternBatch(design.num_chains, design.chain_length, batch_size,
+                        "multiple", seqs, chains, positions)
+
+
+def test_delta_matches_dense_caller_built_batch():
+    """A caller-built batch -- a repeated (sequence, cell) pair, a cell
+    shared by several sequences, clean sequences -- goes through the
+    same coordinate extraction."""
     design = _design(["secded(8,4)", "crc16"], 6, 24)
-    length = design.chain_length
-    flips = {(0, 1): 0b1011, (1, 3): 0b10, (2, 0): 1 << (length - 1),
-             (5, 2): 0b1000}
+    flips = _coords_batch(design, 9, [
+        (0, 0, 1), (0, 0, 1), (1, 0, 1), (3, 0, 1), (1, 1, 3), (8, 2, 0),
+        (3, 5, 2)])
     assert_identical(*_both_paths(design, flips, 9))
 
 
@@ -142,7 +155,7 @@ def test_delta_matches_dense_empty_batch():
     """Zero flips everywhere: the delta path does no LUT work at all
     yet must still report the clean verdicts and intact state."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
-    dense, delta = _both_paths(design, {}, 65)
+    dense, delta = _both_paths(design, _coords_batch(design, 65, []), 65)
     assert_identical(dense, delta)
     assert not dense.detected.any()
     assert dense.state_intact.all()
@@ -199,16 +212,18 @@ def test_auto_takes_delta_exactly_at_threshold():
     engine.delta_crossover = 1.0
     states, knowns = _pack(design)
     batch = 16
-    flips = {}
-    for b in range(batch):
-        key = (b % design.num_chains, 0)
-        flips[key] = flips.get(key, 0) | (1 << b)
-    total = sum(bin(mask).count("1") for mask in flips.values())
-    assert total == engine.delta_crossover * batch
+    seqs = np.arange(batch, dtype=np.int64)
+    flips = PatternBatch(design.num_chains, design.chain_length, batch,
+                         "single", seqs, seqs % design.num_chains,
+                         np.zeros(batch, dtype=np.int64))
+    assert flips.num_flips == engine.delta_crossover * batch
     engine.run_batch_summary(states, knowns, flips, batch)
     assert engine.last_summary_path == "delta"
     # One flip more tips it over.
-    flips[(0, 1)] = flips.get((0, 1), 0) | 0b10
+    flips = PatternBatch(design.num_chains, design.chain_length, batch,
+                         "single", np.append(seqs, 1),
+                         np.append(seqs % design.num_chains, 0),
+                         np.append(np.zeros(batch, dtype=np.int64), 1))
     engine.run_batch_summary(states, knowns, flips, batch)
     assert engine.last_summary_path == "dense"
 
@@ -228,10 +243,10 @@ def test_forced_delta_on_unsupported_structure_raises():
     if engine._delta_plan_for().supported:
         pytest.skip("structure unexpectedly delta-capable")
     states, knowns = _pack(design)
-    engine.run_batch_summary(states, knowns, {(0, 0): 1}, 4)
+    engine.run_batch_summary(states, knowns, _coords_batch(design, 4, [(0, 0, 0)]), 4)
     assert engine.last_summary_path == "dense"
     with pytest.raises(ValueError, match="delta"):
-        engine.run_batch_summary(states, knowns, {(0, 0): 1}, 4,
+        engine.run_batch_summary(states, knowns, _coords_batch(design, 4, [(0, 0, 0)]), 4,
                                  path="delta")
 
 
@@ -240,9 +255,11 @@ def test_unknown_path_name_rejected():
     engine = get_engine("simd", design)
     states, knowns = _pack(design)
     with pytest.raises(ValueError, match="path"):
-        engine.run_batch_summary(states, knowns, {}, 4, path="fast")
+        engine.run_batch_summary(states, knowns, _coords_batch(design, 4, []),
+                                 4, path="fast")
     with pytest.raises(ValueError, match="path"):
-        design.sleep_wake_cycle_batch_summary({}, 4, path="fast")
+        design.sleep_wake_cycle_batch_summary(_coords_batch(design, 4, []),
+                                              4, path="fast")
 
 
 def test_design_level_path_forwarding():

@@ -7,7 +7,7 @@ exactly the arrays of the simd engine's ``"dense"`` (and therefore
 across all registered code families, geometries with and without
 padding, batch sizes including B=1, non-multiples of 64 and >= 64k,
 and fault densities from zero flips to saturating bursts, including
-unknown-cell holes and the legacy dict-of-masks flips form.
+unknown-cell holes and caller-built batches with repeated flips.
 
 The kernels are written in nopython-compatible Python and njit-wrapped
 only when numba is importable, so the whole matrix runs in both modes:
@@ -39,7 +39,10 @@ from repro.engines.registry import (                            # noqa: E402
     available_engines,
     validate_engine,
 )
-from repro.faults.batch import sample_pattern_batch             # noqa: E402
+from repro.faults.batch import (                                # noqa: E402
+    PatternBatch,
+    sample_pattern_batch,
+)
 
 HAVE_NUMBA = jit_module.numba is not None
 
@@ -176,13 +179,19 @@ def test_jit_matches_at_64k_batch(compiled):
 
 @pytest.mark.parametrize("compiled", COMPILED_MODES,
                          ids=["pure", "njit"][:len(COMPILED_MODES)])
-def test_jit_matches_dense_dict_flips(compiled):
-    """The legacy dict-of-masks flips form goes through the same CSR
-    extraction."""
+def test_jit_matches_dense_caller_built_batch(compiled):
+    """A caller-built batch (a repeated (sequence, cell) pair, a cell
+    shared by several sequences, clean sequences) goes through the same
+    CSR extraction."""
     design = _design(["secded(8,4)", "crc16"], 6, 24)
-    length = design.chain_length
-    flips = {(0, 1): 0b1011, (1, 3): 0b10, (2, 0): 1 << (length - 1),
-             (5, 2): 0b1000}
+    # (sequence, chain, position) per flip.
+    coords = [(0, 0, 1), (0, 0, 1), (1, 0, 1), (3, 0, 1), (1, 1, 3),
+              (8, 2, 0), (3, 5, 2)]
+    seqs, chains, positions = (
+        np.array([flip[axis] for flip in coords], dtype=np.int64)
+        for axis in range(3))
+    flips = PatternBatch(design.num_chains, design.chain_length, 9,
+                         "multiple", seqs, chains, positions)
     assert_identical(*_both_engines(design, flips, 9,
                                     compiled=compiled))
 
@@ -261,13 +270,20 @@ def test_auto_falls_back_to_dense_on_unsupported_structure():
     assert_identical(reference, arrays)
 
 
+def _clean_batch(design, batch_size):
+    return sample_pattern_batch("none", design.num_chains,
+                                design.chain_length, batch_size,
+                                np.random.default_rng(0))
+
+
 def test_forced_jit_fails_loudly_on_unsupported_structure():
     design = _unsupported_design()
     states, knowns = _pack(design)
     engine = _jit_engine(design)
     with pytest.raises(ValueError,
                        match="summary path 'jit' is unavailable"):
-        engine.run_batch_summary(states, knowns, {}, 4, path="jit")
+        engine.run_batch_summary(states, knowns, _clean_batch(design, 4),
+                                 4, path="jit")
 
 
 def test_unknown_path_name_rejected():
@@ -275,7 +291,8 @@ def test_unknown_path_name_rejected():
     engine = _jit_engine(design)
     states, knowns = _pack(design)
     with pytest.raises(ValueError, match="unknown summary path"):
-        engine.run_batch_summary(states, knowns, {}, 4, path="fused")
+        engine.run_batch_summary(states, knowns, _clean_batch(design, 4),
+                                 4, path="fused")
     assert JIT_SUMMARY_PATHS == ("auto", "jit", "delta", "dense")
 
 

@@ -24,9 +24,8 @@ from repro.codes.base import CodeError
 from repro.codes.plane import block_parity_matrix, crc_stream_matrix
 from repro.codes.registry import get_code
 from repro.core.protected import ProtectedDesign
-from repro.engines.packing import planes_from_states, states_from_planes
 from repro.engines.registry import available_engines, get_engine
-from repro.engines.simd import full_words, planes_to_words, words_to_planes
+from repro.engines.simd import full_words
 from repro.fastpath.engine import PackedMonitorEngine
 from repro.faults.patterns import (
     burst_error_pattern,
@@ -85,6 +84,28 @@ def _patterns(design, batch_size, rng):
         else:
             patterns.append(random_pattern(w, l, 0.2, rng))
     return patterns
+
+
+def _words(per_sequence_states, length):
+    """Per-sequence packed chain states (``states[b][c]``) as the batch
+    protocol's ``(C, L, W)`` uint64 word array."""
+    batch_size = len(per_sequence_states)
+    num_chains = len(per_sequence_states[0])
+    words = np.zeros((num_chains, length, (batch_size + 63) // 64),
+                     dtype=np.uint64)
+    for b, states in enumerate(per_sequence_states):
+        for c, state in enumerate(states):
+            for i in range(length):
+                if (state >> i) & 1:
+                    words[c, i, b >> 6] |= np.uint64(1 << (b & 63))
+    return words
+
+
+def _sequence_states(words, b):
+    """Sequence ``b``'s packed chain states out of a word array."""
+    bits = (words[:, :, b >> 6] >> np.uint64(b & 63)) & np.uint64(1)
+    return [sum(int(bit) << i for i, bit in enumerate(row))
+            for row in bits]
 
 
 def _outcome_tuple(outcome):
@@ -291,75 +312,75 @@ class TestEngineLevelBatch:
                     1 << rng.randrange(length)
             corrupted.append(flipped)
 
-        simd.encode_pass_batch(planes_from_states(base, length), knowns,
-                               batch_size)
-        result = simd.decode_pass_batch(
-            planes_from_states(corrupted, length), knowns, batch_size)
+        simd.encode_pass_batch(_words(base, length), knowns, batch_size)
+        corrupted_words = _words(corrupted, length)
+        result = simd.decode_pass_batch(corrupted_words, knowns,
+                                        batch_size)
+        assert np.array_equal(corrupted_words, _words(corrupted, length))
 
         for b in range(batch_size):
             packed.encode_pass(base[b], knowns)
             reports, corrected = packed.decode_pass(corrupted[b], knowns)
             assert list(result.reports[b]) == reports
-            assert states_from_planes(result.corrected, b) == corrected
+            assert _sequence_states(result.corrected, b) == corrected
+
+    def _clean(self, simd, batch_size):
+        return _words([[0] * simd.num_chains] * batch_size,
+                      simd.chain_length)
 
     def test_decode_before_encode_raises(self):
         design, simd, _packed = self._engines(["crc16"], 4, 20)
-        length = simd.chain_length
-        planes = [[0] * length for _ in range(simd.num_chains)]
-        knowns = [(1 << length) - 1] * simd.num_chains
+        knowns = [(1 << simd.chain_length) - 1] * simd.num_chains
         with pytest.raises(RuntimeError):
-            simd.decode_pass_batch(planes, knowns, 2)
+            simd.decode_pass_batch(self._clean(simd, 2), knowns, 2)
 
     def test_batch_size_mismatch_raises(self):
         design, simd, _packed = self._engines(["crc16"], 4, 20)
-        length = simd.chain_length
-        planes = [[0] * length for _ in range(simd.num_chains)]
-        knowns = [(1 << length) - 1] * simd.num_chains
-        simd.encode_pass_batch(planes, knowns, 4)
+        knowns = [(1 << simd.chain_length) - 1] * simd.num_chains
+        simd.encode_pass_batch(self._clean(simd, 4), knowns, 4)
         with pytest.raises(RuntimeError):
-            simd.decode_pass_batch(planes, knowns, 5)
+            simd.decode_pass_batch(self._clean(simd, 5), knowns, 5)
 
     def test_geometry_validation(self):
         design, simd, _packed = self._engines(["crc16"], 4, 20)
         length = simd.chain_length
         knowns = [(1 << length) - 1] * simd.num_chains
         with pytest.raises(ValueError):
-            simd.encode_pass_batch([[0] * length] * 2, knowns[:2], 2)
-        bad = [[0] * length for _ in range(simd.num_chains)]
-        bad[0][0] = 1 << 2  # bit outside a 2-sequence batch
+            simd.encode_pass_batch(self._clean(simd, 2)[:2], knowns[:2], 2)
+        with pytest.raises(ValueError, match="words"):
+            simd.encode_pass_batch(self._clean(simd, 2)[:, :-1], knowns, 2)
+        bad = self._clean(simd, 2)
+        bad[0, 0] = 1 << 2  # bit outside a 2-sequence batch
         with pytest.raises(ValueError):
             simd.encode_pass_batch(bad, knowns, 2)
-        negative = [[0] * length for _ in range(simd.num_chains)]
-        negative[0][0] = -1
-        with pytest.raises(ValueError):
-            simd.encode_pass_batch(negative, knowns, 2)
+        signed = self._clean(simd, 2).astype(np.int64)
+        with pytest.raises(ValueError, match="uint64"):
+            simd.encode_pass_batch(signed, knowns, 2)
         unknown = list(knowns)
         unknown[1] &= ~2  # position 1 of chain 1 is unknown...
-        dirty = [[0] * length for _ in range(simd.num_chains)]
-        dirty[1][1] = 1  # ...but carries a non-zero plane
+        dirty = self._clean(simd, 2)
+        dirty[1, 1] = 1  # ...but carries a non-zero word
         with pytest.raises(ValueError):
             simd.encode_pass_batch(dirty, unknown, 2)
 
+    @pytest.mark.parametrize("short", ("words", "knowns"))
+    def test_short_argument_is_named(self, short):
+        """A per-chain argument one chain short is reported by name
+        (not as "expected 4 chains, got 4")."""
+        design, simd, _packed = self._engines(["crc16"], 4, 20)
+        words = self._clean(simd, 2)
+        knowns = [(1 << simd.chain_length) - 1] * simd.num_chains
+        if short == "words":
+            words = words[:-1]
+        else:
+            knowns = knowns[:-1]
+        with pytest.raises(ValueError,
+                           match=rf"^{short}: expected 4 chains, got 3"):
+            simd.encode_pass_batch(words, knowns, 2)
+
 
 class TestWordPacking:
-    """The plane <-> uint64-word boundary helpers."""
-
-    @pytest.mark.parametrize("batch_size", (1, 63, 64, 65, 130))
-    def test_round_trip(self, batch_size):
-        rng = random.Random(batch_size)
-        planes = [[rng.getrandbits(batch_size) for _ in range(3)]
-                  for _ in range(2)]
-        words = planes_to_words(planes, batch_size)
-        assert words.shape == (2, 3, (batch_size + 63) // 64)
-        assert words_to_planes(words) == planes
-
-    def test_out_of_batch_bits_rejected(self):
-        with pytest.raises(ValueError):
-            planes_to_words([[1 << 65]], 65)
-        with pytest.raises(ValueError):
-            planes_to_words([[1 << 64]], 3)
-        with pytest.raises(ValueError):
-            planes_to_words([[-1]], 3)
+    """The word layout's all-sequences mask."""
 
     @pytest.mark.parametrize("batch_size", (1, 64, 65))
     def test_full_words(self, batch_size):

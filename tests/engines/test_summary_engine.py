@@ -7,11 +7,19 @@ np = pytest.importorskip("numpy")
 from repro.circuit.generators import make_random_state_circuit  # noqa: E402
 from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines.base import BatchOutcomeArrays               # noqa: E402
+from repro.engines.packing import pack_chains                   # noqa: E402
 from repro.engines.registry import get_engine                   # noqa: E402
 from repro.engines.summary import (                             # noqa: E402
     bits_matrix,
+    full_words,
+    replicate_state_words,
     residual_counts_words,
 )
+from repro.faults.batch import (                                # noqa: E402
+    PatternBatch,
+    pattern_batch_arrays,
+)
+from repro.faults.patterns import ErrorPattern                  # noqa: E402
 
 
 def _design(engine, codes=("hamming(7,4)", "crc16")):
@@ -30,31 +38,64 @@ def test_summary_capability_flags():
     assert design.supports_batch_summary
 
 
+def _flips(design, cells_per_sequence):
+    """A hand-built batch: sequence ``b`` flips ``cells_per_sequence[b]``."""
+    return PatternBatch.from_patterns(
+        [ErrorPattern(frozenset(cells)) if cells else None
+         for cells in cells_per_sequence],
+        design.num_chains, design.chain_length)
+
+
 def test_non_summary_engine_raises():
     design = _design("packed")
+    clean = _flips(design, [()] * 4)
     with pytest.raises(ValueError, match="summary"):
-        design.sleep_wake_cycle_batch_summary({}, 4)
+        design.sleep_wake_cycle_batch_summary(clean, 4)
     engine = get_engine("packed", design)
     with pytest.raises(NotImplementedError):
-        engine.run_batch_summary([0] * 8, [0] * 8, {}, 4)
+        engine.run_batch_summary([0] * 8, [0] * 8, clean, 4)
+
+
+@pytest.mark.parametrize("engine", ("simd", "jit"))
+@pytest.mark.parametrize("short", ("states", "knowns"))
+def test_summary_names_short_argument(engine, short):
+    """A per-chain argument one chain short is reported by name (not
+    as "expected 8 chain states, got 8")."""
+    from repro.engines.jit import JitFusedEngine
+
+    design = _design("simd")
+    if engine == "jit":  # the interpreter mode runs without numba
+        summary_engine = JitFusedEngine(design.monitor_bank, 8,
+                                        design.chain_length, compiled=False)
+    else:
+        summary_engine = get_engine(engine, design)
+    states, knowns = pack_chains(design.chains)
+    if short == "states":
+        states = states[:7]
+    else:
+        knowns = knowns[:7]
+    with pytest.raises(ValueError,
+                       match=rf"^{short}: expected 8 chains, got 7"):
+        summary_engine.run_batch_summary(
+            states, knowns, _flips(design, [()] * 4), 4)
 
 
 def test_summary_validates_flips_eagerly():
     design = _design("simd")
     with pytest.raises(ValueError, match="outside"):
-        design.sleep_wake_cycle_batch_summary({(99, 0): 1}, 4)
-    with pytest.raises(ValueError, match="outside"):
-        design.sleep_wake_cycle_batch_summary({(0, 0): 1 << 7}, 4)
+        design.sleep_wake_cycle_batch_summary(
+            _flips(design, [[(99, 0)]]), 1)
+    with pytest.raises(ValueError, match="sequences"):
+        design.sleep_wake_cycle_batch_summary(
+            _flips(design, [[(0, 0)]] * 8), 4)
     # Neither failure may strand the controller outside ACTIVE.
-    design.sleep_wake_cycle_batch_summary({(0, 0): 1}, 4)
+    design.sleep_wake_cycle_batch_summary(_flips(design, [[(0, 0)]]), 1)
 
 
 def test_summary_validates_pattern_batch_eagerly():
     """Malformed PatternBatch coordinates fail before the controller
     leaves ACTIVE (negative indices would otherwise wrap silently in
     the ndarray scatters)."""
-    from repro.faults.batch import PatternBatch
-
     design = _design("simd")
     length = design.chain_length
 
@@ -76,61 +117,38 @@ def test_summary_validates_pattern_batch_eagerly():
     design.sleep_wake_cycle_batch_summary(batch(), 4)
 
 
-def _mask_bools(mask, batch_size):
-    return np.array([bool((mask >> b) & 1) for b in range(batch_size)])
-
-
 @pytest.mark.parametrize("engine", ("simd",))
 def test_engine_summary_matches_batch_masks(engine):
-    """run_batch_summary's detected/uncorrectable columns equal the
-    decode_pass_batch masks for the same injected batch."""
-    from repro.engines.packing import pack_chains, replicate_states
-    from repro.faults.batch import apply_batch_flips
-
+    """run_batch_summary's columns equal the decode_pass_batch verdicts
+    for the same injected batch."""
     batch = 21
     design = _design(engine)
-    flips = {(0, 1): 0b101, (1, 3): 0b10, (2, 0): 1 << 20,
-             (3, 2): 0b1000, (4, 2): 0b1000}
+    cells = [[] for _ in range(batch)]
+    for cell, sequences in {(0, 1): (0, 2), (1, 3): (1,), (2, 0): (20,),
+                            (3, 2): (3,), (4, 2): (3,)}.items():
+        for b in sequences:
+            cells[b].append(cell)
+    flips = _flips(design, cells)
     summary = get_engine(engine, design).run_batch_summary(
         *pack_chains(design.chains), flips, batch)
 
     reference = get_engine(engine, design)
     states, knowns = pack_chains(design.chains)
-    planes = replicate_states(states, design.chain_length,
-                              (1 << batch) - 1)
-    reference.encode_pass_batch(planes, knowns, batch)
-    injected = apply_batch_flips(planes, knowns, flips, batch)
-    result = reference.decode_pass_batch(planes, knowns, batch)
+    words = replicate_state_words(bits_matrix(states, design.chain_length),
+                                  full_words(batch))
+    reference.encode_pass_batch(words, knowns, batch)
+    chains, positions, masks, injected = pattern_batch_arrays(flips, knowns,
+                                                              batch)
+    words[chains, positions] ^= masks
+    result = reference.decode_pass_batch(words, knowns, batch)
 
-    assert np.array_equal(summary.detected,
-                          _mask_bools(result.detected_mask, batch))
-    assert np.array_equal(summary.uncorrectable,
-                          _mask_bools(result.uncorrectable_mask, batch))
-    assert summary.injected.tolist() == injected
-    counts = [result.corrections.get(b, 0) for b in range(batch)]
-    assert summary.corrections_applied.tolist() == counts
-
-
-def test_simd_batch_result_carries_corrected_words():
-    """The simd object path attaches its word-packed corrected state,
-    and the vectorised comparator over it matches the plane content."""
-    from repro.engines.packing import pack_chains, replicate_states
-    from repro.engines.simd import planes_to_words
-    from repro.faults.batch import apply_batch_flips
-
-    batch = 9
-    design = _design("simd")
-    engine = get_engine("simd", design)
-    states, knowns = pack_chains(design.chains)
-    planes = replicate_states(states, design.chain_length,
-                              (1 << batch) - 1)
-    engine.encode_pass_batch(planes, knowns, batch)
-    apply_batch_flips(planes, knowns, {(0, 0): 0b11, (5, 4): 0b100},
-                      batch)
-    result = engine.decode_pass_batch(planes, knowns, batch)
-    assert result.corrected_words is not None
-    assert np.array_equal(result.corrected_words,
-                          planes_to_words(result.corrected, batch))
+    assert np.array_equal(summary.detected, result.detected_mask)
+    assert np.array_equal(summary.uncorrectable, result.uncorrectable_mask)
+    assert np.array_equal(summary.injected, injected)
+    assert np.array_equal(summary.corrections_applied, result.corrections)
+    assert np.array_equal(
+        summary.residual_errors,
+        residual_counts_words(states, knowns, result.corrected, batch))
 
 
 def test_residual_counts_words_unknown_rule():

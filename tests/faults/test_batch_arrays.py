@@ -1,9 +1,12 @@
-"""The ndarray form of batch fault injection (repro.faults.batch).
+"""The PatternBatch resolvers against a pure-Python oracle.
 
-``apply_batch_flips_words`` / ``batch_flips_arrays`` must agree with
-the Python-int plane path (``apply_batch_flips``) flip for flip and
-count for count, including the known-mask gating of flips landing on
-unknown positions.
+``pattern_batch_arrays`` (word masks for the dense XOR scatter),
+``pattern_batch_coords`` (flat coordinates for the sparse-delta path)
+and ``pattern_batch_csr`` (row-pointer slices for the fused kernels)
+must each describe exactly the injection the oracle folds from
+``PatternBatch.patterns()`` and the chains' known masks: flips on
+unknown cells dropped, repeated (sequence, cell) pairs counted once,
+and per-sequence counts of the surviving flips.
 """
 
 import random
@@ -12,14 +15,15 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
-from repro.engines.simd import planes_to_words, words_to_planes
-from repro.faults.batch import (
-    apply_batch_flips,
-    apply_batch_flips_words,
-    batch_flips_arrays,
-    batch_pattern_flips,
+from repro.engines.summary import bits_matrix  # noqa: E402
+from repro.faults.batch import (  # noqa: E402
+    PatternBatch,
+    pattern_batch_arrays,
+    pattern_batch_coords,
+    pattern_batch_csr,
+    sample_pattern_batch,
 )
-from repro.faults.patterns import (
+from repro.faults.patterns import (  # noqa: E402
     burst_error_pattern,
     multi_error_pattern,
     random_pattern,
@@ -27,54 +31,142 @@ from repro.faults.patterns import (
 
 NUM_CHAINS = 6
 LENGTH = 8
+KINDS = ("single", "burst", "multiple", "none")
 
 
-def _random_batch(rng, batch_size):
-    patterns = []
-    for _ in range(batch_size):
-        patterns.append(rng.choice([
-            None,
-            burst_error_pattern(NUM_CHAINS, LENGTH, 4, rng),
-            multi_error_pattern(NUM_CHAINS, LENGTH, 5, rng),
-            random_pattern(NUM_CHAINS, LENGTH, 0.3, rng),
-        ]))
-    return patterns
+def _oracle(batch, knowns):
+    """``({cell: {sequences}}, counts)`` of the effective flips, folded
+    one pattern at a time (the pattern's location set dedups repeated
+    coordinates; the known mask gates each cell)."""
+    cells = {}
+    counts = [0] * batch.batch_size
+    for b, pattern in enumerate(batch.patterns()):
+        if pattern is None:
+            continue
+        for chain, position in pattern.locations:
+            if (knowns[chain] >> position) & 1:
+                cells.setdefault((chain, position), set()).add(b)
+                counts[b] += 1
+    return cells, counts
 
 
-@pytest.mark.parametrize("batch_size", (1, 7, 64, 70))
-@pytest.mark.parametrize("with_unknowns", (False, True))
-def test_word_application_matches_plane_application(batch_size,
-                                                    with_unknowns):
-    rng = random.Random(batch_size * 2 + with_unknowns)
-    patterns = _random_batch(rng, batch_size)
-    flips = batch_pattern_flips(patterns, NUM_CHAINS, LENGTH)
+def _knowns(with_unknowns):
     knowns = [(1 << LENGTH) - 1] * NUM_CHAINS
     if with_unknowns:
         knowns[1] &= ~0b1010
         knowns[4] &= ~0b1
-    planes = [[rng.getrandbits(batch_size) if (known >> i) & 1 else 0
-               for i in range(LENGTH)]
-              for known in knowns]
+    return knowns
 
-    words = planes_to_words(planes, batch_size)
-    word_counts = apply_batch_flips_words(words.copy(), knowns, flips,
-                                          batch_size)
-    plane_counts = apply_batch_flips(planes, knowns, flips, batch_size)
 
-    applied = planes_to_words(planes, batch_size).copy()
-    words_after = words.copy()
-    apply_batch_flips_words(words_after, knowns, flips, batch_size)
-    assert words_to_planes(words_after) == planes
-    assert word_counts.tolist() == plane_counts
-    assert (words_after == applied).all()
+def _batch(kind, batch_size, with_duplicates, seed):
+    """A sampled batch; optionally re-append some of its flips, as a
+    caller-built batch repeating (sequence, cell) pairs would."""
+    rng = np.random.default_rng(seed)
+    batch = sample_pattern_batch(kind, NUM_CHAINS, LENGTH, batch_size, rng,
+                                 num_errors=4)
+    if with_duplicates and batch.num_flips:
+        extra = np.arange(0, batch.num_flips, 3)
+        batch = PatternBatch(
+            NUM_CHAINS, LENGTH, batch_size, kind,
+            np.concatenate((batch.seqs, batch.seqs[extra])),
+            np.concatenate((batch.chains, batch.chains[extra])),
+            np.concatenate((batch.positions, batch.positions[extra])))
+    return batch
+
+
+def _sequences(mask_row, batch_size):
+    value = int.from_bytes(mask_row.tobytes(), "little")
+    return {b for b in range(batch_size) if (value >> b) & 1}
+
+
+CASES = pytest.mark.parametrize(
+    "kind,batch_size,with_unknowns,with_duplicates",
+    [(kind, batch_size, unknowns, duplicates)
+     for kind in KINDS
+     for batch_size in (1, 7, 64, 70)
+     for unknowns in (False, True)
+     for duplicates in (False, True)])
+
+
+@CASES
+def test_arrays_match_oracle(kind, batch_size, with_unknowns,
+                             with_duplicates):
+    batch = _batch(kind, batch_size, with_duplicates, batch_size)
+    knowns = _knowns(with_unknowns)
+    cells, counts = _oracle(batch, knowns)
+    chains, positions, masks, got_counts = pattern_batch_arrays(
+        batch, knowns, batch_size)
+    assert masks.dtype == np.uint64
+    assert masks.shape == (len(cells), (batch_size + 63) // 64)
+    keys = list(zip(chains.tolist(), positions.tolist()))
+    assert keys == sorted(cells)  # one row per cell, ascending
+    for key, row in zip(keys, masks):
+        assert _sequences(row, batch_size) == cells[key]
+    assert got_counts.tolist() == counts
+
+
+@CASES
+def test_coords_match_oracle(kind, batch_size, with_unknowns,
+                             with_duplicates):
+    batch = _batch(kind, batch_size, with_duplicates, batch_size + 1)
+    knowns = _knowns(with_unknowns)
+    cells, counts = _oracle(batch, knowns)
+    seqs, flat, got_counts = pattern_batch_coords(
+        batch, bits_matrix(knowns, LENGTH), batch_size)
+    expected = sorted((b, chain * LENGTH + position)
+                      for (chain, position), owners in cells.items()
+                      for b in owners)
+    assert list(zip(seqs.tolist(), flat.tolist())) == expected
+    assert got_counts.tolist() == counts
+
+
+@CASES
+def test_csr_matches_oracle(kind, batch_size, with_unknowns,
+                            with_duplicates):
+    batch = _batch(kind, batch_size, with_duplicates, batch_size + 2)
+    knowns = _knowns(with_unknowns)
+    cells, counts = _oracle(batch, knowns)
+    starts, flat, got_counts = pattern_batch_csr(
+        batch, bits_matrix(knowns, LENGTH), batch_size)
+    for b in range(batch_size):
+        expected = sorted(chain * LENGTH + position
+                          for (chain, position), owners in cells.items()
+                          if b in owners)
+        assert flat[starts[b]:starts[b + 1]].tolist() == expected
+    assert got_counts.tolist() == counts
+
+
+def test_words_injection_matches_oracle():
+    """XOR-ing the resolved masks into replicated words flips exactly
+    the oracle's (cell, sequence) pairs."""
+    rng = random.Random(5)
+    batch_size = 70
+    patterns = [rng.choice([
+        None,
+        burst_error_pattern(NUM_CHAINS, LENGTH, 4, rng),
+        multi_error_pattern(NUM_CHAINS, LENGTH, 5, rng),
+        random_pattern(NUM_CHAINS, LENGTH, 0.3, rng),
+    ]) for _ in range(batch_size)]
+    batch = PatternBatch.from_patterns(patterns, NUM_CHAINS, LENGTH)
+    knowns = _knowns(True)
+    cells, _counts = _oracle(batch, knowns)
+    words = np.zeros((NUM_CHAINS, LENGTH, 2), dtype=np.uint64)
+    chains, positions, masks, _ = pattern_batch_arrays(batch, knowns,
+                                                       batch_size)
+    words[chains, positions] ^= masks
+    for chain in range(NUM_CHAINS):
+        for position in range(LENGTH):
+            assert _sequences(words[chain, position], batch_size) \
+                == cells.get((chain, position), set())
 
 
 def test_unknown_positions_are_gated():
     pattern = multi_error_pattern(NUM_CHAINS, LENGTH, 6,
                                   random.Random(3))
-    flips = batch_pattern_flips([pattern], NUM_CHAINS, LENGTH)
+    batch = PatternBatch.from_patterns([pattern], NUM_CHAINS, LENGTH)
     knowns = [0] * NUM_CHAINS  # everything unknown: every flip dropped
-    chains, positions, masks, counts = batch_flips_arrays(flips, knowns, 1)
+    chains, positions, masks, counts = pattern_batch_arrays(batch, knowns,
+                                                            1)
     assert chains.size == 0 and positions.size == 0 and masks.size == 0
     assert counts.tolist() == [0]
 
@@ -84,8 +176,8 @@ def test_counts_match_pattern_sizes():
     patterns = [multi_error_pattern(NUM_CHAINS, LENGTH, 4, rng),
                 None,
                 burst_error_pattern(NUM_CHAINS, LENGTH, 3, rng)]
-    flips = batch_pattern_flips(patterns, NUM_CHAINS, LENGTH)
+    batch = PatternBatch.from_patterns(patterns, NUM_CHAINS, LENGTH)
     knowns = [(1 << LENGTH) - 1] * NUM_CHAINS
-    _chains, _positions, _masks, counts = batch_flips_arrays(flips,
-                                                             knowns, 3)
+    _chains, _positions, _masks, counts = pattern_batch_arrays(batch,
+                                                               knowns, 3)
     assert counts.tolist() == [4, 0, 3]

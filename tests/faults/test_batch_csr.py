@@ -1,12 +1,13 @@
-"""The CSR flip-slice resolvers (``pattern_batch_csr`` /
-``batch_flips_csr``), the fused summary kernels' input form.
+"""The CSR flip-slice resolver (``pattern_batch_csr``), the fused
+summary kernels' input form.
 
 The contract: ``starts`` is a ``(batch_size + 1,)`` int64 row-pointer
 array with ``starts[0] == 0``, monotone non-decreasing, ``starts[-1]``
 the total flip count; sequence ``b``'s cells sit at
 ``cells[starts[b]:starts[b + 1]]`` sorted ascending with no
 duplicates; and the gating/dedup semantics are exactly those of the
-coordinate resolvers the CSR form derives from.
+coordinate resolver the CSR form derives from (both are checked against
+a pure-Python oracle in ``test_batch_arrays.py``).
 """
 
 import pytest
@@ -15,8 +16,6 @@ np = pytest.importorskip("numpy")
 
 from repro.engines.summary import bits_matrix       # noqa: E402
 from repro.faults.batch import (                    # noqa: E402
-    batch_flips_coords,
-    batch_flips_csr,
     pattern_batch_coords,
     pattern_batch_csr,
     sample_pattern_batch,
@@ -81,30 +80,11 @@ def test_pattern_batch_csr_drops_unknown_cells():
     assert not unknown_cells.intersection(cells.tolist())
 
 
-def test_batch_flips_csr_matches_coords():
-    length = CHAIN_LENGTH
-    flips = {(0, 1): 0b1011, (1, 3): 0b10, (2, 0): 1 << 8,
-             (5, 2): 0b1000, (0, 2): 0b1}
-    batch_size = 9
-    starts, cells, counts = batch_flips_csr(flips, _knowns(),
-                                            batch_size, length)
-    _assert_csr_contract(starts, cells, counts, batch_size)
-    seqs, ref_cells, ref_counts = batch_flips_coords(
-        flips, _knowns(), batch_size, length)
-    assert np.array_equal(cells, ref_cells)
-    assert np.array_equal(counts, ref_counts)
-    # Sequence 0's slice holds exactly the cells whose masks have bit
-    # 0 set -- (0, 1) and (0, 2) -- in ascending cell order; sequence
-    # 3's adds the (5, 2) burst bit.
-    assert np.array_equal(cells[starts[0]:starts[1]],
-                          [0 * length + 1, 0 * length + 2])
-    assert np.array_equal(cells[starts[3]:starts[4]],
-                          [0 * length + 1, 5 * length + 2])
-
-
 def test_csr_empty_batch():
-    starts, cells, counts = batch_flips_csr({}, _knowns(), 7,
-                                            CHAIN_LENGTH)
+    batch = sample_pattern_batch("none", NUM_CHAINS, CHAIN_LENGTH, 7,
+                                 np.random.default_rng(0))
+    starts, cells, counts = pattern_batch_csr(
+        batch, bits_matrix(_knowns(), CHAIN_LENGTH), 7)
     _assert_csr_contract(starts, cells, counts, 7)
     assert cells.size == 0
     assert np.all(starts == 0)

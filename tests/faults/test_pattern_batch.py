@@ -5,8 +5,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.faults.batch import (  # noqa: E402
-    batch_flips_arrays,
-    batch_pattern_flips,
+    PatternBatch,
     pattern_batch_arrays,
     sample_pattern_batch,
 )
@@ -72,15 +71,23 @@ def test_burst_is_clustered():
         assert positions.max() - positions.min() < window_positions
 
 
+def _coordinates(batch):
+    return sorted(zip(batch.seqs.tolist(), batch.chains.tolist(),
+                      batch.positions.tolist()))
+
+
 def test_views_are_lossless():
-    """patterns() and flips() describe the same injection: resolving
-    the patterns through the scalar path's batch_pattern_flips gives
-    exactly the sampled flips dict."""
+    """patterns() and from_patterns() are inverses: the round trip
+    gives back exactly the sampled coordinates and kind."""
     for kind in KINDS:
         batch = _sample(kind, batch=21)
-        via_patterns = batch_pattern_flips(batch.patterns(), 8, 13)
-        assert via_patterns == batch.flips()
         patterns = batch.patterns()
+        rebuilt = PatternBatch.from_patterns(patterns, 8, 13)
+        assert _coordinates(rebuilt) == _coordinates(batch)
+        assert (rebuilt.num_chains, rebuilt.chain_length,
+                rebuilt.batch_size) == (8, 13, 21)
+        if kind != "none":
+            assert rebuilt.kind == kind
         assert len(patterns) == 21
         if kind == "none":
             assert patterns == [None] * 21
@@ -101,37 +108,20 @@ def test_full_window_burst_and_exhaustive_multiple():
         assert len(cells) == 6
 
 
-@pytest.mark.parametrize("kind", KINDS)
-@pytest.mark.parametrize("batch_size", (21, 64, 130))
-def test_pattern_batch_arrays_equals_dict_resolver(kind, batch_size):
-    """The direct ndarray resolver gives exactly the scatter arrays of
-    the BatchFlips dict path, including known-mask gating."""
-    batch = _sample(kind, num_chains=6, chain_length=9, batch=batch_size)
-    knowns = [(1 << 9) - 1] * 6
-    knowns[2] = 0b101010101   # drop every other position of chain 2
-    direct = pattern_batch_arrays(batch, knowns, batch_size)
-    via_dict = batch_flips_arrays(batch.flips(), knowns, batch_size)
-    for a, b in zip(direct, via_dict):
-        assert np.array_equal(np.asarray(a), np.asarray(b))
-
-
 def test_pattern_batch_arrays_collapses_duplicate_coordinates():
     """A caller-built batch repeating a (sequence, cell) pair counts
     and flips the cell once -- the set semantics of ErrorPattern, and
-    what the flips()/patterns() views produce."""
-    from repro.faults.batch import PatternBatch
-
+    what the patterns() view produces."""
     batch = PatternBatch(4, 8, 2, "multiple",
                          np.array([0, 0, 1]), np.array([1, 1, 2]),
                          np.array([3, 3, 5]))
     knowns = [(1 << 8) - 1] * 4
     chains, positions, masks, counts = pattern_batch_arrays(batch, knowns, 2)
     assert counts.tolist() == [1, 1]
-    direct = (chains.tolist(), positions.tolist(), masks.tolist(),
-              counts.tolist())
-    via_dict = batch_flips_arrays(batch.flips(), knowns, 2)
-    assert direct == (via_dict[0].tolist(), via_dict[1].tolist(),
-                      via_dict[2].tolist(), via_dict[3].tolist())
+    assert (chains.tolist(), positions.tolist(), masks.tolist()) == \
+        ([1, 2], [3, 5], [[0b01], [0b10]])
+    assert [p.locations for p in batch.patterns()] == \
+        [frozenset({(1, 3)}), frozenset({(2, 5)})]
 
 
 def test_sampler_rejects_bad_inputs():
