@@ -19,7 +19,13 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 from typing import List, Optional, Sequence
 
-from repro.circuit.flipflop import RetentionFlipFlop
+from repro.circuit.flipflop import (
+    RetentionFlipFlop,
+    power_off_flops,
+    power_on_flops,
+    restore_flops,
+    retain_flops,
+)
 from repro.circuit.netlist import Netlist
 from repro.circuit.state import StateSnapshot
 
@@ -78,23 +84,19 @@ class SequentialCircuit(ABC):
     # ------------------------------------------------------------------
     def retain_all(self) -> None:
         """Assert RETAIN on every register (master -> retention latch)."""
-        for ff in self.registers:
-            ff.retain()
+        retain_flops(self.registers)
 
     def restore_all(self) -> None:
         """De-assert RETAIN on every register (retention latch -> master)."""
-        for ff in self.registers:
-            ff.restore()
+        restore_flops(self.registers)
 
     def power_off_all(self) -> None:
         """Collapse the gated rail under every register's master stage."""
-        for ff in self.registers:
-            ff.power_off()
+        power_off_flops(self.registers)
 
     def power_on_all(self) -> None:
         """Re-energise the gated rail under every register's master stage."""
-        for ff in self.registers:
-            ff.power_on()
+        power_on_flops(self.registers)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(name={self.name!r}, registers={self.num_registers})"

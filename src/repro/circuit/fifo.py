@@ -71,7 +71,9 @@ class SyncFIFO(SequentialCircuit):
             + self._wr_ptr + self._rd_ptr
             + [self._full_flag, self._empty_flag,
                self._overflow_flag, self._underflow_flag])
-        self._netlist = self._build_netlist()
+        # Built on first use: campaign benches never read it, and its
+        # ~2 000 cell instances dominate the FIFO's construction time.
+        self._netlist: Optional[Netlist] = None
 
     # ------------------------------------------------------------------
     # SequentialCircuit interface
@@ -84,6 +86,8 @@ class SyncFIFO(SequentialCircuit):
     @property
     def netlist(self) -> Netlist:
         """Structural netlist of the FIFO (for cost accounting)."""
+        if self._netlist is None:
+            self._netlist = self._build_netlist()
         return self._netlist
 
     def _build_netlist(self) -> Netlist:
@@ -185,11 +189,11 @@ class SyncFIFO(SequentialCircuit):
         if len(word) != self.width:
             raise ValueError(
                 f"expected a {self.width}-bit word, got {len(word)} bits")
-        if self.is_full:
+        targets = self.next_write_registers()
+        if not targets:
             self._overflow_flag.force(1)
             return False
-        row = self.write_pointer % self.depth
-        for ff, bit in zip(self._memory[row], word):
+        for ff, bit in zip(targets, word):
             v = int(bit)
             if v not in (0, 1):
                 raise ValueError(f"data bits must be 0 or 1, got {bit!r}")
@@ -198,6 +202,14 @@ class SyncFIFO(SequentialCircuit):
                           (self.write_pointer + 1) % (1 << self._ptr_bits))
         self._update_flags()
         return True
+
+    def next_write_registers(self) -> List[RetentionFlipFlop]:
+        """The data registers the next :meth:`push` writes, bit 0
+        first; empty when the FIFO is full (that push only sets the
+        overflow flag)."""
+        if self.is_full:
+            return []
+        return list(self._memory[self.write_pointer % self.depth])
 
     def pop(self) -> Optional[List[int]]:
         """Read one word; returns None (and sets underflow) when empty."""

@@ -24,7 +24,13 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.circuit.base import SequentialCircuit
-from repro.circuit.flipflop import RetentionFlipFlop
+from repro.circuit.flipflop import (
+    RetentionFlipFlop,
+    power_off_flops,
+    power_on_flops,
+    restore_flops,
+    retain_flops,
+)
 from repro.circuit.netlist import Netlist
 from repro.circuit.scan import ScanChain
 from repro.circuit.state import StateSnapshot
@@ -410,17 +416,15 @@ class ProtectedDesign:
         """Gate the domain off: retention save + power-off, padding
         cells included (every cycle variant shares this block)."""
         self.domain.enter_sleep()
-        for pad in self._padding:
-            pad.retain()
-            pad.power_off()
+        retain_flops(self._padding)
+        power_off_flops(self._padding)
 
     def _wake_gate_on(self) -> WakeEvent:
         """Re-energise the domain and restore from retention, padding
         cells included; returns the wake-up's rush-current record."""
         wake_event = self.domain.wake_up()
-        for pad in self._padding:
-            pad.power_on()
-            pad.restore()
+        power_on_flops(self._padding)
+        restore_flops(self._padding)
         return wake_event
 
     def sleep_wake_cycle(self,
@@ -660,7 +664,9 @@ class ProtectedDesign:
                 reports=result.reports[b]))
         return outcomes
 
-    def sleep_wake_cycle_batch_summary(self, flips, batch_size: int,
+    def sleep_wake_cycle_batch_summary(self, snapshot: Tuple[Sequence[int],
+                                                             Sequence[int]],
+                                       flips, batch_size: int,
                                        inject_phase: str = "sleep",
                                        path: str = "auto"):
         """Run ``B`` sequences as one batch, returning columnar verdicts.
@@ -676,6 +682,15 @@ class ProtectedDesign:
         array values are bit-identical to folding
         :meth:`sleep_wake_cycle_batch`'s outcomes field by field
         (property-tested in ``tests/campaigns/test_summary_path.py``).
+
+        ``snapshot`` is the batch's shared pre-sleep state as packed
+        ``(states, knowns)`` chain integers (the layout of
+        :meth:`_pack_chains`), supplied by the caller: this method
+        never reads the flops.  Pass ``design._pack_chains()`` to run
+        from the design's current state; the test bench passes the
+        snapshot of its loaded FIFO without loading the flops at all
+        (:meth:`~repro.validation.testbench.FIFOTestbench.\
+run_sequence_batch_summary`).
 
         Physical sequencing matches the batched object path: the
         controller and power domain cycle **once** for the batch, the
@@ -723,7 +738,7 @@ class ProtectedDesign:
         # object batch path).
         flips.validate(self.num_chains, self.chain_length, batch_size)
 
-        states, knowns = self._pack_chains()
+        states, knowns = snapshot
         self.corrector.clear()
 
         # One physical controller/domain cycle for the whole batch (the

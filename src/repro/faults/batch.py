@@ -224,6 +224,24 @@ def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
     return (unique_cells // length, unique_cells % length, masks, counts)
 
 
+def _sorted_unique(keys):
+    """``np.unique(keys)`` for a 1-D int64 array, without its hash path.
+
+    On numpy 2.x a plain ``np.unique`` hashes, which is many times
+    slower than sorting.  Sampled single-error batches arrive strictly
+    increasing, so one comparison pass proves them unique; other
+    batches (multi-error, burst, caller-built) are sorted and
+    deduplicated against their neighbours.
+    """
+    if (keys[1:] > keys[:-1]).all():
+        return keys
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def pattern_batch_coords(batch: "PatternBatch", known_bits,
                          batch_size: int):
     """Resolve a :class:`PatternBatch` into flat flip *coordinates* --
@@ -250,8 +268,8 @@ def pattern_batch_coords(batch: "PatternBatch", known_bits,
         return (empty, empty.copy(),
                 np.zeros(batch_size, dtype=np.int64))
     num_cells = batch.num_chains * length
-    unique_flips = np.unique(seqs * num_cells
-                             + (chains * length + positions))
+    unique_flips = _sorted_unique(seqs * num_cells
+                                  + (chains * length + positions))
     seqs = unique_flips // num_cells
     cells = unique_flips - seqs * num_cells
     counts = np.bincount(seqs, minlength=batch_size).astype(np.int64)

@@ -21,15 +21,18 @@ takes one :class:`~repro.faults.patterns.ErrorPattern` (or ``None``)
 per sequence and returns per-sequence records, and
 :meth:`FIFOTestbench.run_sequence_batch_summary` takes the whole
 injection as one :class:`~repro.faults.batch.PatternBatch` and returns
-columnar verdicts.
+columnar verdicts.  The summary path does not even load the FIFO: it
+builds the loaded state's packed scan-chain snapshot from a cached
+image of stages 1--2 and the batch's stimulus words.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.fifo import SyncFIFO
+from repro.circuit.flipflop import RetentionFlipFlop
 from repro.core.controller import ErrorCode
 from repro.core.protected import CycleOutcome, ProtectedDesign
 from repro.faults.patterns import ErrorPattern
@@ -169,6 +172,7 @@ class FIFOTestbench:
                                    if words_per_sequence is not None
                                    else max(1, self.dut.depth // 2))
         self.comparator = Comparator()
+        self._image: Optional[_StimulusImage] = None
 
     # ------------------------------------------------------------------
     def run_sequence(self, injection: Optional[ErrorPattern] = None,
@@ -243,13 +247,95 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         ``path`` forwards to the engine's summary-path selection
         (``"auto"`` / ``"delta"`` / ``"dense"``, plus ``"jit"`` on the
         jit engine).
+
+        The DUT's flops are not loaded per batch: the loaded pre-sleep
+        state is built as a packed ``(states, knowns)`` snapshot from
+        an image of stages 1--2 (see :meth:`_loaded_snapshot`) and
+        handed to the design, so a batch costs no per-flop work.  The
+        DUT's registers keep whatever they held before the call.
         """
-        self.dut.reset()
-        words = self.stimulus.burst(self.words_per_sequence)
-        for word in words:
-            self.dut.push(word)
+        snapshot = self._loaded_snapshot(
+            self.stimulus.burst(self.words_per_sequence))
         return self.dut_design.sleep_wake_cycle_batch_summary(
-            flips, batch_size, inject_phase=inject_phase, path=path)
+            snapshot, flips, batch_size, inject_phase=inject_phase,
+            path=path)
+
+    def _loaded_snapshot(self, words: Sequence[Sequence[int]]):
+        """The packed ``(states, knowns)`` chains of the DUT as stages
+        1--2 would leave it after resetting and pushing ``words``.
+
+        Each one bit of the burst is XOR-ed into a copy of the image's
+        all-zero baseline at its register's scan cell; the scan padding
+        cells, which no stage resets, are read from their flops.
+        """
+        image = self._stimulus_image()
+        states = list(image.states)
+        for word, cells in zip(words, image.word_cells):
+            for bit, (chain, mask) in zip(word, cells):
+                if bit:
+                    states[chain] ^= mask
+        knowns = image.knowns
+        if image.padding:
+            knowns = list(knowns)
+            for flop, chain, mask in image.padding:
+                value = flop.q
+                if value is not None:
+                    knowns[chain] |= mask
+                    if value:
+                        states[chain] |= mask
+        return states, knowns
+
+    def _stimulus_image(self) -> "_StimulusImage":
+        """The stages 1--2 image, built on first use and rebuilt when
+        ``words_per_sequence`` or the design's chains change.
+
+        The baseline runs the object model once -- ``reset()`` then
+        ``words_per_sequence`` all-zero pushes -- and packs the chains,
+        recording the ``(chain, mask)`` scan cell of every register
+        each push writes (none for a push into a full FIFO).  The
+        padding cells are cleared from the baseline; the DUT's
+        registers are put back afterwards.
+        """
+        design = self.dut_design
+        image = self._image
+        if (image is not None and image.num_words == self.words_per_sequence
+                and image.chains is design.chains):
+            return image
+        cells = {id(flop): (chain, 1 << position)
+                 for chain, scan_chain in enumerate(design.chains)
+                 for position, flop in enumerate(scan_chain.flops)}
+        saved = self.dut.snapshot()
+        self.dut.reset()
+        zero = [0] * self.dut.width
+        word_cells = []
+        for _ in range(self.words_per_sequence):
+            word_cells.append([cells[id(flop)]
+                               for flop in self.dut.next_write_registers()])
+            self.dut.push(zero)
+        states, knowns = design._pack_chains()
+        self.dut.load_snapshot(saved)
+        padding = [(flop,) + cells[id(flop)] for flop in design._padding]
+        for _, chain, mask in padding:
+            states[chain] &= ~mask
+            knowns[chain] &= ~mask
+        self._image = _StimulusImage(self.words_per_sequence, design.chains,
+                                     states, knowns, word_cells, padding)
+        return self._image
+
+
+@dataclass(frozen=True)
+class _StimulusImage:
+    """Packed baseline of the loaded DUT (see
+    :meth:`FIFOTestbench._stimulus_image`)."""
+
+    num_words: int
+    chains: list
+    states: List[int]
+    knowns: List[int]
+    #: Per pushed word, the ``(chain, mask)`` cell of each data bit.
+    word_cells: List[List[Tuple[int, int]]]
+    #: ``(flop, chain, mask)`` of every scan padding cell.
+    padding: List[Tuple[RetentionFlipFlop, int, int]]
 
 
 __all__ = ["FIFOTestbench", "TestSequenceResult", "BatchSequenceResult"]

@@ -102,7 +102,8 @@ def test_summary_leaves_design_state_untouched(engine):
                                    num_errors=6)
     tb.run_sequence_batch_summary(sampled, 16, "sleep")
     before = design._all_state()
-    tb.dut_design.sleep_wake_cycle_batch_summary(sampled, 16)
+    design.sleep_wake_cycle_batch_summary(design._pack_chains(), sampled,
+                                          16)
     assert design._all_state() == before
 
 

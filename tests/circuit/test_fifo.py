@@ -52,6 +52,18 @@ class TestPushPop:
         assert not fifo.push_int(3)
         assert fifo.pop_int() == 1     # original data not clobbered
 
+    def test_next_write_registers_follow_the_write_pointer(self):
+        fifo = SyncFIFO(4, 2)
+        fifo.push_int(1)
+        fifo.pop_int()
+        targets = fifo.next_write_registers()
+        assert [flop.name.split(".")[-1] for flop in targets] == [
+            f"mem[1][{bit}]" for bit in range(4)]
+        fifo.push_int(0b0110)
+        assert [flop.q for flop in targets] == [0, 1, 1, 0]
+        fifo.push_int(0b1111)
+        assert fifo.next_write_registers() == []  # full
+
     def test_pop_when_empty_returns_none(self):
         fifo = SyncFIFO(4, 2)
         assert fifo.pop() is None

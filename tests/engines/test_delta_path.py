@@ -258,8 +258,8 @@ def test_unknown_path_name_rejected():
         engine.run_batch_summary(states, knowns, _coords_batch(design, 4, []),
                                  4, path="fast")
     with pytest.raises(ValueError, match="path"):
-        design.sleep_wake_cycle_batch_summary(_coords_batch(design, 4, []),
-                                              4, path="fast")
+        design.sleep_wake_cycle_batch_summary(
+            (states, knowns), _coords_batch(design, 4, []), 4, path="fast")
 
 
 def test_design_level_path_forwarding():
@@ -270,9 +270,10 @@ def test_design_level_path_forwarding():
     sampled = sample_pattern_batch("burst", design.num_chains,
                                    design.chain_length, 33, rng,
                                    num_errors=3)
-    dense = design.sleep_wake_cycle_batch_summary(sampled, 33,
+    snapshot = design._pack_chains()
+    dense = design.sleep_wake_cycle_batch_summary(snapshot, sampled, 33,
                                                   path="dense")
-    delta = design.sleep_wake_cycle_batch_summary(sampled, 33,
+    delta = design.sleep_wake_cycle_batch_summary(snapshot, sampled, 33,
                                                   path="delta")
     assert_identical(dense, delta)
 

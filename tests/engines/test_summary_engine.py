@@ -50,7 +50,8 @@ def test_non_summary_engine_raises():
     design = _design("packed")
     clean = _flips(design, [()] * 4)
     with pytest.raises(ValueError, match="summary"):
-        design.sleep_wake_cycle_batch_summary(clean, 4)
+        design.sleep_wake_cycle_batch_summary(design._pack_chains(), clean,
+                                              4)
     engine = get_engine("packed", design)
     with pytest.raises(NotImplementedError):
         engine.run_batch_summary([0] * 8, [0] * 8, clean, 4)
@@ -84,12 +85,13 @@ def test_summary_validates_flips_eagerly():
     design = _design("simd")
     with pytest.raises(ValueError, match="outside"):
         design.sleep_wake_cycle_batch_summary(
-            _flips(design, [[(99, 0)]]), 1)
+            design._pack_chains(), _flips(design, [[(99, 0)]]), 1)
     with pytest.raises(ValueError, match="sequences"):
         design.sleep_wake_cycle_batch_summary(
-            _flips(design, [[(0, 0)]] * 8), 4)
+            design._pack_chains(), _flips(design, [[(0, 0)]] * 8), 4)
     # Neither failure may strand the controller outside ACTIVE.
-    design.sleep_wake_cycle_batch_summary(_flips(design, [[(0, 0)]]), 1)
+    design.sleep_wake_cycle_batch_summary(design._pack_chains(),
+                                          _flips(design, [[(0, 0)]]), 1)
 
 
 def test_summary_validates_pattern_batch_eagerly():
@@ -105,16 +107,19 @@ def test_summary_validates_pattern_batch_eagerly():
             num_chains, chain_length or length, batch_size, "single",
             np.array([seq]), np.array([chain]), np.array([position]))
 
+    snapshot = design._pack_chains()
     with pytest.raises(ValueError, match="scan array"):
-        design.sleep_wake_cycle_batch_summary(batch(num_chains=9), 4)
+        design.sleep_wake_cycle_batch_summary(snapshot, batch(num_chains=9),
+                                              4)
     with pytest.raises(ValueError, match="sequences"):
-        design.sleep_wake_cycle_batch_summary(batch(batch_size=5), 4)
+        design.sleep_wake_cycle_batch_summary(snapshot, batch(batch_size=5),
+                                              4)
     for bad in (batch(chain=-1), batch(chain=8), batch(position=-1),
                 batch(position=length), batch(seq=-1), batch(seq=4)):
         with pytest.raises(ValueError, match="outside"):
-            design.sleep_wake_cycle_batch_summary(bad, 4)
+            design.sleep_wake_cycle_batch_summary(snapshot, bad, 4)
     # None of the failures stranded the controller outside ACTIVE.
-    design.sleep_wake_cycle_batch_summary(batch(), 4)
+    design.sleep_wake_cycle_batch_summary(snapshot, batch(), 4)
 
 
 @pytest.mark.parametrize("engine", ("simd",))

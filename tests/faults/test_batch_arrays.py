@@ -58,20 +58,26 @@ def _knowns(with_unknowns):
     return knowns
 
 
-def _batch(kind, batch_size, with_duplicates, seed):
+def _batch(kind, batch_size, with_duplicates, seed, in_order=False):
     """A sampled batch; optionally re-append some of its flips, as a
-    caller-built batch repeating (sequence, cell) pairs would."""
+    caller-built batch repeating (sequence, cell) pairs would, and
+    optionally sort the flips by (sequence, chain, position) -- unique
+    keys then arrive strictly increasing, repeated ones as equal
+    neighbours."""
     rng = np.random.default_rng(seed)
     batch = sample_pattern_batch(kind, NUM_CHAINS, LENGTH, batch_size, rng,
                                  num_errors=4)
+    seqs, chains, positions = batch.seqs, batch.chains, batch.positions
     if with_duplicates and batch.num_flips:
         extra = np.arange(0, batch.num_flips, 3)
-        batch = PatternBatch(
-            NUM_CHAINS, LENGTH, batch_size, kind,
-            np.concatenate((batch.seqs, batch.seqs[extra])),
-            np.concatenate((batch.chains, batch.chains[extra])),
-            np.concatenate((batch.positions, batch.positions[extra])))
-    return batch
+        seqs = np.concatenate((seqs, seqs[extra]))
+        chains = np.concatenate((chains, chains[extra]))
+        positions = np.concatenate((positions, positions[extra]))
+    if in_order:
+        order = np.lexsort((positions, chains, seqs))
+        seqs, chains, positions = seqs[order], chains[order], positions[order]
+    return PatternBatch(NUM_CHAINS, LENGTH, batch_size, kind, seqs, chains,
+                        positions)
 
 
 def _sequences(mask_row, batch_size):
@@ -86,12 +92,17 @@ CASES = pytest.mark.parametrize(
      for batch_size in (1, 7, 64, 70)
      for unknowns in (False, True)
      for duplicates in (False, True)])
+#: Sampled flip order, or sorted by (sequence, chain, position).
+IN_ORDER = pytest.mark.parametrize("in_order", (False, True),
+                                   ids=("sampled", "sorted"))
 
 
 @CASES
+@IN_ORDER
 def test_arrays_match_oracle(kind, batch_size, with_unknowns,
-                             with_duplicates):
-    batch = _batch(kind, batch_size, with_duplicates, batch_size)
+                             with_duplicates, in_order):
+    batch = _batch(kind, batch_size, with_duplicates, batch_size,
+                   in_order)
     knowns = _knowns(with_unknowns)
     cells, counts = _oracle(batch, knowns)
     chains, positions, masks, got_counts = pattern_batch_arrays(
@@ -106,9 +117,11 @@ def test_arrays_match_oracle(kind, batch_size, with_unknowns,
 
 
 @CASES
+@IN_ORDER
 def test_coords_match_oracle(kind, batch_size, with_unknowns,
-                             with_duplicates):
-    batch = _batch(kind, batch_size, with_duplicates, batch_size + 1)
+                             with_duplicates, in_order):
+    batch = _batch(kind, batch_size, with_duplicates, batch_size + 1,
+                   in_order)
     knowns = _knowns(with_unknowns)
     cells, counts = _oracle(batch, knowns)
     seqs, flat, got_counts = pattern_batch_coords(
@@ -121,9 +134,11 @@ def test_coords_match_oracle(kind, batch_size, with_unknowns,
 
 
 @CASES
+@IN_ORDER
 def test_csr_matches_oracle(kind, batch_size, with_unknowns,
-                            with_duplicates):
-    batch = _batch(kind, batch_size, with_duplicates, batch_size + 2)
+                            with_duplicates, in_order):
+    batch = _batch(kind, batch_size, with_duplicates, batch_size + 2,
+                   in_order)
     knowns = _knowns(with_unknowns)
     cells, counts = _oracle(batch, knowns)
     starts, flat, got_counts = pattern_batch_csr(

@@ -1,5 +1,8 @@
 """Tests for the retention-upset model, leakage model and power domain."""
 
+import random
+import re
+
 import pytest
 
 from repro.circuit.fifo import SyncFIFO
@@ -159,3 +162,69 @@ class TestPowerDomain:
         event_abrupt = abrupt.wake_up()
         event_gentle = gentle.wake_up()
         assert event_gentle.peak_droop_v < event_abrupt.peak_droop_v
+
+
+class TestBulkRetentionGating:
+    """``enter_sleep``/``wake_up`` gate every register in one loop per
+    step; the result must be the per-flop method walk's, flop for flop."""
+
+    @staticmethod
+    def _scrambled_circuit(seed):
+        rng = random.Random(seed)
+        circuit = make_random_state_circuit(200, seed=seed)
+        for flop in circuit.registers:
+            flop.force(rng.choice((0, 1, None)))
+            flop.force_retention(rng.choice((0, 1, None)))
+            flop.retention_margin = rng.uniform(0.5, 1.5)
+        return circuit
+
+    @staticmethod
+    def _flop_states(circuit):
+        return [(flop.q, flop.retention_value, flop.power)
+                for flop in circuit.registers]
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("with_upsets", (False, True))
+    def test_domain_matches_per_flop_walk(self, seed, with_upsets):
+        def upset_model():
+            # A slope this wide flips about half of the latches.
+            return (RetentionUpsetModel(nominal_margin=0.3, slope=1.0,
+                                        seed=seed)
+                    if with_upsets else None)
+
+        bulk = self._scrambled_circuit(seed)
+        walked = self._scrambled_circuit(seed)
+        assert self._flop_states(bulk) == self._flop_states(walked)
+        domain = PowerDomain(bulk, rlc=RLCParameters(),
+                             upset_model=upset_model())
+        model = upset_model()
+
+        domain.enter_sleep()
+        for flop in walked.registers:
+            flop.retain()
+        for flop in walked.registers:
+            flop.power_off()
+        assert self._flop_states(bulk) == self._flop_states(walked)
+
+        event = domain.wake_up()
+        upsets = (model.sample_upsets(walked.registers, event.peak_droop_v)
+                  if with_upsets else [])
+        for flop in walked.registers:
+            flop.power_on()
+        for flop in walked.registers:
+            flop.restore()
+        assert list(event.upset_indices) == upsets
+        assert bool(upsets) == with_upsets
+        assert self._flop_states(bulk) == self._flop_states(walked)
+
+    @pytest.mark.parametrize("action", ("retain", "restore"))
+    def test_powered_off_register_message_unchanged(self, action):
+        circuit = make_random_state_circuit(5, seed=1)
+        registers = circuit.registers
+        registers[2].power_off()
+        message = (f"cannot {action} {registers[2].name!r}: "
+                   f"master is powered off")
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            getattr(registers[2], action)()
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            getattr(circuit, f"{action}_all")()

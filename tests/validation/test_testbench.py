@@ -159,3 +159,88 @@ class TestCampaigns:
                                              burst_size=2, clustered=False)
         assert result.stats.detection_rate() == 1.0
         assert result.stats.correction_rate() > 0.5
+
+
+class TestSummaryStimulusImage:
+    """The summary path loads no flops: its pre-sleep snapshot comes
+    from a packed image of stages 1--2.  Its counters must equal the
+    object path's on the same PatternBatch, which loads the DUT."""
+
+    DEPTH = 8
+
+    def _pair(self, words):
+        benches = []
+        for _ in range(2):
+            fifo = SyncFIFO(8, self.DEPTH, name="dut_fifo")
+            # 76 registers in 10 chains of 8: four scan padding cells.
+            design = ProtectedDesign(fifo, codes=["hamming(7,4)", "crc16"],
+                                     num_chains=10, engine="simd")
+            benches.append(FIFOTestbench(design, seed=5,
+                                         words_per_sequence=words))
+        assert benches[0].dut_design.padding_cells == 4
+        # Record the snapshot the summary bench hands to its design.
+        design = benches[0].dut_design
+        cycle = design.sleep_wake_cycle_batch_summary
+        self.snapshots = []
+
+        def recording_cycle(snapshot, *args, **kwargs):
+            self.snapshots.append(snapshot)
+            return cycle(snapshot, *args, **kwargs)
+
+        design.sleep_wake_cycle_batch_summary = recording_cycle
+        return benches
+
+    def _assert_batch_agrees(self, summary_tb, object_tb, batch):
+        untouched = summary_tb.dut.snapshot()
+        arrays = summary_tb.run_sequence_batch_summary(batch,
+                                                       batch.batch_size)
+        assert summary_tb.dut.snapshot() == untouched
+        results = object_tb.run_sequence_batch(batch.patterns())
+        # The counters of a linear code do not see the data bits, so the
+        # snapshot itself must equal the chains the object path loaded
+        # (a batch leaves them as loaded).
+        states, knowns = self.snapshots[-1]
+        assert (list(states), list(knowns)) \
+            == object_tb.dut_design._pack_chains()
+        columns = {"injected_errors": arrays.injected,
+                   "detected": arrays.detected,
+                   "corrected_claim": arrays.corrected_claim,
+                   "state_intact": arrays.state_intact,
+                   "residual_errors": arrays.residual_errors,
+                   "corrections_applied": arrays.corrections_applied}
+        for field, column in columns.items():
+            assert column.tolist() == [getattr(result.cycle, field)
+                                       for result in results], field
+        # Both paths drew one burst from the same stimulus stream.
+        assert summary_tb.stimulus.next_int() \
+            == object_tb.stimulus.next_int()
+
+    @pytest.mark.parametrize("words", (1, DEPTH // 2, DEPTH, DEPTH + 3))
+    @pytest.mark.parametrize("history", ("fresh", "corrupted_padding",
+                                         "after_object_sequence"))
+    def test_summary_counters_equal_object_path(self, words, history):
+        np = pytest.importorskip("numpy")
+        from repro.faults.batch import sample_pattern_batch
+
+        summary_tb, object_tb = self._pair(words)
+        design = summary_tb.dut_design
+        rng = np.random.default_rng(words)
+
+        def sample(kind):
+            return sample_pattern_batch(kind, design.num_chains,
+                                        design.chain_length, 70, rng,
+                                        num_errors=3)
+
+        self._assert_batch_agrees(summary_tb, object_tb, sample("burst"))
+        for tb in (summary_tb, object_tb):
+            if history == "corrupted_padding":
+                # No stage resets the padding: a known 1 and an X.
+                tb.dut_design._padding[1].force(1)
+                tb.dut_design._padding[3].force(None)
+            elif history == "after_object_sequence":
+                tb.run_sequence(ErrorPattern(
+                    locations=frozenset({(0, 0), (9, 7)})))
+        self._assert_batch_agrees(summary_tb, object_tb, sample("burst"))
+        self._assert_batch_agrees(summary_tb, object_tb, sample("single"))
+        flags = {flop.name: flop.q for flop in object_tb.dut.registers}
+        assert flags["dut_fifo.overflow"] == int(words > self.DEPTH)
