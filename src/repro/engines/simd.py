@@ -95,6 +95,11 @@ if not np.little_endian:  # pragma: no cover - no big-endian CI targets
         "repro.engines.simd packs batch words little-endian and has "
         "only been validated on little-endian platforms")
 
+
+#: The all-sequences mask of a batch of one.
+_ONE_WORD = np.ones(1, dtype=np.uint64)
+
+
 def _unpack_bits(words: np.ndarray, batch_size: int) -> np.ndarray:
     """Expand packed words ``(..., W)`` into per-sequence bits
     ``(..., B)`` (uint8 0/1)."""
@@ -186,7 +191,8 @@ class _HammingKernel:
         if not diff.any():
             return None
         syn = _fold_syndrome(_unpack_bits(diff, batch_size))
-        return syn != 0, self.lut[syn]
+        # np.take beats fancy indexing on a LUT this small.
+        return syn != 0, np.take(self.lut, syn)
 
 
 class _SECDEDKernel:
@@ -471,13 +477,14 @@ class SimdBatchedEngine(SimulationEngine):
             raise ValueError("unknown positions must hold all-zero words")
 
     def _gather(self, index: int, group: _BlockGroup,
-                words: np.ndarray) -> np.ndarray:
-        """Group ``index``'s data words ``(G, k, L, W)`` in a per-group
-        workspace buffer (the gathered view never escapes the pass that
-        took it); tied-off padding inputs are constant-zero rows."""
+                words: np.ndarray, key: str = "gather") -> np.ndarray:
+        """Group ``index``'s data words ``(G, k, L, W)`` in the
+        workspace buffer ``(key, index)`` (the gathered view never
+        escapes the pass that took it); tied-off padding inputs are
+        constant-zero rows."""
         idx = group.gather_idx.reshape(-1)
         buf = self._workspace.take(
-            ("gather", index), (idx.size, self.chain_length, words.shape[2]),
+            (key, index), (idx.size, self.chain_length, words.shape[2]),
             np.uint64)
         data = np.take(words, idx, axis=0, out=buf)
         data = data.reshape(len(group.monitors), group.kernel.k,
@@ -527,6 +534,31 @@ class SimdBatchedEngine(SimulationEngine):
                                                     full)
         self._encoded_batch = batch_size
         return self.chain_length
+
+    def _encode_baseline(self, state_bits: np.ndarray,
+                         batch_size: int) -> None:
+        """Store the check words of ``batch_size`` copies of one state.
+
+        Every sequence of a summary batch starts from the same
+        replicated state, so its check bits are encoded once, as a
+        batch of one, and each stored bit widens to all sequences
+        (``full``) or none -- bit-identical to :meth:`_encode_words`
+        on the replicated words.  The batch of one has its own
+        workspace buffers, so the batch-wide ones keep their shapes.
+        """
+        full = self._full_words(batch_size)
+        words = self._workspace.take("baseline_words",
+                                     state_bits.shape + (1,), np.uint64)
+        words[..., 0] = state_bits
+        for index, group in enumerate(self._groups):
+            group.stored = group.kernel.encode(
+                self._gather(index, group, words, "baseline_gather"),
+                _ONE_WORD) * full
+        words_flat = words.reshape(-1, 1)
+        for monitor in self._observing:
+            monitor.stored = self._stream_signature(
+                monitor, words_flat, _ONE_WORD) * full
+        self._encoded_batch = batch_size
 
     def decode_pass_batch(self, words: np.ndarray, knowns: Sequence[int],
                           batch_size: int) -> BatchDecodeResult:
@@ -778,7 +810,7 @@ class SimdBatchedEngine(SimulationEngine):
             out=self._workspace.take(
                 "summary_words", state_bits.shape + (full.size,),
                 np.uint64))
-        self._encode_words(words, batch_size)
+        self._encode_baseline(state_bits, batch_size)
         flip_chains, flip_positions, flip_masks, injected = \
             pattern_batch_arrays(flips, knowns, batch_size)
         if flip_chains.size:

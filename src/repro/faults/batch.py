@@ -23,7 +23,7 @@ reports.
 
 The module also hosts the **vectorised pattern sampler** of the
 campaign summary path (:func:`sample_pattern_batch`): one
-``numpy.random.Generator`` call draws a whole group's
+``numpy.random.Generator`` draws a whole group's
 single/burst/multi patterns as coordinate arrays, the batch
 counterpart of the scalar factories in :mod:`repro.faults.patterns`.
 :meth:`PatternBatch.from_patterns` and :meth:`PatternBatch.patterns`
@@ -160,15 +160,39 @@ def _in_range(values, bound: int) -> bool:
 # ----------------------------------------------------------------------
 # Vectorised pattern sampling (the campaign summary path's front end)
 # ----------------------------------------------------------------------
+#: Rows of sampling keys drawn per ``Generator.random`` call in
+#: :func:`_distinct_cells`; bounds its key buffer at ``_KEY_BLOCK_ROWS
+#: x population`` floats whatever the batch size.
+_KEY_BLOCK_ROWS = 512
+
+
 def _distinct_cells(rng, batch_size: int, population: int, draws: int):
     """``draws`` distinct uniform indices out of ``population`` for each
-    of ``batch_size`` sequences, as a ``(batch_size, draws)`` array.
+    of ``batch_size`` sequences, as a ``(batch_size, draws)`` array with
+    every row sorted ascending.
 
     Random-key selection: each sequence ranks one row of i.i.d. keys
     and keeps the ``draws`` smallest, which is a uniform without-
-    replacement sample.  Memory is ``batch_size x population`` floats
-    -- fine for scan arrays of a few thousand cells; campaigns over
-    vastly larger state should shrink the group size accordingly.
+    replacement sample.  **Exactness contract:** the generator consumes
+    exactly the doubles of one ``rng.random((batch_size, population))``
+    call and every row holds exactly the cells of
+    ``np.argpartition(keys, draws - 1, axis=1)[:, :draws]`` on that
+    key matrix -- ties included -- so the stream and every statistic
+    drawn from it match the plain full-matrix selection.
+
+    The keys are drawn in row blocks of :data:`_KEY_BLOCK_ROWS` (a
+    row-major block consumes the same doubles as the matching rows of
+    one big call).  Within a block only the keys below a threshold a
+    few standard deviations above the expected ``draws``-th smallest
+    are candidates; they are padded into a narrow matrix and ranked
+    there.  **Tie rule:** a row falls back to ``argpartition`` over its
+    full key row when its ``draws``-th and ``(draws + 1)``-th smallest
+    candidates tie -- the only case where argpartition's choice
+    depends on key positions -- which includes every row with fewer
+    than ``draws`` candidates (its padding ties).  A row with exactly
+    ``draws`` candidates needs no fallback: every other key is at or
+    above the threshold.  Memory is ``O(_KEY_BLOCK_ROWS x population +
+    batch_size x draws)``, not ``batch_size x population``.
     """
     if draws > population:
         raise ValueError(
@@ -176,9 +200,49 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
     if draws == population:
         return np.broadcast_to(np.arange(population, dtype=np.int64),
                                (batch_size, population))
-    keys = rng.random((batch_size, population))
-    return np.argpartition(keys, draws - 1, axis=1)[:, :draws] \
-        .astype(np.int64)
+    threshold = (draws + 4.0 * draws ** 0.5 + 4.0) / population
+    cells = np.empty((batch_size, draws), dtype=np.int64)
+    for start in range(0, batch_size, _KEY_BLOCK_ROWS):
+        rows = min(_KEY_BLOCK_ROWS, batch_size - start)
+        keys = rng.random((rows, population))
+        _smallest_keys(keys, draws, threshold, cells[start:start + rows])
+    return cells
+
+
+def _smallest_keys(keys, draws: int, threshold: float, out) -> None:
+    """Write each row's ``draws`` smallest ``keys`` column indices,
+    ascending, into ``out`` -- as sets exactly the rows of
+    ``argpartition(keys, draws - 1, axis=1)[:, :draws]``; see
+    :func:`_distinct_cells`."""
+    rows, population = keys.shape
+    hits = np.flatnonzero(keys < threshold)
+    hit_rows = hits // population
+    hit_keys = keys.reshape(-1)[hits]
+    counts = np.bincount(hit_rows, minlength=rows)
+    # At least draws + 1 columns, so every row has a (draws + 1)-th
+    # key.  Padding keys (2.0) exceed every real key and equal each
+    # other, so a row with fewer than ``draws`` candidates ties at its
+    # draws-th key and takes the fallback below.
+    width = max(int(counts.max()), draws + 1)
+    row_shift = (np.arange(rows, dtype=np.int64) * width
+                 - (np.cumsum(counts) - counts))
+    padded = np.full(rows * width, 2.0, dtype=np.float64)
+    padded[np.arange(hits.size, dtype=np.int64) + row_shift[hit_rows]] = \
+        hit_keys
+    # A full sort of the narrow matrix beats a two-kth partition.
+    ranked = np.sort(padded.reshape(rows, width), axis=1)
+    kth = ranked[:, draws - 1]
+    fallback = kth == ranked[:, draws]
+    # Without a tie, exactly ``draws`` candidates of a row are at or
+    # below its draws-th smallest key; hits are row-major, so the
+    # selected cells come out ascending within each row.
+    kth[fallback] = -1.0
+    chosen = hit_keys <= kth[hit_rows]
+    out[~fallback] = (hits - hit_rows * population)[chosen] \
+        .reshape(-1, draws)
+    if fallback.any():
+        order = np.argpartition(keys[fallback], draws - 1, axis=1)
+        out[fallback] = np.sort(order[:, :draws], axis=1)
 
 
 def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
@@ -191,36 +255,27 @@ def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
     :mod:`repro.engines.simd` (bit ``b`` of word ``w`` is sequence
     ``64 * w + b``), and ``counts`` the per-sequence effective-flip
     counts.  Flips on unknown cells (``knowns[c]`` bit clear) are
-    dropped from both masks and counts.  XOR-ing ``masks`` into
-    ``words[chains, positions]`` applies the whole batch's injection.
+    dropped from both masks and counts, and repeated (sequence, cell)
+    pairs count once -- the gating and dedup of
+    :func:`pattern_batch_coords`, which this builds on.  XOR-ing
+    ``masks`` into ``words[chains, positions]`` applies the whole
+    batch's injection.
     """
     from repro.engines.summary import bits_matrix
 
     length = batch.chain_length
-    chains, positions, seqs = batch.chains, batch.positions, batch.seqs
-    if len(chains):
-        keep = bits_matrix(knowns, length)[chains, positions]
-        chains, positions, seqs = chains[keep], positions[keep], seqs[keep]
+    seqs, cells, counts = pattern_batch_coords(
+        batch, bits_matrix(knowns, length), batch_size)
     num_words = (batch_size + 63) // 64
-    if not len(chains):
-        empty = np.empty(0, dtype=np.int64)
-        return (empty, empty.copy(),
-                np.empty((0, num_words), dtype=np.uint64),
-                np.zeros(batch_size, dtype=np.int64))
-    cells = chains * length + positions
-    # Enforce the set semantics of ErrorPattern: a caller-built batch
-    # repeating a (sequence, cell) pair must count (and flip) the cell
-    # once, exactly like the patterns() view collapses it.
-    unique_flips = np.unique(seqs * (batch.num_chains * length) + cells,
-                             return_index=True)[1]
-    if unique_flips.size != cells.size:
-        cells, seqs = cells[unique_flips], seqs[unique_flips]
-    unique_cells, inverse = np.unique(cells, return_inverse=True)
+    # Rank the targeted cells through a presence bitmap (no sort).
+    present = np.zeros(batch.num_chains * length, dtype=bool)
+    present[cells] = True
+    unique_cells = np.flatnonzero(present)
+    inverse = (np.cumsum(present, dtype=np.int64) - 1)[cells]
     masks = np.zeros((len(unique_cells), num_words), dtype=np.uint64)
     np.bitwise_or.at(masks, (inverse, seqs >> 6),
                      np.left_shift(np.uint64(1),
                                    (seqs & 63).astype(np.uint64)))
-    counts = np.bincount(seqs, minlength=batch_size).astype(np.int64)
     return (unique_cells // length, unique_cells % length, masks, counts)
 
 
@@ -228,10 +283,11 @@ def _sorted_unique(keys):
     """``np.unique(keys)`` for a 1-D int64 array, without its hash path.
 
     On numpy 2.x a plain ``np.unique`` hashes, which is many times
-    slower than sorting.  Sampled single-error batches arrive strictly
-    increasing, so one comparison pass proves them unique; other
-    batches (multi-error, burst, caller-built) are sorted and
-    deduplicated against their neighbours.
+    slower than sorting.  Sampled batches of every kind arrive
+    strictly increasing (multi-error and burst cells come out of
+    :func:`_distinct_cells` sorted), so one comparison pass proves them
+    unique; caller-built batches may need the sort and the
+    deduplication against neighbours.
     """
     if (keys[1:] > keys[:-1]).all():
         return keys

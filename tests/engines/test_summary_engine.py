@@ -18,6 +18,7 @@ from repro.engines.summary import (                             # noqa: E402
 from repro.faults.batch import (                                # noqa: E402
     PatternBatch,
     pattern_batch_arrays,
+    sample_pattern_batch,
 )
 from repro.faults.patterns import ErrorPattern                  # noqa: E402
 
@@ -183,3 +184,76 @@ def test_summary_outcome_array_properties():
     assert arrays.batch_size == 2
     assert arrays.state_intact.tolist() == [True, False]
     assert arrays.corrected_claim.tolist() == [True, False]
+
+
+#: Banks for the dense path's once-per-batch baseline encode: every
+#: structured code family (Hamming + CRC, SECDED, parity), a geometry
+#: whose last Hamming block has tied-off padding inputs, and two
+#: correcting banks sharing chains.
+BASELINE_BANKS = {
+    "hamming74_crc16": (["hamming(7,4)", "crc16"], 64, 8),
+    "hamming74_padded": ("hamming(7,4)", 33, 5),
+    "secded84": ("secded(8,4)", 40, 8),
+    "parity8": ("parity(8)", 32, 8),
+    "overlapping": (["hamming(7,4)", "hamming(15,11)"], 44, 4),
+}
+
+
+@pytest.mark.parametrize("batch_size", (1, 63, 64, 65, 4096))
+@pytest.mark.parametrize("bank", sorted(BASELINE_BANKS))
+def test_dense_baseline_encode_matches_replicated_words(bank, batch_size):
+    """The dense summary encodes its replicated baseline as a batch of
+    one; the stored check words must equal a full encode of the
+    replicated words, unknown cells held at zero."""
+    codes, registers, num_chains = BASELINE_BANKS[bank]
+    design = ProtectedDesign(make_random_state_circuit(registers, seed=3),
+                             codes=codes, num_chains=num_chains,
+                             engine="simd", lfsr_seed=5)
+    engine = get_engine("simd", design)
+    if bank == "hamming74_padded":
+        assert any(group.pad_mask is not None for group in engine._groups)
+    if bank == "overlapping":
+        assert engine._overlapping_correctors
+    length = design.chain_length
+    states, knowns = pack_chains(design.chains)
+    knowns = list(knowns)
+    knowns[1] &= ~0b101  # unknown cells: their words must stay zero
+    flips = sample_pattern_batch("multiple", num_chains, length,
+                                 batch_size, np.random.default_rng(1),
+                                 num_errors=2)
+    engine.run_batch_summary(states, knowns, flips, batch_size,
+                             path="dense")
+    stored = [group.stored.copy() for group in engine._groups]
+    signatures = [monitor.stored.copy() for monitor in engine._observing]
+
+    words = replicate_state_words(
+        bits_matrix(states, length) & bits_matrix(knowns, length),
+        full_words(batch_size))
+    engine._encode_words(words, batch_size)
+    for got, group in zip(stored, engine._groups):
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, group.stored)
+    for got, monitor in zip(signatures, engine._observing):
+        assert got.dtype == np.uint64
+        assert np.array_equal(got, monitor.stored)
+
+
+def test_dense_passes_reuse_the_gather_buffers():
+    """The batch of one encodes through its own workspace buffers, so
+    the batch-wide gather buffers survive from pass to pass."""
+    design = _design("simd")
+    engine = get_engine("simd", design)
+    states, knowns = pack_chains(design.chains)
+    rng = np.random.default_rng(2)
+
+    def gather_buffers():
+        flips = sample_pattern_batch("multiple", design.num_chains,
+                                     design.chain_length, 100, rng,
+                                     num_errors=3)
+        engine.run_batch_summary(states, knowns, flips, 100, path="dense")
+        return [engine._workspace._buffers[("gather", index)]
+                for index in range(len(engine._groups))]
+
+    first = gather_buffers()
+    second = gather_buffers()
+    assert first and all(a is b for a, b in zip(first, second))

@@ -103,7 +103,11 @@ def test_arrays_match_oracle(kind, batch_size, with_unknowns,
                              with_duplicates, in_order):
     batch = _batch(kind, batch_size, with_duplicates, batch_size,
                    in_order)
-    knowns = _knowns(with_unknowns)
+    _assert_arrays_match_oracle(batch, _knowns(with_unknowns))
+
+
+def _assert_arrays_match_oracle(batch, knowns):
+    batch_size = batch.batch_size
     cells, counts = _oracle(batch, knowns)
     chains, positions, masks, got_counts = pattern_batch_arrays(
         batch, knowns, batch_size)
@@ -114,6 +118,27 @@ def test_arrays_match_oracle(kind, batch_size, with_unknowns,
     for key, row in zip(keys, masks):
         assert _sequences(row, batch_size) == cells[key]
     assert got_counts.tolist() == counts
+
+
+#: Caller-built (sequence, chain, position) flips already sorted by
+#: key: strictly increasing (the resolver's dedup-free fast path), and
+#: with repeated pairs as equal neighbours (which must still collapse).
+SORTED_FLIPS = {
+    "strictly_increasing": [(0, 0, 1), (0, 2, 3), (1, 0, 1), (1, 5, 7),
+                            (3, 4, 0), (69, 2, 3)],
+    "repeated_pair": [(0, 0, 1), (0, 2, 3), (0, 2, 3), (1, 5, 7),
+                      (3, 4, 0), (3, 4, 0), (69, 2, 3)],
+}
+
+
+@pytest.mark.parametrize("with_unknowns", (False, True))
+@pytest.mark.parametrize("name", sorted(SORTED_FLIPS))
+def test_arrays_match_oracle_on_sorted_caller_batches(name, with_unknowns):
+    seqs, chains, positions = (np.array(column, dtype=np.int64)
+                               for column in zip(*SORTED_FLIPS[name]))
+    batch = PatternBatch(NUM_CHAINS, LENGTH, 70, "multiple", seqs, chains,
+                         positions)
+    _assert_arrays_match_oracle(batch, _knowns(with_unknowns))
 
 
 @CASES
