@@ -4,18 +4,27 @@
 decoded by Hamming (7,4), (15,11), (31,26) and (63,57).  The paper's
 anchor points: Hamming(7,4) corrects 98.81 % of the bits at 2 errors and
 94.14 % at 10; Hamming(63,57) corrects 88.65 % and 52.96 %.
+
+It also pins the committed ``fig10_trial_simulator`` section of
+``BENCH_campaigns.json``: the ``packed`` chunk simulator (bulk draws)
+against the ``reference`` loop (one ``rng.sample`` per trial) over the
+whole Fig. 10 grid in one process, floor 2x.
 """
+
+import random
+import time
 
 import pytest
 
-from benchmarks.conftest import bench_sequences, print_section
+from benchmarks.conftest import bench_sequences, print_section, record_bench
 from repro.analysis import paper_data
 from repro.analysis.correction_capability import (
+    SEQUENCE_ENGINES,
     analytic_correction_probability,
     fig10_curves,
 )
 from repro.analysis.tables import format_fig10_table
-from repro.codes.hamming import HammingCode
+from repro.codes.hamming import PAPER_HAMMING_CODES, HammingCode
 
 
 @pytest.mark.benchmark(group="fig10")
@@ -23,7 +32,8 @@ def test_fig10_correction_capability(benchmark):
     sequences = bench_sequences(4000)
     curves = benchmark.pedantic(
         lambda: fig10_curves(error_counts=tuple(range(1, 11)),
-                             num_bits=1000, sequences=sequences, seed=20100310),
+                             num_bits=1000, sequences=sequences, seed=20100310,
+                             engine="packed"),
         rounds=1, iterations=1)
 
     by_code = {code: {p.num_errors: p.corrected_percent for p in curve}
@@ -59,3 +69,65 @@ def test_fig10_correction_capability(benchmark):
         f"Fig. 10 -- corrected errors vs injected errors "
         f"({sequences} sequences per point)",
         format_fig10_table(curves))
+
+
+@pytest.mark.benchmark(group="fig10")
+def test_fig10_trial_simulator(benchmark):
+    """Packed vs reference chunk simulator over the Fig. 10 grid.
+
+    Each of the 40 grid points runs ``chunks`` chunks of ``chunk_size``
+    trials (fig10_pool's shape) on both simulators; the counters must
+    be identical before any timing is recorded.  Each side's time is
+    its best of ``repeats`` passes over the grid.
+    """
+    chunk_size = bench_sequences(500)
+    chunks, repeats = 4, 2
+    grid = [(HammingCode(n, k), errors) for n, k in PAPER_HAMMING_CODES
+            for errors in range(1, 11)]
+
+    def run(engine):
+        simulate = SEQUENCE_ENGINES[engine]
+        start = time.perf_counter()
+        counters = [simulate(code, 1000, errors, random.Random(seed),
+                             chunk_size)
+                    for code, errors in grid for seed in range(chunks)]
+        return counters, time.perf_counter() - start
+
+    reference, reference_s = run("reference")
+    packed, packed_s = run("packed")
+    assert packed == reference
+    for _ in range(repeats - 1):
+        reference_s = min(reference_s, run("reference")[1])
+        packed_s = min(packed_s, run("packed")[1])
+    benchmark.pedantic(lambda: None, rounds=1, iterations=1)
+
+    trials = len(grid) * chunks * chunk_size
+    results = {
+        "grid_points": len(grid),
+        "chunk_size": chunk_size,
+        "trials": trials,
+        "reference_s": reference_s,
+        "packed_s": packed_s,
+        "reference_trials_per_s": trials / reference_s,
+        "packed_trials_per_s": trials / packed_s,
+        "packed_speedup_vs_reference": reference_s / packed_s,
+        "floors": {
+            # Bulk draws beat one rng.sample per trial 3.7-4.7x on a
+            # 2-vCPU x86_64 Xeon; the floor is loose for noisy CI hosts.
+            "packed_speedup_vs_reference": 2.0,
+        },
+    }
+    path = record_bench("campaigns", results,
+                        section="fig10_trial_simulator")
+
+    print_section(
+        f"Fig. 10 trial simulators ({len(grid)} grid points x {chunks} "
+        f"chunks of {chunk_size} trials, one process)",
+        "\n".join([
+            f"reference (rng.sample per trial): {reference_s * 1e3:8.1f} ms "
+            f"({results['reference_trials_per_s']:,.0f} trials/s)",
+            f"packed (bulk draw per chunk)    : {packed_s * 1e3:8.1f} ms "
+            f"({results['packed_trials_per_s']:,.0f} trials/s, "
+            f"{results['packed_speedup_vs_reference']:.2f}x)",
+            f"results written to {path}",
+        ]))

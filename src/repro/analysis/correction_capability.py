@@ -19,7 +19,10 @@ they agree.
 
 from __future__ import annotations
 
+import math
 import random
+import sys
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -102,38 +105,159 @@ def _simulate_sequence(code: HammingCode, num_bits: int, num_errors: int,
     return corrected, corrected == num_errors
 
 
-def _simulate_sequence_packed(code: HammingCode, num_bits: int,
-                              num_errors: int,
-                              rng: random.Random) -> Tuple[int, bool]:
-    """Bitmask variant of :func:`_simulate_sequence` (same RNG draws).
+def _simulate_chunk_reference(code: HammingCode, num_bits: int,
+                              num_errors: int, rng: random.Random,
+                              num_sequences: int) -> CorrectionCounters:
+    """``num_sequences`` trials of :func:`_simulate_sequence`, one
+    ``rng.sample`` each: the exact oracle of the chunk simulators."""
+    counters = CorrectionCounters()
+    for _ in range(num_sequences):
+        corrected, full = _simulate_sequence(code, num_bits, num_errors, rng)
+        counters.sequences += 1
+        counters.corrected_bits += corrected
+        counters.fully_corrected += 1 if full else 0
+    return counters
 
-    Codeword hits are tracked in two integers -- ``seen`` (word hit at
-    least once) and ``multi`` (word hit more than once) -- instead of a
-    dict, so the per-trial cost is a handful of shift/mask operations.
-    The random draw is identical, so for the same ``rng`` state the two
-    simulators return exactly the same result.
+
+#: One Mersenne Twister output per ``array("I")`` item needs 4-byte
+#: items; without them the bulk draw falls back to the reference loop.
+_WORDS_ARE_32_BIT = array("I").itemsize == 4
+
+#: ``getrandbits`` returns its words least-significant first, which the
+#: little-endian byte string keeps; big-endian hosts swap them back.
+_SWAP_WORD_BYTES = sys.byteorder != "little"
+
+#: Most words one bulk draw takes, so a huge chunk walks its stream in
+#: bounded memory (a 500-trial, 10-error chunk needs about 5 300).
+_MAX_DRAW_WORDS = 1 << 16
+
+
+def _sample_uses_pool(num_bits: int, num_errors: int) -> bool:
+    """Whether ``random.sample(range(num_bits), num_errors)`` shuffles a
+    pool (drawing ``randbelow(num_bits - i)``) instead of taking its
+    set branch, the only one the bulk draw reproduces."""
+    setsize = 21
+    if num_errors > 5:
+        setsize += 4 ** math.ceil(math.log(num_errors * 3, 4))
+    return num_bits <= setsize
+
+
+def _extend_stream(rng: random.Random, num_bits: int, codeword_bits: int,
+                   positions: List[int], codewords: List[int], start: int,
+                   expected_words: float) -> Tuple[List[int], List[int]]:
+    """Drop the consumed ``positions[:start]`` and append the accepted
+    ``randbelow(num_bits)`` values among the next Mersenne Twister
+    outputs, in stream order; ``codewords`` follows with the codeword
+    index of each position.
+
+    ``getrandbits(32 * m)`` returns the next ``m`` outputs, the first
+    one in the lowest 32 bits.  ``randbelow`` keeps the top
+    ``num_bits.bit_length()`` bits of one output and redraws values
+    ``>= num_bits``; both steps are applied here to the whole block.
     """
-    positions = rng.sample(range(num_bits), num_errors)
+    # A few standard deviations of slack: a short block only costs a
+    # refill, while surplus words cost a one-trial chunk its speed.
+    words = min(_MAX_DRAW_WORDS,
+                int(expected_words + 2 * math.sqrt(expected_words)) + 4)
+    raw = array("I", rng.getrandbits(32 * words).to_bytes(4 * words,
+                                                           "little"))
+    if _SWAP_WORD_BYTES:
+        raw.byteswap()
+    shift = 32 - num_bits.bit_length()
+    fresh = [value for word in raw if (value := word >> shift) < num_bits]
+    return (positions[start:] + fresh,
+            codewords[start:] + [pos // codeword_bits for pos in fresh])
+
+
+def _simulate_chunk_packed(code: HammingCode, num_bits: int,
+                           num_errors: int, rng: random.Random,
+                           num_sequences: int) -> CorrectionCounters:
+    """``num_sequences`` trials from bulk draws, with the counters of
+    :func:`_simulate_chunk_reference` on the same ``rng``.
+
+    One ``getrandbits`` call per block yields the accepted
+    ``randbelow(num_bits)`` stream of the whole chunk (see
+    :func:`_extend_stream`); a further block is drawn whenever
+    rejections run past the estimate.  The trials are then read off the
+    stream one after another.  ``random.sample``'s set branch redraws a
+    position it already picked, so a trial takes the shortest prefix
+    holding ``num_errors`` distinct positions.  In the common case the
+    next ``num_errors`` positions fall in distinct codewords, which
+    makes them distinct and the trial fully corrected.
+
+    Only the counters are exact: ``rng`` ends up past the last trial's
+    draws.  Inputs where ``sample`` would shuffle a pool instead
+    (:func:`_sample_uses_pool`), ``num_bits >= 2**32`` (``randbelow``
+    then spans several words), generators other than
+    :class:`random.Random` and hosts without 4-byte ``array`` items run
+    the reference loop.
+    """
+    k = num_errors
+    if num_sequences <= 0:
+        return CorrectionCounters()
+    if not 0 <= k <= num_bits:
+        raise ValueError("Sample larger than population or is negative")
+    if (type(rng) is not random.Random or not _WORDS_ARE_32_BIT
+            or num_bits >= 1 << 32 or _sample_uses_pool(num_bits, k)):
+        return _simulate_chunk_reference(code, num_bits, k, rng,
+                                         num_sequences)
     n = code.n
-    seen = 0
-    multi = 0
-    for pos in positions:
-        bit = 1 << (pos // n)
-        multi |= seen & bit
-        seen |= bit
-    corrected = sum(1 for pos in positions
-                    if not (multi >> (pos // n)) & 1)
-    return corrected, corrected == num_errors
+    # Raw words per trial: k accepted draws plus the expected duplicate
+    # redraws, over the fraction of words below num_bits.
+    words_per_trial = ((k + k * (k - 1) / (2 * num_bits))
+                       * (1 << num_bits.bit_length()) / num_bits)
+    positions: List[int] = []
+    codewords: List[int] = []
+    start = available = 0
+    corrected = full = 0
+    for trial in range(num_sequences):
+        stop = start + k
+        while stop > available:
+            positions, codewords = _extend_stream(
+                rng, num_bits, n, positions, codewords, start,
+                (num_sequences - trial) * words_per_trial)
+            start, stop, available = 0, k, len(positions)
+        hits = codewords[start:stop]
+        distinct = len(set(hits))
+        if distinct < k:
+            picked = set(positions[start:stop])
+            if len(picked) < k:
+                # A repeated position: extend to k distinct positions.
+                while len(picked) < k:
+                    while stop == available:
+                        positions, codewords = _extend_stream(
+                            rng, num_bits, n, positions, codewords, start,
+                            (num_sequences - trial) * words_per_trial)
+                        stop -= start
+                        start, available = 0, len(positions)
+                    picked.add(positions[stop])
+                    stop += 1
+                hits = [pos // n for pos in picked]
+                distinct = len(set(hits))
+        start = stop
+        if distinct == k:
+            full += 1
+            corrected += k
+        elif distinct == k - 1:
+            # Exactly one codeword holds two errors.
+            corrected += k - 2
+        else:
+            corrected += list(map(hits.count, hits)).count(1)
+    return CorrectionCounters(sequences=num_sequences,
+                              corrected_bits=corrected,
+                              fully_corrected=full)
 
 
-#: Sequence simulators selectable via this study's ``engine`` option.
-#: Deliberately separate from the design-engine registry of
+#: Chunk simulators selectable via this study's ``engine`` option, each
+#: ``(code, num_bits, num_errors, rng, num_sequences) ->
+#: CorrectionCounters``; both return the same counters for the same
+#: ``rng``.  Deliberately separate from the design-engine registry of
 #: :mod:`repro.engines`: these simulate abstract codeword collisions
 #: over a 1000-bit sequence, not a protected design, so engines
 #: registered there do not apply here.
 SEQUENCE_ENGINES = {
-    "reference": _simulate_sequence,
-    "packed": _simulate_sequence_packed,
+    "reference": _simulate_chunk_reference,
+    "packed": _simulate_chunk_packed,
 }
 
 
@@ -182,17 +306,28 @@ class CorrectionCapabilityTask(CampaignTask):
 
     def run_chunk_on(self, state, chunk_seed: int,
                      num_sequences: int) -> CorrectionCounters:
-        simulate = SEQUENCE_ENGINES[self.engine]
-        code = HammingCode(self.code_n, self.code_k)
-        rng = random.Random(chunk_seed)
-        counters = CorrectionCounters()
-        for _ in range(num_sequences):
-            corrected, full = simulate(code, self.num_bits,
-                                       self.num_errors, rng)
-            counters.sequences += 1
-            counters.corrected_bits += corrected
-            counters.fully_corrected += 1 if full else 0
-        return counters
+        return SEQUENCE_ENGINES[self.engine](
+            HammingCode(self.code_n, self.code_k), self.num_bits,
+            self.num_errors, random.Random(chunk_seed), num_sequences)
+
+
+def _validate_request(error_counts: Sequence[int], num_bits: int,
+                      engine: str) -> None:
+    """Reject a curve request before any job is dispatched, naming the
+    offending error count or engine."""
+    if not error_counts:
+        raise ValueError("error_counts is empty; name at least one "
+                         "error count")
+    for num_errors in error_counts:
+        if num_errors < 0:
+            raise ValueError(f"error count {num_errors} is negative")
+        if num_errors > num_bits:
+            raise ValueError(f"cannot inject {num_errors} errors into "
+                             f"{num_bits} bits")
+    if engine not in SEQUENCE_ENGINES:
+        raise ValueError(
+            f"unknown engine {engine!r}; choose from "
+            f"{tuple(SEQUENCE_ENGINES)}")
 
 
 def _submit_curve(scheduler: CampaignScheduler, code: HammingCode,
@@ -250,9 +385,16 @@ def correction_capability_curve(code: HammingCode,
     Parameters mirror the paper's setup (1000-bit sequences, 1--10
     injected errors); ``sequences`` trades accuracy against runtime
     (the paper used 10^6, the default here is CI-sized and the
-    benchmark harness can raise it).  ``engine="packed"`` selects the
-    bitmask trial simulator, which draws the same random positions and
-    therefore returns identical statistics, just faster.
+    benchmark harness can raise it).  ``engine="packed"`` simulates
+    each chunk from bulk draws: one ``getrandbits`` call yields the
+    chunk's Mersenne Twister words, which it turns into exactly the
+    positions per-trial ``random.sample`` picks, so it returns
+    identical statistics, just faster.  It runs the reference loop
+    where ``sample`` would shuffle a pool instead (``num_bits`` at most
+    21 for up to 5 errors, at most 85 for 6--10) and for
+    ``num_bits >= 2**32``.  Every error count is checked before any
+    job is dispatched: an empty ``error_counts``, a negative count or
+    one above ``num_bits`` raises :class:`ValueError`.
 
     The per-error-count campaigns run as jobs of one
     :class:`~repro.campaigns.scheduler.CampaignScheduler` sharing a
@@ -266,12 +408,7 @@ def correction_capability_curve(code: HammingCode,
     ``chunk_size``).  A scheduler built here is closed on return; a
     passed-in ``scheduler`` is left to its owner.
     """
-    if num_bits < max(error_counts):
-        raise ValueError("cannot inject more errors than there are bits")
-    if engine not in SEQUENCE_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from "
-            f"{tuple(SEQUENCE_ENGINES)}")
+    _validate_request(error_counts, num_bits, engine)
     owned = scheduler is None
     if owned:
         scheduler = CampaignScheduler(executor=executor,
@@ -312,12 +449,7 @@ def fig10_curves(error_counts: Sequence[int] = tuple(range(1, 11)),
     silently correlating samples that the statistics assume are
     independent.
     """
-    if num_bits < max(error_counts):
-        raise ValueError("cannot inject more errors than there are bits")
-    if engine not in SEQUENCE_ENGINES:
-        raise ValueError(
-            f"unknown engine {engine!r}; choose from "
-            f"{tuple(SEQUENCE_ENGINES)}")
+    _validate_request(error_counts, num_bits, engine)
     with CampaignScheduler(executor=executor,
                            num_workers=num_workers) as scheduler:
         submitted = []
