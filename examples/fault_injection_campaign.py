@@ -13,7 +13,6 @@ an event counter -- and runs the two campaigns the paper reports:
 Run with::
 
     python examples/fault_injection_campaign.py [num_sequences] [num_workers]
-    python examples/fault_injection_campaign.py [num_sequences] [n] --threads
     python examples/fault_injection_campaign.py [num_sequences] --simd
     python examples/fault_injection_campaign.py [num_sequences] --array
 
@@ -22,8 +21,7 @@ With ``num_workers > 1`` both campaigns are submitted as jobs of one
 concurrently, fair-share, over a single shared worker pool (the path
 toward the paper's 10^8-sequence scale): O(1)-memory counter
 statistics, per-job progress with live throughput/ETA, and results
-that are bit-identical for any worker count and executor kind
-(``--threads`` swaps the process pool for a thread pool).  With
+that are bit-identical for any worker count and executor kind.  With
 ``--simd`` they run on the numpy word-packed SIMD engine
 (:mod:`repro.engines.simd`), which simulates 256 sequences per pass
 and whose fully vectorised decode keeps that throughput even when
@@ -68,14 +66,13 @@ CampaignProgress` -- computed in the parent process, restored
     return progress
 
 
-def main_sharded(num_sequences: int, num_workers: int,
-                 executor: str = "process") -> None:
+def main_sharded(num_sequences: int, num_workers: int) -> None:
     """Both campaigns as concurrent jobs of one CampaignScheduler."""
     print(f"running {num_sequences} sequences per campaign, both "
           f"campaigns interleaved fair-share over one shared "
-          f"{executor}-pool of {num_workers} workers (packed engine, "
+          f"process pool of {num_workers} workers (packed engine, "
           f"streaming stats)\n")
-    scheduler = CampaignScheduler(executor=executor,
+    scheduler = CampaignScheduler(executor="process",
                                   num_workers=num_workers)
     common = dict(width=32, depth=32, num_chains=80,
                   words_per_sequence=16, engine="packed")
@@ -140,11 +137,10 @@ def main_batched(num_sequences: int, num_workers: int = 1,
 
 def main() -> None:
     flags = [a for a in sys.argv[1:] if a.startswith("--")]
-    unknown = [f for f in flags if f not in ("--simd", "--array",
-                                             "--threads")]
+    unknown = [f for f in flags if f not in ("--simd", "--array")]
     if unknown:
         raise SystemExit(f"unknown option(s): {', '.join(unknown)} "
-                         f"(supported: --simd, --array, --threads)")
+                         f"(supported: --simd, --array)")
     args = [a for a in sys.argv[1:] if not a.startswith("--")]
     num_sequences = int(args[0]) if args else 50
     num_workers = int(args[1]) if len(args) > 1 else 1
@@ -154,10 +150,8 @@ def main() -> None:
     if "--simd" in flags:
         main_batched(num_sequences, num_workers)
         return
-    if num_workers > 1 or "--threads" in flags:
-        main_sharded(num_sequences, num_workers,
-                     executor="thread" if "--threads" in flags
-                     else "process")
+    if num_workers > 1:
+        main_sharded(num_sequences, num_workers)
         return
 
     # FIFO_A: the paper's 32x32 FIFO in the 80-chain configuration,

@@ -398,8 +398,8 @@ def correction_capability_curve(code: HammingCode,
 
     The per-error-count campaigns run as jobs of one
     :class:`~repro.campaigns.scheduler.CampaignScheduler` sharing a
-    single executor (``executor`` accepts ``"serial"``/``"thread"``/
-    ``"process"`` or an instance, sized by ``num_workers``), their
+    single executor (``executor`` accepts ``"serial"``/``"process"``
+    or an instance, sized by ``num_workers``), their
     chunks interleaved fair-share and their merged results memoized --
     re-requesting a curve point on the same scheduler is free.  Each
     error count keeps its own seed-split campaign root, so the

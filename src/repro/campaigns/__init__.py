@@ -10,10 +10,9 @@ one layer per concern so each can evolve (and be swapped) alone:
   statistics are bit-identical for any executor and worker count;
 * :mod:`repro.campaigns.executors` -- **where** chunks run: inline
   (:class:`~repro.campaigns.executors.SerialExecutor`) or on a
-  persistent pool
-  (:class:`~repro.campaigns.executors.PersistentProcessExecutor` /
-  :class:`~repro.campaigns.executors.PersistentThreadExecutor`) whose
-  workers, task tables and per-fingerprint state caches survive
+  persistent process pool
+  (:class:`~repro.campaigns.executors.PersistentProcessExecutor`)
+  whose workers, task tables and per-fingerprint state caches survive
   across calls and scheduler jobs until ``close()``, with failures
   wrapped as :class:`~repro.campaigns.executors.ChunkExecutionError`
   naming the chunk that died;
@@ -24,13 +23,15 @@ one layer per concern so each can evolve (and be swapped) alone:
 * :mod:`repro.campaigns.checkpoints` -- **durability**: the JSON
   checkpoint store (header validation, atomic replace, interval-based
   flush policy) behind resume-after-interruption;
-* :mod:`repro.campaigns.scheduler` -- **many campaigns at once**:
-  :class:`~repro.campaigns.scheduler.CampaignScheduler` interleaves
-  jobs fair-share over one shared executor and memoizes merged
-  results, the first concrete step of the campaign service;
-* :mod:`repro.campaigns.runner` -- the facade:
-  :class:`~repro.campaigns.runner.ShardedCampaignRunner` composes the
-  layers behind the historical single-campaign API;
+* :mod:`repro.campaigns.scheduler` -- the one orchestration path:
+  :class:`~repro.campaigns.scheduler.CampaignScheduler` restores each
+  job's checkpoint, emits its progress and merges its chunks, and
+  interleaves jobs fair-share over one shared executor and memoizes
+  merged results;
+* :mod:`repro.campaigns.runner` -- the task protocol and the
+  single-campaign facade:
+  :class:`~repro.campaigns.runner.ShardedCampaignRunner` runs one
+  campaign as a one-job scheduler;
 * :mod:`repro.campaigns.stats` -- counter-based, O(1)-memory,
   mergeable campaign statistics;
 * :mod:`repro.campaigns.seeding` -- SeedSequence-style deterministic
@@ -63,7 +64,6 @@ from repro.campaigns.executors import (
     ChunkExecutor,
     ChunkTiming,
     PersistentProcessExecutor,
-    PersistentThreadExecutor,
     SerialExecutor,
     resolve_executor,
 )
@@ -91,7 +91,6 @@ __all__ = [
     "ChunkTiming",
     "SerialExecutor",
     "PersistentProcessExecutor",
-    "PersistentThreadExecutor",
     "WorkerStateCache",
     "resolve_executor",
     "CheckpointStore",

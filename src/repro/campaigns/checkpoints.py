@@ -1,19 +1,19 @@
 """Checkpoint layer: durable, resumable campaign state.
 
 A :class:`CheckpointStore` owns everything about the JSON checkpoint
-file that the runner used to do inline: header validation (a resume
-refuses a file from a different campaign identity), atomic replacement
-(a reader never observes a torn file), and the **save-interval policy**
--- completed chunks are buffered and the full payload is rewritten only
-every ``save_interval`` completions plus one final flush.  The
-historical write-after-every-chunk behaviour (``save_interval=1``)
-rewrote the whole growing payload per chunk, O(chunks^2) bytes over a
-campaign; at interval ``k`` that drops by a factor of ``k``, and the
-worst case lost to a hard crash is bounded by ``k`` chunks of work.
+file: header validation (a resume refuses a file from a different
+campaign identity), atomic replacement (a reader never observes a torn
+file), and the **save-interval policy** -- completed chunks are
+buffered and the full payload is rewritten only every
+``save_interval`` completions plus one final flush.  The
+write-after-every-chunk default (``save_interval=1``) rewrites the
+whole growing payload per chunk, O(chunks^2) bytes over a campaign; at
+interval ``k`` that drops by a factor of ``k``, and the worst case
+lost to a hard crash is bounded by ``k`` chunks of work.
 
-The file format itself is unchanged from the inline implementation
-(``CHECKPOINT_FORMAT`` 1): a header of the campaign identity plus a
-``completed`` mapping of chunk index to serialized counters.  Format
+The file format (``CHECKPOINT_FORMAT`` 1) is a header of the campaign
+identity plus a ``completed`` mapping of chunk index to serialized
+counters.  Format
 bump rules stay with the tasks -- a task field added to
 ``fingerprint()`` invalidates old checkpoints without a format bump.
 """
@@ -113,7 +113,7 @@ class CheckpointStore:
         reproduces the historical write-per-chunk behaviour;  larger
         intervals trade a bounded amount of re-run work after a hard
         crash for dramatically less IO on many-chunk campaigns.
-        :meth:`flush` (called by the runner on normal completion *and*
+        :meth:`flush` (called by the scheduler on normal completion *and*
         on the way out of a failed run) persists any partial interval,
         so an orderly interruption loses nothing.
     """
@@ -174,7 +174,7 @@ class CheckpointStore:
                completed: Dict[int, Any]) -> None:
         """Adopt the campaign header and the live completed dict.
 
-        The store keeps a reference to ``completed`` (the runner keeps
+        The store keeps a reference to ``completed`` (the scheduler keeps
         appending to the same dict), so a flush always persists the
         freshest state.
         """

@@ -10,18 +10,16 @@ concurrency produces bit-identical merged statistics for the same plan.
 Every executor runs a chunk the same way: lease the task's
 seed-independent state from a :class:`~repro.campaigns.worker_cache.\
 WorkerStateCache` (built through ``task.build_worker_state()`` on first
-sight) and call ``task.run_chunk_on(state, chunk_seed, count)``.  Three
+sight) and call ``task.run_chunk_on(state, chunk_seed, count)``.  Two
 implementations ship:
 
 * :class:`SerialExecutor` -- inline in the calling thread, with one
   state cache for the executor's lifetime;
-* :class:`PersistentThreadExecutor` -- a long-lived thread pool with
-  one state cache per worker thread;
 * :class:`PersistentProcessExecutor` -- long-lived worker processes;
   a task ships to a worker at most once per process lifetime, keyed on
   ``task.fingerprint()``, and each worker keeps its own state cache.
 
-The pools are created on first use and survive across ``submit_jobs``
+The pool is created on first use and survives across ``submit_jobs``
 calls (and so across scheduler jobs) until ``close()``.  Dispatch
 streams through a bounded in-flight window, so a 10^5-chunk plan never
 materializes 10^5 job tuples.  After each yielded result,
@@ -30,16 +28,15 @@ materializes 10^5 job tuples.  After each yielded result,
 
 Chunk failures surface as :class:`ChunkExecutionError` carrying the
 failing chunk's index, seed and count (plus the worker traceback for
-process pools), so a 10^7-sequence campaign names the chunk that died
-and a resume can re-run exactly that work.  A failed chunk does not
-poison a pool: the pool survives, stale in-flight results are
+the process pool), so a 10^7-sequence campaign names the chunk that
+died and a resume can re-run exactly that work.  A failed chunk does
+not poison the pool: the pool survives, stale in-flight results are
 discarded by epoch, and the next ``submit_jobs`` replaces any worker
 that died.
 
-The scheduler-facing entry point is :meth:`ChunkExecutorBase.\
-submit_jobs`, which multiplexes entries from *several* tasks over one
-executor; :meth:`~ChunkExecutorBase.submit` is the single-task
-convenience defined in terms of it.
+The one entry point is ``submit_jobs``, which multiplexes entries from
+*several* tasks over one executor; the scheduler
+(:mod:`repro.campaigns.scheduler`) is its caller.
 """
 
 from __future__ import annotations
@@ -47,7 +44,6 @@ from __future__ import annotations
 import multiprocessing
 import queue as _queue
 import sys
-import threading
 import time
 import traceback
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
@@ -108,19 +104,18 @@ class ChunkExecutionError(RuntimeError):
 class ChunkExecutor(Protocol):
     """Protocol of the executor layer.
 
-    ``submit`` runs one task's plan entries and yields ``(index,
-    result)`` pairs as they complete (any order); implementations that
-    also support :meth:`ChunkExecutorBase.submit_jobs` can serve the
-    multi-campaign scheduler.  Right after each yielded pair,
-    ``last_chunk_timing`` holds that chunk's setup/compute split.
-    Failures are raised as :class:`ChunkExecutionError` from the
-    consuming iterator.  ``close`` releases workers and cached state.
+    ``submit_jobs`` runs tagged ``(tag, entry, task)`` jobs and yields
+    ``(tag, index, result)`` triples as chunks complete (any order).
+    Right after each yielded triple, ``last_chunk_timing`` holds that
+    chunk's setup/compute split.  Failures are raised as
+    :class:`ChunkExecutionError` from the consuming iterator.
+    ``close`` releases workers and cached state.
     """
 
     last_chunk_timing: ChunkTiming
 
-    def submit(self, entries: Iterable[ChunkPlanEntry],
-               task: Any) -> Iterator[Tuple[int, Any]]:
+    def submit_jobs(self, jobs: Iterable[TaggedJob]
+                    ) -> Iterator[Tuple[Any, int, Any]]:
         ...
 
     def close(self) -> None:
@@ -128,29 +123,11 @@ class ChunkExecutor(Protocol):
 
 
 class ChunkExecutorBase:
-    """Shared plumbing: ``submit`` in terms of ``submit_jobs``, and the
-    ``close()``/context-manager lifecycle."""
+    """Shared plumbing: the ``close()``/context-manager lifecycle."""
 
     #: Timing of the most recently yielded chunk (consumers read it
     #: right after each ``submit_jobs`` yield); all zero before any.
     last_chunk_timing = ChunkTiming(0.0, 0.0)
-
-    def submit(self, entries: Iterable[ChunkPlanEntry],
-               task: Any) -> Iterator[Tuple[int, Any]]:
-        """Run one task's entries; yield ``(index, result)`` pairs.
-
-        ``entries`` is consumed lazily: the pools pull from it as their
-        in-flight window frees up.
-        """
-        for _, index, result in self.submit_jobs(
-                ((None, entry, task) for entry in entries)):
-            yield index, result
-
-    def submit_jobs(self, jobs: Iterable[TaggedJob]
-                    ) -> Iterator[Tuple[Any, int, Any]]:
-        """Run tagged ``(tag, entry, task)`` jobs; yield ``(tag, index,
-        result)`` as chunks complete."""
-        raise NotImplementedError
 
     def close(self) -> None:
         """Release the executor's workers and cached states."""
@@ -172,17 +149,6 @@ def _run_cached(cache: WorkerStateCache, task: Any, chunk_seed: int,
                                cache_hit)
 
 
-def _run_entry(cache: WorkerStateCache, task: Any,
-               entry: ChunkPlanEntry) -> Tuple[Any, ChunkTiming]:
-    """Run one entry in-process, wrapping failures."""
-    try:
-        return _run_cached(cache, task, entry.chunk_seed, entry.count)
-    except ChunkExecutionError:
-        raise
-    except Exception as exc:
-        raise ChunkExecutionError.wrap(entry, exc) from exc
-
-
 class SerialExecutor(ChunkExecutorBase):
     """Run every chunk inline, in submission order.
 
@@ -196,8 +162,13 @@ class SerialExecutor(ChunkExecutorBase):
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
         for tag, entry, task in jobs:
-            result, self.last_chunk_timing = _run_entry(self._cache, task,
-                                                        entry)
+            try:
+                result, self.last_chunk_timing = _run_cached(
+                    self._cache, task, entry.chunk_seed, entry.count)
+            except ChunkExecutionError:
+                raise
+            except Exception as exc:
+                raise ChunkExecutionError.wrap(entry, exc) from exc
             yield tag, entry.index, result
 
     def close(self) -> None:
@@ -215,42 +186,6 @@ def _start_context(start_method: Optional[str]):
         available = multiprocessing.get_all_start_methods()
         method = "fork" if "fork" in available else "spawn"
     return multiprocessing.get_context(method)
-
-
-class _PooledExecutor(ChunkExecutorBase):
-    """Shared lifecycle of the pools: sizing, the bounded dispatch
-    window and the final ``close()``.  Subclasses implement
-    ``_teardown()`` (drop the pool)."""
-
-    def __init__(self, num_workers: int):
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        self.num_workers = num_workers
-        #: In-flight dispatch bound; enough to keep every worker busy
-        #: plus a small ready queue, small enough that a huge plan is
-        #: never materialized.
-        self.window = max(2 * num_workers, 4)
-        self._closed = False
-
-    def __del__(self):  # pragma: no cover - GC safety net only
-        try:
-            self.close()
-        except Exception:
-            pass
-
-    def _check_open(self) -> None:
-        if self._closed:
-            raise RuntimeError(
-                f"{type(self).__name__} is closed; create a new "
-                f"executor (close() is final)")
-
-    def _teardown(self) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Tear the pool down and retire the executor (idempotent)."""
-        self._teardown()
-        self._closed = True
 
 
 # -- process pool plumbing (module level: pickled by name) -------------
@@ -319,7 +254,7 @@ class _WorkerRecord:
         self.inflight = 0
 
 
-class PersistentProcessExecutor(_PooledExecutor):
+class PersistentProcessExecutor(ChunkExecutorBase):
     """Process fan-out: one pool, many ``submit_jobs`` calls.
 
     Pool spin-up, task shipping and bench construction are paid once
@@ -353,13 +288,26 @@ class PersistentProcessExecutor(_PooledExecutor):
 
     def __init__(self, num_workers: int,
                  start_method: Optional[str] = None):
-        super().__init__(num_workers)
+        if num_workers < 1:
+            raise ValueError("num_workers must be >= 1")
+        self.num_workers = num_workers
+        #: In-flight dispatch bound; enough to keep every worker busy
+        #: plus a small ready queue, small enough that a huge plan is
+        #: never materialized.
+        self.window = max(2 * num_workers, 4)
+        self._closed = False
         self._start_method = start_method
         self._context: Any = None
         self._workers: Dict[int, _WorkerRecord] = {}
         self._next_worker_id = 0
         self._result_queue: Any = None
         self._epoch = 0
+
+    def __del__(self):  # pragma: no cover - GC safety net only
+        try:
+            self.close()
+        except Exception:
+            pass
 
     # -- pool management ------------------------------------------------
     @property
@@ -409,7 +357,9 @@ class PersistentProcessExecutor(_PooledExecutor):
             if record is not None:
                 record.inflight -= 1
 
-    def _teardown(self) -> None:
+    def close(self) -> None:
+        """Tear the pool down and retire the executor (idempotent)."""
+        self._closed = True
         self._drain_stale_results()
         workers, self._workers = self._workers, {}
         result_queue, self._result_queue = self._result_queue, None
@@ -492,7 +442,10 @@ class PersistentProcessExecutor(_PooledExecutor):
 
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
-        self._check_open()
+        if self._closed:
+            raise RuntimeError(
+                "PersistentProcessExecutor is closed; create a new "
+                "executor (close() is final)")
         self._ensure_pool()
         self._epoch += 1
         epoch = self._epoch
@@ -549,85 +502,8 @@ class PersistentProcessExecutor(_PooledExecutor):
                 f"{self.alive_workers})")
 
 
-class PersistentThreadExecutor(_PooledExecutor):
-    """Thread fan-out: a long-lived thread pool with per-thread state
-    caches.
-
-    The thread twin of :class:`PersistentProcessExecutor`: the pool
-    survives across ``submit_jobs`` calls, each worker thread keeps
-    its own :class:`~repro.campaigns.worker_cache.WorkerStateCache`
-    (designs are not thread-safe, so states are never shared between
-    threads), and dispatch streams through the same bounded window.
-    Threads pay no pickling or process start-up; they overlap real
-    work only where chunks release the GIL (numpy kernels) or block
-    on IO.
-    """
-
-    def __init__(self, num_workers: int):
-        super().__init__(num_workers)
-        self._pool: Any = None
-        self._local = threading.local()
-
-    def _ensure_pool(self) -> None:
-        if self._pool is None:
-            from concurrent.futures import ThreadPoolExecutor as _Pool
-            self._pool = _Pool(max_workers=self.num_workers,
-                               thread_name_prefix="repro-warm")
-
-    def _teardown(self) -> None:
-        pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def _run_in_thread(self, entry: ChunkPlanEntry, task: Any
-                       ) -> Tuple[Any, ChunkTiming]:
-        cache = getattr(self._local, "cache", None)
-        if cache is None:
-            cache = self._local.cache = WorkerStateCache()
-        return _run_entry(cache, task, entry)
-
-    def submit_jobs(self, jobs: Iterable[TaggedJob]
-                    ) -> Iterator[Tuple[Any, int, Any]]:
-        from concurrent.futures import FIRST_COMPLETED, wait
-
-        self._check_open()
-        self._ensure_pool()
-        pool = self._pool
-        jobs_iter = iter(jobs)
-        futures: Dict[Any, Tuple[Any, ChunkPlanEntry]] = {}
-        exhausted = False
-        try:
-            while True:
-                while not exhausted and len(futures) < self.window:
-                    try:
-                        tag, entry, task = next(jobs_iter)
-                    except StopIteration:
-                        exhausted = True
-                        break
-                    future = pool.submit(self._run_in_thread, entry, task)
-                    futures[future] = (tag, entry)
-                if not futures:
-                    break
-                done, _ = wait(list(futures),
-                               return_when=FIRST_COMPLETED)
-                for future in done:
-                    tag, entry = futures.pop(future)
-                    result, self.last_chunk_timing = future.result()
-                    yield tag, entry.index, result
-        finally:
-            for future in futures:
-                future.cancel()
-
-    def __repr__(self) -> str:
-        return (f"PersistentThreadExecutor(num_workers="
-                f"{self.num_workers}, warm={self._pool is not None})")
-
-
-#: Executor spec strings accepted by :func:`resolve_executor`: the
-#: three kinds, then ``"thread-warm"``/``"process-warm"``, which are
-#: aliases of ``"thread"``/``"process"`` (every pool is persistent).
-EXECUTOR_KINDS = ("serial", "thread", "process", "thread-warm",
-                  "process-warm")
+#: Executor spec strings accepted by :func:`resolve_executor`.
+EXECUTOR_KINDS = ("serial", "process")
 
 
 def resolve_executor(executor: "ChunkExecutor | str | None",
@@ -636,15 +512,14 @@ def resolve_executor(executor: "ChunkExecutor | str | None",
     """Resolve an executor spec to an instance.
 
     ``None`` runs inline for one worker and on a process pool
-    otherwise.  A string from ``EXECUTOR_KINDS`` names the kind, sized
-    by ``num_workers``: ``"serial"``, or ``"thread"``/``"process"``
-    for the persistent pools (spelled ``"thread-warm"``/
-    ``"process-warm"`` too).  A process pool starts its workers on
-    demand, never more than there are chunks in flight.  An object exposing ``submit`` is returned as-is.
-    Whoever resolves a spec owns the resulting executor and closes it:
-    the runner and scheduler do so for the executors they resolve;
-    pass a pre-built instance to share one pool across
-    runners/schedulers and close it yourself.
+    otherwise.  A string from ``EXECUTOR_KINDS`` names the kind:
+    ``"serial"``, or ``"process"`` for the persistent pool sized by
+    ``num_workers``, which starts its workers on demand, never more
+    than there are chunks in flight.  An object exposing
+    ``submit_jobs`` is returned as-is.  Whoever resolves a spec owns
+    the resulting executor and closes it: the scheduler does so for
+    the executors it resolves; pass a pre-built instance to share one
+    pool across schedulers and close it yourself.
     """
     if executor is None:
         executor = "serial" if num_workers == 1 else "process"
@@ -652,15 +527,13 @@ def resolve_executor(executor: "ChunkExecutor | str | None",
         kind = executor.strip().lower()
         if kind == "serial":
             return SerialExecutor()
-        if kind in ("thread", "thread-warm"):
-            return PersistentThreadExecutor(num_workers)
-        if kind in ("process", "process-warm"):
+        if kind == "process":
             return PersistentProcessExecutor(num_workers,
                                              start_method=start_method)
         raise ValueError(
             f"unknown executor {executor!r}; choose from "
             f"{EXECUTOR_KINDS} or pass a ChunkExecutor instance")
-    if hasattr(executor, "submit"):
+    if hasattr(executor, "submit_jobs"):
         return executor
     raise TypeError(
         f"executor must be None, a kind string or a ChunkExecutor, "
@@ -674,7 +547,6 @@ __all__ = [
     "ChunkTiming",
     "EXECUTOR_KINDS",
     "PersistentProcessExecutor",
-    "PersistentThreadExecutor",
     "SerialExecutor",
     "resolve_executor",
 ]

@@ -122,18 +122,8 @@ class ChunkPlan:
     def pending(self, completed) -> List[ChunkPlanEntry]:
         """Entries whose index is not in ``completed`` (a set or dict
         of chunk indices), in plan order."""
-        return list(self.iter_pending(completed))
-
-    def iter_pending(self, completed) -> Iterator[ChunkPlanEntry]:
-        """Lazy :meth:`pending`: yields entries as consumed.
-
-        The streaming feed for bounded-window executors -- a
-        10^5-chunk plan's pending work reaches ``submit_jobs`` as an
-        iterator, so only the executor's in-flight window is ever
-        materialized as job tuples.
-        """
-        return (entry for entry in self.entries
-                if entry.index not in completed)
+        return [entry for entry in self.entries
+                if entry.index not in completed]
 
     def __iter__(self) -> Iterator[ChunkPlanEntry]:
         return iter(self.entries)

@@ -3,9 +3,10 @@
 The paper's validation campaigns run 10^8 test sequences; the sharded
 runner brings the software reproduction toward that scale by splitting
 a campaign into fixed-size **chunks** and fanning the chunks out over
-an executor.  Since the plan/executor/checkpoint decomposition, this
-module is a thin **facade**: the actual mechanics live in one layer
-each --
+an executor.  This module defines the task protocol
+(:class:`CampaignTask`), the progress event (:class:`CampaignProgress`)
+and the single-campaign facade (:class:`ShardedCampaignRunner`); the
+mechanics live in one layer each --
 
 * :mod:`repro.campaigns.plan` -- the deterministic chunk plan, pure
   immutable data derived from ``(root_seed, total_sequences,
@@ -13,41 +14,33 @@ each --
   merged statistics are **bit-identical for any executor and any
   number of workers**;
 * :mod:`repro.campaigns.executors` -- where chunks run: inline, or on
-  a persistent thread or process pool (tasks shipped once per worker,
-  worker state built once per task), with failures wrapped as
+  a persistent process pool (tasks shipped once per worker, worker
+  state built once per task), with failures wrapped as
   :class:`~repro.campaigns.executors.ChunkExecutionError` naming the
   chunk that died;
 * :mod:`repro.campaigns.checkpoints` -- the JSON checkpoint: header
   validation, atomic replace, and the ``save_interval`` flush policy
   (plus a final flush -- also on the way out of a failed run, so a
   fixed run resumes from everything that completed);
-* :mod:`repro.campaigns.scheduler` -- many campaigns multiplexed
-  fair-share over one shared executor, with result memoization.
+* :mod:`repro.campaigns.scheduler` -- the one orchestration path:
+  campaign jobs (checkpoint restore, progress, merge) multiplexed
+  fair-share over one shared executor, with result memoization.  The
+  runner is a one-job scheduler.
 
 Work is described by a :class:`CampaignTask`: a small picklable object
 that knows how to run one chunk from one chunk seed.  Tasks build
 their (unpicklable) simulation state -- test benches, protected
 designs -- in ``build_worker_state``, in the worker.
-
-:class:`ShardedCampaignRunner` keeps its historical constructor and
-``run()`` semantics (existing callers are untouched); ``executor=``
-and ``save_interval=`` opt into the new layers explicitly.
 """
 
 from __future__ import annotations
 
 import math
 import random
-import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
-from repro.campaigns.checkpoints import CHECKPOINT_FORMAT, CheckpointStore
-from repro.campaigns.executors import (
-    ChunkExecutionError,
-    ChunkExecutor,
-    resolve_executor,
-)
+from repro.campaigns.executors import ChunkExecutionError, ChunkExecutor
 from repro.campaigns.plan import (
     ChunkPlan,
     default_chunk_size,
@@ -276,7 +269,9 @@ class ShardedCampaignRunner:
 
     @property
     def root_seed(self) -> Union[int, str]:
-        """The effective campaign root seed (drawn when ``seed=None``)."""
+        """The effective campaign root seed: drawn when ``seed=None``,
+        and after :meth:`run` resumed such a campaign, the root its
+        checkpoint recorded."""
         return self._root
 
     @property
@@ -298,100 +293,30 @@ class ShardedCampaignRunner:
         """
         return list(self.plan().entries)
 
-    def executor(self) -> ChunkExecutor:
-        """The resolved chunk executor this runner fans out over."""
-        return resolve_executor(self._executor_spec, self.num_workers,
-                                start_method=self._start_method)
-
-    # -- checkpointing --------------------------------------------------
-    def _checkpoint_header(self) -> Dict[str, Any]:
-        return {
-            "format": CHECKPOINT_FORMAT,
-            "total_sequences": self.total_sequences,
-            "chunk_size": self.chunk_size,
-            "root_seed": self._root,
-            "task": self.task.fingerprint(),
-        }
-
-    def _restore(self, store: CheckpointStore) -> Dict[int, Any]:
-        """Load, validate and adopt an existing checkpoint, if any."""
-        payload = store.load_payload()
-        if payload is None:
-            return {}
-        if self._seed is None:
-            # Adopt the recorded root so the resumed plan matches.
-            self._root = payload.get("root_seed", self._root)
-        try:
-            store.validate(payload, self._checkpoint_header())
-        except ValueError as exc:
-            raise ValueError(
-                f"checkpoint {store.path!r} {exc}") from None
-        return store.restore_completed(payload, self.task.result_from_dict)
-
-    # -- execution ------------------------------------------------------
     def run(self) -> Any:
-        """Execute the campaign and return the merged statistics."""
-        store = CheckpointStore(self.checkpoint_path,
-                                save_interval=self.save_interval)
-        completed = self._restore(store)
-        plan = self.plan()
-        counts = plan.counts()
-        unknown = set(completed) - set(counts)
-        if unknown:
-            raise ValueError(
-                f"checkpoint contains chunks outside the campaign plan: "
-                f"{sorted(unknown)}")
-        store.attach(self._checkpoint_header(), completed)
-        restored = sum(counts[i] for i in completed)
-        started = time.perf_counter()
-        # Cumulative worker-side setup/compute split of this run.
-        timing = {"setup": 0.0, "compute": 0.0}
+        """Execute the campaign and return the merged statistics.
 
-        def emit(chunk_index: int, from_checkpoint: bool = False) -> None:
-            if self.progress_callback is None:
-                return
-            self.progress_callback(CampaignProgress(
-                chunk_index=chunk_index,
-                chunks_completed=len(completed),
-                num_chunks=plan.num_chunks,
-                sequences_completed=sum(counts[i] for i in completed),
-                total_sequences=self.total_sequences,
-                from_checkpoint=from_checkpoint,
-                elapsed=time.perf_counter() - started,
-                sequences_restored=restored,
-                setup_seconds=timing["setup"],
-                compute_seconds=timing["compute"]))
+        The campaign is the only job of a one-job
+        :class:`~repro.campaigns.scheduler.CampaignScheduler`, which
+        restores the checkpoint, emits progress and merges the chunks.
+        """
+        # Imported here: the scheduler module imports this one.
+        from repro.campaigns.scheduler import CampaignScheduler
 
-        if completed:
-            emit(max(completed), from_checkpoint=True)
-        if len(completed) < plan.num_chunks:
-            executor = self.executor()
-            # Executors this runner resolved from a spec (None or a
-            # kind string) are this runner's to tear down; a pre-built
-            # instance belongs to the caller, who may be keeping its
-            # pool warm across many runs.
-            owns_executor = (self._executor_spec is None
-                             or isinstance(self._executor_spec, str))
+        with CampaignScheduler(self._executor_spec, self.num_workers,
+                               start_method=self._start_method
+                               ) as scheduler:
+            job = scheduler._submit_plan(
+                self.task, self.plan(),
+                adopt_recorded_seed=self._seed is None,
+                checkpoint_path=self.checkpoint_path,
+                save_interval=self.save_interval,
+                progress_callback=self.progress_callback)
             try:
-                for index, result in executor.submit(
-                        plan.iter_pending(completed), self.task):
-                    chunk_timing = executor.last_chunk_timing
-                    timing["setup"] += chunk_timing.setup_seconds
-                    timing["compute"] += chunk_timing.compute_seconds
-                    store.record(index, result)
-                    emit(index)
+                scheduler.run()
             finally:
-                # Persist any partial interval -- on success, failure
-                # (ChunkExecutionError) and interruption alike, so a
-                # fixed run resumes from everything that completed.
-                store.flush()
-                if owns_executor:
-                    executor.close()
-
-        merged = self.task.empty_result()
-        for index in sorted(completed):
-            merged.merge(completed[index])
-        return merged
+                self._root = job.root_seed
+        return job.result
 
 
 __all__ = [

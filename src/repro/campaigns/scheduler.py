@@ -9,10 +9,13 @@ chunk from each job in turn, over one shared executor), and a **result
 cache** (merged statistics memoized on ``(task.fingerprint(),
 root_seed, total_sequences, chunk_size)``, so a repeated request for
 the same curve returns without executing a single chunk).
-:class:`CampaignScheduler` is those three things and nothing else; it
-reuses the runner's determinism story wholesale, because each job's
-merged result depends only on its own :class:`~repro.campaigns.plan.\
-ChunkPlan`, never on what it was interleaved with.
+:class:`CampaignScheduler` is those three things, and it is the only
+orchestration path: each :class:`CampaignJob` restores its checkpoint,
+emits its progress and merges its chunks, and
+:class:`~repro.campaigns.runner.ShardedCampaignRunner` runs one
+campaign as a one-job scheduler.  A job's merged result depends only on
+its own :class:`~repro.campaigns.plan.ChunkPlan`, never on what it was
+interleaved with.
 
 Typical use::
 
@@ -53,7 +56,8 @@ class CampaignJob:
 
     def __init__(self, job_id: int, task: CampaignTask, plan: ChunkPlan,
                  checkpoint_path: Optional[str], save_interval: int,
-                 progress_callback: Optional[ProgressCallback]):
+                 progress_callback: Optional[ProgressCallback],
+                 adopt_recorded_seed: bool = False):
         self.job_id = job_id
         self.task = task
         self.plan = plan
@@ -68,6 +72,9 @@ class CampaignJob:
         #: chunks, as the executor reports them per chunk.
         self.setup_seconds = 0.0
         self.compute_seconds = 0.0
+        #: A job submitted with ``seed=None`` resumes under the root
+        #: seed its checkpoint recorded, not the one drawn at submit.
+        self._adopt_recorded_seed = adopt_recorded_seed
         self._counts = plan.counts()
         self._restored = 0
         self._started = 0.0
@@ -98,13 +105,24 @@ class CampaignJob:
         """Load this job's checkpoint (validated) and adopt its chunks."""
         payload = self.store.load_payload()
         if payload is not None:
+            if self._adopt_recorded_seed and "root_seed" in payload:
+                self.plan = ChunkPlan.build(payload["root_seed"],
+                                            self.plan.total_sequences,
+                                            self.plan.chunk_size)
+                self._counts = self.plan.counts()
             try:
                 self.store.validate(payload, self._header())
             except ValueError as exc:
                 raise ValueError(
                     f"checkpoint {self.store.path!r} {exc}") from None
-            self.completed = self.store.restore_completed(
+            completed = self.store.restore_completed(
                 payload, self.task.result_from_dict)
+            unknown = set(completed) - set(self._counts)
+            if unknown:
+                raise ValueError(
+                    f"checkpoint {self.store.path!r} contains chunks "
+                    f"outside the campaign plan: {sorted(unknown)}")
+            self.completed = completed
         self._restored = self.sequences_completed
         self.store.attach(self._header(), self.completed)
 
@@ -203,7 +221,9 @@ CheckpointStore`).
         """Queue one campaign; returns its :class:`CampaignJob`.
 
         Parameters mirror the runner's constructor.  ``seed=None``
-        draws a random root (such jobs can never hit the cache).  The
+        draws a random root (such jobs can never hit the cache); when
+        the job's checkpoint already exists, the job adopts the root
+        recorded there, so the resume continues the same plan.  The
         job does not execute until :meth:`run`.
         """
         root = (random.SystemRandom().getrandbits(64)
@@ -211,13 +231,27 @@ CheckpointStore`).
         size = resolve_chunk_size(total_sequences, chunk_size,
                                   granularity=max(
                                       1, task.chunk_granularity()))
+        return self._submit_plan(
+            task, ChunkPlan.build(root, total_sequences, size),
+            adopt_recorded_seed=seed is None,
+            checkpoint_path=checkpoint_path, save_interval=save_interval,
+            progress_callback=progress_callback)
+
+    def _submit_plan(self, task: CampaignTask, plan: ChunkPlan,
+                     adopt_recorded_seed: bool,
+                     checkpoint_path: Optional[str],
+                     save_interval: Optional[int],
+                     progress_callback: Optional[ProgressCallback]
+                     ) -> CampaignJob:
+        """Queue one campaign whose plan is already built (the
+        runner's entry: it fixes the plan at construction time)."""
         job = CampaignJob(
-            job_id=len(self._jobs), task=task,
-            plan=ChunkPlan.build(root, total_sequences, size),
+            job_id=len(self._jobs), task=task, plan=plan,
             checkpoint_path=checkpoint_path,
             save_interval=(self._save_interval if save_interval is None
                            else save_interval),
-            progress_callback=progress_callback)
+            progress_callback=progress_callback,
+            adopt_recorded_seed=adopt_recorded_seed)
         if job.cache_key in self._cache:
             # Serve a private copy rebuilt through the task's own
             # serialization, so one client mutating its result cannot

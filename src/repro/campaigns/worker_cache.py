@@ -75,7 +75,7 @@ def task_state_key(task: Any) -> str:
 class WorkerStateCache:
     """Memoized per-task worker state, keyed on ``task.fingerprint()``.
 
-    One instance lives per worker (process or thread) for that
+    One instance lives per worker process (or serial executor) for that
     worker's whole lifetime.  :meth:`lease` returns the cached state
     for a task, building it through the task's
     :meth:`~repro.campaigns.runner.CampaignTask.build_worker_state` on

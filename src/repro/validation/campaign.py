@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Union
 
-from repro.campaigns.runner import ShardedCampaignRunner
+from repro.campaigns.scheduler import CampaignScheduler
 from repro.campaigns.stats import StreamingCampaignResult
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 from repro.faults.campaign import CampaignStats
@@ -215,41 +215,42 @@ def run_sharded_campaign(task: FIFOValidationCampaignTask,
                          executor=None,
                          save_interval: int = 1,
                          scheduler=None) -> StreamingCampaignResult:
-    """Run a validation campaign task through the sharded runner.
+    """Run a validation campaign task as a scheduler job.
 
     The result is bit-identical for any ``num_workers`` and any
-    ``executor`` (``"serial"``, ``"thread"``, ``"process"``, or a
+    ``executor`` (``"serial"``, ``"process"``, or a
     :class:`~repro.campaigns.executors.ChunkExecutor` instance --
     pass a pre-built
     :class:`~repro.campaigns.executors.PersistentProcessExecutor` to
     serve many calls from one hot pool; the caller then owns its
-    ``close()``) given
-    the same ``(seed, num_sequences, chunk_size)``; see
-    :class:`~repro.campaigns.runner.ShardedCampaignRunner` for the
+    ``close()``) given the same ``(seed, num_sequences, chunk_size)``;
+    see :class:`~repro.campaigns.runner.ShardedCampaignRunner` for the
     checkpoint/resume (``save_interval`` selects the flush policy) and
     progress semantics.  Passing a
     :class:`~repro.campaigns.scheduler.CampaignScheduler` as
     ``scheduler`` routes the campaign through its shared executor and
-    result cache instead (``num_workers``/``executor`` are then the
-    scheduler's business).  Note the sharded campaigns seed their
-    test benches per chunk from seed-split streams, so their
-    statistics are not sequence-for-sequence identical to a
+    result cache (``num_workers``/``executor`` are then the
+    scheduler's business); without one, the campaign runs on a
+    one-job scheduler closed on return.  Note the sharded campaigns
+    seed their test benches per chunk from seed-split streams, so
+    their statistics are not sequence-for-sequence identical to a
     single-process :class:`ValidationCampaign` run -- the two are
     statistically equivalent samplings of the same experiment.
     """
-    if scheduler is not None:
+    owned = scheduler is None
+    if owned:
+        scheduler = CampaignScheduler(executor=executor,
+                                      num_workers=num_workers)
+    try:
         job = scheduler.submit(
             task, num_sequences, seed=seed, chunk_size=chunk_size,
             checkpoint_path=checkpoint_path, save_interval=save_interval,
             progress_callback=progress_callback)
         scheduler.run()
-        return job.result
-    runner = ShardedCampaignRunner(
-        task, num_sequences, seed=seed, num_workers=num_workers,
-        chunk_size=chunk_size, checkpoint_path=checkpoint_path,
-        progress_callback=progress_callback, executor=executor,
-        save_interval=save_interval)
-    return runner.run()
+    finally:
+        if owned:
+            scheduler.close()
+    return job.result
 
 
 def run_sharded_single_error_campaign(

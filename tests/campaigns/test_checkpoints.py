@@ -121,7 +121,7 @@ class TestCrashWindow:
         for lost in ("1", "4", "6"):
             del payload["completed"][lost]
         (tmp_path / "campaign.json").write_text(json.dumps(payload))
-        for spec in ("thread", "process"):
+        for spec in ("serial", "process"):
             resumed = ShardedCampaignRunner(
                 TrialTask(), 80, seed=5, chunk_size=10,
                 checkpoint_path=path, save_interval=3, num_workers=2,

@@ -2,7 +2,6 @@
 serial state cache, and pool lifecycle (no leaked workers)."""
 
 import multiprocessing
-import threading
 import time
 from dataclasses import dataclass
 
@@ -12,9 +11,9 @@ from hypothesis import strategies as st
 
 from repro.analysis.correction_capability import CorrectionCounters
 from repro.campaigns.executors import (
+    EXECUTOR_KINDS,
     ChunkExecutionError,
     PersistentProcessExecutor,
-    PersistentThreadExecutor,
     SerialExecutor,
     resolve_executor,
 )
@@ -23,7 +22,7 @@ from repro.campaigns.runner import CampaignTask, ShardedCampaignRunner
 from repro.campaigns.scheduler import CampaignScheduler
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
 WORKER_COUNTS = (1, 2, 4)
 
 
@@ -111,10 +110,8 @@ def _sampler_task(mode: str) -> FIFOValidationCampaignTask:
 
 
 def _leftover_workers():
-    """Live child processes and pool threads of this process."""
-    threads = [thread.name for thread in threading.enumerate()
-               if thread.name.startswith("repro-warm")]
-    return multiprocessing.active_children(), threads
+    """Live child processes of this process."""
+    return multiprocessing.active_children()
 
 
 class TestExecutorEquivalence:
@@ -140,8 +137,7 @@ class TestExecutorEquivalence:
             task, 12, seed=20100308, chunk_size=4,
             executor="serial").run()
         assert reference.stats.num_sequences == 12
-        for spec, workers in (("thread", 2), ("thread", 4),
-                              ("process", 2), ("process", 4)):
+        for spec, workers in (("process", 2), ("process", 4)):
             result = ShardedCampaignRunner(
                 task, 12, seed=20100308, chunk_size=4,
                 num_workers=workers, executor=spec).run()
@@ -149,14 +145,14 @@ class TestExecutorEquivalence:
 
     @given(seed=st.integers(0, 2**32), chunk=st.integers(1, 9))
     @settings(max_examples=20, deadline=None)
-    def test_thread_executor_matches_serial_property(self, seed, chunk):
+    def test_process_executor_matches_serial_property(self, seed, chunk):
         serial = ShardedCampaignRunner(TrialTask(), 30, seed=seed,
                                        chunk_size=chunk,
                                        executor="serial").run()
-        threaded = ShardedCampaignRunner(TrialTask(), 30, seed=seed,
-                                         chunk_size=chunk, num_workers=3,
-                                         executor="thread").run()
-        assert serial == threaded
+        pooled = ShardedCampaignRunner(TrialTask(), 30, seed=seed,
+                                       chunk_size=chunk, num_workers=3,
+                                       executor="process").run()
+        assert serial == pooled
 
 
 class TestSerialStateCache:
@@ -169,7 +165,8 @@ class TestSerialStateCache:
         executor = SerialExecutor()
         timings = []
         merged = task.empty_result()
-        for _index, result in executor.submit(iter(entries), task):
+        for _tag, _index, result in executor.submit_jobs(
+                (None, entry, task) for entry in entries):
             timings.append(executor.last_chunk_timing)
             merged.merge(result)
         assert len(timings) == 4
@@ -287,7 +284,7 @@ class TestNoLeakedWorkers:
     """Spec-resolved pools are closed by whoever resolved them, on
     success and on failure alike."""
 
-    SPECS = (None, "process", "thread")
+    SPECS = (None, "process")
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_runner_closes_its_pool(self, spec):
@@ -295,7 +292,7 @@ class TestNoLeakedWorkers:
             TrialTask(), 60, seed=3, chunk_size=10, num_workers=2,
             executor=spec).run()
         assert result.sequences == 60
-        assert _leftover_workers() == ([], [])
+        assert _leftover_workers() == []
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_failed_runner_closes_its_pool(self, spec):
@@ -305,7 +302,7 @@ class TestNoLeakedWorkers:
             num_workers=2, executor=spec)
         with pytest.raises(ChunkExecutionError):
             runner.run()
-        assert _leftover_workers() == ([], [])
+        assert _leftover_workers() == []
 
     @pytest.mark.parametrize("spec", (None, "process"))
     def test_failed_runner_does_not_wait_for_busy_workers(self, spec):
@@ -320,7 +317,7 @@ class TestNoLeakedWorkers:
         with pytest.raises(ChunkExecutionError):
             runner.run()
         assert time.perf_counter() - started < 3.0
-        assert _leftover_workers() == ([], [])
+        assert _leftover_workers() == []
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_scheduler_close_releases_its_pool(self, spec):
@@ -329,7 +326,7 @@ class TestNoLeakedWorkers:
         scheduler.run()
         assert job.result.sequences == 60
         scheduler.close()
-        assert _leftover_workers() == ([], [])
+        assert _leftover_workers() == []
 
 
 class TestResolveExecutor:
@@ -342,12 +339,35 @@ class TestResolveExecutor:
 
     def test_strings_and_instances(self):
         assert isinstance(resolve_executor("serial", 4), SerialExecutor)
-        assert isinstance(resolve_executor("thread", 4),
-                          PersistentThreadExecutor)
         assert isinstance(resolve_executor("process", 4),
                           PersistentProcessExecutor)
-        instance = PersistentThreadExecutor(2)
+        instance = SerialExecutor()
         assert resolve_executor(instance) is instance
+
+    def test_any_object_with_submit_jobs_passes_through(self):
+        class Custom:
+            def submit_jobs(self, jobs):
+                return iter(())
+
+        custom = Custom()
+        assert resolve_executor(custom) is custom
+
+        class SubmitOnly:
+            def submit(self, entries, task):
+                return iter(())
+
+        with pytest.raises(TypeError):
+            resolve_executor(SubmitOnly())
+
+    def test_kinds_are_serial_and_process(self):
+        assert EXECUTOR_KINDS == ("serial", "process")
+
+    @pytest.mark.parametrize("spec", ("thread", "thread-warm",
+                                      "process-warm"))
+    def test_removed_spellings_list_the_kinds(self, spec):
+        with pytest.raises(ValueError, match="unknown executor") as excinfo:
+            resolve_executor(spec, 2)
+        assert str(EXECUTOR_KINDS) in str(excinfo.value)
 
     def test_rejects_unknown_specs(self):
         with pytest.raises(ValueError, match="unknown executor"):

@@ -118,7 +118,7 @@ class TestSchedulerDeterminism:
         expected = [ShardedCampaignRunner(task, total, seed=seed,
                                           chunk_size=10).run()
                     for task, total, seed in tasks]
-        for spec, workers in (("serial", 1), ("thread", 3),
+        for spec, workers in (("serial", 1), ("process", 3),
                               ("process", 2)):
             with CampaignScheduler(executor=spec,
                                    num_workers=workers) as scheduler:

@@ -121,17 +121,22 @@ def test_forced_jit_path_on_simd_engine_fails_loudly():
 
 def test_sharded_jit_campaign_is_worker_count_deterministic():
     """1- and 2-worker sharded runs of a jit-path campaign produce
-    identical counters (the thread executor shares the registry, so
-    the inline registration is visible to every worker)."""
+    identical counters (the pool forks its workers after the inline
+    registration, so every worker inherits it)."""
+    import multiprocessing
+
     from repro.engines.registry import unregister_engine
     from repro.validation.campaign import run_sharded_single_error_campaign
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        pytest.skip("only forked workers inherit the inline registration")
 
     _register_pure_jit()
     try:
         kwargs = dict(width=8, depth=8, num_chains=8, seed=20100308,
                       chunk_size=16, batch_size=8, engine="jit-pure",
                       sampler="array", summary_path="jit",
-                      executor="thread")
+                      executor="process")
         one = run_sharded_single_error_campaign(64, **kwargs)
         two = run_sharded_single_error_campaign(64, num_workers=2,
                                                 **kwargs)

@@ -10,10 +10,8 @@ import pytest
 
 from repro.analysis.correction_capability import CorrectionCounters
 from repro.campaigns.executors import (
-    EXECUTOR_KINDS,
     ChunkExecutionError,
     PersistentProcessExecutor,
-    PersistentThreadExecutor,
     resolve_executor,
 )
 from repro.campaigns.plan import ChunkPlan
@@ -85,12 +83,19 @@ def _warm_children():
             if (child.name or "").startswith("repro-warm-worker")]
 
 
+def _jobs(task, entries):
+    """Untagged ``submit_jobs`` feed of one task's plan entries."""
+    return ((None, entry, task) for entry in entries)
+
+
 def _run(pool, task, total=60, seed=11, chunk=10):
     """One campaign through ``pool``; returns the merged counters."""
     entries = ChunkPlan.build(seed, total, chunk).entries
     merged = task.empty_result()
-    for _index, result in sorted(pool.submit(iter(entries), task)):
-        merged.merge(result)
+    completed = {index: result for _tag, index, result in
+                 pool.submit_jobs(_jobs(task, entries))}
+    for index in sorted(completed):
+        merged.merge(completed[index])
     return merged
 
 
@@ -122,23 +127,14 @@ class TestLifecycle:
         pool.close()
         pool.close()  # idempotent
         with pytest.raises(RuntimeError, match="closed"):
-            list(pool.submit(iter(ChunkPlan.build(1, 10, 5).entries),
-                             TrialTask()))
-
-    def test_thread_pool_lifecycle(self):
-        with PersistentThreadExecutor(2) as pool:
-            assert _run(pool, TrialTask()) == _serial(TrialTask())
-        pool.close()  # idempotent after __exit__
-        with pytest.raises(RuntimeError, match="closed"):
-            list(pool.submit(iter(ChunkPlan.build(1, 10, 5).entries),
-                             TrialTask()))
+            list(pool.submit_jobs(_jobs(
+                TrialTask(), ChunkPlan.build(1, 10, 5).entries)))
 
     def test_constructor_validation(self):
-        for cls in (PersistentProcessExecutor, PersistentThreadExecutor):
-            with pytest.raises(ValueError):
-                cls(0)
-            assert cls(1).window == 4
-            assert cls(3).window == 6
+        with pytest.raises(ValueError):
+            PersistentProcessExecutor(0)
+        assert PersistentProcessExecutor(1).window == 4
+        assert PersistentProcessExecutor(3).window == 6
 
 
 class TestPoolReuse:
@@ -177,10 +173,10 @@ class TestPoolReuse:
             task = TrialTask()
             entries = ChunkPlan.build(5, 30, 10).entries
             first_call = []
-            for _ in pool.submit(iter(entries), task):
+            for _ in pool.submit_jobs(_jobs(task, entries)):
                 first_call.append(pool.last_chunk_timing)
             second_call = []
-            for _ in pool.submit(iter(entries), task):
+            for _ in pool.submit_jobs(_jobs(task, entries)):
                 second_call.append(pool.last_chunk_timing)
         # First sighting builds the state (a miss), everything after
         # is served warm with zero setup.
@@ -217,22 +213,6 @@ class TestBackpressure:
                 assert feed.pulled <= consumed + window
             assert consumed == len(entries)
             assert feed.pulled == len(entries)
-
-    def test_thread_pool_honours_the_window_too(self):
-        task = TrialTask()
-        entries = ChunkPlan.build(9, 120, 10).entries
-        pulled = []
-
-        def feed():
-            for entry in entries:
-                pulled.append(entry.index)
-                yield (None, entry, task)
-
-        with PersistentThreadExecutor(2) as pool:
-            consumed = 0
-            for _ in pool.submit_jobs(feed()):
-                consumed += 1
-                assert len(pulled) <= consumed + pool.window
 
 
 class TestFailureContainment:
@@ -298,7 +278,7 @@ class TestWarmBitIdentity:
         task = _sampler_task(mode)
         reference = _serial(task, total=12, seed=20100308, chunk=4)
         assert reference.stats.num_sequences == 12
-        for workers in (1, 2):
+        for workers in WORKER_COUNTS:
             with PersistentProcessExecutor(workers) as pool:
                 fresh = _run(pool, task, total=12, seed=20100308,
                              chunk=4)
@@ -307,35 +287,13 @@ class TestWarmBitIdentity:
             assert fresh == reference, (mode, workers)
             assert reused == reference, (mode, workers)
 
-    @pytest.mark.parametrize("workers", WORKER_COUNTS)
-    def test_thread_warm_matches_serial(self, workers):
-        task = _sampler_task("scalar")
-        reference = _serial(task, total=12, seed=20100308, chunk=4)
-        with PersistentThreadExecutor(workers) as pool:
-            fresh = _run(pool, task, total=12, seed=20100308, chunk=4)
-            reused = _run(pool, task, total=12, seed=20100308, chunk=4)
-        assert fresh == reference
-        assert reused == reference
-
 
 class TestResolveWarmSpecs:
     def test_warm_kind_strings(self):
-        for spec in ("process-warm", "process"):
-            pool = resolve_executor(spec, 3)
-            assert isinstance(pool, PersistentProcessExecutor)
-            assert pool.num_workers == 3
-            pool.close()
-        for spec in ("thread-warm", "thread"):
-            pool = resolve_executor(spec, 3)
-            assert isinstance(pool, PersistentThreadExecutor)
-            assert pool.num_workers == 3
-            pool.close()
-
-    def test_warm_kinds_are_advertised(self):
-        assert "process-warm" in EXECUTOR_KINDS
-        assert "thread-warm" in EXECUTOR_KINDS
-        with pytest.raises(ValueError, match="process-warm"):
-            resolve_executor("gpu", 2)
+        pool = resolve_executor("process", 3)
+        assert isinstance(pool, PersistentProcessExecutor)
+        assert pool.num_workers == 3
+        pool.close()
 
     def test_prebuilt_instances_pass_through(self):
         pool = PersistentProcessExecutor(2)
@@ -349,7 +307,7 @@ class TestRunnerIntegration:
     def test_runner_with_warm_spec_closes_its_pool(self):
         result = ShardedCampaignRunner(
             TrialTask(), 200, seed=99, chunk_size=13, num_workers=2,
-            executor="process-warm").run()
+            executor="process").run()
         assert result == _serial(TrialTask(), total=200, seed=99,
                                  chunk=13)
         # The runner resolved the spec, so the runner closed the pool.
@@ -371,7 +329,7 @@ class TestRunnerIntegration:
         snapshots = []
         ShardedCampaignRunner(
             task, 12, seed=5, chunk_size=4, num_workers=1,
-            executor="process-warm",
+            executor="process",
             progress_callback=snapshots.append).run()
         final = snapshots[-1]
         # One worker built the workspace once (setup), then computed
@@ -383,7 +341,7 @@ class TestRunnerIntegration:
 
 class TestSchedulerIntegration:
     def test_one_warm_pool_serves_many_jobs(self):
-        with CampaignScheduler(executor="process-warm",
+        with CampaignScheduler(executor="process",
                                num_workers=2) as scheduler:
             jobs = [scheduler.submit(TrialTask(), 60, seed=seed,
                                      chunk_size=10)
@@ -402,7 +360,7 @@ class TestSchedulerIntegration:
         assert _warm_children() == []
 
     def test_back_to_back_rounds_reuse_the_pool(self):
-        with CampaignScheduler(executor="process-warm",
+        with CampaignScheduler(executor="process",
                                num_workers=1) as scheduler:
             scheduler.submit(TrialTask(), 60, seed=41, chunk_size=10)
             scheduler.run()
@@ -426,7 +384,7 @@ class TestSchedulerIntegration:
 
     def test_jobs_accumulate_their_timing_split(self):
         task = _sampler_task("scalar")
-        with CampaignScheduler(executor="process-warm",
+        with CampaignScheduler(executor="process",
                                num_workers=1) as scheduler:
             job = scheduler.submit(task, 12, seed=6, chunk_size=4)
             scheduler.run()
