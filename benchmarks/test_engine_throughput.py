@@ -21,8 +21,8 @@ in ``BENCH_engines.json`` and enforced by the CI regression guard
   (``sampler="array"``) must hold >= 2x over the batched object path.
 * **campaign_delta_path** -- the same campaign with the sparse-delta
   superposition path forced against the dense word-fold summary path:
-  >= 2x end to end (the committed measurement is ~4x; the engine pass
-  alone is >10x).
+  >= 2x end to end (measured ~3x; the engine pass alone is ~9x at
+  batch 4096).
 * **campaign_small_batch** -- the summary path's per-batch overhead:
   the same single-error chunk at batch 256 must keep >= 0.08x of its
   batch-4096 rate (``small_batch_efficiency``).
@@ -406,7 +406,7 @@ def test_campaign_delta_path_throughput():
     """End-to-end single-error campaign chunk, sparse-delta versus
     dense summary path, on the same 32x32-FIFO configuration as
     ``campaign_summary_path``: the delta path must be >= 2x (measured
-    ~3-4x; the engine-level pass alone is >10x, the end-to-end gap is
+    ~3x; the engine-level pass alone is ~9x, the end-to-end gap is
     bounded by the path-independent stimulus/controller work).
 
     A single-error batch is maximally sparse (1 flip per sequence
@@ -582,8 +582,8 @@ def test_campaign_multi_error_sampler():
     ``argpartition`` selection over the whole key matrix, which it
     matches draw for draw.  ``sampler_speedup_vs_argpartition`` must
     hold >= 1.0x (about half the committed measurement); ``rng.random``
-    alone is recorded as the floor no stream-preserving sampler can
-    beat.
+    filling a reused key matrix alone is recorded as the floor no
+    stream-preserving sampler can beat.
     """
     import numpy as np
 
@@ -605,15 +605,17 @@ def test_campaign_multi_error_sampler():
     assert rng.bit_generator.state == oracle_rng.bit_generator.state
 
     rng = np.random.default_rng(8)
+    # The floor fills one reused key matrix, as the sampler does: a
+    # fresh allocation per call would time page faults the sampler
+    # does not pay.
+    keys = np.empty((SAMPLER_BATCH, population), dtype=np.float64)
     times = {
         "sampler": _time(lambda: sample_pattern_batch(
             "multiple", num_chains, length, SAMPLER_BATCH, rng,
             num_errors=SAMPLER_ERRORS), repeats=15),
         "argpartition": _time(lambda: _argpartition_cells(rng, *args),
                               repeats=15),
-        "rng_random": _time(lambda: rng.random((SAMPLER_BATCH,
-                                                population)),
-                            repeats=15),
+        "rng_random": _time(lambda: rng.random(out=keys), repeats=15),
     }
     speedup = times["argpartition"] / times["sampler"]
     flips = SAMPLER_BATCH * SAMPLER_ERRORS

@@ -55,16 +55,16 @@ from repro.engines.base import BatchOutcomeArrays
 #: mean flips per sequence.  The delta pass costs ~O(F log F) on F
 #: total flips while the dense pass costs a geometry-proportional
 #: constant, so the true break-even scales with the scan-cell count:
-#: measured ~32 flips/seq on the paper's 32x32-FIFO configuration (80
-#: chains x 13 cells, Hamming(7,4)+CRC-16, B=1024; single-error
-#: batches run ~12x faster on delta) but only ~4 on toy geometries
-#: (16 chains x 17 cells).  8.0 is the conservative fixed point:
-#: every realistic campaign density (the paper's 1-4 flips/seq curves)
-#: lands on delta on any geometry without ever losing more than a few
-#: percent where dense would have won, and dense keeps the burst-storm
-#: regime it is built for.  Batches at *exactly* the threshold take
-#: the delta path (``<=``); ``engine.delta_crossover`` overrides per
-#: instance.
+#: measured ~11-12 flips/seq on the paper's 32x32-FIFO configuration
+#: (80 chains x 13 cells, Hamming(7,4)+CRC-16, B=1024 and B=4096;
+#: single-error batches run ~4x faster on delta at B=1024, ~9x at
+#: B=4096) but only ~2-4 on toy geometries (16 chains x 17 cells,
+#: B=4096 and B=1024), where a batch at 8 flips/seq runs up to ~3x
+#: slower on delta than on dense.  8.0 keeps every realistic campaign
+#: density (the paper's 1-4 flips/seq curves) on delta on the paper
+#: geometry, and dense keeps the burst-storm regime it is built for.
+#: Batches at *exactly* the threshold take the delta path (``<=``);
+#: ``engine.delta_crossover`` overrides per instance.
 DELTA_CROSSOVER_FLIPS_PER_SEQ = 8.0
 
 
@@ -105,9 +105,9 @@ def correction_lut(code) -> np.ndarray:
     """The syndrome -> systematic-position correction LUT of a
     correcting block code, shared process-wide.
 
-    Exactly the table the dense kernels index (``-1`` clean, ``-2``
-    detected-uncorrectable, ``0..n-1`` the systematic position to
-    flip): Hamming codes get the full ``1 << r`` table with the clean
+    Exactly the table the dense kernels derive their syndrome masks
+    from (``-1`` clean, ``-2`` detected-uncorrectable, ``0..n-1`` the
+    systematic position to flip): Hamming codes get the full ``1 << r`` table with the clean
     entry, SECDED codes the ``1 << base_r`` single-error table of the
     base code (the overall-parity case split happens outside the
     table).  The returned array is read-only; every engine instance of

@@ -21,9 +21,17 @@ essentially every sequence of a batch:
 * correcting blocks sharing one code are stacked on a leading *group*
   axis, so one kernel invocation decodes every Hamming block of the
   bank at once;
-* correction itself is a vectorised syndrome -> systematic-position
-  table lookup plus a masked XOR scatter (``np.bitwise_xor.at``) into
-  the packed words -- one decode core serves the object pass and the
+* correction is bit-sliced mask algebra on the same words, 64
+  sequences per operation: with ``diff_j`` the mismatch word of
+  syndrome bit ``j``, a codeword position whose syndrome is ``s``
+  matches where ``AND_j (diff_j if bit j of s else ~diff_j)`` is set
+  (the syndromes are read backwards out of the shared correction LUT).
+  Data-position matches are the fix masks and one XOR applies them;
+  matches on tied-off padding inputs and LUT-uncorrectable syndromes
+  are the uncorrectable mask; SECDED splits its cases with the
+  overall-parity mismatch word.  Detected and uncorrectable verdicts
+  are ORs of masks and the correction count a per-sequence popcount
+  of the fix masks -- one decode core serves the object pass and the
   dense summary alike; per-sequence Python work is limited to
   materialising the :class:`~repro.core.monitor.MonitorReport` objects
   the protocol requires, proportional to the number of *error events*,
@@ -85,6 +93,7 @@ from repro.engines.reporting import assemble_batch_result, clean_report_tuple
 from repro.engines.summary import (
     bits_matrix,
     full_words,
+    per_sequence_popcounts,
     replicate_state_words,
     residual_counts_words,
 )
@@ -150,49 +159,73 @@ def _parity_words(rows: Sequence[np.ndarray], const: Sequence[int],
     return out
 
 
-def _fold_syndrome(bits: np.ndarray) -> np.ndarray:
-    """Collapse mismatch bit rows ``(G, r, L, B)`` into syndrome values
-    ``(G, L, B)`` (mismatch of parity ``j`` sets syndrome bit ``j``,
-    the convention of the packed decoders)."""
-    syn = bits[:, 0].astype(np.uint16)
-    for j in range(1, bits.shape[1]):
-        syn |= bits[:, j].astype(np.uint16) << j
-    return syn
+def _syndrome_flips(lut: np.ndarray, k: int, r: int) -> np.ndarray:
+    """The ``(r, m)`` XOR constants of :func:`_match_words` for a
+    correction LUT read backwards: column ``p < k`` is the syndrome that
+    flips data position ``p``, the columns after it the nonzero
+    syndromes the LUT calls detected-uncorrectable (``-2``).  Entry
+    ``[j, i]`` is 0 where bit ``j`` of syndrome ``i`` is set (keep
+    mismatch row ``j``) and all-ones where it is clear (complement
+    it)."""
+    entries = lut.tolist()
+    syndromes = [entries.index(position) for position in range(k)]
+    syndromes += [s for s in range(1, len(entries)) if entries[s] == -2]
+    bits = (np.array(syndromes, dtype=np.int64)[None, :]
+            >> np.arange(r, dtype=np.int64)[:, None]) & 1
+    return np.where(bits == 1, np.uint64(0), ~np.uint64(0))
+
+
+def _match_words(diff: np.ndarray, flips: np.ndarray) -> np.ndarray:
+    """Bit-sliced syndrome comparison over mismatch words.
+
+    ``diff`` is ``(G, r, L, W)`` (row ``j`` is syndrome bit ``j`` of
+    every lane) and ``flips`` the ``(r, m)`` constants of
+    :func:`_syndrome_flips`; the result is ``(G, m, L, W)`` with a bit
+    set exactly where that lane's syndrome equals syndrome ``i`` -- the
+    AND over ``j`` of ``diff_j`` or ``~diff_j``.  Every syndrome passed
+    in is nonzero, so each match ANDs at least one plain ``diff_j`` and
+    the lanes past the batch (all-zero mismatch) never match.
+    """
+    match = diff[:, 0, None] ^ flips[0, :, None, None]
+    for j in range(1, diff.shape[1]):
+        match &= diff[:, j, None] ^ flips[j, :, None, None]
+    return match
 
 
 class _HammingKernel:
     """Vectorised Hamming parity/decode over grouped word arrays.
 
-    Decode reports, per (group, position, sequence), the systematic
-    position the scalar decoder would flip: ``-1`` clean, ``-2``
-    detected-uncorrectable, ``0..n-1`` otherwise.  The caller turns
-    positions into flips, events and padding verdicts.
+    Decode returns ``(err, fix, unc)`` as words, or None for a clean
+    group: ``err`` / ``unc`` are ``(G, L, W)`` masks of the codewords
+    with a nonzero syndrome / a syndrome the code cannot correct, and
+    ``fix`` is ``(G, k, L, W)`` with ``fix[:, p]`` the codewords whose
+    syndrome points at data position ``p``.  A syndrome pointing at a
+    check bit sets ``err`` only.  The caller handles padding.
     """
 
     def __init__(self, code: HammingCode):
         matrix = block_parity_matrix(code)
         self.code = code
         self.k = code.k
-        self.r = code.r
         self.rows = tuple(np.array(row, dtype=np.int64)
                           for row in matrix.rows)
         self.const = matrix.const
-        # Shared process-wide (read-only) so sharded workers rebuilding
-        # engines per chunk stop re-deriving it per instance.
-        self.lut = correction_lut(code)
+        self.flips = _syndrome_flips(correction_lut(code), code.k, code.r)
 
     def encode(self, data: np.ndarray, full: np.ndarray) -> np.ndarray:
         return _parity_words(self.rows, self.const, data, full)
 
     def decode(self, data: np.ndarray, stored: np.ndarray,
-               full: np.ndarray, batch_size: int):
+               full: np.ndarray):
         diff = self.encode(data, full)
         np.bitwise_xor(diff, stored, out=diff)
         if not diff.any():
             return None
-        syn = _fold_syndrome(_unpack_bits(diff, batch_size))
-        # np.take beats fancy indexing on a LUT this small.
-        return syn != 0, np.take(self.lut, syn)
+        err = np.bitwise_or.reduce(diff, axis=1)
+        match = _match_words(diff, self.flips)
+        # An empty reduction (no uncorrectable syndrome) is all-zero.
+        unc = np.bitwise_or.reduce(match[:, self.k:], axis=1)
+        return err, match[:, :self.k], unc
 
 
 class _SECDEDKernel:
@@ -200,51 +233,47 @@ class _SECDEDKernel:
 
     Mirrors :meth:`repro.codes.packed.PackedSECDED.decode_slice`: the
     observed overall parity folds the received data word with the
-    *stored* base parity bits, so the four case splits (clean / overall
-    bit flipped / single corrected / double detected) are mask algebra
-    over two unpacked bit arrays (syndrome and overall-parity
-    mismatch).
+    *stored* base parity bits, so the four case splits are mask algebra
+    over the base mismatch words and the overall-parity mismatch word
+    ``m``: clean, the overall bit alone (``m`` with a zero syndrome:
+    detected and corrected, data intact), a single error (``m`` with a
+    nonzero syndrome: the base code's call) and a double error (a
+    nonzero syndrome without ``m``: uncorrectable).  Decode returns
+    words in the layout of :meth:`_HammingKernel.decode`.
     """
 
     def __init__(self, code: SECDEDCode):
         matrix = block_parity_matrix(code)
         self.code = code
         self.k = code.k
-        self.n = code.n                  # extended length (base + 1)
-        self.r = code.n - code.k         # base parity bits + overall bit
-        self.base_r = self.r - 1
+        self.base_r = code.n - code.k - 1  # parity bits bar the overall
         self.rows = tuple(np.array(row, dtype=np.int64)
                           for row in matrix.rows)
         self.const = matrix.const
-        # Shared process-wide (read-only), like the Hamming kernel's.
-        self.lut = correction_lut(code)
+        self.flips = _syndrome_flips(correction_lut(code), code.k,
+                                     self.base_r)
 
     def encode(self, data: np.ndarray, full: np.ndarray) -> np.ndarray:
         return _parity_words(self.rows, self.const, data, full)
 
     def decode(self, data: np.ndarray, stored: np.ndarray,
-               full: np.ndarray, batch_size: int):
+               full: np.ndarray):
         base_r = self.base_r
         fresh_base = _parity_words(self.rows[:base_r], self.const[:base_r],
                                    data, full)
         stored_base = stored[:, :base_r]
         diff = fresh_base ^ stored_base
-        pm_mismatch = np.bitwise_xor.reduce(data, axis=1)
-        pm_mismatch = pm_mismatch ^ np.bitwise_xor.reduce(stored_base, axis=1)
-        pm_mismatch ^= stored[:, base_r]
-        if not (diff.any() or pm_mismatch.any()):
+        overall = np.bitwise_xor.reduce(data, axis=1)
+        overall ^= np.bitwise_xor.reduce(stored_base, axis=1)
+        overall ^= stored[:, base_r]
+        if not (diff.any() or overall.any()):
             return None
-        syn = _fold_syndrome(_unpack_bits(diff, batch_size))
-        mismatch = _unpack_bits(pm_mismatch, batch_size).astype(bool)
-        nonzero = syn != 0
-        err = nonzero | mismatch
-        pos = np.full(syn.shape, -2, dtype=np.int16)
-        pos[~err] = -1
-        # Overall parity bit itself flipped: corrected, data intact.
-        pos[mismatch & ~nonzero] = self.n - 1
-        single = mismatch & nonzero
-        pos[single] = self.lut[syn[single]]
-        return err, pos
+        nonzero = np.bitwise_or.reduce(diff, axis=1)
+        match = _match_words(diff, self.flips)
+        fix = match[:, :self.k] & overall[:, None]
+        unc = nonzero & ~overall
+        unc |= np.bitwise_or.reduce(match[:, self.k:], axis=1) & overall
+        return nonzero | overall, fix, unc
 
 
 class _ParityKernel:
@@ -254,7 +283,6 @@ class _ParityKernel:
         matrix = block_parity_matrix(code)
         self.code = code
         self.k = code.k
-        self.r = 1
         self.rows = (np.array(matrix.rows[0], dtype=np.int64),)
         self.const = matrix.const
 
@@ -262,14 +290,12 @@ class _ParityKernel:
         return _parity_words(self.rows, self.const, data, full)
 
     def decode(self, data: np.ndarray, stored: np.ndarray,
-               full: np.ndarray, batch_size: int):
+               full: np.ndarray):
         diff = self.encode(data, full)
         np.bitwise_xor(diff, stored, out=diff)
         if not diff.any():
             return None
-        err = _unpack_bits(diff[:, 0], batch_size).astype(bool)
-        pos = np.where(err, np.int16(-2), np.int16(-1))
-        return err, pos
+        return diff[:, 0], None, diff[:, 0]
 
 
 def _make_kernel(code):
@@ -335,7 +361,15 @@ class _BlockGroup:
             self.gather_idx[g, :monitor.width] = monitor.chain_idx_arr
             pad[g, :monitor.width] = False
         self.pad_mask = pad if pad.any() else None
-        self.width = np.array([m.width for m in monitors], dtype=np.int16)
+        #: ``(g, width)`` of every monitor whose tail positions are
+        #: tied-off padding.
+        self.padded = [(g, monitor.width)
+                       for g, monitor in enumerate(monitors)
+                       if monitor.width < k]
+        #: The flat ``(g, position)`` rows of real data positions and
+        #: the chain each one corrects.
+        self.data_rows = np.flatnonzero(~pad.reshape(-1))
+        self.data_chains = self.gather_idx.reshape(-1)[self.data_rows]
         self.stored: Optional[np.ndarray] = None
 
 
@@ -578,9 +612,10 @@ class SimdBatchedEngine(SimulationEngine):
             self._decode_words(corrected, batch_size)
         block_results: Dict[int, tuple] = {}
         for decoded in reported:
-            self._block_bookkeeping(*decoded, block_results)
-        stream_results = {id(monitor): mismatch
-                          for monitor, mismatch in mismatches}
+            self._block_bookkeeping(*decoded, batch_size, block_results)
+        stream_results = {
+            id(monitor): _unpack_bits(mismatch, batch_size).astype(bool)
+            for monitor, mismatch in mismatches}
         return assemble_batch_result(
             self._order, self._clean_report_tuple(), block_results,
             stream_results, corrected, detected, uncorrectable, corrections)
@@ -590,21 +625,23 @@ class SimdBatchedEngine(SimulationEngine):
         """The decode pass over a word-packed batch, correcting
         ``words`` in place.
 
-        Decodes every code group, XOR-scatters the corrections into
+        Decodes every code group, XORs its correction words into
         ``words`` and checks every stream signature against the
         corrected state.  Returns ``(detected, uncorrectable,
         corrections, reported, mismatches)``: the three ``(B,)``
-        aggregate verdict arrays, the ``(group, err, pos, uncorr, fix)``
-        kernel outputs of every group that saw a mismatch, and the
-        ``(monitor, mismatch)`` pairs of every stream block that did.
-        The object pass and the dense summary share this core and
-        differ only in what they build from those outputs.
+        aggregate verdict arrays, the ``(group, err, fix, unc)`` kernel
+        masks of every group that saw a mismatch (padding already
+        resolved: a syndrome pointing at a tied-off input is
+        uncorrectable, never a fix), and the ``(monitor, mismatch)``
+        ``(W,)`` words of every stream block that saw one.  The object
+        pass and the dense summary share this core and differ only in
+        what they build from those outputs.
         """
         length = self.chain_length
         num_words = words.shape[2]
         full = self._full_words(batch_size)
-        detected = np.zeros(batch_size, dtype=bool)
-        uncorrectable = np.zeros(batch_size, dtype=bool)
+        detected = np.zeros(num_words, dtype=np.uint64)
+        uncorrectable = np.zeros(num_words, dtype=np.uint64)
         corrections = np.zeros(batch_size, dtype=np.int64)
         overlap = self._overlapping_correctors
         if overlap:
@@ -612,52 +649,53 @@ class SimdBatchedEngine(SimulationEngine):
                                                   words.shape, np.uint64)
             pre_correction[...] = words
         reported = []
-        group_flips: List[Tuple[np.ndarray, np.ndarray]] = []
-        monitor_flips: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+        group_fixes: List[Tuple[np.ndarray, np.ndarray]] = []
+        monitor_fixes: Dict[int, np.ndarray] = {}
         for index, group in enumerate(self._groups):
             out = group.kernel.decode(self._gather(index, group, words),
-                                      group.stored, full, batch_size)
+                                      group.stored, full)
             if out is None:
                 continue
-            err_b, pos = out
-            k = group.kernel.k
-            width = group.width[:, None, None]
-            uncorr_b = err_b & ((pos == -2) | ((pos >= width) & (pos < k)))
-            data_fix = err_b & (pos >= 0) & (pos < width)
-            detected |= err_b.any(axis=(0, 1))
-            uncorrectable |= uncorr_b.any(axis=(0, 1))
-            corrections += data_fix.sum(axis=(0, 1), dtype=np.int64)
-            reported.append((group, err_b, pos, uncorr_b, data_fix))
-            group_idx, positions, seqs = np.nonzero(data_fix)
-            if not group_idx.size:
-                continue
-            fix_pos = pos[group_idx, positions, seqs]
-            chains = group.gather_idx[group_idx, fix_pos]
-            flat = (chains * length + positions) * num_words + (seqs >> 6)
-            bits = np.left_shift(np.uint64(1),
-                                 (seqs & 63).astype(np.uint64))
-            if overlap:
-                for g, monitor in enumerate(group.monitors):
-                    mask = group_idx == g
-                    monitor_flips[id(monitor)] = (flat[mask], bits[mask])
-            else:
-                group_flips.append((flat, bits))
+            err, fix, unc = out
+            if fix is not None:
+                for g, width in group.padded:
+                    unc[g] |= np.bitwise_or.reduce(fix[g, width:], axis=0)
+                    fix[g, width:] = 0
+                # A codeword corrects at most one position, so a lane's
+                # correction count is its set bits over the OR of fix.
+                fixed = np.bitwise_or.reduce(fix, axis=1).reshape(
+                    -1, num_words)
+                corrections += per_sequence_popcounts(
+                    fixed[fixed.any(axis=1)], batch_size)
+                if overlap:
+                    for g, monitor in enumerate(group.monitors):
+                        monitor_fixes[id(monitor)] = fix[g, :monitor.width]
+                else:
+                    rows = fix.reshape(-1, length, num_words)
+                    if group.pad_mask is not None:
+                        rows = rows[group.data_rows]
+                    group_fixes.append((group.data_chains, rows))
+            detected |= np.bitwise_or.reduce(err.reshape(-1, num_words),
+                                             axis=0)
+            uncorrectable |= np.bitwise_or.reduce(
+                unc.reshape(-1, num_words), axis=0)
+            reported.append((group, err, fix, unc))
 
-        words_flat = words.reshape(-1)
         if overlap:
             # Reference-faithful last-block-wins feedback: every
             # correcting block assigns its slice in bank order, so on a
             # shared chain the last block's (possibly uncorrected)
-            # version survives.  Each block's flips were computed from
-            # the pre-correction words, so reassign-then-flip per block.
+            # version survives.  Each block's fix was computed from the
+            # pre-correction words, so reassign-then-fix per block.
             for monitor in self._correcting:
                 idx = monitor.chain_idx_arr
                 words[idx] = pre_correction[idx]
-                if id(monitor) in monitor_flips:
-                    np.bitwise_xor.at(words_flat, *monitor_flips[id(monitor)])
+                if id(monitor) in monitor_fixes:
+                    words[idx] ^= monitor_fixes[id(monitor)]
         else:
-            for flat, bits in group_flips:
-                np.bitwise_xor.at(words_flat, flat, bits)
+            # Disjoint coverage: every corrected chain appears once.
+            for chains, rows in group_fixes:
+                words[chains] ^= rows
 
         mismatches = []
         corrected_rows = words.reshape(-1, num_words)
@@ -665,42 +703,46 @@ class SimdBatchedEngine(SimulationEngine):
             fresh = self._stream_signature(monitor, corrected_rows, full)
             mismatch = np.bitwise_or.reduce(fresh ^ monitor.stored, axis=0)
             if mismatch.any():
-                mismatch_bits = _unpack_bits(mismatch,
-                                             batch_size).astype(bool)
-                detected |= mismatch_bits
-                uncorrectable |= mismatch_bits
-                mismatches.append((monitor, mismatch_bits))
-        return detected, uncorrectable, corrections, reported, mismatches
+                detected |= mismatch
+                uncorrectable |= mismatch
+                mismatches.append((monitor, mismatch))
+        return (_unpack_bits(detected, batch_size).astype(bool),
+                _unpack_bits(uncorrectable, batch_size).astype(bool),
+                corrections, reported, mismatches)
 
-    def _block_bookkeeping(self, group: _BlockGroup, err_b: np.ndarray,
-                           pos: np.ndarray, uncorr_b: np.ndarray,
-                           data_fix: np.ndarray,
+    def _block_bookkeeping(self, group: _BlockGroup, err: np.ndarray,
+                           fix: Optional[np.ndarray], unc: np.ndarray,
+                           batch_size: int,
                            block_results: Dict[int, tuple]) -> None:
         """The object pass's per-monitor verdicts, correction events and
         bad-slice lists for one reporting group (see
-        :mod:`repro.engines.reporting` for the layout)."""
+        :mod:`repro.engines.reporting` for the layout), unpacked from
+        the decode core's masks."""
         monitors = group.monitors
-        detected = err_b.any(axis=1)
-        uncorrectable = uncorr_b.any(axis=1)
+        detected = _unpack_bits(np.bitwise_or.reduce(err, axis=1),
+                                batch_size).astype(bool)
+        uncorrectable = _unpack_bits(np.bitwise_or.reduce(unc, axis=1),
+                                     batch_size).astype(bool)
 
         # Sequence-major, cycle-ascending enumeration: transposing to
         # (G, B, cycle) makes np.nonzero emit each (monitor, sequence)
         # pair's entries contiguously, so the per-sequence lists are
         # built by slicing runs instead of appending per entry.
         bad: List[Dict[int, List[int]]] = [{} for _ in monitors]
-        group_idx, seqs, cycles = np.nonzero(err_b.transpose(0, 2, 1)
-                                             [:, :, ::-1])
+        group_idx, seqs, cycles = np.nonzero(
+            _unpack_bits(err, batch_size).transpose(0, 2, 1)[:, :, ::-1])
         cycle_list = cycles.tolist()
         for g, b, start, end in _runs(group_idx, seqs):
             bad[g][b] = cycle_list[start:end]
 
         corr: List[Dict[int, List[CorrectionEvent]]] = [{} for _ in monitors]
-        group_idx, seqs, cycles = np.nonzero(
-            data_fix.transpose(0, 2, 1)[:, :, ::-1])
-        if group_idx.size:
-            fix_pos = pos.transpose(0, 2, 1)[:, :, ::-1][group_idx, seqs,
-                                                         cycles]
-            chain_list = group.gather_idx[group_idx, fix_pos].tolist()
+        if fix is not None:
+            # (G, B, cycle, position): a codeword fixes at most one
+            # position, so each (g, b, cycle) appears at most once.
+            group_idx, seqs, cycles, positions = np.nonzero(
+                _unpack_bits(fix, batch_size).transpose(0, 3, 2, 1)
+                [:, :, ::-1])
+            chain_list = group.gather_idx[group_idx, positions].tolist()
             cycle_list = cycles.tolist()
             for g, b, start, end in _runs(group_idx, seqs):
                 block_index = monitors[g].block.block_index

@@ -72,6 +72,11 @@ def replicate_state_words(state_bits: np.ndarray,
     return out
 
 
+#: Rows :func:`per_sequence_popcounts` sums per uint8 reduction: at
+#: most 255 set bits, so no lane overflows.
+_UINT8_ROWS = 255
+
+
 def per_sequence_popcounts(words: np.ndarray,
                            batch_size: int) -> np.ndarray:
     """Per-sequence set-bit counts of an ``(..., W)`` word array.
@@ -84,10 +89,14 @@ def per_sequence_popcounts(words: np.ndarray,
     """
     flat = np.ascontiguousarray(words, dtype=np.uint64).reshape(
         -1, words.shape[-1])
-    if not flat.size:
-        return np.zeros(batch_size, dtype=np.int64)
+    counts = np.zeros(flat.shape[1] * 64, dtype=np.int64)
     bits = np.unpackbits(flat.view(np.uint8), axis=-1, bitorder="little")
-    return bits[:, :batch_size].sum(axis=0, dtype=np.int64)
+    # A uint8 sum (no widening cast) is several times faster than an
+    # int64 one.
+    for start in range(0, len(bits), _UINT8_ROWS):
+        counts += np.add.reduce(bits[start:start + _UINT8_ROWS], axis=0,
+                                dtype=np.uint8)
+    return counts[:batch_size]
 
 
 def residual_counts_words(states: Sequence[int], knowns: Sequence[int],

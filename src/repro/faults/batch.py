@@ -202,9 +202,13 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
                                (batch_size, population))
     threshold = (draws + 4.0 * draws ** 0.5 + 4.0) / population
     cells = np.empty((batch_size, draws), dtype=np.int64)
+    # One key buffer refilled per block: filling reused pages costs
+    # about half of faulting in a fresh multi-megabyte block each time.
+    buffer = np.empty((min(_KEY_BLOCK_ROWS, batch_size), population),
+                      dtype=np.float64)
     for start in range(0, batch_size, _KEY_BLOCK_ROWS):
         rows = min(_KEY_BLOCK_ROWS, batch_size - start)
-        keys = rng.random((rows, population))
+        keys = rng.random(out=buffer[:rows])
         _smallest_keys(keys, draws, threshold, cells[start:start + rows])
     return cells
 
@@ -273,7 +277,8 @@ def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
     unique_cells = np.flatnonzero(present)
     inverse = (np.cumsum(present, dtype=np.int64) - 1)[cells]
     masks = np.zeros((len(unique_cells), num_words), dtype=np.uint64)
-    np.bitwise_or.at(masks, (inverse, seqs >> 6),
+    # A flat index takes ufunc.at's fast 1-D path.
+    np.bitwise_or.at(masks.reshape(-1), inverse * num_words + (seqs >> 6),
                      np.left_shift(np.uint64(1),
                                    (seqs & 63).astype(np.uint64)))
     return (unique_cells // length, unique_cells % length, masks, counts)

@@ -12,6 +12,7 @@ from repro.engines.registry import get_engine                   # noqa: E402
 from repro.engines.summary import (                             # noqa: E402
     bits_matrix,
     full_words,
+    per_sequence_popcounts,
     replicate_state_words,
     residual_counts_words,
 )
@@ -172,6 +173,22 @@ def test_residual_counts_words_unknown_rule():
     corrected[1, 2] ^= np.uint64(0b111)      # unknown position: no change
     counts = residual_counts_words(states, knowns, corrected, batch)
     assert counts.tolist() == [1, 2, 1]
+
+
+@pytest.mark.parametrize("batch_size", (1, 100, 128))
+def test_per_sequence_popcounts_matches_bit_loop(batch_size):
+    """Per-lane counts over more rows than a uint8 lane can hold: 600
+    all-ones rows plus random ones, against a per-bit Python count."""
+    words = (batch_size + 63) // 64
+    rng = np.random.default_rng(batch_size)
+    rows = np.concatenate((
+        np.full((600, words), np.uint64(0xFFFFFFFFFFFFFFFF)),
+        rng.integers(0, 2**63, size=(300, words)).astype(np.uint64)))
+    expected = [sum(int(row[b >> 6]) >> (b & 63) & 1 for row in rows)
+                for b in range(batch_size)]
+    assert per_sequence_popcounts(rows, batch_size).tolist() == expected
+    assert per_sequence_popcounts(rows[:0], batch_size).tolist() == \
+        [0] * batch_size
 
 
 def test_summary_outcome_array_properties():

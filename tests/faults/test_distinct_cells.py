@@ -46,16 +46,22 @@ class _StubGenerator:
         self._row = 0
         self.bit_generator = self._rng.bit_generator
 
-    def random(self, size):
-        rows, population = size
-        keys = np.floor(self._rng.random(size) * self._levels) \
+    def random(self, size=None, out=None):
+        """``Generator.random``'s ``size`` and ``out`` forms, writing the
+        same keys either way."""
+        shape = size if out is None else out.shape
+        rows, population = shape
+        keys = np.floor(self._rng.random(shape) * self._levels) \
             / self._levels
         for r in range(rows):
             row = self._row + r
             if row % 3 == 0:
                 keys[r, row % 7:] = 0.5 + keys[r, row % 7:] / 2
         self._row += rows
-        return keys
+        if out is None:
+            return keys
+        out[...] = keys
+        return out
 
 
 def _assert_exact(make_rng, batch_size, population, draws):
