@@ -581,9 +581,11 @@ def test_campaign_multi_error_sampler():
     13 flops, 10 errors per sequence, batch 4096) against the
     ``argpartition`` selection over the whole key matrix, which it
     matches draw for draw.  ``sampler_speedup_vs_argpartition`` must
-    hold >= 1.0x (about half the committed measurement); ``rng.random``
-    filling a reused key matrix alone is recorded as the floor no
-    stream-preserving sampler can beat.
+    hold >= 1.0x (about half the committed measurement).  ``rng.random``
+    filling a reused key matrix alone is recorded as the one-thread
+    floor: on a multi-core host the sampler draws its row ranges on
+    parallel threads from advanced copies of the generator, so it can
+    read below that line; on one core it cannot.
     """
     import numpy as np
 
@@ -641,8 +643,9 @@ def test_campaign_multi_error_sampler():
         f"{times['sampler'] * 1e3:9.2f} ms per batch\n"
         f"argpartition over all keys    : "
         f"{times['argpartition'] * 1e3:9.2f} ms per batch\n"
-        f"rng.random alone (the floor)  : "
-        f"{times['rng_random'] * 1e3:9.2f} ms per batch\n"
+        f"rng.random, one thread        : "
+        f"{times['rng_random'] * 1e3:9.2f} ms per batch "
+        f"(the one-core floor; the split sampler may read below it)\n"
         f"sampler / argpartition        : {speedup:9.2f}x "
         f"(acceptance: >= {SAMPLER_FLOOR})")
     assert speedup >= SAMPLER_FLOOR

@@ -348,6 +348,21 @@ class _SimdStreamMonitor:
         self.stored: Optional[np.ndarray] = None
 
 
+def _stream_rows_flat(rows, chain_indices, chain_length: int):
+    """Each CRC stream-matrix row as flat ``chain * chain_length +
+    position`` cell indices: stream bit ``s`` is chain
+    ``chain_indices[s % width]`` at scan position ``chain_length - 1 -
+    s // width`` (the block's chains interleave, last flop first)."""
+    indices = np.asarray(chain_indices, dtype=np.int64)
+    width = len(indices)
+    flat = []
+    for row in rows:
+        bits = np.asarray(row, dtype=np.int64)
+        flat.append(indices[bits % width] * chain_length
+                    + (chain_length - 1 - bits // width))
+    return flat
+
+
 class _BlockGroup:
     """All correcting monitors sharing one code, decoded in one shot."""
 
@@ -445,15 +460,8 @@ class SimdBatchedEngine(SimulationEngine):
         for monitor in self._observing:
             matrix = crc_stream_matrix(monitor.code,
                                        chain_length * monitor.width)
-            length = chain_length
-            indices = monitor.chain_indices
-            width = monitor.width
-            monitor.rows_flat = [
-                np.fromiter(
-                    (indices[s % width] * length + (length - 1 - s // width)
-                     for s in row),
-                    dtype=np.int64, count=len(row))
-                for row in matrix.rows]
+            monitor.rows_flat = _stream_rows_flat(
+                matrix.rows, monitor.chain_indices, chain_length)
             monitor.const_idx = np.flatnonzero(np.array(matrix.const,
                                                          dtype=np.uint8))
             if all(row.size for row in monitor.rows_flat):

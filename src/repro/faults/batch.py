@@ -29,7 +29,13 @@ counterpart of the scalar factories in :mod:`repro.faults.patterns`.
 :meth:`PatternBatch.from_patterns` and :meth:`PatternBatch.patterns`
 convert losslessly between a batch and its per-sequence patterns,
 which is what lets campaign tasks fall back to the object path on
-non-summary engines with bit-identical statistics.
+non-summary engines with bit-identical statistics.  Its multi-error
+and burst draws go through :func:`_distinct_cells`, which consumes
+exactly the doubles of one full-matrix key draw; on a multi-core host
+it splits a large key draw into contiguous row ranges, each drawn on
+its own short-lived thread from a copy of the generator advanced to
+that range's first key, so the stream is the same on any number of
+cores.
 
 Everything here requires numpy; the per-sequence fallback of
 :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
@@ -38,6 +44,8 @@ never imports this module, so a pure-stdlib install keeps working.
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -160,10 +168,47 @@ def _in_range(values, bound: int) -> bool:
 # ----------------------------------------------------------------------
 # Vectorised pattern sampling (the campaign summary path's front end)
 # ----------------------------------------------------------------------
-#: Rows of sampling keys drawn per ``Generator.random`` call in
-#: :func:`_distinct_cells`; bounds its key buffer at ``_KEY_BLOCK_ROWS
+#: Rows of sampling keys in :func:`_distinct_cells`'s key buffer,
+#: summed over its row ranges; bounds the buffer at ``_KEY_BLOCK_ROWS
 #: x population`` floats whatever the batch size.
 _KEY_BLOCK_ROWS = 512
+#: Keys per row range below which a further split does not pay for
+#: its thread.
+_SPLIT_MIN_KEYS = 2 ** 19
+#: Fewest keys per block of a split range: smaller blocks spend their
+#: time in per-block Python work that holds the GIL, and a split runs
+#: slower than one range (2.5x at a 12-cell population).
+_SPLIT_MIN_BLOCK_KEYS = 2 ** 15
+#: Bit generators that take exactly one ``next_uint64`` step per double
+#: and can ``advance``: a range's keys start a known distance into the
+#: stream.
+_ADVANCEABLE = (np.random.PCG64, np.random.PCG64DXSM)
+
+
+def _usable_cores() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):
+        return os.cpu_count() or 1
+
+
+def _split_parts(rng, batch_size: int, population: int) -> int:
+    """How many row ranges :func:`_distinct_cells` draws in parallel."""
+    if type(getattr(rng, "bit_generator", None)) not in _ADVANCEABLE:
+        return 1
+    return max(1, min(_usable_cores(),
+                      batch_size * population // _SPLIT_MIN_KEYS,
+                      _KEY_BLOCK_ROWS * population
+                      // _SPLIT_MIN_BLOCK_KEYS))
+
+
+def _range_generator(rng, rows: int, population: int):
+    """A generator on a private copy of ``rng``'s bit generator, moved
+    past the keys of ``rows`` rows -- the stream a row range draws."""
+    bit_generator = type(rng.bit_generator)(0)
+    bit_generator.state = rng.bit_generator.state
+    bit_generator.advance(rows * population)
+    return np.random.Generator(bit_generator)
 
 
 def _distinct_cells(rng, batch_size: int, population: int, draws: int):
@@ -173,26 +218,43 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
 
     Random-key selection: each sequence ranks one row of i.i.d. keys
     and keeps the ``draws`` smallest, which is a uniform without-
-    replacement sample.  **Exactness contract:** the generator consumes
-    exactly the doubles of one ``rng.random((batch_size, population))``
-    call and every row holds exactly the cells of
+    replacement sample.  **Exactness contract:** the generator ends in
+    the state one ``rng.random((batch_size, population))`` call leaves
+    it in, and every row holds exactly the cells of
     ``np.argpartition(keys, draws - 1, axis=1)[:, :draws]`` on that
     key matrix -- ties included -- so the stream and every statistic
-    drawn from it match the plain full-matrix selection.
+    drawn from it match the plain full-matrix selection, however the
+    rows are split.
 
-    The keys are drawn in row blocks of :data:`_KEY_BLOCK_ROWS` (a
-    row-major block consumes the same doubles as the matching rows of
-    one big call).  Within a block only the keys below a threshold a
-    few standard deviations above the expected ``draws``-th smallest
-    are candidates; they are padded into a narrow matrix and ranked
-    there.  **Tie rule:** a row falls back to ``argpartition`` over its
-    full key row when its ``draws``-th and ``(draws + 1)``-th smallest
-    candidates tie -- the only case where argpartition's choice
-    depends on key positions -- which includes every row with fewer
-    than ``draws`` candidates (its padding ties).  A row with exactly
-    ``draws`` candidates needs no fallback: every other key is at or
-    above the threshold.  Memory is ``O(_KEY_BLOCK_ROWS x population +
-    batch_size x draws)``, not ``batch_size x population``.
+    **Row-range split:** on a multi-core host a large batch is cut into
+    contiguous row ranges, one per usable core.  Range ``i`` starting
+    at row ``lo`` draws from a private copy of the generator advanced
+    by ``lo x population`` doubles, which is exactly where one big call
+    would be when it reached row ``lo``; range 0 runs on the calling
+    thread and the others on threads started and joined here, so no
+    thread outlives the call.  The caller's generator is then set to
+    the pre-call state advanced by ``batch_size x population``, with
+    its buffered 32-bit half-word carried over (``advance`` clears
+    it).  Generators whose doubles are not single steps of an
+    advanceable bit generator (:data:`_ADVANCEABLE`), batches under
+    two ranges' worth of keys, populations too small to fill a split
+    block and one-core hosts run as a single range on the calling
+    thread.
+
+    Each range draws its keys in blocks (a row-major block consumes the
+    same doubles as the matching rows of one big call) into its own
+    slice of one key buffer.  Within a block only the keys below a
+    threshold a few standard deviations above the expected
+    ``draws``-th smallest are candidates; they are padded into a
+    narrow matrix and ranked there.  **Tie rule:** a row falls back to
+    ``argpartition`` over its full key row when its ``draws``-th and
+    ``(draws + 1)``-th smallest candidates tie -- the only case where
+    argpartition's choice depends on key positions -- which includes
+    every row with fewer than ``draws`` candidates (its padding ties).
+    A row with exactly ``draws`` candidates needs no fallback: every
+    other key is at or above the threshold.  Memory is
+    ``O(_KEY_BLOCK_ROWS x population + batch_size x draws)``, not
+    ``batch_size x population``.
     """
     if draws > population:
         raise ValueError(
@@ -201,15 +263,56 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
         return np.broadcast_to(np.arange(population, dtype=np.int64),
                                (batch_size, population))
     threshold = (draws + 4.0 * draws ** 0.5 + 4.0) / population
+    parts = _split_parts(rng, batch_size, population)
+    bounds = [batch_size * i // parts for i in range(parts + 1)]
+    generators = [rng]
+    if parts > 1:
+        generators = [_range_generator(rng, lo, population)
+                      for lo in bounds[:-1]]
+        final = _range_generator(rng, batch_size, population) \
+            .bit_generator.state
+        start_state = rng.bit_generator.state
+        final["has_uint32"] = start_state["has_uint32"]
+        final["uinteger"] = start_state["uinteger"]
+    # The ranges share the key budget of one unsplit block.
+    block = max(1, min(_KEY_BLOCK_ROWS // parts, -(-batch_size // parts)))
     cells = np.empty((batch_size, draws), dtype=np.int64)
     # One key buffer refilled per block: filling reused pages costs
     # about half of faulting in a fresh multi-megabyte block each time.
-    buffer = np.empty((min(_KEY_BLOCK_ROWS, batch_size), population),
-                      dtype=np.float64)
-    for start in range(0, batch_size, _KEY_BLOCK_ROWS):
-        rows = min(_KEY_BLOCK_ROWS, batch_size - start)
-        keys = rng.random(out=buffer[:rows])
-        _smallest_keys(keys, draws, threshold, cells[start:start + rows])
+    buffer = np.empty((parts * block, population), dtype=np.float64)
+
+    def draw_range(part: int) -> None:
+        lo, hi = bounds[part], bounds[part + 1]
+        keys_out = buffer[part * block:(part + 1) * block]
+        for start in range(lo, hi, block):
+            rows = min(block, hi - start)
+            keys = generators[part].random(out=keys_out[:rows])
+            _smallest_keys(keys, draws, threshold, cells[start:start + rows])
+
+    if parts == 1:
+        draw_range(0)
+        return cells
+    errors: List[BaseException] = []
+
+    def helper(part: int) -> None:
+        try:
+            draw_range(part)
+        except BaseException as exc:  # re-raised on the calling thread
+            errors.append(exc)
+
+    started: List[threading.Thread] = []
+    try:
+        for part in range(1, parts):
+            thread = threading.Thread(target=helper, args=(part,))
+            thread.start()
+            started.append(thread)
+        draw_range(0)
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
+    rng.bit_generator.state = final
     return cells
 
 

@@ -1,25 +1,34 @@
 """The multi-error sampler's exactness contract.
 
-``_distinct_cells`` draws its keys in row blocks and ranks only the
-candidates below a threshold, but must select exactly what one
+``_distinct_cells`` draws its keys in row blocks -- split into row
+ranges drawn on parallel threads on a multi-core host -- and ranks only
+the candidates below a threshold, but must select exactly what one
 full-matrix ``rng.random((B, P))`` + ``argpartition`` draw selects --
-ties included -- consume exactly the same doubles, and return every
-row sorted.  The oracle below is that full-matrix selection.
+ties included -- leave the generator in exactly the same state, and
+return every row sorted.  The oracle below is that full-matrix
+selection.  Tests that pin a split count replace the private
+``_split_parts`` hook, so they run the same on any number of cores.
 """
+
+import sys
+import threading
 
 import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.faults import batch as batch_module  # noqa: E402
 from repro.faults.batch import (  # noqa: E402
     _KEY_BLOCK_ROWS,
     _distinct_cells,
+    _split_parts,
     sample_pattern_batch,
 )
 
 BLOCK = _KEY_BLOCK_ROWS
 BATCHES = (1, 63, BLOCK - 1, BLOCK, BLOCK + 1, 4101)
 SHAPES = ((2, 1), (11, 3), (40, 39), (1040, 1), (1040, 10))
+_range_generator = batch_module._range_generator
 
 
 def _oracle(rng, batch_size, population, draws):
@@ -30,21 +39,37 @@ def _oracle(rng, batch_size, population, draws):
     return np.sort(chosen, axis=1)
 
 
+@pytest.fixture
+def split(monkeypatch):
+    """``split(parts)`` pins the number of row ranges."""
+    def pin(parts):
+        monkeypatch.setattr(batch_module, "_split_parts",
+                            lambda rng, batch_size, population: parts)
+    return pin
+
+
 class _StubGenerator:
     """A generator whose keys force the sampler's fallbacks.
 
     Keys are the real generator's, quantised to ``levels`` values
     (ties everywhere), and every third row (by its index in the whole
-    stream, so block draws see the keys one big draw sees) is lifted
-    above the candidate threshold except for its first ``row % 7``
-    columns -- rows with fewer candidates than draws.
+    stream, so block and range draws see the keys one big draw sees)
+    is lifted above the candidate threshold except for its first
+    ``row % 7`` columns -- rows with fewer candidates than draws.
+    :meth:`fork` stands in for the sampler's ``_range_generator`` hook,
+    so split draws see the same keys.
     """
 
-    def __init__(self, seed, levels):
-        self._rng = np.random.default_rng(seed)
+    def __init__(self, rng, levels, row=0):
+        self._rng = rng
         self._levels = levels
-        self._row = 0
-        self.bit_generator = self._rng.bit_generator
+        self._row = row
+        self.bit_generator = rng.bit_generator
+
+    def fork(self, rows, population):
+        """The stub a row range starting ``rows`` rows on draws from."""
+        return _StubGenerator(_range_generator(self._rng, rows, population),
+                              self._levels, self._row + rows)
 
     def random(self, size=None, out=None):
         """``Generator.random``'s ``size`` and ``out`` forms, writing the
@@ -72,7 +97,17 @@ def _assert_exact(make_rng, batch_size, population, draws):
     assert got.dtype == np.int64
     assert (np.diff(got, axis=1) > 0).all()  # rows sorted, distinct
     np.testing.assert_array_equal(got, expected)
-    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+    # assert_equal: MT19937 states hold an ndarray key.
+    np.testing.assert_equal(rng.bit_generator.state,
+                            oracle_rng.bit_generator.state)
+
+
+def _after_32bit_draw(seed, bit_generator=np.random.PCG64):
+    """A generator holding a buffered 32-bit half-word."""
+    rng = np.random.Generator(bit_generator(seed))
+    rng.integers(0, 7, size=3, dtype=np.int64)
+    assert rng.bit_generator.state["has_uint32"] == 1
+    return rng
 
 
 @pytest.mark.parametrize("batch_size", BATCHES)
@@ -83,11 +118,117 @@ def test_matches_full_matrix_selection(batch_size, population, draws):
                   population, draws)
 
 
+@pytest.mark.parametrize("parts", (1, 2, 3))
 @pytest.mark.parametrize("levels", (8, 50, 300))
 @pytest.mark.parametrize("population,draws", SHAPES)
-def test_ties_and_deficient_rows_match(levels, population, draws):
-    _assert_exact(lambda: _StubGenerator(levels, levels), BLOCK + 9,
-                  population, draws)
+def test_ties_and_deficient_rows_match(levels, population, draws, parts,
+                                       split, monkeypatch):
+    split(parts)
+    monkeypatch.setattr(batch_module, "_range_generator",
+                        lambda rng, rows, population: rng.fork(rows,
+                                                               population))
+    _assert_exact(
+        lambda: _StubGenerator(np.random.default_rng(levels), levels),
+        BLOCK + 9, population, draws)
+
+
+@pytest.mark.parametrize("parts", (1, 2, 3, 4))
+@pytest.mark.parametrize("batch_size", (4101, 4096, 1025))
+def test_any_split_count_gives_the_same_cells_and_state(batch_size, parts,
+                                                        split):
+    split(parts)
+    _assert_exact(lambda: np.random.default_rng(batch_size), batch_size,
+                  1040, 10)
+    _assert_exact(lambda: _after_32bit_draw(batch_size), batch_size,
+                  1040, 10)
+
+
+def test_many_ranges_under_rapid_thread_switching(split):
+    """More ranges than cores, switching threads every microsecond:
+    the ranges write disjoint slices, so nothing is lost or shifted."""
+    split(8)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _assert_exact(lambda: _after_32bit_draw(17), 4099, 1040, 10)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("parts", (None, 2, 3))
+def test_split_carries_the_32bit_buffer(parts, split):
+    """``advance`` clears the buffered 32-bit half-word; the split must
+    hand it back, or the next bounded 32-bit draw shifts."""
+    if parts is not None:
+        split(parts)
+    for bit_generator in (np.random.PCG64, np.random.PCG64DXSM):
+        rng = _after_32bit_draw(11, bit_generator)
+        oracle_rng = _after_32bit_draw(11, bit_generator)
+        np.testing.assert_array_equal(
+            _distinct_cells(rng, 4096, 1040, 10),
+            _oracle(oracle_rng, 4096, 1040, 10))
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        np.testing.assert_array_equal(
+            rng.integers(0, 7, size=5, dtype=np.int64),
+            oracle_rng.integers(0, 7, size=5, dtype=np.int64))
+
+
+def test_split_burst_batches_continue_the_stream(split, monkeypatch):
+    """Two burst batches in a row: the window offsets are bounded
+    32-bit draws, so a lost half-word would shift the second batch."""
+    split(2)
+    rng, oracle_rng = _after_32bit_draw(13), _after_32bit_draw(13)
+    got = [sample_pattern_batch("burst", 80, 13, 4096, rng, num_errors=100)
+           for _ in range(2)]
+    monkeypatch.setattr(batch_module, "_distinct_cells", _oracle)
+    expected = [sample_pattern_batch("burst", 80, 13, 4096, oracle_rng,
+                                     num_errors=100)
+                for _ in range(2)]
+    for batch, reference in zip(got, expected):
+        for name in ("seqs", "chains", "positions"):
+            np.testing.assert_array_equal(getattr(batch, name),
+                                          getattr(reference, name))
+    assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("failing_thread", ("helper", "caller"))
+def test_range_errors_propagate_and_leave_no_thread(failing_thread, split,
+                                                    monkeypatch):
+    split(3)
+    real = batch_module._smallest_keys
+    main = threading.main_thread()
+
+    def faulty(keys, draws, threshold, out):
+        on_helper = threading.current_thread() is not main
+        if on_helper == (failing_thread == "helper"):
+            raise RuntimeError("range failed")
+        real(keys, draws, threshold, out)
+
+    monkeypatch.setattr(batch_module, "_smallest_keys", faulty)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="range failed"):
+        _distinct_cells(np.random.default_rng(0), 4096, 1040, 10)
+    assert threading.active_count() == before
+
+
+def test_generators_without_advance_run_unsplit():
+    """MT19937 has no ``advance``, so no range can start mid-stream: it
+    runs as one range and stays exact."""
+    def make():
+        return np.random.Generator(np.random.MT19937(5))
+    assert _split_parts(make(), 4096, 1040) == 1
+    _assert_exact(make, 4096, 1040, 10)
+
+
+def test_split_count_follows_cores_batch_and_population(monkeypatch):
+    monkeypatch.setattr(batch_module, "_usable_cores", lambda: 4)
+    rng = np.random.default_rng(0)
+    assert _split_parts(rng, 4096, 1040) == 4
+    assert _split_parts(rng, 4096, 272) == 2   # 2 x 2**19 keys
+    assert _split_parts(rng, 256, 1040) == 1   # under 2**19 keys
+    assert _split_parts(rng, 10 ** 6, 12) == 1  # blocks too small
+    monkeypatch.setattr(batch_module, "_usable_cores", lambda: 1)
+    assert _split_parts(rng, 4096, 1040) == 1
 
 
 @pytest.mark.parametrize("batch_size", (1, BLOCK + 1))
