@@ -31,11 +31,11 @@ convert losslessly between a batch and its per-sequence patterns,
 which is what lets campaign tasks fall back to the object path on
 non-summary engines with bit-identical statistics.  Its multi-error
 and burst draws go through :func:`_distinct_cells`, which consumes
-exactly the doubles of one full-matrix key draw; on a multi-core host
-it splits a large key draw into contiguous row ranges, each drawn on
-its own short-lived thread from a copy of the generator advanced to
-that range's first key, so the stream is the same on any number of
-cores.
+exactly the doubles of one full-matrix key draw; on a multi-core host,
+outside process-pool workers, it splits a large key draw into two
+contiguous row ranges, the second drawn on a short-lived thread from
+a copy of the generator advanced to that range's first key, so the
+stream is the same on any number of cores.
 
 Everything here requires numpy; the per-sequence fallback of
 :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
@@ -44,6 +44,7 @@ never imports this module, so a pure-stdlib install keeps working.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import threading
 from typing import List, Optional, Sequence
@@ -179,6 +180,10 @@ _SPLIT_MIN_KEYS = 2 ** 19
 #: time in per-block Python work that holds the GIL, and a split runs
 #: slower than one range (2.5x at a 12-cell population).
 _SPLIT_MIN_BLOCK_KEYS = 2 ** 15
+#: Most row ranges one call draws in parallel.  Two is the only split
+#: measured faster than one range (on a 2-core host); more ranges stay
+#: unused until a host with more cores shows they help.
+_MAX_SPLIT_PARTS = 2
 #: Bit generators that take exactly one ``next_uint64`` step per double
 #: and can ``advance``: a range's keys start a known distance into the
 #: stream.
@@ -193,10 +198,17 @@ def _usable_cores() -> int:
 
 
 def _split_parts(rng, batch_size: int, population: int) -> int:
-    """How many row ranges :func:`_distinct_cells` draws in parallel."""
+    """How many row ranges :func:`_distinct_cells` draws in parallel.
+
+    One inside a ``multiprocessing`` child: a process pool already
+    spreads the campaign over the cores, and helper threads in every
+    worker would only oversubscribe them.
+    """
     if type(getattr(rng, "bit_generator", None)) not in _ADVANCEABLE:
         return 1
-    return max(1, min(_usable_cores(),
+    if multiprocessing.parent_process() is not None:
+        return 1
+    return max(1, min(_MAX_SPLIT_PARTS, _usable_cores(),
                       batch_size * population // _SPLIT_MIN_KEYS,
                       _KEY_BLOCK_ROWS * population
                       // _SPLIT_MIN_BLOCK_KEYS))
@@ -227,7 +239,8 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
     rows are split.
 
     **Row-range split:** on a multi-core host a large batch is cut into
-    contiguous row ranges, one per usable core.  Range ``i`` starting
+    contiguous row ranges, one per usable core up to
+    :data:`_MAX_SPLIT_PARTS`.  Range ``i`` starting
     at row ``lo`` draws from a private copy of the generator advanced
     by ``lo x population`` doubles, which is exactly where one big call
     would be when it reached row ``lo``; range 0 runs on the calling
@@ -238,8 +251,8 @@ def _distinct_cells(rng, batch_size: int, population: int, draws: int):
     it).  Generators whose doubles are not single steps of an
     advanceable bit generator (:data:`_ADVANCEABLE`), batches under
     two ranges' worth of keys, populations too small to fill a split
-    block and one-core hosts run as a single range on the calling
-    thread.
+    block, one-core hosts and ``multiprocessing`` children (process-pool
+    workers) run as a single range on the calling thread.
 
     Each range draws its keys in blocks (a row-major block consumes the
     same doubles as the matching rows of one big call) into its own

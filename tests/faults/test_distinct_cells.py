@@ -10,6 +10,7 @@ selection.  Tests that pin a split count replace the private
 ``_split_parts`` hook, so they run the same on any number of cores.
 """
 
+import multiprocessing
 import sys
 import threading
 
@@ -20,6 +21,7 @@ np = pytest.importorskip("numpy")
 from repro.faults import batch as batch_module  # noqa: E402
 from repro.faults.batch import (  # noqa: E402
     _KEY_BLOCK_ROWS,
+    _MAX_SPLIT_PARTS,
     _distinct_cells,
     _split_parts,
     sample_pattern_batch,
@@ -223,12 +225,41 @@ def test_generators_without_advance_run_unsplit():
 def test_split_count_follows_cores_batch_and_population(monkeypatch):
     monkeypatch.setattr(batch_module, "_usable_cores", lambda: 4)
     rng = np.random.default_rng(0)
-    assert _split_parts(rng, 4096, 1040) == 4
+    assert _MAX_SPLIT_PARTS == 2
+    assert _split_parts(rng, 4096, 1040) == 2   # capped below 4 cores
     assert _split_parts(rng, 4096, 272) == 2   # 2 x 2**19 keys
     assert _split_parts(rng, 256, 1040) == 1   # under 2**19 keys
     assert _split_parts(rng, 10 ** 6, 12) == 1  # blocks too small
+    monkeypatch.setattr(batch_module.multiprocessing, "parent_process",
+                        lambda: object())
+    assert _split_parts(rng, 4096, 1040) == 1   # a pool worker
+
+
+def test_one_core_runs_unsplit(monkeypatch):
     monkeypatch.setattr(batch_module, "_usable_cores", lambda: 1)
-    assert _split_parts(rng, 4096, 1040) == 1
+    assert _split_parts(np.random.default_rng(0), 4096, 1040) == 1
+
+
+def _child_split_parts(queue):
+    queue.put(_split_parts(np.random.default_rng(0), 4096, 1040))
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                    reason="needs the fork start method")
+def test_multiprocessing_children_run_unsplit(monkeypatch):
+    """A process pool already uses the cores: its workers draw one
+    range, so ``N`` workers never start ``N x parts`` threads."""
+    monkeypatch.setattr(batch_module, "_usable_cores", lambda: 4)
+    assert _split_parts(np.random.default_rng(0), 4096, 1040) == 2
+    context = multiprocessing.get_context("fork")
+    queue = context.Queue()
+    child = context.Process(target=_child_split_parts, args=(queue,))
+    child.start()
+    try:
+        assert queue.get(timeout=60) == 1
+    finally:
+        child.join()
+    assert child.exitcode == 0
 
 
 @pytest.mark.parametrize("batch_size", (1, BLOCK + 1))
