@@ -44,20 +44,11 @@ contribution:
     Parameter sweeps and Monte-Carlo campaigns that regenerate every
     table and figure of the paper's evaluation section.
 
-``repro.fastpath``
-    Packed-integer fast simulation engine: chain state and bit streams
-    as big-int bitmasks (:class:`~repro.fastpath.packed_chain.
-    PackedScanChain`), table-driven CRC and mask-based Hamming/SECDED
-    (:mod:`repro.codes.packed`), batch fault injection, and a
-    bit-exact packed replacement for the monitor bank's encode/decode
-    passes.  Opt in per design with
-    ``ProtectedDesign(..., engine="packed")`` (or ``set_engine``); the
-    default remains the bit-serial reference.
-
 ``repro.engines``
     Pluggable simulation engines behind a name-based registry:
-    ``"reference"`` (bit-serial), ``"packed"`` (packed integers) and,
-    with numpy installed, ``"simd"`` -- a word-packed engine that
+    ``"reference"`` (bit-serial), ``"packed"`` (one big-int bitmask
+    per chain; pure stdlib, bit-exact against the reference) and, with
+    numpy installed, ``"simd"`` -- a word-packed engine that
     simulates B independent test sequences per vectorised pass by
     storing bit position *i* of 64 sequences in one uint64 word.
     ``ProtectedDesign.sleep_wake_cycle_batch`` and the campaign
@@ -88,7 +79,6 @@ from repro.codes import (
     get_code,
 )
 from repro.circuit.fifo import SyncFIFO
-from repro.fastpath import PackedScanChain
 from repro.flow.synthesizer import ReliabilityAwareSynthesizer
 from repro.flow.config import FlowConfig
 
@@ -106,7 +96,6 @@ __all__ = [
     "SECDEDCode",
     "get_code",
     "SyncFIFO",
-    "PackedScanChain",
     "ReliabilityAwareSynthesizer",
     "FlowConfig",
     "__version__",

@@ -34,7 +34,7 @@ Consequently the bit observed at shift cycle ``c`` of a pass
 originates from scan position ``l - 1 - c``; every consumer translates
 with that formula (`repro.core.corrector.ErrorCorrectionBlock.
 corrected_flops` for correction events, ``repro.faults.injector`` for
-injection coordinates, and the packed engine in ``repro.fastpath``).
+injection coordinates, and the packed engine in ``repro.engines.packed``).
 Re-shifting an emission-order stream into an equal-length chain
 restores the original state: the first-emitted bit travels all the way
 back to the scan-out side.

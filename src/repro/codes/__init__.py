@@ -19,7 +19,7 @@ logic (:mod:`repro.core.monitor`) is agnostic of the concrete code.
 
 :mod:`repro.codes.packed` provides bit-exact packed-integer fast paths
 (table-driven byte-wise CRC, mask-based Hamming/SECDED via popcount)
-used by the :mod:`repro.fastpath` simulation engine.
+used by the packed simulation engine (:mod:`repro.engines.packed`).
 """
 
 from repro.codes.base import (

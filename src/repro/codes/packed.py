@@ -19,7 +19,7 @@ packed equivalents that operate on plain integers:
   integers and bit tuples at the boundary so the packed engine never
   needs a special case.
 
-Bit conventions (shared with :mod:`repro.fastpath`):
+Bit conventions (shared with :mod:`repro.engines.packed`):
 
 * streams and data words are packed MSB first, matching
   :func:`repro.codes.base.bits_to_int`: data bit ``i`` of a ``k``-bit

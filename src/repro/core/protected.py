@@ -196,7 +196,7 @@ class ProtectedDesign:
         (default) drives the bit-serial per-flop models in
         :mod:`repro.core.monitor`; ``"packed"`` runs the bit-exact
         packed-integer fast path of
-        :class:`repro.fastpath.engine.PackedMonitorEngine`, the
+        :class:`repro.engines.packed.PackedMonitorEngine`, the
         engine for adapter codes (interleaved wrappers, custom codes);
         ``"simd"`` (available when numpy is installed, the ``[simd]``
         extra) runs the word-packed fully vectorised engine of

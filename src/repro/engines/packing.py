@@ -10,10 +10,30 @@ the flop at scan position ``i``; unknown flops have a 0 known bit and a
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.scan import ScanChain
-from repro.fastpath.packed_chain import pack_state
+
+
+def pack_state(values: Sequence[Optional[int]]) -> Tuple[int, int]:
+    """Pack scan-in-side-first values into ``(state, known)`` integers.
+
+    ``values[i]`` (scan position ``i``) lands in bit ``i``.  ``None``
+    marks an unknown bit: its ``known`` bit is 0 and its ``state`` bit
+    is forced to 0.
+    """
+    state = 0
+    known = 0
+    for i, value in enumerate(values):
+        if value is None:
+            continue
+        v = int(value)
+        if v not in (0, 1):
+            raise ValueError(f"bit values must be 0, 1 or None; got {value!r}")
+        known |= 1 << i
+        if v:
+            state |= 1 << i
+    return state, known
 
 
 def pack_chains(chains: Sequence[ScanChain]) -> Tuple[List[int], List[int]]:
@@ -54,5 +74,6 @@ def write_back_chains(chains: Sequence[ScanChain], old_states: Sequence[int],
 
 __all__ = [
     "pack_chains",
+    "pack_state",
     "write_back_chains",
 ]

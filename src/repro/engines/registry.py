@@ -135,7 +135,7 @@ def get_engine(name: str, design) -> SimulationEngine:
 
 def _register_builtins() -> None:
     # Imported lazily so the registry module stays import-cycle-free
-    # (engine modules import repro.core.monitor and repro.fastpath).
+    # (engine modules import repro.core.monitor).
     def reference_factory(design):
         from repro.engines.reference import ReferenceEngine
         return ReferenceEngine()

@@ -22,7 +22,7 @@ this module entirely; report materialisation then happens only where
 something actually consumes the objects.
 
 Bookkeeping layout (keyed by ``id(monitor_wrapper)``, the wrappers
-produced by :func:`repro.fastpath.engine.classify_monitors`; monitors
+produced by :func:`repro.engines.packed.classify_monitors`; monitors
 that reported nothing are absent):
 
 * ``block_results[id] = (detected, uncorrectable, corrections,

@@ -1,6 +1,6 @@
 """The NumPy word-packed SIMD engine: fully vectorised batched passes.
 
-The packed engine (:mod:`repro.fastpath.engine`) collapses the bit
+The packed engine (:mod:`repro.engines.packed`) collapses the bit
 axis -- one chain becomes one integer -- but still pays its per-pass
 Python overhead once per test sequence, which is what dominates a
 Monte-Carlo campaign at the paper's 10^8-sequence scale.  This engine
@@ -88,6 +88,7 @@ from repro.engines.delta import (
     correction_lut,
     delta_summary,
 )
+from repro.engines.packed import classify_monitors
 from repro.engines.packing import pack_chains, write_back_chains
 from repro.engines.reporting import assemble_batch_result, clean_report_tuple
 from repro.engines.summary import (
@@ -97,7 +98,6 @@ from repro.engines.summary import (
     replicate_state_words,
     residual_counts_words,
 )
-from repro.fastpath.engine import classify_monitors
 
 if not np.little_endian:  # pragma: no cover - no big-endian CI targets
     raise ImportError(

@@ -24,13 +24,13 @@ from repro.circuit.generators import make_random_state_circuit  # noqa: E402
 from repro.codes.parity import ParityCode                       # noqa: E402
 from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines.delta import correction_lut                  # noqa: E402
+from repro.engines.packed import PackedMonitorEngine            # noqa: E402
 from repro.engines.registry import get_engine                   # noqa: E402
 from repro.engines.summary import (                             # noqa: E402
     bits_matrix,
     full_words,
     replicate_state_words,
 )
-from repro.fastpath.engine import PackedMonitorEngine           # noqa: E402
 from repro.faults.batch import PatternBatch, pattern_batch_arrays  # noqa: E402
 from repro.faults.patterns import ErrorPattern                  # noqa: E402
 from tests.engines.test_simd_equivalence import _sequence_states  # noqa: E402

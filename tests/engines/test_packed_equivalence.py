@@ -14,9 +14,7 @@ import pytest
 
 from repro.circuit.generators import make_random_state_circuit
 from repro.core.protected import ProtectedDesign
-from repro.fastpath.engine import PackedMonitorEngine
 from repro.faults.patterns import (
-    ErrorPattern,
     burst_error_pattern,
     multi_error_pattern,
     single_error_pattern,

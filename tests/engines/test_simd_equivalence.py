@@ -24,9 +24,9 @@ from repro.codes.base import CodeError
 from repro.codes.plane import block_parity_matrix, crc_stream_matrix
 from repro.codes.registry import get_code
 from repro.core.protected import ProtectedDesign
+from repro.engines.packed import PackedMonitorEngine
 from repro.engines.registry import available_engines, get_engine
 from repro.engines.simd import full_words
-from repro.fastpath.engine import PackedMonitorEngine
 from repro.faults.patterns import (
     burst_error_pattern,
     multi_error_pattern,

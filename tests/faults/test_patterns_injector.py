@@ -110,6 +110,17 @@ class TestScanErrorInjector:
         ScanErrorInjector(chains_b).inject_direct(pattern)
         assert circuit_a.snapshot().values == circuit_b.snapshot().values
 
+    def test_inject_direct_skips_unknown_bits(self):
+        _, chains = _make_chains()
+        chains[0].flops[1].force(None)
+        before = chains[0].read_state()
+        pattern = ErrorPattern(locations=frozenset({(0, 0), (0, 1)}))
+        plan = ScanErrorInjector(chains).inject_direct(pattern)
+        assert plan.flipped == ((0, 0),)
+        after = chains[0].read_state()
+        assert after[0] == before[0] ^ 1
+        assert after[1:] == before[1:]
+
     def test_inject_retention_only_affects_restored_state(self):
         circuit, chains = _make_chains(seed=7)
         injector = ScanErrorInjector(chains)

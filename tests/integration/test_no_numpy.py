@@ -5,7 +5,8 @@ and ``packed`` engines register, and ``sleep_wake_cycle_batch`` (and
 the batched campaigns built on it) must run through the stdlib-only
 per-sequence fallback.  The check runs in a subprocess that blocks the
 numpy import before ``repro`` is first imported, so any numpy import
-leaking into the fallback path fails it.
+leaking into the fallback path or into the ``packed`` engine fails
+it.
 """
 
 import os
@@ -25,7 +26,7 @@ SCRIPT = textwrap.dedent("""\
     from repro.circuit.generators import make_random_state_circuit
     from repro.core.protected import ProtectedDesign
     from repro.engines.registry import available_engines
-    from repro.faults.patterns import single_error_pattern
+    from repro.faults.patterns import multi_error_pattern, single_error_pattern
     from repro.validation.campaign import run_sharded_single_error_campaign
 
     assert available_engines() == ("reference", "packed"), \\
@@ -42,6 +43,32 @@ SCRIPT = textwrap.dedent("""\
         32, width=8, depth=8, num_chains=8, seed=20100308, chunk_size=16,
         batch_size=8)
     assert result.stats.correction_rate() == 1.0
+
+    # The packed engine is the fast path of this install: an injected
+    # cycle and a batch must match the reference engine's outcomes.
+    def observed(outcome):
+        return (outcome.injected_errors, outcome.detected,
+                outcome.corrected_claim, outcome.state_intact,
+                outcome.residual_errors, outcome.error_code,
+                outcome.corrections_applied, outcome.reports)
+
+    pair = [ProtectedDesign(make_random_state_circuit(40, seed=7),
+                            codes=["hamming(7,4)", "crc16"], num_chains=8,
+                            engine=engine)
+            for engine in ("reference", "packed")]
+    assert pair[1].engine == "packed"
+    rng = random.Random(11)
+    length = pair[0].chain_length
+    patterns = [None, single_error_pattern(8, length, rng)] + [
+        multi_error_pattern(8, length, 3, rng) for _ in range(4)]
+    reference, packed = [design.sleep_wake_cycle(injection=patterns[2])
+                         for design in pair]
+    assert observed(packed) == observed(reference)
+    reference, packed = [
+        [observed(o) for o in design.sleep_wake_cycle_batch(patterns)]
+        for design in pair]
+    assert packed == reference
+    assert {o[3] for o in reference} == {True, False}  # one stays corrupt
     """)
 
 
