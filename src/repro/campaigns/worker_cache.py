@@ -37,6 +37,7 @@ from collections import OrderedDict
 from typing import Any, Dict, NamedTuple
 
 from repro.campaigns.seeding import child_seed
+from repro.circuit.flipflop import reset_flops
 
 #: Default per-worker cap on cached task states.  Cached states hold
 #: full designs plus engine workspaces, so an unbounded cache would
@@ -138,17 +139,20 @@ class FIFOChunkWorkspace:
 
     Owns the seed-independent heavy half of
     :class:`~repro.campaigns.tasks.FIFOValidationCampaignTask`'s chunk
-    setup: the protected FIFO, the reference FIFO, the test bench, and
-    (lazily, via the design's keyed engine cache) the engine instance
-    with its workspaces.  :meth:`reseed` is the only place a bench is
-    seeded; it makes the bench indistinguishable from a freshly built
-    one for the given chunk seed:
+    setup: the protected FIFO, the test bench (whose reference FIFO is
+    built on first use), and (lazily, via the design's keyed engine
+    cache) the engine instance with its workspaces.  :meth:`reseed` is
+    the only place a bench is seeded; it makes the bench
+    indistinguishable from a freshly built one for the given chunk
+    seed:
 
-    * every flip-flop of the DUT, the scan padding, and the reference
-      FIFO is forced back to its pristine construction snapshot
-      (power on, master and retention values) -- the scan-padding
-      flops matter most, because injections can corrupt them and no
-      test-bench stage ever resets them;
+    * every flip-flop of the DUT and the scan padding is forced back to
+      its pristine construction snapshot (power on, master and
+      retention values) -- the scan-padding flops matter most, because
+      injections can corrupt them and no test-bench stage ever resets
+      them.  The reference FIFO needs no restoring: it is never gated
+      or injected, and ``FIFOTestbench.run_sequence``, its only
+      reader, resets it first;
     * the power controller and power domain are rebuilt (their state
       machines and unbounded transition/wake logs must not leak
       across chunks -- nor survive a chunk that died mid-sleep);
@@ -171,8 +175,7 @@ class FIFOChunkWorkspace:
             from repro.engines.jit import warm_up_kernels
             warm_up_kernels()
         self._flops = (list(self.design.circuit.registers)
-                       + list(self.design._padding)
-                       + list(self.testbench.reference.registers))
+                       + list(self.design._padding))
         self._pristine = [(flop.q, flop.retention_value)
                           for flop in self._flops]
         self.chunks_run = 0
@@ -184,10 +187,7 @@ class FIFOChunkWorkspace:
         from repro.power.domain import PowerDomain
 
         design = self.design
-        for flop, (q0, retention0) in zip(self._flops, self._pristine):
-            flop.power_on()
-            flop.force(q0)
-            flop.force_retention(retention0)
+        reset_flops(self._flops, self._pristine)
         design.controller = MonitoredPowerGatingController()
         # The task builds its design with default power-domain
         # configuration (no switches/rlc/upset-model override), so a

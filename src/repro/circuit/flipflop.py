@@ -17,7 +17,7 @@ fault models in :mod:`repro.faults` and :mod:`repro.power.retention`.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Tuple
 
 
 class PowerState(enum.Enum):
@@ -234,6 +234,22 @@ def restore_flops(flops: Iterable[RetentionFlipFlop]) -> None:
         flop._q = flop._retention
 
 
+def reset_flops(flops: Iterable[RetentionFlipFlop],
+                pristine: Iterable[Tuple[Optional[int], Optional[int]]]
+                ) -> None:
+    """:meth:`~RetentionFlipFlop.power_on`, :meth:`~DFlipFlop.force`
+    and :meth:`~RetentionFlipFlop.force_retention` on every flop, in
+    order: ``pristine`` holds each flop's ``(q, retention)`` pair, as
+    read from :attr:`~DFlipFlop.q` and
+    :attr:`~RetentionFlipFlop.retention_value`."""
+    on = PowerState.ON
+    check = DFlipFlop._check
+    for flop, (q, retention) in zip(flops, pristine, strict=True):
+        flop._power = on
+        flop._q = check(q)
+        flop._retention = check(retention)
+
+
 __all__ = ["PowerState", "DFlipFlop", "ScanFlipFlop", "RetentionFlipFlop",
-           "power_off_flops", "power_on_flops", "restore_flops",
-           "retain_flops"]
+           "power_off_flops", "power_on_flops", "reset_flops",
+           "restore_flops", "retain_flops"]

@@ -23,6 +23,17 @@ are a pure function of its flip coordinates:
   into the CRC streams (miscorrections included), and the state-domain
   residual comparator.
 
+Single-error batches skip even that work.  With at most one effective
+flip, a sequence's whole verdict -- detected, uncorrectable,
+corrections, residual errors, CRC mismatch -- is a function of the one
+flipped cell (given the known matrix).  :func:`single_flip_table` runs
+the general pass once over a batch holding one flip per scan cell
+(``C x L`` sequences, 1 040 on the paper configuration) plus one clean
+sequence, and keeps the result on the plan for the last known matrix
+seen.  A batch whose ``injected.max() <= 1`` is then one table gather
+per sequence; every other batch takes the general pass, which stays
+the authority because it builds the table.
+
 The dense pass stays the authority for structures superposition cannot
 shortcut (correcting blocks sharing chains, whose last-block-wins
 replay is order-dependent) and for dense batches, where folding whole
@@ -55,14 +66,16 @@ from repro.engines.base import BatchOutcomeArrays
 #: mean flips per sequence.  The delta pass costs ~O(F log F) on F
 #: total flips while the dense pass costs a geometry-proportional
 #: constant, so the true break-even scales with the scan-cell count:
-#: measured ~11-12 flips/seq on the paper's 32x32-FIFO configuration
-#: (80 chains x 13 cells, Hamming(7,4)+CRC-16, B=1024 and B=4096;
-#: single-error batches run ~4x faster on delta at B=1024, ~9x at
-#: B=4096) but only ~2-4 on toy geometries (16 chains x 17 cells,
-#: B=4096 and B=1024), where a batch at 8 flips/seq runs up to ~3x
-#: slower on delta than on dense.  8.0 keeps every realistic campaign
-#: density (the paper's 1-4 flips/seq curves) on delta on the paper
-#: geometry, and dense keeps the burst-storm regime it is built for.
+#: on the paper's 32x32-FIFO configuration (80 chains x 13 cells,
+#: Hamming(7,4)+CRC-16) it is ~12 flips/seq at B=1024 and ~8 at
+#: B=4096, where the dense signature fold runs one gather per CRC row
+#: (single-error batches, served by the single-flip table, run ~20x
+#: faster on delta at both sizes), but only ~2-4 on toy geometries
+#: (16 chains x 17 cells, B=4096 and B=1024), where a batch at 8
+#: flips/seq runs up to ~3x slower on delta than on dense.  8.0 keeps
+#: every realistic campaign density (the paper's 1-4 flips/seq curves)
+#: on delta on the paper geometry, and dense keeps the burst-storm
+#: regime it is built for.
 #: Batches at *exactly* the threshold take the delta path (``<=``);
 #: ``engine.delta_crossover`` overrides per instance.
 DELTA_CROSSOVER_FLIPS_PER_SEQ = 8.0
@@ -218,11 +231,15 @@ class DeltaPlan:
     __slots__ = ("supported", "reason", "num_chains", "chain_length",
                  "num_monitors", "mon_width", "mon_k", "mon_group",
                  "mon_chain", "chain_monitor", "chain_col", "luts",
-                 "obs_cols")
+                 "obs_cols", "single_known", "single_table")
 
     def __init__(self) -> None:
         self.supported = False
         self.reason: Optional[str] = None
+        #: The known matrix the single-flip table was built for, and
+        #: the table itself (see :func:`single_flip_table`).
+        self.single_known: Optional[np.ndarray] = None
+        self.single_table: Optional[BatchOutcomeArrays] = None
 
 
 def _unsupported(reason: str) -> DeltaPlan:
@@ -313,6 +330,30 @@ def _run_starts(keys: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.concatenate((head, keys[1:] != keys[:-1])))
 
 
+def single_flip_table(plan: DeltaPlan,
+                      known_bits: np.ndarray) -> BatchOutcomeArrays:
+    """The outcome of every one-flip sequence, indexed by flipped cell.
+
+    Row ``cell`` (``chain * chain_length + position``) holds the
+    verdicts of a sequence whose only effective flip is that cell; the
+    extra last row is the zero-flip sequence.  The rows come from one
+    run of the general pass over a ``C * L + 1``-sequence batch, so
+    the table can never disagree with it.  It depends on the known
+    matrix (residual constant, gated comparator) and is memoised on
+    the plan for the last ``known_bits`` seen.
+    """
+    if (plan.single_table is None
+            or not np.array_equal(plan.single_known, known_bits)):
+        num_cells = plan.num_chains * plan.chain_length
+        cells = np.arange(num_cells, dtype=np.int64)
+        plan.single_table = _general_summary(
+            plan, known_bits, cells, cells,
+            np.append(np.ones(num_cells, dtype=np.int64), 0),
+            num_cells + 1)
+        plan.single_known = known_bits.copy()
+    return plan.single_table
+
+
 def delta_summary(plan: DeltaPlan, known_bits: np.ndarray,
                   seqs: np.ndarray, cells: np.ndarray,
                   injected: np.ndarray,
@@ -326,7 +367,32 @@ def delta_summary(plan: DeltaPlan, known_bits: np.ndarray,
     ``known_bits`` is the ``(C, L)`` bool known matrix; the baseline
     state itself never enters (it cancels by superposition).  Returns
     arrays bit-identical to the dense summary pass.
+
+    A batch with at most one effective flip per sequence is a gather of
+    :func:`single_flip_table`; any other batch runs the general
+    sort/reduce pass.
     """
+    if injected.max() > 1:
+        return _general_summary(plan, known_bits, seqs, cells, injected,
+                                batch_size)
+    table = single_flip_table(plan, known_bits)
+    row = np.full(batch_size, plan.num_chains * plan.chain_length,
+                  dtype=np.int64)
+    row[seqs] = cells
+    return BatchOutcomeArrays(
+        injected=injected.astype(np.int64),
+        detected=table.detected[row],
+        uncorrectable=table.uncorrectable[row],
+        residual_errors=table.residual_errors[row],
+        corrections_applied=table.corrections_applied[row])
+
+
+def _general_summary(plan: DeltaPlan, known_bits: np.ndarray,
+                     seqs: np.ndarray, cells: np.ndarray,
+                     injected: np.ndarray,
+                     batch_size: int) -> BatchOutcomeArrays:
+    """:func:`delta_summary` for any flip count: per-(sequence, decode
+    slice) syndrome XORs, then the net state delta."""
     length = plan.chain_length
     num_cells = plan.num_chains * length
     detected = np.zeros(batch_size, dtype=bool)
@@ -431,6 +497,7 @@ __all__ = [
     "build_plan",
     "correction_lut",
     "delta_summary",
+    "single_flip_table",
     "syndrome_columns",
     "verdict_lut",
 ]

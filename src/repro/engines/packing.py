@@ -15,25 +15,29 @@ from typing import List, Optional, Sequence, Tuple
 from repro.circuit.scan import ScanChain
 
 
+#: Flop value -> one byte code, and the code -> binary-digit tables of
+#: the ``state`` and ``known`` integers.
+_VALUE_CODE = {0: 0, 1: 1, None: 2}
+_STATE_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"010")
+_KNOWN_DIGITS = bytes.maketrans(b"\x00\x01\x02", b"110")
+
+
 def pack_state(values: Sequence[Optional[int]]) -> Tuple[int, int]:
     """Pack scan-in-side-first values into ``(state, known)`` integers.
 
     ``values[i]`` (scan position ``i``) lands in bit ``i``.  ``None``
     marks an unknown bit: its ``known`` bit is 0 and its ``state`` bit
-    is forced to 0.
+    is forced to 0.  Any other value raises ``ValueError``.
     """
-    state = 0
-    known = 0
-    for i, value in enumerate(values):
-        if value is None:
-            continue
-        v = int(value)
-        if v not in (0, 1):
-            raise ValueError(f"bit values must be 0, 1 or None; got {value!r}")
-        known |= 1 << i
-        if v:
-            state |= 1 << i
-    return state, known
+    try:
+        codes = bytes(map(_VALUE_CODE.__getitem__, values))[::-1]
+    except KeyError as exc:
+        raise ValueError(
+            f"bit values must be 0, 1 or None; got {exc.args[0]!r}") from None
+    if not codes:
+        return 0, 0
+    return (int(codes.translate(_STATE_DIGITS), 2),
+            int(codes.translate(_KNOWN_DIGITS), 2))
 
 
 def pack_chains(chains: Sequence[ScanChain]) -> Tuple[List[int], List[int]]:

@@ -341,10 +341,6 @@ class _SimdStreamMonitor:
         # Filled by the engine once the chain length is known:
         self.rows_flat: Optional[List[np.ndarray]] = None
         self.const_idx: Optional[np.ndarray] = None
-        #: Concatenated row indices + row offsets for one-shot
-        #: gather + XOR-reduceat (None when a row is empty).
-        self.gather_all: Optional[np.ndarray] = None
-        self.offsets: Optional[np.ndarray] = None
         self.stored: Optional[np.ndarray] = None
 
 
@@ -464,11 +460,6 @@ class SimdBatchedEngine(SimulationEngine):
                 matrix.rows, monitor.chain_indices, chain_length)
             monitor.const_idx = np.flatnonzero(np.array(matrix.const,
                                                          dtype=np.uint8))
-            if all(row.size for row in monitor.rows_flat):
-                sizes = [row.size for row in monitor.rows_flat]
-                monitor.gather_all = np.concatenate(monitor.rows_flat)
-                monitor.offsets = np.concatenate(
-                    ([0], np.cumsum(sizes)[:-1]))
         self._encoded_batch: Optional[int] = None
         self._clean_reports: Optional[Tuple[MonitorReport, ...]] = None
         self._full_cache: Tuple[int, Optional[np.ndarray]] = (0, None)
@@ -538,19 +529,14 @@ class SimdBatchedEngine(SimulationEngine):
     def _stream_signature(self, monitor: _SimdStreamMonitor,
                           words_flat: np.ndarray,
                           full: np.ndarray) -> np.ndarray:
-        """The batch's signature words of one stream block."""
-        if monitor.gather_all is not None:
-            sig = np.bitwise_xor.reduceat(words_flat[monitor.gather_all],
-                                          monitor.offsets, axis=0)
-        else:
-            # A signature bit with no stream dependence (possible for
-            # degenerate short streams): reduceat cannot express an
-            # empty segment, so fold row by row.
-            sig = np.zeros((len(monitor.rows_flat), words_flat.shape[1]),
-                           dtype=np.uint64)
-            for j, idx in enumerate(monitor.rows_flat):
-                if idx.size:
-                    sig[j] = np.bitwise_xor.reduce(words_flat[idx], axis=0)
+        """The batch's signature words of one stream block: one gather
+        and one XOR fold per signature row (a row with no stream
+        dependence, possible for degenerate short streams, stays 0)."""
+        sig = np.zeros((len(monitor.rows_flat), words_flat.shape[1]),
+                       dtype=np.uint64)
+        for j, idx in enumerate(monitor.rows_flat):
+            if idx.size:
+                np.bitwise_xor.reduce(words_flat[idx], axis=0, out=sig[j])
         if monitor.const_idx.size:
             sig[monitor.const_idx] ^= full
         return sig

@@ -159,13 +159,12 @@ class FIFOTestbench:
                 "FIFOTestbench requires a ProtectedDesign wrapping a SyncFIFO")
         self.dut_design = protected_fifo
         self.dut: SyncFIFO = protected_fifo.circuit
-        self.reference = (reference_fifo if reference_fifo is not None
-                          else SyncFIFO(self.dut.width, self.dut.depth,
-                                        name=f"{self.dut.name}_ref"))
-        if (self.reference.width != self.dut.width
-                or self.reference.depth != self.dut.depth):
+        if reference_fifo is not None and (
+                reference_fifo.width != self.dut.width
+                or reference_fifo.depth != self.dut.depth):
             raise ValueError(
                 "reference FIFO must have the same geometry as the DUT")
+        self._reference = reference_fifo
         self.stimulus = (stimulus if stimulus is not None
                          else StimulusGenerator(self.dut.width, seed=seed))
         self.words_per_sequence = (words_per_sequence
@@ -173,6 +172,16 @@ class FIFOTestbench:
                                    else max(1, self.dut.depth // 2))
         self.comparator = Comparator()
         self._image: Optional[_StimulusImage] = None
+
+    @property
+    def reference(self) -> SyncFIFO:
+        """FIFO_B.  The default one is built on first use: only
+        :meth:`run_sequence` reads it, so batch and summary campaigns
+        never pay for its ~1 000 flops."""
+        if self._reference is None:
+            self._reference = SyncFIFO(self.dut.width, self.dut.depth,
+                                       name=f"{self.dut.name}_ref")
+        return self._reference
 
     # ------------------------------------------------------------------
     def run_sequence(self, injection: Optional[ErrorPattern] = None,

@@ -7,6 +7,7 @@ from repro.circuit.flipflop import (
     PowerState,
     RetentionFlipFlop,
     ScanFlipFlop,
+    reset_flops,
 )
 
 
@@ -121,3 +122,60 @@ class TestRetentionFlipFlop:
         ff.force_retention(1)
         ff.restore()
         assert ff.q == 1
+
+
+def _flop_state(flop):
+    return (flop.power, flop.q, flop.retention_value)
+
+
+def _scrambled_flops():
+    """Flops in every power / master / retention combination."""
+    flops = []
+    for index, (q, retention, off) in enumerate(
+            (q, retention, off) for q in (0, 1, None)
+            for retention in (0, 1, None) for off in (False, True)):
+        flop = RetentionFlipFlop(name=f"ff{index}", init=q)
+        flop.force_retention(retention)
+        if off:
+            flop.power_off()
+        flops.append(flop)
+    return flops
+
+
+class TestResetFlops:
+    PRISTINE = [(q, retention) for q in (0, 1, None)
+                for retention in (1, None, 0)] * 2
+
+    def test_matches_per_flop_calls(self):
+        """Same end state as power_on + force + force_retention."""
+        bulk, single = _scrambled_flops(), _scrambled_flops()
+        reset_flops(bulk, self.PRISTINE)
+        for flop, (q, retention) in zip(single, self.PRISTINE):
+            flop.power_on()
+            flop.force(q)
+            flop.force_retention(retention)
+        assert [_flop_state(f) for f in bulk] == \
+            [_flop_state(f) for f in single]
+        assert all(type(f.q) is type(g.q)
+                   and type(f.retention_value) is type(g.retention_value)
+                   for f, g in zip(bulk, single))
+
+    def test_normalises_like_force(self):
+        """Non-int bit values go through the same check as force()."""
+        flop, = _scrambled_flops()[:1]
+        reset_flops([flop], [(True, False)])
+        assert (flop.q, flop.retention_value) == (1, 0)
+        assert type(flop.q) is int and type(flop.retention_value) is int
+
+    @pytest.mark.parametrize("pair", [(2, 0), (0, 2), (-1, None),
+                                      (None, 3)])
+    def test_rejects_invalid_values(self, pair):
+        flops = _scrambled_flops()[:2]
+        with pytest.raises(ValueError, match="0, 1 or None"):
+            reset_flops(flops, [(0, 0), pair])
+        # The flop before the offending one is already reset.
+        assert _flop_state(flops[0]) == (PowerState.ON, 0, 0)
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            reset_flops(_scrambled_flops()[:2], [(0, 0)])

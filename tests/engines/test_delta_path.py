@@ -8,9 +8,10 @@ geometries with and without padding, batch sizes including B=1 and
 non-multiples of 64, and fault densities on both sides of (and exactly
 at) the crossover threshold, including zero-flip sequences and
 unknown-cell holes.  The suite also pins the automatic path selection
-(``last_summary_path``), the forced-delta failure mode on unsupported
-monitor structure, and the process-wide sharing of the correction /
-verdict lookup tables.
+(``last_summary_path``), the single-flip outcome table (gather versus
+general pass versus dense, and its rebuild on a known-matrix change),
+the forced-delta failure mode on unsupported monitor structure, and
+the process-wide sharing of the correction / verdict lookup tables.
 """
 
 import pytest
@@ -23,12 +24,16 @@ from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines.base import BatchOutcomeArrays               # noqa: E402
 from repro.engines.delta import (                               # noqa: E402
     DELTA_CROSSOVER_FLIPS_PER_SEQ,
+    _general_summary,
     correction_lut,
+    delta_summary,
     verdict_lut,
 )
 from repro.engines.registry import get_engine                   # noqa: E402
+from repro.engines.summary import bits_matrix                   # noqa: E402
 from repro.faults.batch import (                                # noqa: E402
     PatternBatch,
+    pattern_batch_coords,
     sample_pattern_batch,
 )
 
@@ -292,3 +297,158 @@ def test_correction_luts_are_shared_and_frozen():
     code_a, code_b = get_code("secded(8,4)"), get_code("secded(8,4)")
     assert verdict_lut(code_a) is verdict_lut(code_b)
     assert not verdict_lut(code_a).flags.writeable
+
+
+# ----------------------------------------------------------------------
+# The single-flip outcome table
+# ----------------------------------------------------------------------
+def _table_general_dense(design, flips, batch_size, states=None,
+                         knowns=None, engine=None):
+    """The same batch through the table gather, the general delta pass
+    and the dense pass; returns the engine's plan too."""
+    if engine is None:
+        engine = get_engine("simd", design)
+    if states is None:
+        states, knowns = _pack(design)
+    plan = engine._delta_plan_for()
+    assert plan.supported
+    known_bits = bits_matrix(knowns, design.chain_length)
+    coords = pattern_batch_coords(flips, known_bits, batch_size)
+    table = delta_summary(plan, known_bits, *coords, batch_size)
+    general = _general_summary(plan, known_bits, *coords, batch_size)
+    dense = engine.run_batch_summary(states, knowns, flips, batch_size,
+                                     path="dense")
+    return table, general, dense, plan
+
+
+def _assert_all_identical(table, general, dense):
+    assert_identical(general, table)
+    assert_identical(dense, table)
+    assert np.array_equal(general.residual_errors, table.residual_errors)
+    assert np.array_equal(dense.residual_errors, table.residual_errors)
+    assert np.array_equal(dense.uncorrectable, table.uncorrectable)
+
+
+#: SECDED, parity and CRC-only banks (the paper configuration has its
+#: own test).
+TABLE_CONFIGS = [config for config in CONFIGS if config[0] in (
+    "secded84_crc16", "parity8", "parity12_ccitt", "crc8_only")]
+
+
+def _every_cell_batch(design):
+    """One sequence per scan cell, plus a clean last sequence."""
+    num_cells = design.num_chains * design.chain_length
+    cells = np.arange(num_cells, dtype=np.int64)
+    return PatternBatch(design.num_chains, design.chain_length,
+                        num_cells + 1, "single", cells,
+                        cells // design.chain_length,
+                        cells % design.chain_length), num_cells + 1
+
+
+def test_single_flip_table_paper_config():
+    """Every cell of the paper's 32x32 FIFO configuration: all single
+    errors detected and corrected, on all three paths."""
+    design = _paper_design()
+    flips, batch = _every_cell_batch(design)
+    table, general, dense, plan = _table_general_dense(design, flips, batch)
+    _assert_all_identical(table, general, dense)
+    assert plan.single_table is not None
+    rng = np.random.default_rng(20100308)
+    sampled = sample_pattern_batch("single", design.num_chains,
+                                   design.chain_length, 4096, rng)
+    _assert_all_identical(*_table_general_dense(design, sampled, 4096)[:3])
+
+
+@pytest.mark.parametrize(
+    "codes,num_chains,num_registers",
+    [config[1:] for config in TABLE_CONFIGS],
+    ids=[config[0] for config in TABLE_CONFIGS])
+def test_single_flip_table_matches_general_and_dense(codes, num_chains,
+                                                     num_registers):
+    design = _design(codes, num_chains, num_registers)
+    flips, batch = _every_cell_batch(design)
+    _assert_all_identical(*_table_general_dense(design, flips, batch)[:3])
+    rng = np.random.default_rng(1234)
+    sampled = sample_pattern_batch("single", design.num_chains,
+                                   design.chain_length, 257, rng)
+    _assert_all_identical(*_table_general_dense(design, sampled, 257)[:3])
+
+
+def _mixed_batch(design, batch_size, seed):
+    """Single flips on every other sequence: the rest stay clean."""
+    rng = np.random.default_rng(seed)
+    seqs = np.arange(0, batch_size, 2, dtype=np.int64)
+    return PatternBatch(
+        design.num_chains, design.chain_length, batch_size, "single",
+        seqs, rng.integers(0, design.num_chains, seqs.size),
+        rng.integers(0, design.chain_length, seqs.size))
+
+
+@pytest.mark.parametrize(
+    "codes,num_chains,num_registers",
+    [CONFIGS[0][1:]] + [config[1:] for config in TABLE_CONFIGS],
+    ids=[CONFIGS[0][0]] + [config[0] for config in TABLE_CONFIGS])
+def test_single_flip_table_unknown_cells_and_clean_sequences(
+        codes, num_chains, num_registers):
+    """Holes in the known matrix and a mix of 0-flip and 1-flip
+    sequences: unknown-cell flips are gated out (those sequences are
+    clean), and every clean sequence still counts the unknown cells as
+    residuals."""
+    design = _design(codes, num_chains, num_registers)
+    states, knowns = _punch_holes(*_pack(design))
+    flips, batch = _every_cell_batch(design)
+    _assert_all_identical(*_table_general_dense(
+        design, flips, batch, states=states, knowns=knowns)[:3])
+    mixed = _mixed_batch(design, 100, seed=9)
+    table, general, dense, _ = _table_general_dense(
+        design, mixed, 100, states=states, knowns=knowns)
+    _assert_all_identical(table, general, dense)
+    assert (table.injected == 0).any() and (table.injected == 1).any()
+    assert (table.residual_errors > 0).all()
+
+
+def test_single_flip_table_rebuilds_on_known_change():
+    """The table depends on the known matrix: a batch under a different
+    one rebuilds it, and a batch under the same one reuses it."""
+    design = _design(["hamming(7,4)", "crc16"], 8, 56)
+    engine = get_engine("simd", design)
+    full_states, full_knowns = _pack(design)
+    holed_states, holed_knowns = _punch_holes(full_states, full_knowns)
+    flips, batch = _every_cell_batch(design)
+    first = _table_general_dense(design, flips, batch, engine=engine)
+    _assert_all_identical(*first[:3])
+    plan = first[3]
+    built = plan.single_table
+    holed = _table_general_dense(design, flips, batch, states=holed_states,
+                                 knowns=holed_knowns, engine=engine)
+    _assert_all_identical(*holed[:3])
+    assert holed[3] is plan
+    assert plan.single_table is not built
+    assert np.array_equal(plan.single_known,
+                          bits_matrix(holed_knowns, design.chain_length))
+    rebuilt = plan.single_table
+    _assert_all_identical(*_table_general_dense(
+        design, _mixed_batch(design, 64, seed=2), 64, states=holed_states,
+        knowns=holed_knowns, engine=engine)[:3])
+    assert plan.single_table is rebuilt
+    _assert_all_identical(*_table_general_dense(design, flips, batch,
+                                                engine=engine)[:3])
+
+
+def test_two_flip_sequence_takes_general_path():
+    """One sequence with two effective flips sends the whole batch
+    through the general pass: the table is never built."""
+    design = _design(["hamming(7,4)", "crc16"], 8, 56)
+    engine = get_engine("simd", design)
+    states, knowns = _pack(design)
+    flips = _coords_batch(design, 6, [
+        (0, 0, 1), (2, 3, 4), (4, 1, 0), (4, 1, 2), (5, 7, 6)])
+    dense = engine.run_batch_summary(states, knowns, flips, 6,
+                                     path="dense")
+    delta = engine.run_batch_summary(states, knowns, flips, 6,
+                                     path="delta")
+    assert engine.last_summary_path == "delta"
+    assert_identical(dense, delta)
+    assert np.array_equal(dense.residual_errors, delta.residual_errors)
+    assert engine._delta_plan_for().single_table is None
+    assert delta.injected.max() == 2

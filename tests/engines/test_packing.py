@@ -30,9 +30,22 @@ class TestPackState:
         assert state & ~known == 0
         assert max(state, known).bit_length() <= len(values)
 
-    def test_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            pack_state([0, 2, 1])
+    @pytest.mark.parametrize("bad", [2, -1, 3, 10, 2.0, 0.5, "1"])
+    def test_rejects_non_bits(self, bad):
+        with pytest.raises(ValueError,
+                           match="bit values must be 0, 1 or None"):
+            pack_state([0, bad, 1])
+
+    def test_rejects_a_trailing_two(self):
+        with pytest.raises(ValueError, match=r"got 2\b"):
+            pack_state([1] * 63 + [2])
+
+    @given(st.lists(st.sampled_from([0, 1, None, True, False, 0.0, 1.0]),
+                    max_size=70))
+    def test_int_like_values_pack_like_ints(self, values):
+        """Values equal to 0 or 1 pack exactly like the ints."""
+        plain = [None if v is None else int(v) for v in values]
+        assert pack_state(values) == pack_state(plain)
 
     def test_empty_values_pack_to_zero(self):
         assert pack_state([]) == (0, 0)

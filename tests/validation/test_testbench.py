@@ -91,6 +91,30 @@ class TestFIFOTestbench:
         with pytest.raises(ValueError):
             FIFOTestbench(testbench_design, reference_fifo=SyncFIFO(8, 4))
 
+    def test_default_reference_built_on_first_use(self):
+        testbench = _make_testbench()
+        assert testbench._reference is None
+        testbench.run_sequence_batch([None, None])
+        assert testbench._reference is None
+        reference = testbench.reference
+        assert (reference.width, reference.depth) == (8, 8)
+        assert reference.name == "dut_fifo_ref"
+        assert testbench.reference is reference
+        given = SyncFIFO(8, 8, name="given")
+        design = ProtectedDesign(SyncFIFO(8, 8), codes="crc16",
+                                 num_chains=8)
+        assert FIFOTestbench(design, reference_fifo=given).reference is given
+
+    def test_stale_reference_state_does_not_leak(self):
+        """run_sequence resets FIFO_B first, so whatever it held (or
+        its rail's state) never reaches a later comparison."""
+        clean = _make_testbench().run_sequence()
+        testbench = _make_testbench()
+        for flop in testbench.reference.registers:
+            flop.force(1)
+            flop.power_off()
+        assert testbench.run_sequence() == clean
+
     def test_clean_sequence_matches_reference(self):
         testbench = _make_testbench()
         result = testbench.run_sequence()
