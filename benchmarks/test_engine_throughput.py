@@ -19,10 +19,10 @@ in ``BENCH_engines.json`` and enforced by the CI regression guard
 * **campaign_summary_path** -- end-to-end single-error campaign chunk
   on the paper's 32x32-FIFO configuration: the columnar summary path
   (``sampler="array"``) must hold >= 2x over the batched object path.
-* **campaign_delta_path** -- the same campaign with the sparse-delta
-  superposition path forced against the dense word-fold summary path:
-  >= 2x end to end (measured ~3x; the engine pass alone is ~9x at
-  batch 4096).
+* **campaign_delta_path** -- the same campaign with the single-flip
+  outcome table (``summary_path="delta"``) forced against the dense
+  word-fold summary path: >= 2x end to end (measured ~3x; the engine
+  pass alone is ~20x at batch 4096).
 * **campaign_small_batch** -- the summary path's per-batch overhead:
   the same single-error chunk at batch 256 must keep >= 0.08x of its
   batch-4096 rate (``small_batch_efficiency``).
@@ -403,17 +403,18 @@ DELTA_FLOOR = 2.0
 @requires_simd
 @pytest.mark.benchmark(group="engines")
 def test_campaign_delta_path_throughput():
-    """End-to-end single-error campaign chunk, sparse-delta versus
-    dense summary path, on the same 32x32-FIFO configuration as
-    ``campaign_summary_path``: the delta path must be >= 2x (measured
-    2.4-4.3x, median ~2.9x; the engine-level pass alone is ~20x,
-    served by the single-flip outcome table, and the end-to-end gap is
-    bounded by the path-independent stimulus/controller work).
+    """End-to-end single-error campaign chunk, single-flip outcome
+    table (``"delta"``) versus dense summary path, on the same
+    32x32-FIFO configuration as ``campaign_summary_path``: the table
+    must be >= 2x (measured 2.4-4.3x, median ~2.9x; the engine-level
+    pass alone is ~20x, and the end-to-end gap is bounded by the
+    path-independent stimulus/controller work).
 
-    A single-error batch is maximally sparse (1 flip per sequence
-    against the 8-flips-per-sequence crossover), so ``"auto"`` must
-    resolve to the delta path on this workload -- asserted on the
-    engine after the run.
+    The table is a cache of the dense pass: the engine builds it once
+    per known matrix by running the dense pass over one flip per scan
+    cell, then answers each single-error batch with one gather per
+    sequence.  Every sequence here has one flip, so ``"auto"`` must
+    resolve to the table -- asserted on the engine after the run.
     """
     from dataclasses import replace
 
@@ -442,9 +443,9 @@ def test_campaign_delta_path_throughput():
 
         times[label] = _time(run, repeats=2) / DELTA_SEQUENCES
 
-    # "auto" picks delta on this sparse workload (and matches both
-    # forced chunks) -- asserted at the engine level, where the chosen
-    # path is published.
+    # "auto" picks the table on this single-error workload (and matches
+    # both forced chunks) -- asserted at the engine level, where the
+    # chosen path is published.
     import numpy as np
 
     from repro.circuit.fifo import SyncFIFO
@@ -489,7 +490,7 @@ def test_campaign_delta_path_throughput():
         "summary path (32x32 FIFO, simd engine)",
         f"dense summary path (word folds)    : "
         f"{times['dense'] * 1e6:9.1f} us per sequence\n"
-        f"delta summary path (LUT-XOR)       : "
+        f"delta summary path (1-flip table)  : "
         f"{times['delta'] * 1e6:9.1f} us per sequence\n"
         f"delta / dense                      : {speedup:9.1f}x "
         f"(acceptance: >= {DELTA_FLOOR:.0f}x)")

@@ -7,12 +7,11 @@ of ``BENCH_engines.json`` and enforced by the CI regression guard:
   the paper's 32x32-FIFO configuration at batch 65536 (the regime
   where per-batch Python overhead vanishes and the summary pass is
   the whole story), ``engine="jit"`` against the simd engine's best
-  path on the same workload (``"auto"`` resolves to sparse-delta at
-  single-error density).  The fused kernels must hold >= 2x cycle
-  throughput: the delta path still pays an argsort plus a dozen
-  gather/reduceat passes over the flip coordinates per batch, while
-  the kernel walks each sequence's CSR slice exactly once, in
-  parallel.
+  path on the same workload (``"auto"`` resolves to the single-flip
+  outcome table at single-error density).  The fused kernels must hold
+  >= 2x cycle throughput: the table path still sorts the flip
+  coordinates and gathers five outcome columns per batch, while the
+  kernel walks each sequence's CSR slice exactly once, in parallel.
 
 The section carries ``"requires": ["numba"]``: the benchmark skips on
 installs without numba (the engine is simply not registered), and the

@@ -87,10 +87,13 @@ run_sequence_batch`: one stimulus burst per group, one injection per
     summary_path:
         Summary-path selection forwarded to the engine on the columnar
         path (array sampler + summary-capable engine): ``"auto"``
-        (default) lets the engine pick between its sparse-delta fast
-        path and the dense word pipeline by the batch's flip density;
-        ``"delta"`` / ``"dense"`` force one side (useful for A/B
-        benchmarking -- the paths are bit-identical, property-tested);
+        (default) lets the engine pick per batch: the simd engine
+        answers batches with at most one effective flip per sequence
+        from its single-flip outcome table and runs every other batch
+        through the dense word pipeline; ``"delta"`` forces the table
+        (``ValueError`` on a batch with a multi-flip sequence) and
+        ``"dense"`` the pipeline (useful for A/B benchmarking -- the
+        paths are bit-identical, property-tested);
         ``"jit"`` forces the fused single-pass kernels of
         ``engine="jit"`` (only that engine provides it).
         Non-``"auto"`` values require ``sampler="array"`` (the object

@@ -10,9 +10,8 @@ in :data:`_MATRIX_CACHE`.
 
 The batch engines consume these matrices: the word-packed SIMD engine
 (:mod:`repro.engines.simd`) evaluates each row as an XOR fold over an
-ndarray gather, and the sparse-delta summary path
-(:mod:`repro.engines.delta`, whose plan tables the fused kernels of
-:mod:`repro.engines.jit` also read) gathers their column responses.
+ndarray gather, and the fused summary kernels of
+:mod:`repro.engines.jit` gather their column responses.
 Row order is MSB first, matching the packed codes' word layouts
 (:mod:`repro.codes.packed`).  Codes without a structured matrix form
 (interleaved wrappers, user-defined codes) raise :class:`CodeError`
@@ -73,10 +72,10 @@ class GF2Matrix:
         the matrix -- the output delta of any input delta is the XOR
         of the flipped inputs' columns (the affine ``const`` part
         cancels in every fresh-versus-stored comparison), which is
-        what the sparse-delta summary path
-        (:mod:`repro.engines.delta`) gathers instead of re-folding
-        whole words.  numpy-free like the matrix itself; the delta
-        module caches the ndarray form per code parameters.
+        what the fused summary kernels (:mod:`repro.engines.jit`)
+        gather instead of re-folding whole words.  numpy-free like the
+        matrix itself; :mod:`repro.engines.jit` caches the ndarray form
+        per code parameters.
         """
         columns = [0] * self.num_inputs
         for j, row in enumerate(self.rows):

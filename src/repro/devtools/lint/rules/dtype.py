@@ -29,7 +29,6 @@ from repro.devtools.lint.findings import (
 #: Files (relpath suffixes) carrying the uint64 word-pipeline
 #: discipline.
 SCOPED_FILES = (
-    "engines/delta.py",
     "engines/jit.py",
     "engines/simd.py",
     "engines/summary.py",
@@ -51,8 +50,7 @@ def in_scope(file: SourceFile) -> bool:
 class DtypeRule(Rule):
     id = "dtype"
     description = ("ndarray constructors in the word-pipeline modules "
-                   "(engines/delta.py, "
-                   "engines/jit.py, engines/simd.py, "
+                   "(engines/jit.py, engines/simd.py, "
                    "engines/summary.py, faults/batch.py) must pass an "
                    "explicit dtype=")
 

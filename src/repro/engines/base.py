@@ -262,8 +262,9 @@ class SimulationEngine(ABC):
 
         ``path`` selects the summary implementation on engines that
         offer more than one (``"auto"`` -- the engine picks; the simd
-        engine adds a sparse-delta fast path selectable with
-        ``"delta"`` / forcible off with ``"dense"``; the jit engine
+        engine adds a single-flip outcome table for batches with at
+        most one effective flip per sequence, forced with ``"delta"``
+        and forcible off with ``"dense"``; the jit engine
         additionally accepts ``"jit"`` to force its fused single-pass
         kernels).  Engines with a
         single implementation accept ``"auto"`` and ``"dense"`` and

@@ -3,13 +3,17 @@
 The simd summary pass is bound by materialising full ``(chains,
 length, words)`` intermediates per stage: replicate, encode, inject,
 decode, correct and compare each walk the whole batch through its own
-ndarray (and the sparse-delta path, while O(#flips), still pays an
-argsort plus half a dozen gather/reduceat passes over the flip
-coordinates).  This engine fuses the entire pass into **one loop nest
-per sequence**: every registered code is linear over GF(2) and the
-stored check words derive from the same replicated baseline, so --
-exactly the superposition argument of :mod:`repro.engines.delta` -- a
-sequence's verdicts are a pure function of its flip coordinates.  The
+ndarray (only single-error batches skip that, through the simd
+engine's single-flip outcome table).  This engine fuses the entire
+pass into **one loop nest per sequence**: every registered code is
+linear over GF(2) and the stored check words derive from the same
+replicated baseline, so the syndrome a decode slice observes is the
+XOR of the **response columns** of the cells flipped in that slice
+(the baseline cancels in every fresh-versus-stored comparison), a CRC
+signature mismatches exactly when the XOR of the state delta's
+signature columns is non-zero, and a sequence's verdicts are a pure
+function of its flip coordinates.  The per-(code, geometry) column and
+verdict tables are built once per engine (:func:`build_plan`).  The
 kernel walks each sequence's CSR flip slice once, accumulates the
 touched decode slices' extended syndromes in per-sequence scratch (a
 handful of entries, never a batch-shaped array), looks up the verdicts,
@@ -19,9 +23,9 @@ temporaries, no sorts, no per-stage batch walks; ``parallel=True``
 distributes the ``prange`` over sequences across cores.
 
 Because the superposition identity holds at *every* density, the fused
-kernel serves both sides of the simd engine's delta/dense crossover --
-cost is O(#flips) with a tiny constant, and there is nothing dense
-batches can amortise against it.  The dense word pipeline remains the
+kernel serves sparse and dense batches alike -- cost is O(#flips) with
+a tiny constant, and there is nothing dense batches can amortise
+against it.  The dense word pipeline remains the
 fallback for bank structures superposition cannot express (correcting
 blocks sharing chains, whose last-block-wins replay is
 order-dependent); there the engine inherits the numpy path.
@@ -51,12 +55,20 @@ starting clocks.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Any, List, Optional, Sequence
 
 import numpy as np
 
+from repro.codes.hamming import HammingCode
+from repro.codes.parity import ParityCode
+from repro.codes.plane import block_parity_matrix
+from repro.codes.secded import SECDEDCode
 from repro.engines.base import BatchOutcomeArrays
-from repro.engines.simd import SimdBatchedEngine
+from repro.engines.simd import (
+    SimdBatchedEngine,
+    correction_lut,
+    shared_table,
+)
 
 try:  # pragma: no cover - exercised only where numba is installed
     import numba
@@ -83,7 +95,7 @@ def _fused_summary(starts, cells, chain_monitor, chain_col, mon_width,
     ``starts``/``cells`` are the batch's CSR flip slices (sorted,
     known-gated, per-sequence-deduplicated -- the contract of
     :func:`repro.faults.batch.pattern_batch_csr`); the remaining inputs
-    are the :class:`_JitPlan` tables.  All four output arrays are fully
+    are the :class:`FusedPlan` tables.  All four output arrays are fully
     overwritten.  The per-sequence scratch arrays are bounded by the
     sequence's own flip count ``nf``: a flip touches exactly one decode
     slice (correcting blocks never share chains on this path), each
@@ -239,44 +251,136 @@ def warm_up_kernels(force: bool = False) -> bool:
 
 
 # ----------------------------------------------------------------------
-# The per-engine plan (delta-plan tables in kernel-ready dtypes)
+# The per-engine plan
 # ----------------------------------------------------------------------
-class _JitPlan:
-    """The engine's :class:`~repro.engines.delta.DeltaPlan` tables
-    re-materialised for the kernel's type discipline: every index and
-    syndrome table is int64 (numba promotes mixed uint/int arithmetic
-    to float64, which would corrupt the XOR algebra), the per-group
-    verdict LUTs are padded into one 2D table, and the stream columns
-    are stacked into one ``(O, num_cells)`` uint64 array."""
+def verdict_lut(code) -> np.ndarray:
+    """The *extended-syndrome* verdict LUT of one code, shared
+    process-wide.
 
-    __slots__ = ("chain_monitor", "chain_col", "mon_width", "mon_k",
-                 "mon_group", "mon_chain", "lut_table", "obs_cols")
+    Indexed by the slice's whole observable mismatch (for SECDED the
+    base syndrome plus the overall-parity mismatch as the top bit),
+    the entry is the verdict position of the dense kernels: ``-1``
+    clean, ``-2`` detected-uncorrectable, ``0..n-1`` the systematic
+    position the decoder would flip (``>= k`` meaning a check-bit
+    position: detected, corrected outside the data word, no data
+    action).  For Hamming the extended syndrome *is* the syndrome, so
+    this is :func:`~repro.engines.simd.correction_lut` itself; for
+    SECDED the four case splits of the dense kernel become table
+    entries; a parity bit has a one-bit syndrome.
+    """
+    if isinstance(code, SECDEDCode):
+        def build() -> np.ndarray:
+            base_r = code.n - code.k - 1
+            lut = np.full(1 << (base_r + 1), -2, dtype=np.int16)
+            lut[0] = -1
+            # Overall-parity mismatch set: a single error, either the
+            # overall bit itself (syndrome 0) or the base LUT's call.
+            overall = 1 << base_r
+            lut[overall:] = correction_lut(code)
+            lut[overall] = code.n - 1
+            return lut
+    elif isinstance(code, HammingCode):
+        return correction_lut(code)
+    elif isinstance(code, ParityCode):
+        def build() -> np.ndarray:
+            return np.array([-1, -2], dtype=np.int16)
+    else:
+        raise ValueError(f"{type(code).__name__} has no verdict LUT")
+    return shared_table(code, "verdict", build)
 
-    def __init__(self, plan) -> None:
-        self.chain_monitor = np.ascontiguousarray(plan.chain_monitor,
-                                                  dtype=np.int64)
-        self.chain_col = np.ascontiguousarray(plan.chain_col,
-                                              dtype=np.int64)
-        self.mon_width = np.ascontiguousarray(plan.mon_width,
-                                              dtype=np.int64)
-        self.mon_k = np.ascontiguousarray(plan.mon_k, dtype=np.int64)
-        self.mon_group = np.ascontiguousarray(plan.mon_group,
-                                              dtype=np.int64)
-        mon_chain = np.ascontiguousarray(plan.mon_chain, dtype=np.int64)
-        if mon_chain.ndim != 2 or mon_chain.shape[1] == 0:
-            mon_chain = np.zeros((mon_chain.shape[0], 1), dtype=np.int64)
-        self.mon_chain = mon_chain
-        width = max((lut.shape[0] for lut in plan.luts), default=1)
-        lut_table = np.full((len(plan.luts), width), -2, dtype=np.int64)
-        for g, lut in enumerate(plan.luts):
-            lut_table[g, :lut.shape[0]] = lut
-        self.lut_table = lut_table
-        num_cells = plan.num_chains * plan.chain_length
-        obs_cols = np.zeros((len(plan.obs_cols), num_cells),
-                            dtype=np.uint64)
-        for o, column in enumerate(plan.obs_cols):
-            obs_cols[o] = column
-        self.obs_cols = obs_cols
+
+def syndrome_columns(code) -> np.ndarray:
+    """Per data-bit extended-syndrome response columns, ``(k,)`` int64,
+    shared process-wide.
+
+    Entry ``i`` is the extended syndrome a *single* flip of systematic
+    data bit ``i`` produces -- one column of the code's GF(2) parity
+    matrix (:meth:`~repro.codes.plane.GF2Matrix.column_responses`),
+    with SECDED's overall-parity mismatch packed as the top bit (every
+    data flip toggles the received overall parity, regardless of the
+    expanded encode row).  Any slice's extended syndrome is the XOR of
+    its flipped bits' columns.
+    """
+    def build() -> np.ndarray:
+        responses = block_parity_matrix(code).column_responses()
+        if isinstance(code, SECDEDCode):
+            overall = 1 << (code.n - code.k - 1)
+            responses = [(column & (overall - 1)) | overall
+                         for column in responses]
+        return np.array(responses, dtype=np.int64)
+    return shared_table(code, "columns", build)
+
+
+class FusedPlan:
+    """The fused kernel's per-bank tables, in the kernel's dtypes.
+
+    Every index and syndrome table is int64 (numba promotes mixed
+    uint/int arithmetic to float64, which would corrupt the XOR
+    algebra), the per-group verdict LUTs are padded into one 2D table,
+    and the stream columns are stacked into one ``(O, num_cells)``
+    uint64 array.  ``reason`` is ``None`` for a bank the kernel serves
+    and says why otherwise (the tables are then unset).
+    """
+
+    __slots__ = ("reason", "chain_monitor", "chain_col", "mon_width",
+                 "mon_k", "mon_group", "mon_chain", "lut_table",
+                 "obs_cols")
+
+    def __init__(self, reason: Optional[str] = None) -> None:
+        self.reason = reason
+
+
+def build_plan(groups: Sequence[Any], observing: Sequence[Any],
+               overlapping_correctors: bool, num_chains: int,
+               chain_length: int) -> FusedPlan:
+    """Precompute the fused kernel's tables for one monitor bank.
+
+    ``groups`` / ``observing`` are the simd engine's code groups (with
+    ``kernel``/``monitors``/``gather_idx``) and stream monitors (with
+    ``rows_flat``).
+    """
+    if overlapping_correctors:
+        return FusedPlan(
+            "correcting blocks share scan chains; their last-block-wins "
+            "replay is order-dependent, which superposition cannot "
+            "express")
+    plan = FusedPlan()
+    plan.chain_monitor = np.full(num_chains, -1, dtype=np.int64)
+    plan.chain_col = np.zeros(num_chains, dtype=np.int64)
+    mon_width: List[int] = []
+    mon_k: List[int] = []
+    mon_group: List[int] = []
+    mon_chain_rows: List[np.ndarray] = []
+    luts: List[np.ndarray] = []
+    for g, group in enumerate(groups):
+        luts.append(verdict_lut(group.kernel.code))
+        columns = syndrome_columns(group.kernel.code)
+        for local, monitor in enumerate(group.monitors):
+            chains = monitor.chain_idx_arr
+            plan.chain_monitor[chains] = len(mon_width)
+            plan.chain_col[chains] = columns[:chains.size]
+            mon_width.append(monitor.width)
+            mon_k.append(group.kernel.k)
+            mon_group.append(g)
+            mon_chain_rows.append(group.gather_idx[local])
+    plan.mon_width = np.array(mon_width, dtype=np.int64)
+    plan.mon_k = np.array(mon_k, dtype=np.int64)
+    plan.mon_group = np.array(mon_group, dtype=np.int64)
+    kmax = max((row.size for row in mon_chain_rows), default=1)
+    plan.mon_chain = np.zeros((len(mon_chain_rows), kmax), dtype=np.int64)
+    for index, row in enumerate(mon_chain_rows):
+        plan.mon_chain[index, :row.size] = row
+    width = max((lut.shape[0] for lut in luts), default=1)
+    plan.lut_table = np.full((len(luts), width), -2, dtype=np.int64)
+    for g, lut in enumerate(luts):
+        plan.lut_table[g, :lut.shape[0]] = lut
+    plan.obs_cols = np.zeros((len(observing), num_chains * chain_length),
+                             dtype=np.uint64)
+    for o, monitor in enumerate(observing):
+        width = len(monitor.rows_flat)
+        for j, row in enumerate(monitor.rows_flat):
+            plan.obs_cols[o, row] |= np.uint64(1 << (width - 1 - j))
+    return plan
 
 
 # ----------------------------------------------------------------------
@@ -319,7 +423,7 @@ class JitFusedEngine(SimdBatchedEngine):
         self.compiled = bool(compiled)
         self._kernel = (_fused_summary_compiled if self.compiled
                         else _fused_summary)
-        self._jit_plan: Optional[_JitPlan] = None
+        self._plan: Optional[FusedPlan] = None
         # Pay the once-per-process compile (or on-disk cache load) at
         # construction -- before any timed/checkpointed chunk reaches
         # the summary pass.
@@ -335,11 +439,10 @@ class JitFusedEngine(SimdBatchedEngine):
 
         Same contract as the simd engine's, plus the ``"jit"`` path
         name: ``"auto"`` runs the fused kernel when the structure
-        supports superposition (any density -- the identity is exact,
-        so there is no crossover to manage) and otherwise falls back to
-        the inherited dense pipeline; ``"jit"`` forces the kernel
-        (``ValueError`` on unsupported structures, mirroring
-        ``"delta"``); ``"delta"`` / ``"dense"`` select the inherited
+        supports superposition (any density -- the identity is exact)
+        and otherwise falls back to the inherited dense pipeline;
+        ``"jit"`` forces the kernel (``ValueError`` on unsupported
+        structures); ``"delta"`` / ``"dense"`` select the inherited
         numpy implementations for A/B comparison.  All paths are
         bit-identical (property-tested).
         """
@@ -350,8 +453,13 @@ class JitFusedEngine(SimdBatchedEngine):
         if path in ("delta", "dense"):
             return super().run_batch_summary(states, knowns, flips,
                                              batch_size, path=path)
-        plan = self._delta_plan_for()
-        if not plan.supported:
+        if self._plan is None:
+            self._plan = build_plan(
+                self._groups, self._observing,
+                self._overlapping_correctors, self.num_chains,
+                self.chain_length)
+        plan = self._plan
+        if plan.reason is not None:
             if path == "jit":
                 raise ValueError(
                     f"summary path 'jit' is unavailable for this "
@@ -369,9 +477,6 @@ class JitFusedEngine(SimdBatchedEngine):
             flips, known_bits, batch_size,
             starts_out=self._workspace.take(
                 "jit_starts", (batch_size + 1,), np.int64))
-        if self._jit_plan is None:
-            self._jit_plan = _JitPlan(plan)
-        jp = self._jit_plan
         unknown_positions = int(known_bits.size) - int(known_bits.sum())
         # The outcome arrays escape into the returned
         # BatchOutcomeArrays (campaign code may hold several batches'
@@ -381,9 +486,10 @@ class JitFusedEngine(SimdBatchedEngine):
         uncorrectable = np.zeros(batch_size, dtype=bool)
         corrections = np.zeros(batch_size, dtype=np.int64)
         residuals = np.zeros(batch_size, dtype=np.int64)
-        self._kernel(starts, cells, jp.chain_monitor, jp.chain_col,
-                     jp.mon_width, jp.mon_k, jp.mon_group, jp.mon_chain,
-                     jp.lut_table, known_bits.reshape(-1), jp.obs_cols,
+        self._kernel(starts, cells, plan.chain_monitor, plan.chain_col,
+                     plan.mon_width, plan.mon_k, plan.mon_group,
+                     plan.mon_chain, plan.lut_table,
+                     known_bits.reshape(-1), plan.obs_cols,
                      np.int64(self.chain_length),
                      np.int64(unknown_positions), detected,
                      uncorrectable, corrections, residuals)

@@ -37,18 +37,20 @@ essentially every sequence of a batch:
   the protocol requires, proportional to the number of *error events*,
   never the batch size.
 
-The summary pass additionally carries a **sparse-delta fast path**
-(:mod:`repro.engines.delta`): every registered code is GF(2)-linear
-and the stored check words derive from the same replicated baseline,
-so for sparse batches the whole replicate/encode/inject/decode/compare
-chain collapses into O(#flips) LUT-XOR work over precomputed column
-tables.  ``run_batch_summary(..., path="auto")`` picks the delta path
-whenever the batch's mean flips per sequence is at or below
-:data:`~repro.engines.delta.DELTA_CROSSOVER_FLIPS_PER_SEQ` (and the
-bank structure supports superposition), falling back to the dense word
-pipeline above it; ``path="delta"`` / ``path="dense"`` force either
-side, and the path actually taken is published as
-``engine.last_summary_path``.  The two paths are bit-identical
+The summary pass additionally answers **single-error batches from a
+table**: every registered code is GF(2)-linear and the stored check
+words derive from the same replicated baseline, so a sequence with at
+most one effective flip has verdicts that depend only on the flipped
+cell (given the known-bit matrix), never on the baseline state.  The
+engine runs its own dense pass once over a batch holding one flip per
+scan cell plus one clean sequence, keeps the result for the last known
+matrix seen, and answers such batches with one gather per sequence.
+``run_batch_summary(..., path="auto")`` takes the table when the batch
+has at most ``batch_size`` flips and no sequence has two effective
+flips, and the dense word pipeline otherwise; ``path="delta"`` forces
+the table (``ValueError`` on a multi-flip sequence), ``path="dense"``
+the pipeline, and the path actually taken is published as
+``engine.last_summary_path``.  Both are bit-identical
 (property-tested in ``tests/engines/test_delta_path.py``).
 
 Each engine reuses per-instance :class:`Workspace` buffers for the
@@ -65,7 +67,7 @@ registers itself as ``"simd"`` only when numpy is importable (the
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -81,12 +83,6 @@ from repro.engines.base import (
     BatchOutcomeArrays,
     EngineCapabilities,
     SimulationEngine,
-)
-from repro.engines.delta import (
-    DELTA_CROSSOVER_FLIPS_PER_SEQ,
-    build_plan,
-    correction_lut,
-    delta_summary,
 )
 from repro.engines.packed import classify_monitors
 from repro.engines.packing import pack_chains, write_back_chains
@@ -134,6 +130,73 @@ def _runs(group_idx: np.ndarray, seqs: np.ndarray):
     yield from zip(group_idx[run_starts].tolist(),
                    seqs[run_starts].tolist(),
                    run_starts.tolist(), run_ends.tolist())
+
+
+# ----------------------------------------------------------------------
+# Process-wide (code -> table) cache
+# ----------------------------------------------------------------------
+#: Syndrome tables memoised on the code *parameters*, like the GF(2)
+#: matrix cache of :mod:`repro.codes.plane`: sharded campaign workers
+#: rebuild every engine per chunk, and each rebuild would otherwise
+#: re-derive the same tables.  Only the exact built-in code types are
+#: cached (a subclass may override the defining equations), keys carry
+#: the type object itself, and the cached ndarrays are frozen read-only
+#: so sharing one instance across engines and processes is safe.
+_TABLE_CACHE: Dict[tuple, np.ndarray] = {}
+
+
+def _code_key(code, kind: str) -> Optional[tuple]:
+    if type(code) in (HammingCode, SECDEDCode):
+        return (kind, type(code), code.n, code.k)
+    if type(code) is ParityCode:
+        return (kind, type(code), code.k, code.odd)
+    return None
+
+
+def shared_table(code, kind: str,
+                 build: Callable[[], np.ndarray]) -> np.ndarray:
+    """The read-only table ``build()`` returns for ``code``, built once
+    per process for each ``(kind, code parameters)``."""
+    key = _code_key(code, kind)
+    if key is not None:
+        cached = _TABLE_CACHE.get(key)
+        if cached is not None:
+            return cached
+    table = build()
+    table.setflags(write=False)
+    if key is not None:
+        _TABLE_CACHE[key] = table
+    return table
+
+
+def correction_lut(code) -> np.ndarray:
+    """The syndrome -> systematic-position correction LUT of a
+    correcting block code, shared process-wide.
+
+    ``-1`` clean, ``-2`` detected-uncorrectable, ``0..n-1`` the
+    systematic position to flip: Hamming codes get the full ``1 << r``
+    table with the clean entry, SECDED codes the ``1 << base_r``
+    single-error table of the base code (the overall-parity case split
+    happens outside the table).  The returned array is read-only.
+    """
+    if isinstance(code, SECDEDCode):
+        def build() -> np.ndarray:
+            base_r = code.n - code.k - 1
+            lut = np.full(1 << base_r, -2, dtype=np.int16)
+            for position in range(1, code.n):
+                lut[position] = code._position_to_systematic[position]
+            return lut
+    elif isinstance(code, HammingCode):
+        def build() -> np.ndarray:
+            lut = np.full(1 << code.r, -2, dtype=np.int16)
+            lut[0] = -1
+            for position in range(1, code.n + 1):
+                lut[position] = code._position_to_systematic[position]
+            return lut
+    else:
+        raise ValueError(
+            f"{type(code).__name__} has no syndrome correction LUT")
+    return shared_table(code, "correction", build)
 
 
 # ----------------------------------------------------------------------
@@ -435,10 +498,6 @@ class SimdBatchedEngine(SimulationEngine):
 
     capabilities = EngineCapabilities(batch=True, summary=True)
 
-    #: Delta/dense auto-crossover in mean flips per sequence; override
-    #: per instance to re-tune without forcing a path.
-    delta_crossover = DELTA_CROSSOVER_FLIPS_PER_SEQ
-
     def __init__(self, bank: MonitorBank, num_chains: int,
                  chain_length: int):
         self._workspace = Workspace()
@@ -463,8 +522,10 @@ class SimdBatchedEngine(SimulationEngine):
         self._encoded_batch: Optional[int] = None
         self._clean_reports: Optional[Tuple[MonitorReport, ...]] = None
         self._full_cache: Tuple[int, Optional[np.ndarray]] = (0, None)
-        #: Built lazily on the first summary pass (None until then).
-        self._delta_plan = None
+        #: The single-flip outcome table and the known matrix it was
+        #: built for (see :meth:`_single_flip_table`).
+        self._single_known: Optional[np.ndarray] = None
+        self._single_table: Optional[BatchOutcomeArrays] = None
         #: The path the last run_batch_summary call actually took
         #: ("delta" or "dense"); None before any summary pass.
         self.last_summary_path: Optional[str] = None
@@ -773,13 +834,13 @@ class SimdBatchedEngine(SimulationEngine):
         correction-event materialisation.
 
         ``path`` selects the implementation: ``"auto"`` (default)
-        takes the sparse-delta fast path when the bank structure
-        supports superposition and the batch's mean flips per sequence
-        is at or below ``self.delta_crossover`` (exactly-at-threshold
-        batches included), ``"delta"`` / ``"dense"`` force one side
-        (``"delta"`` raises ``ValueError`` on unsupported structures).
-        Both paths return bit-identical arrays; the one taken is
-        published as ``self.last_summary_path``.
+        answers the batch from the single-flip outcome table when it
+        holds at most ``batch_size`` flips and no sequence has more than
+        one effective flip, and runs the dense word pipeline otherwise;
+        ``"delta"`` forces the table (``ValueError`` naming the flip
+        count when a sequence has more) and ``"dense"`` the pipeline.
+        Both return bit-identical arrays; the one taken is published as
+        ``self.last_summary_path``.
         """
         if path not in ("auto", "delta", "dense"):
             raise ValueError(
@@ -789,45 +850,66 @@ class SimdBatchedEngine(SimulationEngine):
             raise ValueError("batch size must be >= 1")
         self._check_chains(states=states, knowns=knowns)
         known_bits = bits_matrix(knowns, self.chain_length)
-        use_delta = False
-        if path != "dense":
-            plan = self._delta_plan_for()
-            if plan.supported:
-                use_delta = (path == "delta"
-                             or flips.num_flips
-                             <= self.delta_crossover * batch_size)
-            elif path == "delta":
+        # More flips than sequences cannot be a single-error batch;
+        # testing that first spares dense batches a second coordinate
+        # resolution (the dense pass resolves its own).
+        if path == "delta" or (path == "auto"
+                               and flips.num_flips <= batch_size):
+            from repro.faults.batch import pattern_batch_coords
+
+            seqs, cells, injected = pattern_batch_coords(flips, known_bits,
+                                                         batch_size)
+            most = int(injected.max())
+            if most <= 1:
+                table = self._single_flip_table(states, knowns, known_bits)
+                row = np.full(batch_size, len(table.injected) - 1,
+                              dtype=np.int64)
+                row[seqs] = cells
+                self.last_summary_path = "delta"
+                return BatchOutcomeArrays(
+                    injected=injected,
+                    detected=table.detected[row],
+                    uncorrectable=table.uncorrectable[row],
+                    residual_errors=table.residual_errors[row],
+                    corrections_applied=table.corrections_applied[row])
+            if path == "delta":
                 raise ValueError(
-                    f"summary path 'delta' is unavailable for this "
-                    f"monitor bank: {plan.reason}")
-        if use_delta:
-            self.last_summary_path = "delta"
-            return self._delta_summary(plan, known_bits, flips, batch_size)
+                    f"summary path 'delta' serves at most one effective "
+                    f"flip per sequence; this batch has a sequence with "
+                    f"{most}")
         self.last_summary_path = "dense"
         return self._dense_summary(states, knowns, known_bits, flips,
                                    batch_size)
 
-    def _delta_plan_for(self):
-        """The engine's delta plan, built lazily once per instance (the
-        LUT/column tables inside are process-wide already)."""
-        if self._delta_plan is None:
-            self._delta_plan = build_plan(
-                self._groups, self._observing,
-                self._overlapping_correctors, self.num_chains,
-                self.chain_length)
-        return self._delta_plan
+    def _single_flip_table(self, states: Sequence[int],
+                           knowns: Sequence[int],
+                           known_bits: np.ndarray) -> BatchOutcomeArrays:
+        """The outcome of every one-flip sequence, indexed by flipped
+        cell.
 
-    def _delta_summary(self, plan, known_bits: np.ndarray, flips,
-                       batch_size: int) -> BatchOutcomeArrays:
-        """The sparse fast path: verdicts from flip coordinates alone
-        (the baseline cancels by GF(2) superposition -- see
-        :mod:`repro.engines.delta`)."""
-        from repro.faults.batch import pattern_batch_coords
+        Row ``cell`` (``chain * chain_length + position``) holds the
+        verdicts of a sequence whose only effective flip is that cell,
+        and the extra last row those of the zero-flip sequence.  The
+        rows come from one dense pass over that ``C * L + 1``-sequence
+        batch.  By GF(2) superposition they do not depend on the
+        baseline state, only on the known matrix (residual constant,
+        gated comparator), so the table is memoised for the last
+        ``known_bits`` seen.
+        """
+        if (self._single_table is None
+                or not np.array_equal(self._single_known, known_bits)):
+            from repro.faults.batch import PatternBatch
 
-        seqs, cells, injected = pattern_batch_coords(flips, known_bits,
-                                                     batch_size)
-        return delta_summary(plan, known_bits, seqs, cells, injected,
-                             batch_size)
+            length = self.chain_length
+            num_cells = self.num_chains * length
+            cells = np.arange(num_cells, dtype=np.int64)
+            every_cell = PatternBatch(self.num_chains, length,
+                                      num_cells + 1, "single", cells,
+                                      cells // length, cells % length)
+            self._single_table = self._dense_summary(
+                states, knowns, known_bits, every_cell, num_cells + 1)
+            self._single_known = known_bits.copy()
+        return self._single_table
 
     def _dense_summary(self, states: Sequence[int], knowns: Sequence[int],
                        known_bits: np.ndarray, flips,

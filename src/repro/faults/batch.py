@@ -10,7 +10,7 @@ kernel consumes, with no per-flip Python work:
   the XOR scatter into the ``(C, L, W)`` word-packed batch state of
   :mod:`repro.engines.simd`;
 * :func:`pattern_batch_coords` -- flat (sequence, cell) coordinates for
-  the sparse-delta summary path (:mod:`repro.engines.delta`);
+  the simd engine's single-flip table gather;
 * :func:`pattern_batch_csr` -- CSR slices for the fused kernels of
   :mod:`repro.engines.jit`.
 
@@ -422,7 +422,7 @@ def _sorted_unique(keys):
 def pattern_batch_coords(batch: "PatternBatch", known_bits,
                          batch_size: int):
     """Resolve a :class:`PatternBatch` into flat flip *coordinates* --
-    the sparse-delta summary path's input form.
+    the input form of the simd engine's single-flip table gather.
 
     Returns ``(seqs, cells, counts)``: parallel int64 arrays with flip
     ``f`` hitting flat scan cell ``cells[f]`` (``chain * chain_length +

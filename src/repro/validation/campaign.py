@@ -279,8 +279,8 @@ def run_sharded_single_error_campaign(
     ``sampler="array"`` (with a summary-capable engine such as
     ``"simd"`` for the columnar fast path) additionally vectorises the
     pattern sampling and counter ingestion, and ``summary_path`` forces
-    the sparse-delta or dense summary implementation (default
-    ``"auto"``: density-crossover selection); see
+    the single-flip table or dense summary implementation (default
+    ``"auto"``: the engine picks per batch); see
     :class:`~repro.campaigns.tasks.FIFOValidationCampaignTask`.
     """
     task = FIFOValidationCampaignTask(
@@ -326,8 +326,8 @@ def run_sharded_multiple_error_campaign(
     ``sampler="array"`` (with a summary-capable engine such as
     ``"simd"`` for the columnar fast path) additionally vectorises the
     pattern sampling and counter ingestion, and ``summary_path`` forces
-    the sparse-delta or dense summary implementation (default
-    ``"auto"``: density-crossover selection); see
+    the single-flip table or dense summary implementation (default
+    ``"auto"``: the engine picks per batch); see
     :class:`~repro.campaigns.tasks.FIFOValidationCampaignTask`.
     """
     task = FIFOValidationCampaignTask(

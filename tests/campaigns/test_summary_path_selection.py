@@ -1,6 +1,6 @@
 """Campaign-level summary-path selection (``summary_path`` task field).
 
-The task field routes the delta/dense choice into the engine, bumps
+The task field routes the summary-path choice into the engine, bumps
 the task fingerprint (pre-existing checkpoints are refused with a
 message naming the field), and validates eagerly: forced paths need
 the array sampler and a summary-capable engine.
@@ -44,18 +44,30 @@ def test_forced_path_requires_summary_engine():
 
 @pytest.mark.parametrize("kind", ("single", "burst", "multiple"))
 def test_delta_campaign_counters_match_dense(kind):
-    """End to end through run_chunk: forced delta, forced dense and
-    auto produce bit-identical chunk counters (short final group
-    included)."""
+    """End to end through run_chunk: forced dense and auto (and, on
+    single errors, forced delta) produce bit-identical chunk counters
+    (short final group included)."""
+    paths = ("delta", "dense", "auto") if kind == "single" \
+        else ("dense", "auto")
     results = {}
-    for path in ("delta", "dense", "auto"):
+    for path in paths:
         task = FIFOValidationCampaignTask(pattern=kind, burst_size=3,
                                           summary_path=path, **COMMON)
         results[path] = task.run_chunk(chunk_seed=424242,
                                        num_sequences=50)
-    assert results["delta"] == results["dense"]
-    assert results["delta"] == results["auto"]
-    assert results["delta"].stats.num_sequences == 50
+    assert results[paths[0]] == results["dense"] == results["auto"]
+    assert results["auto"].stats.num_sequences == 50
+
+
+def test_forced_delta_on_burst_chunk_raises():
+    """Forced "delta" is the single-flip table: a burst chunk has
+    multi-flip sequences, so the chunk fails loudly, naming the flip
+    count, instead of silently running the dense pass."""
+    task = FIFOValidationCampaignTask(pattern="burst", burst_size=3,
+                                      summary_path="delta", **COMMON)
+    with pytest.raises(ValueError,
+                       match="summary path 'delta'.*sequence with 3"):
+        task.run_chunk(chunk_seed=424242, num_sequences=50)
 
 
 def test_sharded_driver_forwards_summary_path():

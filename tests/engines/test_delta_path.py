@@ -1,17 +1,19 @@
-"""Property suite: the sparse-delta summary path is bit-identical to
-the dense path.
+"""Property suite: the single-flip outcome table is bit-identical to the
+dense summary path.
 
-``run_batch_summary(..., path="delta")`` must produce exactly the
-arrays of ``path="dense"`` -- every field of
-:class:`BatchOutcomeArrays` -- across all registered code families,
-geometries with and without padding, batch sizes including B=1 and
-non-multiples of 64, and fault densities on both sides of (and exactly
-at) the crossover threshold, including zero-flip sequences and
-unknown-cell holes.  The suite also pins the automatic path selection
-(``last_summary_path``), the single-flip outcome table (gather versus
-general pass versus dense, and its rebuild on a known-matrix change),
-the forced-delta failure mode on unsupported monitor structure, and
-the process-wide sharing of the correction / verdict lookup tables.
+``run_batch_summary(..., path="delta")`` answers a batch with at most
+one effective flip per sequence from a per-cell outcome table that the
+engine's own dense pass builds once per known matrix.  It must produce
+exactly the arrays of ``path="dense"`` -- every field of
+:class:`BatchOutcomeArrays` -- across all registered code families
+(the overlapping-corrector bank included), geometries with and without
+padding, batch sizes including B=1 and non-multiples of 64, zero-flip
+sequences and unknown-cell holes, with the table built under one
+baseline state and gathered under another.  The suite also pins the
+automatic path selection (``last_summary_path``), the forced-delta
+failure on a multi-flip sequence, the table's rebuild on a known-matrix
+change, and the process-wide sharing of the correction / verdict
+lookup tables.
 """
 
 import pytest
@@ -22,18 +24,13 @@ from repro.circuit.fifo import SyncFIFO                         # noqa: E402
 from repro.circuit.generators import make_random_state_circuit  # noqa: E402
 from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines.base import BatchOutcomeArrays               # noqa: E402
-from repro.engines.delta import (                               # noqa: E402
-    DELTA_CROSSOVER_FLIPS_PER_SEQ,
-    _general_summary,
-    correction_lut,
-    delta_summary,
-    verdict_lut,
-)
+from repro.engines.jit import verdict_lut                       # noqa: E402
 from repro.engines.registry import get_engine                   # noqa: E402
+from repro.engines.simd import correction_lut                   # noqa: E402
 from repro.engines.summary import bits_matrix                   # noqa: E402
+from repro.faults import batch as batch_module                  # noqa: E402
 from repro.faults.batch import (                                # noqa: E402
     PatternBatch,
-    pattern_batch_coords,
     sample_pattern_batch,
 )
 
@@ -86,8 +83,10 @@ def _punch_holes(states, knowns):
     return states, knowns
 
 
-def _both_paths(design, flips, batch_size, states=None, knowns=None):
-    engine = get_engine("simd", design)
+def _both_paths(design, flips, batch_size, states=None, knowns=None,
+                engine=None):
+    if engine is None:
+        engine = get_engine("simd", design)
     if states is None:
         states, knowns = _pack(design)
     dense = engine.run_batch_summary(states, knowns, flips, batch_size,
@@ -102,8 +101,8 @@ def _both_paths(design, flips, batch_size, states=None, knowns=None):
 def assert_identical(dense: BatchOutcomeArrays, delta: BatchOutcomeArrays):
     assert np.array_equal(dense.injected, delta.injected)
     assert np.array_equal(dense.detected, delta.detected)
-    assert np.array_equal(dense.corrected_claim, delta.corrected_claim)
-    assert np.array_equal(dense.state_intact, delta.state_intact)
+    assert np.array_equal(dense.uncorrectable, delta.uncorrectable)
+    assert np.array_equal(dense.residual_errors, delta.residual_errors)
     assert np.array_equal(dense.corrections_applied,
                           delta.corrections_applied)
 
@@ -116,23 +115,40 @@ def assert_identical(dense: BatchOutcomeArrays, delta: BatchOutcomeArrays):
 @pytest.mark.parametrize("kind", ("single", "burst", "multiple", "none"))
 def test_delta_matches_dense(codes, num_chains, num_registers, kind,
                              batch_size):
+    """Single-error and clean batches: the table equals the dense pass.
+    Burst and multi-error batches (4 flips per sequence): "auto" runs
+    the dense pass, and forced "delta" refuses the batch, naming the
+    largest effective flip count the dense pass injected."""
     design = _design(codes, num_chains, num_registers)
     rng = np.random.default_rng(20100308 + batch_size)
     sampled = sample_pattern_batch(kind, design.num_chains,
                                    design.chain_length, batch_size, rng,
                                    num_errors=4)
-    assert_identical(*_both_paths(design, sampled, batch_size))
+    if kind in ("single", "none"):
+        assert_identical(*_both_paths(design, sampled, batch_size))
+        return
+    engine = get_engine("simd", design)
+    states, knowns = _pack(design)
+    dense = engine.run_batch_summary(states, knowns, sampled, batch_size,
+                                     path="dense")
+    auto = engine.run_batch_summary(states, knowns, sampled, batch_size)
+    assert engine.last_summary_path == "dense"
+    assert_identical(dense, auto)
+    most = int(dense.injected.max())
+    assert most > 1
+    with pytest.raises(ValueError, match=f"sequence with {most}$"):
+        engine.run_batch_summary(states, knowns, sampled, batch_size,
+                                 path="delta")
 
 
-@pytest.mark.parametrize("kind", ("single", "multiple"))
+@pytest.mark.parametrize("kind", ("single", "none"))
 def test_delta_matches_dense_paper_config(kind):
     """The paper's 32x32 FIFO / 80-chain configuration, the geometry
     the committed campaign_delta_path benchmark runs on."""
     design = _paper_design()
     rng = np.random.default_rng(42)
     sampled = sample_pattern_batch(kind, design.num_chains,
-                                   design.chain_length, 257, rng,
-                                   num_errors=3)
+                                   design.chain_length, 257, rng)
     assert_identical(*_both_paths(design, sampled, 257))
 
 
@@ -146,19 +162,21 @@ def _coords_batch(design, batch_size, coords):
 
 
 def test_delta_matches_dense_caller_built_batch():
-    """A caller-built batch -- a repeated (sequence, cell) pair, a cell
-    shared by several sequences, clean sequences -- goes through the
-    same coordinate extraction."""
+    """A caller-built batch -- a repeated (sequence, cell) pair, which
+    is one effective flip, a cell shared by several sequences, clean
+    sequences -- goes through the same coordinate extraction."""
     design = _design(["secded(8,4)", "crc16"], 6, 24)
     flips = _coords_batch(design, 9, [
-        (0, 0, 1), (0, 0, 1), (1, 0, 1), (3, 0, 1), (1, 1, 3), (8, 2, 0),
-        (3, 5, 2)])
-    assert_identical(*_both_paths(design, flips, 9))
+        (0, 0, 1), (0, 0, 1), (1, 0, 1), (3, 0, 1), (4, 1, 3), (8, 2, 0),
+        (5, 5, 2)])
+    dense, delta = _both_paths(design, flips, 9)
+    assert_identical(dense, delta)
+    assert delta.injected.max() == 1
 
 
 def test_delta_matches_dense_empty_batch():
-    """Zero flips everywhere: the delta path does no LUT work at all
-    yet must still report the clean verdicts and intact state."""
+    """Zero flips everywhere: every row is the table's clean row, with
+    the clean verdicts and intact state."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     dense, delta = _both_paths(design, _coords_batch(design, 65, []), 65)
     assert_identical(dense, delta)
@@ -173,86 +191,105 @@ def test_delta_matches_dense_with_unknown_cells(batch_size):
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     states, knowns = _punch_holes(*_pack(design))
     rng = np.random.default_rng(7)
-    sampled = sample_pattern_batch("multiple", design.num_chains,
-                                   design.chain_length, batch_size, rng,
-                                   num_errors=4)
+    sampled = sample_pattern_batch("single", design.num_chains,
+                                   design.chain_length, batch_size, rng)
     assert_identical(*_both_paths(design, sampled, batch_size,
                                   states=states, knowns=knowns))
 
 
-def test_auto_selects_delta_below_crossover():
-    """A single-error batch sits far below the crossover, so "auto"
-    takes the delta path."""
+# ----------------------------------------------------------------------
+# Path selection
+# ----------------------------------------------------------------------
+def test_auto_selects_delta_on_single_error_batch():
+    """One flip per sequence is exactly ``batch_size`` flips, the
+    largest count "auto" still checks for the table."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     engine = get_engine("simd", design)
     states, knowns = _pack(design)
     rng = np.random.default_rng(3)
     sampled = sample_pattern_batch("single", design.num_chains,
                                    design.chain_length, 64, rng)
+    assert sampled.num_flips == 64
     engine.run_batch_summary(states, knowns, sampled, 64)
     assert engine.last_summary_path == "delta"
 
 
-def test_auto_selects_dense_above_crossover():
-    """A batch denser than the crossover falls back to the dense
-    fold (here by lowering the instance crossover under the sampled
-    density instead of sampling thousands of flips)."""
+@pytest.mark.parametrize("kind", ("burst", "multiple"))
+def test_auto_selects_dense_on_multi_flip_batch(kind):
+    """Burst and multi-error batches run the dense pass under "auto"
+    (and forced "delta" refuses them)."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     engine = get_engine("simd", design)
     states, knowns = _pack(design)
     rng = np.random.default_rng(3)
-    sampled = sample_pattern_batch("multiple", design.num_chains,
+    sampled = sample_pattern_batch(kind, design.num_chains,
                                    design.chain_length, 64, rng,
-                                   num_errors=4)
-    engine.delta_crossover = 0.5
-    engine.run_batch_summary(states, knowns, sampled, 64)
+                                   num_errors=2)
+    auto = engine.run_batch_summary(states, knowns, sampled, 64)
     assert engine.last_summary_path == "dense"
-
-
-def test_auto_takes_delta_exactly_at_threshold():
-    """num_flips == crossover * batch_size is still the delta path
-    (the comparison is <=, not <)."""
-    design = _design(["hamming(7,4)", "crc16"], 8, 56)
-    engine = get_engine("simd", design)
-    engine.delta_crossover = 1.0
-    states, knowns = _pack(design)
-    batch = 16
-    seqs = np.arange(batch, dtype=np.int64)
-    flips = PatternBatch(design.num_chains, design.chain_length, batch,
-                         "single", seqs, seqs % design.num_chains,
-                         np.zeros(batch, dtype=np.int64))
-    assert flips.num_flips == engine.delta_crossover * batch
-    engine.run_batch_summary(states, knowns, flips, batch)
-    assert engine.last_summary_path == "delta"
-    # One flip more tips it over.
-    flips = PatternBatch(design.num_chains, design.chain_length, batch,
-                         "single", np.append(seqs, 1),
-                         np.append(seqs % design.num_chains, 0),
-                         np.append(np.zeros(batch, dtype=np.int64), 1))
-    engine.run_batch_summary(states, knowns, flips, batch)
-    assert engine.last_summary_path == "dense"
-
-
-def test_default_crossover_is_module_constant():
-    design = _design(["hamming(7,4)", "crc16"], 8, 56)
-    engine = get_engine("simd", design)
-    assert engine.delta_crossover == DELTA_CROSSOVER_FLIPS_PER_SEQ
-
-
-def test_forced_delta_on_unsupported_structure_raises():
-    """Overlapping correcting blocks replay with last-block-wins
-    semantics the superposition cannot reproduce: auto must silently
-    take the dense path, forced "delta" must fail loudly."""
-    design = _design(["hamming(7,4)", "secded(8,4)"], 8, 56)
-    engine = get_engine("simd", design)
-    if engine._delta_plan_for().supported:
-        pytest.skip("structure unexpectedly delta-capable")
-    states, knowns = _pack(design)
-    engine.run_batch_summary(states, knowns, _coords_batch(design, 4, [(0, 0, 0)]), 4)
-    assert engine.last_summary_path == "dense"
-    with pytest.raises(ValueError, match="delta"):
-        engine.run_batch_summary(states, knowns, _coords_batch(design, 4, [(0, 0, 0)]), 4,
+    assert_identical(engine.run_batch_summary(states, knowns, sampled, 64,
+                                              path="dense"), auto)
+    with pytest.raises(ValueError, match="sequence with 2"):
+        engine.run_batch_summary(states, knowns, sampled, 64,
                                  path="delta")
+
+
+class _CountingCoords:
+    """Stands in for ``pattern_batch_coords``: counts calls and
+    delegates."""
+
+    def __init__(self):
+        self.calls = 0
+        self.wrapped = batch_module.pattern_batch_coords
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.wrapped(*args, **kwargs)
+
+
+def test_auto_skips_coordinate_sort_above_batch_size(monkeypatch):
+    """More flips than sequences cannot be a single-error batch, so
+    "auto" goes straight to dense and resolves coordinates no more
+    often than forced "dense" does (the Fig. 10 multi-error campaigns
+    never pay an extra sort); at or below ``batch_size`` flips it
+    resolves them once more to look for a multi-flip sequence."""
+    counter = _CountingCoords()
+    monkeypatch.setattr(batch_module, "pattern_batch_coords", counter)
+    design = _design(["hamming(7,4)", "crc16"], 8, 56)
+    engine = get_engine("simd", design)
+    states, knowns = _pack(design)
+    rng = np.random.default_rng(4)
+    dense = sample_pattern_batch("multiple", design.num_chains,
+                                 design.chain_length, 64, rng,
+                                 num_errors=10)
+    assert dense.num_flips > 64
+    flips = _coords_batch(design, 6, [(0, 0, 1), (4, 1, 0), (4, 1, 2)])
+    for batch, size, extra in ((dense, 64, 0), (flips, 6, 1)):
+        engine.run_batch_summary(states, knowns, batch, size, path="dense")
+        forced = counter.calls
+        counter.calls = 0
+        engine.run_batch_summary(states, knowns, batch, size)
+        assert engine.last_summary_path == "dense"
+        assert counter.calls == forced + extra
+        counter.calls = 0
+
+
+def test_forced_delta_on_two_flip_sequence_raises():
+    """Forced "delta" names the flip count of the offending sequence;
+    a second flip that lands on an unknown cell is gated out, so that
+    sequence has one effective flip and the table serves it."""
+    design = _design(["hamming(7,4)", "crc16"], 8, 56)
+    engine = get_engine("simd", design)
+    states, knowns = _pack(design)
+    flips = _coords_batch(design, 6, [
+        (0, 0, 1), (2, 3, 4), (4, 1, 0), (4, 1, 2), (5, 7, 6)])
+    with pytest.raises(ValueError,
+                       match="summary path 'delta'.*sequence with 2"):
+        engine.run_batch_summary(states, knowns, flips, 6, path="delta")
+    holed_states, holed_knowns = _punch_holes(states, knowns)
+    gated = _coords_batch(design, 6, [(0, 0, 1), (3, 0, 0), (3, 4, 4)])
+    assert_identical(*_both_paths(design, gated, 6, states=holed_states,
+                                  knowns=holed_knowns, engine=engine))
 
 
 def test_unknown_path_name_rejected():
@@ -272,9 +309,8 @@ def test_design_level_path_forwarding():
     engine and the results agree field for field."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     rng = np.random.default_rng(5)
-    sampled = sample_pattern_batch("burst", design.num_chains,
-                                   design.chain_length, 33, rng,
-                                   num_errors=3)
+    sampled = sample_pattern_batch("single", design.num_chains,
+                                   design.chain_length, 33, rng)
     snapshot = design._pack_chains()
     dense = design.sleep_wake_cycle_batch_summary(snapshot, sampled, 33,
                                                   path="dense")
@@ -284,9 +320,9 @@ def test_design_level_path_forwarding():
 
 
 def test_correction_luts_are_shared_and_frozen():
-    """Satellite: the syndrome->position tables are memoised
-    process-wide on the code parameters -- two engines over the same
-    code family share the very same (read-only) ndarray."""
+    """The syndrome->position tables are memoised process-wide on the
+    code parameters -- two engines over the same code family share the
+    very same (read-only) ndarray."""
     from repro.codes.registry import get_code
 
     lut_a = correction_lut(get_code("hamming(7,4)"))
@@ -302,35 +338,8 @@ def test_correction_luts_are_shared_and_frozen():
 # ----------------------------------------------------------------------
 # The single-flip outcome table
 # ----------------------------------------------------------------------
-def _table_general_dense(design, flips, batch_size, states=None,
-                         knowns=None, engine=None):
-    """The same batch through the table gather, the general delta pass
-    and the dense pass; returns the engine's plan too."""
-    if engine is None:
-        engine = get_engine("simd", design)
-    if states is None:
-        states, knowns = _pack(design)
-    plan = engine._delta_plan_for()
-    assert plan.supported
-    known_bits = bits_matrix(knowns, design.chain_length)
-    coords = pattern_batch_coords(flips, known_bits, batch_size)
-    table = delta_summary(plan, known_bits, *coords, batch_size)
-    general = _general_summary(plan, known_bits, *coords, batch_size)
-    dense = engine.run_batch_summary(states, knowns, flips, batch_size,
-                                     path="dense")
-    return table, general, dense, plan
-
-
-def _assert_all_identical(table, general, dense):
-    assert_identical(general, table)
-    assert_identical(dense, table)
-    assert np.array_equal(general.residual_errors, table.residual_errors)
-    assert np.array_equal(dense.residual_errors, table.residual_errors)
-    assert np.array_equal(dense.uncorrectable, table.uncorrectable)
-
-
-#: SECDED, parity and CRC-only banks (the paper configuration has its
-#: own test).
+#: SECDED, parity and CRC-only banks (the paper configuration and the
+#: overlapping-corrector bank have their own tests).
 TABLE_CONFIGS = [config for config in CONFIGS if config[0] in (
     "secded84_crc16", "parity8", "parity12_ccitt", "crc8_only")]
 
@@ -347,31 +356,68 @@ def _every_cell_batch(design):
 
 def test_single_flip_table_paper_config():
     """Every cell of the paper's 32x32 FIFO configuration: all single
-    errors detected and corrected, on all three paths."""
+    errors detected and corrected, on both paths."""
     design = _paper_design()
+    engine = get_engine("simd", design)
     flips, batch = _every_cell_batch(design)
-    table, general, dense, plan = _table_general_dense(design, flips, batch)
-    _assert_all_identical(table, general, dense)
-    assert plan.single_table is not None
+    dense, delta = _both_paths(design, flips, batch, engine=engine)
+    assert_identical(dense, delta)
+    assert engine._single_table is not None
+    assert delta.detected[:-1].all() and delta.state_intact.all()
     rng = np.random.default_rng(20100308)
     sampled = sample_pattern_batch("single", design.num_chains,
                                    design.chain_length, 4096, rng)
-    _assert_all_identical(*_table_general_dense(design, sampled, 4096)[:3])
+    assert_identical(*_both_paths(design, sampled, 4096, engine=engine))
 
 
 @pytest.mark.parametrize(
     "codes,num_chains,num_registers",
     [config[1:] for config in TABLE_CONFIGS],
     ids=[config[0] for config in TABLE_CONFIGS])
-def test_single_flip_table_matches_general_and_dense(codes, num_chains,
-                                                     num_registers):
+def test_single_flip_table_matches_dense(codes, num_chains, num_registers):
     design = _design(codes, num_chains, num_registers)
     flips, batch = _every_cell_batch(design)
-    _assert_all_identical(*_table_general_dense(design, flips, batch)[:3])
+    assert_identical(*_both_paths(design, flips, batch))
     rng = np.random.default_rng(1234)
     sampled = sample_pattern_batch("single", design.num_chains,
                                    design.chain_length, 257, rng)
-    _assert_all_identical(*_table_general_dense(design, sampled, 257)[:3])
+    assert_identical(*_both_paths(design, sampled, 257))
+
+
+@pytest.mark.parametrize("holes", (False, True), ids=("known", "holed"))
+def test_single_flip_table_serves_overlapping_correctors(holes):
+    """Two correcting block families sharing chains replay with
+    last-block-wins feedback, and single-flip outcomes still depend
+    only on the flipped cell: a table built under one circuit's state
+    (seed 11) answers batches under another (seed 99) exactly like the
+    dense pass does under that second state."""
+    codes = ["hamming(7,4)", "secded(8,4)"]
+    build_design = _design(codes, 8, 56, seed=11)
+    gather_design = _design(codes, 8, 56, seed=99)
+    engine = get_engine("simd", build_design)
+    build_states, build_knowns = _pack(build_design)
+    states, knowns = _pack(gather_design)
+    assert build_states != states
+    if holes:
+        build_states, build_knowns = _punch_holes(build_states,
+                                                  build_knowns)
+        states, knowns = _punch_holes(states, knowns)
+    assert build_knowns == knowns
+    clean = _coords_batch(build_design, 1, [])
+    engine.run_batch_summary(build_states, build_knowns, clean, 1,
+                             path="delta")
+    table = engine._single_table
+    flips, batch = _every_cell_batch(gather_design)
+    rng = np.random.default_rng(257)
+    sampled = sample_pattern_batch("single", gather_design.num_chains,
+                                   gather_design.chain_length, 257, rng)
+    for batch_flips, size in ((flips, batch), (sampled, 257)):
+        dense = engine.run_batch_summary(states, knowns, batch_flips, size,
+                                         path="dense")
+        delta = engine.run_batch_summary(states, knowns, batch_flips, size,
+                                         path="delta")
+        assert engine._single_table is table
+        assert_identical(dense, delta)
 
 
 def _mixed_batch(design, batch_size, seed):
@@ -397,14 +443,14 @@ def test_single_flip_table_unknown_cells_and_clean_sequences(
     design = _design(codes, num_chains, num_registers)
     states, knowns = _punch_holes(*_pack(design))
     flips, batch = _every_cell_batch(design)
-    _assert_all_identical(*_table_general_dense(
-        design, flips, batch, states=states, knowns=knowns)[:3])
+    assert_identical(*_both_paths(design, flips, batch, states=states,
+                                  knowns=knowns))
     mixed = _mixed_batch(design, 100, seed=9)
-    table, general, dense, _ = _table_general_dense(
-        design, mixed, 100, states=states, knowns=knowns)
-    _assert_all_identical(table, general, dense)
-    assert (table.injected == 0).any() and (table.injected == 1).any()
-    assert (table.residual_errors > 0).all()
+    dense, delta = _both_paths(design, mixed, 100, states=states,
+                               knowns=knowns)
+    assert_identical(dense, delta)
+    assert (delta.injected == 0).any() and (delta.injected == 1).any()
+    assert (delta.residual_errors > 0).all()
 
 
 def test_single_flip_table_rebuilds_on_known_change():
@@ -415,40 +461,17 @@ def test_single_flip_table_rebuilds_on_known_change():
     full_states, full_knowns = _pack(design)
     holed_states, holed_knowns = _punch_holes(full_states, full_knowns)
     flips, batch = _every_cell_batch(design)
-    first = _table_general_dense(design, flips, batch, engine=engine)
-    _assert_all_identical(*first[:3])
-    plan = first[3]
-    built = plan.single_table
-    holed = _table_general_dense(design, flips, batch, states=holed_states,
-                                 knowns=holed_knowns, engine=engine)
-    _assert_all_identical(*holed[:3])
-    assert holed[3] is plan
-    assert plan.single_table is not built
-    assert np.array_equal(plan.single_known,
+    assert_identical(*_both_paths(design, flips, batch, engine=engine))
+    built = engine._single_table
+    assert_identical(*_both_paths(design, flips, batch,
+                                  states=holed_states, knowns=holed_knowns,
+                                  engine=engine))
+    assert engine._single_table is not built
+    assert np.array_equal(engine._single_known,
                           bits_matrix(holed_knowns, design.chain_length))
-    rebuilt = plan.single_table
-    _assert_all_identical(*_table_general_dense(
+    rebuilt = engine._single_table
+    assert_identical(*_both_paths(
         design, _mixed_batch(design, 64, seed=2), 64, states=holed_states,
-        knowns=holed_knowns, engine=engine)[:3])
-    assert plan.single_table is rebuilt
-    _assert_all_identical(*_table_general_dense(design, flips, batch,
-                                                engine=engine)[:3])
-
-
-def test_two_flip_sequence_takes_general_path():
-    """One sequence with two effective flips sends the whole batch
-    through the general pass: the table is never built."""
-    design = _design(["hamming(7,4)", "crc16"], 8, 56)
-    engine = get_engine("simd", design)
-    states, knowns = _pack(design)
-    flips = _coords_batch(design, 6, [
-        (0, 0, 1), (2, 3, 4), (4, 1, 0), (4, 1, 2), (5, 7, 6)])
-    dense = engine.run_batch_summary(states, knowns, flips, 6,
-                                     path="dense")
-    delta = engine.run_batch_summary(states, knowns, flips, 6,
-                                     path="delta")
-    assert engine.last_summary_path == "delta"
-    assert_identical(dense, delta)
-    assert np.array_equal(dense.residual_errors, delta.residual_errors)
-    assert engine._delta_plan_for().single_table is None
-    assert delta.injected.max() == 2
+        knowns=holed_knowns, engine=engine))
+    assert engine._single_table is rebuilt
+    assert_identical(*_both_paths(design, flips, batch, engine=engine))

@@ -2,8 +2,9 @@
 the simd paths.
 
 ``JitFusedEngine.run_batch_summary(..., path="jit")`` must produce
-exactly the arrays of the simd engine's ``"dense"`` (and therefore
-``"delta"``) path -- every field of :class:`BatchOutcomeArrays` --
+exactly the arrays of the simd engine's ``"dense"`` path (and, on
+single-error batches, its ``"delta"`` table) -- every field of
+:class:`BatchOutcomeArrays` --
 across all registered code families, geometries with and without
 padding, batch sizes including B=1, non-multiples of 64 and >= 64k,
 and fault densities from zero flips to saturating bursts, including
@@ -46,9 +47,9 @@ from repro.faults.batch import (                                # noqa: E402
 
 HAVE_NUMBA = jit_module.numba is not None
 
-#: Same code/geometry matrix as the delta-path suite: every registered
-#: family, correcting and detecting codes alone and stacked, padded
-#: tails, plus the paper's 32x32 FIFO configuration below.
+#: Same code/geometry matrix as the single-flip table suite: every
+#: registered family, correcting and detecting codes alone and stacked,
+#: padded tails, plus the paper's 32x32 FIFO configuration below.
 CONFIGS = [
     ("hamming74_crc16", ["hamming(7,4)", "crc16"], 8, 56),
     ("hamming74_padded", ["hamming(7,4)"], 5, 33),
@@ -165,7 +166,7 @@ def test_jit_matches_dense_paper_config(kind, compiled):
 def test_jit_matches_at_64k_batch(compiled):
     """The benchmark's batch regime (>= 64k sequences): the CSR walk,
     the prange partitioning and the short final word all hold up.
-    Compared against the simd delta path (itself property-tested
+    Compared against the simd single-flip table (itself property-tested
     identical to dense) to keep the reference side fast."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     rng = np.random.default_rng(7)
@@ -228,14 +229,14 @@ def test_auto_takes_the_fused_kernel():
 
 def test_delta_and_dense_paths_stay_selectable():
     """The inherited numpy implementations remain forcible for A/B
-    comparison and agree with the kernel."""
+    comparison and agree with the kernel (on a single-error batch:
+    forced "delta" is the single-flip table)."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     states, knowns = _pack(design)
     engine = _jit_engine(design)
     rng = np.random.default_rng(1)
-    sampled = sample_pattern_batch("burst", design.num_chains,
-                                   design.chain_length, 64, rng,
-                                   num_errors=3)
+    sampled = sample_pattern_batch("single", design.num_chains,
+                                   design.chain_length, 64, rng)
     results = {}
     for path in ("jit", "delta", "dense"):
         results[path] = engine.run_batch_summary(states, knowns,
@@ -247,8 +248,8 @@ def test_delta_and_dense_paths_stay_selectable():
 
 def _unsupported_design():
     """Two correcting block families sharing chains: superposition
-    cannot express the last-block-wins replay, so the delta plan (and
-    with it the fused kernel) refuses the structure."""
+    cannot express the last-block-wins replay in the fused kernel's
+    per-slice walk, so its plan refuses the structure."""
     circuit = make_random_state_circuit(48, seed=2)
     return ProtectedDesign(circuit,
                            codes=["hamming(7,4)", "secded(8,4)"],

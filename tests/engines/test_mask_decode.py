@@ -23,7 +23,7 @@ np = pytest.importorskip("numpy")
 from repro.circuit.generators import make_random_state_circuit  # noqa: E402
 from repro.codes.parity import ParityCode                       # noqa: E402
 from repro.core.protected import ProtectedDesign                # noqa: E402
-from repro.engines.delta import correction_lut                  # noqa: E402
+from repro.engines.simd import correction_lut                   # noqa: E402
 from repro.engines.packed import PackedMonitorEngine            # noqa: E402
 from repro.engines.registry import get_engine                   # noqa: E402
 from repro.engines.summary import (                             # noqa: E402
