@@ -509,13 +509,14 @@ def test_campaign_small_batch_overhead():
     """Per-batch overhead floor of the summary path: a single-error
     chunk on the 32x32-FIFO configuration at batch 256 must run at
     >= 0.08x its rate at batch 4096 (``small_batch_efficiency``; the
-    committed measurement is ~0.16, where packing the stimulus per
-    flop and gating each flop by method call gave ~0.11).
+    committed measurement is ~0.15, where four flop walks per batch, a
+    per-bit stimulus fold and ``.sum()`` counter reductions gave
+    ~0.11).
 
     Every batch pays fixed work besides its sequences -- the stimulus
-    burst and its packed snapshot, one controller and power-domain
-    cycle, the engine call -- and at batch 256 that work is spread over
-    16x fewer sequences.  Each chunk runs on a warm workspace
+    draw and its packed snapshot, one controller and power-domain
+    cycle with one flop walk, the engine call -- and at batch 256 that
+    work is spread over 16x fewer sequences.  Each chunk runs on a warm workspace
     (``run_chunk_on``), so the bench build is not part of the rate.
     """
     from dataclasses import replace

@@ -37,7 +37,7 @@ from collections import OrderedDict
 from typing import Any, Dict, NamedTuple
 
 from repro.campaigns.seeding import child_seed
-from repro.circuit.flipflop import reset_flops
+from repro.circuit.flipflop import flop_values, reset_flops
 
 #: Default per-worker cap on cached task states.  Cached states hold
 #: full designs plus engine workspaces, so an unbounded cache would
@@ -176,8 +176,9 @@ class FIFOChunkWorkspace:
             warm_up_kernels()
         self._flops = (list(self.design.circuit.registers)
                        + list(self.design._padding))
-        self._pristine = [(flop.q, flop.retention_value)
-                          for flop in self._flops]
+        self._pristine = list(zip(
+            flop_values(self._flops),
+            [flop.retention_value for flop in self._flops]))
         self.chunks_run = 0
 
     def reseed(self, chunk_seed: int) -> None:

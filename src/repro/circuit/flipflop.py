@@ -17,7 +17,7 @@ fault models in :mod:`repro.faults` and :mod:`repro.power.retention`.
 from __future__ import annotations
 
 import enum
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 
 class PowerState(enum.Enum):
@@ -201,6 +201,11 @@ def _powered_off(action: str, flop: RetentionFlipFlop) -> RuntimeError:
 # 1 040 flops four times.  Each function is exactly the per-flop method
 # applied in sequence order, powered-off checks and messages included
 # (flops before an offending one are already updated when it raises).
+def flop_values(flops: Iterable[DFlipFlop]) -> List[Optional[int]]:
+    """:attr:`DFlipFlop.q` of every flop, in order."""
+    return [flop._q for flop in flops]
+
+
 def retain_flops(flops: Iterable[RetentionFlipFlop]) -> None:
     """:meth:`RetentionFlipFlop.retain` on every flop, in order."""
     off = PowerState.OFF
@@ -251,5 +256,5 @@ def reset_flops(flops: Iterable[RetentionFlipFlop],
 
 
 __all__ = ["PowerState", "DFlipFlop", "ScanFlipFlop", "RetentionFlipFlop",
-           "power_off_flops", "power_on_flops", "reset_flops",
+           "flop_values", "power_off_flops", "power_on_flops", "reset_flops",
            "restore_flops", "retain_flops"]

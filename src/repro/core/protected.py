@@ -26,6 +26,7 @@ from typing import Callable, List, Optional, Sequence, Tuple, Union
 from repro.circuit.base import SequentialCircuit
 from repro.circuit.flipflop import (
     RetentionFlipFlop,
+    flop_values,
     power_off_flops,
     power_on_flops,
     restore_flops,
@@ -406,7 +407,7 @@ class ProtectedDesign:
     def _all_state(self) -> StateSnapshot:
         """Snapshot of the circuit registers plus padding cells."""
         flops = list(self.circuit.registers) + self._padding
-        return StateSnapshot(values=tuple(ff.q for ff in flops),
+        return StateSnapshot(values=tuple(flop_values(flops)),
                              names=tuple(ff.name for ff in flops))
 
     # ------------------------------------------------------------------
@@ -695,7 +696,14 @@ run_sequence_batch_summary`).
         Physical sequencing matches the batched object path: the
         controller and power domain cycle **once** for the batch, the
         per-sequence verdicts are computed virtually and the circuit's
-        own state is left untouched.  ``inject_phase`` keeps its
+        own state is left untouched.  The domain cycles virtually too
+        (``enter_sleep``/``wake_up`` with ``virtual=True``, which touch
+        no flop): instead of the object path's four gating walks, one
+        walk over the registers and scan padding copies each master
+        into its retention latch and leaves the rail on -- the same
+        ``(q, retention, power)`` on every flop, and the same
+        ``RuntimeError`` for a powered-off one.  The controller still
+        steps once per batch.  ``inject_phase`` keeps its
         meaning for API symmetry; the virtual copies make the two
         phases arithmetically identical, exactly as on the object
         path.  The shared corrector is *not* populated (there are no
@@ -741,14 +749,21 @@ run_sequence_batch_summary`).
         states, knowns = snapshot
         self.corrector.clear()
 
+        # The flops take part only through the net effect of a gating
+        # round trip without upsets: retention := q, power on, q
+        # unchanged -- one walk over the registers and padding instead
+        # of four, before the controller leaves ACTIVE, so a powered-off
+        # flop strands neither it nor the domain.
+        retain_flops(self.circuit.registers)
+        retain_flops(self._padding)
         # One physical controller/domain cycle for the whole batch (the
         # virtual per-sequence passes run inside the engine call).
         self.controller.sleep_request()
         self.controller.encode_completed()
-        self._sleep_gate_off()
+        self.domain.enter_sleep(virtual=True)
         self.controller.sleep_entered()
         self.controller.wake_request()
-        self._wake_gate_on()
+        self.domain.wake_up(virtual=True)
         self.controller.wake_completed()
 
         if path == "auto":
@@ -790,7 +805,7 @@ run_sequence_batch_summary`).
                         f"error location ({chain}, {position}) outside the "
                         f"{self.num_chains}x{self.chain_length} scan array")
         flops = list(self.circuit.registers) + self._padding
-        snapshot = [flop.q for flop in flops]
+        snapshot = flop_values(flops)
         outcomes: List[CycleOutcome] = []
         for pattern in patterns:
             outcomes.append(self.sleep_wake_cycle(

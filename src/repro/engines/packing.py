@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple
 
+from repro.circuit.flipflop import flop_values
 from repro.circuit.scan import ScanChain
 
 
@@ -45,7 +46,7 @@ def pack_chains(chains: Sequence[ScanChain]) -> Tuple[List[int], List[int]]:
     states: List[int] = []
     knowns: List[int] = []
     for chain in chains:
-        state, known = pack_state([flop.q for flop in chain.flops])
+        state, known = pack_state(flop_values(chain.flops))
         states.append(state)
         knowns.append(known)
     return states, knowns

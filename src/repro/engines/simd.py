@@ -522,6 +522,10 @@ class SimdBatchedEngine(SimulationEngine):
         self._encoded_batch: Optional[int] = None
         self._clean_reports: Optional[Tuple[MonitorReport, ...]] = None
         self._full_cache: Tuple[int, Optional[np.ndarray]] = (0, None)
+        #: The last packed knowns seen and their read-only bool matrix
+        #: (see :meth:`_known_matrix`).
+        self._known_key: Optional[Tuple[int, ...]] = None
+        self._known_bits: Optional[np.ndarray] = None
         #: The single-flip outcome table and the known matrix it was
         #: built for (see :meth:`_single_flip_table`).
         self._single_known: Optional[np.ndarray] = None
@@ -535,6 +539,18 @@ class SimdBatchedEngine(SimulationEngine):
         if self._full_cache[0] != batch_size:
             self._full_cache = (batch_size, full_words(batch_size))
         return self._full_cache[1]
+
+    def _known_matrix(self, knowns: Sequence[int]) -> np.ndarray:
+        """``bits_matrix(knowns)``, memoised on the packed values: a
+        campaign passes the same knowns every batch.  The matrix is
+        read-only, and a new one is built whenever the values change,
+        so its identity names the values it was built from."""
+        key = tuple(knowns)
+        if key != self._known_key:
+            known_bits = bits_matrix(key, self.chain_length)
+            known_bits.flags.writeable = False
+            self._known_key, self._known_bits = key, known_bits
+        return self._known_bits
 
     def _check_chains(self, **per_chain) -> None:
         """Raise ``ValueError`` naming the first per-chain argument
@@ -849,16 +865,16 @@ class SimdBatchedEngine(SimulationEngine):
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         self._check_chains(states=states, knowns=knowns)
-        known_bits = bits_matrix(knowns, self.chain_length)
+        known_bits = self._known_matrix(knowns)
         # More flips than sequences cannot be a single-error batch;
-        # testing that first spares dense batches a second coordinate
-        # resolution (the dense pass resolves its own).
+        # testing that first spares dense batches the coordinate probe.
+        coords = None
         if path == "delta" or (path == "auto"
                                and flips.num_flips <= batch_size):
             from repro.faults.batch import pattern_batch_coords
 
-            seqs, cells, injected = pattern_batch_coords(flips, known_bits,
-                                                         batch_size)
+            coords = pattern_batch_coords(flips, known_bits, batch_size)
+            seqs, cells, injected = coords
             most = int(injected.max())
             if most <= 1:
                 table = self._single_flip_table(states, knowns, known_bits)
@@ -879,7 +895,7 @@ class SimdBatchedEngine(SimulationEngine):
                     f"{most}")
         self.last_summary_path = "dense"
         return self._dense_summary(states, knowns, known_bits, flips,
-                                   batch_size)
+                                   batch_size, coords)
 
     def _single_flip_table(self, states: Sequence[int],
                            knowns: Sequence[int],
@@ -894,10 +910,10 @@ class SimdBatchedEngine(SimulationEngine):
         batch.  By GF(2) superposition they do not depend on the
         baseline state, only on the known matrix (residual constant,
         gated comparator), so the table is memoised for the last
-        ``known_bits`` seen.
+        known matrix seen (by identity: :meth:`_known_matrix` builds a
+        new one whenever the knowns change).
         """
-        if (self._single_table is None
-                or not np.array_equal(self._single_known, known_bits)):
+        if self._single_table is None or self._single_known is not known_bits:
             from repro.faults.batch import PatternBatch
 
             length = self.chain_length
@@ -908,15 +924,17 @@ class SimdBatchedEngine(SimulationEngine):
                                       cells // length, cells % length)
             self._single_table = self._dense_summary(
                 states, knowns, known_bits, every_cell, num_cells + 1)
-            self._single_known = known_bits.copy()
+            self._single_known = known_bits
         return self._single_table
 
     def _dense_summary(self, states: Sequence[int], knowns: Sequence[int],
                        known_bits: np.ndarray, flips,
-                       batch_size: int) -> BatchOutcomeArrays:
+                       batch_size: int, coords=None) -> BatchOutcomeArrays:
         """The dense word pipeline (every density): workspace-backed
-        replicate and inject around the shared decode core."""
-        from repro.faults.batch import pattern_batch_arrays
+        replicate and inject around the shared decode core.  ``coords``
+        is the batch's :func:`~repro.faults.batch.pattern_batch_coords`
+        resolution when the caller already holds it."""
+        from repro.faults.batch import coords_scatter, pattern_batch_coords
 
         full = self._full_words(batch_size)
         state_bits = bits_matrix(states, self.chain_length)
@@ -929,8 +947,11 @@ class SimdBatchedEngine(SimulationEngine):
                 "summary_words", state_bits.shape + (full.size,),
                 np.uint64))
         self._encode_baseline(state_bits, batch_size)
+        if coords is None:
+            coords = pattern_batch_coords(flips, known_bits, batch_size)
         flip_chains, flip_positions, flip_masks, injected = \
-            pattern_batch_arrays(flips, knowns, batch_size)
+            coords_scatter(coords, self.num_chains, self.chain_length,
+                           batch_size)
         if flip_chains.size:
             words[flip_chains, flip_positions] ^= flip_masks
         detected, uncorrectable, corrections, _reported, _mismatches = \

@@ -383,12 +383,19 @@ def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
     """
     from repro.engines.summary import bits_matrix
 
-    length = batch.chain_length
-    seqs, cells, counts = pattern_batch_coords(
-        batch, bits_matrix(knowns, length), batch_size)
+    coords = pattern_batch_coords(
+        batch, bits_matrix(knowns, batch.chain_length), batch_size)
+    return coords_scatter(coords, batch.num_chains, batch.chain_length,
+                          batch_size)
+
+
+def coords_scatter(coords, num_chains: int, length: int, batch_size: int):
+    """:func:`pattern_batch_arrays` from the batch's already resolved
+    :func:`pattern_batch_coords` ``(seqs, cells, counts)``."""
+    seqs, cells, counts = coords
     num_words = (batch_size + 63) // 64
     # Rank the targeted cells through a presence bitmap (no sort).
-    present = np.zeros(batch.num_chains * length, dtype=bool)
+    present = np.zeros(num_chains * length, dtype=bool)
     present[cells] = True
     unique_cells = np.flatnonzero(present)
     inverse = (np.cumsum(present, dtype=np.int64) - 1)[cells]
@@ -558,6 +565,7 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
 
 __all__ = [
     "PatternBatch",
+    "coords_scatter",
     "pattern_batch_arrays",
     "pattern_batch_coords",
     "pattern_batch_csr",

@@ -149,15 +149,27 @@ class PowerDomain:
         return list(self._wake_history)
 
     # ------------------------------------------------------------------
-    def enter_sleep(self) -> None:
-        """Save state into retention latches and gate the domain off."""
+    def enter_sleep(self, *, virtual: bool = False) -> None:
+        """Save state into retention latches and gate the domain off.
+
+        ``virtual=True`` only moves the domain to ``SLEEP`` and touches
+        no register.  It serves a batch whose sequences are simulated
+        as virtual copies of the current state (the columnar summary
+        path of
+        :meth:`~repro.core.protected.ProtectedDesign.\
+sleep_wake_cycle_batch_summary`), whose caller applies the net
+        effect of a sleep/wake round trip without upsets to the
+        registers itself: one walk that copies each master into its
+        retention latch, instead of the four walks of a real cycle.
+        """
         if self._state is DomainState.SLEEP:
             raise RuntimeError("domain is already asleep")
-        self.circuit.retain_all()
-        self.circuit.power_off_all()
+        if not virtual:
+            self.circuit.retain_all()
+            self.circuit.power_off_all()
         self._state = DomainState.SLEEP
 
-    def wake_up(self) -> WakeEvent:
+    def wake_up(self, *, virtual: bool = False) -> WakeEvent:
         """Re-energise the domain and restore state from retention.
 
         The rush-current model is evaluated for this wake-up; if an
@@ -165,9 +177,18 @@ class PowerDomain:
         retention latches *before* the restore, so any upset propagates
         into the architectural state exactly as in the real failure
         mechanism.
+
+        ``virtual=True`` closes an :meth:`enter_sleep` with
+        ``virtual=True``: the wake-up is recorded and its transient
+        returned, but no register is touched, because none was gated
+        off.  It requires ``upset_model=None``: with no restore, an
+        upset would never reach the registers.
         """
         if self._state is DomainState.ACTIVE:
             raise RuntimeError("domain is already active")
+        if virtual and self.upset_model is not None:
+            raise ValueError(
+                "a virtual wake-up requires upset_model=None")
         key = (self.rlc, self.switches.stages)
         transient = _TRANSIENT_CACHE.get(key)
         if transient is None:
@@ -182,8 +203,9 @@ class PowerDomain:
             flipped = self.upset_model.sample_upsets(
                 self.circuit.registers, peak_droop)
             upsets = tuple(flipped)
-        self.circuit.power_on_all()
-        self.circuit.restore_all()
+        if not virtual:
+            self.circuit.power_on_all()
+            self.circuit.restore_all()
         self._state = DomainState.ACTIVE
         event = WakeEvent(
             peak_current_a=peak_current,

@@ -263,26 +263,40 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         handed to the design, so a batch costs no per-flop work.  The
         DUT's registers keep whatever they held before the call.
         """
+        # One draw per word, the draw ``burst`` would split into bits.
+        draw = self.stimulus.next_int
         snapshot = self._loaded_snapshot(
-            self.stimulus.burst(self.words_per_sequence))
+            [draw() for _ in range(self.words_per_sequence)])
         return self.dut_design.sleep_wake_cycle_batch_summary(
             snapshot, flips, batch_size, inject_phase=inject_phase,
             path=path)
 
-    def _loaded_snapshot(self, words: Sequence[Sequence[int]]):
+    def _loaded_snapshot(self, words: Sequence[int]):
         """The packed ``(states, knowns)`` chains of the DUT as stages
-        1--2 would leave it after resetting and pushing ``words``.
+        1--2 would leave it after resetting and pushing ``words``
+        (integers, bit ``i`` the word's data bit ``i``).
 
-        Each one bit of the burst is XOR-ed into a copy of the image's
-        all-zero baseline at its register's scan cell; the scan padding
-        cells, which no stage resets, are read from their flops.
+        The image holds the all-zero baseline as one integer with chain
+        ``c`` at bits ``c * l`` onwards, and per pushed word one
+        16-entry table per four data bits, whose entry ``v`` is the XOR
+        of the scan cells of the set bits of ``v`` (counted from the
+        word's lowest cell, so the entries stay word-sized).  Each word
+        folds in a nibble at a time, and the result splits into the
+        chains; the scan padding cells, which no stage resets, are read
+        from their flops.
         """
         image = self._stimulus_image()
-        states = list(image.states)
-        for word, cells in zip(words, image.word_cells):
-            for bit, (chain, mask) in zip(word, cells):
-                if bit:
-                    states[chain] ^= mask
+        loaded = image.baseline
+        for value, (shift, tables) in zip(words, image.word_tables):
+            word = 0
+            for table in tables:
+                word ^= table[value & 15]
+                value >>= 4
+            loaded ^= word << shift
+        length = image.chain_length
+        full = (1 << length) - 1
+        states = [(loaded >> shift) & full
+                  for shift in range(0, len(image.knowns) * length, length)]
         knowns = image.knowns
         if image.padding:
             knowns = list(knowns)
@@ -300,36 +314,62 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
 
         The baseline runs the object model once -- ``reset()`` then
         ``words_per_sequence`` all-zero pushes -- and packs the chains,
-        recording the ``(chain, mask)`` scan cell of every register
-        each push writes (none for a push into a full FIFO).  The
-        padding cells are cleared from the baseline; the DUT's
-        registers are put back afterwards.
+        recording the scan cell of every register each push writes
+        (none for a push into a full FIFO).  The padding cells are
+        cleared from the baseline; the DUT's registers are put back
+        afterwards.
         """
         design = self.dut_design
         image = self._image
         if (image is not None and image.num_words == self.words_per_sequence
                 and image.chains is design.chains):
             return image
-        cells = {id(flop): (chain, 1 << position)
+        length = design.chain_length
+        cells = {id(flop): chain * length + position
                  for chain, scan_chain in enumerate(design.chains)
                  for position, flop in enumerate(scan_chain.flops)}
         saved = self.dut.snapshot()
         self.dut.reset()
         zero = [0] * self.dut.width
-        word_cells = []
+        word_tables = []
         for _ in range(self.words_per_sequence):
-            word_cells.append([cells[id(flop)]
-                               for flop in self.dut.next_write_registers()])
+            written = [cells[id(flop)]
+                       for flop in self.dut.next_write_registers()]
+            shift = min(written, default=0)
+            word_tables.append((shift, _nibble_tables(
+                [1 << (cell - shift) for cell in written])))
             self.dut.push(zero)
         states, knowns = design._pack_chains()
         self.dut.load_snapshot(saved)
-        padding = [(flop,) + cells[id(flop)] for flop in design._padding]
-        for _, chain, mask in padding:
-            states[chain] &= ~mask
-            knowns[chain] &= ~mask
+        padding = []
+        for flop in design._padding:
+            chain, position = divmod(cells[id(flop)], length)
+            padding.append((flop, chain, 1 << position))
+            states[chain] &= ~(1 << position)
+            knowns[chain] &= ~(1 << position)
+        baseline = 0
+        for chain, state in enumerate(states):
+            baseline |= state << (chain * length)
         self._image = _StimulusImage(self.words_per_sequence, design.chains,
-                                     states, knowns, word_cells, padding)
+                                     length, baseline, knowns, word_tables,
+                                     padding)
         return self._image
+
+
+def _nibble_tables(masks: List[int]) -> List[List[int]]:
+    """XOR tables of the cell masks of each group of four consecutive
+    data bits: entry ``v`` of group ``g``'s table is the XOR of
+    ``masks[4 * g + i]`` over the set bits ``i`` of ``v``.  Each entry
+    extends a smaller one by its lowest bit, so a table costs 15 XORs."""
+    tables = []
+    for start in range(0, len(masks), 4):
+        group = masks[start:start + 4]
+        table = [0] * (1 << len(group))
+        for value in range(1, len(table)):
+            low = value & -value
+            table[value] = table[value ^ low] ^ group[low.bit_length() - 1]
+        tables.append(table)
+    return tables
 
 
 @dataclass(frozen=True)
@@ -339,10 +379,13 @@ class _StimulusImage:
 
     num_words: int
     chains: list
-    states: List[int]
+    chain_length: int
+    #: The all-zero load, chain ``c`` at bits ``c * chain_length`` on.
+    baseline: int
     knowns: List[int]
-    #: Per pushed word, the ``(chain, mask)`` cell of each data bit.
-    word_cells: List[List[Tuple[int, int]]]
+    #: Per pushed word, its lowest cell and the nibble tables of
+    #: :func:`_nibble_tables` over its cells counted from there.
+    word_tables: List[Tuple[int, List[List[int]]]]
     #: ``(flop, chain, mask)`` of every scan padding cell.
     padding: List[Tuple[RetentionFlipFlop, int, int]]
 

@@ -219,3 +219,52 @@ def test_add_batch_counter_definitions_match_add():
         if not result.outcome_consistent:
             reference.inconsistent_sequences += 1
     assert batched == reference
+
+
+def test_add_batch_counters_stay_python_ints(tmp_path):
+    """Counters folded from ndarray reductions (``np.count_nonzero``
+    returns ``np.int64``) stay plain ints through ``merge`` and
+    ``to_dict``, and the checkpoint JSON equals the one of the same
+    sequences folded one by one through ``add``."""
+    from types import SimpleNamespace
+
+    from repro.campaigns.checkpoints import CheckpointStore
+
+    arrays = BatchOutcomeArrays(
+        injected=np.array([0, 1, 2, 3, 1, 0], dtype=np.int64),
+        detected=np.array([False, True, True, False, True, False]),
+        uncorrectable=np.array([False, False, True, False, True, False]),
+        residual_errors=np.array([0, 0, 2, 3, 1, 0], dtype=np.int64),
+        corrections_applied=np.array([0, 1, 0, 0, 0, 0], dtype=np.int64))
+    batched = StreamingCampaignResult()
+    batched.add_batch(arrays)
+    merged = StreamingCampaignResult().merge(batched)
+
+    sequenced = StreamingCampaignResult()
+    for b in range(6):
+        detected = bool(arrays.detected[b])
+        residual = int(arrays.residual_errors[b])
+        uncorrectable = bool(arrays.uncorrectable[b])
+        cycle = SimpleNamespace(injected_errors=int(arrays.injected[b]),
+                                detected=detected,
+                                state_intact=residual == 0,
+                                residual_errors=residual)
+        sequenced.add(SimpleNamespace(
+            cycle=cycle, error_reported=detected,
+            mismatch_reported=residual != 0,
+            outcome_consistent=residual == 0 or (detected and uncorrectable)))
+
+    for result in (batched, merged):
+        payload = result.to_dict()
+        leaves = list(payload["stats"].values()) + [
+            value for key, value in payload.items() if key != "stats"]
+        assert leaves
+        assert all(type(leaf) is int for leaf in leaves), payload
+
+    header = {"format": 1, "task": "summary"}
+    written = []
+    for name, result in (("batched", merged), ("sequenced", sequenced)):
+        store = CheckpointStore(str(tmp_path / f"{name}.json"))
+        store.write(header, {0: result})
+        written.append((tmp_path / f"{name}.json").read_text("utf-8"))
+    assert written[0] == written[1]

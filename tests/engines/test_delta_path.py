@@ -251,8 +251,9 @@ def test_auto_skips_coordinate_sort_above_batch_size(monkeypatch):
     """More flips than sequences cannot be a single-error batch, so
     "auto" goes straight to dense and resolves coordinates no more
     often than forced "dense" does (the Fig. 10 multi-error campaigns
-    never pay an extra sort); at or below ``batch_size`` flips it
-    resolves them once more to look for a multi-flip sequence."""
+    never pay an extra sort); at or below ``batch_size`` flips the
+    probe's resolution is handed on to the dense pass, so "auto" again
+    resolves them exactly as often as forced "dense"."""
     counter = _CountingCoords()
     monkeypatch.setattr(batch_module, "pattern_batch_coords", counter)
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
@@ -264,14 +265,32 @@ def test_auto_skips_coordinate_sort_above_batch_size(monkeypatch):
                                  num_errors=10)
     assert dense.num_flips > 64
     flips = _coords_batch(design, 6, [(0, 0, 1), (4, 1, 0), (4, 1, 2)])
-    for batch, size, extra in ((dense, 64, 0), (flips, 6, 1)):
+    for batch, size in ((dense, 64), (flips, 6)):
         engine.run_batch_summary(states, knowns, batch, size, path="dense")
         forced = counter.calls
         counter.calls = 0
         engine.run_batch_summary(states, knowns, batch, size)
         assert engine.last_summary_path == "dense"
-        assert counter.calls == forced + extra
+        assert counter.calls == forced
         counter.calls = 0
+
+
+def test_auto_resolves_multi_flip_batch_coordinates_once(monkeypatch):
+    """A batch with at most ``batch_size`` flips but a two-flip
+    sequence: the single-flip probe resolves the coordinates and the
+    dense pass reuses them, one ``pattern_batch_coords`` call in all,
+    with the same arrays as forced "dense"."""
+    counter = _CountingCoords()
+    monkeypatch.setattr(batch_module, "pattern_batch_coords", counter)
+    design = _design(["hamming(7,4)", "crc16"], 8, 56)
+    engine = get_engine("simd", design)
+    states, knowns = _pack(design)
+    flips = _coords_batch(design, 6, [(0, 0, 1), (4, 1, 0), (4, 1, 2)])
+    auto = engine.run_batch_summary(states, knowns, flips, 6)
+    assert engine.last_summary_path == "dense"
+    assert counter.calls == 1
+    assert_identical(auto, engine.run_batch_summary(states, knowns, flips,
+                                                    6, path="dense"))
 
 
 def test_forced_delta_on_two_flip_sequence_raises():

@@ -217,6 +217,89 @@ class TestBulkRetentionGating:
         assert bool(upsets) == with_upsets
         assert self._flop_states(bulk) == self._flop_states(walked)
 
+    @staticmethod
+    def _scrambled_design(seed):
+        """76 registers in 10 chains of 8: 4 scan padding cells.  Masters
+        and latches (padding included) hold a mix of 0, 1 and X."""
+        from repro.core.protected import ProtectedDesign
+
+        circuit = make_random_state_circuit(76, seed=seed)
+        design = ProtectedDesign(circuit, codes="hamming(7,4)",
+                                 num_chains=10, engine="simd")
+        assert design.padding_cells == 4
+        rng = random.Random(seed)
+        for flop in list(circuit.registers) + design._padding:
+            flop.force(rng.choice((0, 1, None)))
+            flop.force_retention(rng.choice((0, 1, None)))
+        return design
+
+    @staticmethod
+    def _design_flop_states(design):
+        return [(flop.q, flop.retention_value, flop.power)
+                for flop in list(design.circuit.registers) + design._padding]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_summary_batch_matches_four_walks(self, seed):
+        """A summary batch's one walk leaves every flop -- registers and
+        padding -- as the object path's four gating walks do, and the
+        domain and controller still record one cycle per batch."""
+        np = pytest.importorskip("numpy")
+        from repro.faults.batch import sample_pattern_batch
+
+        summary = self._scrambled_design(seed)
+        walked = self._scrambled_design(seed)
+        assert (self._design_flop_states(summary)
+                == self._design_flop_states(walked))
+        rng = np.random.default_rng(seed)
+        logs = []
+        for batch in range(2):
+            log_before = len(summary.controller.transition_log)
+            flips = sample_pattern_batch("single", summary.num_chains,
+                                         summary.chain_length, 64, rng)
+            summary.sleep_wake_cycle_batch_summary(
+                summary._pack_chains(), flips, 64)
+            walked._sleep_gate_off()
+            walked._wake_gate_on()
+            assert (self._design_flop_states(summary)
+                    == self._design_flop_states(walked))
+            assert len(summary.domain.wake_history) == batch + 1
+            assert summary.domain.state is DomainState.ACTIVE
+            assert summary.controller.sleep_cycles_completed == batch + 1
+            logs.append(summary.controller.transition_log[log_before:])
+        assert logs[0] == logs[1]
+        assert [t.signal for t in logs[0]][:5] == [
+            "sleep=1", "encode_done", "sleep_sequence_done", "sleep=0",
+            "wake_sequence_done"]
+
+    def test_summary_batch_powered_off_register_message(self):
+        """A powered-off register fails a summary batch with
+        ``retain``'s message, before the controller or the domain
+        leaves ACTIVE."""
+        np = pytest.importorskip("numpy")
+        from repro.faults.batch import sample_pattern_batch
+
+        design = self._scrambled_design(0)
+        victim = design.circuit.registers[30]
+        victim.power_off()
+        flips = sample_pattern_batch("single", design.num_chains,
+                                     design.chain_length, 8,
+                                     np.random.default_rng(0))
+        message = (f"cannot retain {victim.name!r}: "
+                   f"master is powered off")
+        with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+            design.sleep_wake_cycle_batch_summary(design._pack_chains(),
+                                                  flips, 8)
+        assert design.domain.state is DomainState.ACTIVE
+        assert design.domain.wake_history == []
+        assert design.controller.transition_log == ()
+
+    def test_virtual_wake_requires_no_upset_model(self):
+        domain = PowerDomain(make_random_state_circuit(8, seed=2),
+                             upset_model=RetentionUpsetModel(seed=1))
+        domain.enter_sleep(virtual=True)
+        with pytest.raises(ValueError, match="upset_model=None"):
+            domain.wake_up(virtual=True)
+
     @pytest.mark.parametrize("action", ("retain", "restore"))
     def test_powered_off_register_message_unchanged(self, action):
         circuit = make_random_state_circuit(5, seed=1)
