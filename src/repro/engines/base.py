@@ -258,7 +258,10 @@ class SimulationEngine(ABC):
         :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`,
         minus every per-sequence object.  The returned arrays are
         bit-identical to folding the object path's outcomes field by
-        field (property-tested).
+        field (property-tested).  The engine indexes by the batch's
+        flat cells without range-checking them: ``flips`` must fit the
+        design, as :meth:`~repro.faults.batch.PatternBatch.validate`
+        (which the design's batch entry points call) checks.
 
         ``path`` selects the summary implementation on engines that
         offer more than one (``"auto"`` -- the engine picks; the simd

@@ -878,9 +878,14 @@ class SimdBatchedEngine(SimulationEngine):
             most = int(injected.max())
             if most <= 1:
                 table = self._single_flip_table(states, knowns, known_bits)
-                row = np.full(batch_size, len(table.injected) - 1,
-                              dtype=np.int64)
-                row[seqs] = cells
+                if len(cells) == batch_size:
+                    # Every sequence has exactly one effective flip, in
+                    # sequence order: its cell is its table row.
+                    row = cells
+                else:
+                    row = np.full(batch_size, len(table.injected) - 1,
+                                  dtype=np.int64)
+                    row[seqs] = cells
                 self.last_summary_path = "delta"
                 return BatchOutcomeArrays(
                     injected=injected,
@@ -919,9 +924,9 @@ class SimdBatchedEngine(SimulationEngine):
             length = self.chain_length
             num_cells = self.num_chains * length
             cells = np.arange(num_cells, dtype=np.int64)
-            every_cell = PatternBatch(self.num_chains, length,
-                                      num_cells + 1, "single", cells,
-                                      cells // length, cells % length)
+            every_cell = PatternBatch.from_cells(
+                self.num_chains, length, num_cells + 1, "single", cells,
+                cells)
             self._single_table = self._dense_summary(
                 states, knowns, known_bits, every_cell, num_cells + 1)
             self._single_known = known_bits
@@ -949,11 +954,10 @@ class SimdBatchedEngine(SimulationEngine):
         self._encode_baseline(state_bits, batch_size)
         if coords is None:
             coords = pattern_batch_coords(flips, known_bits, batch_size)
-        flip_chains, flip_positions, flip_masks, injected = \
-            coords_scatter(coords, self.num_chains, self.chain_length,
-                           batch_size)
-        if flip_chains.size:
-            words[flip_chains, flip_positions] ^= flip_masks
+        flip_cells, flip_masks, injected = coords_scatter(
+            coords, self.num_chains, self.chain_length, batch_size)
+        if flip_cells.size:
+            words.reshape(-1, full.size)[flip_cells] ^= flip_masks
         detected, uncorrectable, corrections, _reported, _mismatches = \
             self._decode_words(words, batch_size)
         # Vectorised state-domain comparator against the replicated

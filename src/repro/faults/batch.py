@@ -1,14 +1,24 @@
 """Batch fault injection in coordinate-array form.
 
 A batch injection is a :class:`PatternBatch`: one flip per entry of
-three parallel int64 arrays (sequence, chain, scan position), the batch
-counterpart of one :class:`~repro.faults.patterns.ErrorPattern` per
-sequence.  The resolvers below turn it into the input form each engine
+two parallel int64 arrays (sequence, flat cell), the batch counterpart
+of one :class:`~repro.faults.patterns.ErrorPattern` per sequence.  The
+**flat cell** ``chain * chain_length + position`` is the canonical flip
+coordinate all the way from the sampler to the engines: the sampler
+emits it, :meth:`PatternBatch.validate` range-checks it, the resolvers
+gate it through the flattened known matrix and sort/deduplicate on it,
+and the simd engine uses it as the row of its single-flip outcome
+table and of its ``(C * L, W)`` word view.  Chain and position arrays
+are derived views, split only for readers that want them
+(:meth:`PatternBatch.patterns`, the object-path fallback).
+
+The resolvers below turn a batch into the input form each engine
 kernel consumes, with no per-flip Python work:
 
 * :func:`pattern_batch_arrays` -- per-cell uint64 sequence masks for
   the XOR scatter into the ``(C, L, W)`` word-packed batch state of
-  :mod:`repro.engines.simd`;
+  :mod:`repro.engines.simd` (:func:`coords_scatter` is its flat-cell
+  form);
 * :func:`pattern_batch_coords` -- flat (sequence, cell) coordinates for
   the simd engine's single-flip table gather;
 * :func:`pattern_batch_csr` -- CSR slices for the fused kernels of
@@ -57,12 +67,23 @@ from repro.faults.patterns import ErrorPattern
 class PatternBatch:
     """A whole group's sampled error patterns in coordinate-array form.
 
-    ``seqs[f]``, ``chains[f]`` and ``positions[f]`` describe flip ``f``:
-    sequence ``seqs[f]`` of the batch flips scan cell ``(chains[f],
-    positions[f])``.  Within one sequence the cells are distinct (the
-    :class:`~repro.faults.patterns.ErrorPattern` set semantics), so the
-    coordinate arrays carry exactly the information of one pattern per
-    sequence without materialising any per-sequence object.
+    ``seqs[f]`` and ``cells[f]`` describe flip ``f``: sequence
+    ``seqs[f]`` of the batch flips the scan cell with flat index
+    ``cells[f] = chain * chain_length + position``.  The flat cell is the
+    canonical flip coordinate from the sampler to the engines' gathers
+    and scatters; ``chains`` and ``positions`` are read-only views of
+    it, computed on first read (for :meth:`patterns` and callers that
+    want the split form).  Within one sequence the cells are distinct
+    (the :class:`~repro.faults.patterns.ErrorPattern` set semantics), so
+    the coordinate arrays carry exactly the information of one pattern
+    per sequence without materialising any per-sequence object.
+
+    The constructor takes split ``chains``/``positions`` (caller-built
+    batches); :meth:`from_cells` takes flat cells (the sampler's form).
+    :meth:`validate` range-checks whichever form the batch was built
+    from: a split batch's positions against the chain length, so
+    ``position == chain_length`` cannot alias into the next chain's
+    cell 0.
 
     :meth:`from_patterns` and :meth:`patterns` convert losslessly to and
     from one pattern per sequence -- a campaign group routed through the
@@ -72,7 +93,7 @@ class PatternBatch:
     """
 
     __slots__ = ("num_chains", "chain_length", "batch_size", "kind",
-                 "seqs", "chains", "positions")
+                 "seqs", "_cells", "_chains", "_positions", "_split")
 
     def __init__(self, num_chains: int, chain_length: int, batch_size: int,
                  kind: str, seqs, chains, positions):
@@ -83,8 +104,55 @@ class PatternBatch:
         self.batch_size = batch_size
         self.kind = kind
         self.seqs = seqs
-        self.chains = chains
-        self.positions = positions
+        self._chains = chains
+        self._positions = positions
+        self._cells = None
+        #: Built from split coordinates: validate checks them as such.
+        self._split = True
+
+    @classmethod
+    def from_cells(cls, num_chains: int, chain_length: int,
+                   batch_size: int, kind: str, seqs,
+                   cells) -> "PatternBatch":
+        """The batch flipping flat cell ``cells[f]`` in sequence
+        ``seqs[f]`` -- the sampler's form; no coordinate is split."""
+        if len(seqs) != len(cells):
+            raise ValueError("coordinate arrays must have equal lengths")
+        batch = cls.__new__(cls)
+        batch.num_chains = num_chains
+        batch.chain_length = chain_length
+        batch.batch_size = batch_size
+        batch.kind = kind
+        batch.seqs = seqs
+        batch._cells = cells
+        batch._chains = batch._positions = None
+        batch._split = False
+        return batch
+
+    @property
+    def cells(self):
+        """Flat cell index of every flip (``chain * chain_length +
+        position``), int64."""
+        if self._cells is None:
+            self._cells = _read_only(
+                np.asarray(self._chains, dtype=np.int64) * self.chain_length
+                + np.asarray(self._positions, dtype=np.int64))
+        return self._cells
+
+    @property
+    def chains(self):
+        """Chain index of every flip (a read-only view of ``cells``)."""
+        if self._chains is None:
+            self._chains = _read_only(self._cells // self.chain_length)
+        return self._chains
+
+    @property
+    def positions(self):
+        """Scan position of every flip (a read-only view of
+        ``cells``)."""
+        if self._positions is None:
+            self._positions = _read_only(self._cells % self.chain_length)
+        return self._positions
 
     @property
     def num_flips(self) -> int:
@@ -96,8 +164,8 @@ class PatternBatch:
                       num_chains: int, chain_length: int) -> "PatternBatch":
         """The batch injecting ``patterns[b]`` into sequence ``b``
         (``None`` entries are clean sequences) -- the inverse of
-        :meth:`patterns`.  Coordinates are not range-checked here; see
-        :meth:`validate`."""
+        :meth:`patterns`; an all-``None`` list is a ``"none"`` batch.
+        Coordinates are not range-checked here; see :meth:`validate`."""
         seqs: List[int] = []
         chains: List[int] = []
         positions: List[int] = []
@@ -109,7 +177,8 @@ class PatternBatch:
                 chains.append(chain)
                 positions.append(position)
         kinds = {pattern.kind for pattern in patterns if pattern is not None}
-        kind = kinds.pop() if len(kinds) == 1 else "mixed"
+        kind = kinds.pop() if len(kinds) == 1 else \
+            "mixed" if kinds else "none"
         return cls(num_chains, chain_length, len(patterns), kind,
                    np.array(seqs, dtype=np.int64),
                    np.array(chains, dtype=np.int64),
@@ -122,8 +191,11 @@ class PatternBatch:
 
         Every coordinate is checked, not only the geometry fields:
         negative indices would silently wrap in the engines' ndarray
-        scatters.  The batch entry points call this before the
-        controller leaves ACTIVE.
+        scatters.  A flat-cell batch checks ``cells`` against
+        ``num_chains x chain_length``; a batch built from split
+        coordinates checks ``chains`` and ``positions`` separately,
+        which bounds its cells too.  The batch entry points call this
+        before the controller leaves ACTIVE.
         """
         if (self.num_chains, self.chain_length) != (num_chains,
                                                     chain_length):
@@ -137,8 +209,12 @@ class PatternBatch:
                 f"not {batch_size}")
         if not self.num_flips:
             return
-        if not (_in_range(self.chains, num_chains)
-                and _in_range(self.positions, chain_length)):
+        if self._split:
+            inside = (_in_range(self._chains, num_chains)
+                      and _in_range(self._positions, chain_length))
+        else:
+            inside = _in_range(self._cells, num_chains * chain_length)
+        if not inside:
             raise ValueError(
                 f"pattern batch addresses cells outside the "
                 f"{num_chains}x{chain_length} scan array")
@@ -162,8 +238,13 @@ class PatternBatch:
                 for cells in locations]
 
 
+def _read_only(values):
+    values.flags.writeable = False
+    return values
+
+
 def _in_range(values, bound: int) -> bool:
-    return bool(((values >= 0) & (values < bound)).all())
+    return bool(values.min() >= 0 and values.max() < bound)
 
 
 # ----------------------------------------------------------------------
@@ -383,15 +464,21 @@ def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
     """
     from repro.engines.summary import bits_matrix
 
-    coords = pattern_batch_coords(
-        batch, bits_matrix(knowns, batch.chain_length), batch_size)
-    return coords_scatter(coords, batch.num_chains, batch.chain_length,
-                          batch_size)
+    length = batch.chain_length
+    coords = pattern_batch_coords(batch, bits_matrix(knowns, length),
+                                  batch_size)
+    cells, masks, counts = coords_scatter(coords, batch.num_chains, length,
+                                          batch_size)
+    return cells // length, cells % length, masks, counts
 
 
 def coords_scatter(coords, num_chains: int, length: int, batch_size: int):
-    """:func:`pattern_batch_arrays` from the batch's already resolved
-    :func:`pattern_batch_coords` ``(seqs, cells, counts)``."""
+    """The flat-cell form of :func:`pattern_batch_arrays` from the
+    batch's already resolved :func:`pattern_batch_coords` ``(seqs,
+    cells, counts)``: ``(cells, masks, counts)`` with ``cells`` the
+    distinct targeted flat cells, ascending -- XOR-ing ``masks`` into
+    rows ``cells`` of the ``(C * L, W)`` word view applies the
+    injection."""
     seqs, cells, counts = coords
     num_words = (batch_size + 63) // 64
     # Rank the targeted cells through a presence bitmap (no sort).
@@ -404,21 +491,15 @@ def coords_scatter(coords, num_chains: int, length: int, batch_size: int):
     np.bitwise_or.at(masks.reshape(-1), inverse * num_words + (seqs >> 6),
                      np.left_shift(np.uint64(1),
                                    (seqs & 63).astype(np.uint64)))
-    return (unique_cells // length, unique_cells % length, masks, counts)
+    return unique_cells, masks, counts
 
 
 def _sorted_unique(keys):
     """``np.unique(keys)`` for a 1-D int64 array, without its hash path.
 
     On numpy 2.x a plain ``np.unique`` hashes, which is many times
-    slower than sorting.  Sampled batches of every kind arrive
-    strictly increasing (multi-error and burst cells come out of
-    :func:`_distinct_cells` sorted), so one comparison pass proves them
-    unique; caller-built batches may need the sort and the
-    deduplication against neighbours.
+    slower than sorting and deduplicating against neighbours.
     """
-    if (keys[1:] > keys[:-1]).all():
-        return keys
     keys = np.sort(keys)
     keep = np.empty(keys.size, dtype=bool)
     keep[:1] = True
@@ -440,24 +521,42 @@ def pattern_batch_coords(batch: "PatternBatch", known_bits,
     the :class:`~repro.faults.patterns.ErrorPattern` set semantics), so
     the two resolutions describe the identical injection --
     ``known_bits`` is the expanded ``(C, L)`` bool known matrix the
-    summary pass already holds.
+    summary pass already holds; flips are gated through its flattened
+    ``(C * L,)`` view, indexed by flat cell.  The returned arrays may
+    be the batch's own (read them, never write them).
     """
-    length = batch.chain_length
-    chains, positions, seqs = batch.chains, batch.positions, batch.seqs
-    if len(chains):
-        keep = known_bits[chains, positions]
-        chains, positions, seqs = chains[keep], positions[keep], seqs[keep]
-    if not len(chains):
+    cells, seqs = batch.cells, batch.seqs
+    if len(cells):
+        keep = known_bits.reshape(-1)[cells]
+        if not keep.all():
+            cells, seqs = cells[keep], seqs[keep]
+    if not len(cells):
         empty = np.empty(0, dtype=np.int64)
         return (empty, empty.copy(),
                 np.zeros(batch_size, dtype=np.int64))
-    num_cells = batch.num_chains * length
-    unique_flips = _sorted_unique(seqs * num_cells
-                                  + (chains * length + positions))
-    seqs = unique_flips // num_cells
-    cells = unique_flips - seqs * num_cells
+    if (len(seqs) == batch_size and seqs[-1] == batch_size - 1
+            and _increasing(seqs)):
+        # Sequences 0 .. B-1 once each (a single-error batch): already
+        # sorted and unique, and every count is one.
+        return seqs, cells, np.ones(batch_size, dtype=np.int64)
+    # Sampled batches of every kind arrive strictly increasing in
+    # (sequence, cell) -- multi-error and burst cells come out of
+    # _distinct_cells sorted -- so one comparison pass proves them
+    # sorted and unique; caller-built batches may need the sort and
+    # the deduplication.
+    num_cells = batch.num_chains * batch.chain_length
+    keys = seqs * num_cells + cells
+    if not _increasing(keys):
+        keys = _sorted_unique(keys)
+        seqs = keys // num_cells
+        cells = keys - seqs * num_cells
     counts = np.bincount(seqs, minlength=batch_size).astype(np.int64)
     return seqs, cells, counts
+
+
+def _increasing(values) -> bool:
+    """Whether a 1-D array is strictly increasing."""
+    return bool((values[1:] > values[:-1]).all())
 
 
 def _coords_to_csr(cells, counts, batch_size: int, starts_out=None):
@@ -513,7 +612,9 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
     chunks seeded through :mod:`repro.campaigns.seeding` stay
     bit-identical for any worker count -- but the streams are *not*
     flip-for-flip identical to the scalar ``random.Random`` factories
-    (the two modes are statistically equivalent samplings).
+    (the two modes are statistically equivalent samplings).  The batch
+    is built from flat cells (:meth:`PatternBatch.from_cells`), strictly
+    increasing in (sequence, cell).
     """
     if num_chains <= 0 or chain_length <= 0:
         raise ValueError("chain geometry must be positive")
@@ -521,24 +622,22 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
         raise ValueError("batch size must be >= 1")
     empty = np.empty(0, dtype=np.int64)
     if kind == "none":
-        return PatternBatch(num_chains, chain_length, batch_size, "none",
-                            empty, empty, empty)
+        return PatternBatch.from_cells(num_chains, chain_length, batch_size,
+                                       "none", empty, empty)
     total = num_chains * chain_length
     if kind == "single":
         cells = rng.integers(0, total, size=batch_size, dtype=np.int64)
-        return PatternBatch(
+        return PatternBatch.from_cells(
             num_chains, chain_length, batch_size, "single",
-            np.arange(batch_size, dtype=np.int64),
-            cells // chain_length, cells % chain_length)
+            np.arange(batch_size, dtype=np.int64), cells)
     if num_errors <= 0:
         raise ValueError("number of errors must be positive")
     seqs = np.repeat(np.arange(batch_size, dtype=np.int64), num_errors)
     if kind == "multiple":
         cells = _distinct_cells(rng, batch_size, total, num_errors)
-        return PatternBatch(
+        return PatternBatch.from_cells(
             num_chains, chain_length, batch_size, "multiple", seqs,
-            (cells // chain_length).reshape(-1),
-            (cells % chain_length).reshape(-1))
+            cells.reshape(-1))
     if kind == "burst":
         # Same window geometry as patterns.burst_error_pattern: spread
         # across adjacent chains first, then across adjacent cycles.
@@ -553,11 +652,16 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
                             size=batch_size, dtype=np.int64)
         window = window_chains * window_positions
         cells = _distinct_cells(rng, batch_size, window, num_errors)
-        chains = chain0[:, None] + cells // window_positions
-        positions = pos0[:, None] + cells % window_positions
-        return PatternBatch(
+        # Window cell w sits w // window_positions chains and
+        # w % window_positions cycles past the window's corner; the
+        # offsets keep the window's ascending order.
+        offsets = np.arange(window, dtype=np.int64)
+        offsets = (offsets // window_positions * chain_length
+                   + offsets % window_positions)
+        corner = chain0 * chain_length + pos0
+        return PatternBatch.from_cells(
             num_chains, chain_length, batch_size, "burst", seqs,
-            chains.reshape(-1), positions.reshape(-1))
+            (corner[:, None] + offsets[cells]).reshape(-1))
     raise ValueError(
         f"unknown pattern kind {kind!r}; choose from "
         f"('single', 'burst', 'multiple', 'none')")

@@ -86,8 +86,7 @@ def test_views_are_lossless():
         assert _coordinates(rebuilt) == _coordinates(batch)
         assert (rebuilt.num_chains, rebuilt.chain_length,
                 rebuilt.batch_size) == (8, 13, 21)
-        if kind != "none":
-            assert rebuilt.kind == kind
+        assert rebuilt.kind == kind
         assert len(patterns) == 21
         if kind == "none":
             assert patterns == [None] * 21
