@@ -1,28 +1,28 @@
 """Benchmark: engine throughput -- simd vs packed vs reference.
 
-Six guarded benchmarks, all recorded (with their acceptance floors)
+Five guarded benchmarks, all recorded (with their acceptance floors)
 in ``BENCH_engines.json`` and enforced by the CI regression guard
 (``benchmarks/check_regression.py``):
 
-* **single_error_campaign** -- the batch engine's best case: a
+* **single_error_campaign** -- the vectorised engine's best case: a
   1024-flop, B=256 campaign where each sequence carries one random
-  single-bit error.  The SIMD engine's one batched pass must hold
-  >= 5x over the packed engine's per-sequence cycles.
+  single-bit error.  The SIMD engine's columnar summary cycle
+  (``sleep_wake_cycle_batch_summary`` on the batch's patterns) must
+  hold >= 5x over the packed engine's per-sequence cycles.
 * **dense_error_campaign** -- the regime behind the paper's burst and
   droop-storm figures: every sequence carries a dense two-chain burst
   (every scan slice of two adjacent chains corrupted).  The SIMD
-  engine stays vectorised at this density: its full
-  ``sleep_wake_cycle_batch`` must hold >= 10x over the packed engine's
-  per-sequence ``sleep_wake_cycle``, timed on a 64-sequence sample of
-  the same batch.  The engine pass alone (one encode+decode over
-  prepared word arrays) is recorded as an absolute rate.
-* **campaign_summary_path** -- end-to-end single-error campaign chunk
-  on the paper's 32x32-FIFO configuration: the columnar summary path
-  (``sampler="array"``) must hold >= 2x over the batched object path.
-* **campaign_delta_path** -- the same campaign with the single-flip
-  outcome table (``summary_path="delta"``) forced against the dense
-  word-fold summary path: >= 2x end to end (measured ~3x; the engine
-  pass alone is ~20x at batch 4096).
+  engine stays vectorised at this density: its summary cycle must
+  hold >= 10x over the packed engine's per-sequence
+  ``sleep_wake_cycle``, timed on a 64-sequence sample of the same
+  batch.  The engine's dense summary pass alone (one
+  ``run_batch_summary(path="dense")`` from a prepared state and
+  injection) is recorded as an absolute rate.
+* **campaign_delta_path** -- end-to-end single-error campaign chunk
+  on the paper's 32x32-FIFO configuration, the single-flip outcome
+  table (``summary_path="delta"``) forced against the dense word-fold
+  summary path: >= 2x end to end (measured ~3x; the engine pass alone
+  is ~20x at batch 4096).
 * **campaign_small_batch** -- the summary path's per-batch overhead:
   the same single-error chunk at batch 256 must keep >= 0.08x of its
   batch-4096 rate (``small_batch_efficiency``).
@@ -51,6 +51,7 @@ from repro.core.protected import ProtectedDesign
 from repro.engines.packing import pack_chains
 from repro.engines.registry import available_engines, get_engine
 from repro.faults.patterns import ErrorPattern, single_error_pattern
+from tests.engines.summary_oracle import outcome_rows, summary_rows
 
 #: The SIMD engine registers only when numpy is importable (the [simd]
 #: extra); on a pure-stdlib install the benchmarks skip instead of
@@ -88,13 +89,22 @@ def _time(fn, repeats):
     return best
 
 
-def _outcomes_equal(left, right):
-    return (left.injected_errors, left.detected, left.corrected_claim,
-            left.state_intact, left.residual_errors, left.error_code,
-            left.corrections_applied, left.reports) == \
-        (right.injected_errors, right.detected, right.corrected_claim,
-         right.state_intact, right.residual_errors, right.error_code,
-         right.corrections_applied, right.reports)
+def _summary_cycle(design, patterns):
+    """The batch's patterns through the columnar summary cycle, from
+    the design's current state (conversion included, as a campaign
+    with the scalar sampler pays it)."""
+    from repro.faults.batch import PatternBatch
+
+    flips = PatternBatch.from_patterns(patterns, design.num_chains,
+                                       design.chain_length)
+    return design.sleep_wake_cycle_batch_summary(
+        design._pack_chains(), flips, len(patterns))
+
+
+def _assert_rows_equal(arrays, outcomes):
+    """The first ``len(outcomes)`` summary rows equal per-sequence
+    outcomes, field by field."""
+    assert summary_rows(arrays)[:len(outcomes)] == outcome_rows(outcomes)
 
 
 @requires_simd
@@ -106,13 +116,13 @@ def test_single_error_campaign_throughput():
     patterns = [single_error_pattern(probe.num_chains, probe.chain_length,
                                      pattern_rng) for _ in range(BATCH)]
 
-    # -- simd engine: one pass for the whole batch ---------------------
+    # -- simd engine: one summary cycle for the whole batch ------------
     design_simd = _build("simd")
-    design_simd.sleep_wake_cycle_batch(patterns[:8])  # warm-up
+    _summary_cycle(design_simd, patterns[:8])  # warm-up
     outcomes_simd = {}
 
     def simd_run():
-        outcomes_simd["out"] = design_simd.sleep_wake_cycle_batch(patterns)
+        outcomes_simd["out"] = _summary_cycle(design_simd, patterns)
 
     simd_time = _time(simd_run, repeats=3) / BATCH
 
@@ -139,13 +149,12 @@ def test_single_error_campaign_throughput():
 
     reference_time = _time(reference_run, repeats=2) / reference_sample
 
-    # Bit-exactness of the measured work itself: simd outcomes must
-    # equal the packed ones field for field (and every single error is
-    # detected and corrected).
-    for outcome_s, outcome_p in zip(outcomes_simd["out"],
-                                    outcomes_packed["out"]):
-        assert outcome_s.detected and outcome_s.state_intact
-        assert _outcomes_equal(outcome_s, outcome_p)
+    # Bit-exactness of the measured work itself: the simd columns must
+    # equal the packed outcomes field for field (and every single error
+    # is detected and corrected).
+    arrays = outcomes_simd["out"]
+    assert arrays.detected.all() and arrays.state_intact.all()
+    _assert_rows_equal(arrays, outcomes_packed["out"])
 
     speedup_vs_packed = packed_time / simd_time
     speedup_vs_reference = reference_time / simd_time
@@ -207,47 +216,35 @@ def test_dense_error_campaign_throughput():
     patterns = [_dense_burst_pattern(NUM_CHAINS, length, rng)
                 for _ in range(DENSE_BATCH)]
 
-    # Engine level: one encode+decode pass over prepared word arrays
-    # (pre-sleep state, and the same state with every burst injected).
-    from repro.engines.summary import (
-        bits_matrix,
-        full_words,
-        replicate_state_words,
-    )
-    from repro.faults.batch import PatternBatch, pattern_batch_arrays
+    # Engine level: one dense summary pass from a prepared pre-sleep
+    # state and injection.
+    from repro.faults.batch import PatternBatch
 
     states, knowns = pack_chains(probe.chains)
-    clean = replicate_state_words(bits_matrix(states, length),
-                                  full_words(DENSE_BATCH))
-    corrupted = clean.copy()
-    chains, positions, masks, injected = pattern_batch_arrays(
-        PatternBatch.from_patterns(patterns, NUM_CHAINS, length), knowns,
-        DENSE_BATCH)
-    corrupted[chains, positions] ^= masks
-    assert injected.tolist() == [2 * length] * DENSE_BATCH
-
+    flips = PatternBatch.from_patterns(patterns, NUM_CHAINS, length)
     engine = get_engine("simd", _build("simd", codes=DENSE_CODES))
     engine_results = {}
 
     def engine_pass():
-        engine.encode_pass_batch(clean, knowns, DENSE_BATCH)
-        engine_results["out"] = engine.decode_pass_batch(
-            corrupted, knowns, DENSE_BATCH)
+        engine_results["out"] = engine.run_batch_summary(
+            states, knowns, flips, DENSE_BATCH, path="dense")
 
     engine_pass()  # warm-up
     engine_time = _time(engine_pass, repeats=3) / DENSE_BATCH
     # Every sequence carries (at least detected) errors.
-    assert engine_results["out"].detected_mask.all()
+    assert engine_results["out"].detected.all()
+    assert engine_results["out"].injected.tolist() == \
+        [2 * length] * DENSE_BATCH
 
-    # Cycle level: the dense batch through the full monitored
-    # sleep/wake sequence on simd, against the packed engine's
-    # per-sequence cycles on a sample of the same patterns.
+    # Cycle level: the dense batch through the summary cycle on simd,
+    # against the packed engine's per-sequence cycles on a sample of
+    # the same patterns.
     design_simd = _build("simd", codes=DENSE_CODES)
-    design_simd.sleep_wake_cycle_batch(patterns[:8])  # warm-up
+    _summary_cycle(design_simd, patterns[:8])  # warm-up
     outcomes_simd = {}
 
     def simd_run():
-        outcomes_simd["out"] = design_simd.sleep_wake_cycle_batch(patterns)
+        outcomes_simd["out"] = _summary_cycle(design_simd, patterns)
 
     simd_time = _time(simd_run, repeats=2) / DENSE_BATCH
 
@@ -264,11 +261,9 @@ def test_dense_error_campaign_throughput():
     packed_time = _time(packed_run, repeats=2) / DENSE_PACKED_SAMPLE
 
     # The measured work is bit-identical between the engines on the
-    # sample, and every sampled sequence is detected.
-    for outcome_s, outcome_p in zip(outcomes_simd["out"],
-                                    outcomes_packed["out"]):
-        assert outcome_s.detected
-        assert _outcomes_equal(outcome_s, outcome_p)
+    # sample, and every sequence is detected.
+    assert outcomes_simd["out"].detected.all()
+    _assert_rows_equal(outcomes_simd["out"], outcomes_packed["out"])
 
     cycle_speedup = packed_time / simd_time
     record_bench("engines", {
@@ -309,90 +304,15 @@ def test_dense_error_campaign_throughput():
     assert cycle_speedup >= DENSE_CYCLE_FLOOR
 
 
-SUMMARY_BATCH = 1024
-SUMMARY_SEQUENCES = 8192
-SUMMARY_FLOOR = 2.0
-
-
-def _campaign_task(sampler):
+def _campaign_task(batch_size):
+    """A single-error campaign chunk on the paper's FPGA configuration
+    (32x32 FIFO, 80 chains, Hamming(7,4)+CRC-16), array sampler, simd
+    summary path."""
     from repro.campaigns.tasks import FIFOValidationCampaignTask
     return FIFOValidationCampaignTask(
         width=32, depth=32, codes=("hamming(7,4)", "crc16"),
         num_chains=80, pattern="single", engine="simd",
-        batch_size=SUMMARY_BATCH, sampler=sampler)
-
-
-@requires_simd
-@pytest.mark.benchmark(group="engines")
-def test_campaign_summary_path_throughput():
-    """End-to-end single-error campaign chunk on the paper's FPGA
-    configuration (32x32 FIFO, 80 chains, Hamming(7,4)+CRC-16):
-    the columnar summary path (sampler="array") must be >= 2x the
-    batched object path on the simd engine.
-
-    Both paths run the identical full cycle -- stimulus, controller,
-    power domain, engine passes, campaign counters -- through
-    ``FIFOValidationCampaignTask.run_chunk``; the only difference is
-    per-sequence object assembly versus ndarray reductions, i.e. this
-    measures exactly the Amdahl gap the summary path exists to close.
-    """
-    object_task = _campaign_task("scalar")
-    summary_task = _campaign_task("array")
-
-    # Bit-identity of the measured work: the same array-mode chunk on a
-    # non-summary engine runs the object path on the same sampled
-    # patterns and must produce identical counters.
-    from dataclasses import replace
-    check = summary_task.run_chunk(20100308, 2 * SUMMARY_BATCH)
-    fallback = replace(summary_task, engine="packed").run_chunk(
-        20100308, 2 * SUMMARY_BATCH)
-    assert check == fallback, \
-        "summary path diverged from the object path"
-    assert check.stats.detection_rate() == 1.0
-    assert check.stats.correction_rate() == 1.0
-
-    times = {}
-    for label, task in (("object", object_task), ("summary", summary_task)):
-        task.run_chunk(20100308, SUMMARY_BATCH)  # warm-up
-
-        def run(task=task):
-            task.run_chunk(20100308, SUMMARY_SEQUENCES)
-
-        times[label] = _time(run, repeats=2) / SUMMARY_SEQUENCES
-
-    speedup = times["object"] / times["summary"]
-    record_bench("engines", {
-        "num_flops": 32 * 32 + 16,
-        "num_chains": 80,
-        "batch_size": SUMMARY_BATCH,
-        "num_sequences": SUMMARY_SEQUENCES,
-        "codes": ["hamming(7,4)", "crc16"],
-        "pattern": "single",
-        "engine": "simd",
-        "cycle_seconds_per_sequence": {
-            "object_path": times["object"],
-            "summary_path": times["summary"],
-        },
-        "cycle_sequences_per_second": {
-            "object_path": 1.0 / times["object"],
-            "summary_path": 1.0 / times["summary"],
-        },
-        "summary_speedup_vs_object": speedup,
-        "floors": {
-            "summary_speedup_vs_object": SUMMARY_FLOOR,
-        },
-    }, section="campaign_summary_path")
-
-    print_section(
-        "Engines -- end-to-end single-error campaign "
-        "(32x32 FIFO, simd engine)",
-        f"object path (per-sequence results) : "
-        f"{times['object'] * 1e6:9.1f} us per sequence\n"
-        f"summary path (columnar counters)   : "
-        f"{times['summary'] * 1e6:9.1f} us per sequence\n"
-        f"summary / object                   : {speedup:9.1f}x "
-        f"(acceptance: >= {SUMMARY_FLOOR:.0f}x)")
-    assert speedup >= SUMMARY_FLOOR
+        batch_size=batch_size, sampler="array")
 
 
 DELTA_BATCH = 4096
@@ -404,8 +324,8 @@ DELTA_FLOOR = 2.0
 @pytest.mark.benchmark(group="engines")
 def test_campaign_delta_path_throughput():
     """End-to-end single-error campaign chunk, single-flip outcome
-    table (``"delta"``) versus dense summary path, on the same
-    32x32-FIFO configuration as ``campaign_summary_path``: the table
+    table (``"delta"``) versus dense summary path, on the paper's
+    32x32-FIFO configuration (:func:`_campaign_task`): the table
     must be >= 2x (measured 2.4-4.3x, median ~2.9x; the engine-level
     pass alone is ~20x, and the end-to-end gap is bounded by the
     path-independent stimulus/controller work).
@@ -418,11 +338,9 @@ def test_campaign_delta_path_throughput():
     """
     from dataclasses import replace
 
-    dense_task = replace(_campaign_task("array"), batch_size=DELTA_BATCH,
-                         summary_path="dense")
-    delta_task = replace(_campaign_task("array"), batch_size=DELTA_BATCH,
-                         summary_path="delta")
-    auto_task = replace(_campaign_task("array"), batch_size=DELTA_BATCH)
+    dense_task = replace(_campaign_task(DELTA_BATCH), summary_path="dense")
+    delta_task = replace(_campaign_task(DELTA_BATCH), summary_path="delta")
+    auto_task = _campaign_task(DELTA_BATCH)
 
     # Bit-identity of the measured work: forced delta and forced dense
     # chunks agree counter for counter (the full property suite lives
@@ -519,11 +437,9 @@ def test_campaign_small_batch_overhead():
     work is spread over 16x fewer sequences.  Each chunk runs on a warm workspace
     (``run_chunk_on``), so the bench build is not part of the rate.
     """
-    from dataclasses import replace
-
     rates = {}
     for batch_size in (SMALL_BATCH, LARGE_BATCH):
-        task = replace(_campaign_task("array"), batch_size=batch_size)
+        task = _campaign_task(batch_size)
         workspace = task.build_worker_state()
         task.run_chunk_on(workspace, 20100308, batch_size)  # warm-up
 
@@ -663,7 +579,7 @@ def test_batch_size_scaling():
     patterns = [single_error_pattern(design.num_chains,
                                      design.chain_length, rng)
                 for _ in range(BATCH)]
-    design.sleep_wake_cycle_batch(patterns[:4])  # warm-up
+    _summary_cycle(design, patterns[:4])  # warm-up
     per_sequence = {}
     for batch_size in (1, 16, 256):
         chunk = patterns[:batch_size]
@@ -671,13 +587,14 @@ def test_batch_size_scaling():
 
         def run():
             for _ in range(repeats):
-                design.sleep_wake_cycle_batch(chunk)
+                _summary_cycle(design, chunk)
 
         per_sequence[batch_size] = _time(run, repeats=2) \
             / (repeats * batch_size)
 
     print_section(
-        "Engines -- batch-size scaling (per-sequence cost)",
+        "Engines -- batch-size scaling of the summary cycle "
+        "(per-sequence cost)",
         "\n".join(f"B = {b:4d}: {t * 1e6:9.1f} us per sequence"
                   for b, t in per_sequence.items()))
     # B=256 must amortise at least 3x better than B=1 per sequence.

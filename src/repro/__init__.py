@@ -51,9 +51,9 @@ contribution:
     numpy installed, ``"simd"`` -- a word-packed engine that
     simulates B independent test sequences per vectorised pass by
     storing bit position *i* of 64 sequences in one uint64 word.
-    ``ProtectedDesign.sleep_wake_cycle_batch`` and the campaign
-    drivers' ``batch_size`` option ride on it; third-party engines
-    plug in with
+    ``ProtectedDesign.sleep_wake_cycle_batch_summary`` and the
+    campaign drivers' ``batch_size`` option ride on it; third-party
+    engines plug in with
     :func:`repro.engines.register_engine` without touching the core.
 
 ``repro.campaigns``

@@ -53,40 +53,45 @@ class FIFOValidationCampaignTask(CampaignTask):
         Simulation engine override, validated against the registry of
         :mod:`repro.engines` (``"packed"`` for per-sequence campaigns
         and adapter codes, ``"simd"`` together with ``batch_size`` for
-        the vectorised batch path); ``None`` keeps
+        the columnar summary path); ``None`` keeps
         :class:`~repro.core.protected.ProtectedDesign`'s default.
     words_per_sequence:
         Words written in stage 2 of each sequence (default: half the
         FIFO depth).
     batch_size:
-        When set, the chunk's sequences run in groups of this size
-        through :meth:`~repro.validation.testbench.FIFOTestbench.\
-run_sequence_batch`: one stimulus burst per group, one injection per
-        sequence, and the state-domain comparator of
-        :class:`~repro.validation.testbench.BatchSequenceResult`.  The
-        statistics depend on ``batch_size`` (it sets the stimulus
-        granularity) but **not** on the engine -- a batched campaign is
-        bit-identical between ``engine="simd"`` and any scalar engine,
-        which is what the CI smoke checks.  ``None`` keeps the
-        historical per-sequence path (read-out comparator).
+        When set, the chunk's sequences run in groups of this size: one
+        stimulus burst per group, one injection per sequence and a
+        state-domain comparator.  On an engine with summary support
+        each group runs through the columnar summary path
+        (:meth:`~repro.validation.testbench.FIFOTestbench.\
+run_sequence_batch_summary` ->
+        :meth:`~repro.campaigns.stats.StreamingCampaignResult.add_batch`);
+        on any other engine through the per-sequence
+        :meth:`~repro.validation.testbench.FIFOTestbench.\
+run_sequence_batch`.  The statistics depend on ``batch_size`` (it
+        sets the stimulus granularity) but **not** on the engine -- a
+        batched campaign is bit-identical between ``engine="simd"`` and
+        any scalar engine, which is what the CI smoke checks.  ``None``
+        keeps the historical per-sequence path (read-out comparator).
     sampler:
-        ``"scalar"`` (default) draws patterns one at a time from a
-        ``random.Random`` stream -- byte-for-byte the historical
-        behaviour.  ``"array"`` draws each group's patterns in one
-        vectorised call
+        How each group's patterns are drawn.  ``"scalar"`` (default)
+        draws them one at a time from a ``random.Random`` stream --
+        byte-for-byte the historical behaviour; on the summary path the
+        group is converted with
+        :meth:`~repro.faults.batch.PatternBatch.from_patterns`.
+        ``"array"`` draws each group in one vectorised call
         (:func:`repro.faults.batch.sample_pattern_batch`, numpy
-        ``Generator`` seeded through the same hash-split chunk seeds)
-        and, on engines with summary support, runs the group through
-        the columnar summary path -- fault sampling to campaign
-        counters with **no per-sequence Python object anywhere**.
-        Engines without summary support transparently fall back to the
-        object path on the same sampled patterns, so array-mode
-        statistics are engine-independent and worker-count
-        bit-identical; the two *modes* sample different (statistically
-        equivalent) streams.  Requires ``batch_size`` and numpy.
+        ``Generator`` seeded through the same hash-split chunk seeds),
+        so on a summary engine fault sampling to campaign counters
+        builds **no per-sequence Python object anywhere**; engines
+        without summary support get the same sampled patterns as
+        objects.  Either mode's statistics are engine-independent and
+        worker-count bit-identical; the two *modes* sample different
+        (statistically equivalent) streams.  ``"array"`` requires
+        ``batch_size`` and numpy.
     summary_path:
         Summary-path selection forwarded to the engine on the columnar
-        path (array sampler + summary-capable engine): ``"auto"``
+        path (``batch_size`` + summary-capable engine): ``"auto"``
         (default) lets the engine pick per batch: the simd engine
         answers batches with at most one effective flip per sequence
         from its single-flip outcome table and runs every other batch
@@ -96,8 +101,9 @@ run_sequence_batch`: one stimulus burst per group, one injection per
         paths are bit-identical, property-tested);
         ``"jit"`` forces the fused single-pass kernels of
         ``engine="jit"`` (only that engine provides it).
-        Non-``"auto"`` values require ``sampler="array"`` (the object
-        path has no path selection).  The field is part of the task
+        Non-``"auto"`` values require ``batch_size`` and, when the
+        chunk runs, a summary-capable engine (the per-sequence path has
+        no path selection).  The field is part of the task
         fingerprint, so changing it invalidates checkpoints.
     """
 
@@ -135,10 +141,10 @@ run_sequence_batch`: one stimulus burst per group, one injection per
             raise ValueError(
                 f"unknown summary_path {self.summary_path!r}; choose "
                 f"'auto', 'delta', 'dense' or 'jit'")
-        if self.summary_path != "auto" and self.sampler != "array":
+        if self.summary_path != "auto" and self.batch_size is None:
             raise ValueError(
                 "summary_path selection needs the columnar summary "
-                "path; set sampler='array' (and batch_size)")
+                "path, which runs batched groups; set batch_size")
         if self.sampler == "array":
             if self.batch_size is None:
                 raise ValueError(
@@ -218,83 +224,68 @@ run_sequence_batch`: one stimulus burst per group, one injection per
         ``state.reseed`` restores the bench to its as-built state and
         derives every seed-dependent stream from ``chunk_seed``, so the
         result depends only on ``(self, chunk_seed, num_sequences)``.
+        Both samplers seed their pattern stream with
+        ``child_seed(chunk_seed, "pattern")``.
         """
-        import random
-
         state.reseed(chunk_seed)
         design, testbench = state.design, state.testbench
-        if self.sampler == "array":
-            return self._run_chunk_array(chunk_seed, num_sequences, design,
-                                         testbench)
-        factory = self._pattern_factory(design.num_chains,
-                                        design.chain_length)
-        rng = random.Random(child_seed(chunk_seed, "pattern"))
-
+        num_chains, chain_length = design.num_chains, design.chain_length
+        pattern_seed = child_seed(chunk_seed, "pattern")
         result = StreamingCampaignResult()
-        if self.batch_size is None:
-            for _ in range(num_sequences):
-                sequence = testbench.run_sequence(factory(rng),
-                                                  self.inject_phase)
-                result.add(sequence)
-            return result
+        if self.sampler == "array":
+            import numpy as np
 
-        # Batch-aware chunk execution: the chunk's sequences run in
-        # groups of batch_size (last group short), each group sharing
-        # one stimulus burst and one batch-engine (or fallback) pass.
-        remaining = num_sequences
-        while remaining:
-            group = min(self.batch_size, remaining)
-            remaining -= group
-            patterns = [factory(rng) for _ in range(group)]
-            for sequence in testbench.run_sequence_batch(
-                    patterns, self.inject_phase):
-                result.add(sequence)
-        return result
+            from repro.faults.batch import sample_pattern_batch
 
-    def _run_chunk_array(self, chunk_seed: int, num_sequences: int,
-                         design, testbench) -> StreamingCampaignResult:
-        """Array-mode chunk execution: vectorised sampling, columnar
-        counters.
+            generator = np.random.default_rng(pattern_seed)
 
-        Each group's patterns are drawn in one
-        :func:`~repro.faults.batch.sample_pattern_batch` call from a
-        numpy ``Generator`` seeded exactly like the scalar pattern
-        stream (``child_seed(chunk_seed, "pattern")``), so array-mode
-        campaigns are bit-identical for any worker count.  On a
-        summary-capable engine the group runs through the columnar
-        path (:meth:`~repro.validation.testbench.FIFOTestbench.\
-run_sequence_batch_summary` ->
-        :meth:`~repro.campaigns.stats.StreamingCampaignResult.add_batch`);
-        otherwise the same sampled patterns run through the object
-        path, producing bit-identical counters (property-tested).
-        """
-        import numpy as np
+            def draw(group):
+                return sample_pattern_batch(
+                    self.pattern, num_chains, chain_length, group,
+                    generator, num_errors=self.burst_size)
+        else:
+            import random
 
-        from repro.faults.batch import sample_pattern_batch
+            factory = self._pattern_factory(num_chains, chain_length)
+            rng = random.Random(pattern_seed)
 
-        rng = np.random.default_rng(child_seed(chunk_seed, "pattern"))
+            if self.batch_size is None:
+                for _ in range(num_sequences):
+                    result.add(testbench.run_sequence(factory(rng),
+                                                      self.inject_phase))
+                return result
+
+            def draw(group):
+                return [factory(rng) for _ in range(group)]
+
+        # Batched groups (last group short), each sharing one stimulus
+        # burst: one columnar summary pass on a summary engine, one
+        # scalar cycle per sequence otherwise.
         use_summary = design.supports_batch_summary
         if self.summary_path != "auto" and not use_summary:
             raise ValueError(
                 f"summary_path={self.summary_path!r} was forced but "
                 f"engine {self.engine!r} has no columnar summary "
-                f"support; the object fallback has no path selection")
-        result = StreamingCampaignResult()
+                f"support; the per-sequence path has no path selection")
         remaining = num_sequences
         while remaining:
             group = min(self.batch_size, remaining)
             remaining -= group
-            sampled = sample_pattern_batch(
-                self.pattern, design.num_chains, design.chain_length,
-                group, rng, num_errors=self.burst_size)
+            drawn = draw(group)
             if use_summary:
-                arrays = testbench.run_sequence_batch_summary(
-                    sampled, group, self.inject_phase,
-                    path=self.summary_path)
-                result.add_batch(arrays)
+                if self.sampler == "scalar":
+                    from repro.faults.batch import PatternBatch
+
+                    drawn = PatternBatch.from_patterns(drawn, num_chains,
+                                                       chain_length)
+                result.add_batch(testbench.run_sequence_batch_summary(
+                    drawn, group, self.inject_phase,
+                    path=self.summary_path))
             else:
+                if self.sampler == "array":
+                    drawn = drawn.patterns()
                 for sequence in testbench.run_sequence_batch(
-                        sampled.patterns(), self.inject_phase):
+                        drawn, self.inject_phase):
                     result.add(sequence)
         return result
 

@@ -65,9 +65,9 @@ CodeSpec = Union[str, BlockCode, StreamCode]
 class CycleOutcome:
     """Result of one monitored sleep/wake cycle.
 
-    Slotted: batched campaigns on the object path build one outcome
-    per sequence, so allocation cost is a first-order term there (the
-    columnar summary path builds none at all --
+    Slotted: per-sequence batches build one outcome per sequence, so
+    allocation cost is a first-order term there (the columnar summary
+    path builds none at all --
     :class:`~repro.engines.base.BatchOutcomeArrays`).
 
     Attributes
@@ -527,34 +527,23 @@ class ProtectedDesign:
         Every sequence starts from the design's *current* state; entry
         ``b`` of ``injections`` (an :class:`ErrorPattern` or ``None``)
         is injected into sequence ``b``'s private copy.  Returns one
-        :class:`CycleOutcome` per sequence, bit-for-bit identical to
-        running :meth:`sleep_wake_cycle` once per pattern from this
-        same state (the property suite enforces this).
-
-        When the active engine supports batching (``"simd"`` or
-        ``"jit"``), the whole batch is simulated in one pass over a
-        ``(C, L, W)`` uint64 word array -- the shared state replicated
-        into every sequence, the patterns injected as one
-        :class:`~repro.faults.batch.PatternBatch` scatter, the
-        residuals counted by the vectorised state-domain comparator.
-        The physical controller and power domain are sequenced
-        **once** for the batch, the per-sequence outcomes are computed
-        virtually, and the circuit's own state is left exactly as it
-        was.  Engines without batch support (``"packed"``,
-        ``"reference"``; on an install without numpy that is every
-        built-in) fall back to a stdlib-only per-sequence loop with a
-        state snapshot/restore around each sequence, so the semantics
-        (including the untouched final state) are engine-independent.
+        :class:`CycleOutcome` per sequence, identical to running
+        :meth:`sleep_wake_cycle` once per pattern from this same
+        state: each sequence runs a full scalar cycle on the active
+        engine and the register state is restored afterwards, so the
+        batch leaves the circuit exactly as it was.  Stdlib only on
+        every engine -- this is the per-sequence reference batch, the
+        oracle the columnar :meth:`sleep_wake_cycle_batch_summary` (the
+        one vectorised batch path) is property-tested against, and the
+        batch path of an install without numpy.
 
         Restrictions: the domain must have no ``upset_model`` (batched
-        campaigns inject errors explicitly, like the paper's), and the
-        shared controller records one aggregate decode verdict for the
-        batched path -- per-sequence error codes are derived from each
-        sequence's own detect/correct flags, exactly as the controller
-        FSM would.  Uncorrectable sequences always auto-recover the
-        controller (the test bench keeps going and counts the event,
-        as in the paper's FPGA campaign); each sequence's
-        ``error_code`` still reports ``UNCORRECTABLE``.
+        campaigns inject errors explicitly, like the paper's), and
+        uncorrectable sequences always auto-recover the controller (the
+        test bench keeps going and counts the event, as in the paper's
+        FPGA campaign); each sequence's ``error_code`` still reports
+        ``UNCORRECTABLE``.  Afterwards ``design.corrector`` holds the
+        whole batch's correction events.
         """
         if inject_phase not in ("sleep", "post_wake"):
             raise ValueError("inject_phase must be 'sleep' or 'post_wake'")
@@ -566,103 +555,32 @@ class ProtectedDesign:
                 "sleep_wake_cycle_batch requires upset_model=None: "
                 "droop-driven upsets would be shared across the whole "
                 "batch; inject errors explicitly instead")
-        engine = self._resolve_engine()
-        if not engine.supports_batch:
-            return self._batch_fallback(patterns, inject_phase)
-
-        from repro.engines.summary import (
-            bits_matrix,
-            full_words,
-            replicate_state_words,
-            residual_counts_words,
-        )
-        from repro.faults.batch import PatternBatch, pattern_batch_arrays
-
-        batch_size = len(patterns)
-        length = self.chain_length
-        # Validate the injection eagerly: a malformed pattern must fail
-        # before the controller/domain leave ACTIVE -- never strand the
-        # design mid-sleep (same validate-eagerly policy as the engine
-        # names).
-        batch = PatternBatch.from_patterns(patterns, self.num_chains,
-                                           length)
-        batch.validate(self.num_chains, length, batch_size)
+        # A malformed pattern must fail before the first sequence takes
+        # the controller/domain out of ACTIVE.
+        for pattern in patterns:
+            if pattern is None:
+                continue
+            for chain, position in pattern.locations:
+                if chain >= self.num_chains or position >= self.chain_length:
+                    raise ValueError(
+                        f"error location ({chain}, {position}) outside the "
+                        f"{self.num_chains}x{self.chain_length} scan array")
+        flops = list(self.circuit.registers) + self._padding
+        snapshot = flop_values(flops)
+        outcomes: List[CycleOutcome] = []
+        for pattern in patterns:
+            outcomes.append(self.sleep_wake_cycle(
+                injection=pattern, inject_phase=inject_phase,
+                auto_recover=True))
+            for flop, value in zip(flops, snapshot):
+                flop.force(value)
+        # Leave the shared corrector holding the whole batch's events
+        # (each scalar cycle cleared it).
         self.corrector.clear()
-        states, knowns = self._pack_chains()
-        flip_chains, flip_positions, flip_masks, injected = \
-            pattern_batch_arrays(batch, knowns, batch_size)
-
-        # -- encode sequence (shared pre-sleep state) ----------------------
-        self.controller.sleep_request()
-        state_bits = bits_matrix(states, length)
-        words = replicate_state_words(state_bits, full_words(batch_size))
-        engine.encode_pass_batch(words, knowns, batch_size)
-        self.controller.encode_completed()
-
-        # -- sleep sequence (the physical domain cycles once) --------------
-        self._sleep_gate_off()
-        self.controller.sleep_entered()
-
-        if inject_phase == "sleep":
-            words[flip_chains, flip_positions] ^= flip_masks
-
-        # -- wake-up sequence ----------------------------------------------
-        self.controller.wake_request()
-        wake_event = self._wake_gate_on()
-        self.controller.wake_completed()
-
-        if inject_phase == "post_wake":
-            words[flip_chains, flip_positions] ^= flip_masks
-
-        # -- decode sequence -----------------------------------------------
-        result = engine.decode_pass_batch(words, knowns, batch_size)
-        for sequence_reports in result.reports:
-            for report in sequence_reports:
+        for outcome in outcomes:
+            for report in outcome.reports:
                 if report.corrections:
                     self.corrector.record(report.corrections)
-
-        # Ground truth per sequence: positions still differing from the
-        # pre-sleep state (unknown pre-sleep bits always count -- the
-        # decode pass drives them, so they differ from X by definition,
-        # the same rule as StateSnapshot.diff in the scalar path).
-        residuals = residual_counts_words(states, knowns, result.corrected,
-                                          batch_size,
-                                          state_bits=state_bits).tolist()
-        detected_all = result.detected_mask.tolist()
-        uncorrectable_all = result.uncorrectable_mask.tolist()
-        corrections = result.corrections.tolist()
-        injected = injected.tolist()
-
-        # The shared controller consumes one aggregate verdict; the
-        # per-sequence error codes replay its pure decode mapping.
-        any_detected = any(detected_all)
-        any_uncorrectable = any(uncorrectable_all)
-        batch_code = self.controller.decode_completed(
-            error_detected=any_detected,
-            fully_corrected=any_detected and not any_uncorrectable)
-        if batch_code is ErrorCode.UNCORRECTABLE:
-            self.controller.recovery_completed()
-
-        outcomes: List[CycleOutcome] = []
-        for b in range(batch_size):
-            detected = detected_all[b]
-            corrected_claim = detected and not uncorrectable_all[b]
-            if not detected:
-                error_code = ErrorCode.NONE
-            elif corrected_claim:
-                error_code = ErrorCode.CORRECTED
-            else:
-                error_code = ErrorCode.UNCORRECTABLE
-            outcomes.append(CycleOutcome(
-                injected_errors=injected[b],
-                detected=detected,
-                corrected_claim=corrected_claim,
-                state_intact=(residuals[b] == 0),
-                residual_errors=residuals[b],
-                error_code=error_code,
-                corrections_applied=corrections[b],
-                wake_event=wake_event,
-                reports=result.reports[b]))
         return outcomes
 
     def sleep_wake_cycle_batch_summary(self, snapshot: Tuple[Sequence[int],
@@ -672,9 +590,8 @@ class ProtectedDesign:
                                        path: str = "auto"):
         """Run ``B`` sequences as one batch, returning columnar verdicts.
 
-        The summary twin of :meth:`sleep_wake_cycle_batch` for
-        consumers that only reduce outcomes to counters (campaign
-        statistics): the injection arrives as a
+        The one vectorised batch path, for consumers that only reduce
+        outcomes to counters (campaign statistics): the injection arrives as a
         :class:`~repro.faults.batch.PatternBatch` (what
         :func:`~repro.faults.batch.sample_pattern_batch` draws), the
         engine runs the whole batch in its native array layout, and the
@@ -693,26 +610,25 @@ class ProtectedDesign:
         (:meth:`~repro.validation.testbench.FIFOTestbench.\
 run_sequence_batch_summary`).
 
-        Physical sequencing matches the batched object path: the
-        controller and power domain cycle **once** for the batch, the
-        per-sequence verdicts are computed virtually and the circuit's
-        own state is left untouched.  The domain cycles virtually too
-        (``enter_sleep``/``wake_up`` with ``virtual=True``, which touch
-        no flop): instead of the object path's four gating walks, one
-        walk over the registers and scan padding copies each master
-        into its retention latch and leaves the rail on -- the same
-        ``(q, retention, power)`` on every flop, and the same
-        ``RuntimeError`` for a powered-off one.  The controller still
-        steps once per batch.  ``inject_phase`` keeps its
-        meaning for API symmetry; the virtual copies make the two
-        phases arithmetically identical, exactly as on the object
-        path.  The shared corrector is *not* populated (there are no
-        correction events to record); per-sequence correction counts
-        are in the returned arrays instead.
+        The controller and power domain cycle **once** for the batch,
+        the per-sequence verdicts are computed virtually and the
+        circuit's own state is left untouched.  The domain cycles
+        virtually too (``enter_sleep``/``wake_up`` with
+        ``virtual=True``, which touch no flop): instead of a scalar
+        cycle's four gating walks, one walk over the registers and
+        scan padding copies each master into its retention latch and
+        leaves the rail on -- the same ``(q, retention, power)`` on
+        every flop, and the same ``RuntimeError`` for a powered-off
+        one.  ``inject_phase`` keeps its meaning for API symmetry; the
+        virtual copies make the two phases arithmetically identical,
+        as in the per-sequence batch.  The shared corrector is *not*
+        populated (there are no correction events to record);
+        per-sequence correction counts are in the returned arrays
+        instead.
 
         Requires an engine with summary support
-        (:attr:`supports_batch_summary`) and, like the batched object
-        path, ``upset_model=None``.
+        (:attr:`supports_batch_summary`) and, like
+        :meth:`sleep_wake_cycle_batch`, ``upset_model=None``.
 
         ``path`` selects the engine's summary implementation
         (``"auto"`` / ``"delta"`` / ``"dense"``, plus ``"jit"`` on the
@@ -739,11 +655,11 @@ run_sequence_batch_summary`).
         if not engine.supports_summary:
             raise ValueError(
                 f"engine {self._engine!r} does not support the columnar "
-                f"summary path; use sleep_wake_cycle_batch (the object "
-                f"path) instead")
+                f"summary path; use sleep_wake_cycle_batch (one scalar "
+                f"cycle per sequence) instead")
         # Validate the injection eagerly -- a malformed flip must fail
-        # before the controller/domain leave ACTIVE (same policy as the
-        # object batch path).
+        # before the controller/domain leave ACTIVE (same policy as
+        # sleep_wake_cycle_batch).
         flips.validate(self.num_chains, self.chain_length, batch_size)
 
         states, knowns = snapshot
@@ -781,47 +697,6 @@ run_sequence_batch_summary`).
         if batch_code is ErrorCode.UNCORRECTABLE:
             self.controller.recovery_completed()
         return arrays
-
-    def _batch_fallback(self, patterns: List[Optional[ErrorPattern]],
-                        inject_phase: str) -> List[CycleOutcome]:
-        """Per-sequence batch emulation for non-batch engines.
-
-        Each sequence runs a full scalar cycle (always auto-recovering,
-        matching the batched path's aggregate recovery) and the
-        register state (circuit plus padding) is restored afterwards,
-        so every sequence starts from the same state and the batch
-        leaves the design untouched -- the same virtual-copies
-        semantics as the batch-engine path.  Stdlib only: this is the
-        batch path of an install without numpy.
-        """
-        # A malformed pattern must fail before the first sequence takes
-        # the controller/domain out of ACTIVE.
-        for pattern in patterns:
-            if pattern is None:
-                continue
-            for chain, position in pattern.locations:
-                if chain >= self.num_chains or position >= self.chain_length:
-                    raise ValueError(
-                        f"error location ({chain}, {position}) outside the "
-                        f"{self.num_chains}x{self.chain_length} scan array")
-        flops = list(self.circuit.registers) + self._padding
-        snapshot = flop_values(flops)
-        outcomes: List[CycleOutcome] = []
-        for pattern in patterns:
-            outcomes.append(self.sleep_wake_cycle(
-                injection=pattern, inject_phase=inject_phase,
-                auto_recover=True))
-            for flop, value in zip(flops, snapshot):
-                flop.force(value)
-        # Leave the shared corrector holding the whole batch's events
-        # (each scalar cycle cleared it), matching the batched path so
-        # design.corrector reads the same aggregate on every engine.
-        self.corrector.clear()
-        for outcome in outcomes:
-            for report in outcome.reports:
-                if report.corrections:
-                    self.corrector.record(report.corrections)
-        return outcomes
 
     def unprotected_sleep_wake_cycle(
             self, injection: Optional[ErrorPattern] = None) -> CycleOutcome:

@@ -1,22 +1,19 @@
 """Rule ``capability``: EngineCapabilities flags match implementations.
 
-An engine advertising ``batch=True`` without overriding the batch
-passes (``encode_pass_batch`` / ``decode_pass_batch`` over a ``(C, L,
-W)`` uint64 word array) or ``summary=True`` without
-``run_batch_summary`` (over a ``PatternBatch`` injection) crashes the
-first batched campaign that selects it; the reverse
--- implemented batch/summary methods behind a ``False`` flag -- is dead
-code that every consumer politely routes around (PR 3's capability
-gating means such an engine silently runs the slow path forever).
+An engine advertising ``summary=True`` without ``run_batch_summary``
+(over a ``PatternBatch`` injection) crashes the first batched campaign
+that selects it; the reverse -- an implemented summary pass behind a
+``False`` flag -- is dead code that every consumer politely routes
+around (capability gating means such an engine silently runs the
+per-sequence batch forever).
 
 The check runs twice, from two directions:
 
 * **AST**: every direct ``SimulationEngine`` subclass in the scanned
   tree that assigns a literal ``capabilities =
   EngineCapabilities(...)`` must define exactly the methods its flags
-  promise (``batch`` <=> ``encode_pass_batch`` + ``decode_pass_batch``,
-  ``summary`` <=> ``run_batch_summary``).  This catches engines that
-  are written but not yet registered.
+  promise (``summary`` <=> ``run_batch_summary``).  This catches
+  engines that are written but not yet registered.
 * **Reflection**: every engine *registered* in
   :mod:`repro.engines.registry` is constructed against a minimal
   design and its class checked for actually-overridden methods -- the
@@ -41,7 +38,6 @@ from repro.devtools.lint.findings import (
 
 #: flag name -> methods whose overrides it promises.
 FLAG_METHODS = {
-    "batch": ("encode_pass_batch", "decode_pass_batch"),
     "summary": ("run_batch_summary",),
 }
 
@@ -49,7 +45,7 @@ FLAG_METHODS = {
 def _literal_flags(node: ast.Call) -> Optional[dict]:
     """``{flag: bool}`` of an ``EngineCapabilities(...)`` literal, or
     None when any value is not a plain True/False constant."""
-    flags = {"batch": False, "summary": False}
+    flags = dict.fromkeys(FLAG_METHODS, False)
     for name, value in call_keywords(node).items():
         if not (isinstance(value, ast.Constant)
                 and isinstance(value.value, bool)):
@@ -82,7 +78,7 @@ def _capabilities_assignment(cls: ast.ClassDef) -> Optional[ast.Call]:
 
 class CapabilityRule(Rule):
     id = "capability"
-    description = ("EngineCapabilities flags must match the batch/summary "
+    description = ("EngineCapabilities flags must match the summary "
                    "methods an engine actually implements (both "
                    "directions, AST + registry reflection)")
 

@@ -3,10 +3,9 @@
 The subsystem has three parts:
 
 * :mod:`repro.engines.base` -- the :class:`SimulationEngine` protocol
-  (scalar ``encode_pass``/``decode_pass`` plus optional batch passes
-  over one ``(C, L, W)`` uint64 word array and a columnar summary pass
-  over a :class:`~repro.faults.batch.PatternBatch` injection, both
-  advertised through :class:`EngineCapabilities`);
+  (scalar ``encode_pass``/``decode_pass`` plus an optional columnar
+  summary pass over a :class:`~repro.faults.batch.PatternBatch`
+  injection, advertised through :class:`EngineCapabilities`);
 * :mod:`repro.engines.registry` -- name-based registration and lookup,
   mirroring :mod:`repro.codes.registry`; registering a factory is the
   only step needed for an engine to be selectable everywhere;
@@ -20,24 +19,22 @@ The subsystem has three parts:
   :mod:`repro.engines.jit`; registered only when numba is importable
   -- the ``[jit]`` extra).
 
-The batch engines (``"simd"`` and its ``"jit"`` subclass) build their
-reports through :mod:`repro.engines.reporting` and their parities and
-signatures from the GF(2) code matrices of :mod:`repro.codes.plane`,
-so a report produced by any engine is bit-identical to the
-reference's.  Engines advertising the *summary*
-capability additionally run whole batches through
+Every engine's scalar reports are bit-identical to the reference's
+(the vectorised engines run their scalar passes on the packed engine).
+Engines advertising the *summary* capability (``"simd"`` and its
+``"jit"`` subclass) additionally run whole batches through
 :meth:`SimulationEngine.run_batch_summary`, returning columnar
 :class:`BatchOutcomeArrays` (one ndarray per outcome field) with no
-per-sequence objects at all -- the campaign fast path; the shared
-vectorised helpers live in :mod:`repro.engines.summary`.  The
-array-native engines run on numpy directly.
+per-sequence objects at all -- the one vectorised batch path; their
+parities and signatures come from the GF(2) code matrices of
+:mod:`repro.codes.plane` and the shared vectorised helpers live in
+:mod:`repro.engines.summary`.
 
 See the README's "Engine architecture" section for when to pick which
 engine and how to register a custom one.
 """
 
 from repro.engines.base import (
-    BatchDecodeResult,
     BatchOutcomeArrays,
     EngineCapabilities,
     SimulationEngine,
@@ -51,7 +48,6 @@ from repro.engines.registry import (
 )
 
 __all__ = [
-    "BatchDecodeResult",
     "BatchOutcomeArrays",
     "EngineCapabilities",
     "SimulationEngine",

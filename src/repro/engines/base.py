@@ -19,35 +19,27 @@ Two interfaces exist:
 * the **scalar** interface (:meth:`SimulationEngine.encode_pass` /
   :meth:`~SimulationEngine.decode_pass`), mandatory, drives one design
   through one pass and leaves the corrected state in the design's
-  chains;
-* the **batch** interface (:meth:`~SimulationEngine.encode_pass_batch`
-  / :meth:`~SimulationEngine.decode_pass_batch`), advertised through
-  :class:`EngineCapabilities`, which simulates ``B`` independent
-  sequences per call over one ``(C, L, W)`` uint64 *word array*:
-  ``words[c, i]`` holds scan position ``i`` of chain ``c`` for every
-  sequence at once, bit ``b`` of word ``w`` belonging to batch
-  sequence ``64 * w + b`` (:func:`repro.engines.summary.full_words`
-  is the all-sequences mask).
+  chains.  It is all
   :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
-  uses it when available and falls back to a per-sequence loop (with
-  identical semantics) when not;
+  needs: that batch runs one scalar cycle per sequence, the
+  engine-independent per-sequence reference every vectorised path is
+  property-tested against;
 * the **summary** interface (:meth:`~SimulationEngine.run_batch_summary`),
-  also advertised through :class:`EngineCapabilities`, which runs a
-  whole batch -- replicate, encode, inject, decode, compare against the
+  advertised through :class:`EngineCapabilities`, which runs a whole
+  batch -- replicate, encode, inject, decode, compare against the
   pre-sleep state -- in the engine's native layout and returns only the
   **columnar** per-sequence verdicts (:class:`BatchOutcomeArrays`, one
   ndarray per outcome field); the batch's injection is a
-  :class:`~repro.faults.batch.PatternBatch`.  Summary consumers
-  (campaign counters) never materialise per-sequence report/outcome
-  objects; the object path of :mod:`repro.engines.reporting` remains
-  available for consumers that need them.
+  :class:`~repro.faults.batch.PatternBatch`.  It is the one vectorised
+  batch path: campaign counters reduce its arrays directly and never
+  materialise per-sequence report or outcome objects.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Any, List, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, List, Sequence
 
 from repro.core.monitor import MonitorReport
 
@@ -58,21 +50,16 @@ class EngineCapabilities:
 
     Attributes
     ----------
-    batch:
-        True when the engine implements the batch interface over word
-        arrays (``encode_pass_batch`` / ``decode_pass_batch``).  Engines
-        without it still work in batched campaigns through the
-        per-sequence fallback loop.
     summary:
         True when the engine implements the columnar summary pass
         (``run_batch_summary``).  Summary support may carry additional
         runtime requirements (an optional array library, say), so
         consumers should gate on
         :attr:`SimulationEngine.supports_summary`, which folds those
-        in.
+        in.  Engines without it still run batched campaigns, one
+        scalar cycle per sequence.
     """
 
-    batch: bool = False
     summary: bool = False
 
 
@@ -97,11 +84,11 @@ class BatchOutcomeArrays:
         Boolean; any monitoring block reported a mismatch.
     uncorrectable:
         Boolean; some mismatch was flagged uncorrectable (stream-code
-        mismatches included, matching the object path).
+        mismatches included, matching the scalar cycle).
     residual_errors:
         Per-sequence count of register bits still differing from the
         pre-sleep state after the decode pass (unknown pre-sleep bits
-        always count, as in the object path's state comparator).
+        always count, as in the scalar cycle's state comparator).
     corrections_applied:
         Per-sequence count of bit corrections issued by the correcting
         blocks.
@@ -131,37 +118,6 @@ class BatchOutcomeArrays:
         return self.detected & ~self.uncorrectable
 
 
-@dataclass
-class BatchDecodeResult:
-    """Outcome of one batched decode pass over ``B`` sequences.
-
-    Attributes
-    ----------
-    reports:
-        Per-sequence report tuples, each in the monitor bank's block
-        order.  Clean sequences share one cached tuple (reports are
-        frozen), so a mostly-clean batch allocates almost nothing.
-    corrected:
-        The post-decode ``(C, L, W)`` uint64 word array (every bit
-        driven -- the decode pass reloads unknown bits as 0, like the
-        reference).
-    detected_mask / uncorrectable_mask:
-        ``(B,)`` bool arrays of the per-sequence
-        ``any(r.error_detected)`` / ``any(r.uncorrectable)`` verdicts.
-    corrections:
-        ``(B,)`` int64 array of per-sequence issued bit corrections.
-
-    Only ``reports`` takes part in equality (ndarray ``==`` has no
-    truth value); the reports determine every verdict array.
-    """
-
-    reports: List[Tuple[MonitorReport, ...]]
-    corrected: Any = field(compare=False, repr=False)
-    detected_mask: Any = field(compare=False)
-    uncorrectable_mask: Any = field(compare=False)
-    corrections: Any = field(compare=False)
-
-
 class SimulationEngine(ABC):
     """Interface every simulation engine implements.
 
@@ -178,11 +134,6 @@ class SimulationEngine(ABC):
 
     #: Capability flags; override in subclasses.
     capabilities: EngineCapabilities = EngineCapabilities()
-
-    @property
-    def supports_batch(self) -> bool:
-        """True when the batch interface over word arrays is available."""
-        return self.capabilities.batch
 
     @property
     def supports_summary(self) -> bool:
@@ -216,29 +167,6 @@ class SimulationEngine(ABC):
         per-block reports in the bank's block order.
         """
 
-    # -- batch interface (optional) ------------------------------------
-    def encode_pass_batch(self, words: Any, knowns: Sequence[int],
-                          batch_size: int) -> int:
-        """Batched encode over a ``(C, L, W)`` uint64 word array; see
-        the module docstring.
-
-        ``knowns[c]`` is chain ``c``'s known-bit mask (bit ``i`` = scan
-        position ``i``), shared by every sequence of the batch; words
-        at unknown positions must be all-zero (the monitors'
-        treat-X-as-0 rule), as must the bits past ``batch_size``.
-        """
-        raise NotImplementedError(
-            f"engine {self.name or type(self).__name__!r} does not "
-            f"implement batched passes (capabilities.batch is False)")
-
-    def decode_pass_batch(self, words: Any, knowns: Sequence[int],
-                          batch_size: int) -> BatchDecodeResult:
-        """Batched decode over a word array; ``words`` is left
-        untouched and the corrected state is returned in the result."""
-        raise NotImplementedError(
-            f"engine {self.name or type(self).__name__!r} does not "
-            f"implement batched passes (capabilities.batch is False)")
-
     # -- summary interface (optional) -----------------------------------
     def run_batch_summary(self, states: Sequence[int],
                           knowns: Sequence[int], flips: Any,
@@ -257,11 +185,12 @@ class SimulationEngine(ABC):
         semantically the virtual-copies batch of
         :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`,
         minus every per-sequence object.  The returned arrays are
-        bit-identical to folding the object path's outcomes field by
-        field (property-tested).  The engine indexes by the batch's
-        flat cells without range-checking them: ``flips`` must fit the
-        design, as :meth:`~repro.faults.batch.PatternBatch.validate`
-        (which the design's batch entry points call) checks.
+        bit-identical to folding that batch's per-sequence outcomes
+        field by field (property-tested).  The engine indexes by the
+        batch's flat cells without range-checking them: ``flips`` must
+        fit the design, as
+        :meth:`~repro.faults.batch.PatternBatch.validate` (which the
+        design's batch entry points call) checks.
 
         ``path`` selects the summary implementation on engines that
         offer more than one (``"auto"`` -- the engine picks; the simd
@@ -283,7 +212,6 @@ class SimulationEngine(ABC):
 
 __all__ = [
     "EngineCapabilities",
-    "BatchDecodeResult",
     "BatchOutcomeArrays",
     "SimulationEngine",
 ]

@@ -394,8 +394,8 @@ class JitFusedEngine(SimdBatchedEngine):
     ----------
     bank, num_chains, chain_length:
         As :class:`~repro.engines.simd.SimdBatchedEngine` (the scalar
-        and word-array batch interfaces are inherited unchanged, so the
-        engine is a drop-in everywhere the registry is consulted).
+        interface is inherited unchanged, so the engine is a drop-in
+        everywhere the registry is consulted).
     compiled:
         ``None`` (default) uses the njit-compiled kernels when numba is
         importable and the pure-Python fallback otherwise; ``True``

@@ -342,7 +342,7 @@ class PackedMonitorEngine:
 class PackedEngineAdapter(SimulationEngine):
     """Packed-integer simulation of the encode/decode passes."""
 
-    capabilities = EngineCapabilities(batch=False)
+    capabilities = EngineCapabilities()
 
     def __init__(self, bank: MonitorBank, num_chains: int,
                  chain_length: int):

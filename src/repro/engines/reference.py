@@ -18,7 +18,7 @@ from repro.engines.base import EngineCapabilities, SimulationEngine
 class ReferenceEngine(SimulationEngine):
     """Bit-serial per-flop simulation (the hardware-faithful baseline)."""
 
-    capabilities = EngineCapabilities(batch=False)
+    capabilities = EngineCapabilities()
 
     def encode_pass(self, design) -> int:
         return design.monitor_bank.encode_pass(design.chains)

@@ -12,7 +12,7 @@ essentially every sequence of a batch:
 
 * batch state is a ``(num_chains, chain_length, num_words)`` ndarray of
   little-endian ``uint64`` words -- bit ``b`` of word ``w`` is batch
-  sequence ``64 * w + b``, the engine protocol's batch layout;
+  sequence ``64 * w + b``;
 * parities and CRC signatures are GF(2) linear maps, evaluated as XOR
   folds over ndarray gathers using the shared matrices of
   :mod:`repro.codes.plane` (:func:`~repro.codes.plane.block_parity_matrix`
@@ -31,11 +31,8 @@ essentially every sequence of a batch:
   are the uncorrectable mask; SECDED splits its cases with the
   overall-parity mismatch word.  Detected and uncorrectable verdicts
   are ORs of masks and the correction count a per-sequence popcount
-  of the fix masks -- one decode core serves the object pass and the
-  dense summary alike; per-sequence Python work is limited to
-  materialising the :class:`~repro.core.monitor.MonitorReport` objects
-  the protocol requires, proportional to the number of *error events*,
-  never the batch size.
+  of the fix masks; the summary pass never builds a per-sequence
+  object.
 
 The summary pass additionally answers **single-error batches from a
 table**: every registered code is GF(2)-linear and the stored check
@@ -58,11 +55,19 @@ decode core's and the dense summary pass's dominant arrays, so
 steady-state equally-shaped batches stop allocating fresh state each
 pass.
 
-Bit-exactness with the reference engine is property-tested in
-``tests/engines/test_simd_equivalence.py`` across all registered
-codes, geometries, batch sizes and fault densities.  The engine
-registers itself as ``"simd"`` only when numpy is importable (the
-``[simd]`` extra); the core install stays pure Python.
+The scalar passes (:meth:`SimdBatchedEngine.encode_pass` /
+:meth:`~SimdBatchedEngine.decode_pass`, one design through one cycle)
+delegate to a :class:`~repro.engines.packed.PackedEngineAdapter` built
+for the same bank, which is bit-exact against the reference and
+replays overlapping correctors; the word pipeline serves whole batches
+only.
+
+Bit-exactness of the summary pass against per-sequence reference
+cycles is property-tested in ``tests/engines/test_simd_equivalence.py``
+across all registered codes, geometries, batch sizes and fault
+densities.  The engine registers itself as ``"simd"`` only when numpy
+is importable (the ``[simd]`` extra); the core install stays pure
+Python.
 """
 
 from __future__ import annotations
@@ -76,17 +81,13 @@ from repro.codes.hamming import HammingCode
 from repro.codes.parity import ParityCode
 from repro.codes.plane import block_parity_matrix, crc_stream_matrix
 from repro.codes.secded import SECDEDCode
-from repro.core.corrector import CorrectionEvent
 from repro.core.monitor import MonitorBank, MonitorReport
 from repro.engines.base import (
-    BatchDecodeResult,
     BatchOutcomeArrays,
     EngineCapabilities,
     SimulationEngine,
 )
-from repro.engines.packed import classify_monitors
-from repro.engines.packing import pack_chains, write_back_chains
-from repro.engines.reporting import assemble_batch_result, clean_report_tuple
+from repro.engines.packed import PackedEngineAdapter, classify_monitors
 from repro.engines.summary import (
     bits_matrix,
     full_words,
@@ -111,25 +112,6 @@ def _unpack_bits(words: np.ndarray, batch_size: int) -> np.ndarray:
     flat = np.ascontiguousarray(words, dtype=np.uint64)
     bits = np.unpackbits(flat.view(np.uint8), axis=-1, bitorder="little")
     return bits[..., :batch_size]
-
-
-def _runs(group_idx: np.ndarray, seqs: np.ndarray):
-    """Contiguous ``(g, b)`` runs of sorted nonzero coordinates.
-
-    Yields ``(g, b, start, end)`` per distinct pair, assuming the
-    arrays come from ``np.nonzero`` on a ``(G, B, ...)`` layout (so
-    equal pairs are adjacent).
-    """
-    n = group_idx.size
-    if not n:
-        return
-    change = (group_idx[1:] != group_idx[:-1]) | (seqs[1:] != seqs[:-1])
-    starts = np.flatnonzero(change) + 1
-    run_starts = np.concatenate(([0], starts))
-    run_ends = np.concatenate((starts, [n]))
-    yield from zip(group_idx[run_starts].tolist(),
-                   seqs[run_starts].tolist(),
-                   run_starts.tolist(), run_ends.tolist())
 
 
 # ----------------------------------------------------------------------
@@ -493,17 +475,19 @@ class SimdBatchedEngine(SimulationEngine):
 
     Raises ``ValueError`` at construction for codes without a
     structured GF(2) form (adapter-only codes) -- those run on the
-    object-path engines (``"packed"``/``"reference"``) instead.
+    per-sequence engines (``"packed"``/``"reference"``) instead.
     """
 
-    capabilities = EngineCapabilities(batch=True, summary=True)
+    capabilities = EngineCapabilities(summary=True)
 
     def __init__(self, bank: MonitorBank, num_chains: int,
                  chain_length: int):
         self._workspace = Workspace()
         self.num_chains = num_chains
         self.chain_length = chain_length
-        (self._order, self._correcting, self._observing,
+        #: The scalar passes run on the packed engine.
+        self._scalar = PackedEngineAdapter(bank, num_chains, chain_length)
+        (_order, self._correcting, self._observing,
          self._overlapping_correctors) = classify_monitors(
             bank, _SimdBlockMonitor, _SimdStreamMonitor)
         groups: Dict[object, List[_SimdBlockMonitor]] = {}
@@ -519,8 +503,6 @@ class SimdBatchedEngine(SimulationEngine):
                 matrix.rows, monitor.chain_indices, chain_length)
             monitor.const_idx = np.flatnonzero(np.array(matrix.const,
                                                          dtype=np.uint8))
-        self._encoded_batch: Optional[int] = None
-        self._clean_reports: Optional[Tuple[MonitorReport, ...]] = None
         self._full_cache: Tuple[int, Optional[np.ndarray]] = (0, None)
         #: The last packed knowns seen and their read-only bool matrix
         #: (see :meth:`_known_matrix`).
@@ -561,31 +543,6 @@ class SimdBatchedEngine(SimulationEngine):
                     f"{name}: expected {self.num_chains} chains, got "
                     f"{len(value)}")
 
-    def _check_words(self, words: np.ndarray, knowns: Sequence[int],
-                     batch_size: int) -> None:
-        """Validate the batch protocol's inputs: a ``(C, L, W)`` uint64
-        word array with no bits past ``batch_size`` and all-zero words
-        at unknown positions (the treat-X-as-0 rule)."""
-        if batch_size < 1:
-            raise ValueError("batch size must be >= 1")
-        self._check_chains(words=words, knowns=knowns)
-        length = self.chain_length
-        shape = (self.num_chains, length, (batch_size + 63) // 64)
-        if (not isinstance(words, np.ndarray) or words.dtype != np.uint64
-                or words.shape != shape):
-            raise ValueError(
-                f"words: expected a uint64 array of shape {shape}, got "
-                f"{getattr(words, 'dtype', type(words).__name__)} "
-                f"{np.shape(words)}")
-        if not all(0 <= known < 1 << length for known in knowns):
-            raise ValueError("known mask exceeds the chain length")
-        if batch_size % 64 and (
-                words[..., -1] >> np.uint64(batch_size % 64)).any():
-            raise ValueError(
-                f"words hold bits outside the {batch_size}-sequence batch")
-        if words[~bits_matrix(knowns, length)].any():
-            raise ValueError("unknown positions must hold all-zero words")
-
     def _gather(self, index: int, group: _BlockGroup,
                 words: np.ndarray, key: str = "gather") -> np.ndarray:
         """Group ``index``'s data words ``(G, k, L, W)`` in the
@@ -618,28 +575,6 @@ class SimdBatchedEngine(SimulationEngine):
             sig[monitor.const_idx] ^= full
         return sig
 
-    # ------------------------------------------------------------------
-    # Batch interface
-    # ------------------------------------------------------------------
-    def encode_pass_batch(self, words: np.ndarray, knowns: Sequence[int],
-                          batch_size: int) -> int:
-        """Run one batched encoding pass; returns the cycle count."""
-        self._check_words(words, knowns, batch_size)
-        return self._encode_words(words, batch_size)
-
-    def _encode_words(self, words: np.ndarray, batch_size: int) -> int:
-        """Encode a word-packed batch, storing the check words."""
-        full = self._full_words(batch_size)
-        for index, group in enumerate(self._groups):
-            group.stored = group.kernel.encode(
-                self._gather(index, group, words), full)
-        words_flat = words.reshape(-1, words.shape[2])
-        for monitor in self._observing:
-            monitor.stored = self._stream_signature(monitor, words_flat,
-                                                    full)
-        self._encoded_batch = batch_size
-        return self.chain_length
-
     def _encode_baseline(self, state_bits: np.ndarray,
                          batch_size: int) -> None:
         """Store the check words of ``batch_size`` copies of one state.
@@ -647,8 +582,8 @@ class SimdBatchedEngine(SimulationEngine):
         Every sequence of a summary batch starts from the same
         replicated state, so its check bits are encoded once, as a
         batch of one, and each stored bit widens to all sequences
-        (``full``) or none -- bit-identical to :meth:`_encode_words`
-        on the replicated words.  The batch of one has its own
+        (``full``) or none -- bit-identical to encoding the replicated
+        words.  The batch of one has its own
         workspace buffers, so the batch-wide ones keep their shapes.
         """
         full = self._full_words(batch_size)
@@ -663,33 +598,6 @@ class SimdBatchedEngine(SimulationEngine):
         for monitor in self._observing:
             monitor.stored = self._stream_signature(
                 monitor, words_flat, _ONE_WORD) * full
-        self._encoded_batch = batch_size
-
-    def decode_pass_batch(self, words: np.ndarray, knowns: Sequence[int],
-                          batch_size: int) -> BatchDecodeResult:
-        """Run one batched decoding pass with on-the-fly correction.
-
-        ``words`` is left untouched; the corrected state is a fresh
-        array in the result."""
-        if self._encoded_batch is None:
-            raise RuntimeError("no stored check bits: encode first")
-        if batch_size != self._encoded_batch:
-            raise RuntimeError(
-                f"decode batch size {batch_size} does not match the "
-                f"encoded batch size {self._encoded_batch}")
-        self._check_words(words, knowns, batch_size)
-        corrected = words.copy()
-        detected, uncorrectable, corrections, reported, mismatches = \
-            self._decode_words(corrected, batch_size)
-        block_results: Dict[int, tuple] = {}
-        for decoded in reported:
-            self._block_bookkeeping(*decoded, batch_size, block_results)
-        stream_results = {
-            id(monitor): _unpack_bits(mismatch, batch_size).astype(bool)
-            for monitor, mismatch in mismatches}
-        return assemble_batch_result(
-            self._order, self._clean_report_tuple(), block_results,
-            stream_results, corrected, detected, uncorrectable, corrections)
 
     # ------------------------------------------------------------------
     def _decode_words(self, words: np.ndarray, batch_size: int):
@@ -698,15 +606,10 @@ class SimdBatchedEngine(SimulationEngine):
 
         Decodes every code group, XORs its correction words into
         ``words`` and checks every stream signature against the
-        corrected state.  Returns ``(detected, uncorrectable,
-        corrections, reported, mismatches)``: the three ``(B,)``
-        aggregate verdict arrays, the ``(group, err, fix, unc)`` kernel
-        masks of every group that saw a mismatch (padding already
-        resolved: a syndrome pointing at a tied-off input is
-        uncorrectable, never a fix), and the ``(monitor, mismatch)``
-        ``(W,)`` words of every stream block that saw one.  The object
-        pass and the dense summary share this core and differ only in
-        what they build from those outputs.
+        corrected state.  Returns the three ``(B,)`` aggregate verdict
+        arrays ``(detected, uncorrectable, corrections)``; a syndrome
+        pointing at a tied-off padding input is uncorrectable, never a
+        fix.
         """
         length = self.chain_length
         num_words = words.shape[2]
@@ -719,7 +622,6 @@ class SimdBatchedEngine(SimulationEngine):
             pre_correction = self._workspace.take("pre_correction",
                                                   words.shape, np.uint64)
             pre_correction[...] = words
-        reported = []
         group_fixes: List[Tuple[np.ndarray, np.ndarray]] = []
         monitor_fixes: Dict[int, np.ndarray] = {}
         for index, group in enumerate(self._groups):
@@ -750,7 +652,6 @@ class SimdBatchedEngine(SimulationEngine):
                                              axis=0)
             uncorrectable |= np.bitwise_or.reduce(
                 unc.reshape(-1, num_words), axis=0)
-            reported.append((group, err, fix, unc))
 
         if overlap:
             # Reference-faithful last-block-wins feedback: every
@@ -768,70 +669,15 @@ class SimdBatchedEngine(SimulationEngine):
             for chains, rows in group_fixes:
                 words[chains] ^= rows
 
-        mismatches = []
         corrected_rows = words.reshape(-1, num_words)
         for monitor in self._observing:
             fresh = self._stream_signature(monitor, corrected_rows, full)
             mismatch = np.bitwise_or.reduce(fresh ^ monitor.stored, axis=0)
-            if mismatch.any():
-                detected |= mismatch
-                uncorrectable |= mismatch
-                mismatches.append((monitor, mismatch))
+            detected |= mismatch
+            uncorrectable |= mismatch
         return (_unpack_bits(detected, batch_size).astype(bool),
                 _unpack_bits(uncorrectable, batch_size).astype(bool),
-                corrections, reported, mismatches)
-
-    def _block_bookkeeping(self, group: _BlockGroup, err: np.ndarray,
-                           fix: Optional[np.ndarray], unc: np.ndarray,
-                           batch_size: int,
-                           block_results: Dict[int, tuple]) -> None:
-        """The object pass's per-monitor verdicts, correction events and
-        bad-slice lists for one reporting group (see
-        :mod:`repro.engines.reporting` for the layout), unpacked from
-        the decode core's masks."""
-        monitors = group.monitors
-        detected = _unpack_bits(np.bitwise_or.reduce(err, axis=1),
-                                batch_size).astype(bool)
-        uncorrectable = _unpack_bits(np.bitwise_or.reduce(unc, axis=1),
-                                     batch_size).astype(bool)
-
-        # Sequence-major, cycle-ascending enumeration: transposing to
-        # (G, B, cycle) makes np.nonzero emit each (monitor, sequence)
-        # pair's entries contiguously, so the per-sequence lists are
-        # built by slicing runs instead of appending per entry.
-        bad: List[Dict[int, List[int]]] = [{} for _ in monitors]
-        group_idx, seqs, cycles = np.nonzero(
-            _unpack_bits(err, batch_size).transpose(0, 2, 1)[:, :, ::-1])
-        cycle_list = cycles.tolist()
-        for g, b, start, end in _runs(group_idx, seqs):
-            bad[g][b] = cycle_list[start:end]
-
-        corr: List[Dict[int, List[CorrectionEvent]]] = [{} for _ in monitors]
-        if fix is not None:
-            # (G, B, cycle, position): a codeword fixes at most one
-            # position, so each (g, b, cycle) appears at most once.
-            group_idx, seqs, cycles, positions = np.nonzero(
-                _unpack_bits(fix, batch_size).transpose(0, 3, 2, 1)
-                [:, :, ::-1])
-            chain_list = group.gather_idx[group_idx, positions].tolist()
-            cycle_list = cycles.tolist()
-            for g, b, start, end in _runs(group_idx, seqs):
-                block_index = monitors[g].block.block_index
-                # Positional construction (block_index, chain_index,
-                # cycle): events are the hot term of dense batches.
-                corr[g][b] = [
-                    CorrectionEvent(block_index, chain_list[i],
-                                    cycle_list[i])
-                    for i in range(start, end)]
-
-        for g, monitor in enumerate(monitors):
-            block_results[id(monitor)] = (detected[g], uncorrectable[g],
-                                          corr[g], bad[g])
-
-    def _clean_report_tuple(self) -> Tuple[MonitorReport, ...]:
-        if self._clean_reports is None:
-            self._clean_reports = clean_report_tuple(self._order)
-        return self._clean_reports
+                corrections)
 
     # ------------------------------------------------------------------
     # Summary interface (columnar, never builds a report object)
@@ -843,11 +689,10 @@ class SimdBatchedEngine(SimulationEngine):
         """Replicate, encode, inject, decode and compare -- all in the
         word-packed layout, returning only columnar verdicts.
 
-        The numbers are bit-identical to driving
-        :meth:`encode_pass_batch` / :meth:`decode_pass_batch` with the
-        replicated/injected words and folding the object results field
-        by field; the summary pass simply skips every report and
-        correction-event materialisation.
+        The numbers are bit-identical to running one reference
+        :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle`
+        per sequence from the same state and folding the outcomes field
+        by field; no report or correction event is materialised.
 
         ``path`` selects the implementation: ``"auto"`` (default)
         answers the batch from the single-flip outcome table when it
@@ -944,7 +789,7 @@ class SimdBatchedEngine(SimulationEngine):
         full = self._full_words(batch_size)
         state_bits = bits_matrix(states, self.chain_length)
         # Unknown positions hold all-zero words (the treat-X-as-0
-        # rule), exactly like _check_words requires of protocol callers.
+        # rule of the monitors).
         state_bits &= known_bits
         words = replicate_state_words(
             state_bits, full,
@@ -958,8 +803,8 @@ class SimdBatchedEngine(SimulationEngine):
             coords, self.num_chains, self.chain_length, batch_size)
         if flip_cells.size:
             words.reshape(-1, full.size)[flip_cells] ^= flip_masks
-        detected, uncorrectable, corrections, _reported, _mismatches = \
-            self._decode_words(words, batch_size)
+        detected, uncorrectable, corrections = self._decode_words(
+            words, batch_size)
         # Vectorised state-domain comparator against the replicated
         # pre-sleep state (the shared kernel; bit matrices are already
         # expanded, so pass them through).
@@ -975,27 +820,13 @@ class SimdBatchedEngine(SimulationEngine):
             corrections_applied=corrections)
 
     # ------------------------------------------------------------------
-    # Scalar interface (a batch of one, through the same word path)
+    # Scalar interface (the packed engine)
     # ------------------------------------------------------------------
-    def _single_words(self, states: Sequence[int]) -> np.ndarray:
-        """Packed chain states as the word array of a batch of one."""
-        return bits_matrix(states, self.chain_length)[:, :, None] \
-            .astype(np.uint64)
-
     def encode_pass(self, design) -> int:
-        states, knowns = pack_chains(design.chains)
-        return self.encode_pass_batch(self._single_words(states), knowns, 1)
+        return self._scalar.encode_pass(design)
 
     def decode_pass(self, design) -> List[MonitorReport]:
-        states, knowns = pack_chains(design.chains)
-        result = self.decode_pass_batch(self._single_words(states),
-                                        knowns, 1)
-        rows = np.packbits(result.corrected[:, :, 0].astype(bool), axis=1,
-                           bitorder="little")
-        corrected_states = [int.from_bytes(row.tobytes(), "little")
-                            for row in rows]
-        write_back_chains(design.chains, states, knowns, corrected_states)
-        return list(result.reports[0])
+        return self._scalar.decode_pass(design)
 
 
 __all__ = [

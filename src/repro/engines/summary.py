@@ -14,15 +14,12 @@ builds that answer from:
 * :func:`residual_counts_words` -- the **vectorised state-domain
   comparator**: per-sequence Hamming distance between the corrected
   ``(C, L, W)`` word state and the packed pre-sleep state, with the
-  object path's rule that unknown pre-sleep bits always count (the
+  scalar cycle's rule that unknown pre-sleep bits always count (the
   decode pass drives them, so they differ from X by definition).  It
-  is the only state comparator of the batch paths: the engines'
-  summary passes and
-  :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
-  both call it on the decode pass's corrected word array.
+  is the state comparator of the engines' dense summary passes, run
+  on the decode pass's corrected word array.
 
 Everything here requires numpy; callers gate on
-:attr:`~repro.engines.base.SimulationEngine.supports_batch` /
 :attr:`~repro.engines.base.SimulationEngine.supports_summary`, so a
 pure-stdlib install never imports this module.
 """

@@ -47,7 +47,7 @@ contiguous row ranges, the second drawn on a short-lived thread from
 a copy of the generator advanced to that range's first key, so the
 stream is the same on any number of cores.
 
-Everything here requires numpy; the per-sequence fallback of
+Everything here requires numpy; the per-sequence batch of
 :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
 never imports this module, so a pure-stdlib install keeps working.
 """

@@ -85,10 +85,10 @@ class TestSequenceResult:
 class BatchSequenceResult:
     """Outcome of one sequence of a *batched* test run.
 
-    Slotted: the object path builds one of these per sequence of every
-    batch, so allocation cost matters at campaign scale (the columnar
-    summary path of :meth:`FIFOTestbench.run_sequence_batch_summary`
-    builds none).
+    Slotted: :meth:`FIFOTestbench.run_sequence_batch` builds one of
+    these per sequence of every batch, so allocation cost matters at
+    campaign scale (the columnar summary path of
+    :meth:`FIFOTestbench.run_sequence_batch_summary` builds none).
 
     Batched sequences are simulated as virtual copies of one loaded
     FIFO state (see
@@ -100,7 +100,7 @@ class BatchSequenceResult:
     corruption hiding in unobserved state (unoccupied rows, pointer
     wrap bits) still counts as a mismatch -- and it is identical across
     engines, which is what makes batched campaigns bit-reproducible
-    between the batch engines and the per-sequence fallback.
+    between the columnar summary path and the per-sequence batch.
 
     The property names mirror :class:`TestSequenceResult` so the
     streaming campaign counters consume either interchangeably.
@@ -219,12 +219,12 @@ class FIFOTestbench:
         Stages 1--2 run once for the batch (reset, one random burst
         into FIFO_A); stages 3--4 run as a
         :meth:`~repro.core.protected.ProtectedDesign.sleep_wake_cycle_batch`
-        with one injection per sequence; stage 5 uses the state-domain
-        comparator of :class:`BatchSequenceResult`.  With a
-        batch-capable engine the whole batch costs one batch pass;
-        with any other engine the design falls back to an equivalent
-        per-sequence loop, so the returned statistics are engine-
-        independent (the batched-campaign CI smoke relies on this).
+        with one injection per sequence -- one scalar cycle each, on
+        any engine; stage 5 uses the state-domain comparator of
+        :class:`BatchSequenceResult`.  This is the per-sequence
+        reference of :meth:`run_sequence_batch_summary` (the batched
+        campaign smoke and the benchmark cross-checks compare the two)
+        and the batch path of engines without summary support.
         """
         self.dut.reset()
         words = self.stimulus.burst(self.words_per_sequence)
@@ -242,8 +242,8 @@ class FIFOTestbench:
 
         The summary twin of :meth:`run_sequence_batch`: stages 1--2 run
         once for the batch (reset, one stimulus burst -- drawn from the
-        *same* stimulus stream as the object path, so the two paths see
-        identical loaded states), stages 3--5 run as one
+        *same* stimulus stream as :meth:`run_sequence_batch`, so the
+        two see identical loaded states), stages 3--5 run as one
         :meth:`~repro.core.protected.ProtectedDesign.\
 sleep_wake_cycle_batch_summary` whose vectorised state-domain
         comparator doubles as stage 5.  ``flips`` is the batch's
@@ -252,7 +252,7 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         :class:`~repro.engines.base.BatchOutcomeArrays`; the campaign
         counters ingest it through
         :meth:`~repro.campaigns.stats.StreamingCampaignResult.add_batch`
-        with statistics bit-identical to the object path's.
+        with statistics bit-identical to :meth:`run_sequence_batch`'s.
         ``path`` forwards to the engine's summary-path selection
         (``"auto"`` / ``"delta"`` / ``"dense"``, plus ``"jit"`` on the
         jit engine).

@@ -1,13 +1,14 @@
 """Property suite: the columnar summary path is bit-identical to the
-object path.
+per-sequence object path.
 
-The campaign fast path (vectorised sampling ->
+The campaign fast path (vectorised or scalar sampling ->
 ``run_batch_summary`` -> ``StreamingCampaignResult.add_batch``) must
 produce exactly the counters of the object path (``ErrorPattern``
-objects -> ``sleep_wake_cycle_batch`` -> per-sequence ``add``), for
-every summary-capable registry engine, every pattern kind and both
-inject phases -- including a short final group and the 2-worker
-sharded merge.
+objects -> ``sleep_wake_cycle_batch``, one scalar cycle per sequence
+-> per-sequence ``add``), for every summary-capable registry engine,
+every pattern kind and both inject phases -- including a short final
+group and the 2-worker sharded merge.  Batched scalar-sampler chunks
+on a summary engine must take the summary path as well.
 """
 
 import pytest
@@ -15,7 +16,10 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.campaigns.stats import StreamingCampaignResult   # noqa: E402
-from repro.campaigns.tasks import FIFOValidationCampaignTask  # noqa: E402
+from repro.campaigns.tasks import (                          # noqa: E402
+    VALIDATION_PATTERNS,
+    FIFOValidationCampaignTask,
+)
 from repro.circuit.fifo import SyncFIFO                     # noqa: E402
 from repro.core.protected import ProtectedDesign            # noqa: E402
 from repro.engines.base import BatchOutcomeArrays           # noqa: E402
@@ -138,6 +142,56 @@ def test_array_mode_matches_object_mode_on_same_patterns(phase):
         pattern="multiple", burst_size=3, engine="reference", batch_size=8,
         inject_phase=phase, sampler="array")
     assert task_summary.run_chunk(7, 24) == task_fallback.run_chunk(7, 24)
+
+
+@pytest.mark.parametrize("kind", VALIDATION_PATTERNS)
+@pytest.mark.parametrize("phase", ("sleep", "post_wake"))
+def test_scalar_sampler_batches_take_the_summary_path(kind, phase,
+                                                      monkeypatch):
+    """A batched scalar-sampler chunk on simd runs every group through
+    the columnar summary path -- the per-sequence
+    sleep_wake_cycle_batch is never called -- and its counters equal
+    the packed engine's per-sequence chunk on the same random stream
+    (50 sequences in groups of 16: a short final group)."""
+    def task(engine):
+        return FIFOValidationCampaignTask(
+            width=8, depth=8, codes=tuple(CODES), num_chains=NUM_CHAINS,
+            pattern=kind, burst_size=4, inject_phase=phase, engine=engine,
+            batch_size=16)
+
+    expected = task("packed").run_chunk(20100308, 50).to_dict()
+
+    def per_sequence_batch(self, *args, **kwargs):
+        raise AssertionError("a scalar-sampler group left the summary path")
+
+    monkeypatch.setattr(ProtectedDesign, "sleep_wake_cycle_batch",
+                        per_sequence_batch)
+    assert task("simd").run_chunk(20100308, 50).to_dict() == expected
+
+
+def test_scalar_cycle_reports_match_packed():
+    """A plain sleep_wake_cycle on simd (whose scalar passes delegate to
+    the packed engine) returns the packed engine's reports."""
+    import random
+
+    from repro.circuit.generators import make_random_state_circuit
+    from repro.faults.patterns import multi_error_pattern
+
+    designs = [ProtectedDesign(make_random_state_circuit(64, seed=3),
+                               codes=CODES, num_chains=NUM_CHAINS,
+                               engine=engine)
+               for engine in ("simd", "packed")]
+    rng = random.Random(5)
+    for phase in ("sleep", "post_wake"):
+        for _ in range(4):
+            pattern = multi_error_pattern(NUM_CHAINS,
+                                          designs[0].chain_length,
+                                          rng.randint(1, 4), rng)
+            simd, packed = (design.sleep_wake_cycle(injection=pattern,
+                                                    inject_phase=phase)
+                            for design in designs)
+            assert simd.reports == packed.reports
+            assert any(report.error_detected for report in simd.reports)
 
 
 def test_array_mode_sharded_merge_is_worker_count_invariant():

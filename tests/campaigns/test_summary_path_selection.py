@@ -3,7 +3,7 @@
 The task field routes the summary-path choice into the engine, bumps
 the task fingerprint (pre-existing checkpoints are refused with a
 message naming the field), and validates eagerly: forced paths need
-the array sampler and a summary-capable engine.
+``batch_size`` and a summary-capable engine.
 """
 
 import json
@@ -26,9 +26,24 @@ def test_unknown_summary_path_rejected():
         FIFOValidationCampaignTask(summary_path="fast", **COMMON)
 
 
-def test_forced_path_requires_array_sampler():
-    with pytest.raises(ValueError, match="sampler='array'"):
+def test_forced_path_requires_batch_size():
+    with pytest.raises(ValueError, match="set batch_size"):
         FIFOValidationCampaignTask(summary_path="delta", engine="simd")
+
+
+@pytest.mark.parametrize("kind", ("single", "multiple"))
+def test_forced_dense_on_scalar_sampler(kind):
+    """Scalar-sampler groups reach the summary path too: a forced
+    "dense" chunk on simd equals "auto" and the per-sequence path of
+    engine="packed" (short final group included)."""
+    common = dict(COMMON, sampler="scalar", pattern=kind, burst_size=3)
+    results = [
+        FIFOValidationCampaignTask(**dict(common, **overrides)).run_chunk(
+            chunk_seed=424242, num_sequences=50)
+        for overrides in ({"summary_path": "dense"}, {},
+                          {"engine": "packed"})]
+    assert results[0] == results[1] == results[2]
+    assert results[0].stats.num_sequences == 50
 
 
 def test_forced_path_requires_summary_engine():

@@ -22,21 +22,6 @@ from repro.engines.base import EngineCapabilities, SimulationEngine
 
 
 class TestAstPass:
-    def test_batch_flag_without_methods_fires(self, run_rule):
-        findings = run_rule(RULE, FIXTURE_HEADER + textwrap.dedent("""\
-            class Broken(SimulationEngine):
-                capabilities = EngineCapabilities(batch=True)
-
-                def encode_pass(self, design):
-                    pass
-
-                def decode_pass(self, design):
-                    pass
-            """), "repro/engines/fixture.py")
-        assert len(findings) == 1
-        assert "batch=True" in findings[0].message
-        assert "encode_pass_batch" in findings[0].message
-
     def test_summary_flag_without_method_fires(self, run_rule):
         findings = run_rule(RULE, FIXTURE_HEADER + textwrap.dedent("""\
             class Broken(SimulationEngine):
@@ -71,19 +56,12 @@ class TestAstPass:
     def test_consistent_engine_is_quiet(self, run_rule):
         findings = run_rule(RULE, FIXTURE_HEADER + textwrap.dedent("""\
             class Fine(SimulationEngine):
-                capabilities = EngineCapabilities(batch=True,
-                                                  summary=True)
+                capabilities = EngineCapabilities(summary=True)
 
                 def encode_pass(self, design):
                     pass
 
                 def decode_pass(self, design):
-                    pass
-
-                def encode_pass_batch(self, words, knowns, batch_size):
-                    pass
-
-                def decode_pass_batch(self, words, knowns, batch_size):
                     pass
 
                 def run_batch_summary(self, states, knowns, flips, batch_size):
@@ -98,7 +76,7 @@ class TestAstPass:
             HAVE_NUMPY = True
 
             class Computed(SimulationEngine):
-                capabilities = EngineCapabilities(batch=HAVE_NUMPY)
+                capabilities = EngineCapabilities(summary=HAVE_NUMPY)
 
                 def encode_pass(self, design):
                     pass

@@ -1,17 +1,18 @@
 """Batch equivalence under *dense* fault patterns, for every
-batch-capable engine.
+summary-capable engine.
 
 The single-error regime the original property tests leaned on is the
-batch engines' best case: almost no per-sequence work.  Dense patterns
--- burst windows spanning chain and monitoring-block boundaries,
-multi-error storms, droop storms where a sizeable fraction of all
-retention latches flips -- exercise the SIMD engine's vectorised correction scatter on every
-sequence of the batch.  Every engine advertising
-``capabilities.batch`` is discovered from the registry and checked
-against the per-sequence reference fallback, so third-party batch
-engines get the same scrutiny for free.  The packed engine's
-per-sequence fallback -- the batch path of adapter codes and of
-installs without numpy -- is held to the same dense batches.
+vectorised engines' best case: almost no per-sequence work.  Dense
+patterns -- burst windows spanning chain and monitoring-block
+boundaries, multi-error storms, droop storms where a sizeable fraction
+of all retention latches flips -- exercise the SIMD engine's vectorised
+correction scatter on every sequence of the batch.  Every engine
+advertising ``capabilities.summary`` is discovered from the registry
+and its columnar summary path (folded with ``add_batch``) is checked
+against per-sequence reference cycles, so third-party summary engines
+get the same scrutiny for free.  The packed engine's per-sequence
+batch -- the batch path of adapter codes and of installs without
+numpy -- is held to the same dense batches.
 """
 
 import importlib.util
@@ -30,6 +31,7 @@ from repro.faults.patterns import (
     multi_error_pattern,
 )
 from repro.power.retention import RetentionUpsetModel
+from tests.engines.summary_oracle import assert_summary_matches, run_summary
 
 CODES = ["hamming(7,4)", "crc16"]
 NUM_CHAINS = 8
@@ -42,8 +44,8 @@ def _design(engine, seed=42):
                            engine=engine)
 
 
-def batch_capable_engines():
-    """Registry engines advertising the batch interface (construction
+def summary_engines():
+    """Registry engines advertising the summary interface (construction
     errors mean "engine does not support this configuration")."""
     probe = _design("reference")
     names = []
@@ -52,17 +54,17 @@ def batch_capable_engines():
             engine = get_engine(name, probe)
         except ValueError:
             continue
-        if engine.supports_batch:
+        if engine.supports_summary:
             names.append(name)
     return names
 
 
-#: Every batch-capable engine, plus the packed per-sequence fallback.
-ENGINES_UNDER_TEST = batch_capable_engines() + ["packed"]
+#: Every summary-capable engine, plus the packed per-sequence batch.
+ENGINES_UNDER_TEST = summary_engines() + ["packed"]
 
 
-def test_batch_capable_engines_discovered():
-    names = batch_capable_engines()
+def test_summary_engines_discovered():
+    names = summary_engines()
     if importlib.util.find_spec("numpy") is not None:
         assert "simd" in names
 
@@ -120,6 +122,20 @@ def _outcome_tuple(outcome):
             outcome.corrections_applied, outcome.reports)
 
 
+def _assert_batch_matches(under_test, patterns, expected,
+                          inject_phase="sleep"):
+    """The summary path on summary engines, the per-sequence batch
+    otherwise, against per-sequence reference outcomes."""
+    if under_test.supports_batch_summary:
+        assert_summary_matches(
+            run_summary(under_test, patterns, inject_phase), expected)
+    else:
+        actual = under_test.sleep_wake_cycle_batch(
+            patterns, inject_phase=inject_phase)
+        assert [_outcome_tuple(o) for o in actual] == \
+            [_outcome_tuple(o) for o in expected]
+
+
 @pytest.mark.parametrize("engine", ENGINES_UNDER_TEST)
 @pytest.mark.parametrize("batch_size", (1, 9, 65))
 def test_dense_batches_match_reference(engine, batch_size):
@@ -131,11 +147,8 @@ def test_dense_batches_match_reference(engine, batch_size):
         phase = rng.choice(["sleep", "post_wake"])
         expected = reference.sleep_wake_cycle_batch(patterns,
                                                     inject_phase=phase)
-        actual = under_test.sleep_wake_cycle_batch(patterns,
-                                                   inject_phase=phase)
-        assert len(expected) == len(actual) == batch_size
-        for exp, act in zip(expected, actual):
-            assert _outcome_tuple(act) == _outcome_tuple(exp)
+        assert len(expected) == batch_size
+        _assert_batch_matches(under_test, patterns, expected, phase)
         # Dense batches leave the design state untouched too.
         assert [c.read_state() for c in under_test.chains] == \
             [c.read_state() for c in reference.chains]
@@ -152,7 +165,5 @@ def test_every_sequence_dense_burst(engine):
                                     reference.chain_length, 6, rng)
                 for _ in range(16)]
     expected = reference.sleep_wake_cycle_batch(patterns)
-    actual = under_test.sleep_wake_cycle_batch(patterns)
-    for exp, act in zip(expected, actual):
-        assert _outcome_tuple(act) == _outcome_tuple(exp)
-        assert act.detected  # every burst is at least detected
+    _assert_batch_matches(under_test, patterns, expected)
+    assert all(outcome.detected for outcome in expected)

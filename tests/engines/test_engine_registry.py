@@ -24,7 +24,7 @@ def _design(engine="reference"):
 class RecordingEngine(SimulationEngine):
     """Third-party engine: reference semantics plus a call log."""
 
-    capabilities = EngineCapabilities(batch=False)
+    capabilities = EngineCapabilities()
 
     def __init__(self):
         self.calls = []
@@ -76,20 +76,7 @@ class TestBuiltins:
         design = _design()
         engine = get_engine("simd", design)
         assert engine.name == "simd"
-        assert engine.supports_batch
-
-    def test_batch_capability_flags(self):
-        design = _design()
-        assert not get_engine("reference", design).supports_batch
-        assert not get_engine("packed", design).supports_batch
-        if "simd" in available_engines():
-            assert get_engine("simd", design).supports_batch
-
-    def test_non_batch_engine_refuses_batch_passes(self):
-        design = _design()
-        engine = get_engine("reference", design)
-        with pytest.raises(NotImplementedError):
-            engine.encode_pass_batch([], [], 1)
+        assert engine.supports_summary
 
 
 class TestThirdPartyRegistration:

@@ -1,11 +1,12 @@
-"""Bit-exactness of the per-sequence batch fallback.
+"""Bit-exactness of the per-sequence batch.
 
-Engines without a batch pass (``"packed"``, ``"reference"``) run
-``sleep_wake_cycle_batch`` as a loop of scalar cycles with a state
-snapshot/restore around each sequence.  That loop is the batch path
-for adapter codes (interleaved wrappers, user-defined codes), which the
-SIMD engine rejects, and for every batched campaign on an install
-without numpy, where the SIMD engine is not registered.  It must match
+Every engine runs ``sleep_wake_cycle_batch`` as a loop of scalar
+cycles with a state snapshot/restore around each sequence.  On engines
+without summary support (``"packed"``, ``"reference"``) that loop is
+the batch path for adapter codes (interleaved wrappers, user-defined
+codes), which the SIMD engine rejects, and for every batched campaign
+on an install without numpy, where the SIMD engine is not
+registered.  It must match
 the reference fallback bit for bit (outcome fields, per-block reports
 including correction events, final register state) across every
 registered code family, the adapter codes, geometries with and without
@@ -133,7 +134,7 @@ def test_fallback_cycle_equivalence(label, codes, num_chains,
                                    .encode()))
     design_ref, design_packed = _pair(42, num_registers, codes,
                                       num_chains)
-    assert not get_engine("packed", design_packed).supports_batch
+    assert not get_engine("packed", design_packed).supports_summary
     before = [c.read_state() for c in design_packed.chains]
     for trial in range(2):
         patterns = _patterns(design_ref, batch_size, rng)
@@ -231,7 +232,7 @@ def test_default_design_without_simd_takes_fallback(monkeypatch):
     circuit = make_random_state_circuit(40, seed=11)
     design = ProtectedDesign(circuit, codes=["hamming(7,4)", "crc16"],
                              num_chains=8)
-    assert not any(get_engine(name, design).supports_batch
+    assert not any(get_engine(name, design).supports_summary
                    for name in registry.available_engines())
     rng = random.Random(5)
     patterns = [single_error_pattern(design.num_chains,

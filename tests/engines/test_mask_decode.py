@@ -1,11 +1,12 @@
-"""The simd engine's bit-sliced decode core against the packed engine.
+"""The simd engine's bit-sliced decode core against per-sequence decodes.
 
 Every verdict of the simd decode core is mask algebra over the batch's
 uint64 words (syndrome matches, padding, the SECDED case splits, the
-correction XOR and the per-lane correction popcount), shared by the
-object pass (``decode_pass_batch``) and the dense summary
-(``run_batch_summary(path="dense")``).  Both are checked here sequence
-by sequence against the packed engine's scalar decoders, with fixed
+correction XOR and the per-lane correction popcount); the dense summary
+(``run_batch_summary(path="dense")``) is its only consumer.  It is
+checked here sequence by sequence against the packed engine's scalar
+decoders, and end to end through ``sleep_wake_cycle_batch_summary``
+(folded with ``add_batch``) against per-sequence cycles, with fixed
 seeds, on batch sizes whose last word has unused tail lanes, a padded
 Hamming(63,57) group, SECDED triple errors whose syndromes cancel (the
 overall-bit-only verdict) and double errors, parity, and overlapping
@@ -26,14 +27,14 @@ from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines.simd import correction_lut                   # noqa: E402
 from repro.engines.packed import PackedMonitorEngine            # noqa: E402
 from repro.engines.registry import get_engine                   # noqa: E402
-from repro.engines.summary import (                             # noqa: E402
-    bits_matrix,
-    full_words,
-    replicate_state_words,
-)
-from repro.faults.batch import PatternBatch, pattern_batch_arrays  # noqa: E402
+from repro.faults.batch import PatternBatch                      # noqa: E402
 from repro.faults.patterns import ErrorPattern                  # noqa: E402
-from tests.engines.test_simd_equivalence import _sequence_states  # noqa: E402
+from tests.engines.summary_oracle import (                      # noqa: E402
+    assert_summary_matches,
+    packed_verdicts,
+    run_summary,
+    verdict_rows,
+)
 
 #: (codes, registers, chains) per bank.
 BANKS = {
@@ -108,41 +109,10 @@ def _patterns(design, batch_size, rng):
     return patterns
 
 
-def _corrupted(states, pattern):
-    flipped = list(states)
-    for chain, position in (pattern.locations if pattern else ()):
-        flipped[chain] ^= 1 << position
-    return flipped
-
-
-def _packed_verdicts(packed, states, knowns, patterns, length):
-    """The packed object pass, one sequence at a time: per-sequence
-    reports and corrected states, and the summary columns they fold
-    into."""
-    packed.encode_pass(states, knowns)
-    mask = (1 << length) - 1
-    unknown = sum(bin(~known & mask).count("1") for known in knowns)
-    reports, corrected, columns = [], [], []
-    for pattern in patterns:
-        seq_reports, seq_corrected = packed.decode_pass(
-            _corrupted(states, pattern), knowns)
-        reports.append(seq_reports)
-        corrected.append(seq_corrected)
-        residual = unknown + sum(
-            bin((after ^ before) & known).count("1")
-            for after, before, known in zip(seq_corrected, states, knowns))
-        columns.append((
-            any(r.error_detected for r in seq_reports),
-            any(r.uncorrectable for r in seq_reports),
-            sum(len(r.corrections) for r in seq_reports),
-            residual))
-    return reports, corrected, columns
-
-
 @functools.lru_cache(maxsize=None)
 def _reference(bank, batch_size):
-    """A fixed-seed batch and its packed verdicts (shared by both
-    tests of one case; the simd engine is rebuilt per test)."""
+    """A fixed-seed batch and its packed verdicts (shared by the tests
+    of one case; the simd engine is rebuilt per test)."""
     design, simd, packed = _setup(bank)
     length = simd.chain_length
     rng = random.Random(zlib.crc32(f"mask/{bank}/{batch_size}".encode()))
@@ -150,7 +120,7 @@ def _reference(bank, batch_size):
     knowns = [(1 << length) - 1] * simd.num_chains
     patterns = _patterns(design, batch_size, rng)
     flips = PatternBatch.from_patterns(patterns, simd.num_chains, length)
-    expected = _packed_verdicts(packed, states, knowns, patterns, length)
+    expected = packed_verdicts(packed, states, knowns, patterns, length)
     return states, knowns, flips, expected
 
 
@@ -166,35 +136,28 @@ def test_dense_summary_matches_packed(bank, batch_size):
     out = simd.run_batch_summary(states, knowns, flips, batch_size,
                                  path="dense")
     assert simd.last_summary_path == "dense"
-    got = list(zip(out.detected.tolist(), out.uncorrectable.tolist(),
-                   out.corrections_applied.tolist(),
-                   out.residual_errors.tolist()))
-    assert got == expected[2]
+    assert verdict_rows(out) == expected
 
 
 @pytest.mark.parametrize("batch_size", BATCH_SIZES)
 @pytest.mark.parametrize("bank", sorted(BANKS))
-def test_decode_pass_batch_matches_packed(bank, batch_size):
-    simd, states, knowns, flips, expected = _case(bank, batch_size)
-    reports, corrected, columns = expected
-    length = simd.chain_length
-    words = replicate_state_words(bits_matrix(states, length),
-                                  full_words(batch_size))
-    simd.encode_pass_batch(words, knowns, batch_size)
-    chains, positions, masks, _counts = pattern_batch_arrays(
-        flips, knowns, batch_size)
-    words[chains, positions] ^= masks
-    result = simd.decode_pass_batch(words, knowns, batch_size)
-
-    # Corrections never spill into the tail lanes of the last word.
-    tail = np.uint64(batch_size % 64)
-    assert not (result.corrected[..., -1] >> tail).any()
-    for b in range(batch_size):
-        assert list(result.reports[b]) == reports[b]
-        assert _sequence_states(result.corrected, b) == corrected[b]
-    assert result.detected_mask.tolist() == [c[0] for c in columns]
-    assert result.uncorrectable_mask.tolist() == [c[1] for c in columns]
-    assert result.corrections.tolist() == [c[2] for c in columns]
+def test_summary_cycle_matches_per_sequence_cycles(bank, batch_size):
+    """The design-level summary cycle on simd against per-sequence
+    cycles of a twin design on the packed engine (bit-exact against
+    the reference, tests/engines/test_packed_equivalence.py)."""
+    codes, registers, num_chains = BANKS[bank]
+    designs = [ProtectedDesign(make_random_state_circuit(registers, seed=9),
+                               codes=codes, num_chains=num_chains,
+                               engine=engine)
+               for engine in ("simd", "packed")]
+    rng = random.Random(zlib.crc32(f"mask-cycle/{bank}".encode()))
+    patterns = _patterns(designs[0], batch_size, rng)
+    for phase in ("sleep", "post_wake"):
+        expected = designs[1].sleep_wake_cycle_batch(patterns,
+                                                      inject_phase=phase)
+        assert_summary_matches(
+            run_summary(designs[0], patterns, phase, path="dense"),
+            expected)
 
 
 def test_banks_reach_the_cases_they_stand_for():
@@ -207,6 +170,6 @@ def test_banks_reach_the_cases_they_stand_for():
     # SECDED: three flips with cancelling syndromes are detected and
     # "corrected" at the overall bit with no data correction; two
     # flips in one codeword are uncorrectable.
-    columns = _case("secded84", 1000)[-1][2]
+    columns = _case("secded84", 1000)[-1]
     assert (True, False, 0, 3) in columns
     assert any(c[0] and c[1] and c[3] == 2 for c in columns)

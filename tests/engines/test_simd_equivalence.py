@@ -1,15 +1,19 @@
 """Bit-exactness of the numpy word-packed SIMD engine.
 
-``sleep_wake_cycle_batch`` on ``engine="simd"`` must match the per-sequence reference fallback bit
-for bit (outcome fields, per-block reports including correction
-events, final register state) across every registered code family,
-geometries with and without padding, batch sizes including B=1 and
-non-powers-of-two (and word-boundary-straddling sizes like 65), and
-single/burst/dense fault patterns.  Engine-level heterogeneous-state
-batches are cross-checked against the packed engine.  The
-engine-generic batch contracts (untouched design state, the corrector
-aggregate, eager validation) run here against the SIMD engine and the
-per-sequence fallback alike.
+The columnar summary path on ``engine="simd"``
+(``PatternBatch.from_patterns`` -> ``sleep_wake_cycle_batch_summary``,
+folded with ``add_batch``) must match per-sequence reference cycles bit
+for bit (every outcome field and the folded campaign counters) across
+every registered code family, geometries with and without padding,
+batch sizes including B=1 and non-powers-of-two (and
+word-boundary-straddling sizes like 65), and single/burst/dense fault
+patterns.  Plain ``sleep_wake_cycle`` calls on simd (which run on the
+packed engine) must match the reference reports too, and the engine's
+own ``run_batch_summary`` must match the packed engine's scalar decodes
+batch after batch from random snapshots.  The
+engine-generic contracts of the per-sequence ``sleep_wake_cycle_batch``
+(untouched design state, the corrector aggregate, eager validation)
+run here on the SIMD engine and the other engines alike.
 """
 
 import random
@@ -27,11 +31,19 @@ from repro.core.protected import ProtectedDesign
 from repro.engines.packed import PackedMonitorEngine
 from repro.engines.registry import available_engines, get_engine
 from repro.engines.simd import full_words
+from repro.faults.batch import PatternBatch
 from repro.faults.patterns import (
+    ErrorPattern,
     burst_error_pattern,
     multi_error_pattern,
     random_pattern,
     single_error_pattern,
+)
+from tests.engines.summary_oracle import (
+    assert_summary_matches,
+    packed_verdicts,
+    run_summary,
+    verdict_rows,
 )
 
 #: Every registered code family appears at least once (the full CRC
@@ -86,28 +98,6 @@ def _patterns(design, batch_size, rng):
     return patterns
 
 
-def _words(per_sequence_states, length):
-    """Per-sequence packed chain states (``states[b][c]``) as the batch
-    protocol's ``(C, L, W)`` uint64 word array."""
-    batch_size = len(per_sequence_states)
-    num_chains = len(per_sequence_states[0])
-    words = np.zeros((num_chains, length, (batch_size + 63) // 64),
-                     dtype=np.uint64)
-    for b, states in enumerate(per_sequence_states):
-        for c, state in enumerate(states):
-            for i in range(length):
-                if (state >> i) & 1:
-                    words[c, i, b >> 6] |= np.uint64(1 << (b & 63))
-    return words
-
-
-def _sequence_states(words, b):
-    """Sequence ``b``'s packed chain states out of a word array."""
-    bits = (words[:, :, b >> 6] >> np.uint64(b & 63)) & np.uint64(1)
-    return [sum(int(bit) << i for i, bit in enumerate(row))
-            for row in bits]
-
-
 def _outcome_tuple(outcome):
     return (outcome.injected_errors, outcome.detected,
             outcome.corrected_claim, outcome.state_intact,
@@ -131,11 +121,8 @@ def test_batch_cycle_equivalence(label, codes, num_chains, num_registers,
         phase = rng.choice(["sleep", "post_wake"])
         ref = design_ref.sleep_wake_cycle_batch(patterns,
                                                 inject_phase=phase)
-        simd = design_simd.sleep_wake_cycle_batch(patterns,
-                                                  inject_phase=phase)
-        assert len(ref) == len(simd) == batch_size
-        for expected, actual in zip(ref, simd):
-            assert _outcome_tuple(actual) == _outcome_tuple(expected)
+        assert_summary_matches(run_summary(design_simd, patterns, phase),
+                               ref)
         states_ref = [c.read_state() for c in design_ref.chains]
         states_simd = [c.read_state() for c in design_simd.chains]
         assert states_simd == states_ref
@@ -164,13 +151,13 @@ def test_batch_with_unknown_bits():
     rng = random.Random(23)
     patterns = [None] + [single_error_pattern(4, 5, rng) for _ in range(4)]
     ref = designs[0].sleep_wake_cycle_batch(patterns)
-    simd = designs[1].sleep_wake_cycle_batch(patterns)
-    for expected, actual in zip(ref, simd):
-        assert _outcome_tuple(actual) == _outcome_tuple(expected)
-    assert not any(outcome.state_intact for outcome in simd)
+    arrays = run_summary(designs[1], patterns)
+    assert_summary_matches(arrays, ref)
+    assert not arrays.state_intact.any()
 
 
-def test_overlapping_correcting_blocks_batch():
+@pytest.mark.parametrize("path", ("auto", "dense"))
+def test_overlapping_correcting_blocks_batch(path):
     """Correcting blocks sharing chains trigger the vectorised
     last-block-wins reassignment; it must match the reference."""
     codes = ["hamming(7,4)", "hamming(15,11)"]
@@ -183,9 +170,8 @@ def test_overlapping_correcting_blocks_batch():
                                     rng.randint(1, 3), rng)
                 for _ in range(5)]
     ref = design_ref.sleep_wake_cycle_batch(patterns)
-    simd = design_simd.sleep_wake_cycle_batch(patterns)
-    for expected, actual in zip(ref, simd):
-        assert _outcome_tuple(actual) == _outcome_tuple(expected)
+    assert_summary_matches(run_summary(design_simd, patterns, path=path),
+                           ref)
 
 
 def test_adapter_codes_are_rejected_with_guidance():
@@ -276,8 +262,10 @@ def test_batch_rejects_upset_model():
         design.sleep_wake_cycle_batch([None])
 
 
-class TestEngineLevelBatch:
-    """decode_pass_batch over heterogeneous per-sequence states."""
+class TestEngineLevelSummary:
+    """run_batch_summary called directly, from random (not
+    circuit-derived) snapshots, against the packed engine's scalar
+    decodes."""
 
     def _engines(self, codes, num_chains, num_registers):
         circuit = make_random_state_circuit(num_registers, seed=2)
@@ -286,7 +274,7 @@ class TestEngineLevelBatch:
         simd = get_engine("simd", design)
         packed = PackedMonitorEngine(design.monitor_bank,
                                      simd.num_chains, simd.chain_length)
-        return design, simd, packed
+        return simd, packed
 
     @pytest.mark.parametrize("codes,num_chains,num_registers", [
         (["hamming(7,4)", "crc16"], 8, 56),
@@ -295,88 +283,53 @@ class TestEngineLevelBatch:
         (["parity(8)"], 8, 32),
     ])
     @pytest.mark.parametrize("batch_size", (1, 5, 16, 65))
-    def test_heterogeneous_states_match_packed(self, codes, num_chains,
-                                               num_registers, batch_size):
-        design, simd, packed = self._engines(codes, num_chains,
-                                             num_registers)
-        length = simd.chain_length
+    def test_successive_states_match_packed(self, codes, num_chains,
+                                            num_registers, batch_size):
+        """Successive batches on one engine each start from a fresh
+        random snapshot, so the engine's memos (known matrix, baseline
+        encode, single-flip table) must follow it: a round of 0-4
+        flips per sequence, two single-flip rounds sharing the knowns
+        (the second reuses the first's table from other states), and a
+        single-flip round whose knowns have unknown cells (the table
+        is rebuilt; flips on unknown cells have no effect)."""
+        simd, packed = self._engines(codes, num_chains, num_registers)
+        length, chains = simd.chain_length, simd.num_chains
+        full = (1 << length) - 1
         rng = random.Random(batch_size)
-        knowns = [(1 << length) - 1] * simd.num_chains
-        base = [[rng.getrandbits(length) for _ in range(simd.num_chains)]
-                for _ in range(batch_size)]
-        corrupted = []
-        for states in base:
-            flipped = list(states)
-            for _ in range(rng.randint(0, 4)):
-                flipped[rng.randrange(simd.num_chains)] ^= \
-                    1 << rng.randrange(length)
-            corrupted.append(flipped)
+        for most, unknowns in ((4, False), (1, False), (1, False),
+                               (1, True)):
+            knowns = [full] * chains
+            if unknowns:
+                for _ in range(2):
+                    knowns[rng.randrange(chains)] &= \
+                        ~(1 << rng.randrange(length))
+            states = [rng.getrandbits(length) & known for known in knowns]
+            patterns = []
+            for _ in range(batch_size):
+                cells = {(rng.randrange(chains), rng.randrange(length))
+                         for _ in range(rng.randint(0, most))}
+                patterns.append(ErrorPattern(frozenset(cells))
+                                if cells else None)
+            flips = PatternBatch.from_patterns(patterns, chains, length)
 
-        simd.encode_pass_batch(_words(base, length), knowns, batch_size)
-        corrupted_words = _words(corrupted, length)
-        result = simd.decode_pass_batch(corrupted_words, knowns,
-                                        batch_size)
-        assert np.array_equal(corrupted_words, _words(corrupted, length))
+            out = simd.run_batch_summary(states, knowns, flips, batch_size)
+            assert verdict_rows(out) == packed_verdicts(
+                packed, states, knowns, patterns, length)
+            assert out.injected.tolist() == [
+                sum(knowns[chain] >> position & 1
+                    for chain, position in pattern.locations)
+                if pattern else 0 for pattern in patterns]
+            if most == 1:
+                assert simd.last_summary_path == "delta"
 
-        for b in range(batch_size):
-            packed.encode_pass(base[b], knowns)
-            reports, corrected = packed.decode_pass(corrupted[b], knowns)
-            assert list(result.reports[b]) == reports
-            assert _sequence_states(result.corrected, b) == corrected
-
-    def _clean(self, simd, batch_size):
-        return _words([[0] * simd.num_chains] * batch_size,
-                      simd.chain_length)
-
-    def test_decode_before_encode_raises(self):
-        design, simd, _packed = self._engines(["crc16"], 4, 20)
+    def test_summary_rejects_empty_batch(self):
+        simd, _packed = self._engines(["crc16"], 4, 20)
+        states = [0] * simd.num_chains
         knowns = [(1 << simd.chain_length) - 1] * simd.num_chains
-        with pytest.raises(RuntimeError):
-            simd.decode_pass_batch(self._clean(simd, 2), knowns, 2)
-
-    def test_batch_size_mismatch_raises(self):
-        design, simd, _packed = self._engines(["crc16"], 4, 20)
-        knowns = [(1 << simd.chain_length) - 1] * simd.num_chains
-        simd.encode_pass_batch(self._clean(simd, 4), knowns, 4)
-        with pytest.raises(RuntimeError):
-            simd.decode_pass_batch(self._clean(simd, 5), knowns, 5)
-
-    def test_geometry_validation(self):
-        design, simd, _packed = self._engines(["crc16"], 4, 20)
-        length = simd.chain_length
-        knowns = [(1 << length) - 1] * simd.num_chains
-        with pytest.raises(ValueError):
-            simd.encode_pass_batch(self._clean(simd, 2)[:2], knowns[:2], 2)
-        with pytest.raises(ValueError, match="words"):
-            simd.encode_pass_batch(self._clean(simd, 2)[:, :-1], knowns, 2)
-        bad = self._clean(simd, 2)
-        bad[0, 0] = 1 << 2  # bit outside a 2-sequence batch
-        with pytest.raises(ValueError):
-            simd.encode_pass_batch(bad, knowns, 2)
-        signed = self._clean(simd, 2).astype(np.int64)
-        with pytest.raises(ValueError, match="uint64"):
-            simd.encode_pass_batch(signed, knowns, 2)
-        unknown = list(knowns)
-        unknown[1] &= ~2  # position 1 of chain 1 is unknown...
-        dirty = self._clean(simd, 2)
-        dirty[1, 1] = 1  # ...but carries a non-zero word
-        with pytest.raises(ValueError):
-            simd.encode_pass_batch(dirty, unknown, 2)
-
-    @pytest.mark.parametrize("short", ("words", "knowns"))
-    def test_short_argument_is_named(self, short):
-        """A per-chain argument one chain short is reported by name
-        (not as "expected 4 chains, got 4")."""
-        design, simd, _packed = self._engines(["crc16"], 4, 20)
-        words = self._clean(simd, 2)
-        knowns = [(1 << simd.chain_length) - 1] * simd.num_chains
-        if short == "words":
-            words = words[:-1]
-        else:
-            knowns = knowns[:-1]
-        with pytest.raises(ValueError,
-                           match=rf"^{short}: expected 4 chains, got 3"):
-            simd.encode_pass_batch(words, knowns, 2)
+        flips = PatternBatch.from_patterns([], simd.num_chains,
+                                           simd.chain_length)
+        with pytest.raises(ValueError, match="batch size"):
+            simd.run_batch_summary(states, knowns, flips, 0)
 
 
 class TestWordPacking:

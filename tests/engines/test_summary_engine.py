@@ -18,10 +18,10 @@ from repro.engines.summary import (                             # noqa: E402
 )
 from repro.faults.batch import (                                # noqa: E402
     PatternBatch,
-    pattern_batch_arrays,
     sample_pattern_batch,
 )
 from repro.faults.patterns import ErrorPattern                  # noqa: E402
+from tests.engines.summary_oracle import assert_summary_matches  # noqa: E402
 
 
 def _design(engine, codes=("hamming(7,4)", "crc16")):
@@ -126,8 +126,9 @@ def test_summary_validates_pattern_batch_eagerly():
 
 @pytest.mark.parametrize("engine", ("simd",))
 def test_engine_summary_matches_batch_masks(engine):
-    """run_batch_summary's columns equal the decode_pass_batch verdicts
-    for the same injected batch."""
+    """run_batch_summary's columns equal per-sequence reference cycles
+    for the same hand-built batch: cells shared between sequences, a
+    two-flip sequence and clean sequences."""
     batch = 21
     design = _design(engine)
     cells = [[] for _ in range(batch)]
@@ -139,23 +140,9 @@ def test_engine_summary_matches_batch_masks(engine):
     summary = get_engine(engine, design).run_batch_summary(
         *pack_chains(design.chains), flips, batch)
 
-    reference = get_engine(engine, design)
-    states, knowns = pack_chains(design.chains)
-    words = replicate_state_words(bits_matrix(states, design.chain_length),
-                                  full_words(batch))
-    reference.encode_pass_batch(words, knowns, batch)
-    chains, positions, masks, injected = pattern_batch_arrays(flips, knowns,
-                                                              batch)
-    words[chains, positions] ^= masks
-    result = reference.decode_pass_batch(words, knowns, batch)
-
-    assert np.array_equal(summary.detected, result.detected_mask)
-    assert np.array_equal(summary.uncorrectable, result.uncorrectable_mask)
-    assert np.array_equal(summary.injected, injected)
-    assert np.array_equal(summary.corrections_applied, result.corrections)
-    assert np.array_equal(
-        summary.residual_errors,
-        residual_counts_words(states, knowns, result.corrected, batch))
+    expected = _design("reference").sleep_wake_cycle_batch(flips.patterns())
+    assert_summary_matches(summary, expected)
+    assert summary.injected.tolist()[:4] == [1, 1, 1, 2]
 
 
 def test_residual_counts_words_unknown_rule():
@@ -243,16 +230,19 @@ def test_dense_baseline_encode_matches_replicated_words(bank, batch_size):
     stored = [group.stored.copy() for group in engine._groups]
     signatures = [monitor.stored.copy() for monitor in engine._observing]
 
+    # A full encode of the replicated words, group by group.
+    full = full_words(batch_size)
     words = replicate_state_words(
-        bits_matrix(states, length) & bits_matrix(knowns, length),
-        full_words(batch_size))
-    engine._encode_words(words, batch_size)
-    for got, group in zip(stored, engine._groups):
+        bits_matrix(states, length) & bits_matrix(knowns, length), full)
+    for index, (got, group) in enumerate(zip(stored, engine._groups)):
         assert got.dtype == np.uint64
-        assert np.array_equal(got, group.stored)
+        assert np.array_equal(got, group.kernel.encode(
+            engine._gather(index, group, words), full))
+    words_flat = words.reshape(-1, full.size)
     for got, monitor in zip(signatures, engine._observing):
         assert got.dtype == np.uint64
-        assert np.array_equal(got, monitor.stored)
+        assert np.array_equal(got, engine._stream_signature(
+            monitor, words_flat, full))
 
 
 def test_dense_passes_reuse_the_gather_buffers():
