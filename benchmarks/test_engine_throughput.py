@@ -15,14 +15,15 @@ in ``BENCH_engines.json`` and enforced by the CI regression guard
   engine stays vectorised at this density: its summary cycle must
   hold >= 10x over the packed engine's per-sequence
   ``sleep_wake_cycle``, timed on a 64-sequence sample of the same
-  batch.  The engine's dense summary pass alone (one
-  ``run_batch_summary(path="dense")`` from a prepared state and
-  injection) is recorded as an absolute rate.
+  batch.  The engine's summary pass alone (one ``run_batch_summary``
+  from a prepared state and injection, which takes the dense pipeline
+  on this batch) is recorded as an absolute rate.
 * **campaign_delta_path** -- end-to-end single-error campaign chunk
   on the paper's 32x32-FIFO configuration, the single-flip outcome
-  table (``summary_path="delta"``) forced against the dense word-fold
-  summary path: >= 2x end to end (measured ~3x; the engine pass alone
-  is ~20x at batch 4096).
+  table the engine picks for it against the dense word-fold summary
+  path (substituted for the engine's summary pass inside the
+  benchmark): >= 2x end to end (measured ~3x; the engine pass alone is
+  ~20x at batch 4096).
 * **campaign_small_batch** -- the summary path's per-batch overhead:
   the same single-error chunk at batch 256 must keep >= 0.08x of its
   batch-4096 rate (``small_batch_efficiency``).
@@ -216,8 +217,8 @@ def test_dense_error_campaign_throughput():
     patterns = [_dense_burst_pattern(NUM_CHAINS, length, rng)
                 for _ in range(DENSE_BATCH)]
 
-    # Engine level: one dense summary pass from a prepared pre-sleep
-    # state and injection.
+    # Engine level: one summary pass from a prepared pre-sleep state
+    # and injection; every sequence has many flips, so it is dense.
     from repro.faults.batch import PatternBatch
 
     states, knowns = pack_chains(probe.chains)
@@ -227,9 +228,10 @@ def test_dense_error_campaign_throughput():
 
     def engine_pass():
         engine_results["out"] = engine.run_batch_summary(
-            states, knowns, flips, DENSE_BATCH, path="dense")
+            states, knowns, flips, DENSE_BATCH)
 
     engine_pass()  # warm-up
+    assert engine.last_summary_path == "dense"
     engine_time = _time(engine_pass, repeats=3) / DENSE_BATCH
     # Every sequence carries (at least detected) errors.
     assert engine_results["out"].detected.all()
@@ -322,7 +324,7 @@ DELTA_FLOOR = 2.0
 
 @requires_simd
 @pytest.mark.benchmark(group="engines")
-def test_campaign_delta_path_throughput():
+def test_campaign_delta_path_throughput(monkeypatch):
     """End-to-end single-error campaign chunk, single-flip outcome
     table (``"delta"``) versus dense summary path, on the paper's
     32x32-FIFO configuration (:func:`_campaign_task`): the table
@@ -333,43 +335,51 @@ def test_campaign_delta_path_throughput():
     The table is a cache of the dense pass: the engine builds it once
     per known matrix by running the dense pass over one flip per scan
     cell, then answers each single-error batch with one gather per
-    sequence.  Every sequence here has one flip, so ``"auto"`` must
-    resolve to the table -- asserted on the engine after the run.
+    sequence.  Every sequence here has one flip, so the engine picks
+    the table -- asserted on the engine after the run.  The dense side
+    is the same chunk with the simd engine's summary pass replaced by
+    its dense pipeline for the duration of the measurement.
     """
-    from dataclasses import replace
+    from repro.engines.simd import SimdBatchedEngine
 
-    dense_task = replace(_campaign_task(DELTA_BATCH), summary_path="dense")
-    delta_task = replace(_campaign_task(DELTA_BATCH), summary_path="delta")
-    auto_task = _campaign_task(DELTA_BATCH)
+    task = _campaign_task(DELTA_BATCH)
 
-    # Bit-identity of the measured work: forced delta and forced dense
-    # chunks agree counter for counter (the full property suite lives
-    # in tests/engines/test_delta_path.py).
-    check_delta = delta_task.run_chunk(20100308, 2 * DELTA_BATCH)
-    check_dense = dense_task.run_chunk(20100308, 2 * DELTA_BATCH)
-    assert check_delta == check_dense, \
-        "delta path diverged from the dense summary path"
-    assert check_delta.stats.detection_rate() == 1.0
-    assert check_delta.stats.correction_rate() == 1.0
+    def dense_only(self, states, knowns, flips, batch_size):
+        self.last_summary_path = "dense"
+        return self._dense_summary(states, knowns,
+                                   self._known_matrix(knowns), flips,
+                                   batch_size)
 
-    times = {}
-    for label, task in (("dense", dense_task), ("delta", delta_task)):
+    def measure(label):
         task.run_chunk(20100308, DELTA_BATCH)  # warm-up
 
-        def run(task=task):
+        def run():
             task.run_chunk(20100308, DELTA_SEQUENCES)
 
         times[label] = _time(run, repeats=2) / DELTA_SEQUENCES
 
-    # "auto" picks the table on this single-error workload (and matches
-    # both forced chunks) -- asserted at the engine level, where the
-    # chosen path is published.
+    # Bit-identity of the measured work: the table and the dense
+    # pipeline agree counter for counter (the full property suite lives
+    # in tests/engines/test_delta_path.py).
+    times = {}
+    check_delta = task.run_chunk(20100308, 2 * DELTA_BATCH)
+    with monkeypatch.context() as patch:
+        patch.setattr(SimdBatchedEngine, "run_batch_summary", dense_only)
+        check_dense = task.run_chunk(20100308, 2 * DELTA_BATCH)
+        measure("dense")
+    assert check_delta == check_dense, \
+        "delta path diverged from the dense summary path"
+    assert check_delta.stats.detection_rate() == 1.0
+    assert check_delta.stats.correction_rate() == 1.0
+    measure("delta")
+
+    # The engine picks the table on this single-error workload --
+    # asserted at the engine level, where the chosen path is published.
     import numpy as np
 
     from repro.circuit.fifo import SyncFIFO
     from repro.faults.batch import sample_pattern_batch
 
-    assert auto_task.run_chunk(20100308, 2 * DELTA_BATCH) == check_delta
     design = ProtectedDesign(SyncFIFO(32, 32, name="fifo32x32"),
                              codes=["hamming(7,4)", "crc16"],
                              num_chains=80, engine="simd")

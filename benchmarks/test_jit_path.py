@@ -7,8 +7,8 @@ of ``BENCH_engines.json`` and enforced by the CI regression guard:
   the paper's 32x32-FIFO configuration at batch 65536 (the regime
   where per-batch Python overhead vanishes and the summary pass is
   the whole story), ``engine="jit"`` against the simd engine's best
-  path on the same workload (``"auto"`` resolves to the single-flip
-  outcome table at single-error density).  The fused kernels must hold
+  path on the same workload (it picks the single-flip outcome table at
+  single-error density).  The fused kernels must hold
   >= 2x cycle throughput: the table path still sorts the flip
   coordinates and gathers five outcome columns per batch, while the
   kernel walks each sequence's CSR slice exactly once, in parallel.
@@ -25,7 +25,6 @@ property matrix lives in ``tests/engines/test_jit_equivalence.py``).
 """
 
 import time
-from dataclasses import replace
 
 import pytest
 
@@ -54,13 +53,12 @@ def _time(fn, repeats):
     return best
 
 
-def _campaign_task(engine, summary_path="auto"):
+def _campaign_task(engine):
     from repro.campaigns.tasks import FIFOValidationCampaignTask
     return FIFOValidationCampaignTask(
         width=32, depth=32, codes=("hamming(7,4)", "crc16"),
         num_chains=80, pattern="single", engine=engine,
-        batch_size=JIT_BATCH, sampler="array",
-        summary_path=summary_path)
+        batch_size=JIT_BATCH, sampler="array")
 
 
 @requires_jit
@@ -84,7 +82,7 @@ def test_campaign_jit_path_throughput():
     assert warm_up_kernels() is True
 
     simd_task = _campaign_task("simd")
-    jit_task = replace(_campaign_task("jit"), summary_path="jit")
+    jit_task = _campaign_task("jit")
 
     # Bit-identity of the measured work: the jit and simd chunks agree
     # counter for counter on the same seeds.

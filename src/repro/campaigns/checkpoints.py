@@ -141,10 +141,11 @@ class CheckpointStore:
         """Refuse a payload whose header fields disagree with ours.
 
         A ``task`` fingerprint mismatch is the common upgrade hazard (a
-        new task field -- e.g. ``summary_path`` in PR 8 -- changes the
-        fingerprint of every pre-existing checkpoint), so the error
-        names the exact task fields that were added, removed or changed
-        rather than just saying "task".
+        task field added or removed between versions changes the
+        fingerprint of every pre-existing checkpoint, and a checkpoint
+        written before a field was dropped still carries it), so the
+        error names the exact task fields that were added, removed or
+        changed rather than just saying "task".
         """
         mismatched = [key for key, value in header.items()
                       if payload.get(key) != value]

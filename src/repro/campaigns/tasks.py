@@ -89,22 +89,6 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
         worker-count bit-identical; the two *modes* sample different
         (statistically equivalent) streams.  ``"array"`` requires
         ``batch_size`` and numpy.
-    summary_path:
-        Summary-path selection forwarded to the engine on the columnar
-        path (``batch_size`` + summary-capable engine): ``"auto"``
-        (default) lets the engine pick per batch: the simd engine
-        answers batches with at most one effective flip per sequence
-        from its single-flip outcome table and runs every other batch
-        through the dense word pipeline; ``"delta"`` forces the table
-        (``ValueError`` on a batch with a multi-flip sequence) and
-        ``"dense"`` the pipeline (useful for A/B benchmarking -- the
-        paths are bit-identical, property-tested);
-        ``"jit"`` forces the fused single-pass kernels of
-        ``engine="jit"`` (only that engine provides it).
-        Non-``"auto"`` values require ``batch_size`` and, when the
-        chunk runs, a summary-capable engine (the per-sequence path has
-        no path selection).  The field is part of the task
-        fingerprint, so changing it invalidates checkpoints.
     """
 
     width: int = 32
@@ -118,7 +102,6 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
     words_per_sequence: Optional[int] = None
     batch_size: Optional[int] = None
     sampler: str = "scalar"
-    summary_path: str = "auto"
 
     def __post_init__(self) -> None:
         # Accept a bare code name the way ProtectedDesign does, rather
@@ -131,20 +114,16 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
             raise ValueError(
                 f"unknown pattern {self.pattern!r}; choose from "
                 f"{VALIDATION_PATTERNS}")
+        if self.inject_phase not in ("sleep", "post_wake"):
+            raise ValueError(
+                f"unknown inject_phase {self.inject_phase!r}; choose "
+                f"'sleep' or 'post_wake'")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.sampler not in ("scalar", "array"):
             raise ValueError(
                 f"unknown sampler {self.sampler!r}; choose 'scalar' or "
                 f"'array'")
-        if self.summary_path not in ("auto", "delta", "dense", "jit"):
-            raise ValueError(
-                f"unknown summary_path {self.summary_path!r}; choose "
-                f"'auto', 'delta', 'dense' or 'jit'")
-        if self.summary_path != "auto" and self.batch_size is None:
-            raise ValueError(
-                "summary_path selection needs the columnar summary "
-                "path, which runs batched groups; set batch_size")
         if self.sampler == "array":
             if self.batch_size is None:
                 raise ValueError(
@@ -262,11 +241,6 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
         # burst: one columnar summary pass on a summary engine, one
         # scalar cycle per sequence otherwise.
         use_summary = design.supports_batch_summary
-        if self.summary_path != "auto" and not use_summary:
-            raise ValueError(
-                f"summary_path={self.summary_path!r} was forced but "
-                f"engine {self.engine!r} has no columnar summary "
-                f"support; the per-sequence path has no path selection")
         remaining = num_sequences
         while remaining:
             group = min(self.batch_size, remaining)
@@ -279,8 +253,7 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
                     drawn = PatternBatch.from_patterns(drawn, num_chains,
                                                        chain_length)
                 result.add_batch(testbench.run_sequence_batch_summary(
-                    drawn, group, self.inject_phase,
-                    path=self.summary_path))
+                    drawn, group, self.inject_phase))
             else:
                 if self.sampler == "array":
                     drawn = drawn.patterns()

@@ -586,8 +586,7 @@ class ProtectedDesign:
     def sleep_wake_cycle_batch_summary(self, snapshot: Tuple[Sequence[int],
                                                              Sequence[int]],
                                        flips, batch_size: int,
-                                       inject_phase: str = "sleep",
-                                       path: str = "auto"):
+                                       inject_phase: str = "sleep"):
         """Run ``B`` sequences as one batch, returning columnar verdicts.
 
         The one vectorised batch path, for consumers that only reduce
@@ -628,22 +627,12 @@ run_sequence_batch_summary`).
 
         Requires an engine with summary support
         (:attr:`supports_batch_summary`) and, like
-        :meth:`sleep_wake_cycle_batch`, ``upset_model=None``.
-
-        ``path`` selects the engine's summary implementation
-        (``"auto"`` / ``"delta"`` / ``"dense"``, plus ``"jit"`` on the
-        jit engine, see
-        :meth:`~repro.engines.base.SimulationEngine.run_batch_summary`);
-        the default ``"auto"`` is not forwarded, so third-party summary
-        engines predating the parameter keep working unless a path is
-        forced.
+        :meth:`sleep_wake_cycle_batch`, ``upset_model=None``.  The
+        engine picks its summary implementation per batch (see
+        :meth:`~repro.engines.base.SimulationEngine.run_batch_summary`).
         """
         if inject_phase not in ("sleep", "post_wake"):
             raise ValueError("inject_phase must be 'sleep' or 'post_wake'")
-        if path not in ("auto", "delta", "dense", "jit"):
-            raise ValueError(
-                f"unknown summary path {path!r}; choose 'auto', 'delta', "
-                f"'dense' or 'jit'")
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.domain.upset_model is not None:
@@ -682,12 +671,7 @@ run_sequence_batch_summary`).
         self.domain.wake_up(virtual=True)
         self.controller.wake_completed()
 
-        if path == "auto":
-            arrays = engine.run_batch_summary(states, knowns, flips,
-                                              batch_size)
-        else:
-            arrays = engine.run_batch_summary(states, knowns, flips,
-                                              batch_size, path=path)
+        arrays = engine.run_batch_summary(states, knowns, flips, batch_size)
 
         any_detected = bool(arrays.detected.any())
         any_uncorrectable = bool(arrays.uncorrectable.any())

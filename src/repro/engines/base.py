@@ -170,8 +170,7 @@ class SimulationEngine(ABC):
     # -- summary interface (optional) -----------------------------------
     def run_batch_summary(self, states: Sequence[int],
                           knowns: Sequence[int], flips: Any,
-                          batch_size: int,
-                          path: str = "auto") -> BatchOutcomeArrays:
+                          batch_size: int) -> BatchOutcomeArrays:
         """Run a whole batch end to end, returning columnar verdicts.
 
         ``states[c]`` / ``knowns[c]`` are chain ``c``'s packed
@@ -192,17 +191,12 @@ class SimulationEngine(ABC):
         :meth:`~repro.faults.batch.PatternBatch.validate` (which the
         design's batch entry points call) checks.
 
-        ``path`` selects the summary implementation on engines that
-        offer more than one (``"auto"`` -- the engine picks; the simd
-        engine adds a single-flip outcome table for batches with at
-        most one effective flip per sequence, forced with ``"delta"``
-        and forcible off with ``"dense"``; the jit engine
-        additionally accepts ``"jit"`` to force its fused single-pass
-        kernels).  Engines with a
-        single implementation accept ``"auto"`` and ``"dense"`` and
-        raise ``ValueError`` for paths they do not provide; since the
-        paths are bit-identical wherever both exist, callers that do
-        not care simply leave the default.
+        An engine with more than one implementation picks one per
+        batch from the batch itself (the simd engine answers batches
+        with at most one effective flip per sequence from a
+        single-flip outcome table; the jit engine runs its fused
+        kernels wherever its plan supports the bank).  The
+        implementations are bit-identical, so callers never choose.
         """
         raise NotImplementedError(
             f"engine {self.name or type(self).__name__!r} does not "

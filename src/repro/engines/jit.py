@@ -79,10 +79,6 @@ except ImportError:
 
 NUMBA_VERSION: Optional[str] = getattr(numba, "__version__", None)
 
-#: Summary paths this engine accepts (superset of the simd engine's).
-JIT_SUMMARY_PATHS = ("auto", "jit", "delta", "dense")
-
-
 # ----------------------------------------------------------------------
 # The fused kernel (nopython-compatible Python)
 # ----------------------------------------------------------------------
@@ -403,12 +399,10 @@ class JitFusedEngine(SimdBatchedEngine):
         the interpreter path -- the bit-identity property suite's mode,
         byte-for-byte the same kernel logic.
 
-    ``run_batch_summary`` accepts ``path`` values ``"auto"`` / ``"jit"``
-    / ``"delta"`` / ``"dense"``: the inherited numpy paths stay
-    selectable for A/B comparison, ``"auto"`` takes the fused kernel
-    whenever the bank structure supports superposition (falling back to
-    the dense word pipeline otherwise), and the path actually taken is
-    published as ``last_summary_path`` (``"jit"`` on the fused path).
+    ``run_batch_summary`` takes the fused kernel whenever the bank
+    structure supports superposition and the inherited simd summary
+    pass otherwise; the path taken is published as
+    ``last_summary_path`` (``"jit"`` on the fused path).
     """
 
     def __init__(self, bank, num_chains: int, chain_length: int,
@@ -433,26 +427,14 @@ class JitFusedEngine(SimdBatchedEngine):
     # ------------------------------------------------------------------
     def run_batch_summary(self, states: Sequence[int],
                           knowns: Sequence[int], flips,
-                          batch_size: int,
-                          path: str = "auto") -> BatchOutcomeArrays:
+                          batch_size: int) -> BatchOutcomeArrays:
         """The summary pass through the fused kernels.
 
-        Same contract as the simd engine's, plus the ``"jit"`` path
-        name: ``"auto"`` runs the fused kernel when the structure
-        supports superposition (any density -- the identity is exact)
-        and otherwise falls back to the inherited dense pipeline;
-        ``"jit"`` forces the kernel (``ValueError`` on unsupported
-        structures); ``"delta"`` / ``"dense"`` select the inherited
-        numpy implementations for A/B comparison.  All paths are
-        bit-identical (property-tested).
+        Same contract as the simd engine's: the fused kernel runs when
+        the structure supports superposition (any density -- the
+        identity is exact), and otherwise the inherited simd pass picks
+        its own path.  All paths are bit-identical (property-tested).
         """
-        if path not in JIT_SUMMARY_PATHS:
-            raise ValueError(
-                f"unknown summary path {path!r}; choose one of "
-                f"{JIT_SUMMARY_PATHS}")
-        if path in ("delta", "dense"):
-            return super().run_batch_summary(states, knowns, flips,
-                                             batch_size, path=path)
         if self._plan is None:
             self._plan = build_plan(
                 self._groups, self._observing,
@@ -460,12 +442,8 @@ class JitFusedEngine(SimdBatchedEngine):
                 self.chain_length)
         plan = self._plan
         if plan.reason is not None:
-            if path == "jit":
-                raise ValueError(
-                    f"summary path 'jit' is unavailable for this "
-                    f"monitor bank: {plan.reason}")
             return super().run_batch_summary(states, knowns, flips,
-                                             batch_size, path="dense")
+                                             batch_size)
         from repro.engines.summary import bits_matrix
         from repro.faults.batch import pattern_batch_csr
 
@@ -503,7 +481,6 @@ class JitFusedEngine(SimdBatchedEngine):
 
 
 __all__ = [
-    "JIT_SUMMARY_PATHS",
     "JitFusedEngine",
     "NUMBA_VERSION",
     "warm_up_kernels",

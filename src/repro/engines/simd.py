@@ -42,12 +42,10 @@ cell (given the known-bit matrix), never on the baseline state.  The
 engine runs its own dense pass once over a batch holding one flip per
 scan cell plus one clean sequence, keeps the result for the last known
 matrix seen, and answers such batches with one gather per sequence.
-``run_batch_summary(..., path="auto")`` takes the table when the batch
-has at most ``batch_size`` flips and no sequence has two effective
-flips, and the dense word pipeline otherwise; ``path="delta"`` forces
-the table (``ValueError`` on a multi-flip sequence), ``path="dense"``
-the pipeline, and the path actually taken is published as
-``engine.last_summary_path``.  Both are bit-identical
+:meth:`~SimdBatchedEngine.run_batch_summary` takes the table when the
+batch has at most ``batch_size`` flips and no sequence has two
+effective flips, and the dense word pipeline otherwise; the path taken
+is published as ``engine.last_summary_path``.  Both are bit-identical
 (property-tested in ``tests/engines/test_delta_path.py``).
 
 Each engine reuses per-instance :class:`Workspace` buffers for the
@@ -684,8 +682,7 @@ class SimdBatchedEngine(SimulationEngine):
     # ------------------------------------------------------------------
     def run_batch_summary(self, states: Sequence[int],
                           knowns: Sequence[int], flips,
-                          batch_size: int,
-                          path: str = "auto") -> BatchOutcomeArrays:
+                          batch_size: int) -> BatchOutcomeArrays:
         """Replicate, encode, inject, decode and compare -- all in the
         word-packed layout, returning only columnar verdicts.
 
@@ -694,19 +691,13 @@ class SimdBatchedEngine(SimulationEngine):
         per sequence from the same state and folding the outcomes field
         by field; no report or correction event is materialised.
 
-        ``path`` selects the implementation: ``"auto"`` (default)
-        answers the batch from the single-flip outcome table when it
-        holds at most ``batch_size`` flips and no sequence has more than
-        one effective flip, and runs the dense word pipeline otherwise;
-        ``"delta"`` forces the table (``ValueError`` naming the flip
-        count when a sequence has more) and ``"dense"`` the pipeline.
-        Both return bit-identical arrays; the one taken is published as
+        The engine answers the batch from the single-flip outcome table
+        when it holds at most ``batch_size`` flips and no sequence has
+        more than one effective flip, and runs the dense word pipeline
+        otherwise.  Both return bit-identical arrays; the one taken
+        (``"delta"`` or ``"dense"``) is published as
         ``self.last_summary_path``.
         """
-        if path not in ("auto", "delta", "dense"):
-            raise ValueError(
-                f"unknown summary path {path!r}; choose 'auto', "
-                f"'delta' or 'dense'")
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         self._check_chains(states=states, knowns=knowns)
@@ -714,14 +705,12 @@ class SimdBatchedEngine(SimulationEngine):
         # More flips than sequences cannot be a single-error batch;
         # testing that first spares dense batches the coordinate probe.
         coords = None
-        if path == "delta" or (path == "auto"
-                               and flips.num_flips <= batch_size):
+        if flips.num_flips <= batch_size:
             from repro.faults.batch import pattern_batch_coords
 
             coords = pattern_batch_coords(flips, known_bits, batch_size)
             seqs, cells, injected = coords
-            most = int(injected.max())
-            if most <= 1:
+            if int(injected.max()) <= 1:
                 table = self._single_flip_table(states, knowns, known_bits)
                 if len(cells) == batch_size:
                     # Every sequence has exactly one effective flip, in
@@ -738,11 +727,6 @@ class SimdBatchedEngine(SimulationEngine):
                     uncorrectable=table.uncorrectable[row],
                     residual_errors=table.residual_errors[row],
                     corrections_applied=table.corrections_applied[row])
-            if path == "delta":
-                raise ValueError(
-                    f"summary path 'delta' serves at most one effective "
-                    f"flip per sequence; this batch has a sequence with "
-                    f"{most}")
         self.last_summary_path = "dense"
         return self._dense_summary(states, knowns, known_bits, flips,
                                    batch_size, coords)

@@ -15,16 +15,16 @@ are derived views, split only for readers that want them
 The resolvers below turn a batch into the input form each engine
 kernel consumes, with no per-flip Python work:
 
-* :func:`pattern_batch_arrays` -- per-cell uint64 sequence masks for
-  the XOR scatter into the ``(C, L, W)`` word-packed batch state of
-  :mod:`repro.engines.simd` (:func:`coords_scatter` is its flat-cell
-  form);
 * :func:`pattern_batch_coords` -- flat (sequence, cell) coordinates for
   the simd engine's single-flip table gather;
+* :func:`coords_scatter` -- from those coordinates, per-cell uint64
+  sequence masks for the XOR scatter into the ``(C * L, W)``
+  word-packed batch state of :mod:`repro.engines.simd`;
 * :func:`pattern_batch_csr` -- CSR slices for the fused kernels of
   :mod:`repro.engines.jit`.
 
-All three gate flips by the chains' known masks, matching the
+All three (:func:`coords_scatter` through the coordinates it takes)
+gate flips by the chains' known masks, matching the
 reference injector's no-op on unknown (``None``) flops, collapse
 repeated (sequence, cell) pairs to the ``ErrorPattern`` set semantics,
 and return the per-sequence count of *effective* flips, so campaign
@@ -446,39 +446,16 @@ def _smallest_keys(keys, draws: int, threshold: float, out) -> None:
         out[fallback] = np.sort(order[:, :draws], axis=1)
 
 
-def pattern_batch_arrays(batch: "PatternBatch", knowns: Sequence[int],
-                         batch_size: int):
-    """Resolve a :class:`PatternBatch` into ndarray scatter form.
-
-    Returns ``(chains, positions, masks, counts)``: one row per distinct
-    targeted cell, cells in ascending order, ``masks`` the ``(N, W)``
-    uint64 sequence masks in the word-packed layout of
-    :mod:`repro.engines.simd` (bit ``b`` of word ``w`` is sequence
-    ``64 * w + b``), and ``counts`` the per-sequence effective-flip
-    counts.  Flips on unknown cells (``knowns[c]`` bit clear) are
-    dropped from both masks and counts, and repeated (sequence, cell)
-    pairs count once -- the gating and dedup of
-    :func:`pattern_batch_coords`, which this builds on.  XOR-ing
-    ``masks`` into ``words[chains, positions]`` applies the whole
-    batch's injection.
-    """
-    from repro.engines.summary import bits_matrix
-
-    length = batch.chain_length
-    coords = pattern_batch_coords(batch, bits_matrix(knowns, length),
-                                  batch_size)
-    cells, masks, counts = coords_scatter(coords, batch.num_chains, length,
-                                          batch_size)
-    return cells // length, cells % length, masks, counts
-
-
 def coords_scatter(coords, num_chains: int, length: int, batch_size: int):
-    """The flat-cell form of :func:`pattern_batch_arrays` from the
-    batch's already resolved :func:`pattern_batch_coords` ``(seqs,
-    cells, counts)``: ``(cells, masks, counts)`` with ``cells`` the
-    distinct targeted flat cells, ascending -- XOR-ing ``masks`` into
-    rows ``cells`` of the ``(C * L, W)`` word view applies the
-    injection."""
+    """Per-cell sequence masks from the batch's already resolved
+    :func:`pattern_batch_coords` ``(seqs, cells, counts)``.
+
+    Returns ``(cells, masks, counts)``: ``cells`` the distinct targeted
+    flat cells, ascending, ``masks`` the ``(N, W)`` uint64 sequence
+    masks in the word-packed layout of :mod:`repro.engines.simd` (bit
+    ``b`` of word ``w`` is sequence ``64 * w + b``) and ``counts``
+    passed through -- XOR-ing ``masks`` into rows ``cells`` of the
+    ``(C * L, W)`` word view applies the injection."""
     seqs, cells, counts = coords
     num_words = (batch_size + 63) // 64
     # Rank the targeted cells through a presence bitmap (no sort).
@@ -515,12 +492,10 @@ def pattern_batch_coords(batch: "PatternBatch", known_bits,
     Returns ``(seqs, cells, counts)``: parallel int64 arrays with flip
     ``f`` hitting flat scan cell ``cells[f]`` (``chain * chain_length +
     position``) in sequence ``seqs[f]``, sorted by ``(sequence,
-    cell)``, plus the per-sequence effective-flip counts.  The same
-    gating/dedup contract as :func:`pattern_batch_arrays` (flips on
-    unknown cells dropped, repeated (sequence, cell) pairs collapsed to
-    the :class:`~repro.faults.patterns.ErrorPattern` set semantics), so
-    the two resolutions describe the identical injection --
-    ``known_bits`` is the expanded ``(C, L)`` bool known matrix the
+    cell)``, plus the per-sequence effective-flip counts.  Flips on
+    unknown cells are dropped and repeated (sequence, cell) pairs
+    collapse to the :class:`~repro.faults.patterns.ErrorPattern` set
+    semantics, the contract every resolver shares -- ``known_bits`` is the expanded ``(C, L)`` bool known matrix the
     summary pass already holds; flips are gated through its flattened
     ``(C * L,)`` view, indexed by flat cell.  The returned arrays may
     be the batch's own (read them, never write them).
@@ -670,7 +645,6 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
 __all__ = [
     "PatternBatch",
     "coords_scatter",
-    "pattern_batch_arrays",
     "pattern_batch_coords",
     "pattern_batch_csr",
     "sample_pattern_batch",

@@ -264,7 +264,6 @@ def run_sharded_single_error_campaign(
         words_per_sequence: Optional[int] = None,
         batch_size: Optional[int] = None,
         sampler: str = "scalar",
-        summary_path: str = "auto",
         num_workers: int = 1,
         chunk_size: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
@@ -278,16 +277,14 @@ def run_sharded_single_error_campaign(
     each chunk's sequences in batches of that size;
     ``sampler="array"`` (with a summary-capable engine such as
     ``"simd"`` for the columnar fast path) additionally vectorises the
-    pattern sampling and counter ingestion, and ``summary_path`` forces
-    the single-flip table or dense summary implementation (default
-    ``"auto"``: the engine picks per batch); see
+    pattern sampling and counter ingestion; see
     :class:`~repro.campaigns.tasks.FIFOValidationCampaignTask`.
     """
     task = FIFOValidationCampaignTask(
         width=width, depth=depth, codes=codes, num_chains=num_chains,
         pattern="single", inject_phase=inject_phase, engine=engine,
         words_per_sequence=words_per_sequence, batch_size=batch_size,
-        sampler=sampler, summary_path=summary_path)
+        sampler=sampler)
     return run_sharded_campaign(task, num_sequences, seed=seed,
                                 num_workers=num_workers,
                                 chunk_size=chunk_size,
@@ -311,7 +308,6 @@ def run_sharded_multiple_error_campaign(
         words_per_sequence: Optional[int] = None,
         batch_size: Optional[int] = None,
         sampler: str = "scalar",
-        summary_path: str = "auto",
         num_workers: int = 1,
         chunk_size: Optional[int] = None,
         checkpoint_path: Optional[str] = None,
@@ -325,9 +321,7 @@ def run_sharded_multiple_error_campaign(
     each chunk's sequences in batches of that size;
     ``sampler="array"`` (with a summary-capable engine such as
     ``"simd"`` for the columnar fast path) additionally vectorises the
-    pattern sampling and counter ingestion, and ``summary_path`` forces
-    the single-flip table or dense summary implementation (default
-    ``"auto"``: the engine picks per batch); see
+    pattern sampling and counter ingestion; see
     :class:`~repro.campaigns.tasks.FIFOValidationCampaignTask`.
     """
     task = FIFOValidationCampaignTask(
@@ -335,7 +329,7 @@ def run_sharded_multiple_error_campaign(
         pattern="burst" if clustered else "multiple",
         burst_size=burst_size, inject_phase=inject_phase, engine=engine,
         words_per_sequence=words_per_sequence, batch_size=batch_size,
-        sampler=sampler, summary_path=summary_path)
+        sampler=sampler)
     return run_sharded_campaign(task, num_sequences, seed=seed,
                                 num_workers=num_workers,
                                 chunk_size=chunk_size,

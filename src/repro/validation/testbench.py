@@ -236,8 +236,7 @@ class FIFOTestbench:
                 for outcome in outcomes]
 
     def run_sequence_batch_summary(self, flips, batch_size: int,
-                                   inject_phase: str = "sleep",
-                                   path: str = "auto"):
+                                   inject_phase: str = "sleep"):
         """Run a batch of test sequences, returning columnar verdicts.
 
         The summary twin of :meth:`run_sequence_batch`: stages 1--2 run
@@ -253,9 +252,6 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         counters ingest it through
         :meth:`~repro.campaigns.stats.StreamingCampaignResult.add_batch`
         with statistics bit-identical to :meth:`run_sequence_batch`'s.
-        ``path`` forwards to the engine's summary-path selection
-        (``"auto"`` / ``"delta"`` / ``"dense"``, plus ``"jit"`` on the
-        jit engine).
 
         The DUT's flops are not loaded per batch: the loaded pre-sleep
         state is built as a packed ``(states, knowns)`` snapshot from
@@ -268,8 +264,7 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         snapshot = self._loaded_snapshot(
             [draw() for _ in range(self.words_per_sequence)])
         return self.dut_design.sleep_wake_cycle_batch_summary(
-            snapshot, flips, batch_size, inject_phase=inject_phase,
-            path=path)
+            snapshot, flips, batch_size, inject_phase=inject_phase)
 
     def _loaded_snapshot(self, words: Sequence[int]):
         """The packed ``(states, knowns)`` chains of the DUT as stages

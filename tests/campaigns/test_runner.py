@@ -240,6 +240,15 @@ class TestValidationCampaignDeterminism:
         with pytest.raises(ValueError, match="pattern"):
             FIFOValidationCampaignTask(pattern="gaussian")
 
+    def test_unknown_inject_phase_fails_at_task_construction(self):
+        """A phase typo fails when the task is built, like every other
+        field, not as a ChunkExecutionError inside a worker."""
+        with pytest.raises(ValueError, match="inject_phase 'bogus'"):
+            FIFOValidationCampaignTask(inject_phase="bogus")
+        for phase in ("sleep", "post_wake"):
+            assert FIFOValidationCampaignTask(
+                inject_phase=phase).inject_phase == phase
+
 
 class TestCorrectionCapabilitySharding:
     def test_curve_identical_for_1_and_3_workers(self):

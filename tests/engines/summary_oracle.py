@@ -20,7 +20,7 @@ from repro.core.controller import ErrorCode
 from repro.validation.testbench import BatchSequenceResult
 
 
-def run_summary(design, patterns, inject_phase="sleep", path="auto"):
+def run_summary(design, patterns, inject_phase="sleep"):
     """``patterns`` as one summary batch from the design's current
     state."""
     from repro.faults.batch import PatternBatch
@@ -29,7 +29,7 @@ def run_summary(design, patterns, inject_phase="sleep", path="auto"):
                                        design.chain_length)
     return design.sleep_wake_cycle_batch_summary(
         design._pack_chains(), flips, len(patterns),
-        inject_phase=inject_phase, path=path)
+        inject_phase=inject_phase)
 
 
 def summary_rows(arrays):

@@ -1,19 +1,20 @@
 """Property suite: the single-flip outcome table is bit-identical to the
 dense summary path.
 
-``run_batch_summary(..., path="delta")`` answers a batch with at most
-one effective flip per sequence from a per-cell outcome table that the
-engine's own dense pass builds once per known matrix.  It must produce
-exactly the arrays of ``path="dense"`` -- every field of
-:class:`BatchOutcomeArrays` -- across all registered code families
-(the overlapping-corrector bank included), geometries with and without
-padding, batch sizes including B=1 and non-multiples of 64, zero-flip
-sequences and unknown-cell holes, with the table built under one
-baseline state and gathered under another.  The suite also pins the
-automatic path selection (``last_summary_path``), the forced-delta
-failure on a multi-flip sequence, the table's rebuild on a known-matrix
-change, and the process-wide sharing of the correction / verdict
-lookup tables.
+``run_batch_summary`` answers a batch with at most one effective flip
+per sequence from a per-cell outcome table that the engine's own dense
+pass builds once per known matrix.  It must produce exactly the arrays
+of the dense pass (``engine._dense_summary``, the pass the table is
+built from) -- every field of :class:`BatchOutcomeArrays` -- across
+all registered code families (the overlapping-corrector bank
+included), geometries with and without padding, batch sizes including
+B=1 and non-multiples of 64, zero-flip sequences and unknown-cell
+holes, with the table built under one baseline state and gathered
+under another.  The suite also pins the path selection
+(``last_summary_path``: ``"delta"`` for the table, ``"dense"`` for
+every batch with a multi-flip sequence), the table's rebuild on a
+known-matrix change, and the process-wide sharing of the correction /
+verdict lookup tables.
 """
 
 import pytest
@@ -83,17 +84,23 @@ def _punch_holes(states, knowns):
     return states, knowns
 
 
+def _dense(engine, states, knowns, flips, batch_size):
+    """The dense word pipeline on its own, whatever the batch holds."""
+    return engine._dense_summary(states, knowns,
+                                 engine._known_matrix(knowns), flips,
+                                 batch_size)
+
+
 def _both_paths(design, flips, batch_size, states=None, knowns=None,
                 engine=None):
+    """The dense pass and the engine's own choice on a batch with at
+    most one effective flip per sequence, which must be the table."""
     if engine is None:
         engine = get_engine("simd", design)
     if states is None:
         states, knowns = _pack(design)
-    dense = engine.run_batch_summary(states, knowns, flips, batch_size,
-                                     path="dense")
-    assert engine.last_summary_path == "dense"
-    delta = engine.run_batch_summary(states, knowns, flips, batch_size,
-                                     path="delta")
+    dense = _dense(engine, states, knowns, flips, batch_size)
+    delta = engine.run_batch_summary(states, knowns, flips, batch_size)
     assert engine.last_summary_path == "delta"
     return dense, delta
 
@@ -116,9 +123,8 @@ def assert_identical(dense: BatchOutcomeArrays, delta: BatchOutcomeArrays):
 def test_delta_matches_dense(codes, num_chains, num_registers, kind,
                              batch_size):
     """Single-error and clean batches: the table equals the dense pass.
-    Burst and multi-error batches (4 flips per sequence): "auto" runs
-    the dense pass, and forced "delta" refuses the batch, naming the
-    largest effective flip count the dense pass injected."""
+    Burst and multi-error batches (4 flips per sequence) run the dense
+    pass."""
     design = _design(codes, num_chains, num_registers)
     rng = np.random.default_rng(20100308 + batch_size)
     sampled = sample_pattern_batch(kind, design.num_chains,
@@ -129,16 +135,11 @@ def test_delta_matches_dense(codes, num_chains, num_registers, kind,
         return
     engine = get_engine("simd", design)
     states, knowns = _pack(design)
-    dense = engine.run_batch_summary(states, knowns, sampled, batch_size,
-                                     path="dense")
+    dense = _dense(engine, states, knowns, sampled, batch_size)
     auto = engine.run_batch_summary(states, knowns, sampled, batch_size)
     assert engine.last_summary_path == "dense"
     assert_identical(dense, auto)
-    most = int(dense.injected.max())
-    assert most > 1
-    with pytest.raises(ValueError, match=f"sequence with {most}$"):
-        engine.run_batch_summary(states, knowns, sampled, batch_size,
-                                 path="delta")
+    assert int(dense.injected.max()) > 1
 
 
 @pytest.mark.parametrize("kind", ("single", "none"))
@@ -202,7 +203,7 @@ def test_delta_matches_dense_with_unknown_cells(batch_size):
 # ----------------------------------------------------------------------
 def test_auto_selects_delta_on_single_error_batch():
     """One flip per sequence is exactly ``batch_size`` flips, the
-    largest count "auto" still checks for the table."""
+    largest count the engine still checks for the table."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     engine = get_engine("simd", design)
     states, knowns = _pack(design)
@@ -216,8 +217,7 @@ def test_auto_selects_delta_on_single_error_batch():
 
 @pytest.mark.parametrize("kind", ("burst", "multiple"))
 def test_auto_selects_dense_on_multi_flip_batch(kind):
-    """Burst and multi-error batches run the dense pass under "auto"
-    (and forced "delta" refuses them)."""
+    """Burst and multi-error batches run the dense pass."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     engine = get_engine("simd", design)
     states, knowns = _pack(design)
@@ -227,11 +227,7 @@ def test_auto_selects_dense_on_multi_flip_batch(kind):
                                    num_errors=2)
     auto = engine.run_batch_summary(states, knowns, sampled, 64)
     assert engine.last_summary_path == "dense"
-    assert_identical(engine.run_batch_summary(states, knowns, sampled, 64,
-                                              path="dense"), auto)
-    with pytest.raises(ValueError, match="sequence with 2"):
-        engine.run_batch_summary(states, knowns, sampled, 64,
-                                 path="delta")
+    assert_identical(_dense(engine, states, knowns, sampled, 64), auto)
 
 
 class _CountingCoords:
@@ -249,11 +245,12 @@ class _CountingCoords:
 
 def test_auto_skips_coordinate_sort_above_batch_size(monkeypatch):
     """More flips than sequences cannot be a single-error batch, so
-    "auto" goes straight to dense and resolves coordinates no more
-    often than forced "dense" does (the Fig. 10 multi-error campaigns
-    never pay an extra sort); at or below ``batch_size`` flips the
-    probe's resolution is handed on to the dense pass, so "auto" again
-    resolves them exactly as often as forced "dense"."""
+    the engine goes straight to dense and resolves coordinates no more
+    often than the dense pass alone does (the Fig. 10 multi-error
+    campaigns never pay an extra sort); at or below ``batch_size``
+    flips the probe's resolution is handed on to the dense pass, so
+    the engine again resolves them exactly as often as the dense pass
+    alone."""
     counter = _CountingCoords()
     monkeypatch.setattr(batch_module, "pattern_batch_coords", counter)
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
@@ -266,12 +263,12 @@ def test_auto_skips_coordinate_sort_above_batch_size(monkeypatch):
     assert dense.num_flips > 64
     flips = _coords_batch(design, 6, [(0, 0, 1), (4, 1, 0), (4, 1, 2)])
     for batch, size in ((dense, 64), (flips, 6)):
-        engine.run_batch_summary(states, knowns, batch, size, path="dense")
-        forced = counter.calls
+        _dense(engine, states, knowns, batch, size)
+        alone = counter.calls
         counter.calls = 0
         engine.run_batch_summary(states, knowns, batch, size)
         assert engine.last_summary_path == "dense"
-        assert counter.calls == forced
+        assert counter.calls == alone
         counter.calls = 0
 
 
@@ -279,7 +276,7 @@ def test_auto_resolves_multi_flip_batch_coordinates_once(monkeypatch):
     """A batch with at most ``batch_size`` flips but a two-flip
     sequence: the single-flip probe resolves the coordinates and the
     dense pass reuses them, one ``pattern_batch_coords`` call in all,
-    with the same arrays as forced "dense"."""
+    with the same arrays as the dense pass alone."""
     counter = _CountingCoords()
     monkeypatch.setattr(batch_module, "pattern_batch_coords", counter)
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
@@ -289,53 +286,26 @@ def test_auto_resolves_multi_flip_batch_coordinates_once(monkeypatch):
     auto = engine.run_batch_summary(states, knowns, flips, 6)
     assert engine.last_summary_path == "dense"
     assert counter.calls == 1
-    assert_identical(auto, engine.run_batch_summary(states, knowns, flips,
-                                                    6, path="dense"))
+    assert_identical(auto, _dense(engine, states, knowns, flips, 6))
 
 
-def test_forced_delta_on_two_flip_sequence_raises():
-    """Forced "delta" names the flip count of the offending sequence;
-    a second flip that lands on an unknown cell is gated out, so that
-    sequence has one effective flip and the table serves it."""
+def test_two_flip_sequence_runs_dense_unless_gated():
+    """A sequence with two effective flips sends the batch to the dense
+    pass; a second flip that lands on an unknown cell is gated out, so
+    that sequence has one effective flip and the table serves it."""
     design = _design(["hamming(7,4)", "crc16"], 8, 56)
     engine = get_engine("simd", design)
     states, knowns = _pack(design)
     flips = _coords_batch(design, 6, [
         (0, 0, 1), (2, 3, 4), (4, 1, 0), (4, 1, 2), (5, 7, 6)])
-    with pytest.raises(ValueError,
-                       match="summary path 'delta'.*sequence with 2"):
-        engine.run_batch_summary(states, knowns, flips, 6, path="delta")
+    auto = engine.run_batch_summary(states, knowns, flips, 6)
+    assert engine.last_summary_path == "dense"
+    assert int(auto.injected.max()) == 2
+    assert_identical(auto, _dense(engine, states, knowns, flips, 6))
     holed_states, holed_knowns = _punch_holes(states, knowns)
     gated = _coords_batch(design, 6, [(0, 0, 1), (3, 0, 0), (3, 4, 4)])
     assert_identical(*_both_paths(design, gated, 6, states=holed_states,
                                   knowns=holed_knowns, engine=engine))
-
-
-def test_unknown_path_name_rejected():
-    design = _design(["hamming(7,4)", "crc16"], 8, 56)
-    engine = get_engine("simd", design)
-    states, knowns = _pack(design)
-    with pytest.raises(ValueError, match="path"):
-        engine.run_batch_summary(states, knowns, _coords_batch(design, 4, []),
-                                 4, path="fast")
-    with pytest.raises(ValueError, match="path"):
-        design.sleep_wake_cycle_batch_summary(
-            (states, knowns), _coords_batch(design, 4, []), 4, path="fast")
-
-
-def test_design_level_path_forwarding():
-    """sleep_wake_cycle_batch_summary forwards forced paths to the
-    engine and the results agree field for field."""
-    design = _design(["hamming(7,4)", "crc16"], 8, 56)
-    rng = np.random.default_rng(5)
-    sampled = sample_pattern_batch("single", design.num_chains,
-                                   design.chain_length, 33, rng)
-    snapshot = design._pack_chains()
-    dense = design.sleep_wake_cycle_batch_summary(snapshot, sampled, 33,
-                                                  path="dense")
-    delta = design.sleep_wake_cycle_batch_summary(snapshot, sampled, 33,
-                                                  path="delta")
-    assert_identical(dense, delta)
 
 
 def test_correction_luts_are_shared_and_frozen():
@@ -423,18 +393,17 @@ def test_single_flip_table_serves_overlapping_correctors(holes):
         states, knowns = _punch_holes(states, knowns)
     assert build_knowns == knowns
     clean = _coords_batch(build_design, 1, [])
-    engine.run_batch_summary(build_states, build_knowns, clean, 1,
-                             path="delta")
+    engine.run_batch_summary(build_states, build_knowns, clean, 1)
+    assert engine.last_summary_path == "delta"
     table = engine._single_table
     flips, batch = _every_cell_batch(gather_design)
     rng = np.random.default_rng(257)
     sampled = sample_pattern_batch("single", gather_design.num_chains,
                                    gather_design.chain_length, 257, rng)
     for batch_flips, size in ((flips, batch), (sampled, 257)):
-        dense = engine.run_batch_summary(states, knowns, batch_flips, size,
-                                         path="dense")
-        delta = engine.run_batch_summary(states, knowns, batch_flips, size,
-                                         path="delta")
+        dense = _dense(engine, states, knowns, batch_flips, size)
+        delta = engine.run_batch_summary(states, knowns, batch_flips, size)
+        assert engine.last_summary_path == "delta"
         assert engine._single_table is table
         assert_identical(dense, delta)
 

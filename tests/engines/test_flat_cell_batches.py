@@ -5,7 +5,8 @@ flat cell indices (``chain * chain_length + position``); a caller
 building one from patterns passes split chains and positions, in
 pattern-set order.  Both forms of the same injection must resolve to
 identical coordinates, scatter arrays and CSR slices, and must give
-identical simd summary verdicts -- for every sampler kind, on two
+identical simd summary verdicts, on the engine's own path and on the
+dense pass -- for every sampler kind, on two
 geometries (one with padding cells), with unknown flops in the scan
 array.  Malformed flat cells must fail validation before the
 controller leaves ACTIVE, exactly like malformed split coordinates.
@@ -25,7 +26,7 @@ from repro.engines.registry import get_engine                   # noqa: E402
 from repro.engines.summary import bits_matrix                   # noqa: E402
 from repro.faults.batch import (                                # noqa: E402
     PatternBatch,
-    pattern_batch_arrays,
+    coords_scatter,
     pattern_batch_coords,
     pattern_batch_csr,
     sample_pattern_batch,
@@ -84,18 +85,26 @@ def test_flat_and_split_batches_resolve_identically(kind, geometry,
     assert split.kind == flat.kind
     states, knowns = design._pack_chains()
     known_bits = bits_matrix(knowns, design.chain_length)
-    _assert_same(pattern_batch_coords(flat, known_bits, batch_size),
-                 pattern_batch_coords(split, known_bits, batch_size))
-    _assert_same(pattern_batch_arrays(flat, knowns, batch_size),
-                 pattern_batch_arrays(split, knowns, batch_size))
+    coords = [pattern_batch_coords(batch, known_bits, batch_size)
+              for batch in (flat, split)]
+    _assert_same(*coords)
+    _assert_same(*(coords_scatter(resolved, design.num_chains,
+                                  design.chain_length, batch_size)
+                   for resolved in coords))
     _assert_same(pattern_batch_csr(flat, known_bits, batch_size),
                  pattern_batch_csr(split, known_bits, batch_size))
     engine = get_engine("simd", design)
-    for path in ("auto", "dense"):
-        from_flat = engine.run_batch_summary(states, knowns, flat,
-                                             batch_size, path=path)
-        from_split = engine.run_batch_summary(states, knowns, split,
-                                              batch_size, path=path)
+
+    def auto(flips):
+        return engine.run_batch_summary(states, knowns, flips, batch_size)
+
+    def dense(flips):
+        return engine._dense_summary(states, knowns,
+                                     engine._known_matrix(knowns), flips,
+                                     batch_size)
+
+    for path, run in (("auto", auto), ("dense", dense)):
+        from_flat, from_split = run(flat), run(split)
         for field in ("injected", "detected", "uncorrectable",
                       "residual_errors", "corrections_applied"):
             assert np.array_equal(getattr(from_flat, field),

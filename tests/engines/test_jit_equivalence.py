@@ -1,10 +1,10 @@
 """Property suite: the fused jit summary kernels are bit-identical to
 the simd paths.
 
-``JitFusedEngine.run_batch_summary(..., path="jit")`` must produce
-exactly the arrays of the simd engine's ``"dense"`` path (and, on
-single-error batches, its ``"delta"`` table) -- every field of
-:class:`BatchOutcomeArrays` --
+``JitFusedEngine.run_batch_summary`` on a bank its plan supports must
+take the fused kernel and produce exactly the arrays of the simd
+engine's dense pass (and, on single-error batches, its single-flip
+table) -- every field of :class:`BatchOutcomeArrays` --
 across all registered code families, geometries with and without
 padding, batch sizes including B=1, non-multiples of 64 and >= 64k,
 and fault densities from zero flips to saturating bursts, including
@@ -15,10 +15,10 @@ only when numba is importable, so the whole matrix runs in both modes:
 ``compiled=False`` (the interpreter executes the identical kernel
 logic -- always available) and ``compiled=True`` (added automatically
 when numba is installed, as in the CI jit-smoke job).  The suite also
-pins the ``"auto"`` selection and dense fallback, the forced-jit
-failure mode on unsupported monitor structure, the conditional
-registration / actionable forced-selection errors, and the
-:func:`warm_up_kernels` process hook.
+pins the path selection and the fallback to the simd pass on
+unsupported monitor structure, the conditional registration /
+actionable forced-selection errors, and the :func:`warm_up_kernels`
+process hook.
 """
 
 import pytest
@@ -31,13 +31,13 @@ from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines import jit as jit_module                     # noqa: E402
 from repro.engines.base import BatchOutcomeArrays               # noqa: E402
 from repro.engines.jit import (                                 # noqa: E402
-    JIT_SUMMARY_PATHS,
     JitFusedEngine,
     warm_up_kernels,
 )
 from repro.engines.registry import (                            # noqa: E402
     CONDITIONAL_ENGINES,
     available_engines,
+    get_engine,
     validate_engine,
 )
 from repro.faults.batch import (                                # noqa: E402
@@ -101,17 +101,30 @@ def _jit_engine(design, compiled=False):
                           design.chain_length, compiled=compiled)
 
 
+def _simd_dense(design, states, knowns, flips, batch_size):
+    """The simd engine's dense pass on its own, whatever the batch
+    holds."""
+    simd = get_engine("simd", design)
+    return simd._dense_summary(states, knowns, simd._known_matrix(knowns),
+                               flips, batch_size)
+
+
 def _both_engines(design, flips, batch_size, compiled=False,
-                  states=None, knowns=None, simd_path="dense"):
-    from repro.engines.registry import get_engine
+                  states=None, knowns=None, table=False):
+    """The simd reference (its dense pass, or with ``table`` its own
+    choice, which must be the single-flip table) and the jit engine's
+    fused kernel on the same batch."""
     if states is None:
         states, knowns = _pack(design)
-    simd = get_engine("simd", design)
-    reference = simd.run_batch_summary(states, knowns, flips,
-                                       batch_size, path=simd_path)
+    if table:
+        simd = get_engine("simd", design)
+        reference = simd.run_batch_summary(states, knowns, flips,
+                                           batch_size)
+        assert simd.last_summary_path == "delta"
+    else:
+        reference = _simd_dense(design, states, knowns, flips, batch_size)
     jit = _jit_engine(design, compiled=compiled)
-    fused = jit.run_batch_summary(states, knowns, flips, batch_size,
-                                  path="jit")
+    fused = jit.run_batch_summary(states, knowns, flips, batch_size)
     assert jit.last_summary_path == "jit"
     return reference, fused
 
@@ -174,8 +187,7 @@ def test_jit_matches_at_64k_batch(compiled):
     sampled = sample_pattern_batch("single", design.num_chains,
                                    design.chain_length, batch_size, rng)
     assert_identical(*_both_engines(design, sampled, batch_size,
-                                    compiled=compiled,
-                                    simd_path="delta"))
+                                    compiled=compiled, table=True))
 
 
 @pytest.mark.parametrize("compiled", COMPILED_MODES,
@@ -227,25 +239,6 @@ def test_auto_takes_the_fused_kernel():
     assert engine.last_summary_path == "jit"
 
 
-def test_delta_and_dense_paths_stay_selectable():
-    """The inherited numpy implementations remain forcible for A/B
-    comparison and agree with the kernel (on a single-error batch:
-    forced "delta" is the single-flip table)."""
-    design = _design(["hamming(7,4)", "crc16"], 8, 56)
-    states, knowns = _pack(design)
-    engine = _jit_engine(design)
-    rng = np.random.default_rng(1)
-    sampled = sample_pattern_batch("single", design.num_chains,
-                                   design.chain_length, 64, rng)
-    results = {}
-    for path in ("jit", "delta", "dense"):
-        results[path] = engine.run_batch_summary(states, knowns,
-                                                 sampled, 64, path=path)
-        assert engine.last_summary_path == path
-    assert_identical(results["jit"], results["delta"])
-    assert_identical(results["jit"], results["dense"])
-
-
 def _unsupported_design():
     """Two correcting block families sharing chains: superposition
     cannot express the last-block-wins replay in the fused kernel's
@@ -256,45 +249,27 @@ def _unsupported_design():
                            num_chains=6, engine="simd", lfsr_seed=5)
 
 
-def test_auto_falls_back_to_dense_on_unsupported_structure():
+@pytest.mark.parametrize("kind,path", (("single", "delta"),
+                                       ("multiple", "dense")))
+def test_auto_falls_back_to_simd_on_unsupported_structure(kind, path):
+    """On a bank the fused plan refuses, the jit engine runs the simd
+    pass, which picks its own path: the single-flip table for a
+    single-error batch, the dense pipeline for a multi-error one."""
     design = _unsupported_design()
     states, knowns = _pack(design)
     engine = _jit_engine(design)
     rng = np.random.default_rng(1)
-    sampled = sample_pattern_batch("single", design.num_chains,
-                                   design.chain_length, 16, rng)
-    from repro.engines.registry import get_engine
-    reference = get_engine("simd", design).run_batch_summary(
-        states, knowns, sampled, 16, path="dense")
+    sampled = sample_pattern_batch(kind, design.num_chains,
+                                   design.chain_length, 16, rng,
+                                   num_errors=3)
+    simd = get_engine("simd", design)
+    reference = simd.run_batch_summary(states, knowns, sampled, 16)
     arrays = engine.run_batch_summary(states, knowns, sampled, 16)
-    assert engine.last_summary_path == "dense"
+    assert simd.last_summary_path == engine.last_summary_path == path
+    assert engine._plan.reason is not None
     assert_identical(reference, arrays)
-
-
-def _clean_batch(design, batch_size):
-    return sample_pattern_batch("none", design.num_chains,
-                                design.chain_length, batch_size,
-                                np.random.default_rng(0))
-
-
-def test_forced_jit_fails_loudly_on_unsupported_structure():
-    design = _unsupported_design()
-    states, knowns = _pack(design)
-    engine = _jit_engine(design)
-    with pytest.raises(ValueError,
-                       match="summary path 'jit' is unavailable"):
-        engine.run_batch_summary(states, knowns, _clean_batch(design, 4),
-                                 4, path="jit")
-
-
-def test_unknown_path_name_rejected():
-    design = _design(["hamming(7,4)"], 4, 16)
-    engine = _jit_engine(design)
-    states, knowns = _pack(design)
-    with pytest.raises(ValueError, match="unknown summary path"):
-        engine.run_batch_summary(states, knowns, _clean_batch(design, 4),
-                                 4, path="fused")
-    assert JIT_SUMMARY_PATHS == ("auto", "jit", "delta", "dense")
+    assert_identical(_simd_dense(design, states, knowns, sampled, 16),
+                     arrays)
 
 
 # ----------------------------------------------------------------------
@@ -403,10 +378,8 @@ def test_engine_construction_warms_the_kernels(monkeypatch):
                                    design.chain_length, 16, rng)
     arrays = engine.run_batch_summary(states, knowns, sampled, 16)
     assert kernel.calls == 2
-    from repro.engines.registry import get_engine
-    reference = get_engine("simd", design).run_batch_summary(
-        states, knowns, sampled, 16, path="dense")
-    assert_identical(reference, arrays)
+    assert_identical(_simd_dense(design, states, knowns, sampled, 16),
+                     arrays)
 
 
 def test_pure_python_engine_skips_warm_up(monkeypatch):

@@ -3,7 +3,9 @@
 Every verdict of the simd decode core is mask algebra over the batch's
 uint64 words (syndrome matches, padding, the SECDED case splits, the
 correction XOR and the per-lane correction popcount); the dense summary
-(``run_batch_summary(path="dense")``) is its only consumer.  It is
+pass, which ``run_batch_summary`` takes for every batch with a
+multi-flip sequence and which builds the single-flip table, is its only
+consumer.  It is
 checked here sequence by sequence against the packed engine's scalar
 decoders, and end to end through ``sleep_wake_cycle_batch_summary``
 (folded with ``add_batch``) against per-sequence cycles, with fixed
@@ -133,8 +135,7 @@ def _case(bank, batch_size):
 @pytest.mark.parametrize("bank", sorted(BANKS))
 def test_dense_summary_matches_packed(bank, batch_size):
     simd, states, knowns, flips, expected = _case(bank, batch_size)
-    out = simd.run_batch_summary(states, knowns, flips, batch_size,
-                                 path="dense")
+    out = simd.run_batch_summary(states, knowns, flips, batch_size)
     assert simd.last_summary_path == "dense"
     assert verdict_rows(out) == expected
 
@@ -156,7 +157,7 @@ def test_summary_cycle_matches_per_sequence_cycles(bank, batch_size):
         expected = designs[1].sleep_wake_cycle_batch(patterns,
                                                       inject_phase=phase)
         assert_summary_matches(
-            run_summary(designs[0], patterns, phase, path="dense"),
+            run_summary(designs[0], patterns, phase),
             expected)
 
 

@@ -156,22 +156,22 @@ def test_batch_with_unknown_bits():
     assert not arrays.state_intact.any()
 
 
-@pytest.mark.parametrize("path", ("auto", "dense"))
-def test_overlapping_correcting_blocks_batch(path):
+@pytest.mark.parametrize("errors,path", ((1, "delta"), (3, "dense")))
+def test_overlapping_correcting_blocks_batch(errors, path):
     """Correcting blocks sharing chains trigger the vectorised
-    last-block-wins reassignment; it must match the reference."""
+    last-block-wins reassignment; it must match the reference on the
+    single-flip table and on the dense pass."""
     codes = ["hamming(7,4)", "hamming(15,11)"]
     design_ref, design_simd = _pair(7, 44, codes, 4)
     engine = get_engine("simd", design_simd)
     assert engine._overlapping_correctors
     rng = random.Random(13)
     patterns = [multi_error_pattern(design_ref.num_chains,
-                                    design_ref.chain_length,
-                                    rng.randint(1, 3), rng)
+                                    design_ref.chain_length, errors, rng)
                 for _ in range(5)]
     ref = design_ref.sleep_wake_cycle_batch(patterns)
-    assert_summary_matches(run_summary(design_simd, patterns, path=path),
-                           ref)
+    assert_summary_matches(run_summary(design_simd, patterns), ref)
+    assert design_simd._resolve_engine().last_summary_path == path
 
 
 def test_adapter_codes_are_rejected_with_guidance():

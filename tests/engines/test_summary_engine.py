@@ -225,8 +225,8 @@ def test_dense_baseline_encode_matches_replicated_words(bank, batch_size):
     flips = sample_pattern_batch("multiple", num_chains, length,
                                  batch_size, np.random.default_rng(1),
                                  num_errors=2)
-    engine.run_batch_summary(states, knowns, flips, batch_size,
-                             path="dense")
+    engine.run_batch_summary(states, knowns, flips, batch_size)
+    assert engine.last_summary_path == "dense"
     stored = [group.stored.copy() for group in engine._groups]
     signatures = [monitor.stored.copy() for monitor in engine._observing]
 
@@ -257,7 +257,8 @@ def test_dense_passes_reuse_the_gather_buffers():
         flips = sample_pattern_batch("multiple", design.num_chains,
                                      design.chain_length, 100, rng,
                                      num_errors=3)
-        engine.run_batch_summary(states, knowns, flips, 100, path="dense")
+        engine.run_batch_summary(states, knowns, flips, 100)
+        assert engine.last_summary_path == "dense"
         return [engine._workspace._buffers[("gather", index)]
                 for index in range(len(engine._groups))]
 

@@ -1,8 +1,9 @@
 """The PatternBatch resolvers against a pure-Python oracle.
 
-``pattern_batch_arrays`` (word masks for the dense XOR scatter),
-``pattern_batch_coords`` (flat coordinates for the sparse-delta path)
-and ``pattern_batch_csr`` (row-pointer slices for the fused kernels)
+``pattern_batch_coords`` (flat coordinates for the single-flip
+table), ``coords_scatter`` over them (word masks for the dense XOR
+scatter) and ``pattern_batch_csr`` (row-pointer slices for the fused
+kernels)
 must each describe exactly the injection the oracle folds from
 ``PatternBatch.patterns()`` and the chains' known masks: flips on
 unknown cells dropped, repeated (sequence, cell) pairs counted once,
@@ -18,7 +19,7 @@ np = pytest.importorskip("numpy")
 from repro.engines.summary import bits_matrix  # noqa: E402
 from repro.faults.batch import (  # noqa: E402
     PatternBatch,
-    pattern_batch_arrays,
+    coords_scatter,
     pattern_batch_coords,
     pattern_batch_csr,
     sample_pattern_batch,
@@ -80,6 +81,16 @@ def _batch(kind, batch_size, with_duplicates, seed, in_order=False):
                         positions)
 
 
+def _scatter(batch, knowns, batch_size):
+    """``(chains, positions, masks, counts)`` of the dense pass's
+    resolution: the batch's coordinates scattered into word masks."""
+    coords = pattern_batch_coords(batch, bits_matrix(knowns, LENGTH),
+                                  batch_size)
+    cells, masks, counts = coords_scatter(coords, NUM_CHAINS, LENGTH,
+                                          batch_size)
+    return cells // LENGTH, cells % LENGTH, masks, counts
+
+
 def _sequences(mask_row, batch_size):
     value = int.from_bytes(mask_row.tobytes(), "little")
     return {b for b in range(batch_size) if (value >> b) & 1}
@@ -109,8 +120,8 @@ def test_arrays_match_oracle(kind, batch_size, with_unknowns,
 def _assert_arrays_match_oracle(batch, knowns):
     batch_size = batch.batch_size
     cells, counts = _oracle(batch, knowns)
-    chains, positions, masks, got_counts = pattern_batch_arrays(
-        batch, knowns, batch_size)
+    chains, positions, masks, got_counts = _scatter(batch, knowns,
+                                                    batch_size)
     assert masks.dtype == np.uint64
     assert masks.shape == (len(cells), (batch_size + 63) // 64)
     keys = list(zip(chains.tolist(), positions.tolist()))
@@ -191,8 +202,7 @@ def test_words_injection_matches_oracle():
     knowns = _knowns(True)
     cells, _counts = _oracle(batch, knowns)
     words = np.zeros((NUM_CHAINS, LENGTH, 2), dtype=np.uint64)
-    chains, positions, masks, _ = pattern_batch_arrays(batch, knowns,
-                                                       batch_size)
+    chains, positions, masks, _ = _scatter(batch, knowns, batch_size)
     words[chains, positions] ^= masks
     for chain in range(NUM_CHAINS):
         for position in range(LENGTH):
@@ -205,8 +215,7 @@ def test_unknown_positions_are_gated():
                                   random.Random(3))
     batch = PatternBatch.from_patterns([pattern], NUM_CHAINS, LENGTH)
     knowns = [0] * NUM_CHAINS  # everything unknown: every flip dropped
-    chains, positions, masks, counts = pattern_batch_arrays(batch, knowns,
-                                                            1)
+    chains, positions, masks, counts = _scatter(batch, knowns, 1)
     assert chains.size == 0 and positions.size == 0 and masks.size == 0
     assert counts.tolist() == [0]
 
@@ -218,6 +227,5 @@ def test_counts_match_pattern_sizes():
                 burst_error_pattern(NUM_CHAINS, LENGTH, 3, rng)]
     batch = PatternBatch.from_patterns(patterns, NUM_CHAINS, LENGTH)
     knowns = [(1 << LENGTH) - 1] * NUM_CHAINS
-    _chains, _positions, _masks, counts = pattern_batch_arrays(batch,
-                                                               knowns, 3)
+    _chains, _positions, _masks, counts = _scatter(batch, knowns, 3)
     assert counts.tolist() == [4, 0, 3]

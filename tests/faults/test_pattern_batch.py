@@ -6,7 +6,8 @@ np = pytest.importorskip("numpy")
 
 from repro.faults.batch import (  # noqa: E402
     PatternBatch,
-    pattern_batch_arrays,
+    coords_scatter,
+    pattern_batch_coords,
     sample_pattern_batch,
 )
 
@@ -107,18 +108,19 @@ def test_full_window_burst_and_exhaustive_multiple():
         assert len(cells) == 6
 
 
-def test_pattern_batch_arrays_collapses_duplicate_coordinates():
+def test_scatter_collapses_duplicate_coordinates():
     """A caller-built batch repeating a (sequence, cell) pair counts
     and flips the cell once -- the set semantics of ErrorPattern, and
     what the patterns() view produces."""
     batch = PatternBatch(4, 8, 2, "multiple",
                          np.array([0, 0, 1]), np.array([1, 1, 2]),
                          np.array([3, 3, 5]))
-    knowns = [(1 << 8) - 1] * 4
-    chains, positions, masks, counts = pattern_batch_arrays(batch, knowns, 2)
+    known_bits = np.ones((4, 8), dtype=bool)
+    cells, masks, counts = coords_scatter(
+        pattern_batch_coords(batch, known_bits, 2), 4, 8, 2)
     assert counts.tolist() == [1, 1]
-    assert (chains.tolist(), positions.tolist(), masks.tolist()) == \
-        ([1, 2], [3, 5], [[0b01], [0b10]])
+    assert (cells.tolist(), masks.tolist()) == \
+        ([1 * 8 + 3, 2 * 8 + 5], [[0b01], [0b10]])
     assert [p.locations for p in batch.patterns()] == \
         [frozenset({(1, 3)}), frozenset({(2, 5)})]
 
