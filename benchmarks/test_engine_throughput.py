@@ -32,6 +32,12 @@ in ``BENCH_engines.json`` and enforced by the CI regression guard
   4096) against the full-matrix ``argpartition`` selection it is
   exact to: ``sampler_speedup_vs_argpartition`` must hold >= 1.0x.
 
+One record-only section has no floor: **campaign_fixed_cost** -- the
+median wall time of a 4-chunk, one-sequence-per-chunk campaign on the
+paper configuration (bench build, stimulus image, single-flip table,
+reseeds and checkpoint writes) and its share of a 4 x 65 536-sequence
+campaign.
+
 Configuration: 1024 registers balanced into 64 chains of 16 flops;
 the single-error campaign uses the paper's stacked Hamming(7,4)+CRC-16
 FPGA configuration, the dense campaign uses the paper's widest
@@ -578,6 +584,76 @@ def test_campaign_multi_error_sampler():
         f"sampler / argpartition        : {speedup:9.2f}x "
         f"(acceptance: >= {SAMPLER_FLOOR})")
     assert speedup >= SAMPLER_FLOOR
+
+
+FIXED_COST_CHUNKS = 4
+FIXED_COST_CHUNK_SIZE = 65536
+FIXED_COST_REPEATS = 15
+
+
+@requires_simd
+@pytest.mark.benchmark(group="engines")
+def test_campaign_fixed_cost(tmp_path):
+    """Record-only: what one campaign costs besides its sequences, on
+    the paper's 32x32-FIFO configuration (simd engine, array sampler,
+    batch 4096, serial executor, a checkpoint file).
+
+    A campaign of 4 one-sequence chunks pays every per-campaign cost
+    -- bench and engine build, stimulus image, single-flip table (from
+    the process-wide memo after the first campaign), 4 chunk reseeds
+    and 4 checkpoint writes -- and almost no per-sequence work.  Its
+    median wall time (``fixed_cost_ms``) is recorded beside its share
+    of a 4 x 65 536-sequence campaign of the same configuration
+    (``fixed_cost_share``).  No floor: a sub-10-ms wall time on a
+    shared host is too noisy to gate, so this section only keeps the
+    absolute number.
+    """
+    import statistics
+
+    from repro.validation.campaign import run_sharded_single_error_campaign
+
+    path = tmp_path / "fixed_cost.json"
+
+    def campaign(chunk_size):
+        if path.exists():
+            path.unlink()
+        started = time.perf_counter()
+        result = run_sharded_single_error_campaign(
+            FIXED_COST_CHUNKS * chunk_size, engine="simd",
+            sampler="array", batch_size=4096, chunk_size=chunk_size,
+            executor="serial", checkpoint_path=str(path))
+        elapsed = time.perf_counter() - started
+        stats = result.stats
+        assert stats.num_sequences == FIXED_COST_CHUNKS * chunk_size
+        assert stats.corrected_with_errors == stats.num_sequences
+        return elapsed
+
+    campaign(1)  # warm-up: process-wide memos
+    fixed = statistics.median(campaign(1)
+                              for _ in range(FIXED_COST_REPEATS))
+    full = statistics.median(campaign(FIXED_COST_CHUNK_SIZE)
+                             for _ in range(5))
+    share = fixed / full
+    record_bench("engines", {
+        "num_flops": 32 * 32 + 16,
+        "num_chains": 80,
+        "codes": ["hamming(7,4)", "crc16"],
+        "batch_size": 4096,
+        "num_chunks": FIXED_COST_CHUNKS,
+        "chunk_size": FIXED_COST_CHUNK_SIZE,
+        "fixed_cost_ms": fixed * 1e3,
+        "full_campaign_ms": full * 1e3,
+        "fixed_cost_share": share,
+    }, section="campaign_fixed_cost")
+
+    print_section(
+        "Engines -- per-campaign fixed cost (32x32 FIFO, simd engine, "
+        "4 chunks, checkpointed)",
+        f"4 one-sequence chunks         : {fixed * 1e3:9.2f} ms "
+        f"(median of {FIXED_COST_REPEATS})\n"
+        f"4 x {FIXED_COST_CHUNK_SIZE} sequences           : "
+        f"{full * 1e3:9.2f} ms\n"
+        f"fixed-cost share              : {share:9.2f} (record only)")
 
 
 @requires_simd

@@ -217,7 +217,9 @@ class CheckpointStore:
         fd, tmp_path = tempfile.mkstemp(dir=directory, suffix=".tmp")
         try:
             with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle)
+                # dumps runs the C encoder (dump streams through the
+                # pure-Python one); the bytes are the same.
+                handle.write(json.dumps(payload))
             os.replace(tmp_path, self.path)
         except BaseException:
             if os.path.exists(tmp_path):

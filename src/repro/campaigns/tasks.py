@@ -18,8 +18,10 @@ from typing import Any, Dict, Optional, Tuple
 from repro.campaigns.runner import CampaignTask
 from repro.campaigns.seeding import child_seed
 from repro.campaigns.stats import StreamingCampaignResult
+from repro.faults.injector import INJECT_PHASES, check_inject_phase
 
-#: Error patterns a validation task can inject per sequence.
+#: Error patterns a validation task can inject per sequence (in one of
+#: the :data:`~repro.faults.injector.INJECT_PHASES`, re-exported here).
 VALIDATION_PATTERNS = ("single", "burst", "multiple", "none")
 
 
@@ -114,10 +116,7 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
             raise ValueError(
                 f"unknown pattern {self.pattern!r}; choose from "
                 f"{VALIDATION_PATTERNS}")
-        if self.inject_phase not in ("sleep", "post_wake"):
-            raise ValueError(
-                f"unknown inject_phase {self.inject_phase!r}; choose "
-                f"'sleep' or 'post_wake'")
+        check_inject_phase(self.inject_phase)
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.sampler not in ("scalar", "array"):
@@ -263,4 +262,5 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
         return result
 
 
-__all__ = ["FIFOValidationCampaignTask", "VALIDATION_PATTERNS"]
+__all__ = ["FIFOValidationCampaignTask", "INJECT_PHASES",
+           "VALIDATION_PATTERNS"]

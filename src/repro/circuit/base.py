@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence
 
 from repro.circuit.flipflop import (
     RetentionFlipFlop,
+    force_flops,
     power_off_flops,
     power_on_flops,
     restore_flops,
@@ -67,8 +68,7 @@ class SequentialCircuit(ABC):
         if len(values) != len(regs):
             raise ValueError(
                 f"expected {len(regs)} register values, got {len(values)}")
-        for ff, value in zip(regs, values):
-            ff.force(value)
+        force_flops(regs, values)
 
     def load_snapshot(self, snapshot: StateSnapshot) -> None:
         """Overwrite every register from a snapshot."""

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence
 
 from repro.circuit.base import SequentialCircuit
-from repro.circuit.flipflop import RetentionFlipFlop
+from repro.circuit.flipflop import RetentionFlipFlop, force_flops
 from repro.circuit.netlist import Netlist, PortDirection
 
 
@@ -51,7 +51,7 @@ class SyncFIFO(SequentialCircuit):
 
         # Data array: depth x width retention flip-flops.
         self._memory: List[List[RetentionFlipFlop]] = [
-            [RetentionFlipFlop(name=f"{name}.mem[{row}][{col}]", init=0)
+            [RetentionFlipFlop(f"{name}.mem[{row}][{col}]", 0)
              for col in range(width)]
             for row in range(depth)
         ]
@@ -174,9 +174,8 @@ class SyncFIFO(SequentialCircuit):
     # ------------------------------------------------------------------
     def reset(self) -> None:
         """Synchronous reset: clears storage, pointers and flags."""
-        for row in self._memory:
-            for ff in row:
-                ff.reset(0)
+        data = self.depth * self.width  # the first registers
+        force_flops(self._registers[:data], [0] * data)
         self._write_value(self._wr_ptr, 0)
         self._write_value(self._rd_ptr, 0)
         self._full_flag.force(0)
@@ -189,18 +188,23 @@ class SyncFIFO(SequentialCircuit):
         if len(word) != self.width:
             raise ValueError(
                 f"expected a {self.width}-bit word, got {len(word)} bits")
-        targets = self.next_write_registers()
-        if not targets:
+        # One read of each pointer serves the is_full test, the
+        # increment and the flag update (_update_flags reads them again).
+        write, read = self.write_pointer, self.read_pointer
+        span = 1 << self._ptr_bits
+        if (write - read) % span >= self.depth:
             self._overflow_flag.force(1)
             return False
-        for ff, bit in zip(targets, word):
+        for ff, bit in zip(self._memory[write % self.depth], word):
             v = int(bit)
             if v not in (0, 1):
                 raise ValueError(f"data bits must be 0 or 1, got {bit!r}")
             ff.force(v)
-        self._write_value(self._wr_ptr,
-                          (self.write_pointer + 1) % (1 << self._ptr_bits))
-        self._update_flags()
+        write = (write + 1) % span
+        self._write_value(self._wr_ptr, write)
+        occupancy = (write - read) % span
+        self._full_flag.force(1 if occupancy >= self.depth else 0)
+        self._empty_flag.force(1 if occupancy == 0 else 0)
         return True
 
     def next_write_registers(self) -> List[RetentionFlipFlop]:

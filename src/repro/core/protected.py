@@ -48,7 +48,7 @@ from repro.core.scan_config import ScanChainConfig
 from repro.engines import registry as engine_registry
 from repro.engines.base import SimulationEngine
 from repro.engines.packing import pack_chains
-from repro.faults.injector import ScanErrorInjector
+from repro.faults.injector import ScanErrorInjector, check_inject_phase
 from repro.faults.patterns import ErrorPattern
 from repro.power.domain import PowerDomain, SwitchNetwork, WakeEvent
 from repro.power.retention import RetentionUpsetModel
@@ -456,8 +456,7 @@ class ProtectedDesign:
             test bench keeps going and counts the event, as in the
             paper's FPGA campaign).
         """
-        if inject_phase not in ("sleep", "post_wake"):
-            raise ValueError("inject_phase must be 'sleep' or 'post_wake'")
+        check_inject_phase(inject_phase)
 
         pre_state = self._all_state()
         self.corrector.clear()
@@ -545,8 +544,7 @@ class ProtectedDesign:
         ``UNCORRECTABLE``.  Afterwards ``design.corrector`` holds the
         whole batch's correction events.
         """
-        if inject_phase not in ("sleep", "post_wake"):
-            raise ValueError("inject_phase must be 'sleep' or 'post_wake'")
+        check_inject_phase(inject_phase)
         patterns = list(injections)
         if not patterns:
             raise ValueError("the batch needs at least one sequence")
@@ -631,8 +629,7 @@ run_sequence_batch_summary`).
         engine picks its summary implementation per batch (see
         :meth:`~repro.engines.base.SimulationEngine.run_batch_summary`).
         """
-        if inject_phase not in ("sleep", "post_wake"):
-            raise ValueError("inject_phase must be 'sleep' or 'post_wake'")
+        check_inject_phase(inject_phase)
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.domain.upset_model is not None:

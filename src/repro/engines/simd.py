@@ -41,7 +41,9 @@ most one effective flip has verdicts that depend only on the flipped
 cell (given the known-bit matrix), never on the baseline state.  The
 engine runs its own dense pass once over a batch holding one flip per
 scan cell plus one clean sequence, keeps the result for the last known
-matrix seen, and answers such batches with one gather per sequence.
+matrix seen (and process-wide, keyed on the bank structure, geometry
+and known matrix, so a later engine of the same configuration reuses
+it), and answers such batches with one gather per sequence.
 :meth:`~SimdBatchedEngine.run_batch_summary` takes the table when the
 batch has at most ``batch_size`` flips and no sequence has two
 effective flips, and the dense word pipeline otherwise; the path taken
@@ -55,10 +57,10 @@ pass.
 
 The scalar passes (:meth:`SimdBatchedEngine.encode_pass` /
 :meth:`~SimdBatchedEngine.decode_pass`, one design through one cycle)
-delegate to a :class:`~repro.engines.packed.PackedEngineAdapter` built
-for the same bank, which is bit-exact against the reference and
-replays overlapping correctors; the word pipeline serves whole batches
-only.
+delegate to a :class:`~repro.engines.packed.PackedEngineAdapter` for
+the same bank, built by the first scalar pass, which is bit-exact
+against the reference and replays overlapping correctors; the word
+pipeline serves whole batches only.
 
 Bit-exactness of the summary pass against per-sequence reference
 cycles is property-tested in ``tests/engines/test_simd_equivalence.py``
@@ -130,6 +132,8 @@ def _code_key(code, kind: str) -> Optional[tuple]:
         return (kind, type(code), code.n, code.k)
     if type(code) is ParityCode:
         return (kind, type(code), code.k, code.odd)
+    if type(code) is CRCCode:
+        return (kind, type(code), code.width, code.poly, code.init)
     return None
 
 
@@ -341,13 +345,15 @@ class _ParityKernel:
         return diff[:, 0], None, diff[:, 0]
 
 
-def _make_kernel(code):
+def _kernel_class(code):
+    """The kernel class that decodes ``code``; ``ValueError`` for
+    codes without a structured GF(2) form."""
     if isinstance(code, SECDEDCode):
-        return _SECDEDKernel(code)
+        return _SECDEDKernel
     if type(code) is HammingCode:
-        return _HammingKernel(code)
+        return _HammingKernel
     if isinstance(code, ParityCode):
-        return _ParityKernel(code)
+        return _ParityKernel
     raise ValueError(
         f"engine 'simd' has no vectorised decoder for "
         f"{type(code).__name__}; use engine='packed' for adapter codes")
@@ -360,7 +366,7 @@ class _SimdBlockMonitor:
     """One correcting block's structure (the kernel lives on its group)."""
 
     def __init__(self, block):
-        _make_kernel(block.code)  # fail fast on unsupported codes
+        _kernel_class(block.code)  # fail fast on unsupported codes
         self.block = block
         self.code = block.code
         self.chain_indices = block.chain_indices
@@ -459,6 +465,40 @@ class Workspace:
         self._buffers.clear()
 
 
+#: Single-flip outcome tables (:meth:`SimdBatchedEngine.\
+#: _single_flip_table`) shared across engines: every campaign builds a
+#: new engine, and each would otherwise rerun the table's every-cell
+#: dense pass.  The key is everything that pass reads -- the engine
+#: class, per bank block ``can_correct``, the exact code parameters,
+#: ``chain_indices`` and ``width``, then the geometry and the known
+#: matrix's bytes (:func:`_bank_key`).  Banks with a code that has no
+#: :func:`_code_key` keep only the engine's own memo.  The tables are
+#: read-only, and the oldest entry goes once there are
+#: :data:`_SINGLE_FLIP_ENTRIES`.
+_SINGLE_FLIP_CACHE: Dict[tuple, BatchOutcomeArrays] = {}
+_SINGLE_FLIP_ENTRIES = 8
+
+
+def _bank_key(bank: MonitorBank) -> Optional[tuple]:
+    """The per-block part of a :data:`_SINGLE_FLIP_CACHE` key, or None
+    when a block's code has no exact-parameter key."""
+    blocks = []
+    for block in bank.blocks:
+        code = _code_key(block.code, "block")
+        if code is None:
+            return None
+        blocks.append((block.can_correct, code, block.chain_indices,
+                       block.width))
+    return tuple(blocks)
+
+
+def _freeze(arrays: BatchOutcomeArrays) -> BatchOutcomeArrays:
+    for values in (arrays.injected, arrays.detected, arrays.uncorrectable,
+                   arrays.residual_errors, arrays.corrections_applied):
+        values.setflags(write=False)
+    return arrays
+
+
 class SimdBatchedEngine(SimulationEngine):
     """NumPy word-packed simulation of B independent sequences per pass.
 
@@ -481,10 +521,12 @@ class SimdBatchedEngine(SimulationEngine):
     def __init__(self, bank: MonitorBank, num_chains: int,
                  chain_length: int):
         self._workspace = Workspace()
+        self._bank = bank
         self.num_chains = num_chains
         self.chain_length = chain_length
-        #: The scalar passes run on the packed engine.
-        self._scalar = PackedEngineAdapter(bank, num_chains, chain_length)
+        #: The packed engine the scalar passes run on, built by the
+        #: first one (a summary campaign never calls them).
+        self._scalar_adapter: Optional[PackedEngineAdapter] = None
         (_order, self._correcting, self._observing,
          self._overlapping_correctors) = classify_monitors(
             bank, _SimdBlockMonitor, _SimdStreamMonitor)
@@ -492,7 +534,7 @@ class SimdBatchedEngine(SimulationEngine):
         for monitor in self._correcting:
             groups.setdefault(monitor.code, []).append(monitor)
         self._groups = [
-            _BlockGroup(_make_kernel(code), monitors)
+            _BlockGroup(_kernel_class(code)(code), monitors)
             for code, monitors in groups.items()]
         for monitor in self._observing:
             matrix = crc_stream_matrix(monitor.code,
@@ -510,6 +552,11 @@ class SimdBatchedEngine(SimulationEngine):
         #: built for (see :meth:`_single_flip_table`).
         self._single_known: Optional[np.ndarray] = None
         self._single_table: Optional[BatchOutcomeArrays] = None
+        #: This engine's part of its tables' _SINGLE_FLIP_CACHE key
+        #: (None: the bank has a code without one).
+        blocks = _bank_key(bank)
+        self._single_key = None if blocks is None else (
+            type(self), blocks, num_chains, chain_length)
         #: The path the last run_batch_summary call actually took
         #: ("delta" or "dense"); None before any summary pass.
         self.last_summary_path: Optional[str] = None
@@ -742,23 +789,37 @@ class SimdBatchedEngine(SimulationEngine):
         and the extra last row those of the zero-flip sequence.  The
         rows come from one dense pass over that ``C * L + 1``-sequence
         batch.  By GF(2) superposition they do not depend on the
-        baseline state, only on the known matrix (residual constant,
-        gated comparator), so the table is memoised for the last
-        known matrix seen (by identity: :meth:`_known_matrix` builds a
-        new one whenever the knowns change).
+        baseline state, only on the bank and the known matrix (residual
+        constant, gated comparator).  The engine keeps the table of the
+        last known matrix seen (by identity: :meth:`_known_matrix`
+        builds a new one whenever the knowns change), and on a miss
+        looks it up in the process-wide :data:`_SINGLE_FLIP_CACHE`
+        before running the pass, so the engines of later campaigns of
+        the same configuration run none.  The arrays are read-only.
         """
         if self._single_table is None or self._single_known is not known_bits:
-            from repro.faults.batch import PatternBatch
+            key = self._single_key
+            if key is not None:
+                key += (known_bits.tobytes(),)
+                table = _SINGLE_FLIP_CACHE.get(key)
+            else:
+                table = None
+            if table is None:
+                from repro.faults.batch import PatternBatch
 
-            length = self.chain_length
-            num_cells = self.num_chains * length
-            cells = np.arange(num_cells, dtype=np.int64)
-            every_cell = PatternBatch.from_cells(
-                self.num_chains, length, num_cells + 1, "single", cells,
-                cells)
-            self._single_table = self._dense_summary(
-                states, knowns, known_bits, every_cell, num_cells + 1)
-            self._single_known = known_bits
+                length = self.chain_length
+                num_cells = self.num_chains * length
+                cells = np.arange(num_cells, dtype=np.int64)
+                every_cell = PatternBatch.from_cells(
+                    self.num_chains, length, num_cells + 1, "single", cells,
+                    cells)
+                table = _freeze(self._dense_summary(
+                    states, knowns, known_bits, every_cell, num_cells + 1))
+                if key is not None:
+                    if len(_SINGLE_FLIP_CACHE) >= _SINGLE_FLIP_ENTRIES:
+                        del _SINGLE_FLIP_CACHE[next(iter(_SINGLE_FLIP_CACHE))]
+                    _SINGLE_FLIP_CACHE[key] = table
+            self._single_table, self._single_known = table, known_bits
         return self._single_table
 
     def _dense_summary(self, states: Sequence[int], knowns: Sequence[int],
@@ -806,6 +867,13 @@ class SimdBatchedEngine(SimulationEngine):
     # ------------------------------------------------------------------
     # Scalar interface (the packed engine)
     # ------------------------------------------------------------------
+    @property
+    def _scalar(self) -> PackedEngineAdapter:
+        if self._scalar_adapter is None:
+            self._scalar_adapter = PackedEngineAdapter(
+                self._bank, self.num_chains, self.chain_length)
+        return self._scalar_adapter
+
     def encode_pass(self, design) -> int:
         return self._scalar.encode_pass(design)
 

@@ -24,6 +24,24 @@ from repro.faults.lfsr import LFSR
 from repro.faults.patterns import ErrorPattern
 
 
+#: When a sleep/wake cycle injects: ``"sleep"`` corrupts the retention
+#: latches while the domain is asleep (:meth:`ScanErrorInjector.\
+#: inject_retention`), ``"post_wake"`` the restored state
+#: (:meth:`ScanErrorInjector.inject_direct`, the Fig. 6 hardware's
+#: effect).
+INJECT_PHASES = ("sleep", "post_wake")
+
+
+def check_inject_phase(inject_phase: str) -> None:
+    """Raise ``ValueError`` unless ``inject_phase`` is one of
+    :data:`INJECT_PHASES`; every entry point that takes one calls
+    this, so all of them give the same message."""
+    if inject_phase not in INJECT_PHASES:
+        raise ValueError(
+            f"unknown inject_phase {inject_phase!r}; choose from "
+            f"{INJECT_PHASES}")
+
+
 @dataclass(frozen=True)
 class InjectionPlan:
     """Resolved injection coordinates for one injection cycle.
@@ -206,4 +224,5 @@ class ScanErrorInjector:
         return plan
 
 
-__all__ = ["ScanErrorInjector", "InjectionPlan"]
+__all__ = ["INJECT_PHASES", "InjectionPlan", "ScanErrorInjector",
+           "check_inject_phase"]

@@ -29,10 +29,10 @@ image of stages 1--2 and the batch's stimulus words.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.circuit.fifo import SyncFIFO
-from repro.circuit.flipflop import RetentionFlipFlop
+from repro.circuit.flipflop import RetentionFlipFlop, flop_values
 from repro.core.controller import ErrorCode
 from repro.core.protected import CycleOutcome, ProtectedDesign
 from repro.faults.patterns import ErrorPattern
@@ -320,22 +320,31 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
                 and image.chains is design.chains):
             return image
         length = design.chain_length
-        cells = {id(flop): chain * length + position
-                 for chain, scan_chain in enumerate(design.chains)
-                 for position, flop in enumerate(scan_chain.flops)}
-        saved = self.dut.snapshot()
+        # Every chain holds ``length`` flops, so a flop's place in the
+        # chains' concatenation is its cell index.
+        flops = [flop for scan_chain in design.chains
+                 for flop in scan_chain.flops]
+        cells = dict(zip(map(id, flops), range(len(flops))))
+        saved = flop_values(self.dut.registers)
         self.dut.reset()
         zero = [0] * self.dut.width
         word_tables = []
+        # Rows laid out alike (the FIFO's rows are runs of consecutive
+        # cells) share one set of tables.
+        shared: Dict[Tuple[int, ...], List[List[int]]] = {}
         for _ in range(self.words_per_sequence):
             written = [cells[id(flop)]
                        for flop in self.dut.next_write_registers()]
             shift = min(written, default=0)
-            word_tables.append((shift, _nibble_tables(
-                [1 << (cell - shift) for cell in written])))
+            offsets = tuple(cell - shift for cell in written)
+            tables = shared.get(offsets)
+            if tables is None:
+                tables = shared[offsets] = _nibble_tables(
+                    [1 << offset for offset in offsets])
+            word_tables.append((shift, tables))
             self.dut.push(zero)
         states, knowns = design._pack_chains()
-        self.dut.load_snapshot(saved)
+        self.dut.load_state(saved)
         padding = []
         for flop in design._padding:
             chain, position = divmod(cells[id(flop)], length)

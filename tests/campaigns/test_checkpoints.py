@@ -150,3 +150,30 @@ class TestStoreMechanics:
         with pytest.raises(ValueError, match="stale fields: seed"):
             CheckpointStore.validate({"seed": 1, "total": 5},
                                      {"seed": 2, "total": 5})
+
+
+#: sha256 and size of the checkpoint file of :func:`_pinned_campaign`,
+#: recorded when the store still wrote through ``json.dump``.
+PINNED_CHECKPOINT = (
+    "ae533ce1f8b4c462baea4942979cd7779403bff54e46c1fbe208dc67dc9f0d30", 1486)
+
+
+def _pinned_campaign(path):
+    from repro.validation.campaign import run_sharded_multiple_error_campaign
+    return run_sharded_multiple_error_campaign(
+        384, burst_size=3, clustered=False, width=8, depth=8, num_chains=8,
+        engine="simd", sampler="array", batch_size=64, chunk_size=128,
+        executor="serial", checkpoint_path=path, seed=20100308)
+
+
+def test_checkpoint_bytes_are_pinned(tmp_path):
+    """A fixed three-chunk campaign writes a byte-for-byte known file:
+    the encoder the store uses cannot change what it writes."""
+    import hashlib
+
+    pytest.importorskip("numpy")
+    path = tmp_path / "pinned.json"
+    _pinned_campaign(str(path))
+    data = path.read_bytes()
+    assert (hashlib.sha256(data).hexdigest(), len(data)) == PINNED_CHECKPOINT
+    assert json.loads(data)["completed"].keys() == {"0", "1", "2"}

@@ -7,8 +7,27 @@ from repro.circuit.flipflop import (
     PowerState,
     RetentionFlipFlop,
     ScanFlipFlop,
+    force_flops,
     reset_flops,
+    retention_values,
 )
+
+
+def _forced(value):
+    """What :meth:`DFlipFlop.force` stores for ``value``, or the
+    ``(type, message)`` it raises."""
+    flop = DFlipFlop()
+    try:
+        flop.force(value)
+    except ValueError as exc:
+        return ValueError, str(exc)
+    return flop.q, type(flop.q)
+
+
+#: Values the bulk writers and the constructor take the inline path
+#: for, and ones they hand to ``_check`` (normalised or refused).
+VALID_BITS = [None, 0, 1, True, False, 1.0, "1", "0"]
+INVALID_BITS = [2, -1, 3, "2", "x"]
 
 
 class TestDFlipFlop:
@@ -117,6 +136,28 @@ class TestRetentionFlipFlop:
         ff.power_on()
         assert ff.power is PowerState.ON
 
+    def test_init_stores_plain_int(self):
+        np = pytest.importorskip("numpy")
+        for init in (True, np.int64(1)):
+            flop = RetentionFlipFlop(init=init)
+            assert flop.q == 1 and type(flop.q) is int
+            assert flop.retention_value is None
+            assert flop.power is PowerState.ON
+
+    @pytest.mark.parametrize("init", VALID_BITS + INVALID_BITS)
+    def test_init_normalises_like_force(self, init):
+        """The constructor's inline path stores exactly what force()
+        stores ("1" is int("1") == 1, as it always was) and raises
+        force()'s message for anything else."""
+        expected = _forced(init)
+        if expected[0] is ValueError:
+            with pytest.raises(ValueError) as caught:
+                RetentionFlipFlop(init=init)
+            assert str(caught.value) == expected[1]
+        else:
+            flop = RetentionFlipFlop(init=init)
+            assert (flop.q, type(flop.q)) == expected
+
     def test_force_retention(self):
         ff = RetentionFlipFlop(init=0)
         ff.force_retention(1)
@@ -167,6 +208,14 @@ class TestResetFlops:
         assert (flop.q, flop.retention_value) == (1, 0)
         assert type(flop.q) is int and type(flop.retention_value) is int
 
+    @pytest.mark.parametrize("value", VALID_BITS)
+    def test_every_valid_value_stored_like_force(self, value):
+        flop, = _scrambled_flops()[:1]
+        reset_flops([flop], [(value, value)])
+        assert (flop.q, type(flop.q)) == _forced(value)
+        assert (flop.retention_value, type(flop.retention_value)) == \
+            _forced(value)
+
     @pytest.mark.parametrize("pair", [(2, 0), (0, 2), (-1, None),
                                       (None, 3)])
     def test_rejects_invalid_values(self, pair):
@@ -179,3 +228,27 @@ class TestResetFlops:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             reset_flops(_scrambled_flops()[:2], [(0, 0)])
+
+
+class TestForceFlops:
+    def test_matches_per_flop_force(self):
+        values = VALID_BITS * 2
+        bulk = [RetentionFlipFlop(init=1) for _ in values]
+        force_flops(bulk, values)
+        assert [(f.q, type(f.q)) for f in bulk] == \
+            [_forced(value) for value in values]
+
+    def test_rejects_invalid_values_after_earlier_flops(self):
+        flops = [RetentionFlipFlop(init=1) for _ in range(3)]
+        with pytest.raises(ValueError, match="0, 1 or None"):
+            force_flops(flops, [0, 2, 0])
+        assert [f.q for f in flops] == [0, 1, 1]
+
+    def test_length_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            force_flops([RetentionFlipFlop()], [0, 1])
+
+    def test_retention_values(self):
+        flops = _scrambled_flops()
+        assert retention_values(flops) == \
+            [f.retention_value for f in flops]

@@ -8,7 +8,9 @@ from repro.circuit.fifo import SyncFIFO
 from repro.circuit.generators import make_counter, make_random_state_circuit
 from repro.codes.hamming import HammingCode
 from repro.core.controller import ControllerState, ErrorCode
+from repro.campaigns.tasks import FIFOValidationCampaignTask
 from repro.core.protected import ProtectedDesign
+from repro.faults.injector import INJECT_PHASES
 from repro.faults.patterns import (
     ErrorPattern,
     burst_error_pattern,
@@ -171,6 +173,30 @@ class TestSleepWakeCycle:
             outcome = design.sleep_wake_cycle(injection=pattern)
             assert outcome.state_intact
             assert fifo.pop_int() == round_trip * 40 % 256
+
+
+#: Every entry point that takes an ``inject_phase``.
+INJECT_PHASE_ENTRY_POINTS = {
+    "cycle": lambda design: design.sleep_wake_cycle(inject_phase="bogus"),
+    "batch": lambda design: design.sleep_wake_cycle_batch(
+        [None], inject_phase="bogus"),
+    "batch_summary": lambda design: design.sleep_wake_cycle_batch_summary(
+        design._pack_chains(), None, 1, inject_phase="bogus"),
+    "campaign_task": lambda design: FIFOValidationCampaignTask(
+        inject_phase="bogus"),
+}
+
+
+@pytest.mark.parametrize("entry_point", sorted(INJECT_PHASE_ENTRY_POINTS))
+def test_unknown_inject_phase_has_one_message(small_design, entry_point):
+    """The four entry points check the phase against one constant and
+    say the same thing, before anything leaves ACTIVE."""
+    with pytest.raises(ValueError) as caught:
+        INJECT_PHASE_ENTRY_POINTS[entry_point](small_design)
+    assert INJECT_PHASES == ("sleep", "post_wake")
+    assert str(caught.value) == (
+        "unknown inject_phase 'bogus'; choose from ('sleep', 'post_wake')")
+    assert small_design.controller.state is ControllerState.ACTIVE
 
 
 class TestCostReport:

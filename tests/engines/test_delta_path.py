@@ -13,8 +13,11 @@ holes, with the table built under one baseline state and gathered
 under another.  The suite also pins the path selection
 (``last_summary_path``: ``"delta"`` for the table, ``"dense"`` for
 every batch with a multi-flip sequence), the table's rebuild on a
-known-matrix change, and the process-wide sharing of the correction /
-verdict lookup tables.
+known-matrix change, the process-wide sharing of the correction /
+verdict lookup tables, and the process-wide single-flip table memo
+(hits equal a fresh pass, keys keep banks apart, a second campaign
+runs no every-cell pass, subclassed codes stay per-engine, the memo
+is bounded).
 """
 
 import pytest
@@ -27,7 +30,8 @@ from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines.base import BatchOutcomeArrays               # noqa: E402
 from repro.engines.jit import verdict_lut                       # noqa: E402
 from repro.engines.registry import get_engine                   # noqa: E402
-from repro.engines.simd import correction_lut                   # noqa: E402
+from repro.engines import simd as simd_module                   # noqa: E402
+from repro.engines.simd import SimdBatchedEngine, correction_lut  # noqa: E402
 from repro.engines.summary import bits_matrix                   # noqa: E402
 from repro.faults import batch as batch_module                  # noqa: E402
 from repro.faults.batch import (                                # noqa: E402
@@ -463,3 +467,165 @@ def test_single_flip_table_rebuilds_on_known_change():
         knowns=holed_knowns, engine=engine))
     assert engine._single_table is rebuilt
     assert_identical(*_both_paths(design, flips, batch, engine=engine))
+
+
+# ----------------------------------------------------------------------
+# The process-wide single-flip memo
+# ----------------------------------------------------------------------
+@pytest.fixture
+def memo(monkeypatch):
+    """An empty process-wide single-flip memo for one test."""
+    fresh = {}
+    monkeypatch.setattr(simd_module, "_SINGLE_FLIP_CACHE", fresh,
+                        raising=False)
+    return fresh
+
+
+@pytest.fixture
+def every_cell_passes(monkeypatch):
+    """Counts the every-cell dense passes the engines run (the passes
+    a single-flip table is built from)."""
+    counter = {"passes": 0}
+    original = SimdBatchedEngine._dense_summary
+
+    def counted(engine, states, knowns, known_bits, flips, batch_size,
+                coords=None):
+        if batch_size == engine.num_chains * engine.chain_length + 1:
+            counter["passes"] += 1
+        return original(engine, states, knowns, known_bits, flips,
+                        batch_size, coords)
+
+    monkeypatch.setattr(SimdBatchedEngine, "_dense_summary", counted)
+    return counter
+
+
+def _table_of(design, states=None, knowns=None):
+    """A fresh engine's single-flip table after one single-error
+    batch."""
+    engine = get_engine("simd", design)
+    if states is None:
+        states, knowns = _pack(design)
+    flips = _coords_batch(design, 2, [(0, 0, 0)])
+    engine.run_batch_summary(states, knowns, flips, 2)
+    assert engine.last_summary_path == "delta"
+    return engine._single_table
+
+
+def _assert_fresh_table(design, table):
+    """``table`` equals a fresh dense pass over the every-cell batch
+    under the design's own state, field by field."""
+    engine = get_engine("simd", design)
+    states, knowns = _pack(design)
+    flips, batch = _every_cell_batch(design)
+    assert_identical(_dense(engine, states, knowns, flips, batch), table)
+
+
+MEMO_CONFIGS = [config[1:] for config in CONFIGS] + [
+    (["hamming(7,4)", "secded(8,4)"], 8, 56)]
+MEMO_IDS = [config[0] for config in CONFIGS] + ["overlapping"]
+
+
+@pytest.mark.parametrize("codes,num_chains,num_registers", MEMO_CONFIGS,
+                         ids=MEMO_IDS)
+def test_memo_hit_equals_fresh_dense_pass(memo, every_cell_passes, codes,
+                                          num_chains, num_registers):
+    """A second engine of the same bank (over another circuit state)
+    takes the first engine's table from the memo without a pass, and
+    that table equals its own fresh every-cell dense pass."""
+    first = _table_of(_design(codes, num_chains, num_registers, seed=11))
+    assert every_cell_passes["passes"] == 1 and len(memo) == 1
+    design = _design(codes, num_chains, num_registers, seed=99)
+    table = _table_of(design)
+    assert table is first
+    assert every_cell_passes["passes"] == 1
+    for values in vars(table).values():
+        assert not values.flags.writeable
+    _assert_fresh_table(design, table)
+
+
+def test_memo_hit_on_paper_config(memo, every_cell_passes):
+    first = _table_of(_paper_design())
+    design = _paper_design()
+    table = _table_of(design)
+    assert table is first and every_cell_passes["passes"] == 1
+    _assert_fresh_table(design, table)
+
+
+def test_memo_keeps_codes_and_chain_maps_apart(memo):
+    """Banks over the same 8 x 7 geometry but with other codes, other
+    CRC parameters or another chain map each get their own entry."""
+    variants = [
+        dict(codes=["hamming(7,4)", "crc16"]),
+        dict(codes=["hamming(7,4)", "crc16-ccitt"]),
+        dict(codes=["secded(8,4)", "crc16"]),
+        dict(codes=["parity(8)", "crc16"]),
+        dict(codes=["crc8"]),
+        dict(codes=["hamming(7,4)", "crc16"], monitor_width=3),
+    ]
+    tables = []
+    for variant in variants:
+        circuit = make_random_state_circuit(56, seed=11)
+        design = ProtectedDesign(circuit, num_chains=8, engine="simd",
+                                 **variant)
+        assert (design.num_chains, design.chain_length) == (8, 7)
+        table = _table_of(design)
+        _assert_fresh_table(design, table)
+        tables.append(table)
+    assert len(memo) == len(variants)
+    assert len({id(table) for table in tables}) == len(variants)
+
+
+def _small_campaign():
+    from repro.validation.campaign import run_sharded_single_error_campaign
+    return run_sharded_single_error_campaign(
+        128, width=8, depth=8, num_chains=8, engine="simd",
+        sampler="array", batch_size=64, chunk_size=64, executor="serial")
+
+
+def test_second_campaign_runs_no_every_cell_pass(memo, every_cell_passes):
+    """Each campaign builds a new bench and engine; only the first of
+    two same-configuration campaigns in one process runs the pass."""
+    first = _small_campaign()
+    assert every_cell_passes["passes"] == 1
+    assert _small_campaign() == first
+    assert every_cell_passes["passes"] == 1
+
+
+def test_emptying_the_memo_forces_a_rebuild(memo, every_cell_passes):
+    first = _small_campaign()
+    memo.clear()
+    assert _small_campaign() == first
+    assert every_cell_passes["passes"] == 2
+
+
+def test_subclassed_code_is_not_memoised(memo, every_cell_passes):
+    """A code subclass may change the defining equations, so a bank
+    holding one keeps its table per engine only."""
+    from repro.codes.crc import CRCCode
+
+    class _SubclassedCRC(CRCCode):
+        pass
+
+    def design():
+        circuit = make_random_state_circuit(56, seed=11)
+        return ProtectedDesign(
+            circuit, codes=["hamming(7,4)", _SubclassedCRC(16, 0x8005)],
+            num_chains=8, engine="simd")
+
+    first = _table_of(design())
+    second = _table_of(design())
+    assert not memo
+    assert first is not second and every_cell_passes["passes"] == 2
+    assert_identical(first, second)
+
+
+def test_memo_is_bounded(memo):
+    """One entry per known matrix, and never more than the bound."""
+    design = _design(["hamming(7,4)", "crc16"], 8, 56)
+    full_states, full_knowns = _pack(design)
+    for chain in range(simd_module._SINGLE_FLIP_ENTRIES + 2):
+        knowns = list(full_knowns)
+        knowns[chain % 8] &= ~(1 << (chain // 8))
+        states = [s & k for s, k in zip(full_states, knowns)]
+        _table_of(design, states, knowns)
+    assert len(memo) == simd_module._SINGLE_FLIP_ENTRIES

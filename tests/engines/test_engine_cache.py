@@ -102,3 +102,38 @@ class TestEngineCacheInvalidation:
         assert rebuilt is not stale
         assert rebuilt.num_chains == 6
         assert rebuilt.chain_length == 8
+
+
+@pytest.mark.parametrize("sampler", ("array", "scalar"))
+def test_simd_summary_campaign_builds_no_scalar_adapter(monkeypatch,
+                                                        sampler):
+    """The simd engine's scalar passes run on a packed adapter built by
+    the first of them: a summary campaign never builds one, and a
+    scalar cycle builds one and keeps it."""
+    pytest.importorskip("numpy")
+    from repro.engines import simd
+    from repro.validation.campaign import run_sharded_single_error_campaign
+
+    built = []
+
+    class CountingAdapter(simd.PackedEngineAdapter):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(simd, "PackedEngineAdapter", CountingAdapter)
+    result = run_sharded_single_error_campaign(
+        128, width=8, depth=8, num_chains=8, engine="simd", sampler=sampler,
+        batch_size=64, chunk_size=64, executor="serial")
+    assert result.stats.num_sequences == 128
+    assert built == []
+
+    design = _design("simd")
+    reference = _design("reference")
+    rng = random.Random(5)
+    for _ in range(2):
+        pattern = single_error_pattern(design.num_chains,
+                                       design.chain_length, rng)
+        assert _outcome_tuple(design.sleep_wake_cycle(pattern)) == \
+            _outcome_tuple(reference.sleep_wake_cycle(pattern))
+    assert len(built) == 1
