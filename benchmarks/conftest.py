@@ -17,6 +17,7 @@ Environment knobs:
   used 10^6-10^8 sequences).
 """
 
+import importlib.util
 import json
 import os
 import platform
@@ -89,6 +90,26 @@ _WRITTEN_THIS_RUN: set = set()
 BENCH_HISTORY_NAME = "BENCH_history.jsonl"
 
 
+def _unmeasurable_sections(target: Path) -> dict:
+    """Sections of the committed reference ``target`` this install
+    cannot re-measure: those whose ``requires`` list names a module
+    that is not importable here (``check_regression`` skips the same
+    sections).  A refreshed reference keeps them as they were, so
+    re-recording on a host without, say, numba does not drop the jit
+    section and its floors."""
+    spec = importlib.util.spec_from_file_location(
+        "_bench_check_regression",
+        Path(__file__).resolve().parent / "check_regression.py")
+    guard = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(guard)
+    try:
+        previous = json.loads(target.read_text("utf-8"))["results"]
+        return {key: value for key, value in previous.items()
+                if guard.missing_requirements(value)}
+    except (ValueError, OSError, KeyError, TypeError, AttributeError):
+        return {}
+
+
 def flatten_metrics(results: dict, path=()) -> dict:
     """Numeric leaves of a results tree as ``{"a/b/c": value}``,
     skipping the ``floors`` sub-dicts (they are policy, not
@@ -140,9 +161,11 @@ def record_bench(name: str, results: dict,
     the target -- that is how several benchmark functions share one
     ``BENCH_engines.json``.  The first write of a run starts the file
     fresh, so sections from renamed or removed benchmarks cannot
-    linger and fool the regression guard.  Sections include a
-    ``floors`` sub-dict mapping metric names to their acceptance
-    floors; the CI regression guard
+    linger and fool the regression guard -- except that a fresh
+    committed reference keeps the sections this install cannot
+    measure (their ``requires`` names a missing module).  Sections
+    include a ``floors`` sub-dict mapping metric names to their
+    acceptance floors; the CI regression guard
     (``benchmarks/check_regression.py``) compares freshly measured
     metrics against the committed reference floors.
     """
@@ -167,6 +190,8 @@ def record_bench(name: str, results: dict,
                         if isinstance(value, dict)}
                 except (ValueError, OSError):
                     merged = {}
+            elif directory == BENCH_REFERENCE_DIR:
+                merged = _unmeasurable_sections(target)
             merged[section] = results
         _WRITTEN_THIS_RUN.add(target)
         payload = {

@@ -188,23 +188,18 @@ class SyncFIFO(SequentialCircuit):
         if len(word) != self.width:
             raise ValueError(
                 f"expected a {self.width}-bit word, got {len(word)} bits")
-        # One read of each pointer serves the is_full test, the
-        # increment and the flag update (_update_flags reads them again).
-        write, read = self.write_pointer, self.read_pointer
-        span = 1 << self._ptr_bits
-        if (write - read) % span >= self.depth:
+        targets = self.next_write_registers()
+        if not targets:
             self._overflow_flag.force(1)
             return False
-        for ff, bit in zip(self._memory[write % self.depth], word):
+        for ff, bit in zip(targets, word):
             v = int(bit)
             if v not in (0, 1):
                 raise ValueError(f"data bits must be 0 or 1, got {bit!r}")
             ff.force(v)
-        write = (write + 1) % span
-        self._write_value(self._wr_ptr, write)
-        occupancy = (write - read) % span
-        self._full_flag.force(1 if occupancy >= self.depth else 0)
-        self._empty_flag.force(1 if occupancy == 0 else 0)
+        self._write_value(self._wr_ptr,
+                          (self.write_pointer + 1) % (1 << self._ptr_bits))
+        self._update_flags()
         return True
 
     def next_write_registers(self) -> List[RetentionFlipFlop]:

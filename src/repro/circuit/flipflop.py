@@ -48,8 +48,10 @@ class DFlipFlop:
 
     @staticmethod
     def _check(value: Optional[int]) -> Optional[int]:
-        if value is None:
-            return None
+        # None and int 0/1 are stored as they are; bool, numpy
+        # integers and the like go through int().
+        if value.__class__ is int and 0 <= value <= 1 or value is None:
+            return value
         v = int(value)
         if v not in (0, 1):
             raise ValueError(f"flip-flop values must be 0, 1 or None; got {value!r}")
@@ -135,13 +137,9 @@ class RetentionFlipFlop(ScanFlipFlop):
     def __init__(self, name: str = "", init: Optional[int] = None,
                  retention_margin: float = 1.0):
         # The slots are set here, not through super().__init__: a FIFO
-        # builds ~1 000 of these per bench.  None and int 0/1 are
-        # stored as they are; anything else goes through _check, so
-        # normalisation and messages match DFlipFlop's.
+        # builds ~1 000 of these per bench.
         self.name = name
-        self._q: Optional[int] = (
-            init if init.__class__ is int and 0 <= init <= 1
-            or init is None else self._check(init))
+        self._q: Optional[int] = self._check(init)
         #: Value held by the always-on retention latch (None = unknown).
         self._retention: Optional[int] = None
         self._power = _ON
@@ -211,19 +209,9 @@ def _powered_off(action: str, flop: RetentionFlipFlop) -> RuntimeError:
 # 1 040 flops four times.  Each function is exactly the per-flop method
 # applied in sequence order, powered-off checks and messages included
 # (flops before an offending one are already updated when it raises).
-# The writers store None and int 0/1 as they are and send every other
-# value through DFlipFlop._check, so normalisation and messages are
-# those of the per-flop methods.
 def flop_values(flops: Iterable[DFlipFlop]) -> List[Optional[int]]:
     """:attr:`DFlipFlop.q` of every flop, in order."""
     return [flop._q for flop in flops]
-
-
-def retention_values(flops: Iterable[RetentionFlipFlop]
-                     ) -> List[Optional[int]]:
-    """:attr:`RetentionFlipFlop.retention_value` of every flop, in
-    order."""
-    return [flop._retention for flop in flops]
 
 
 def force_flops(flops: Iterable[DFlipFlop],
@@ -232,8 +220,7 @@ def force_flops(flops: Iterable[DFlipFlop],
     matching entry of ``values`` (the two must have equal lengths)."""
     check = DFlipFlop._check
     for flop, value in zip(flops, values, strict=True):
-        flop._q = (value if value.__class__ is int and 0 <= value <= 1
-                   or value is None else check(value))
+        flop._q = check(value)
 
 
 def retain_flops(flops: Iterable[RetentionFlipFlop]) -> None:
@@ -280,14 +267,10 @@ def reset_flops(flops: Iterable[RetentionFlipFlop],
     check = DFlipFlop._check
     for flop, (q, retention) in zip(flops, pristine, strict=True):
         flop._power = _ON
-        flop._q = (q if q.__class__ is int and 0 <= q <= 1 or q is None
-                   else check(q))
-        flop._retention = (
-            retention if retention.__class__ is int and 0 <= retention <= 1
-            or retention is None else check(retention))
+        flop._q = check(q)
+        flop._retention = check(retention)
 
 
 __all__ = ["PowerState", "DFlipFlop", "ScanFlipFlop", "RetentionFlipFlop",
            "flop_values", "force_flops", "power_off_flops", "power_on_flops",
-           "reset_flops", "restore_flops", "retain_flops",
-           "retention_values"]
+           "reset_flops", "restore_flops", "retain_flops"]

@@ -9,7 +9,6 @@ from repro.circuit.flipflop import (
     ScanFlipFlop,
     force_flops,
     reset_flops,
-    retention_values,
 )
 
 
@@ -24,8 +23,8 @@ def _forced(value):
     return flop.q, type(flop.q)
 
 
-#: Values the bulk writers and the constructor take the inline path
-#: for, and ones they hand to ``_check`` (normalised or refused).
+#: Values ``DFlipFlop._check`` stores (as they are, or normalised
+#: through int()) and ones it refuses.
 VALID_BITS = [None, 0, 1, True, False, 1.0, "1", "0"]
 INVALID_BITS = [2, -1, 3, "2", "x"]
 
@@ -33,6 +32,18 @@ INVALID_BITS = [2, -1, 3, "2", "x"]
 class TestDFlipFlop:
     def test_initial_value_defaults_to_unknown(self):
         assert DFlipFlop().q is None
+
+    def test_check_stores_plain_ints_and_normalises_the_rest(self):
+        stored = [DFlipFlop._check(value) for value in VALID_BITS]
+        assert stored == [None, 0, 1, 1, 0, 1, 1, 0]
+        assert all(type(v) is int for v in stored[1:])
+        for value in (2, -1, 3, "2"):
+            with pytest.raises(ValueError) as caught:
+                DFlipFlop._check(value)
+            assert str(caught.value) == \
+                f"flip-flop values must be 0, 1 or None; got {value!r}"
+        with pytest.raises(ValueError, match="invalid literal"):
+            DFlipFlop._check("x")
 
     def test_clock_captures_data(self):
         ff = DFlipFlop(init=0)
@@ -146,7 +157,7 @@ class TestRetentionFlipFlop:
 
     @pytest.mark.parametrize("init", VALID_BITS + INVALID_BITS)
     def test_init_normalises_like_force(self, init):
-        """The constructor's inline path stores exactly what force()
+        """The constructor stores exactly what force()
         stores ("1" is int("1") == 1, as it always was) and raises
         force()'s message for anything else."""
         expected = _forced(init)
@@ -247,8 +258,3 @@ class TestForceFlops:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             force_flops([RetentionFlipFlop()], [0, 1])
-
-    def test_retention_values(self):
-        flops = _scrambled_flops()
-        assert retention_values(flops) == \
-            [f.retention_value for f in flops]

@@ -254,3 +254,27 @@ def test_engine_metadata_never_raises(recorder, monkeypatch):
         monkeypatch.delitem(sys.modules, mod)
     monkeypatch.setattr(builtins, "__import__", failing)
     assert recorder._engine_metadata() == {"numpy": None, "numba": None}
+
+
+def test_fresh_reference_keeps_sections_this_install_cannot_measure(
+        recorder, tmp_path, monkeypatch):
+    """Re-recording the committed reference keeps a section whose
+    ``requires`` names a missing module (its benchmark cannot run
+    here), and still drops stale sections it could have re-measured.
+    The scratch results get only what this run measured."""
+    monkeypatch.setenv("REPRO_BENCH_UPDATE_REFERENCE", "1")
+    gated = {"speedup": 3.0, "floors": {"speedup": 2.0},
+             "requires": ["repro_no_such_module"]}
+    _write(tmp_path / "BENCH_engines.json", _bench_payload({
+        "campaign_gated": gated,
+        "campaign_runnable": {"speedup": 1.0, "requires": ["json"]},
+        "campaign_removed": {"speedup": 1.0}}))
+    recorder.record_bench("engines", {"seq_per_s": 10.0},
+                          section="campaign_delta_path")
+    reference = json.loads((tmp_path / "BENCH_engines.json").read_text())
+    assert reference["results"] == {
+        "campaign_gated": gated,
+        "campaign_delta_path": {"seq_per_s": 10.0}}
+    fresh = json.loads(
+        (tmp_path / "results" / "BENCH_engines.json").read_text())
+    assert fresh["results"] == {"campaign_delta_path": {"seq_per_s": 10.0}}
