@@ -5,9 +5,9 @@ The paper's flow ends in a synthesizable netlist (the FPGA validation
 performs scan insertion in RTL).  This example builds the paper's
 protected FIFO configuration, generates the Verilog for its monitoring
 blocks, error correction path and monitored power-gating controller,
-writes the files to ``build/rtl/`` and prints a trace of one monitored
-sleep/wake cycle so the generated control sequence can be compared
-against the simulated one.
+writes the files to ``build/rtl/`` and prints the controller transitions
+of one monitored sleep/wake cycle so the generated control sequence can
+be compared against the simulated one.
 
 Run with::
 
@@ -21,7 +21,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import ProtectedDesign, SyncFIFO
-from repro.core.trace import trace_cycles
 from repro.faults.patterns import single_error_pattern
 from repro.rtl import emit_rtl_package
 
@@ -45,13 +44,18 @@ def main() -> None:
                         if "integration.md" in package.files
                         else "INTEGRATION.md"])
 
-    # Trace one monitored sleep/wake cycle with a single injected error
+    # Run one monitored sleep/wake cycle with a single injected error
     # so the control sequence of the generated FSM can be followed.
     pattern = single_error_pattern(design.num_chains, design.chain_length,
                                    random.Random(1))
     outcome = design.sleep_wake_cycle(injection=pattern)
-    log = trace_cycles(design, [outcome])
-    print(log.render())
+    print("\ncontroller transitions:")
+    for step in design.controller.transition_log:
+        print(f"  {step.source.value:>11s} -> {step.destination.value:<11s}"
+              f" ({step.signal})")
+    print(f"error code {outcome.error_code.value}, "
+          f"{outcome.corrections_applied} bit(s) corrected, "
+          f"state intact: {outcome.state_intact}")
 
 
 if __name__ == "__main__":

@@ -192,6 +192,32 @@ class BlockCode(ABC):
                 f"expected {self.r} parity bits, got {len(parity_t)}")
         return self.decode(data_t + parity_t)
 
+    @property
+    def name(self) -> str:
+        """Name shown in reports; concrete codes give a canonical one
+        (``"hamming(7,4)"``), a user code its class name."""
+        return type(self).__name__
+
+    # ------------------------------------------------------------------
+    # Cost model: gate counts behind the area and power tables.  These
+    # are estimates; codes with a known structure override them with
+    # exact counts.
+    # ------------------------------------------------------------------
+    def encoder_xor_count(self) -> int:
+        """2-input XOR gates in the parallel encoder (estimate: 2 per
+        parity bit)."""
+        return 2 * self.r
+
+    def decoder_xor_count(self) -> int:
+        """2-input XOR gates in the syndrome computation (estimate: 3
+        per parity bit)."""
+        return 3 * self.r
+
+    def corrector_gate_count(self) -> int:
+        """Gates in the error-location decoder and correction path
+        (estimate: 2 per codeword bit)."""
+        return 2 * self.n
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n={self.n}, k={self.k})"
 
@@ -213,6 +239,17 @@ class StreamCode(ABC):
     def correction_capability(self) -> float:
         """Stream codes correct nothing; present for interface parity."""
         return 0.0
+
+    @property
+    def name(self) -> str:
+        """Name shown in reports; concrete codes give a canonical one
+        (``"crc16"``), a user code its class name."""
+        return type(self).__name__
+
+    def feedback_xor_count(self) -> int:
+        """2-input XOR gates in the signature register's feedback
+        network (estimate: one per signature bit)."""
+        return self.signature_bits
 
     @abstractmethod
     def signature(self, stream: Iterable[int]) -> Bits:

@@ -59,8 +59,7 @@ class InterleavedCode(BlockCode):
     @property
     def name(self) -> str:
         """Canonical name, e.g. ``"interleaved(hamming(7,4),x4)"``."""
-        inner_name = getattr(self.inner, "name", repr(self.inner))
-        return f"interleaved({inner_name},x{self.depth})"
+        return f"interleaved({self.inner.name},x{self.depth})"
 
     # ------------------------------------------------------------------
     def _split_data(self, data: Bits) -> List[Bits]:

@@ -30,13 +30,8 @@ from repro.core.controller import (
     MonitoredPowerGatingController,
 )
 from repro.core.protected import ProtectedDesign, CycleOutcome
-from repro.core.trace import TraceEvent, TraceEventKind, TraceLog, trace_cycles
 
 __all__ = [
-    "TraceEvent",
-    "TraceEventKind",
-    "TraceLog",
-    "trace_cycles",
     "ScanChainConfig",
     "TestModeMapping",
     "StateMonitorBlock",

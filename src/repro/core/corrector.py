@@ -108,11 +108,8 @@ class ErrorCorrectionBlock:
         netlist = Netlist("error_corrector")
         group = "corrector"
         if self.code is not None:
-            gate_counter = getattr(self.code, "corrector_gate_count", None)
-            per_block = (gate_counter() if callable(gate_counter)
-                         else 2 * self.code.n)
-            netlist.add_cells("and2", per_block * max(num_blocks, 1),
-                              group=group)
+            netlist.add_cells("and2", self.code.corrector_gate_count()
+                              * max(num_blocks, 1), group=group)
             netlist.add_cells("xor2",
                               self.code.k * max(num_blocks, 1), group=group)
         # Feedback multiplexers on every chain's scan-in path.

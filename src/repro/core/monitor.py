@@ -246,11 +246,8 @@ class HammingMonitorBlock(StateMonitorBlock):
         group = "monitor"
         netlist.add_cells("aon_dff", self.storage_bits(chain_length),
                           group=group)
-        encoder_xors = getattr(self.code, "encoder_xor_count", None)
-        decoder_xors = getattr(self.code, "decoder_xor_count", None)
-        n_enc = encoder_xors() if callable(encoder_xors) else 2 * self.code.r
-        n_dec = decoder_xors() if callable(decoder_xors) else 3 * self.code.r
-        netlist.add_cells("xor2", n_enc + n_dec, group=group)
+        netlist.add_cells("xor2", self.code.encoder_xor_count()
+                          + self.code.decoder_xor_count(), group=group)
         # Parity compare and error-flag generation.
         netlist.add_cells("xnor2", self.code.r, group=group)
         netlist.add_cells("and2", max(self.code.r - 1, 1), group=group)
@@ -340,11 +337,10 @@ class CRCMonitorBlock(StateMonitorBlock):
         netlist.add_cells("aon_dff", self.code.signature_bits, group=group)
         # Stored reference signature (written once per encode pass).
         netlist.add_cells("ret_latch", self.code.signature_bits, group=group)
-        feedback = getattr(self.code, "feedback_xor_count", None)
-        n_feedback = feedback() if callable(feedback) else self.code.signature_bits
         # Parallel input folding: one XOR per observed chain plus the
         # feedback network.
-        netlist.add_cells("xor2", n_feedback + self.width, group=group)
+        netlist.add_cells("xor2", self.code.feedback_xor_count()
+                          + self.width, group=group)
         # Signature compare.
         netlist.add_cells("xnor2", self.code.signature_bits, group=group)
         netlist.add_cells("and2", self.code.signature_bits - 1, group=group)

@@ -746,7 +746,7 @@ run_sequence_batch_summary`).
                           encode_cost=encode_cost, decode_cost=decode_cost)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        code_names = ", ".join(getattr(c, "name", repr(c)) for c in self.codes)
+        code_names = ", ".join(c.name for c in self.codes)
         return (f"ProtectedDesign({self.circuit.name!r}, codes=[{code_names}], "
                 f"W={self.num_chains}, l={self.chain_length})")
 

@@ -48,8 +48,7 @@ def scan(paths: Sequence[Path]) -> Project:
 
 
 def run_rules(project: Project,
-              rules: Optional[Sequence[Rule]] = None,
-              reflection: bool = True) -> List[Finding]:
+              rules: Optional[Sequence[Rule]] = None) -> List[Finding]:
     """All raw findings of ``rules`` over a scanned project."""
     if rules is None:
         from repro.devtools.lint.rules import ALL_RULES
@@ -58,22 +57,19 @@ def run_rules(project: Project,
     for rule in rules:
         for file in project.files:
             findings.extend(rule.check_file(project, file))
-        if reflection:
-            findings.extend(rule.check_project(project))
     return unique_findings(findings)
 
 
 def run_lint(paths: Sequence[Path],
              rules: Optional[Sequence[Rule]] = None,
-             allowlist: Optional[Iterable[Allow]] = None,
-             reflection: bool = True) -> AllowlistResult:
+             allowlist: Optional[Iterable[Allow]] = None) -> AllowlistResult:
     """Scan, run every rule, and apply the allowlist.
 
     This is the library entry point the pytest check and the CLI
     share; ``result.findings`` is what fails the build.
     """
     project = scan(paths)
-    raw = run_rules(project, rules=rules, reflection=reflection)
+    raw = run_rules(project, rules=rules)
     entries = DEFAULT_ALLOWLIST if allowlist is None else allowlist
     return apply_allowlist(raw, project.files, entries)
 
@@ -82,9 +78,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=("Project-invariant static analyzer: determinism, "
-                     "engine capability consistency, fingerprint "
-                     "completeness, uint64 dtype discipline, task "
-                     "pickle-safety, getattr-string drift."))
+                     "fingerprint completeness, uint64 dtype discipline, "
+                     "task pickle-safety."))
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to scan (default: src)")
@@ -94,9 +89,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--no-allowlist", action="store_true",
         help="report sanctioned findings too (audit mode)")
-    parser.add_argument(
-        "--no-reflection", action="store_true",
-        help="skip the reflection passes over the live registries")
     parser.add_argument(
         "--list-rules", action="store_true",
         help="print the rules and exit")
@@ -131,8 +123,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     allowlist: Iterable[Allow] = \
         () if options.no_allowlist else DEFAULT_ALLOWLIST
-    result = run_lint(paths, rules=rules, allowlist=allowlist,
-                      reflection=not options.no_reflection)
+    result = run_lint(paths, rules=rules, allowlist=allowlist)
     for finding in result.findings:
         print(finding.render())
     if not options.quiet:

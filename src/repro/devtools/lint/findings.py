@@ -1,11 +1,9 @@
 """Core data model of the project linter.
 
-A rule inspects the parsed source tree (and, for the reflection-backed
-rules, the live registries of the imported :mod:`repro` package) and
-yields :class:`Finding` objects; the runner collects them, subtracts
-the explicit allowlist, and renders the rest.  Everything here is pure
-standard library so the linter runs on the dependency-free core
-install.
+A rule inspects the parsed source tree and yields :class:`Finding`
+objects; the runner collects them, subtracts the explicit allowlist,
+and renders the rest.  Everything here is pure standard library so the
+linter runs on the dependency-free core install.
 """
 
 from __future__ import annotations
@@ -78,13 +76,8 @@ class Project:
 
 
 class Rule:
-    """Base class of one lint rule.
-
-    ``check_file`` runs once per parsed file; ``check_project`` runs
-    once per scan, after every file was visited -- the reflection-backed
-    rules (engine registry, code classes) live there.  Either may be a
-    no-op.
-    """
+    """Base class of one lint rule: ``check_file`` runs once per parsed
+    file."""
 
     #: Stable identifier, used in output and allowlist entries.
     id: str = ""
@@ -93,9 +86,6 @@ class Rule:
 
     def check_file(self, project: Project,
                    file: SourceFile) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
         return iter(())
 
 
@@ -159,12 +149,6 @@ def import_aliases(tree: ast.Module, module: str) -> Tuple[set, set]:
     return module_aliases, member_aliases
 
 
-def class_methods(node: ast.ClassDef) -> set:
-    """Names of the functions defined directly in a class body."""
-    return {item.name for item in node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
-
-
 def decorator_names(node: ast.ClassDef) -> set:
     """Dotted names of a class's decorators (call or bare)."""
     names = set()
@@ -194,7 +178,6 @@ __all__ = [
     "Rule",
     "SourceFile",
     "call_keywords",
-    "class_methods",
     "decorator_names",
     "dotted_name",
     "import_aliases",

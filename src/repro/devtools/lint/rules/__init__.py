@@ -11,9 +11,6 @@ from __future__ import annotations
 from typing import Dict, Tuple
 
 from repro.devtools.lint.findings import Rule
-from repro.devtools.lint.rules.capabilities import (
-    RULE as CAPABILITY_RULE,
-)
 from repro.devtools.lint.rules.determinism import (
     RULE as DETERMINISM_RULE,
 )
@@ -21,20 +18,15 @@ from repro.devtools.lint.rules.dtype import RULE as DTYPE_RULE
 from repro.devtools.lint.rules.fingerprint import (
     RULE as FINGERPRINT_RULE,
 )
-from repro.devtools.lint.rules.getattr_drift import (
-    RULE as GETATTR_DRIFT_RULE,
-)
 from repro.devtools.lint.rules.pickle_safety import (
     RULE as PICKLE_RULE,
 )
 
 ALL_RULES: Tuple[Rule, ...] = (
     DETERMINISM_RULE,
-    CAPABILITY_RULE,
     FINGERPRINT_RULE,
     DTYPE_RULE,
     PICKLE_RULE,
-    GETATTR_DRIFT_RULE,
 )
 
 

@@ -5,7 +5,7 @@ The subsystem has three parts:
 * :mod:`repro.engines.base` -- the :class:`SimulationEngine` protocol
   (scalar ``encode_pass``/``decode_pass`` plus an optional columnar
   summary pass over a :class:`~repro.faults.batch.PatternBatch`
-  injection, advertised through :class:`EngineCapabilities`);
+  injection, supported by every engine that overrides it);
 * :mod:`repro.engines.registry` -- name-based registration and lookup,
   mirroring :mod:`repro.codes.registry`; registering a factory is the
   only step needed for an engine to be selectable everywhere;
@@ -21,8 +21,8 @@ The subsystem has three parts:
 
 Every engine's scalar reports are bit-identical to the reference's
 (the vectorised engines run their scalar passes on the packed engine).
-Engines advertising the *summary* capability (``"simd"`` and its
-``"jit"`` subclass) additionally run whole batches through
+Engines overriding the summary pass (``"simd"`` and its ``"jit"``
+subclass) additionally run whole batches through
 :meth:`SimulationEngine.run_batch_summary`, returning columnar
 :class:`BatchOutcomeArrays` (one ndarray per outcome field) with no
 per-sequence objects at all -- the one vectorised batch path; their
@@ -36,7 +36,6 @@ engine and how to register a custom one.
 
 from repro.engines.base import (
     BatchOutcomeArrays,
-    EngineCapabilities,
     SimulationEngine,
 )
 from repro.engines.registry import (
@@ -49,7 +48,6 @@ from repro.engines.registry import (
 
 __all__ = [
     "BatchOutcomeArrays",
-    "EngineCapabilities",
     "SimulationEngine",
     "available_engines",
     "get_engine",

@@ -25,7 +25,8 @@ Two interfaces exist:
   engine-independent per-sequence reference every vectorised path is
   property-tested against;
 * the **summary** interface (:meth:`~SimulationEngine.run_batch_summary`),
-  advertised through :class:`EngineCapabilities`, which runs a whole
+  supported by exactly the engines whose class overrides it (see
+  :attr:`SimulationEngine.supports_summary`), which runs a whole
   batch -- replicate, encode, inject, decode, compare against the
   pre-sleep state -- in the engine's native layout and returns only the
   **columnar** per-sequence verdicts (:class:`BatchOutcomeArrays`, one
@@ -42,25 +43,6 @@ from dataclasses import dataclass
 from typing import Any, List, Sequence
 
 from repro.core.monitor import MonitorReport
-
-
-@dataclass(frozen=True)
-class EngineCapabilities:
-    """What an engine can do beyond the mandatory scalar passes.
-
-    Attributes
-    ----------
-    summary:
-        True when the engine implements the columnar summary pass
-        (``run_batch_summary``).  Summary support may carry additional
-        runtime requirements (an optional array library, say), so
-        consumers should gate on
-        :attr:`SimulationEngine.supports_summary`, which folds those
-        in.  Engines without it still run batched campaigns, one
-        scalar cycle per sequence.
-    """
-
-    summary: bool = False
 
 
 @dataclass
@@ -132,20 +114,19 @@ class SimulationEngine(ABC):
     #: registry when the factory returns, so subclasses need not).
     name: str = ""
 
-    #: Capability flags; override in subclasses.
-    capabilities: EngineCapabilities = EngineCapabilities()
-
     @property
     def supports_summary(self) -> bool:
-        """True when the columnar summary pass is usable *right now*.
+        """True when the engine's class overrides
+        :meth:`run_batch_summary`.
 
-        Defaults to the capability flag; engines whose summary pass has
-        extra runtime requirements override this to fold the
-        availability check in, so campaign tasks can gate their fast
-        path on one property.  (The built-in summary engines register
-        only when numpy is importable, so the flag suffices for them.)
+        Derived from the class, so no flag can disagree with the
+        implementation; a subclass inherits its parent's override.
+        Engines without it still run batched campaigns, one scalar
+        cycle per sequence.  (The built-in summary engines register
+        only when numpy is importable, so an override is always usable.)
         """
-        return self.capabilities.summary
+        return (type(self).run_batch_summary
+                is not SimulationEngine.run_batch_summary)
 
     # -- scalar interface ----------------------------------------------
     @abstractmethod
@@ -200,12 +181,11 @@ class SimulationEngine(ABC):
         """
         raise NotImplementedError(
             f"engine {self.name or type(self).__name__!r} does not "
-            f"implement the columnar summary pass (capabilities.summary "
-            f"is False)")
+            f"implement the columnar summary pass (it does not override "
+            f"run_batch_summary)")
 
 
 __all__ = [
-    "EngineCapabilities",
     "BatchOutcomeArrays",
     "SimulationEngine",
 ]

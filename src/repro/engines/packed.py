@@ -42,7 +42,7 @@ from repro.core.monitor import (
     MonitorBank,
     MonitorReport,
 )
-from repro.engines.base import EngineCapabilities, SimulationEngine
+from repro.engines.base import SimulationEngine
 from repro.engines.packing import pack_chains, write_back_chains
 
 
@@ -341,8 +341,6 @@ class PackedMonitorEngine:
 
 class PackedEngineAdapter(SimulationEngine):
     """Packed-integer simulation of the encode/decode passes."""
-
-    capabilities = EngineCapabilities()
 
     def __init__(self, bank: MonitorBank, num_chains: int,
                  chain_length: int):

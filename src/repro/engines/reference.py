@@ -12,13 +12,11 @@ from __future__ import annotations
 from typing import List
 
 from repro.core.monitor import MonitorReport
-from repro.engines.base import EngineCapabilities, SimulationEngine
+from repro.engines.base import SimulationEngine
 
 
 class ReferenceEngine(SimulationEngine):
     """Bit-serial per-flop simulation (the hardware-faithful baseline)."""
-
-    capabilities = EngineCapabilities()
 
     def encode_pass(self, design) -> int:
         return design.monitor_bank.encode_pass(design.chains)

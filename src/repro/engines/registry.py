@@ -85,10 +85,10 @@ def available_engines() -> Tuple[str, ...]:
 
 
 #: Built-in engines that register conditionally, mapped to the module
-#: whose importability gates them.  Shared with the capability lint
-#: rule (which cross-checks gate against registry) and used below to
-#: turn "unknown engine" into an actionable install hint when the name
-#: is merely *absent*, not misspelled.
+#: whose importability gates them.  Used below to turn "unknown engine"
+#: into an actionable install hint when the name is merely *absent*,
+#: not misspelled; the engine-registry tests pin registered <=>
+#: importable for every entry.
 CONDITIONAL_ENGINES = {
     "simd": ("numpy", "the [simd] packaging extra"),
     "jit": ("numba", "the [jit] packaging extra"),

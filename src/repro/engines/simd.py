@@ -82,11 +82,7 @@ from repro.codes.parity import ParityCode
 from repro.codes.plane import block_parity_matrix, crc_stream_matrix
 from repro.codes.secded import SECDEDCode
 from repro.core.monitor import MonitorBank, MonitorReport
-from repro.engines.base import (
-    BatchOutcomeArrays,
-    EngineCapabilities,
-    SimulationEngine,
-)
+from repro.engines.base import BatchOutcomeArrays, SimulationEngine
 from repro.engines.packed import PackedEngineAdapter, classify_monitors
 from repro.engines.summary import (
     bits_matrix,
@@ -515,8 +511,6 @@ class SimdBatchedEngine(SimulationEngine):
     structured GF(2) form (adapter-only codes) -- those run on the
     per-sequence engines (``"packed"``/``"reference"``) instead.
     """
-
-    capabilities = EngineCapabilities(summary=True)
 
     def __init__(self, bank: MonitorBank, num_chains: int,
                  chain_length: int):

@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
+from repro.circuit.flipflop import RetentionFlipFlop
 from repro.circuit.scan import ScanChain
 from repro.faults.lfsr import LFSR
 from repro.faults.patterns import ErrorPattern
@@ -211,11 +212,10 @@ class ScanErrorInjector:
         flipped: List[Tuple[int, int]] = []
         for chain_index, position in sorted(pattern.locations):
             flop = self.chains[chain_index].flops[position]
-            corrupt = getattr(flop, "corrupt_retention", None)
-            if corrupt is None:
+            if not isinstance(flop, RetentionFlipFlop):
                 raise TypeError(
                     f"flop {flop.name!r} has no retention latch to corrupt")
-            corrupt()
+            flop.corrupt_retention()
             flipped.append((chain_index, position))
         plan = InjectionPlan(pattern=pattern, row_vector=row_vector,
                              column_vector=column_vector,

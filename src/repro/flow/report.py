@@ -54,8 +54,7 @@ def format_synthesis_report(result, title: str = "synthesis result") -> str:
     """Render a :class:`~repro.flow.synthesizer.SynthesisResult` as text."""
     design = result.design
     cost = result.cost
-    code_names = ", ".join(getattr(c, "name", repr(c))
-                           for c in design.codes)
+    code_names = ", ".join(c.name for c in design.codes)
     lines = [
         title,
         "=" * len(title),

@@ -93,8 +93,7 @@ def emit_rtl_package(design: ProtectedDesign) -> RTLPackage:
 
 def _integration_note(design: ProtectedDesign) -> str:
     config = design.config
-    code_names = ", ".join(getattr(c, "name", type(c).__name__)
-                           for c in design.codes)
+    code_names = ", ".join(c.name for c in design.codes)
     return "\n".join([
         f"# RTL integration note for {design.circuit.name}",
         "",

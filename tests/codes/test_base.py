@@ -3,9 +3,11 @@
 import pytest
 
 from repro.codes.base import (
+    BlockCode,
     CodeError,
     DecodeResult,
     DecodeStatus,
+    StreamCode,
     as_bits,
     bits_to_int,
     hamming_distance,
@@ -87,3 +89,44 @@ class TestStreamState:
         crc = CRCCode.from_name("crc16")
         with pytest.raises(CodeError):
             crc.verify([1, 0, 1], [0, 1])
+
+
+class _BareBlock(BlockCode):
+    """A block code overriding nothing beyond the abstract methods."""
+
+    n, k = 12, 8
+
+    def encode(self, data):
+        return as_bits(data) + (0,) * self.r
+
+    def decode(self, codeword):
+        return DecodeResult(DecodeStatus.NO_ERROR, as_bits(codeword)[:self.k])
+
+
+class _BareStream(StreamCode):
+    """A stream code overriding nothing beyond the abstract method."""
+
+    signature_bits = 5
+
+    def signature(self, stream):
+        return (0,) * self.signature_bits
+
+
+class TestBaseCostModel:
+    def test_block_code_estimates_and_name(self):
+        code = _BareBlock()
+        assert code.encoder_xor_count() == 2 * code.r == 8
+        assert code.decoder_xor_count() == 3 * code.r == 12
+        assert code.corrector_gate_count() == 2 * code.n == 24
+        assert code.name == "_BareBlock"
+
+    def test_stream_code_estimate_and_name(self):
+        code = _BareStream()
+        assert code.feedback_xor_count() == code.signature_bits == 5
+        assert code.name == "_BareStream"
+
+    def test_interleaved_name_uses_the_inner_name(self):
+        from repro.codes.interleave import InterleavedCode
+
+        assert InterleavedCode(_BareBlock(), 3).name == \
+            "interleaved(_BareBlock,x3)"

@@ -55,4 +55,4 @@ class TestDtypeDiscipline:
         src = Path(__file__).resolve().parents[2] / "src"
         project = scan([src / "repro" / "engines",
                         src / "repro" / "faults"])
-        assert run_rules(project, rules=[RULE], reflection=False) == []
+        assert run_rules(project, rules=[RULE]) == []

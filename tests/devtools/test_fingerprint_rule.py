@@ -125,6 +125,4 @@ class TestRealTaskClasses:
         src = Path(__file__).resolve().parents[2] / "src"
         project = scan([src / "repro" / "campaigns",
                         src / "repro" / "analysis"])
-        findings = [f for f in run_rules(project, rules=[RULE],
-                                         reflection=False)]
-        assert findings == []
+        assert run_rules(project, rules=[RULE]) == []

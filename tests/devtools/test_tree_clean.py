@@ -35,8 +35,7 @@ class TestTreeClean:
 
     def test_rule_registry_is_complete(self):
         ids = set(rules_by_id())
-        assert ids == {"determinism", "capability", "fingerprint",
-                       "dtype", "pickle", "getattr-drift"}
+        assert ids == {"determinism", "fingerprint", "dtype", "pickle"}
         assert len(ALL_RULES) == len(ids)
 
 
@@ -57,8 +56,7 @@ class TestSeedDefectsFailTheCli:
             def jitter():
                 return random.random()
             """)
-        assert main([str(tmp_path / "src"), "--no-reflection",
-                     "-q"]) == 1
+        assert main([str(tmp_path / "src"), "-q"]) == 1
         assert "[determinism]" in capsys.readouterr().out
 
     def test_task_field_missing_from_fingerprint(self, tmp_path,
@@ -75,8 +73,7 @@ class TestSeedDefectsFailTheCli:
                 def fingerprint(self):
                     return f"bad:{self.width}"
             """)
-        assert main([str(tmp_path / "src"), "--no-reflection",
-                     "-q"]) == 1
+        assert main([str(tmp_path / "src"), "-q"]) == 1
         assert "[fingerprint]" in capsys.readouterr().out
 
     def test_dtype_less_constructor_in_simd(self, tmp_path, capsys):
@@ -85,30 +82,8 @@ class TestSeedDefectsFailTheCli:
 
             SCRATCH = np.zeros((4, 4))
             """)
-        assert main([str(tmp_path / "src"), "--no-reflection",
-                     "-q"]) == 1
+        assert main([str(tmp_path / "src"), "-q"]) == 1
         assert "[dtype]" in capsys.readouterr().out
-
-    def test_summary_flag_without_implementation(self, tmp_path,
-                                                 capsys):
-        _write(tmp_path, "src/repro/engines/broken.py", """\
-            from repro.engines.base import (
-                EngineCapabilities,
-                SimulationEngine,
-            )
-
-            class BrokenEngine(SimulationEngine):
-                capabilities = EngineCapabilities(summary=True)
-
-                def encode_pass(self, design):
-                    pass
-
-                def decode_pass(self, design):
-                    pass
-            """)
-        assert main([str(tmp_path / "src"), "--no-reflection",
-                     "-q"]) == 1
-        assert "[capability]" in capsys.readouterr().out
 
     def test_clean_scratch_tree_passes(self, tmp_path, capsys):
         _write(tmp_path, "src/repro/engines/fine.py", """\
@@ -117,8 +92,7 @@ class TestSeedDefectsFailTheCli:
             def jitter(rng: random.Random) -> float:
                 return rng.random()
             """)
-        assert main([str(tmp_path / "src"), "--no-reflection",
-                     "-q"]) == 0
+        assert main([str(tmp_path / "src"), "-q"]) == 0
 
 
 class TestCliInterface:
@@ -143,7 +117,7 @@ class TestCliInterface:
             X = random.random()
             """)
         assert main([str(tmp_path / "src"), "--select", "dtype",
-                     "--no-reflection", "-q"]) == 0
+                     "-q"]) == 0
 
     def test_missing_path_is_usage_error(self):
         import pytest
@@ -155,7 +129,7 @@ class TestCliInterface:
     def test_no_allowlist_surfaces_sanctioned_sites(self, capsys):
         # Audit mode: the sanctioned draws become visible findings.
         assert main([str(SRC), "--no-allowlist", "--select",
-                     "determinism", "--no-reflection", "-q"]) == 1
+                     "determinism", "-q"]) == 1
         out = capsys.readouterr().out
         assert "campaigns/runner.py" in out
         assert "campaigns/scheduler.py" in out

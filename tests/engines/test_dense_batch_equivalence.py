@@ -6,9 +6,9 @@ vectorised engines' best case: almost no per-sequence work.  Dense
 patterns -- burst windows spanning chain and monitoring-block
 boundaries, multi-error storms, droop storms where a sizeable fraction
 of all retention latches flips -- exercise the SIMD engine's vectorised
-correction scatter on every sequence of the batch.  Every engine
-advertising ``capabilities.summary`` is discovered from the registry
-and its columnar summary path (folded with ``add_batch``) is checked
+correction scatter on every sequence of the batch.  Every engine that
+overrides ``run_batch_summary`` (so ``supports_summary`` is True) is
+discovered from the registry and its columnar summary path (folded with ``add_batch``) is checked
 against per-sequence reference cycles, so third-party summary engines
 get the same scrutiny for free.  The packed engine's per-sequence
 batch -- the batch path of adapter codes and of installs without
@@ -45,7 +45,7 @@ def _design(engine, seed=42):
 
 
 def summary_engines():
-    """Registry engines advertising the summary interface (construction
+    """Registry engines supporting the summary interface (construction
     errors mean "engine does not support this configuration")."""
     probe = _design("reference")
     names = []

@@ -12,7 +12,6 @@ from repro.engines import (
     unregister_engine,
     validate_engine,
 )
-from repro.engines.base import EngineCapabilities
 
 
 def _design(engine="reference"):
@@ -23,8 +22,6 @@ def _design(engine="reference"):
 
 class RecordingEngine(SimulationEngine):
     """Third-party engine: reference semantics plus a call log."""
-
-    capabilities = EngineCapabilities()
 
     def __init__(self):
         self.calls = []

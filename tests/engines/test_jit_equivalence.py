@@ -275,10 +275,18 @@ def test_auto_falls_back_to_simd_on_unsupported_structure(kind, path):
 # ----------------------------------------------------------------------
 # Conditional registration and the forced-selection error shape
 # ----------------------------------------------------------------------
-def test_jit_registration_tracks_numba():
-    """Registered exactly when numba is importable; silently absent
-    otherwise (the CI graceful-degradation smoke's assertion)."""
-    assert ("jit" in available_engines()) == HAVE_NUMBA
+@pytest.mark.parametrize("name", sorted(CONDITIONAL_ENGINES))
+def test_conditional_registration_tracks_module(name):
+    """Every conditionally registered engine is registered exactly when
+    its gating module is importable and silently absent otherwise (the
+    CI graceful-degradation smoke's assertion for jit)."""
+    import importlib.util
+
+    module, _ = CONDITIONAL_ENGINES[name]
+    assert (name in available_engines()) == \
+        (importlib.util.find_spec(module) is not None)
+    if name == "jit":
+        assert (name in available_engines()) == HAVE_NUMBA
 
 
 @pytest.mark.parametrize("name", ("jit",))

@@ -155,7 +155,7 @@ def test_adapter_round_trip_through_design_chains():
     design = _design(["hamming(7,4)", "crc16"])
     adapter = PackedEngineAdapter(design.monitor_bank, design.num_chains,
                                   design.chain_length)
-    assert not adapter.capabilities.summary
+    assert not adapter.supports_summary
     before = [chain.read_state() for chain in design.chains]
     assert adapter.encode_pass(design) == design.chain_length
     design.chains[1].flops[0].flip()

@@ -4,11 +4,21 @@ import pytest
 
 np = pytest.importorskip("numpy")
 
+from repro.campaigns.tasks import FIFOValidationCampaignTask    # noqa: E402
 from repro.circuit.generators import make_random_state_circuit  # noqa: E402
 from repro.core.protected import ProtectedDesign                # noqa: E402
-from repro.engines.base import BatchOutcomeArrays               # noqa: E402
+from repro.engines.base import (                                # noqa: E402
+    BatchOutcomeArrays,
+    SimulationEngine,
+)
 from repro.engines.packing import pack_chains                   # noqa: E402
-from repro.engines.registry import get_engine                   # noqa: E402
+from repro.engines.registry import (                            # noqa: E402
+    available_engines,
+    get_engine,
+    register_engine,
+    unregister_engine,
+)
+from repro.engines.simd import SimdBatchedEngine                # noqa: E402
 from repro.engines.summary import (                             # noqa: E402
     bits_matrix,
     full_words,
@@ -21,6 +31,7 @@ from repro.faults.batch import (                                # noqa: E402
     sample_pattern_batch,
 )
 from repro.faults.patterns import ErrorPattern                  # noqa: E402
+from repro.validation.testbench import FIFOTestbench            # noqa: E402
 from tests.engines.summary_oracle import assert_summary_matches  # noqa: E402
 
 
@@ -30,14 +41,113 @@ def _design(engine, codes=("hamming(7,4)", "crc16")):
                            engine=engine, lfsr_seed=5)
 
 
-def test_summary_capability_flags():
+class SideSummaryEngine(SimulationEngine):
+    """A third-party engine: reference scalar passes and a summary pass
+    of its own (delegated to a simd engine).  It sets no flag; the
+    override alone makes it a summary engine."""
+
+    def __init__(self, design):
+        self._simd = SimdBatchedEngine(design.monitor_bank,
+                                       design.num_chains,
+                                       design.chain_length)
+
+    def encode_pass(self, design):
+        return design.monitor_bank.encode_pass(design.chains)
+
+    def decode_pass(self, design):
+        return design.monitor_bank.decode_pass(design.chains)
+
+    def run_batch_summary(self, states, knowns, flips, batch_size):
+        return self._simd.run_batch_summary(states, knowns, flips,
+                                            batch_size)
+
+
+class SimdSubclassEngine(SimdBatchedEngine):
+    """A subclass of simd that overrides nothing: it inherits the
+    summary pass."""
+
+
+#: Engines registered for the tests below, by name.
+THIRD_PARTY_ENGINES = {
+    "side-summary": SideSummaryEngine,
+    "simd-subclass": lambda design: SimdSubclassEngine(
+        design.monitor_bank, design.num_chains, design.chain_length),
+}
+
+#: Whether each engine supports the summary pass.  jit joins when numba
+#: registers it.
+SUMMARY_SUPPORT = {"reference": False, "packed": False, "simd": True,
+                   "jit": True, "side-summary": True,
+                   "simd-subclass": True}
+
+
+@pytest.fixture
+def third_party_engines():
+    for name, factory in THIRD_PARTY_ENGINES.items():
+        register_engine(name, factory)
+    try:
+        yield
+    finally:
+        for name in THIRD_PARTY_ENGINES:
+            unregister_engine(name)
+
+
+def _engines_under_test():
+    return [name for name in SUMMARY_SUPPORT
+            if name in available_engines() or name in THIRD_PARTY_ENGINES]
+
+
+@pytest.mark.parametrize("name", _engines_under_test())
+def test_summary_support_is_derived(name, third_party_engines):
+    """``supports_summary`` is True exactly on engines whose class
+    overrides ``run_batch_summary``, inherited overrides included; the
+    design's ``supports_batch_summary`` follows its engine."""
+    design = _design(name)
+    engine = get_engine(name, design)
+    assert engine.supports_summary is SUMMARY_SUPPORT[name]
+    assert design.supports_batch_summary is SUMMARY_SUPPORT[name]
+
+
+def test_jit_class_supports_summary_without_numba():
+    """jit inherits from simd and overrides the pass itself; its class
+    supports it whether or not numba registers the name."""
+    from repro.engines.jit import JitFusedEngine
+
     design = _design("reference")
-    assert get_engine("simd", design).supports_summary
-    assert not get_engine("packed", design).supports_summary
-    assert not get_engine("reference", design).supports_summary
-    assert not design.supports_batch_summary
-    design.set_engine("simd")
-    assert design.supports_batch_summary
+    assert JitFusedEngine(design.monitor_bank, design.num_chains,
+                          design.chain_length,
+                          compiled=False).supports_summary
+
+
+@pytest.mark.parametrize("name", _engines_under_test())
+def test_campaign_takes_the_matching_path(name, third_party_engines,
+                                          monkeypatch):
+    """A batched campaign chunk runs the columnar summary pass on every
+    summary engine and one scalar cycle per sequence elsewhere, with
+    the same counters either way."""
+    taken = set()
+    for method, path in (("run_sequence_batch_summary", "summary"),
+                         ("run_sequence_batch", "object")):
+        original = getattr(FIFOTestbench, method)
+
+        def recording(self, *args, _original=original, _path=path,
+                      **kwargs):
+            taken.add(_path)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FIFOTestbench, method, recording)
+
+    def chunk(engine):
+        task = FIFOValidationCampaignTask(
+            width=8, depth=8, codes=("hamming(7,4)", "crc16"),
+            num_chains=8, batch_size=16, engine=engine, sampler="array",
+            pattern="single")
+        return task.run_chunk(chunk_seed=424242, num_sequences=40)
+
+    result = chunk(name)
+    assert taken == ({"summary"} if SUMMARY_SUPPORT[name] else {"object"})
+    assert result == chunk("packed")
+    assert result.stats.num_sequences == 40
 
 
 def _flips(design, cells_per_sequence):
@@ -57,6 +167,45 @@ def test_non_summary_engine_raises():
     engine = get_engine("packed", design)
     with pytest.raises(NotImplementedError):
         engine.run_batch_summary([0] * 8, [0] * 8, clean, 4)
+
+
+@pytest.mark.parametrize("name", _engines_under_test())
+def test_summary_call_matches_support(name, third_party_engines):
+    """Every engine keeps its word: a summary engine's
+    ``run_batch_summary`` returns the columnar verdicts, any other
+    engine's raises ``NotImplementedError``."""
+    design = _design(name)
+    engine = get_engine(name, design)
+    states, knowns = pack_chains(design.chains)
+    flips = _flips(design, [[(0, 0)], ()])
+    if SUMMARY_SUPPORT[name]:
+        summary = engine.run_batch_summary(states, knowns, flips, 2)
+        assert isinstance(summary, BatchOutcomeArrays)
+        assert summary.injected.tolist() == [1, 0]
+    else:
+        with pytest.raises(NotImplementedError):
+            engine.run_batch_summary(states, knowns, flips, 2)
+
+
+def test_in_place_wrapper_keeps_summary_support(monkeypatch):
+    """Wrapping ``SimdBatchedEngine.run_batch_summary`` in place, as
+    ``perfbench/run.py --trace 1`` does, leaves simd a summary engine
+    and routes the design's summary pass through the wrapper."""
+    calls = []
+    original = SimdBatchedEngine.run_batch_summary
+
+    def traced(self, *args, **kwargs):
+        calls.append(type(self))
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(SimdBatchedEngine, "run_batch_summary", traced)
+    design = _design("simd")
+    assert get_engine("simd", design).supports_summary
+    assert design.supports_batch_summary
+    summary = design.sleep_wake_cycle_batch_summary(
+        design._pack_chains(), _flips(design, [[(0, 0)]]), 1)
+    assert calls == [SimdBatchedEngine]
+    assert summary.injected.tolist() == [1]
 
 
 @pytest.mark.parametrize("engine", ("simd", "jit"))

@@ -4,8 +4,9 @@ import random
 
 import pytest
 
+from repro.circuit.flipflop import ScanFlipFlop
 from repro.circuit.generators import make_random_state_circuit
-from repro.circuit.scan import insert_scan_chains
+from repro.circuit.scan import ScanChain, insert_scan_chains
 from repro.faults.campaign import CampaignStats, InjectionRecord
 from repro.faults.droop import DroopFaultInjector
 from repro.faults.injector import ScanErrorInjector
@@ -133,6 +134,19 @@ class TestScanErrorInjector:
         circuit.restore_all()
         after = circuit.snapshot()
         assert before.hamming_distance(after) == 2
+
+    def test_inject_retention_needs_retention_flops(self):
+        """A chain of plain scan flops has no retention latch: the
+        injection refuses it by name and flips nothing."""
+        flops = [ScanFlipFlop(f"plain_{i}", init=i & 1) for i in range(4)]
+        injector = ScanErrorInjector([ScanChain(flops, name="plain")])
+        before = [flop.q for flop in flops]
+        pattern = ErrorPattern(locations=frozenset({(0, 2)}))
+        with pytest.raises(TypeError, match=r"^flop 'plain_2' has no "
+                           r"retention latch to corrupt$"):
+            injector.inject_retention(pattern)
+        assert [flop.q for flop in flops] == before
+        assert injector.history == []
 
     def test_row_and_column_vectors(self):
         _, chains = _make_chains()
