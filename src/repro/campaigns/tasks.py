@@ -13,7 +13,7 @@ plan.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Iterator, Optional, Tuple
 
 from repro.campaigns.runner import CampaignTask
 from repro.campaigns.seeding import child_seed
@@ -66,7 +66,8 @@ class FIFOValidationCampaignTask(CampaignTask):
         state-domain comparator.  On an engine with summary support
         each group runs through the columnar summary path
         (:meth:`~repro.validation.testbench.FIFOTestbench.\
-run_sequence_batch_summary` ->
+run_sequence_batches_summary`, one call per chunk yielding each
+        group's verdicts ->
         :meth:`~repro.campaigns.stats.StreamingCampaignResult.add_batch`);
         on any other engine through the per-sequence
         :meth:`~repro.validation.testbench.FIFOTestbench.\
@@ -204,6 +205,13 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
         result depends only on ``(self, chunk_seed, num_sequences)``.
         Both samplers seed their pattern stream with
         ``child_seed(chunk_seed, "pattern")``.
+
+        On a summary engine the chunk's batches go through one
+        :meth:`~repro.validation.testbench.FIFOTestbench.\
+run_sequence_batches_summary` call, which walks the bench's flops once
+        for the chunk; each batch is still drawn, simulated and reduced
+        on its own before the next one is drawn, with its own
+        controller/domain cycle.
         """
         state.reseed(chunk_seed)
         design, testbench = state.design, state.testbench
@@ -239,27 +247,39 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
         # Batched groups (last group short), each sharing one stimulus
         # burst: one columnar summary pass on a summary engine, one
         # scalar cycle per sequence otherwise.
-        use_summary = design.supports_batch_summary
+        if design.supports_batch_summary:
+            from repro.faults.batch import PatternBatch
+
+            def batches():
+                for group in self._groups(num_sequences):
+                    drawn = draw(group)
+                    if self.sampler == "scalar":
+                        drawn = PatternBatch.from_patterns(
+                            drawn, num_chains, chain_length)
+                    yield drawn, group
+
+            for arrays in testbench.run_sequence_batches_summary(
+                    batches(), self.inject_phase):
+                result.add_batch(arrays)
+                # Free this batch's verdicts before the next one runs.
+                del arrays
+            return result
+        for group in self._groups(num_sequences):
+            drawn = draw(group)
+            if self.sampler == "array":
+                drawn = drawn.patterns()
+            for sequence in testbench.run_sequence_batch(
+                    drawn, self.inject_phase):
+                result.add(sequence)
+        return result
+
+    def _groups(self, num_sequences: int) -> Iterator[int]:
+        """The batch sizes of a chunk: full batches, the last short."""
         remaining = num_sequences
         while remaining:
             group = min(self.batch_size, remaining)
             remaining -= group
-            drawn = draw(group)
-            if use_summary:
-                if self.sampler == "scalar":
-                    from repro.faults.batch import PatternBatch
-
-                    drawn = PatternBatch.from_patterns(drawn, num_chains,
-                                                       chain_length)
-                result.add_batch(testbench.run_sequence_batch_summary(
-                    drawn, group, self.inject_phase))
-            else:
-                if self.sampler == "array":
-                    drawn = drawn.patterns()
-                for sequence in testbench.run_sequence_batch(
-                        drawn, self.inject_phase):
-                    result.add(sequence)
-        return result
+            yield group
 
 
 __all__ = ["FIFOValidationCampaignTask", "INJECT_PHASES",

@@ -37,7 +37,7 @@ from collections import OrderedDict
 from typing import Any, Dict, NamedTuple
 
 from repro.campaigns.seeding import child_seed
-from repro.circuit.flipflop import flop_values, reset_flops
+from repro.circuit.flipflop import FlopSnapshot
 
 #: Default per-worker cap on cached task states.  Cached states hold
 #: full designs plus engine workspaces, so an unbounded cache would
@@ -174,21 +174,24 @@ class FIFOChunkWorkspace:
             # setup, never inside a timed chunk.
             from repro.engines.jit import warm_up_kernels
             warm_up_kernels()
-        self._flops = (list(self.design.circuit.registers)
-                       + list(self.design._padding))
-        self._pristine = list(zip(
-            flop_values(self._flops),
-            [flop.retention_value for flop in self._flops]))
+        # Checked once here, so every reseed restores without checks.
+        self._pristine = FlopSnapshot(
+            list(self.design.circuit.registers) + self.design._padding)
         self.chunks_run = 0
 
     def reseed(self, chunk_seed: int) -> None:
-        """Restore the bench to its as-built state, seeded for one chunk."""
+        """Restore the bench to its as-built state, seeded for one chunk.
+
+        The flops go back to the ``(q, retention)`` pairs captured and
+        checked when the workspace was built; they are not checked
+        again per chunk.
+        """
         from repro.core.controller import MonitoredPowerGatingController
         from repro.faults.injector import ScanErrorInjector
         from repro.power.domain import PowerDomain
 
         design = self.design
-        reset_flops(self._flops, self._pristine)
+        self._pristine.restore()
         design.controller = MonitoredPowerGatingController()
         # The task builds its design with default power-domain
         # configuration (no switches/rlc/upset-model override), so a

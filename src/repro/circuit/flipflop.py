@@ -17,6 +17,8 @@ fault models in :mod:`repro.faults` and :mod:`repro.power.retention`.
 from __future__ import annotations
 
 import enum
+import operator
+import sys
 from typing import Iterable, List, Optional, Tuple
 
 
@@ -48,13 +50,22 @@ class DFlipFlop:
 
     @staticmethod
     def _check(value: Optional[int]) -> Optional[int]:
-        # None and int 0/1 are stored as they are; bool, numpy
-        # integers and the like go through int().
+        # None and int 0/1 are stored as they are; bool and numpy
+        # integers (through __index__) and numpy bools (which have no
+        # __index__) are normalised to int; strings, floats and
+        # anything else are refused.
         if value.__class__ is int and 0 <= value <= 1 or value is None:
             return value
-        v = int(value)
+        try:
+            v = int(operator.index(value))
+        except TypeError:
+            # A numpy bool can only exist once numpy is imported.
+            numpy = sys.modules.get("numpy")
+            if numpy is None or not isinstance(value, numpy.bool_):
+                raise _invalid_bit(value) from None
+            v = int(value)
         if v not in (0, 1):
-            raise ValueError(f"flip-flop values must be 0, 1 or None; got {value!r}")
+            raise _invalid_bit(value)
         return v
 
     @property
@@ -198,6 +209,10 @@ class RetentionFlipFlop(ScanFlipFlop):
         self._retention = self._check(value)
 
 
+def _invalid_bit(value: object) -> ValueError:
+    return ValueError(f"flip-flop values must be 0, 1 or None; got {value!r}")
+
+
 def _powered_off(action: str, flop: RetentionFlipFlop) -> RuntimeError:
     return RuntimeError(
         f"cannot {action} {flop.name!r}: master is powered off")
@@ -271,6 +286,36 @@ def reset_flops(flops: Iterable[RetentionFlipFlop],
         flop._retention = check(retention)
 
 
+class FlopSnapshot:
+    """The ``(q, retention)`` pair of every flop of a register set,
+    checked once when captured.
+
+    :meth:`restore` is :func:`reset_flops` of the captured pairs
+    without running :meth:`DFlipFlop._check` again: every pair already
+    passed it here.  A bench that is put back to its as-built state
+    once per campaign chunk pays the check once per bench instead.
+    Raises the ``0, 1 or None`` ``ValueError`` for a flop holding any
+    other value.
+    """
+
+    __slots__ = ("flops", "_pairs")
+
+    def __init__(self, flops: Iterable[RetentionFlipFlop]):
+        check = DFlipFlop._check
+        self.flops: Tuple[RetentionFlipFlop, ...] = tuple(flops)
+        self._pairs: Tuple[Tuple[Optional[int], Optional[int]], ...] = \
+            tuple((check(flop._q), check(flop._retention))
+                  for flop in self.flops)
+
+    def restore(self) -> None:
+        """Power every flop on and put its captured pair back."""
+        on = _ON
+        for flop, (q, retention) in zip(self.flops, self._pairs):
+            flop._power = on
+            flop._q = q
+            flop._retention = retention
+
+
 __all__ = ["PowerState", "DFlipFlop", "ScanFlipFlop", "RetentionFlipFlop",
-           "flop_values", "force_flops", "power_off_flops", "power_on_flops",
-           "reset_flops", "restore_flops", "retain_flops"]
+           "FlopSnapshot", "flop_values", "force_flops", "power_off_flops",
+           "power_on_flops", "reset_flops", "restore_flops", "retain_flops"]

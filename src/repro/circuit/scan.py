@@ -42,7 +42,7 @@ back to the scan-out side.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
 from repro.circuit.base import SequentialCircuit
 from repro.circuit.flipflop import ScanFlipFlop
@@ -67,11 +67,23 @@ class ScanChain:
     # ------------------------------------------------------------------
     @property
     def flops(self) -> List[ScanFlipFlop]:
-        """The chain's flip-flops from scan-in side to scan-out side."""
+        """The chain's flip-flops from scan-in side to scan-out side.
+
+        A fresh list on every read: mutating it leaves the chain as it
+        is.  Readers that only iterate or index use the chain itself.
+        """
         return list(self._flops)
 
     def __len__(self) -> int:
         return len(self._flops)
+
+    def __iter__(self) -> Iterator[ScanFlipFlop]:
+        """The flip-flops from scan-in side to scan-out side, uncopied."""
+        return iter(self._flops)
+
+    def __getitem__(self, position: int) -> ScanFlipFlop:
+        """The flip-flop at scan ``position`` (0 is the scan-in side)."""
+        return self._flops[position]
 
     @property
     def length(self) -> int:

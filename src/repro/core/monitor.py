@@ -386,7 +386,7 @@ class MonitorBank:
         for block in self.blocks:
             block.begin_encode()
         for _ in range(length):
-            out_bits = [chain.flops[-1].q for chain in chains]
+            out_bits = [chain.scan_out for chain in chains]
             for block in self.blocks:
                 data_slice = [out_bits[i] for i in block.chain_indices]
                 block.observe_encode(data_slice)
@@ -412,7 +412,7 @@ class MonitorBank:
         correcting = [b for b in self.blocks if b.can_correct]
         observing = [b for b in self.blocks if not b.can_correct]
         for _ in range(length):
-            out_bits = [chain.flops[-1].q for chain in chains]
+            out_bits = [chain.scan_out for chain in chains]
             feedback = [0 if b is None else int(b) for b in out_bits]
             for block in correcting:
                 data_slice = [out_bits[i] for i in block.chain_indices]

@@ -20,8 +20,10 @@ the serial port.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import (Callable, Iterator, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.circuit.base import SequentialCircuit
 from repro.circuit.flipflop import (
@@ -270,6 +272,9 @@ class ProtectedDesign:
         # the monitor bank / chain geometry they were built from, so a
         # rebuilt bank or re-balanced chain set invalidates them.
         self._engine_cache: dict = {}
+        #: True inside :meth:`_summary_chunk`, whose one retain walk
+        #: stands in for every summary batch's own.
+        self._chunk_retained = False
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -413,6 +418,31 @@ class ProtectedDesign:
     # ------------------------------------------------------------------
     # The monitored sleep/wake cycle (paper Fig. 3(b))
     # ------------------------------------------------------------------
+    @contextmanager
+    def _summary_chunk(self) -> Iterator[None]:
+        """Scope in which summary batches share one retain walk.
+
+        :meth:`sleep_wake_cycle_batch_summary` leaves every flop as its
+        retain walk does (``retention := q``, power on, ``q``
+        unchanged) and no summary batch writes a flop, so the walk is
+        idempotent across a run of summary batches.  This scope walks
+        the registers and padding once, on entry -- raising
+        ``retain``'s ``RuntimeError`` for a powered-off flop before
+        the controller or the domain leaves ACTIVE -- and the batches
+        run inside it skip their own walk.  The scope ends however the
+        body ends (normally, by an exception, or by the close of a
+        generator suspended inside it); later batches walk again.
+        Inside it the design must run summary batches only: anything
+        else that writes a flop would leave a stale retention latch.
+        """
+        retain_flops(self.circuit.registers)
+        retain_flops(self._padding)
+        self._chunk_retained = True
+        try:
+            yield
+        finally:
+            self._chunk_retained = False
+
     def _sleep_gate_off(self) -> None:
         """Gate the domain off: retention save + power-off, padding
         cells included (every cycle variant shares this block)."""
@@ -616,7 +646,15 @@ run_sequence_batch_summary`).
         scan padding copies each master into its retention latch and
         leaves the rail on -- the same ``(q, retention, power)`` on
         every flop, and the same ``RuntimeError`` for a powered-off
-        one.  ``inject_phase`` keeps its meaning for API symmetry; the
+        one.  A standalone call always walks; inside a summary chunk
+        (:meth:`~repro.validation.testbench.FIFOTestbench.\
+run_sequence_batches_summary`) the chunk's one walk on entry stands
+        in for it, since no summary batch writes a flop.  The
+        controller/domain cycle stays per batch even there: it costs a
+        few microseconds and carries the per-batch counts callers see
+        (``sleep_cycles_completed``, the encode/decode passes, one
+        ``wake_history`` entry).  ``inject_phase`` keeps its meaning
+        for API symmetry; the
         virtual copies make the two phases arithmetically identical,
         as in the per-sequence batch.  The shared corrector is *not*
         populated (there are no correction events to record);
@@ -655,9 +693,11 @@ run_sequence_batch_summary`).
         # round trip without upsets: retention := q, power on, q
         # unchanged -- one walk over the registers and padding instead
         # of four, before the controller leaves ACTIVE, so a powered-off
-        # flop strands neither it nor the domain.
-        retain_flops(self.circuit.registers)
-        retain_flops(self._padding)
+        # flop strands neither it nor the domain.  A summary chunk
+        # walked them on entry already.
+        if not self._chunk_retained:
+            retain_flops(self.circuit.registers)
+            retain_flops(self._padding)
         # One physical controller/domain cycle for the whole batch (the
         # virtual per-sequence passes run inside the engine call).
         self.controller.sleep_request()

@@ -46,7 +46,7 @@ def pack_chains(chains: Sequence[ScanChain]) -> Tuple[List[int], List[int]]:
     states: List[int] = []
     knowns: List[int] = []
     for chain in chains:
-        state, known = pack_state(flop_values(chain.flops))
+        state, known = pack_state(flop_values(chain))
         states.append(state)
         knowns.append(known)
     return states, knowns
@@ -69,12 +69,11 @@ def write_back_chains(chains: Sequence[ScanChain], old_states: Sequence[int],
         stale = (old ^ new) | (full & ~known)
         if not stale:
             continue
-        flops = chain.flops
         while stale:
             low = stale & -stale
             stale ^= low
             i = low.bit_length() - 1
-            flops[i].force((new >> i) & 1)
+            chain[i].force((new >> i) & 1)
 
 
 __all__ = [

@@ -384,24 +384,53 @@ class _SimdStreamMonitor:
         self.chain_indices = block.chain_indices
         self.width = block.width
         # Filled by the engine once the chain length is known:
-        self.rows_flat: Optional[List[np.ndarray]] = None
+        self.rows_flat: Optional[Tuple[np.ndarray, ...]] = None
         self.const_idx: Optional[np.ndarray] = None
         self.stored: Optional[np.ndarray] = None
 
 
-def _stream_rows_flat(rows, chain_indices, chain_length: int):
-    """Each CRC stream-matrix row as flat ``chain * chain_length +
-    position`` cell indices: stream bit ``s`` is chain
-    ``chain_indices[s % width]`` at scan position ``chain_length - 1 -
-    s // width`` (the block's chains interleave, last flop first)."""
+#: Each CRC stream block's flat signature rows and constant-row
+#: indices (:func:`_stream_rows`), memoised on the exact CRC
+#: parameters, the block's chains and the chain length: every campaign
+#: builds a new engine, and each would otherwise turn the memoised
+#: stream matrix's rows into ndarrays again.  The arrays are read-only.
+_STREAM_ROWS_CACHE: Dict[tuple, Tuple[Tuple[np.ndarray, ...],
+                                       np.ndarray]] = {}
+
+
+def _stream_rows(code: CRCCode, chain_indices: Tuple[int, ...],
+                 chain_length: int
+                 ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
+    """A stream block's CRC signature as ``(rows_flat, const_idx)``.
+
+    ``rows_flat[j]`` lists signature row ``j``'s stream bits as flat
+    ``chain * chain_length + position`` cell indices: stream bit ``s``
+    is chain ``chain_indices[s % width]`` at scan position
+    ``chain_length - 1 - s // width`` (the block's chains interleave,
+    last flop first).  ``const_idx`` lists the rows whose constant
+    term is 1.
+    """
+    key = _code_key(code, "stream")
+    if key is not None:
+        key += (chain_indices, chain_length)
+        cached = _STREAM_ROWS_CACHE.get(key)
+        if cached is not None:
+            return cached
+    width = len(chain_indices)
+    matrix = crc_stream_matrix(code, chain_length * width)
     indices = np.asarray(chain_indices, dtype=np.int64)
-    width = len(indices)
     flat = []
-    for row in rows:
+    for row in matrix.rows:
         bits = np.asarray(row, dtype=np.int64)
         flat.append(indices[bits % width] * chain_length
                     + (chain_length - 1 - bits // width))
-    return flat
+    const_idx = np.flatnonzero(np.array(matrix.const, dtype=np.uint8))
+    for values in (*flat, const_idx):
+        values.setflags(write=False)
+    rows = (tuple(flat), const_idx)
+    if key is not None:
+        _STREAM_ROWS_CACHE[key] = rows
+    return rows
 
 
 class _BlockGroup:
@@ -531,12 +560,8 @@ class SimdBatchedEngine(SimulationEngine):
             _BlockGroup(_kernel_class(code)(code), monitors)
             for code, monitors in groups.items()]
         for monitor in self._observing:
-            matrix = crc_stream_matrix(monitor.code,
-                                       chain_length * monitor.width)
-            monitor.rows_flat = _stream_rows_flat(
-                matrix.rows, monitor.chain_indices, chain_length)
-            monitor.const_idx = np.flatnonzero(np.array(matrix.const,
-                                                         dtype=np.uint8))
+            monitor.rows_flat, monitor.const_idx = _stream_rows(
+                monitor.code, monitor.chain_indices, chain_length)
         self._full_cache: Tuple[int, Optional[np.ndarray]] = (0, None)
         #: The last packed knowns seen and their read-only bool matrix
         #: (see :meth:`_known_matrix`).

@@ -161,7 +161,7 @@ class ScanErrorInjector:
         length = self.chain_length
         for cycle in range(length):
             for chain_index, chain in enumerate(self.chains):
-                out_bit = chain.flops[-1].q
+                out_bit = chain.scan_out
                 # The bit leaving scan-out on this cycle originated from
                 # scan position (length - 1 - cycle) counting from the
                 # scan-in side.
@@ -190,7 +190,7 @@ class ScanErrorInjector:
         row_vector, column_vector = self._vectors_for(pattern)
         flipped: List[Tuple[int, int]] = []
         for chain_index, position in sorted(pattern.locations):
-            flop = self.chains[chain_index].flops[position]
+            flop = self.chains[chain_index][position]
             if flop.q is not None:
                 flop.flip()
                 flipped.append((chain_index, position))
@@ -211,7 +211,7 @@ class ScanErrorInjector:
         row_vector, column_vector = self._vectors_for(pattern)
         flipped: List[Tuple[int, int]] = []
         for chain_index, position in sorted(pattern.locations):
-            flop = self.chains[chain_index].flops[position]
+            flop = self.chains[chain_index][position]
             if not isinstance(flop, RetentionFlipFlop):
                 raise TypeError(
                     f"flop {flop.name!r} has no retention latch to corrupt")

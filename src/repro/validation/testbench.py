@@ -24,20 +24,27 @@ injection as one :class:`~repro.faults.batch.PatternBatch` and returns
 columnar verdicts.  The summary path does not even load the FIFO: it
 builds the loaded state's packed scan-chain snapshot from a cached
 image of stages 1--2 and the batch's stimulus words.
+:meth:`FIFOTestbench.run_sequence_batches_summary` runs a campaign
+chunk's summary batches in one scope that walks the flops once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
+                    Sequence, Tuple)
 
 from repro.circuit.fifo import SyncFIFO
 from repro.circuit.flipflop import RetentionFlipFlop, flop_values
 from repro.core.controller import ErrorCode
 from repro.core.protected import CycleOutcome, ProtectedDesign
+from repro.engines.base import BatchOutcomeArrays
 from repro.faults.patterns import ErrorPattern
 from repro.validation.comparator import Comparator, ComparisonResult
 from repro.validation.stimulus import StimulusGenerator
+
+if TYPE_CHECKING:  # numpy-backed; the object paths run without it
+    from repro.faults.batch import PatternBatch
 
 
 @dataclass(frozen=True)
@@ -266,6 +273,33 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         return self.dut_design.sleep_wake_cycle_batch_summary(
             snapshot, flips, batch_size, inject_phase=inject_phase)
 
+    def run_sequence_batches_summary(
+            self, batches: Iterable[Tuple[PatternBatch, int]],
+            inject_phase: str = "sleep") -> Iterator[BatchOutcomeArrays]:
+        """Run a chunk of summary batches, yielding each one's verdicts.
+
+        ``batches`` yields ``(flips, batch_size)`` pairs; each runs
+        exactly as :meth:`run_sequence_batch_summary` (its own stimulus
+        burst, snapshot and engine call) and its
+        :class:`~repro.engines.base.BatchOutcomeArrays` is yielded
+        before the next pair is drawn, so a chunk streams one batch at
+        a time.  What the chunk shares is the flop bookkeeping: the
+        design's registers and scan padding are walked once, on the
+        first ``next()`` and before the first pair is drawn, instead
+        of once per batch (a powered-off flop raises ``retain``'s
+        ``RuntimeError`` there, before the controller or the domain
+        leaves ACTIVE).  The controller/domain cycle stays once per
+        batch, with its per-batch counts and wake record.
+
+        Until the generator is exhausted or closed, drive the design
+        through it only (see
+        :meth:`~repro.core.protected.ProtectedDesign._summary_chunk`).
+        """
+        with self.dut_design._summary_chunk():
+            for flips, batch_size in batches:
+                yield self.run_sequence_batch_summary(flips, batch_size,
+                                                      inject_phase)
+
     def _loaded_snapshot(self, words: Sequence[int]):
         """The packed ``(states, knowns)`` chains of the DUT as stages
         1--2 would leave it after resetting and pushing ``words``
@@ -323,7 +357,7 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         # Every chain holds ``length`` flops, so a flop's place in the
         # chains' concatenation is its cell index.
         flops = [flop for scan_chain in design.chains
-                 for flop in scan_chain.flops]
+                 for flop in scan_chain]
         cells = dict(zip(map(id, flops), range(len(flops))))
         saved = flop_values(self.dut.registers)
         self.dut.reset()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.circuit.flipflop import (
     DFlipFlop,
+    FlopSnapshot,
     PowerState,
     RetentionFlipFlop,
     ScanFlipFlop,
@@ -23,10 +24,11 @@ def _forced(value):
     return flop.q, type(flop.q)
 
 
-#: Values ``DFlipFlop._check`` stores (as they are, or normalised
-#: through int()) and ones it refuses.
-VALID_BITS = [None, 0, 1, True, False, 1.0, "1", "0"]
-INVALID_BITS = [2, -1, 3, "2", "x"]
+#: Values ``DFlipFlop._check`` stores (as they are, or normalised to
+#: int) and ones it refuses: out-of-range integers, strings and floats,
+#: whatever bit they spell.
+VALID_BITS = [None, 0, 1, True, False]
+INVALID_BITS = [2, -1, 3, "2", "x", 1.0, 0.0, 1.5, "1", "0"]
 
 
 class TestDFlipFlop:
@@ -35,15 +37,33 @@ class TestDFlipFlop:
 
     def test_check_stores_plain_ints_and_normalises_the_rest(self):
         stored = [DFlipFlop._check(value) for value in VALID_BITS]
-        assert stored == [None, 0, 1, 1, 0, 1, 1, 0]
+        assert stored == [None, 0, 1, 1, 0]
         assert all(type(v) is int for v in stored[1:])
-        for value in (2, -1, 3, "2"):
+        for value in INVALID_BITS + [object(), [1]]:
             with pytest.raises(ValueError) as caught:
                 DFlipFlop._check(value)
             assert str(caught.value) == \
                 f"flip-flop values must be 0, 1 or None; got {value!r}"
-        with pytest.raises(ValueError, match="invalid literal"):
-            DFlipFlop._check("x")
+
+    def test_check_normalises_numpy_integers_and_bools(self):
+        np = pytest.importorskip("numpy")
+        for value, bit in ((np.int64(1), 1), (np.uint8(0), 0),
+                           (np.bool_(True), 1), (np.bool_(False), 0)):
+            stored = DFlipFlop._check(value)
+            assert stored == bit and type(stored) is int
+        for value in (np.int64(2), np.int8(-1), np.float64(1.0),
+                      np.float32(0.0), np.str_("1")):
+            with pytest.raises(ValueError, match="0, 1 or None"):
+                DFlipFlop._check(value)
+
+    @pytest.mark.parametrize("value", ["1", 1.0, 1.5])
+    def test_force_refuses_strings_and_floats(self, value):
+        flop = RetentionFlipFlop(init=0)
+        with pytest.raises(ValueError, match="0, 1 or None"):
+            flop.force(value)
+        with pytest.raises(ValueError, match="0, 1 or None"):
+            flop.force_retention(value)
+        assert (flop.q, flop.retention_value) == (0, None)
 
     def test_clock_captures_data(self):
         ff = DFlipFlop(init=0)
@@ -157,9 +177,9 @@ class TestRetentionFlipFlop:
 
     @pytest.mark.parametrize("init", VALID_BITS + INVALID_BITS)
     def test_init_normalises_like_force(self, init):
-        """The constructor stores exactly what force()
-        stores ("1" is int("1") == 1, as it always was) and raises
-        force()'s message for anything else."""
+        """The constructor stores exactly what force() stores and
+        raises force()'s message for anything else ("1" and 1.0
+        included)."""
         expected = _forced(init)
         if expected[0] is ValueError:
             with pytest.raises(ValueError) as caught:
@@ -239,6 +259,42 @@ class TestResetFlops:
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError):
             reset_flops(_scrambled_flops()[:2], [(0, 0)])
+
+
+class TestFlopSnapshot:
+    def test_restore_matches_reset_flops(self):
+        """Capturing pairs and restoring them later leaves every flop
+        as reset_flops of the same pairs does."""
+        source = _scrambled_flops()
+        pairs = [(f.q, f.retention_value) for f in source]
+        snapshot = FlopSnapshot(source)
+        for flop in source:
+            flop.force(1)
+            flop.force_retention(0)
+            flop.power_off()
+        snapshot.restore()
+        reset = _scrambled_flops()
+        reset_flops(reset, pairs)
+        assert [_flop_state(f) for f in source] == \
+            [_flop_state(f) for f in reset]
+
+    def test_restore_runs_no_check(self, monkeypatch):
+        flops = _scrambled_flops()
+        snapshot = FlopSnapshot(flops)
+
+        def refuse(value):
+            raise AssertionError("restore re-checked a captured value")
+
+        monkeypatch.setattr(DFlipFlop, "_check", staticmethod(refuse))
+        snapshot.restore()
+        assert all(f.power is PowerState.ON for f in flops)
+
+    @pytest.mark.parametrize("slot", ("_q", "_retention"))
+    def test_capture_rejects_invalid_values(self, slot):
+        flops = _scrambled_flops()[:3]
+        setattr(flops[1], slot, 2)
+        with pytest.raises(ValueError, match="0, 1 or None; got 2"):
+            FlopSnapshot(flops)
 
 
 class TestForceFlops:

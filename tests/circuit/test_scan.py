@@ -19,6 +19,22 @@ class TestScanChain:
         assert chain.length == 3
         assert chain.scan_out == 1
 
+    def test_flops_returns_a_copy(self):
+        chain = _chain_of([1, 0, 1])
+        flops = chain.flops
+        first = flops[0]
+        flops.clear()
+        flops.append(ScanFlipFlop(name="stranger", init=0))
+        assert len(chain) == 3
+        assert chain.flops[0] is first
+        assert chain.read_state() == [1, 0, 1]
+
+    def test_iteration_and_indexing_read_the_chain(self):
+        chain = _chain_of([1, 0, 1])
+        assert list(chain) == chain.flops
+        assert [chain[i] for i in range(3)] == chain.flops
+        assert chain[-1].q == chain.scan_out
+
     def test_shift_moves_data_towards_scan_out(self):
         chain = _chain_of([1, 0, 1])
         out = chain.shift(0)

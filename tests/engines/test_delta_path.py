@@ -629,3 +629,36 @@ def test_memo_is_bounded(memo):
         states = [s & k for s, k in zip(full_states, knowns)]
         _table_of(design, states, knowns)
     assert len(memo) == simd_module._SINGLE_FLIP_ENTRIES
+
+
+@pytest.fixture
+def stream_rows_memo(monkeypatch):
+    """An empty process-wide CRC stream-row memo for one test."""
+    fresh = {}
+    monkeypatch.setattr(simd_module, "_STREAM_ROWS_CACHE", fresh)
+    return fresh
+
+
+def test_engines_share_stream_rows(stream_rows_memo):
+    """Two engines of one configuration share the read-only CRC rows
+    and return identical summary arrays; a different chain length
+    gets rows of its own."""
+    first = _design(["hamming(7,4)", "crc16"], 8, 56)
+    second = _design(["hamming(7,4)", "crc16"], 8, 56)
+    engines = [SimdBatchedEngine(d.monitor_bank, d.num_chains,
+                                 d.chain_length) for d in (first, second)]
+    (one,), (two,) = (engine._observing for engine in engines)
+    assert one.rows_flat is two.rows_flat
+    assert one.const_idx is two.const_idx
+    assert len(stream_rows_memo) == 1
+    assert not any(row.flags.writeable for row in one.rows_flat)
+    flips = sample_pattern_batch("multiple", 8, first.chain_length, 33,
+                                 np.random.default_rng(4), num_errors=3)
+    states, knowns = _pack(first)
+    assert_identical(engines[0].run_batch_summary(states, knowns, flips, 33),
+                     engines[1].run_batch_summary(states, knowns, flips, 33))
+
+    other = _design(["hamming(7,4)", "crc16"], 8, 64)
+    SimdBatchedEngine(other.monitor_bank, other.num_chains,
+                      other.chain_length)
+    assert len(stream_rows_memo) == 2
