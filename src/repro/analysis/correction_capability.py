@@ -290,6 +290,20 @@ class CorrectionCounters:
                    fully_corrected=int(payload["fully_corrected"]))
 
 
+#: ``(n, k) -> HammingCode`` shared by every Fig. 10 chunk: the chunk
+#: simulators read only ``code.n``, so a chunk need not rebuild the
+#: code's matrices (a Fig. 10 round runs 160 chunks over four codes).
+_HAMMING_CODE_CACHE: Dict[Tuple[int, int], HammingCode] = {}
+
+
+def _hamming_code(n: int, k: int) -> HammingCode:
+    """The memoised ``HammingCode(n, k)``."""
+    code = _HAMMING_CODE_CACHE.get((n, k))
+    if code is None:
+        code = _HAMMING_CODE_CACHE[(n, k)] = HammingCode(n, k)
+    return code
+
+
 @dataclass(frozen=True)
 class CorrectionCapabilityTask(CampaignTask):
     """One chunk of the Fig. 10 Monte-Carlo study, for the sharded
@@ -307,7 +321,7 @@ class CorrectionCapabilityTask(CampaignTask):
     def run_chunk_on(self, state, chunk_seed: int,
                      num_sequences: int) -> CorrectionCounters:
         return SEQUENCE_ENGINES[self.engine](
-            HammingCode(self.code_n, self.code_k), self.num_bits,
+            _hamming_code(self.code_n, self.code_k), self.num_bits,
             self.num_errors, random.Random(chunk_seed), num_sequences)
 
 

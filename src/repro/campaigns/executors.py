@@ -26,13 +26,25 @@ materializes 10^5 job tuples.  After each yielded result,
 ``last_chunk_timing`` holds that chunk's
 :class:`~repro.campaigns.worker_cache.ChunkTiming`.
 
+The pool's transport is one pair of simplex pipes per worker: jobs go
+down one, replies come back up the other, and both sides send and
+receive synchronously on their own main thread (no queue, no feeder
+thread).  The parent blocks in :func:`multiprocessing.connection.wait`
+over the busy workers' result pipes and process sentinels, so a reply
+is read the moment it is written and a dead worker is seen the moment
+it dies.  Blocking sends in both directions could deadlock; the rule
+that prevents it is that the parent never makes a write that can wait
+on a busy worker (see :class:`PersistentProcessExecutor`).  Each
+worker also waits on its parent's sentinel and exits when the parent
+dies, so a killed parent leaves no worker behind.
+
 Chunk failures surface as :class:`ChunkExecutionError` carrying the
 failing chunk's index, seed and count (plus the worker traceback for
 the process pool), so a 10^7-sequence campaign names the chunk that
 died and a resume can re-run exactly that work.  A failed chunk does
 not poison the pool: the pool survives, stale in-flight results are
-discarded by epoch, and the next ``submit_jobs`` replaces any worker
-that died.
+discarded by epoch, and a worker that died is replaced when next
+needed.
 
 The one entry point is ``submit_jobs``, which multiplexes entries from
 *several* tasks over one executor; the scheduler
@@ -42,11 +54,13 @@ The one entry point is ``submit_jobs``, which multiplexes entries from
 from __future__ import annotations
 
 import multiprocessing
-import queue as _queue
 import sys
 import time
 import traceback
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from collections import deque
+from multiprocessing.reduction import ForkingPickler
+from typing import (TYPE_CHECKING, Any, Deque, Dict, Iterable, Iterator, List,
+                    Optional, Set, Tuple)
 
 from repro.campaigns.plan import ChunkPlanEntry
 from repro.campaigns.worker_cache import (
@@ -54,6 +68,9 @@ from repro.campaigns.worker_cache import (
     WorkerStateCache,
     task_state_key,
 )
+
+if TYPE_CHECKING:
+    from multiprocessing.connection import Connection
 
 try:  # pragma: no cover - typing nicety only
     from typing import Protocol
@@ -189,8 +206,18 @@ def _start_context(start_method: Optional[str]):
 
 
 # -- process pool plumbing (module level: pickled by name) -------------
+#: Framing bytes ``Connection.send_bytes`` puts before each message.
+_FRAME = 4
+#: Most bytes a busy worker's job pipe may hold unread, framing
+#: included.  A sixteenth of a Linux pipe's default 64 KiB (a quarter of
+#: macOS's 16 KiB), so a write within it never waits for the reader.
+_PIPE_BUDGET = 4096
+
+_dumps = ForkingPickler.dumps
+
+
 def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
-                            job_queue: Any, result_queue: Any) -> None:
+                            jobs: Connection, results: Connection) -> None:
     """Long-lived worker loop of :class:`PersistentProcessExecutor`.
 
     With the ``spawn`` start method a fresh interpreter imports this
@@ -198,11 +225,14 @@ def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
     (``sys.path`` patched by conftest rather than PYTHONPATH), the
     child needs the same entries to unpickle the tasks.
 
-    Protocol (one job queue per worker, one shared result queue):
+    Protocol: one pipe pair per worker, ``jobs`` from the parent and
+    ``results`` back to it.  Both ends send and receive synchronously
+    on their own main thread; nothing crosses a feeder thread.
 
     * ``("task", key, task)`` -- install ``task`` in this worker's
-      table under its fingerprint ``key``.  The parent sends this at
-      most once per (worker lifetime, fingerprint).
+      table under ``key``, the parent's small integer handle for the
+      task's fingerprint.  The parent sends this at most once per
+      (worker lifetime, fingerprint).
     * ``("job", epoch, position, key, chunk_seed, count)`` -- run one
       chunk on the task's state from this worker's
       :class:`~repro.campaigns.worker_cache.WorkerStateCache`.
@@ -210,17 +240,29 @@ def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
       on success, ``(worker_id, epoch, position, None, None,
       traceback_text)`` on failure -- the traceback crosses the
       process boundary as text because live exception objects (and
-      their frames) may not pickle.
+      their frames) may not pickle; a result that does not pickle is
+      such a failure too.
     * ``("stop",)`` -- exit the loop (sent by ``close()``).
+
+    The loop waits on ``jobs`` together with the parent's sentinel and
+    returns as soon as the parent dies, so a killed parent leaves no
+    worker behind.
     """
+    from multiprocessing.connection import wait
+
     for entry in reversed(parent_sys_path):
         if entry not in sys.path:
             sys.path.insert(0, entry)
-    tasks: Dict[str, Any] = {}
+    parent = multiprocessing.parent_process()
+    assert parent is not None, "the worker loop runs in a child process"
+    watched = [jobs, parent.sentinel]
+    tasks: Dict[int, Any] = {}
     cache = WorkerStateCache()
     while True:
+        if parent.sentinel in wait(watched):
+            return
         try:
-            message = job_queue.get()
+            message = jobs.recv()
         except (EOFError, OSError):  # pragma: no cover - parent died
             return
         kind = message[0]
@@ -233,25 +275,36 @@ def _persistent_worker_main(parent_sys_path: List[str], worker_id: int,
         try:
             result, timing = _run_cached(cache, tasks[key], chunk_seed,
                                          count)
-            result_queue.put((worker_id, epoch, position, result, timing,
-                              None))
+            reply = _dumps((worker_id, epoch, position, result, timing,
+                            None))
         except Exception:
-            result_queue.put((worker_id, epoch, position, None, None,
-                              traceback.format_exc()))
+            reply = _dumps((worker_id, epoch, position, None, None,
+                            traceback.format_exc()))
+        try:
+            results.send_bytes(reply)
+        except OSError:  # pragma: no cover - parent died
+            return
 
 
 class _WorkerRecord:
     """Parent-side bookkeeping for one persistent worker process."""
 
-    __slots__ = ("process", "queue", "shipped", "inflight")
+    __slots__ = ("process", "jobs", "results", "shipped", "sent",
+                 "unread")
 
-    def __init__(self, process: Any, job_queue: Any):
+    def __init__(self, process: Any, jobs: Connection,
+                 results: Connection):
         self.process = process
-        self.queue = job_queue
-        #: Task fingerprints already shipped to this worker's table.
-        self.shipped: Set[str] = set()
-        #: Jobs dispatched but not yet answered (any epoch).
-        self.inflight = 0
+        self.jobs = jobs
+        self.results = results
+        #: Task handles already shipped to this worker's table.
+        self.shipped: Set[int] = set()
+        #: ``(epoch, position, bytes)`` of every job dispatched but not
+        #: yet answered, oldest first: a worker answers in order.
+        self.sent: Deque[Tuple[int, int, int]] = deque()
+        #: Bytes of the messages behind ``sent``: an upper bound on
+        #: what the job pipe holds unread.
+        self.unread = 0
 
 
 class PersistentProcessExecutor(ChunkExecutorBase):
@@ -275,9 +328,23 @@ class PersistentProcessExecutor(ChunkExecutorBase):
     the least-loaded worker.  A one-worker pool still runs its chunks
     out of process.
 
+    Transport: each worker has a job pipe and a result pipe, and the
+    parent blocks in :func:`multiprocessing.connection.wait` over the
+    result pipes and process sentinels of its busy workers.  Sends
+    block, so one rule keeps the two directions from deadlocking: the
+    parent writes to a busy worker only while the messages that worker
+    has not answered, plus the new one, fit in ``_PIPE_BUDGET`` bytes,
+    far below a pipe's capacity, so that write returns at once.  A
+    message that does not fit (a large task pickle) waits until that
+    worker has answered everything, when it is blocked reading its job
+    pipe.  Workers, in turn, may block writing a reply of any size:
+    the parent either reads or makes a write that cannot wait.
+
     Failure containment: a raised :class:`ChunkExecutionError` leaves
-    the pool warm.  Results of abandoned calls are discarded by epoch,
-    dead workers are replaced (with cold caches) on the next call, and
+    the pool warm.  Results of abandoned calls are discarded by epoch.
+    A worker whose sentinel fires before it answers is reported at
+    once, naming the earliest chunk of this call assigned to it; dead
+    workers are replaced (with cold caches) when next needed, and
     ``close()``/``with`` tears everything down, terminating workers
     still busy with abandoned chunks rather than waiting for them.
 
@@ -300,7 +367,9 @@ class PersistentProcessExecutor(ChunkExecutorBase):
         self._context: Any = None
         self._workers: Dict[int, _WorkerRecord] = {}
         self._next_worker_id = 0
-        self._result_queue: Any = None
+        #: Fingerprint -> small integer handle, so that job messages
+        #: stay small however long a fingerprint is.
+        self._handles: Dict[str, int] = {}
         self._epoch = 0
 
     def __del__(self):  # pragma: no cover - GC safety net only
@@ -320,125 +389,137 @@ class PersistentProcessExecutor(ChunkExecutorBase):
     def _ensure_pool(self) -> None:
         if self._context is None:
             self._context = _start_context(self._start_method)
-        if self._result_queue is None:
-            self._result_queue = self._context.Queue()
-        self._drain_stale_results()
         for worker_id, record in list(self._workers.items()):
             if not record.process.is_alive():
                 # A crashed worker's warm cache died with it; _dispatch
                 # starts a cold replacement rather than poisoning the
                 # pool.
-                record.process.join(timeout=0.1)
-                del self._workers[worker_id]
+                self._retire(worker_id)
 
-    def _start_worker(self) -> Tuple[int, _WorkerRecord]:
+    def _start_worker(self) -> _WorkerRecord:
         worker_id = self._next_worker_id
         self._next_worker_id += 1
-        job_queue = self._context.Queue()
+        job_reader, jobs = self._context.Pipe(duplex=False)
+        results, result_writer = self._context.Pipe(duplex=False)
         process = self._context.Process(
             target=_persistent_worker_main,
-            args=(list(sys.path), worker_id, job_queue, self._result_queue),
+            args=(list(sys.path), worker_id, job_reader, result_writer),
             daemon=True,
             name=f"repro-warm-worker-{worker_id}")
         process.start()
-        record = self._workers[worker_id] = _WorkerRecord(process, job_queue)
-        return worker_id, record
+        # Only the worker holds these ends now: its death reads as EOF
+        # on ``results`` and fails a write to ``jobs``.
+        job_reader.close()
+        result_writer.close()
+        record = self._workers[worker_id] = _WorkerRecord(process, jobs,
+                                                          results)
+        return record
 
-    def _drain_stale_results(self) -> None:
-        """Consume results of abandoned epochs without blocking."""
-        if self._result_queue is None:
-            return
-        while True:
-            try:
-                message = self._result_queue.get_nowait()
-            except _queue.Empty:
-                return
-            record = self._workers.get(message[0])
-            if record is not None:
-                record.inflight -= 1
+    def _retire(self, worker_id: int) -> _WorkerRecord:
+        """Forget a dead worker: reap it and close its pipes."""
+        record = self._workers.pop(worker_id)
+        record.process.join(timeout=5.0)
+        record.jobs.close()
+        record.results.close()
+        return record
 
     def close(self) -> None:
         """Tear the pool down and retire the executor (idempotent)."""
         self._closed = True
-        self._drain_stale_results()
         workers, self._workers = self._workers, {}
-        result_queue, self._result_queue = self._result_queue, None
         for record in workers.values():
             if not record.process.is_alive():
                 continue
-            if record.inflight > 0:
+            if record.sent:
                 # Still busy with chunks of an abandoned call (a raised
                 # chunk, an interrupted run): their results are stale,
                 # so do not wait for them.
                 record.process.terminate()
                 continue
             try:
-                record.queue.put(("stop",))
-            except Exception:  # pragma: no cover - queue torn down
+                record.jobs.send(("stop",))
+            except OSError:  # pragma: no cover - died meanwhile
                 pass
         for record in workers.values():
             record.process.join(timeout=5.0)
             if record.process.is_alive():  # pragma: no cover - stuck
                 record.process.terminate()
                 record.process.join(timeout=1.0)
-            record.queue.close()
-            record.queue.cancel_join_thread()
-        if result_queue is not None:
-            while True:
-                try:
-                    result_queue.get_nowait()
-                except _queue.Empty:
-                    break
-            result_queue.close()
-            result_queue.cancel_join_thread()
+            record.jobs.close()
+            record.results.close()
 
     # -- dispatch -------------------------------------------------------
     def _dispatch(self, epoch: int, position: int, entry: ChunkPlanEntry,
-                  task: Any) -> int:
-        """Send one job to the least-loaded worker; returns its id.
+                  task: Any) -> bool:
+        """Send one job to the least-loaded worker.
 
         Workers start on demand: a new one only when every live worker
         is busy, so a one-chunk run starts one process however large
-        ``num_workers`` is.
+        ``num_workers`` is.  Returns False, sending nothing, when the
+        messages would overflow that busy worker's ``_PIPE_BUDGET``;
+        the caller retries once a reply has come back.
         """
         if self._workers:
-            worker_id, record = min(self._workers.items(),
-                                    key=lambda item: item[1].inflight)
-        if not self._workers or (record.inflight > 0 and
+            record = min(self._workers.values(),
+                         key=lambda worker: len(worker.sent))
+        if not self._workers or (record.sent and
                                  len(self._workers) < self.num_workers):
-            worker_id, record = self._start_worker()
-        key = task_state_key(task)
+            record = self._start_worker()
+        key = self._handles.setdefault(task_state_key(task),
+                                       len(self._handles))
+        messages = [_dumps(("job", epoch, position, key, entry.chunk_seed,
+                            entry.count))]
         if key not in record.shipped:
-            record.queue.put(("task", key, task))
-            record.shipped.add(key)
-        record.queue.put(("job", epoch, position, key, entry.chunk_seed,
-                          entry.count))
-        record.inflight += 1
-        return worker_id
+            messages.insert(0, _dumps(("task", key, task)))
+        size = sum(_FRAME + len(message) for message in messages)
+        if record.sent and record.unread + size > _PIPE_BUDGET:
+            return False
+        try:
+            for message in messages:
+                record.jobs.send_bytes(message)
+        except OSError:
+            # The worker is dead: its sentinel has fired, and
+            # _next_result reports this chunk.
+            pass
+        record.shipped.add(key)
+        record.sent.append((epoch, position, size))
+        record.unread += size
+        return True
 
-    def _next_result(self, epoch: int,
-                     assigned: Dict[int, int]) -> Tuple[Any, ...]:
-        """Block for the next worker reply, watching for worker death.
+    def _next_result(self, epoch: int) -> Optional[Tuple[Any, ...]]:
+        """Block for the next reply of any busy worker.
 
-        A worker that dies mid-chunk would otherwise hang the consumer
-        forever; instead its earliest outstanding chunk is reported as
-        a failure (the pool replaces the worker on the next call).
+        Waits on every busy worker's result pipe and process sentinel.
+        A worker that died without answering is retired; if it held a
+        chunk of this call, the earliest such chunk comes back as a
+        failure reply, otherwise (only abandoned chunks died with it)
+        the result is None.
         """
-        while True:
-            try:
-                return self._result_queue.get(timeout=1.0)
-            except _queue.Empty:
-                for position in sorted(assigned):
-                    worker_id = assigned[position]
-                    record = self._workers.get(worker_id)
-                    if record is None or record.process.is_alive():
-                        continue
-                    exitcode = record.process.exitcode
-                    record.process.join(timeout=0.1)
-                    del self._workers[worker_id]
-                    return (None, epoch, position, None, None,
-                            f"worker process died (exit code "
-                            f"{exitcode}) before returning a result")
+        # Imported here, not at module level: the serial paths never
+        # load the connection module (half a MiB of resident memory).
+        from multiprocessing.connection import wait
+
+        owners: Dict[Any, int] = {}
+        for worker_id, record in self._workers.items():
+            if record.sent:
+                owners[record.results] = worker_id
+                owners[record.process.sentinel] = worker_id
+        worker_id = owners[wait(list(owners))[0]]
+        record = self._workers[worker_id]
+        try:
+            reply = record.results.recv()
+        except (EOFError, OSError):
+            record = self._retire(worker_id)
+            lost = [position for sent_epoch, position, _ in record.sent
+                    if sent_epoch == epoch]
+            if not lost:
+                return None
+            return (worker_id, epoch, lost[0], None, None,
+                    f"worker process died (exit code "
+                    f"{record.process.exitcode}) before returning a "
+                    f"result")
+        record.unread -= record.sent.popleft()[2]
+        return reply
 
     def submit_jobs(self, jobs: Iterable[TaggedJob]
                     ) -> Iterator[Tuple[Any, int, Any]]:
@@ -451,7 +532,8 @@ class PersistentProcessExecutor(ChunkExecutorBase):
         epoch = self._epoch
         jobs_iter = iter(jobs)
         pending: Dict[int, Tuple[Any, ChunkPlanEntry]] = {}
-        assigned: Dict[int, int] = {}
+        # A job pulled from the feed that waits for a worker to drain.
+        held: Optional[Tuple[int, ChunkPlanEntry, Any]] = None
         next_position = 0
         exhausted = False
         try:
@@ -459,30 +541,31 @@ class PersistentProcessExecutor(ChunkExecutorBase):
                 # Top the in-flight window up from the lazy job feed
                 # (this backpressure is what keeps huge plans from
                 # materializing).
-                while not exhausted and len(pending) < self.window:
-                    try:
-                        tag, entry, task = next(jobs_iter)
-                    except StopIteration:
-                        exhausted = True
+                while held is not None or (not exhausted and
+                                           len(pending) < self.window):
+                    if held is None:
+                        try:
+                            tag, entry, task = next(jobs_iter)
+                        except StopIteration:
+                            exhausted = True
+                            break
+                        held = (next_position, entry, task)
+                        pending[next_position] = (tag, entry)
+                        next_position += 1
+                    if not self._dispatch(epoch, *held):
                         break
-                    position = next_position
-                    next_position += 1
-                    pending[position] = (tag, entry)
-                    assigned[position] = self._dispatch(epoch, position,
-                                                        entry, task)
+                    held = None
                 if not pending:
                     break
-                (worker_id, reply_epoch, position, result, timing,
-                 failure) = self._next_result(epoch, assigned)
-                record = self._workers.get(worker_id)
-                if record is not None:
-                    record.inflight -= 1
+                reply = self._next_result(epoch)
+                if reply is None:
+                    continue
+                _, reply_epoch, position, result, timing, failure = reply
                 if reply_epoch != epoch:
-                    # Left over from an abandoned call; already
-                    # accounted above, nothing to route.
+                    # Left over from an abandoned call; nothing to
+                    # route.
                     continue
                 tag, entry = pending.pop(position)
-                assigned.pop(position, None)
                 if failure is not None:
                     raise ChunkExecutionError(
                         entry.index, entry.chunk_seed, entry.count,

@@ -167,3 +167,22 @@ class TestErrorCountValidation:
         with pytest.raises(ValueError, match=match):
             fig10_curves(error_counts=error_counts, num_bits=10,
                          sequences=5, executor="process", num_workers=2)
+
+
+def test_chunks_share_one_code_per_parameters(monkeypatch):
+    built = []
+    init = HammingCode.__init__
+
+    def counting_init(self, n=7, k=4):
+        built.append((n, k))
+        init(self, n, k)
+
+    monkeypatch.setattr(cc, "_HAMMING_CODE_CACHE", {})
+    monkeypatch.setattr(HammingCode, "__init__", counting_init)
+    task = cc.CorrectionCapabilityTask(code_n=15, code_k=11, num_bits=1000,
+                                       num_errors=3, engine="packed")
+    chunks = [task.run_chunk_on(None, seed, 40) for seed in (5, 5, 6)]
+    assert built == [(15, 11)]
+    assert chunks[0] == chunks[1]
+    assert chunks[2] == PACKED(HammingCode(15, 11), 1000, 3,
+                               random.Random(6), 40)

@@ -1,10 +1,17 @@
 """Persistent executors: lifecycle, pool reuse, incremental task
-shipping, streaming backpressure, failure containment, and the
-bit-identity acceptance invariant (pool == serial)."""
+shipping, streaming backpressure, failure containment, the pipe
+transport's chaos cases, and the bit-identity acceptance invariant
+(pool == serial)."""
 
 import multiprocessing
 import os
+import signal
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +69,53 @@ class DyingTask(TrialTask):
         if chunk_seed == self.poison_seed:
             os._exit(13)
         return super().run_chunk_on(state, chunk_seed, num_sequences)
+
+
+@dataclass
+class SleepyTask(TrialTask):
+    """Writes its worker's pid to ``pid_path``, then sleeps, on the
+    chunk whose seed hits ``slow_seed``: a busy worker to kill from
+    outside."""
+
+    pid_path: str = ""
+    slow_seed: int = -1
+
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
+        if chunk_seed == self.slow_seed:
+            Path(self.pid_path + ".tmp").write_text(str(os.getpid()))
+            os.replace(self.pid_path + ".tmp", self.pid_path)
+            time.sleep(60)
+        return super().run_chunk_on(state, chunk_seed, num_sequences)
+
+
+#: More than a Linux pipe buffer (64 KiB by default).
+BULK = 1 << 20
+
+
+@dataclass
+class BulkyCounters(CorrectionCounters):
+    ballast: str = ""
+
+
+@dataclass
+class BulkyTask(TrialTask):
+    """A task and results whose pickles each exceed a pipe buffer."""
+
+    ballast: str = "t" * BULK
+
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
+        counters = super().run_chunk_on(state, chunk_seed, num_sequences)
+        return BulkyCounters(sequences=counters.sequences,
+                             corrected_bits=counters.corrected_bits,
+                             ballast="r" * BULK)
+
+
+@dataclass
+class UnpicklableResultTask(TrialTask):
+    """Returns a result that cannot cross the process boundary."""
+
+    def run_chunk_on(self, state, chunk_seed, num_sequences):
+        return lambda: num_sequences
 
 
 def _sampler_task(mode: str) -> FIFOValidationCampaignTask:
@@ -254,6 +308,169 @@ class TestFailureContainment:
             # the pool is whole again.
             assert _run(pool, TrialTask()) == _serial(TrialTask())
             assert pool.alive_workers == 2
+
+
+def _process_gone(pid):
+    """True once ``pid`` has exited (a zombie nobody reaped counts)."""
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:  # exited meanwhile, or a host without /proc
+        return Path("/proc/self").exists()
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+class _Watchdog:
+    """Fails the test, instead of hanging it, when a pool deadlocks:
+    after ``seconds`` it terminates the pool's workers, which unblocks
+    the parent, and the exit fails the test."""
+
+    def __init__(self, pool, seconds=60.0):
+        self.pool = pool
+        self.seconds = seconds
+        self.fired = False
+        self._timer = threading.Timer(seconds, self._fire)
+
+    def _fire(self):
+        self.fired = True
+        for record in list(self.pool._workers.values()):
+            record.process.terminate()
+
+    def __enter__(self):
+        self._timer.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self._timer.cancel()
+        if self.fired:
+            pytest.fail(f"the pool deadlocked: no progress in "
+                        f"{self.seconds:.0f} s")
+
+
+class TestPipeTransport:
+    """Chaos cases of the pipe-pair transport, each run through the
+    real scheduler (the sharded runner is a one-job scheduler)."""
+
+    def test_worker_killed_from_outside_is_reported(self, tmp_path):
+        plan = ChunkPlan.build(7, 40, 10)
+        slow = plan.entries[1]
+        pid_path = tmp_path / "busy.pid"
+        task = SleepyTask(pid_path=str(pid_path),
+                          slow_seed=slow.chunk_seed)
+
+        def kill_the_busy_worker():
+            deadline = time.monotonic() + 30.0
+            while not pid_path.exists():
+                if time.monotonic() > deadline:
+                    return
+                time.sleep(0.01)
+            os.kill(int(pid_path.read_text()), signal.SIGKILL)
+
+        killer = threading.Thread(target=kill_the_busy_worker)
+        with PersistentProcessExecutor(2) as pool:
+            killer.start()
+            try:
+                with pytest.raises(ChunkExecutionError) as excinfo:
+                    ShardedCampaignRunner(task, 40, seed=7, chunk_size=10,
+                                          executor=pool).run()
+            finally:
+                killer.join(timeout=60.0)
+            assert not killer.is_alive()
+            assert "worker process died (exit code -9)" in \
+                str(excinfo.value)
+            # The killed worker held the sleeping chunk, and answered
+            # everything before it.
+            assert excinfo.value.chunk_index == slow.index
+            assert ShardedCampaignRunner(
+                TrialTask(), 60, seed=11, chunk_size=10,
+                executor=pool).run() == _serial(TrialTask())
+            assert pool.alive_workers == pool.num_workers
+
+    @pytest.mark.parametrize("workers", (1, 2))
+    def test_messages_larger_than_a_pipe_buffer(self, workers):
+        # Two tasks interleave on the scheduler, so a busy worker is
+        # also owed a task pickle of a megabyte while its megabyte
+        # replies wait to be read.
+        tasks = (BulkyTask(), BulkyTask(scale=5))
+        with PersistentProcessExecutor(workers) as pool:
+            with _Watchdog(pool):
+                with CampaignScheduler(executor=pool) as scheduler:
+                    jobs = [scheduler.submit(task, 12, seed=3,
+                                             chunk_size=1)
+                            for task in tasks]
+                    scheduler.run()
+        for task, job in zip(tasks, jobs):
+            assert job.result == _serial(task, total=12, seed=3, chunk=1)
+            assert job.result.sequences == 12
+
+    @pytest.mark.parametrize("start_method", ("fork", "spawn"))
+    def test_start_methods_ship_the_pipes(self, start_method):
+        if start_method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"{start_method} start method unavailable")
+        reference = _serial(TrialTask(), total=200, seed=99, chunk=13)
+        with PersistentProcessExecutor(
+                2, start_method=start_method) as pool:
+            for _ in range(2):  # fresh, then reused
+                assert ShardedCampaignRunner(
+                    TrialTask(), 200, seed=99, chunk_size=13,
+                    executor=pool).run() == reference
+            assert pool.alive_workers == 2
+        assert _warm_children() == []
+
+    def test_workers_exit_when_the_parent_dies(self, tmp_path):
+        script = (
+            "import os, signal\n"
+            "from repro.analysis.correction_capability import (\n"
+            "    CorrectionCapabilityTask)\n"
+            "from repro.campaigns.executors import "
+            "PersistentProcessExecutor\n"
+            "from repro.campaigns.runner import ShardedCampaignRunner\n"
+            "pool = PersistentProcessExecutor(2)\n"
+            "task = CorrectionCapabilityTask(code_n=7, code_k=4,\n"
+            "    num_bits=1000, num_errors=2, engine='packed')\n"
+            "ShardedCampaignRunner(task, 40, seed=1, chunk_size=10,\n"
+            "                      executor=pool).run()\n"
+            "print(*(r.process.pid for r in pool._workers.values()),\n"
+            "      flush=True)\n"
+            "os.kill(os.getpid(), signal.SIGKILL)\n")
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        out = tmp_path / "pids.txt"
+        pids = []
+        try:
+            # Output goes to a file: orphaned workers that kept a pipe
+            # open would stall a reader until they exit.
+            with open(out, "w") as stdout:
+                parent = subprocess.run([sys.executable, "-c", script],
+                                        env=env, stdout=stdout,
+                                        stderr=subprocess.DEVNULL,
+                                        timeout=120)
+            pids = [int(pid) for pid in out.read_text().split()]
+            assert parent.returncode == -signal.SIGKILL
+            assert len(pids) == 2
+            deadline = time.monotonic() + 10.0
+            while (not all(map(_process_gone, pids))
+                   and time.monotonic() < deadline):
+                time.sleep(0.05)
+            assert [pid for pid in pids if not _process_gone(pid)] == []
+        finally:
+            for pid in pids:
+                if not _process_gone(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_unpicklable_result_fails_its_chunk(self):
+        # The worker pickles its reply itself, so the failure comes
+        # back as that chunk's traceback instead of a lost reply.
+        with PersistentProcessExecutor(1) as pool:
+            with _Watchdog(pool):
+                with pytest.raises(ChunkExecutionError) as excinfo:
+                    _run(pool, UnpicklableResultTask(), total=20)
+            assert "pickle" in (excinfo.value.worker_traceback or "")
+            assert _run(pool, TrialTask()) == _serial(TrialTask())
+            assert pool.alive_workers == 1
 
 
 class TestWarmBitIdentity:
