@@ -271,28 +271,16 @@ def restore_flops(flops: Iterable[RetentionFlipFlop]) -> None:
         flop._q = flop._retention
 
 
-def reset_flops(flops: Iterable[RetentionFlipFlop],
-                pristine: Iterable[Tuple[Optional[int], Optional[int]]]
-                ) -> None:
-    """:meth:`~RetentionFlipFlop.power_on`, :meth:`~DFlipFlop.force`
-    and :meth:`~RetentionFlipFlop.force_retention` on every flop, in
-    order: ``pristine`` holds each flop's ``(q, retention)`` pair, as
-    read from :attr:`~DFlipFlop.q` and
-    :attr:`~RetentionFlipFlop.retention_value`."""
-    check = DFlipFlop._check
-    for flop, (q, retention) in zip(flops, pristine, strict=True):
-        flop._power = _ON
-        flop._q = check(q)
-        flop._retention = check(retention)
-
-
 class FlopSnapshot:
     """The ``(q, retention)`` pair of every flop of a register set,
     checked once when captured.
 
-    :meth:`restore` is :func:`reset_flops` of the captured pairs
-    without running :meth:`DFlipFlop._check` again: every pair already
-    passed it here.  A bench that is put back to its as-built state
+    :meth:`restore` powers every flop on and puts its captured pair
+    back -- the end state of :meth:`~RetentionFlipFlop.power_on`,
+    :meth:`~DFlipFlop.force` and
+    :meth:`~RetentionFlipFlop.force_retention` per flop -- without
+    running :meth:`DFlipFlop._check` again: every pair already passed
+    it here.  A bench that is put back to its as-built state
     once per campaign chunk pays the check once per bench instead.
     Raises the ``0, 1 or None`` ``ValueError`` for a flop holding any
     other value.
@@ -318,4 +306,4 @@ class FlopSnapshot:
 
 __all__ = ["PowerState", "DFlipFlop", "ScanFlipFlop", "RetentionFlipFlop",
            "FlopSnapshot", "flop_values", "force_flops", "power_off_flops",
-           "power_on_flops", "reset_flops", "restore_flops", "retain_flops"]
+           "power_on_flops", "restore_flops", "retain_flops"]

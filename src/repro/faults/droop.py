@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 from repro.circuit.flipflop import RetentionFlipFlop
 from repro.faults.patterns import ErrorPattern
 from repro.power.retention import RetentionUpsetModel
-from repro.power.rush_current import RLCParameters, RushCurrentModel
+from repro.power.rush_current import RLCParameters, wake_transient
 
 
 class DroopFaultInjector:
@@ -44,10 +44,13 @@ class DroopFaultInjector:
         self.num_switch_stages = num_switch_stages
 
     def peak_droop(self) -> float:
-        """Peak supply droop (volts) for the configured wake-up."""
-        model = RushCurrentModel(self.rlc,
-                                 num_switch_stages=self.num_switch_stages)
-        return model.peak_droop()
+        """Peak supply droop (volts) for the configured wake-up.
+
+        Read from the process-wide transient memo
+        (:func:`~repro.power.rush_current.wake_transient`), so repeated
+        :meth:`inject` calls walk the transient's time grid once.
+        """
+        return wake_transient(self.rlc, self.num_switch_stages).peak_droop
 
     def inject(self, flops: Sequence[RetentionFlipFlop],
                chain_length: Optional[int] = None) -> ErrorPattern:

@@ -16,19 +16,7 @@ from typing import List, Optional
 
 from repro.circuit.base import SequentialCircuit
 from repro.power.retention import RetentionUpsetModel
-from repro.power.rush_current import RLCParameters, RushCurrentModel
-
-
-#: Wake-up transients memoised process-wide on the (frozen) RLC
-#: parameters and switch staging: the transient is a deterministic
-#: function of exactly those, and its numeric peak/settle searches are
-#: by far the most expensive part of a domain's *first* wake-up.  An
-#: instance-level cache already amortised repeat cycles, but campaign
-#: workers rebuild the whole design -- domain included -- per chunk,
-#: paying the searches over and over for identical electricals; the
-#: shared cache makes the cost once-per-process (the same reasoning as
-#: the GF(2) matrix cache ``_MATRIX_CACHE`` of :mod:`repro.codes.plane`).
-_TRANSIENT_CACHE: dict = {}
+from repro.power.rush_current import RLCParameters, wake_transient
 
 
 class DomainState(enum.Enum):
@@ -189,29 +177,23 @@ sleep_wake_cycle_batch_summary`), whose caller applies the net
         if virtual and self.upset_model is not None:
             raise ValueError(
                 "a virtual wake-up requires upset_model=None")
-        key = (self.rlc, self.switches.stages)
-        transient = _TRANSIENT_CACHE.get(key)
-        if transient is None:
-            rush = RushCurrentModel(self.rlc,
-                                    num_switch_stages=self.switches.stages)
-            transient = (rush.peak_current(), rush.peak_droop(),
-                         rush.settle_time(), rush.wakeup_energy())
-            _TRANSIENT_CACHE[key] = transient
-        peak_current, peak_droop, settle, wakeup_energy = transient
+        # The transient depends only on the electricals, so it comes from
+        # the process-wide memo of ``repro.power.rush_current``.
+        transient = wake_transient(self.rlc, self.switches.stages)
         upsets: tuple = ()
         if self.upset_model is not None:
             flipped = self.upset_model.sample_upsets(
-                self.circuit.registers, peak_droop)
+                self.circuit.registers, transient.peak_droop)
             upsets = tuple(flipped)
         if not virtual:
             self.circuit.power_on_all()
             self.circuit.restore_all()
         self._state = DomainState.ACTIVE
         event = WakeEvent(
-            peak_current_a=peak_current,
-            peak_droop_v=peak_droop,
-            settle_time_s=settle,
-            wakeup_energy_j=wakeup_energy,
+            peak_current_a=transient.peak_current,
+            peak_droop_v=transient.peak_droop,
+            settle_time_s=transient.settle_time,
+            wakeup_energy_j=transient.wakeup_energy,
             upset_indices=upsets)
         self._wake_history.append(event)
         return event

@@ -9,7 +9,6 @@ from repro.circuit.flipflop import (
     RetentionFlipFlop,
     ScanFlipFlop,
     force_flops,
-    reset_flops,
 )
 
 
@@ -214,57 +213,10 @@ def _scrambled_flops():
     return flops
 
 
-class TestResetFlops:
-    PRISTINE = [(q, retention) for q in (0, 1, None)
-                for retention in (1, None, 0)] * 2
-
-    def test_matches_per_flop_calls(self):
-        """Same end state as power_on + force + force_retention."""
-        bulk, single = _scrambled_flops(), _scrambled_flops()
-        reset_flops(bulk, self.PRISTINE)
-        for flop, (q, retention) in zip(single, self.PRISTINE):
-            flop.power_on()
-            flop.force(q)
-            flop.force_retention(retention)
-        assert [_flop_state(f) for f in bulk] == \
-            [_flop_state(f) for f in single]
-        assert all(type(f.q) is type(g.q)
-                   and type(f.retention_value) is type(g.retention_value)
-                   for f, g in zip(bulk, single))
-
-    def test_normalises_like_force(self):
-        """Non-int bit values go through the same check as force()."""
-        flop, = _scrambled_flops()[:1]
-        reset_flops([flop], [(True, False)])
-        assert (flop.q, flop.retention_value) == (1, 0)
-        assert type(flop.q) is int and type(flop.retention_value) is int
-
-    @pytest.mark.parametrize("value", VALID_BITS)
-    def test_every_valid_value_stored_like_force(self, value):
-        flop, = _scrambled_flops()[:1]
-        reset_flops([flop], [(value, value)])
-        assert (flop.q, type(flop.q)) == _forced(value)
-        assert (flop.retention_value, type(flop.retention_value)) == \
-            _forced(value)
-
-    @pytest.mark.parametrize("pair", [(2, 0), (0, 2), (-1, None),
-                                      (None, 3)])
-    def test_rejects_invalid_values(self, pair):
-        flops = _scrambled_flops()[:2]
-        with pytest.raises(ValueError, match="0, 1 or None"):
-            reset_flops(flops, [(0, 0), pair])
-        # The flop before the offending one is already reset.
-        assert _flop_state(flops[0]) == (PowerState.ON, 0, 0)
-
-    def test_length_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            reset_flops(_scrambled_flops()[:2], [(0, 0)])
-
-
 class TestFlopSnapshot:
-    def test_restore_matches_reset_flops(self):
+    def test_restore_matches_per_flop_calls(self):
         """Capturing pairs and restoring them later leaves every flop
-        as reset_flops of the same pairs does."""
+        as power_on + force + force_retention of the same pairs does."""
         source = _scrambled_flops()
         pairs = [(f.q, f.retention_value) for f in source]
         snapshot = FlopSnapshot(source)
@@ -274,9 +226,15 @@ class TestFlopSnapshot:
             flop.power_off()
         snapshot.restore()
         reset = _scrambled_flops()
-        reset_flops(reset, pairs)
+        for flop, (q, retention) in zip(reset, pairs):
+            flop.power_on()
+            flop.force(q)
+            flop.force_retention(retention)
         assert [_flop_state(f) for f in source] == \
             [_flop_state(f) for f in reset]
+        assert all(type(f.q) is type(g.q)
+                   and type(f.retention_value) is type(g.retention_value)
+                   for f, g in zip(source, reset))
 
     def test_restore_runs_no_check(self, monkeypatch):
         flops = _scrambled_flops()

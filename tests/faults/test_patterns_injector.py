@@ -17,8 +17,9 @@ from repro.faults.patterns import (
     random_pattern,
     single_error_pattern,
 )
+from repro.power import rush_current
 from repro.power.retention import RetentionUpsetModel
-from repro.power.rush_current import RLCParameters
+from repro.power.rush_current import RLCParameters, RushCurrentModel
 
 
 class TestPatterns:
@@ -219,6 +220,62 @@ class TestDroopFaultInjector:
             num_switch_stages=8)
         assert gentle.peak_droop() < abrupt.peak_droop()
         assert gentle.expected_upsets(1000) <= abrupt.expected_upsets(1000)
+
+    #: ``inject`` on 24 retained flops (``make_random_state_circuit(24,
+    #: seed=3)``, chains of 8), three calls from one seeded model, as the
+    #: injector produced them when it ran a grid search per call.
+    PINNED_PATTERNS = [
+        [(0, 0), (0, 2), (0, 6), (1, 0), (1, 2), (2, 1), (2, 2), (2, 4),
+         (2, 7)],
+        [(0, 0), (0, 4), (0, 5), (0, 6), (1, 0), (1, 2), (2, 1), (2, 2),
+         (2, 3), (2, 4), (2, 6)],
+        [(0, 6), (0, 7), (1, 4), (2, 0), (2, 3), (2, 7)],
+    ]
+
+    @staticmethod
+    def _pinned_injector():
+        return DroopFaultInjector(
+            rlc=RLCParameters(share_inductance=1e-10),
+            upset_model=RetentionUpsetModel(nominal_margin=0.15,
+                                            slope=0.03, seed=2010),
+            num_switch_stages=2)
+
+    def test_fixed_seed_patterns_are_pinned(self, monkeypatch):
+        monkeypatch.setattr(rush_current, "_TRANSIENT_CACHE", {})
+        injector = self._pinned_injector()
+        circuit = make_random_state_circuit(24, seed=3)
+        for ff in circuit.registers:
+            ff.retain()
+        assert float.hex(injector.peak_droop()) == "0x1.feb5c95e5c976p-4"
+        patterns = [sorted(injector.inject(circuit.registers,
+                                           chain_length=8).locations)
+                    for _ in range(3)]
+        assert patterns == self.PINNED_PATTERNS
+        assert float.hex(injector.expected_upsets(1000)) == \
+            "0x1.2cba88580f7b4p+8"
+
+    def test_repeated_injection_walks_the_grid_once(self, monkeypatch):
+        monkeypatch.setattr(rush_current, "_TRANSIENT_CACHE", {})
+        walks = []
+        walk = RushCurrentModel._walk
+
+        def counting(model):
+            walks.append(model.num_switch_stages)
+            return walk(model)
+
+        monkeypatch.setattr(RushCurrentModel, "_walk", counting)
+        injector = self._pinned_injector()
+        circuit = make_random_state_circuit(24, seed=3)
+        for ff in circuit.registers:
+            ff.retain()
+        for _ in range(50):
+            injector.inject(circuit.registers, chain_length=8)
+        injector.expected_upsets(1000)
+        assert walks == [2]
+        # A reassigned stage count takes effect: it is a new memo key.
+        injector.num_switch_stages = 4
+        assert injector.peak_droop() < self._pinned_injector().peak_droop()
+        assert walks == [2, 4]
 
 
 class TestCampaignStats:

@@ -1,14 +1,37 @@
 """Tests for the RLC rush-current / supply-droop model."""
 
 import math
+import pickle
 
 import pytest
 
+from repro.circuit.generators import make_random_state_circuit
+from repro.power import domain as domain_module
+from repro.power import rush_current
+from repro.power.domain import PowerDomain, SwitchNetwork
 from repro.power.rush_current import (
+    SETTLE_TOLERANCE,
     DampingRegime,
     RLCParameters,
     RushCurrentModel,
+    wake_transient,
 )
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """Start from an empty transient memo and count grid walks: the
+    returned list gets one ``(params, stages)`` entry per walk."""
+    monkeypatch.setattr(rush_current, "_TRANSIENT_CACHE", {})
+    calls = []
+    walk = RushCurrentModel._walk
+
+    def counting(model):
+        calls.append((model.params, model.num_switch_stages))
+        return walk(model)
+
+    monkeypatch.setattr(RushCurrentModel, "_walk", counting)
+    return calls
 
 
 class TestRLCParameters:
@@ -114,3 +137,80 @@ class TestRushCurrentModel:
         model = RushCurrentModel(RLCParameters())
         # di/dt is positive at t=0+ and negative well after the peak.
         assert model.current_derivative(1e-12) > 0
+
+
+class TestTransientMemo:
+    RLC = RLCParameters(resistance=2.25, capacitance=1040 * 0.2e-12)
+
+    def _wake(self, domain):
+        domain.enter_sleep()
+        return domain.wake_up()
+
+    def test_memo_is_one_module_level_cache_dict(self):
+        # perfbench's clear_memos empties every ``_*_CACHE`` dict of a
+        # ``repro.`` module before timing set-up; the transient memo
+        # must stay one of them, and the only one.
+        memo = vars(rush_current)["_TRANSIENT_CACHE"]
+        assert type(memo) is dict
+        assert rush_current.__name__.startswith("repro.")
+        assert not hasattr(domain_module, "_TRANSIENT_CACHE")
+
+    def test_equal_domains_walk_the_grid_once(self, walks):
+        switches = SwitchNetwork(stages=2)
+        domains = [PowerDomain(make_random_state_circuit(16, seed=seed),
+                               switches=switches, rlc=self.RLC)
+                   for seed in range(4)]
+        events = [self._wake(domain) for domain in domains]
+        events += [self._wake(domain) for domain in domains]
+        assert walks == [(self.RLC, 2)]
+        assert len({(e.peak_current_a, e.peak_droop_v, e.settle_time_s,
+                     e.wakeup_energy_j) for e in events}) == 1
+
+    def test_default_domains_of_one_size_share_a_walk(self, walks):
+        for seed in range(3):
+            self._wake(PowerDomain(make_random_state_circuit(24, seed=seed)))
+        assert len(walks) == 1
+
+    def test_clearing_the_memo_walks_again(self, walks):
+        domain = PowerDomain(make_random_state_circuit(16, seed=1),
+                             rlc=self.RLC)
+        first = self._wake(domain)
+        rush_current._TRANSIENT_CACHE.clear()
+        second = self._wake(domain)
+        assert len(walks) == 2
+        assert first == second
+
+    def test_models_domains_and_lookups_share_the_memo(self, walks):
+        model = RushCurrentModel(self.RLC, num_switch_stages=4)
+        peak = model.peak_current()
+        again = RushCurrentModel(self.RLC, num_switch_stages=4)
+        assert again.settle_time() == model.settle_time()
+        assert again.peak_droop() == model.peak_droop()
+        assert wake_transient(self.RLC, 4).peak_current == peak
+        domain = PowerDomain(make_random_state_circuit(16, seed=1),
+                             switches=SwitchNetwork(stages=4),
+                             rlc=self.RLC)
+        assert self._wake(domain).peak_current_a == peak
+        assert walks == [(self.RLC, 4)]
+
+    def test_other_settle_tolerance_reuses_the_walk(self, walks):
+        model = RushCurrentModel(self.RLC)
+        loose, tight = model.settle_time(0.5), model.settle_time(1e-3)
+        assert len(walks) == 1
+        assert 0.0 < loose < model.settle_time() < tight
+        assert model.settle_time(SETTLE_TOLERANCE) == \
+            wake_transient(self.RLC).settle_time
+
+    def test_inputs_are_read_only(self):
+        model = RushCurrentModel(self.RLC, num_switch_stages=2)
+        with pytest.raises(AttributeError):
+            model.params = RLCParameters()
+        with pytest.raises(AttributeError):
+            model.num_switch_stages = 4
+        assert (model.params, model.num_switch_stages) == (self.RLC, 2)
+
+    def test_model_pickles(self):
+        model = RushCurrentModel(self.RLC, num_switch_stages=2)
+        copy = pickle.loads(pickle.dumps(model))
+        assert (copy.params, copy.num_switch_stages) == (self.RLC, 2)
+        assert copy.current(1e-10) == model.current(1e-10)
