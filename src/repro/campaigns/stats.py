@@ -140,46 +140,31 @@ class StreamingCampaignStats:
         """Fold a whole batch's columnar outcome into the counters.
 
         ``arrays`` is a
-        :class:`~repro.engines.base.BatchOutcomeArrays`; every counter
-        updates through one ndarray reduction, so ingesting a
-        ``B``-sequence batch costs a handful of vector operations
-        instead of ``B`` :meth:`add` calls.  The definitions mirror
-        :func:`injection_record_from_sequence` exactly -- *corrected*
-        means injected, detected **and** intact -- so a batch folded
-        here is bit-identical to folding its per-sequence records
-        (property-tested).
+        :class:`~repro.engines.base.BatchOutcomeArrays`; the counters
+        grow by its :meth:`~repro.engines.base.BatchOutcomeArrays.tally`,
+        a handful of ndarray reductions (or, for a batch the simd
+        engine answered from its single-flip table, one row histogram
+        times a per-table matrix) instead of ``B`` :meth:`add` calls.
+        The definitions mirror :func:`injection_record_from_sequence`
+        exactly -- *corrected* means injected, detected **and** intact
+        -- so a batch folded here is bit-identical to folding its
+        per-sequence records (property-tested).
         """
-        self._add_batch(arrays)
+        self._add_tally(arrays.tally())
 
-    def _add_batch(self, arrays):
-        """:meth:`add_batch`, returning the batch's ``state_intact``
-        mask for :meth:`StreamingCampaignResult.add_batch`.
-
-        ``np.count_nonzero`` counts a bool mask several times faster
-        than ``.sum()``; every count goes through ``int()``, so the
-        counters stay plain ints (``to_dict()`` and checkpoints)."""
-        from numpy import count_nonzero
-
-        detected = arrays.detected
-        state_intact = arrays.state_intact
-        injected = arrays.injected
-        with_errors = injected > 0
-        detected_with_errors = with_errors & detected
-        corrected = int(count_nonzero(detected_with_errors & state_intact))
-        num_sequences = int(detected.shape[0])
-        self.num_sequences += num_sequences
-        self.total_injected += int(injected.sum())
-        self.total_residual_errors += int(arrays.residual_errors.sum())
-        self.detected_sequences += int(count_nonzero(detected))
-        self.corrected_sequences += corrected
-        self.intact_sequences += int(count_nonzero(state_intact))
-        # Neither intact nor detected: everything outside the union.
-        self.silent_corruptions += num_sequences - int(
-            count_nonzero(state_intact | detected))
-        self.sequences_with_errors += int(count_nonzero(with_errors))
-        self.detected_with_errors += int(count_nonzero(detected_with_errors))
-        self.corrected_with_errors += corrected
-        return state_intact
+    def _add_tally(self, tally) -> None:
+        """Fold a :class:`~repro.engines.base.BatchTally` (plain ints,
+        so the counters stay ints for ``to_dict()`` and checkpoints)."""
+        self.num_sequences += tally.sequences
+        self.total_injected += tally.injected
+        self.total_residual_errors += tally.residual_errors
+        self.detected_sequences += tally.detected
+        self.corrected_sequences += tally.corrected
+        self.intact_sequences += tally.intact
+        self.silent_corruptions += tally.silent
+        self.sequences_with_errors += tally.with_errors
+        self.detected_with_errors += tally.detected_with_errors
+        self.corrected_with_errors += tally.corrected
 
     def merge(self, other: "StreamingCampaignStats"
               ) -> "StreamingCampaignStats":
@@ -276,20 +261,15 @@ class StreamingCampaignResult:
         sequence: the state-domain comparator's verdict is
         ``state_intact``, and a mismatching sequence is *consistent*
         only when the monitor flagged it uncorrectable -- the same
-        rules as ``BatchSequenceResult``'s properties, applied as mask
-        algebra.
+        rules as ``BatchSequenceResult``'s properties, counted in the
+        batch's one :meth:`~repro.engines.base.BatchOutcomeArrays.tally`.
         """
-        from numpy import count_nonzero
-
-        state_intact = self.stats._add_batch(arrays)
-        detected = arrays.detected
-        num_sequences = int(detected.shape[0])
-        self.errors_reported_by_dut += int(count_nonzero(detected))
-        self.mismatches_reported_by_comparator += num_sequences - int(
-            count_nonzero(state_intact))
-        # A mismatch is consistent only when flagged uncorrectable.
-        self.inconsistent_sequences += num_sequences - int(count_nonzero(
-            state_intact | (detected & arrays.uncorrectable)))
+        tally = arrays.tally()
+        self.stats._add_tally(tally)
+        self.errors_reported_by_dut += tally.detected
+        self.mismatches_reported_by_comparator += (tally.sequences
+                                                   - tally.intact)
+        self.inconsistent_sequences += tally.inconsistent
 
     def merge(self, other: "StreamingCampaignResult"
               ) -> "StreamingCampaignResult":

@@ -710,8 +710,7 @@ run_sequence_batches_summary`) the chunk's one walk on entry stands
 
         arrays = engine.run_batch_summary(states, knowns, flips, batch_size)
 
-        any_detected = bool(arrays.detected.any())
-        any_uncorrectable = bool(arrays.uncorrectable.any())
+        any_detected, any_uncorrectable = arrays.alarms()
         batch_code = self.controller.decode_completed(
             error_detected=any_detected,
             fully_corrected=any_detected and not any_uncorrectable)

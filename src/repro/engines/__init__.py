@@ -24,8 +24,10 @@ Every engine's scalar reports are bit-identical to the reference's
 Engines overriding the summary pass (``"simd"`` and its ``"jit"``
 subclass) additionally run whole batches through
 :meth:`SimulationEngine.run_batch_summary`, returning columnar
-:class:`BatchOutcomeArrays` (one ndarray per outcome field) with no
-per-sequence objects at all -- the one vectorised batch path; their
+:class:`BatchOutcomeArrays` (one ndarray per outcome field, whose
+:meth:`~BatchOutcomeArrays.tally` is the batch's :class:`BatchTally`
+of counter increments) with no per-sequence objects at all -- the one
+vectorised batch path; their
 parities and signatures come from the GF(2) code matrices of
 :mod:`repro.codes.plane` and the shared vectorised helpers live in
 :mod:`repro.engines.summary`.
@@ -36,6 +38,7 @@ engine and how to register a custom one.
 
 from repro.engines.base import (
     BatchOutcomeArrays,
+    BatchTally,
     SimulationEngine,
 )
 from repro.engines.registry import (
@@ -48,6 +51,7 @@ from repro.engines.registry import (
 
 __all__ = [
     "BatchOutcomeArrays",
+    "BatchTally",
     "SimulationEngine",
     "available_engines",
     "get_engine",

@@ -32,17 +32,83 @@ Two interfaces exist:
   **columnar** per-sequence verdicts (:class:`BatchOutcomeArrays`, one
   ndarray per outcome field); the batch's injection is a
   :class:`~repro.faults.batch.PatternBatch`.  It is the one vectorised
-  batch path: campaign counters reduce its arrays directly and never
-  materialise per-sequence report or outcome objects.
+  batch path: campaign counters fold each batch's
+  :meth:`BatchOutcomeArrays.tally` and never materialise per-sequence
+  report or outcome objects.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, List, Sequence
+from typing import Any, List, NamedTuple, Sequence, Tuple
 
 from repro.core.monitor import MonitorReport
+
+
+class BatchTally(NamedTuple):
+    """A batch's campaign-counter increments (plain ints).
+
+    What :meth:`BatchOutcomeArrays.tally` returns and both
+    ``StreamingCampaignStats.add_batch`` and
+    ``StreamingCampaignResult.add_batch`` fold: one count per counter,
+    with the definitions of
+    :func:`~repro.campaigns.stats.injection_record_from_sequence` (a
+    sequence is *corrected* when it was injected, detected **and**
+    left intact) and of the test bench's comparator (a mismatching
+    sequence is *consistent* only when flagged uncorrectable).
+    """
+
+    #: Sequences in the batch.
+    sequences: int
+    #: Sums of the per-sequence injected and residual bit counts.
+    injected: int
+    residual_errors: int
+    #: Sequences that are detected / flagged uncorrectable / intact.
+    detected: int
+    uncorrectable: int
+    intact: int
+    #: Injected, detected and intact.
+    corrected: int
+    #: Injected; injected and detected.
+    with_errors: int
+    detected_with_errors: int
+    #: Neither intact nor detected.
+    silent: int
+    #: Neither intact nor (detected and uncorrectable).
+    inconsistent: int
+
+    @classmethod
+    def from_sums(cls, sequences: int, sums: Sequence[int]) -> "BatchTally":
+        """The tally of a ``sequences``-long batch from the sums of its
+        :func:`tally_columns` (in their order)."""
+        (injected, residual, detected, uncorrectable, intact, corrected,
+         with_errors, detected_with_errors, intact_or_detected,
+         consistent) = sums
+        return cls(sequences, injected, residual, detected, uncorrectable,
+                   intact, corrected, with_errors, detected_with_errors,
+                   sequences - intact_or_detected, sequences - consistent)
+
+
+def tally_columns(injected: Any, detected: Any, uncorrectable: Any,
+                  residual_errors: Any) -> Tuple[Any, ...]:
+    """The per-sequence columns whose sums make a :class:`BatchTally`.
+
+    In :meth:`BatchTally.from_sums` order: the two count columns, then
+    the boolean masks detected, uncorrectable, intact, corrected, with
+    errors, detected with errors, intact-or-detected and consistent
+    (the last two are the complements of silent and inconsistent).  The
+    one place the counter definitions live: a dense batch reduces these
+    columns, and the simd single-flip table stacks them once per table
+    into the matrix its batches' row histograms multiply.
+    """
+    intact = residual_errors == 0
+    with_errors = injected > 0
+    detected_with_errors = with_errors & detected
+    return (injected, residual_errors, detected, uncorrectable, intact,
+            detected_with_errors & intact, with_errors,
+            detected_with_errors, intact | detected,
+            intact | (detected & uncorrectable))
 
 
 @dataclass
@@ -55,6 +121,13 @@ class BatchOutcomeArrays:
     ``outcomes[b].f``, so a whole batch's statistics reduce with a few
     ndarray operations and no per-sequence object is ever built.  All
     arrays are 1-D of length ``batch_size``.
+
+    Campaign counters read a batch through :meth:`tally` (and the
+    design's controller through :meth:`alarms`), never field by field,
+    so an engine may return a subclass that computes those from a more
+    compact form: the simd engine's single-flip table path returns one
+    that holds each sequence's table row, tallies a histogram of the
+    rows and gathers a field from the table only when it is read.
 
     Attributes
     ----------
@@ -98,6 +171,26 @@ class BatchOutcomeArrays:
         """Boolean array: what the hardware believes -- mismatches were
         observed and none was flagged uncorrectable."""
         return self.detected & ~self.uncorrectable
+
+    def tally(self) -> BatchTally:
+        """The batch's campaign-counter increments, reduced from the
+        arrays (``np.count_nonzero`` for the masks, which counts a bool
+        mask several times faster than ``.sum()``)."""
+        from numpy import count_nonzero
+
+        injected, residual, *masks = tally_columns(
+            self.injected, self.detected, self.uncorrectable,
+            self.residual_errors)
+        return BatchTally.from_sums(
+            int(self.detected.shape[0]),
+            [int(injected.sum()), int(residual.sum())]
+            + [int(count_nonzero(mask)) for mask in masks])
+
+    def alarms(self) -> Tuple[bool, bool]:
+        """``(any detected, any flagged uncorrectable)``: the batch's
+        aggregate verdict, which the design reports to its controller
+        once per batch."""
+        return bool(self.detected.any()), bool(self.uncorrectable.any())
 
 
 class SimulationEngine(ABC):
@@ -187,5 +280,7 @@ class SimulationEngine(ABC):
 
 __all__ = [
     "BatchOutcomeArrays",
+    "BatchTally",
     "SimulationEngine",
+    "tally_columns",
 ]

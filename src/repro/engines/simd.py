@@ -43,12 +43,15 @@ engine runs its own dense pass once over a batch holding one flip per
 scan cell plus one clean sequence, keeps the result for the last known
 matrix seen (and process-wide, keyed on the bank structure, geometry
 and known matrix, so a later engine of the same configuration reuses
-it), and answers such batches with one gather per sequence.
+it).  Such a batch is answered by the table row of each sequence: its
+counters are one histogram of those rows times a per-table tally
+matrix, and its per-sequence arrays are gathered only when read.
 :meth:`~SimdBatchedEngine.run_batch_summary` takes the table when the
 batch has at most ``batch_size`` flips and no sequence has two
 effective flips, and the dense word pipeline otherwise; the path taken
 is published as ``engine.last_summary_path``.  Both are bit-identical
-(property-tested in ``tests/engines/test_delta_path.py``).
+(property-tested in ``tests/engines/test_delta_path.py`` and
+``tests/engines/test_batch_tally.py``).
 
 Each engine reuses per-instance :class:`Workspace` buffers for the
 decode core's and the dense summary pass's dominant arrays, so
@@ -72,6 +75,7 @@ Python.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -82,7 +86,12 @@ from repro.codes.parity import ParityCode
 from repro.codes.plane import block_parity_matrix, crc_stream_matrix
 from repro.codes.secded import SECDEDCode
 from repro.core.monitor import MonitorBank, MonitorReport
-from repro.engines.base import BatchOutcomeArrays, SimulationEngine
+from repro.engines.base import (
+    BatchOutcomeArrays,
+    BatchTally,
+    SimulationEngine,
+    tally_columns,
+)
 from repro.engines.packed import PackedEngineAdapter, classify_monitors
 from repro.engines.summary import (
     bits_matrix,
@@ -499,8 +508,9 @@ class Workspace:
 #: matrix's bytes (:func:`_bank_key`).  Banks with a code that has no
 #: :func:`_code_key` keep only the engine's own memo.  The tables are
 #: read-only, and the oldest entry goes once there are
-#: :data:`_SINGLE_FLIP_ENTRIES`.
-_SINGLE_FLIP_CACHE: Dict[tuple, BatchOutcomeArrays] = {}
+#: :data:`_SINGLE_FLIP_ENTRIES`.  An entry is the table with its tally
+#: matrix (:func:`_tally_matrix`).
+_SINGLE_FLIP_CACHE: Dict[tuple, Tuple[BatchOutcomeArrays, np.ndarray]] = {}
 _SINGLE_FLIP_ENTRIES = 8
 
 
@@ -522,6 +532,69 @@ def _freeze(arrays: BatchOutcomeArrays) -> BatchOutcomeArrays:
                    arrays.residual_errors, arrays.corrections_applied):
         values.setflags(write=False)
     return arrays
+
+
+def _tally_matrix(table: BatchOutcomeArrays) -> np.ndarray:
+    """The read-only int64 ``(rows, counters)`` matrix whose row ``r``
+    is the :func:`~repro.engines.base.tally_columns` of table row
+    ``r``: a batch whose sequences land ``h[r]`` times on row ``r``
+    sums to ``h @ matrix``.  Stored column-major (each counter's column
+    contiguous), which that product reads fastest."""
+    matrix = np.array(tally_columns(
+        table.injected, table.detected, table.uncorrectable,
+        table.residual_errors), dtype=np.int64).T
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _table_field(name: str) -> cached_property:
+    """A per-sequence field of :class:`_TableBatchOutcome`, gathered
+    from the table on first read into a fresh, writable array."""
+    def gather(self):
+        return getattr(self._table, name)[self._rows]
+    gather.__name__ = name
+    gather.__doc__ = f"``{name}`` of each sequence's table row."
+    return cached_property(gather)
+
+
+class _TableBatchOutcome(BatchOutcomeArrays):
+    """A batch answered from the single-flip table: sequence ``b``'s
+    verdicts are row ``rows[b]`` of the frozen table.
+
+    :meth:`tally` is one histogram of the rows times the table's tally
+    matrix -- no per-sequence array is built for the counters -- and
+    each per-sequence field is gathered from the table only when read
+    (a copy, so writing to it leaves the table untouched).  The values
+    equal the eager gather's field by field (property-tested).
+    """
+
+    def __init__(self, table: BatchOutcomeArrays, matrix: np.ndarray,
+                 rows: np.ndarray):
+        self._table = table
+        self._matrix = matrix
+        self._rows = rows
+        self._tally: Optional[BatchTally] = None
+
+    injected = _table_field("injected")
+    detected = _table_field("detected")
+    uncorrectable = _table_field("uncorrectable")
+    residual_errors = _table_field("residual_errors")
+    corrections_applied = _table_field("corrections_applied")
+
+    @property
+    def batch_size(self) -> int:
+        return len(self._rows)
+
+    def tally(self) -> BatchTally:
+        if self._tally is None:
+            counts = np.bincount(self._rows, minlength=len(self._matrix))
+            self._tally = BatchTally.from_sums(
+                len(self._rows), (counts @ self._matrix).tolist())
+        return self._tally
+
+    def alarms(self) -> Tuple[bool, bool]:
+        tally = self.tally()
+        return tally.detected > 0, tally.uncorrectable > 0
 
 
 class SimdBatchedEngine(SimulationEngine):
@@ -567,10 +640,12 @@ class SimdBatchedEngine(SimulationEngine):
         #: (see :meth:`_known_matrix`).
         self._known_key: Optional[Tuple[int, ...]] = None
         self._known_bits: Optional[np.ndarray] = None
-        #: The single-flip outcome table and the known matrix it was
-        #: built for (see :meth:`_single_flip_table`).
+        #: The single-flip outcome table, its tally matrix and the
+        #: known matrix they were built for (see
+        #: :meth:`_single_flip_table`).
         self._single_known: Optional[np.ndarray] = None
         self._single_table: Optional[BatchOutcomeArrays] = None
+        self._single_matrix: Optional[np.ndarray] = None
         #: This engine's part of its tables' _SINGLE_FLIP_CACHE key
         #: (None: the bank has a code without one).
         blocks = _bank_key(bank)
@@ -760,9 +835,23 @@ class SimdBatchedEngine(SimulationEngine):
         The engine answers the batch from the single-flip outcome table
         when it holds at most ``batch_size`` flips and no sequence has
         more than one effective flip, and runs the dense word pipeline
-        otherwise.  Both return bit-identical arrays; the one taken
-        (``"delta"`` or ``"dense"``) is published as
-        ``self.last_summary_path``.
+        otherwise.  Both are bit-identical; the one taken (``"delta"``
+        or ``"dense"``) is published as ``self.last_summary_path``.  A
+        table-path batch comes back as a :class:`BatchOutcomeArrays`
+        that holds only each sequence's table row: its
+        :meth:`~BatchOutcomeArrays.tally` is a row histogram times the
+        table's tally matrix, and its arrays are gathered from the
+        table when first read.
+
+        The rows come straight from the batch when its sequences are
+        strictly increasing (at most one flip each, whatever the
+        cells): a flip on an unknown cell needs no gating, because
+        that cell's table row already holds the zero-flip verdicts (the
+        table's own pass dropped the flip).  Other batches -- caller
+        built, unsorted or with repeats -- are resolved through
+        :func:`~repro.faults.batch.pattern_batch_coords` first, and that
+        resolution is handed on to the dense pass when a sequence
+        turns out to have two effective flips.
         """
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
@@ -772,58 +861,64 @@ class SimdBatchedEngine(SimulationEngine):
         # testing that first spares dense batches the coordinate probe.
         coords = None
         if flips.num_flips <= batch_size:
-            from repro.faults.batch import pattern_batch_coords
+            from repro.faults.batch import _increasing, pattern_batch_coords
 
-            coords = pattern_batch_coords(flips, known_bits, batch_size)
-            seqs, cells, injected = coords
-            if int(injected.max()) <= 1:
-                table = self._single_flip_table(states, knowns, known_bits)
-                if len(cells) == batch_size:
-                    # Every sequence has exactly one effective flip, in
-                    # sequence order: its cell is its table row.
-                    row = cells
+            seqs = flips.seqs
+            if _increasing(seqs):
+                cells = flips.cells
+            else:
+                coords = pattern_batch_coords(flips, known_bits, batch_size)
+                seqs, cells, injected = coords
+                if int(injected.max()) > 1:
+                    seqs = None
+            if seqs is not None:
+                table, matrix = self._single_flip_table(states, knowns,
+                                                        known_bits)
+                if len(seqs) == batch_size:
+                    # One flip per sequence, in sequence order: each
+                    # cell is its sequence's table row (copied: the
+                    # outcome outlives the call, the batch's cells may
+                    # not stay as they are).
+                    rows = np.array(cells, dtype=np.int64)
                 else:
-                    row = np.full(batch_size, len(table.injected) - 1,
-                                  dtype=np.int64)
-                    row[seqs] = cells
+                    rows = np.full(batch_size, len(matrix) - 1,
+                                   dtype=np.int64)
+                    rows[seqs] = cells
                 self.last_summary_path = "delta"
-                return BatchOutcomeArrays(
-                    injected=injected,
-                    detected=table.detected[row],
-                    uncorrectable=table.uncorrectable[row],
-                    residual_errors=table.residual_errors[row],
-                    corrections_applied=table.corrections_applied[row])
+                return _TableBatchOutcome(table, matrix, rows)
         self.last_summary_path = "dense"
         return self._dense_summary(states, knowns, known_bits, flips,
                                    batch_size, coords)
 
     def _single_flip_table(self, states: Sequence[int],
-                           knowns: Sequence[int],
-                           known_bits: np.ndarray) -> BatchOutcomeArrays:
+                           knowns: Sequence[int], known_bits: np.ndarray
+                           ) -> Tuple[BatchOutcomeArrays, np.ndarray]:
         """The outcome of every one-flip sequence, indexed by flipped
-        cell.
+        cell, and its tally matrix (:func:`_tally_matrix`).
 
         Row ``cell`` (``chain * chain_length + position``) holds the
-        verdicts of a sequence whose only effective flip is that cell,
-        and the extra last row those of the zero-flip sequence.  The
-        rows come from one dense pass over that ``C * L + 1``-sequence
-        batch.  By GF(2) superposition they do not depend on the
-        baseline state, only on the bank and the known matrix (residual
-        constant, gated comparator).  The engine keeps the table of the
-        last known matrix seen (by identity: :meth:`_known_matrix`
-        builds a new one whenever the knowns change), and on a miss
-        looks it up in the process-wide :data:`_SINGLE_FLIP_CACHE`
-        before running the pass, so the engines of later campaigns of
-        the same configuration run none.  The arrays are read-only.
+        verdicts of a sequence whose only flip is that cell -- on an
+        unknown cell the flip is gated out, so that row equals the
+        zero-flip one -- and the extra last row those of the zero-flip
+        sequence.  The rows come from one dense pass over that
+        ``C * L + 1``-sequence batch.  By GF(2) superposition they do
+        not depend on the baseline state, only on the bank and the
+        known matrix (residual constant, gated comparator).  The engine
+        keeps the table of the last known matrix seen (by identity:
+        :meth:`_known_matrix` builds a new one whenever the knowns
+        change), and on a miss looks it up in the process-wide
+        :data:`_SINGLE_FLIP_CACHE` before running the pass, so the
+        engines of later campaigns of the same configuration run none.
+        The arrays are read-only.
         """
         if self._single_table is None or self._single_known is not known_bits:
             key = self._single_key
             if key is not None:
                 key += (known_bits.tobytes(),)
-                table = _SINGLE_FLIP_CACHE.get(key)
+                entry = _SINGLE_FLIP_CACHE.get(key)
             else:
-                table = None
-            if table is None:
+                entry = None
+            if entry is None:
                 from repro.faults.batch import PatternBatch
 
                 length = self.chain_length
@@ -834,12 +929,14 @@ class SimdBatchedEngine(SimulationEngine):
                     cells)
                 table = _freeze(self._dense_summary(
                     states, knowns, known_bits, every_cell, num_cells + 1))
+                entry = (table, _tally_matrix(table))
                 if key is not None:
                     if len(_SINGLE_FLIP_CACHE) >= _SINGLE_FLIP_ENTRIES:
                         del _SINGLE_FLIP_CACHE[next(iter(_SINGLE_FLIP_CACHE))]
-                    _SINGLE_FLIP_CACHE[key] = table
-            self._single_table, self._single_known = table, known_bits
-        return self._single_table
+                    _SINGLE_FLIP_CACHE[key] = entry
+            self._single_table, self._single_matrix = entry
+            self._single_known = known_bits
+        return self._single_table, self._single_matrix
 
     def _dense_summary(self, states: Sequence[int], knowns: Sequence[int],
                        known_bits: np.ndarray, flips,

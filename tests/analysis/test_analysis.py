@@ -181,3 +181,58 @@ class TestPaperData:
         for row in paper_data.TABLE1_CRC16 + paper_data.TABLE2_HAMMING74:
             expected = row["enc_power_mw"] * row["latency_ns"] * 1e-3
             assert row["enc_energy_nj"] == pytest.approx(expected, rel=0.05)
+
+
+class TestSection4ValidationRows:
+    """``section4_validation_rows`` forwards ``sampler`` to both
+    campaign drivers, and its default keeps the scalar streams."""
+
+    SMALL = dict(width=8, depth=8, num_chains=8)
+
+    def _direct(self, sampler, **run):
+        from repro.campaigns.seeding import child_seed
+        from repro.validation.campaign import (
+            run_sharded_multiple_error_campaign,
+            run_sharded_single_error_campaign,
+        )
+
+        seed = 20100308
+        return {
+            "single_error": run_sharded_single_error_campaign(
+                48, seed=child_seed(seed, "single"), sampler=sampler,
+                **self.SMALL, **run),
+            "multiple_error": run_sharded_multiple_error_campaign(
+                48, burst_size=4, clustered=True,
+                seed=child_seed(seed, "multiple"), sampler=sampler,
+                **self.SMALL, **run),
+        }
+
+    def test_array_sampler_equals_the_drivers(self, monkeypatch):
+        pytest.importorskip("numpy")
+        from repro.analysis.tradeoff import section4_validation_rows
+        from repro.faults import batch as batch_module
+
+        # Both samplers correct every single error here, so the
+        # counters alone cannot tell them apart: count the array draws.
+        draws = []
+        original = batch_module.sample_pattern_batch
+
+        def counted(kind, *args, **kwargs):
+            draws.append(kind)
+            return original(kind, *args, **kwargs)
+
+        monkeypatch.setattr(batch_module, "sample_pattern_batch", counted)
+        run = dict(engine="simd", batch_size=16, chunk_size=32)
+        rows = section4_validation_rows(num_sequences=48, sampler="array",
+                                        **self.SMALL, **run)
+        assert draws == ["single"] * 3 + ["burst"] * 3
+        assert rows == self._direct("array", **run)
+        assert rows["single_error"].stats.corrected_sequences == 48
+
+    def test_default_is_the_scalar_sampler(self):
+        from repro.analysis.tradeoff import section4_validation_rows
+
+        run = dict(engine="packed", batch_size=16, chunk_size=32)
+        assert (section4_validation_rows(num_sequences=48, **self.SMALL,
+                                         **run)
+                == self._direct("scalar", **run))
