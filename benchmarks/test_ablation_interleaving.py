@@ -19,17 +19,13 @@ from repro.circuit.fifo import SyncFIFO
 from repro.codes.hamming import HammingCode
 from repro.codes.interleave import InterleavedCode
 from repro.core.protected import ProtectedDesign
-from repro.validation.campaign import run_multiple_error_campaign
-from repro.validation.testbench import FIFOTestbench
+from repro.validation.campaign import run_sharded_multiple_error_campaign
 
 
 def _campaign(codes, sequences, seed=4242):
-    fifo = SyncFIFO(16, 16, name="fifo_ablation")
-    design = ProtectedDesign(fifo, codes=codes, num_chains=16)
-    testbench = FIFOTestbench(design, seed=seed)
-    return run_multiple_error_campaign(testbench, num_sequences=sequences,
-                                       burst_size=3, clustered=True,
-                                       seed=seed)
+    return run_sharded_multiple_error_campaign(
+        sequences, burst_size=3, clustered=True, width=16, depth=16,
+        codes=codes, num_chains=16, seed=seed)
 
 
 @pytest.mark.benchmark(group="ablation")

@@ -22,26 +22,22 @@ from benchmarks.conftest import bench_sequences, print_section
 from repro.circuit.fifo import SyncFIFO
 from repro.core.protected import ProtectedDesign
 from repro.validation.campaign import (
-    run_multiple_error_campaign,
-    run_single_error_campaign,
+    run_sharded_multiple_error_campaign,
+    run_sharded_single_error_campaign,
 )
-from repro.validation.testbench import FIFOTestbench
 
-
-def _paper_testbench(seed=20100308):
-    fifo = SyncFIFO(32, 32, name="fifo_a")
-    design = ProtectedDesign(fifo, codes=["hamming(7,4)", "crc16"],
-                             num_chains=80)
-    return FIFOTestbench(design, seed=seed, words_per_sequence=16)
+#: The paper's FPGA configuration: a 32x32 FIFO in 80 chains of 13
+#: flops, Hamming(7,4) correction plus CRC-16 verification.
+PAPER_BENCH = dict(width=32, depth=32, codes=("hamming(7,4)", "crc16"),
+                   num_chains=80, words_per_sequence=16)
 
 
 @pytest.mark.benchmark(group="validation")
 def test_single_error_campaign(benchmark):
     sequences = bench_sequences(30)
-    testbench = _paper_testbench()
     result = benchmark.pedantic(
-        lambda: run_single_error_campaign(testbench,
-                                          num_sequences=sequences),
+        lambda: run_sharded_single_error_campaign(
+            sequences, seed=20100308, **PAPER_BENCH),
         rounds=1, iterations=1)
 
     # Paper: "the error correction circuitry detected and corrected all
@@ -62,11 +58,10 @@ def test_single_error_campaign(benchmark):
 @pytest.mark.benchmark(group="validation")
 def test_multiple_error_campaign(benchmark):
     sequences = bench_sequences(30)
-    testbench = _paper_testbench(seed=20100309)
     result = benchmark.pedantic(
-        lambda: run_multiple_error_campaign(testbench,
-                                            num_sequences=sequences,
-                                            burst_size=4, clustered=True),
+        lambda: run_sharded_multiple_error_campaign(
+            sequences, burst_size=4, clustered=True, seed=20100309,
+            **PAPER_BENCH),
         rounds=1, iterations=1)
 
     # Paper: "none of the errors were corrected ... however all these

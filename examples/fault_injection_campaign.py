@@ -16,12 +16,13 @@ Run with::
     python examples/fault_injection_campaign.py [num_sequences] --simd
     python examples/fault_injection_campaign.py [num_sequences] --array
 
-With ``num_workers > 1`` both campaigns are submitted as jobs of one
-:class:`~repro.campaigns.scheduler.CampaignScheduler` and run
-concurrently, fair-share, over a single shared worker pool (the path
-toward the paper's 10^8-sequence scale): O(1)-memory counter
-statistics, per-job progress with live throughput/ETA, and results
-that are bit-identical for any worker count and executor kind.  With
+Both campaigns are submitted as jobs of one
+:class:`~repro.campaigns.scheduler.CampaignScheduler`: O(1)-memory
+counter statistics, per-job progress with live throughput/ETA, and
+results that are bit-identical for any worker count and executor kind.
+One worker runs them inline; with ``num_workers > 1`` they run
+concurrently, fair-share, over a single shared process pool (the path
+toward the paper's 10^8-sequence scale).  With
 ``--simd`` they run on the numpy word-packed SIMD engine
 (:mod:`repro.engines.simd`), which simulates 256 sequences per pass
 and whose fully vectorised decode keeps that throughput even when
@@ -38,15 +39,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import ProtectedDesign, SyncFIFO
 from repro.campaigns import CampaignScheduler, FIFOValidationCampaignTask
 from repro.validation.campaign import (
-    run_multiple_error_campaign,
     run_sharded_multiple_error_campaign,
     run_sharded_single_error_campaign,
-    run_single_error_campaign,
 )
-from repro.validation.testbench import FIFOTestbench
 
 
 def progress_printer(label: str):
@@ -66,14 +63,18 @@ CampaignProgress` -- computed in the parent process, restored
     return progress
 
 
-def main_sharded(num_sequences: int, num_workers: int) -> None:
-    """Both campaigns as concurrent jobs of one CampaignScheduler."""
+def main_scheduled(num_sequences: int, num_workers: int) -> None:
+    """Both campaigns as jobs of one CampaignScheduler.
+
+    FIFO_A is the paper's 32x32 FIFO in the 80-chain configuration,
+    with Hamming(7,4) correction and CRC-16 verification.
+    """
+    executor = ("the serial executor" if num_workers == 1 else
+                f"one shared process pool of {num_workers} workers")
     print(f"running {num_sequences} sequences per campaign, both "
-          f"campaigns interleaved fair-share over one shared "
-          f"process pool of {num_workers} workers (packed engine, "
-          f"streaming stats)\n")
-    scheduler = CampaignScheduler(executor="process",
-                                  num_workers=num_workers)
+          f"campaigns interleaved fair-share over {executor} "
+          f"(packed engine, streaming stats)\n")
+    scheduler = CampaignScheduler(num_workers=num_workers)
     common = dict(width=32, depth=32, num_chains=80,
                   words_per_sequence=16, engine="packed")
     single_job = scheduler.submit(
@@ -88,15 +89,19 @@ def main_sharded(num_sequences: int, num_workers: int) -> None:
 
     print()
     print("=" * 60)
-    print("experiment 1: single error per test sequence (scheduled)")
+    print("experiment 1: single error per test sequence")
     print("=" * 60)
     print(single_job.result.summary())
+    print("paper result: all single errors detected and corrected; no "
+          "mismatch reported by the comparator")
 
     print()
     print("=" * 60)
-    print("experiment 2: clustered multi-bit errors (scheduled)")
+    print("experiment 2: clustered multi-bit errors per test sequence")
     print("=" * 60)
     print(multi_job.result.summary())
+    print("paper result: none corrected (bursts defeat Hamming), but all "
+          "accurately detected and reported")
 
     # The scheduler memoizes merged results: resubmitting the same
     # campaign (task fingerprint, seed, size) is served from cache.
@@ -150,39 +155,7 @@ def main() -> None:
     if "--simd" in flags:
         main_batched(num_sequences, num_workers)
         return
-    if num_workers > 1:
-        main_sharded(num_sequences, num_workers)
-        return
-
-    # FIFO_A: the paper's 32x32 FIFO in the 80-chain configuration,
-    # with Hamming(7,4) correction and CRC-16 verification.
-    fifo_a = SyncFIFO(32, 32, name="fifo_a")
-    design = ProtectedDesign(fifo_a, codes=["hamming(7,4)", "crc16"],
-                             num_chains=80)
-    testbench = FIFOTestbench(design, seed=20100308, words_per_sequence=16)
-
-    print(f"test bench: {design!r}")
-    print(f"running {num_sequences} sequences per campaign\n")
-
-    print("=" * 60)
-    print("experiment 1: single error per test sequence")
-    print("=" * 60)
-    single = run_single_error_campaign(testbench,
-                                       num_sequences=num_sequences)
-    print(single.summary())
-    print("paper result: all single errors detected and corrected; no "
-          "mismatch reported by the comparator")
-
-    print()
-    print("=" * 60)
-    print("experiment 2: clustered multi-bit errors per test sequence")
-    print("=" * 60)
-    multiple = run_multiple_error_campaign(testbench,
-                                           num_sequences=num_sequences,
-                                           burst_size=4, clustered=True)
-    print(multiple.summary())
-    print("paper result: none corrected (bursts defeat Hamming), but all "
-          "accurately detected and reported")
+    main_scheduled(num_sequences, num_workers)
 
 
 if __name__ == "__main__":

@@ -17,7 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro import ProtectedDesign, SyncFIFO
+from repro import SyncFIFO
 from repro.analysis import paper_data
 from repro.analysis.correction_capability import fig10_curves
 from repro.analysis.tables import (
@@ -32,10 +32,9 @@ from repro.analysis.tradeoff import (
     table3_hamming_family,
 )
 from repro.validation.campaign import (
-    run_multiple_error_campaign,
-    run_single_error_campaign,
+    run_sharded_multiple_error_campaign,
+    run_sharded_single_error_campaign,
 )
-from repro.validation.testbench import FIFOTestbench
 
 
 def _fig9_text(series) -> str:
@@ -61,13 +60,12 @@ def build_report(sequences: int, fig10_sequences: int) -> str:
     fig9 = fig9_series(circuit=fifo)
     fig10 = fig10_curves(sequences=fig10_sequences, seed=20100310)
 
-    design = ProtectedDesign(SyncFIFO(32, 32, name="fifo_a"),
-                             codes=["hamming(7,4)", "crc16"], num_chains=80)
-    testbench = FIFOTestbench(design, seed=20100308, words_per_sequence=16)
-    single = run_single_error_campaign(testbench, num_sequences=sequences)
-    multiple = run_multiple_error_campaign(testbench,
-                                           num_sequences=sequences,
-                                           burst_size=4, clustered=True)
+    # FIFO_A: the paper's 32x32 FIFO in 80 chains, Hamming(7,4) + CRC-16.
+    bench = dict(width=32, depth=32, num_chains=80, words_per_sequence=16,
+                 seed=20100308)
+    single = run_sharded_single_error_campaign(sequences, **bench)
+    multiple = run_sharded_multiple_error_campaign(
+        sequences, burst_size=4, clustered=True, **bench)
 
     sections = []
     sections.append(

@@ -42,9 +42,9 @@ one layer per concern so each can evolve (and be swapped) alone:
   task lives with its driver in
   :mod:`repro.analysis.correction_capability`).
 
-The legacy entry points (`repro.validation.campaign`,
-`repro.analysis.correction_capability`) remain available as thin
-wrappers over this subsystem.
+The paper-facing drivers (`repro.validation.campaign`,
+`repro.analysis.correction_capability`) run every campaign through
+this subsystem.
 """
 
 from repro.campaigns.stats import (

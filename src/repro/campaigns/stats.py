@@ -1,15 +1,15 @@
 """Streaming, mergeable campaign statistics.
 
 The paper's FPGA campaigns run 10^8 test sequences; the "Counter" block
-of Fig. 8 keeps *counts*, not a log of every sequence.  The original
-software bookkeeping (:mod:`repro.faults.campaign`) instead appended an
-:class:`InjectionRecord` per sequence, so campaign memory grew linearly
-with the sequence count.  This module provides the counter-based
-replacement:
+of Fig. 8 keeps *counts*, not a log of every sequence.  This module
+holds those counters, so campaign memory does not grow with the
+sequence count:
 
+* :class:`InjectionRecord` -- one sequence's injected / detected /
+  corrected counts;
 * :class:`StreamingCampaignStats` -- the injected / detected /
-  corrected / silent-corruption counters with the exact rate and
-  summary API of the old record-list ``CampaignStats``, in O(1) memory;
+  corrected / silent-corruption counters with their rates and summary,
+  in O(1) memory;
 * :class:`StreamingCampaignResult` -- the validation-campaign wrapper
   with the Fig. 8 test-bench counters (errors reported by FIFO_A,
   comparator mismatches, inconsistent sequences);
@@ -93,13 +93,11 @@ def injection_record_from_sequence(result: Any) -> InjectionRecord:
 class StreamingCampaignStats:
     """Counter-based campaign statistics (O(1) memory, mergeable).
 
-    Exposes the same names as the historical record-list
-    ``CampaignStats`` -- ``num_sequences``, ``total_injected``,
-    ``sequences_with_errors``, ``detected_sequences``,
-    ``corrected_sequences``, ``silent_corruptions``,
-    ``intact_sequences``, the three rate methods and ``summary()`` --
-    but every one of them is a plain integer counter updated by
-    :meth:`add`, so a 10^8-sequence campaign costs the same resident
+    ``num_sequences``, ``total_injected``, ``sequences_with_errors``,
+    ``detected_sequences``, ``corrected_sequences``,
+    ``silent_corruptions`` and ``intact_sequences`` are plain integer
+    counters updated by :meth:`add`, read by the three rate methods and
+    ``summary()``, so a 10^8-sequence campaign costs the same resident
     memory as a 10-sequence one.
     """
 
@@ -231,10 +229,8 @@ class StreamingCampaignResult:
     Wraps :class:`StreamingCampaignStats` with the test-bench-specific
     counters of the paper's Fig. 8 ("Counter" block): errors reported
     by FIFO_A, mismatches reported by the comparator, and sequences
-    where the two views disagree.  Unlike the legacy
-    :class:`~repro.validation.campaign.CampaignResult` it does not keep
-    the per-sequence records, so it is the result type the sharded
-    runner streams and merges.
+    where the two views disagree.  It keeps no per-sequence records,
+    so it is the result type the sharded runner streams and merges.
     """
 
     stats: StreamingCampaignStats = field(
@@ -302,8 +298,7 @@ class StreamingCampaignResult:
             inconsistent_sequences=int(payload["inconsistent_sequences"]))
 
     def summary(self) -> str:
-        """Human-readable campaign summary (same layout as the legacy
-        ``CampaignResult.summary``)."""
+        """Human-readable campaign summary."""
         lines = [
             self.stats.summary(),
             f"errors reported by DUT   : {self.errors_reported_by_dut}",

@@ -14,9 +14,11 @@ Implements the paper's validation machinery (Section IV):
   form (:class:`~repro.faults.batch.PatternBatch`, one flip per array
   entry) and its resolvers into the engines' word masks, coordinates
   and CSR slices, plus the vectorised pattern sampler of the campaign
-  summary path; it requires numpy, so it is not imported here;
-* :mod:`repro.faults.campaign` -- bookkeeping of injected / detected /
-  corrected counts across a campaign.
+  summary path; it requires numpy, so it is not imported here.
+
+:class:`InjectionRecord`, one sequence's injected / detected /
+corrected counts, is re-exported from :mod:`repro.campaigns.stats`,
+whose streaming counters aggregate a campaign.
 """
 
 from repro.faults.lfsr import LFSR, GaloisLFSR, DEFAULT_TAPS
@@ -29,7 +31,7 @@ from repro.faults.patterns import (
     random_pattern,
 )
 from repro.faults.droop import DroopFaultInjector
-from repro.faults.campaign import CampaignStats, InjectionRecord
+from repro.campaigns.stats import InjectionRecord
 
 __all__ = [
     "LFSR",
@@ -43,6 +45,5 @@ __all__ = [
     "burst_error_pattern",
     "random_pattern",
     "DroopFaultInjector",
-    "CampaignStats",
     "InjectionRecord",
 ]

@@ -12,17 +12,14 @@ bench in software:
   (reset, write, sleep, wake, read/compare) around a
   :class:`~repro.core.protected.ProtectedDesign`;
 * :mod:`repro.validation.campaign` -- the single-error and
-  multiple-error campaigns of Section IV.
+  multiple-error campaigns of Section IV, run as
+  :mod:`repro.campaigns` jobs.
 """
 
 from repro.validation.stimulus import StimulusGenerator
 from repro.validation.comparator import Comparator, ComparisonResult
 from repro.validation.testbench import FIFOTestbench, TestSequenceResult
 from repro.validation.campaign import (
-    ValidationCampaign,
-    CampaignResult,
-    run_single_error_campaign,
-    run_multiple_error_campaign,
     run_sharded_campaign,
     run_sharded_single_error_campaign,
     run_sharded_multiple_error_campaign,
@@ -34,10 +31,6 @@ __all__ = [
     "ComparisonResult",
     "FIFOTestbench",
     "TestSequenceResult",
-    "ValidationCampaign",
-    "CampaignResult",
-    "run_single_error_campaign",
-    "run_multiple_error_campaign",
     "run_sharded_campaign",
     "run_sharded_single_error_campaign",
     "run_sharded_multiple_error_campaign",

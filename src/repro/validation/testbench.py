@@ -11,8 +11,8 @@ protected FIFO (FIFO_A) and an error-free reference FIFO (FIFO_B):
 5. read both FIFOs and compare the outputs.
 
 The event counter of Fig. 8 is represented by the returned
-:class:`TestSequenceResult` records and the aggregation performed by
-:mod:`repro.validation.campaign`.
+:class:`TestSequenceResult` records and their aggregation in
+:class:`~repro.campaigns.stats.StreamingCampaignResult`.
 
 Batched runs load the FIFO once and simulate every sequence of the
 batch as a virtual copy of that state, with stage 5 replaced by a
@@ -209,13 +209,6 @@ class FIFOTestbench:
         comparison = self.comparator.compare(self.dut, self.reference)
         return TestSequenceResult(cycle=cycle, comparison=comparison,
                                   words_written=len(words))
-
-    def run_sequences(self, injections: Sequence[Optional[ErrorPattern]],
-                      inject_phase: str = "sleep"
-                      ) -> Sequence[TestSequenceResult]:
-        """Run one sequence per entry of ``injections``."""
-        return [self.run_sequence(injection, inject_phase)
-                for injection in injections]
 
     def run_sequence_batch(self,
                            injections: Sequence[Optional[ErrorPattern]],

@@ -10,7 +10,6 @@ from repro.campaigns.stats import (
     StreamingCampaignStats,
     injection_record_from_sequence,
 )
-from repro.faults.campaign import CampaignStats
 
 
 def random_records(count, seed):
@@ -111,14 +110,18 @@ class TestStreamingCampaignStats:
                       "silent corruptions"):
             assert label in summary
 
-    def test_faults_campaign_alias_is_streaming(self):
-        """repro.faults.campaign.CampaignStats is the streaming type."""
-        stats = CampaignStats()
-        assert isinstance(stats, StreamingCampaignStats)
-        stats.add(InjectionRecord(injected=2, detected=True, corrected=False,
-                                  state_intact=False, residual_errors=2))
-        assert stats.num_sequences == 1
-        assert not hasattr(stats, "records")
+    def test_faults_package_reexports_the_streaming_record(self):
+        """repro.faults exports the record the streaming counters take,
+        and no second statistics type beside them."""
+        import pkgutil
+
+        import repro.faults
+        assert repro.faults.InjectionRecord is InjectionRecord
+        assert [name for name in repro.faults.__all__
+                if name.endswith("Stats")] == []
+        assert "campaign" not in {
+            module.name for module in pkgutil.iter_modules(
+                repro.faults.__path__)}
 
 
 class FakeCycle:

@@ -99,23 +99,55 @@ class TestThirdPartyRegistration:
 
     def test_registered_engine_accepted_by_campaign_drivers(self):
         from repro.campaigns.tasks import FIFOValidationCampaignTask
-        from repro.validation.campaign import ValidationCampaign
-        from repro.validation.testbench import FIFOTestbench
-        from repro.circuit.fifo import SyncFIFO
+        from repro.validation.campaign import run_sharded_campaign
 
-        register_engine("recording", lambda design: RecordingEngine())
+        built = []
+
+        def factory(design):
+            built.append(RecordingEngine())
+            return built[-1]
+
+        register_engine("recording", factory)
         try:
             task = FIFOValidationCampaignTask(
-                width=4, depth=4, num_chains=4, engine="recording")
+                width=4, depth=4, codes=("hamming(7,4)",), num_chains=4,
+                pattern="none", engine="recording", words_per_sequence=2)
             assert task.engine == "recording"
-            fifo = SyncFIFO(4, 4, name="fifo4x4")
-            design = ProtectedDesign(fifo, codes=["hamming(7,4)"],
-                                     num_chains=4)
-            bench = FIFOTestbench(design, words_per_sequence=2, seed=1)
-            campaign = ValidationCampaign(bench, lambda rng: None,
-                                          engine="recording")
-            result = campaign.run(2)
+            result = run_sharded_campaign(task, 2, seed=1)
             assert result.stats.num_sequences == 2
+            # The chunk's sequences ran on the registered engine.
+            assert [engine.calls for engine in built] == [
+                ["encode", "decode"] * 2]
+        finally:
+            unregister_engine("recording")
+
+    def test_campaign_engine_is_scoped_to_its_task(self):
+        """One scheduler serving a ``"recording"`` task and then a
+        default-engine task of the same geometry: the second task's
+        sequences never reach the first task's engine."""
+        from repro.campaigns.scheduler import CampaignScheduler
+        from repro.campaigns.tasks import FIFOValidationCampaignTask
+
+        built = []
+
+        def factory(design):
+            built.append(RecordingEngine())
+            return built[-1]
+
+        geometry = dict(width=4, depth=4, codes=("hamming(7,4)",),
+                        num_chains=4, pattern="none", words_per_sequence=2)
+        register_engine("recording", factory)
+        try:
+            with CampaignScheduler() as scheduler:
+                recorded = scheduler.submit(FIFOValidationCampaignTask(
+                    engine="recording", **geometry), 2, seed=1)
+                default = scheduler.submit(
+                    FIFOValidationCampaignTask(**geometry), 2, seed=1)
+                scheduler.run()
+            assert recorded.result.stats.num_sequences == 2
+            assert default.result.stats.num_sequences == 2
+            assert [engine.calls for engine in built] == [
+                ["encode", "decode"] * 2]
         finally:
             unregister_engine("recording")
 

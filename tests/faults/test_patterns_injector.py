@@ -4,10 +4,10 @@ import random
 
 import pytest
 
+from repro.campaigns.stats import InjectionRecord, StreamingCampaignStats
 from repro.circuit.flipflop import ScanFlipFlop
 from repro.circuit.generators import make_random_state_circuit
 from repro.circuit.scan import ScanChain, insert_scan_chains
-from repro.faults.campaign import CampaignStats, InjectionRecord
 from repro.faults.droop import DroopFaultInjector
 from repro.faults.injector import ScanErrorInjector
 from repro.faults.patterns import (
@@ -280,7 +280,7 @@ class TestDroopFaultInjector:
 
 class TestCampaignStats:
     def test_aggregation(self):
-        stats = CampaignStats()
+        stats = StreamingCampaignStats()
         stats.add(InjectionRecord(injected=1, detected=True, corrected=True,
                                   state_intact=True))
         stats.add(InjectionRecord(injected=3, detected=True, corrected=False,
@@ -300,12 +300,12 @@ class TestCampaignStats:
         record = InjectionRecord(injected=2, detected=False, corrected=False,
                                  state_intact=False, residual_errors=2)
         assert record.silent_corruption
-        stats = CampaignStats()
+        stats = StreamingCampaignStats()
         stats.add(record)
         assert stats.silent_corruptions == 1
 
     def test_empty_campaign_rates(self):
-        stats = CampaignStats()
+        stats = StreamingCampaignStats()
         assert stats.detection_rate() == 1.0
         assert stats.correction_rate() == 1.0
         assert stats.bit_correction_rate() == 1.0

@@ -19,10 +19,9 @@ from repro.analysis import paper_data
 from repro.core.controller import ErrorCode
 from repro.faults.patterns import burst_error_pattern, single_error_pattern
 from repro.validation.campaign import (
-    run_multiple_error_campaign,
-    run_single_error_campaign,
+    run_sharded_multiple_error_campaign,
+    run_sharded_single_error_campaign,
 )
-from repro.validation.testbench import FIFOTestbench
 
 
 @pytest.fixture(scope="module")
@@ -77,18 +76,15 @@ class TestSmallScaleFPGACampaign:
     """A scaled-down version of the paper's 10^8-sequence campaign."""
 
     def test_campaigns_reproduce_section4_headlines(self):
-        fifo = SyncFIFO(16, 16, name="fifo16x16")
-        design = ProtectedDesign(fifo, codes=["hamming(7,4)", "crc16"],
-                                 num_chains=16)
-        testbench = FIFOTestbench(design, seed=77)
-        single = run_single_error_campaign(testbench, num_sequences=25)
+        bench = dict(width=16, depth=16, num_chains=16, seed=77)
+        single = run_sharded_single_error_campaign(25, **bench)
         assert single.stats.detection_rate() == pytest.approx(
             paper_data.VALIDATION_SUMMARY["single_error"]["detection_rate"])
         assert single.stats.correction_rate() == pytest.approx(
             paper_data.VALIDATION_SUMMARY["single_error"]["correction_rate"])
 
-        multiple = run_multiple_error_campaign(testbench, num_sequences=25,
-                                               burst_size=4)
+        multiple = run_sharded_multiple_error_campaign(25, burst_size=4,
+                                                       **bench)
         assert multiple.stats.detection_rate() == pytest.approx(
             paper_data.VALIDATION_SUMMARY["multiple_error"]["detection_rate"])
         assert multiple.stats.silent_corruptions == 0

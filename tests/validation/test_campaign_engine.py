@@ -1,59 +1,34 @@
 """Engine selection on the campaign drivers (packed vs reference)."""
 
+import pytest
+
 from repro.analysis.correction_capability import correction_capability_curve
-from repro.circuit.fifo import SyncFIFO
 from repro.codes.hamming import HammingCode
-from repro.core.protected import ProtectedDesign
 from repro.validation.campaign import (
-    run_multiple_error_campaign,
-    run_single_error_campaign,
+    run_sharded_multiple_error_campaign,
+    run_sharded_single_error_campaign,
 )
-from repro.validation.testbench import FIFOTestbench
 
-
-def _testbench(engine="reference"):
-    fifo = SyncFIFO(4, 4, name="fifo4x4")
-    design = ProtectedDesign(fifo, codes=["hamming(7,4)", "crc16"],
-                             num_chains=4, engine=engine)
-    return FIFOTestbench(design, words_per_sequence=2, seed=77)
+GEOMETRY = dict(width=4, depth=4, num_chains=4, words_per_sequence=2)
 
 
 class TestValidationCampaignEngine:
-    def test_engine_override_is_scoped_to_the_run(self):
-        testbench = _testbench("reference")
-        run_single_error_campaign(testbench, num_sequences=2, engine="packed")
-        # The override applies while the campaign runs, then the
-        # design's own engine setting is restored.
-        assert testbench.dut_design.engine == "reference"
-
-    def test_engine_override_validated_eagerly(self):
-        from repro.validation.campaign import ValidationCampaign
-        testbench = _testbench("reference")
-        try:
-            ValidationCampaign(testbench, lambda rng: None, engine="fpga")
-        except ValueError as err:
-            assert "fpga" in str(err)
-        else:  # pragma: no cover
-            raise AssertionError("expected ValueError")
+    @pytest.mark.parametrize("front_door", [
+        run_sharded_single_error_campaign,
+        run_sharded_multiple_error_campaign,
+    ])
+    def test_unknown_engine_fails_before_any_chunk_runs(self, front_door):
+        with pytest.raises(ValueError, match="fpga"):
+            front_door(2, engine="fpga", **GEOMETRY)
 
     def test_campaign_statistics_match_across_engines(self):
         results = {}
         for engine in ("reference", "packed"):
-            testbench = _testbench()
-            single = run_single_error_campaign(
-                testbench, num_sequences=6, seed=123, engine=engine)
-            multi = run_multiple_error_campaign(
-                testbench, num_sequences=6, burst_size=3, seed=321,
-                engine=engine)
-            results[engine] = (
-                single.stats.num_sequences, single.stats.detected_sequences,
-                single.stats.corrected_sequences,
-                single.errors_reported_by_dut,
-                single.mismatches_reported_by_comparator,
-                multi.stats.detected_sequences,
-                multi.stats.corrected_sequences,
-                multi.stats.silent_corruptions,
-                multi.mismatches_reported_by_comparator)
+            single = run_sharded_single_error_campaign(
+                6, seed=123, engine=engine, **GEOMETRY)
+            multi = run_sharded_multiple_error_campaign(
+                6, burst_size=3, seed=321, engine=engine, **GEOMETRY)
+            results[engine] = (single.to_dict(), multi.to_dict())
         assert results["packed"] == results["reference"]
 
 

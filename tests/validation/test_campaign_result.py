@@ -1,8 +1,8 @@
 """Regression tests for campaign-result bookkeeping (corrected counts)."""
 
+from repro.campaigns.stats import StreamingCampaignResult
 from repro.core.controller import ErrorCode
 from repro.core.protected import CycleOutcome
-from repro.validation.campaign import CampaignResult
 from repro.validation.comparator import ComparisonResult
 from repro.validation.testbench import TestSequenceResult as SequenceResult
 
@@ -27,7 +27,7 @@ def make_sequence(injected, detected, state_intact, residual=None,
 
 class TestCorrectedCounting:
     def test_detected_and_repaired_sequence_counts_as_corrected(self):
-        result = CampaignResult()
+        result = StreamingCampaignResult()
         result.add(make_sequence(injected=1, detected=True, state_intact=True,
                                  error_code=ErrorCode.CORRECTED))
         assert result.stats.corrected_sequences == 1
@@ -41,7 +41,7 @@ class TestCorrectedCounting:
         old bookkeeping used ``injected > 0 and state_intact`` and
         reported a 100 % correction rate for a campaign the monitor
         slept through."""
-        result = CampaignResult()
+        result = StreamingCampaignResult()
         result.add(make_sequence(injected=1, detected=False,
                                  state_intact=True))
         assert result.stats.corrected_sequences == 0
@@ -51,7 +51,7 @@ class TestCorrectedCounting:
         assert result.stats.detection_rate() == 0.0
 
     def test_detected_but_unrepaired_sequence_is_not_corrected(self):
-        result = CampaignResult()
+        result = StreamingCampaignResult()
         result.add(make_sequence(injected=4, detected=True,
                                  state_intact=False,
                                  error_code=ErrorCode.UNCORRECTABLE,
@@ -60,7 +60,7 @@ class TestCorrectedCounting:
         assert result.stats.detection_rate() == 1.0
 
     def test_clean_sequence_is_neither_corrected_nor_with_errors(self):
-        result = CampaignResult()
+        result = StreamingCampaignResult()
         result.add(make_sequence(injected=0, detected=False,
                                  state_intact=True))
         assert result.stats.corrected_sequences == 0
@@ -69,7 +69,7 @@ class TestCorrectedCounting:
 
 class TestFig8CountersStayConsistentWithLog:
     def test_counters_match_the_sequence_log(self):
-        result = CampaignResult()
+        result = StreamingCampaignResult()
         sequences = [
             make_sequence(1, True, True, error_code=ErrorCode.CORRECTED),
             make_sequence(3, True, False,
@@ -79,11 +79,11 @@ class TestFig8CountersStayConsistentWithLog:
         ]
         for sequence in sequences:
             result.add(sequence)
-        # The streaming counters agree with recounting the retained log.
-        assert len(result.sequences) == 3
+        # The streaming counters agree with recounting the added log.
+        assert result.stats.num_sequences == len(sequences)
         assert result.errors_reported_by_dut == sum(
-            1 for s in result.sequences if s.error_reported)
+            1 for s in sequences if s.error_reported)
         assert result.mismatches_reported_by_comparator == sum(
-            1 for s in result.sequences if s.mismatch_reported)
+            1 for s in sequences if s.mismatch_reported)
         assert result.inconsistent_sequences == sum(
-            1 for s in result.sequences if not s.outcome_consistent)
+            1 for s in sequences if not s.outcome_consistent)

@@ -7,8 +7,8 @@ from repro.circuit.generators import make_counter
 from repro.core.protected import ProtectedDesign
 from repro.faults.patterns import ErrorPattern
 from repro.validation.campaign import (
-    run_multiple_error_campaign,
-    run_single_error_campaign,
+    run_sharded_multiple_error_campaign,
+    run_sharded_single_error_campaign,
 )
 from repro.validation.comparator import Comparator
 from repro.validation.stimulus import StimulusGenerator
@@ -141,11 +141,13 @@ class TestFIFOTestbench:
 
 
 class TestCampaigns:
+    # The geometry and seed of ``_make_testbench``.
+    BENCH = dict(width=8, depth=8, num_chains=10, seed=2010)
+
     def test_single_error_campaign_matches_paper_claims(self):
         # Paper Section IV, first experiment: every single error is
         # detected and corrected; FIFO_A and FIFO_B never mismatch.
-        testbench = _make_testbench()
-        result = run_single_error_campaign(testbench, num_sequences=30)
+        result = run_sharded_single_error_campaign(30, **self.BENCH)
         assert result.stats.num_sequences == 30
         assert result.stats.detection_rate() == 1.0
         assert result.stats.correction_rate() == 1.0
@@ -155,32 +157,29 @@ class TestCampaigns:
     def test_multiple_error_campaign_detects_everything(self):
         # Paper Section IV, second experiment: clustered bursts are not
         # corrected but always detected.
-        testbench = _make_testbench()
-        result = run_multiple_error_campaign(testbench, num_sequences=30,
-                                             burst_size=4)
+        result = run_sharded_multiple_error_campaign(30, burst_size=4,
+                                                     **self.BENCH)
         assert result.stats.detection_rate() == 1.0
         assert result.stats.correction_rate() < 1.0
         assert result.stats.silent_corruptions == 0
         assert result.inconsistent_sequences == 0
 
     def test_campaign_summary_text(self):
-        testbench = _make_testbench()
-        result = run_single_error_campaign(testbench, num_sequences=5)
+        result = run_sharded_single_error_campaign(5, **self.BENCH)
         summary = result.summary()
         assert "detection rate" in summary
         assert "comparator mismatches" in summary
 
     def test_campaign_requires_positive_sequences(self):
-        testbench = _make_testbench()
         with pytest.raises(ValueError):
-            run_single_error_campaign(testbench, num_sequences=0)
+            run_sharded_single_error_campaign(0, **self.BENCH)
 
     def test_spread_multi_errors_often_corrected(self):
         # With clustered=False the errors are spread uniformly and a
         # Hamming(7,4) monitor corrects most of them (cf. Fig. 10).
-        testbench = _make_testbench(width=16, depth=16, num_chains=16)
-        result = run_multiple_error_campaign(testbench, num_sequences=20,
-                                             burst_size=2, clustered=False)
+        result = run_sharded_multiple_error_campaign(
+            20, burst_size=2, clustered=False,
+            **dict(self.BENCH, width=16, depth=16, num_chains=16))
         assert result.stats.detection_rate() == 1.0
         assert result.stats.correction_rate() > 0.5
 
