@@ -26,6 +26,7 @@ from repro.analysis.correction_capability import (
     CorrectionCapabilityTask,
     correction_capability_curve,
     analytic_correction_probability,
+    analytic_full_correction_probability,
     fig10_curves,
 )
 from repro.analysis import paper_data
@@ -60,6 +61,7 @@ __all__ = [
     "CorrectionCapabilityTask",
     "correction_capability_curve",
     "analytic_correction_probability",
+    "analytic_full_correction_probability",
     "fig10_curves",
     "paper_data",
     "format_measured_vs_paper",

@@ -13,8 +13,8 @@ Hamming(63,57) degrades much faster than Hamming(7,4) as the error
 count grows.
 
 Both a Monte-Carlo campaign (matching the paper's methodology) and the
-closed-form expectation are provided; the property-based tests check
-they agree.
+exact expectation (short last codeword included) are provided; the
+tests check they agree.
 """
 
 from __future__ import annotations
@@ -66,31 +66,56 @@ class CorrectionCapabilityResult:
 
 def analytic_correction_probability(code: HammingCode, num_bits: int,
                                     num_errors: int) -> float:
-    """Expected fraction of corrected errors, in closed form.
+    """Expected fraction of corrected errors, exactly.
 
-    With the ``num_bits`` state carved into codewords of ``n`` bits, an
-    error is corrected exactly when none of the other ``num_errors - 1``
-    errors falls into its codeword.  For errors placed uniformly at
-    random without replacement this probability is
+    The ``num_bits`` state is carved into consecutive ``n``-bit
+    codewords, the last one short when ``n`` does not divide it (1 000
+    bits leave 6, 10, 8 and 55 for the paper codes).  An error is
+    corrected exactly when none of the other ``k - 1 = num_errors - 1``
+    errors, placed uniformly without replacement, falls into its
+    codeword.  Over the codeword sizes ``s_w`` and ``N = num_bits``:
 
-    ``prod_{i=1..m-1} (num_bits - n - i + 1) / (num_bits - i)``
+    ``sum_w (s_w / N) * C(N - s_w, k - 1) / C(N - 1, k - 1)``
 
-    with ``m = num_errors`` and ``n`` the codeword length (capped at the
-    sequence size).
+    computed in integers and rounded once.  With whole codewords only
+    it equals ``prod_{i=1..k-1} (N - n - i + 1) / (N - i)``.
     """
+    whole, last = _codeword_split(code, num_bits, num_errors)
     if num_errors <= 0:
         return 1.0
+    k, n = num_errors, code.n
+    corrected = last * math.comb(num_bits - last, k - 1)
+    if whole:
+        corrected += whole * n * math.comb(num_bits - n, k - 1)
+    return corrected / (num_bits * math.comb(num_bits - 1, k - 1))
+
+
+def analytic_full_correction_probability(code: HammingCode, num_bits: int,
+                                         num_errors: int) -> float:
+    """Probability that every injected error is corrected, exactly: the
+    ``num_errors`` errors land in ``num_errors`` distinct codewords.
+    The favourable placements are the ``x^k`` coefficient of
+    ``prod_w (1 + s_w x)`` over the codeword sizes (see
+    :func:`analytic_correction_probability`), out of ``C(N, k)``."""
+    whole, last = _codeword_split(code, num_bits, num_errors)
+    if num_errors <= 0:
+        return 1.0
+    k, n = num_errors, code.n
+    placements = (math.comb(whole, k) * n ** k
+                  + last * math.comb(whole, k - 1) * n ** (k - 1))
+    return placements / math.comb(num_bits, k)
+
+
+def _codeword_split(code: HammingCode, num_bits: int,
+                    num_errors: int) -> Tuple[int, int]:
+    """The whole codewords of ``num_bits`` and the short last one's
+    size (0 if none), after checking the errors fit."""
     if num_bits <= 0:
         raise ValueError("the sequence must contain at least one bit")
-    n = min(code.n, num_bits)
-    probability = 1.0
-    for i in range(1, num_errors):
-        remaining_outside = num_bits - n - (i - 1)
-        remaining_total = num_bits - i
-        if remaining_total <= 0 or remaining_outside <= 0:
-            return 0.0
-        probability *= remaining_outside / remaining_total
-    return probability
+    if num_errors > num_bits:
+        raise ValueError(
+            f"cannot place {num_errors} errors in {num_bits} bits")
+    return divmod(num_bits, code.n)
 
 
 def _simulate_sequence(code: HammingCode, num_bits: int, num_errors: int,
@@ -485,6 +510,7 @@ __all__ = [
     "CorrectionCounters",
     "SEQUENCE_ENGINES",
     "analytic_correction_probability",
+    "analytic_full_correction_probability",
     "correction_capability_curve",
     "fig10_curves",
 ]

@@ -635,7 +635,11 @@ class ProtectedDesign:
         from the design's current state; the test bench passes the
         snapshot of its loaded FIFO without loading the flops at all
         (:meth:`~repro.validation.testbench.FIFOTestbench.\
-run_sequence_batch_summary`).
+run_sequence_batch_summary`).  ``states`` may be any sequence of the
+        chains' integers, including the test bench's lazy one, which
+        computes its elements on first read: this method only hands it
+        on, and the engine reads its elements only when its pass needs
+        the baseline state.
 
         The controller and power domain cycle **once** for the batch,
         the per-sequence verdicts are computed virtually and the

@@ -847,11 +847,19 @@ class SimdBatchedEngine(SimulationEngine):
         strictly increasing (at most one flip each, whatever the
         cells): a flip on an unknown cell needs no gating, because
         that cell's table row already holds the zero-flip verdicts (the
-        table's own pass dropped the flip).  Other batches -- caller
-        built, unsorted or with repeats -- are resolved through
+        table's own pass dropped the flip).  A batch marked
+        :attr:`~repro.faults.batch.PatternBatch.one_per_sequence` (the
+        single-error sampler's) carries that proof, so its ``seqs``
+        are not scanned; an unmarked batch's are.  Other batches --
+        caller built, unsorted or with repeats -- are resolved through
         :func:`~repro.faults.batch.pattern_batch_coords` first, and that
         resolution is handed on to the dense pass when a sequence
         turns out to have two effective flips.
+
+        A table-path batch never reads the elements of ``states``: the
+        table depends only on the knowns (see :meth:`_single_flip_table`),
+        so a lazily computed ``states`` sequence (the test bench's) is
+        computed only by a table build or the dense pass.
         """
         if batch_size < 1:
             raise ValueError("batch size must be >= 1")
@@ -864,7 +872,7 @@ class SimdBatchedEngine(SimulationEngine):
             from repro.faults.batch import _increasing, pattern_batch_coords
 
             seqs = flips.seqs
-            if _increasing(seqs):
+            if flips.one_per_sequence or _increasing(seqs):
                 cells = flips.cells
             else:
                 coords = pattern_batch_coords(flips, known_bits, batch_size)

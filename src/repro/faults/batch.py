@@ -90,10 +90,18 @@ class PatternBatch:
     summary pass or the per-sequence object path produces bit-identical
     statistics (property-tested in
     ``tests/campaigns/test_summary_path.py``).
+
+    :attr:`one_per_sequence` marks a batch whose ``seqs`` are exactly
+    ``0 .. batch_size - 1``, one flip per sequence in sequence order.
+    Only :meth:`from_cells` sets it, on request of the single-error
+    sampler, which builds those ``seqs`` itself (read-only); readers
+    may then skip re-proving it.  Every other batch is unmarked, even
+    one with identical arrays.
     """
 
     __slots__ = ("num_chains", "chain_length", "batch_size", "kind",
-                 "seqs", "_cells", "_chains", "_positions", "_split")
+                 "seqs", "_cells", "_chains", "_positions", "_split",
+                 "_one_per_sequence")
 
     def __init__(self, num_chains: int, chain_length: int, batch_size: int,
                  kind: str, seqs, chains, positions):
@@ -109,15 +117,24 @@ class PatternBatch:
         self._cells = None
         #: Built from split coordinates: validate checks them as such.
         self._split = True
+        self._one_per_sequence = False
 
     @classmethod
     def from_cells(cls, num_chains: int, chain_length: int,
-                   batch_size: int, kind: str, seqs,
-                   cells) -> "PatternBatch":
+                   batch_size: int, kind: str, seqs, cells, *,
+                   one_per_sequence: bool = False) -> "PatternBatch":
         """The batch flipping flat cell ``cells[f]`` in sequence
-        ``seqs[f]`` -- the sampler's form; no coordinate is split."""
+        ``seqs[f]`` -- the sampler's form; no coordinate is split.
+
+        ``one_per_sequence=True`` asserts that ``seqs`` is ``0 ..
+        batch_size - 1`` (see :attr:`one_per_sequence`); only its
+        length is checked, so the caller must have built it so."""
         if len(seqs) != len(cells):
             raise ValueError("coordinate arrays must have equal lengths")
+        if one_per_sequence and len(seqs) != batch_size:
+            raise ValueError(
+                f"a one-flip-per-sequence batch of {batch_size} sequences "
+                f"needs {batch_size} flips, not {len(seqs)}")
         batch = cls.__new__(cls)
         batch.num_chains = num_chains
         batch.chain_length = chain_length
@@ -127,6 +144,7 @@ class PatternBatch:
         batch._cells = cells
         batch._chains = batch._positions = None
         batch._split = False
+        batch._one_per_sequence = one_per_sequence
         return batch
 
     @property
@@ -153,6 +171,13 @@ class PatternBatch:
         if self._positions is None:
             self._positions = _read_only(self._cells % self.chain_length)
         return self._positions
+
+    @property
+    def one_per_sequence(self) -> bool:
+        """Whether ``seqs`` is ``0 .. batch_size - 1`` by construction:
+        one flip per sequence, in sequence order (read-only; set only
+        through :meth:`from_cells`)."""
+        return self._one_per_sequence
 
     @property
     def num_flips(self) -> int:
@@ -194,8 +219,10 @@ class PatternBatch:
         scatters.  A flat-cell batch checks ``cells`` against
         ``num_chains x chain_length``; a batch built from split
         coordinates checks ``chains`` and ``positions`` separately,
-        which bounds its cells too.  The batch entry points call this
-        before the controller leaves ACTIVE.
+        which bounds its cells too.  The ``seqs`` of a
+        :attr:`one_per_sequence` batch are in range by construction and
+        are not scanned.  The batch entry points call this before the
+        controller leaves ACTIVE.
         """
         if (self.num_chains, self.chain_length) != (num_chains,
                                                     chain_length):
@@ -218,7 +245,8 @@ class PatternBatch:
             raise ValueError(
                 f"pattern batch addresses cells outside the "
                 f"{num_chains}x{chain_length} scan array")
-        if not _in_range(self.seqs, batch_size):
+        if not self._one_per_sequence and not _in_range(self.seqs,
+                                                         batch_size):
             raise ValueError(
                 f"pattern batch addresses sequences outside the "
                 f"{batch_size}-sequence batch")
@@ -589,7 +617,8 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
     flip-for-flip identical to the scalar ``random.Random`` factories
     (the two modes are statistically equivalent samplings).  The batch
     is built from flat cells (:meth:`PatternBatch.from_cells`), strictly
-    increasing in (sequence, cell).
+    increasing in (sequence, cell); a "single" batch is marked
+    :attr:`~PatternBatch.one_per_sequence`.
     """
     if num_chains <= 0 or chain_length <= 0:
         raise ValueError("chain geometry must be positive")
@@ -604,7 +633,8 @@ def sample_pattern_batch(kind: str, num_chains: int, chain_length: int,
         cells = rng.integers(0, total, size=batch_size, dtype=np.int64)
         return PatternBatch.from_cells(
             num_chains, chain_length, batch_size, "single",
-            np.arange(batch_size, dtype=np.int64), cells)
+            _read_only(np.arange(batch_size, dtype=np.int64)), cells,
+            one_per_sequence=True)
     if num_errors <= 0:
         raise ValueError("number of errors must be positive")
     seqs = np.repeat(np.arange(batch_size, dtype=np.int64), num_errors)

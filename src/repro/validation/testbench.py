@@ -30,6 +30,7 @@ chunk's summary batches in one scope that walks the flops once.
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from typing import (TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional,
                     Sequence, Tuple)
@@ -257,7 +258,11 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         state is built as a packed ``(states, knowns)`` snapshot from
         an image of stages 1--2 (see :meth:`_loaded_snapshot`) and
         handed to the design, so a batch costs no per-flop work.  The
-        DUT's registers keep whatever they held before the call.
+        DUT's registers keep whatever they held before the call.  The
+        stimulus words are drawn every batch, so the stream is the same
+        whichever path the engine takes; the snapshot's states fold
+        them only when the engine reads the states (the dense pass
+        does, the single-flip table path does not).
         """
         # One draw per word, the draw ``burst`` would split into bits.
         draw = self.stimulus.next_int
@@ -298,28 +303,22 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
         1--2 would leave it after resetting and pushing ``words``
         (integers, bit ``i`` the word's data bit ``i``).
 
-        The image holds the all-zero baseline as one integer with chain
-        ``c`` at bits ``c * l`` onwards, and per pushed word one
-        16-entry table per four data bits, whose entry ``v`` is the XOR
-        of the scan cells of the set bits of ``v`` (counted from the
-        word's lowest cell, so the entries stay word-sized).  Each word
-        folds in a nibble at a time, and the result splits into the
-        chains; the scan padding cells, which no stage resets, are read
-        from their flops.
+        ``knowns`` is a list, built here: the image's knowns plus the
+        scan padding cells, which no stage resets and which are read
+        from their flops.  ``states`` is a :class:`_LoadedStates`, a
+        read-only sequence that folds the words into the image (see
+        there) on its first element access or iteration, at most once.
+        Its length needs no fold.  The table path of the simd engine
+        and the fused jit kernel read only the knowns, so on a
+        single-error batch the fold never runs; the dense pass and a
+        single-flip table build iterate the states and fold them.
+        Everything the fold reads -- the words, the image and the
+        padding flops' values -- is captured here, so a later fold is
+        bit-identical to an eager one.
         """
         image = self._stimulus_image()
-        loaded = image.baseline
-        for value, (shift, tables) in zip(words, image.word_tables):
-            word = 0
-            for table in tables:
-                word ^= table[value & 15]
-                value >>= 4
-            loaded ^= word << shift
-        length = image.chain_length
-        full = (1 << length) - 1
-        states = [(loaded >> shift) & full
-                  for shift in range(0, len(image.knowns) * length, length)]
         knowns = image.knowns
+        ones: List[Tuple[int, int]] = []
         if image.padding:
             knowns = list(knowns)
             for flop, chain, mask in image.padding:
@@ -327,8 +326,8 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
                 if value is not None:
                     knowns[chain] |= mask
                     if value:
-                        states[chain] |= mask
-        return states, knowns
+                        ones.append((chain, mask))
+        return _LoadedStates(image, words, ones), knowns
 
     def _stimulus_image(self) -> "_StimulusImage":
         """The stages 1--2 image, built on first use and rebuilt when
@@ -419,6 +418,62 @@ class _StimulusImage:
     word_tables: List[Tuple[int, List[List[int]]]]
     #: ``(flop, chain, mask)`` of every scan padding cell.
     padding: List[Tuple[RetentionFlipFlop, int, int]]
+
+
+class _LoadedStates(abc.Sequence):
+    """The packed per-chain states of a loaded DUT, folded on first
+    read (see :meth:`FIFOTestbench._loaded_snapshot`).
+
+    The image holds the all-zero baseline as one integer with chain
+    ``c`` at bits ``c * l`` onwards, and per pushed word one 16-entry
+    table per four data bits, whose entry ``v`` is the XOR of the scan
+    cells of the set bits of ``v`` (counted from the word's lowest
+    cell, so the entries stay word-sized).  Each word folds in a
+    nibble at a time, the result splits into the chains, and the
+    padding cells captured as ones are set.  The fold reads only the
+    captured ``image``, ``words`` and ``ones``.
+    """
+
+    __slots__ = ("_image", "_words", "_ones", "_states")
+
+    def __init__(self, image: "_StimulusImage", words: Sequence[int],
+                 ones: List[Tuple[int, int]]):
+        self._image = image
+        self._words = words
+        #: ``(chain, mask)`` of every padding cell that held a one.
+        self._ones = ones
+        self._states: Optional[List[int]] = None
+
+    def __len__(self) -> int:
+        return len(self._image.knowns)
+
+    def __getitem__(self, index):
+        return self._fold()[index]
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._fold())
+
+    def _fold(self) -> List[int]:
+        states = self._states
+        if states is None:
+            image = self._image
+            loaded = image.baseline
+            for value, (shift, tables) in zip(self._words,
+                                              image.word_tables):
+                word = 0
+                for table in tables:
+                    word ^= table[value & 15]
+                    value >>= 4
+                loaded ^= word << shift
+            length = image.chain_length
+            full = (1 << length) - 1
+            states = [(loaded >> shift) & full
+                      for shift in range(0, len(image.knowns) * length,
+                                         length)]
+            for chain, mask in self._ones:
+                states[chain] |= mask
+            self._states = states
+        return states
 
 
 __all__ = ["FIFOTestbench", "TestSequenceResult", "BatchSequenceResult"]

@@ -1,10 +1,15 @@
 """Tests for the analysis sweeps (Tables I-III, Fig. 9, Fig. 10)."""
 
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
 from repro.analysis import paper_data
 from repro.analysis.correction_capability import (
     analytic_correction_probability,
+    analytic_full_correction_probability,
     correction_capability_curve,
     fig10_curves,
 )
@@ -19,7 +24,7 @@ from repro.analysis.tradeoff import (
     table3_hamming_family,
 )
 from repro.circuit.generators import make_random_state_circuit
-from repro.codes.hamming import HammingCode
+from repro.codes.hamming import PAPER_HAMMING_CODES, HammingCode
 
 # A small stand-in circuit keeps the sweep tests fast; the full-FIFO
 # sweeps are exercised by the benchmark harness.
@@ -106,19 +111,80 @@ class TestCorrectionCapability:
 
     def test_monte_carlo_matches_analytic_expectation(self):
         code = HammingCode(15, 11)
-        analytic = analytic_correction_probability(code, 1000, 5)
+        sequences = 3000
+        exact = analytic_correction_probability(code, 1000, 5)
+        full = analytic_full_correction_probability(code, 1000, 5)
         curve = correction_capability_curve(code, error_counts=(5,),
-                                            num_bits=1000, sequences=3000,
-                                            seed=4)
-        assert curve[0].corrected_fraction == pytest.approx(analytic,
-                                                            abs=0.03)
+                                            num_bits=1000,
+                                            sequences=sequences, seed=4)
+        # Four standard errors: a per-trial fraction in [0, 1] with mean
+        # p has variance at most p (1 - p); full correction is a
+        # Bernoulli trial.
+        for measured, p in ((curve[0].corrected_fraction, exact),
+                            (curve[0].sequences_fully_corrected / sequences,
+                             full)):
+            bound = 4 * math.sqrt(p * (1 - p) / sequences)
+            assert bound < 0.03
+            assert measured == pytest.approx(p, abs=bound)
 
     def test_analytic_edge_cases(self):
         code = HammingCode(7, 4)
-        assert analytic_correction_probability(code, 1000, 0) == 1.0
-        assert analytic_correction_probability(code, 1000, 1) == 1.0
-        with pytest.raises(ValueError):
-            analytic_correction_probability(code, 0, 1)
+        for exact in (analytic_correction_probability,
+                      analytic_full_correction_probability):
+            assert exact(code, 1000, 0) == 1.0
+            assert exact(code, 1000, 1) == 1.0
+            with pytest.raises(ValueError):
+                exact(code, 0, 1)
+            with pytest.raises(ValueError):
+                exact(code, 3, 4)
+
+    def test_exact_equals_whole_codeword_form_when_n_divides(self):
+        for n, k in PAPER_HAMMING_CODES:
+            code = HammingCode(n, k)
+            for words in (1, 2, 5, 1000 // n):
+                num_bits = n * words
+                for errors in range(1, min(num_bits, 10) + 1):
+                    assert analytic_correction_probability(
+                        code, num_bits, errors) == pytest.approx(
+                            _whole_codeword_form(n, num_bits, errors),
+                            rel=1e-12, abs=1e-15)
+
+    @pytest.mark.parametrize("n,k", PAPER_HAMMING_CODES)
+    def test_exact_equals_enumeration(self, n, k):
+        """Every placement of up to four errors in up to 30 bits,
+        counted: both exact values match, short last codeword and all
+        (including sequences shorter than one codeword)."""
+        code = HammingCode(n, k)
+        for num_bits in range(1, 31):
+            word = [bit // n for bit in range(num_bits)]
+            for errors in range(1, min(num_bits, 4) + 1):
+                corrected = full = total = 0
+                for placement in itertools.combinations(word, errors):
+                    alone = sum(placement.count(w) == 1 for w in placement)
+                    corrected += alone
+                    full += alone == errors
+                    total += 1
+                per_bit = Fraction(corrected, total * errors)
+                assert analytic_correction_probability(
+                    code, num_bits, errors) == float(per_bit)
+                assert analytic_full_correction_probability(
+                    code, num_bits, errors) == float(Fraction(full, total))
+
+    def test_exact_values_at_the_paper_scale(self):
+        """The short last codeword moves Fig. 10 by up to a quarter of a
+        point at ten errors; the whole-codeword form was low."""
+        code = HammingCode(7, 4)
+        assert analytic_correction_probability(code, 20, 3) \
+            == pytest.approx(91 / 190)
+        expected = {(31, 26): (76.0601, 22.3260),
+                    (63, 57): (56.2897, 2.7567)}
+        for (n, k), (per_bit, full) in expected.items():
+            code = HammingCode(n, k)
+            exact = analytic_correction_probability(code, 1000, 10) * 100
+            assert exact == pytest.approx(per_bit, abs=5e-4)
+            assert exact - _whole_codeword_form(n, 1000, 10) * 100 > 0.14
+            assert analytic_full_correction_probability(
+                code, 1000, 10) * 100 == pytest.approx(full, abs=5e-4)
 
     def test_too_many_errors_rejected(self):
         with pytest.raises(ValueError):
@@ -236,3 +302,11 @@ class TestSection4ValidationRows:
         assert (section4_validation_rows(num_sequences=48, **self.SMALL,
                                          **run)
                 == self._direct("scalar", **run))
+
+
+def _whole_codeword_form(n, num_bits, num_errors):
+    """The closed form for whole ``n``-bit codewords only."""
+    probability = 1.0
+    for i in range(1, num_errors):
+        probability *= (num_bits - n - i + 1) / (num_bits - i)
+    return max(probability, 0.0)

@@ -15,7 +15,9 @@ pass's tally of the same batch; the lazily read arrays must equal the
 eager table gather and the dense pass, and writing to one must leave
 the frozen table alone.  The exact single-error counters of the paper
 FIFO are pinned here too: its every-cell histogram through the tally
-matrix.
+matrix.  Only the single-error sampler's batches carry the
+one-flip-per-sequence mark that lets the engine skip re-proving their
+sequence order; every caller-built batch is proved as before.
 """
 
 import random
@@ -26,6 +28,7 @@ np = pytest.importorskip("numpy")
 
 from repro.campaigns.stats import StreamingCampaignResult      # noqa: E402
 from repro.circuit.fifo import SyncFIFO                         # noqa: E402
+from repro.core.controller import ControllerState               # noqa: E402
 from repro.circuit.generators import make_random_state_circuit  # noqa: E402
 from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines.base import BatchOutcomeArrays, BatchTally   # noqa: E402
@@ -273,3 +276,101 @@ def test_paper_fifo_every_cell_histogram_is_exact():
     result = StreamingCampaignResult()
     result.stats._add_tally(tally)
     assert result.stats.correction_rate() == 1.0
+
+
+def test_only_the_single_sampler_marks_its_batches():
+    """The single-error sampler's batch is marked one flip per sequence
+    and its ``seqs`` are read-only; no other sampler kind, constructor
+    or conversion marks a batch, even one with identical arrays."""
+    design = _design()
+    chains, length = design.num_chains, design.chain_length
+    for kind in KINDS:
+        flips = _array_batch(kind, design, 40, seed=2)
+        assert flips.one_per_sequence is (kind == "single"), kind
+    sampled = _array_batch("single", design, 40, seed=2)
+    assert not sampled.seqs.flags.writeable
+    with pytest.raises(ValueError):
+        sampled.seqs[0] = 1
+    with pytest.raises(AttributeError):
+        sampled.one_per_sequence = False
+    twins = (
+        PatternBatch.from_cells(chains, length, 40, "single",
+                                np.arange(40, dtype=np.int64),
+                                np.array(sampled.cells)),
+        PatternBatch(chains, length, 40, "single",
+                     np.arange(40, dtype=np.int64),
+                     np.array(sampled.chains), np.array(sampled.positions)),
+        PatternBatch.from_patterns(sampled.patterns(), chains, length),
+        _scalar_batch("single", design, 40, seed=2),
+    )
+    for twin in twins:
+        assert not twin.one_per_sequence
+    assert np.array_equal(twins[2].seqs, sampled.seqs)
+    # The mark asserts B flips; a batch of any other length is refused.
+    with pytest.raises(ValueError, match="needs 40 flips"):
+        PatternBatch.from_cells(chains, length, 40, "single",
+                                np.arange(39, dtype=np.int64),
+                                np.zeros(39, dtype=np.int64),
+                                one_per_sequence=True)
+
+
+@pytest.mark.parametrize("holes", (False, True), ids=("known", "x_holes"))
+def test_marked_batches_skip_the_order_scan(monkeypatch, holes):
+    """The engine trusts a marked batch's order and scans every unmarked
+    one: ``_increasing`` runs for caller-built twins with identical
+    arrays (including ``from_patterns`` of the sampled patterns) and
+    never for the sampled batch, and all of them give the same
+    verdicts, equal to the dense pass."""
+    calls = []
+    original = batch_module._increasing
+
+    def counted(values):
+        calls.append(len(values))
+        return original(values)
+
+    monkeypatch.setattr(batch_module, "_increasing", counted)
+    design = _design()
+    snapshot = _snapshot(design, holes)
+    engine = design._resolve_engine()
+    sampled = _array_batch("single", design, 64, seed=5)
+    arrays = design.sleep_wake_cycle_batch_summary(snapshot, sampled, 64)
+    assert engine.last_summary_path == "delta"
+    assert calls == []
+    _check_batch(design, snapshot, sampled, 64)
+    twins = (
+        PatternBatch.from_cells(design.num_chains, design.chain_length, 64,
+                                "single", np.arange(64, dtype=np.int64),
+                                np.array(sampled.cells)),
+        PatternBatch.from_patterns(sampled.patterns(), design.num_chains,
+                                   design.chain_length),
+    )
+    for twin in twins:
+        calls.clear()
+        twin_arrays = design.sleep_wake_cycle_batch_summary(snapshot, twin,
+                                                            64)
+        assert engine.last_summary_path == "delta"
+        assert calls == [64]
+        _assert_fields_equal(twin_arrays, arrays)
+        assert twin_arrays.tally() == arrays.tally()
+
+
+@pytest.mark.parametrize("bad", ("past_end", "negative"))
+def test_marked_batch_cells_are_still_range_checked(bad):
+    """The mark waives only the ``seqs`` scan: a marked batch with a cell
+    outside the scan array fails validation before the controller
+    leaves ACTIVE, and a good one runs afterwards."""
+    design = _design()
+    num_cells = design.num_chains * design.chain_length
+    cells = np.arange(8, dtype=np.int64)
+    cells[3] = num_cells if bad == "past_end" else -1
+    seqs = np.arange(8, dtype=np.int64)
+    batch = PatternBatch.from_cells(design.num_chains, design.chain_length,
+                                    8, "single", seqs, cells,
+                                    one_per_sequence=True)
+    snapshot = design._pack_chains()
+    with pytest.raises(ValueError, match="outside"):
+        design.sleep_wake_cycle_batch_summary(snapshot, batch, 8)
+    assert design.controller.state is ControllerState.ACTIVE
+    good = _array_batch("single", design, 8, seed=1)
+    design.sleep_wake_cycle_batch_summary(snapshot, good, 8)
+    assert design.controller.state is ControllerState.ACTIVE
