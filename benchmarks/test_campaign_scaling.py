@@ -1,11 +1,12 @@
 """Benchmark E9: sharded campaign throughput, scaling and checkpoint IO.
 
 The paper's validation campaigns run 10^8 test sequences on the FPGA;
-the sharded runner of :mod:`repro.campaigns` is the software path
+the sharded scheduler of :mod:`repro.campaigns` is the software path
 toward that scale.  This benchmark runs the paper's single-error
 campaign (32x32 FIFO, 80 chains, Hamming(7,4) + CRC-16, packed engine)
-through the runner at several worker counts, prints the throughput
-table, and checks the two properties the subsystem guarantees:
+through :func:`~repro.campaigns.scheduler.run_sharded_campaign` at
+several worker counts, prints the throughput table, and checks the two
+properties the subsystem guarantees:
 
 * the merged statistics are bit-identical for every worker count;
 * the result is a flat counter object -- resident statistics memory is
@@ -23,7 +24,7 @@ from benchmarks.conftest import bench_sequences, print_section, record_bench
 from repro.analysis import paper_data
 from repro.analysis.tables import format_validation_summary
 from repro.analysis.tradeoff import section4_validation_rows
-from repro.campaigns.runner import ShardedCampaignRunner
+from repro.campaigns.scheduler import run_sharded_campaign
 from repro.campaigns.stats import StreamingCampaignResult
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 
@@ -46,9 +47,9 @@ def test_sharded_campaign_scaling(benchmark):
     results = {}
     for workers in WORKER_SWEEP:
         start = time.perf_counter()
-        results[workers] = ShardedCampaignRunner(
+        results[workers] = run_sharded_campaign(
             task, sequences, seed=20100308, chunk_size=chunk_size,
-            num_workers=workers).run()
+            num_workers=workers)
         timings[workers] = time.perf_counter() - start
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
 
@@ -67,9 +68,9 @@ def test_sharded_campaign_scaling(benchmark):
     # serialized size is independent of the campaign length.
     assert isinstance(results[1], StreamingCampaignResult)
     assert not hasattr(results[1], "sequences")
-    small = ShardedCampaignRunner(task, max(1, sequences // 4),
-                                  seed=20100308,
-                                  chunk_size=chunk_size).run()
+    small = run_sharded_campaign(task, max(1, sequences // 4),
+                                 seed=20100308,
+                                 chunk_size=chunk_size)
     assert len(json.dumps(results[1].to_dict())) == pytest.approx(
         len(json.dumps(small.to_dict())), rel=0.1)
 
@@ -129,9 +130,9 @@ def test_campaign_checkpoint_overhead(benchmark, tmp_path):
 
     def run(path=None, save_interval=1):
         start = time.perf_counter()
-        result = ShardedCampaignRunner(
+        result = run_sharded_campaign(
             task, chunks, seed=20100308, chunk_size=1,
-            checkpoint_path=path, save_interval=save_interval).run()
+            checkpoint_path=path, save_interval=save_interval)
         elapsed = time.perf_counter() - start
         assert result.sequences == chunks
         return result, elapsed

@@ -1,21 +1,21 @@
 """Benchmark E10: one shared persistent pool vs a fresh pool per job.
 
-The campaign service's weak regime is many small jobs.  A runner given
-``executor="process"`` builds its own persistent pool and closes it when
-the run ends, so every job pays pool spin-up, task shipping and one
+The campaign service's weak regime is many small jobs.  A campaign run
+given ``executor="process"`` builds its own persistent pool and closes it
+when the run ends, so every job pays pool spin-up, task shipping and one
 bench construction (design, chains, monitor bank, engine workspaces)
 per worker.  A caller-owned
 :class:`~repro.campaigns.executors.PersistentProcessExecutor` passed to
-every runner pays each of those once per worker *lifetime*: the pool
+every run pays each of those once per worker *lifetime*: the pool
 survives across ``submit_jobs`` calls, tasks ship at most once per
 worker, and workers memoize the seed-independent bench per task
 fingerprint, rebuilding only the seed-dependent streams per chunk.
 
 This benchmark pins the amortization as the committed
 ``campaign_warm_pool`` section: 16 back-to-back two-chunk campaigns
-through one shared pool versus a fresh runner-owned pool per job.  The
+through one shared pool versus a fresh run-owned pool per job.  The
 guarded headline is ``warm_speedup_many_jobs`` (floor 2x).  Jobs are
-kept this short on purpose: a runner-owned pool already builds the
+kept this short on purpose: a run-owned pool already builds the
 bench once per worker, not once per chunk, so the shared pool's edge is
 the per-job spin-up, shipping and build -- it shrinks as jobs grow
 (8 jobs of 8 chunks measured 1.5-2.0x; 16 jobs of 2 chunks 3.4-4.4x).
@@ -34,7 +34,7 @@ import pytest
 
 from benchmarks.conftest import bench_sequences, print_section, record_bench
 from repro.campaigns.executors import PersistentProcessExecutor
-from repro.campaigns.runner import ShardedCampaignRunner
+from repro.campaigns.scheduler import run_sharded_campaign
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 
 
@@ -57,17 +57,17 @@ def test_warm_pool_amortization(benchmark):
     num_jobs = 16
     seeds = [20100308 + job for job in range(num_jobs)]
 
-    serial = {seed: ShardedCampaignRunner(task, sequences, seed=seed,
-                                          chunk_size=chunk_size,
-                                          executor="serial").run()
+    serial = {seed: run_sharded_campaign(task, sequences, seed=seed,
+                                         chunk_size=chunk_size,
+                                         executor="serial")
               for seed in seeds}
 
-    # -- many small jobs: a fresh runner-owned pool per job -----------
+    # -- many small jobs: a fresh run-owned pool per job --------------
     start = time.perf_counter()
     for seed in seeds:
-        result = ShardedCampaignRunner(task, sequences, seed=seed,
-                                       chunk_size=chunk_size,
-                                       executor="process").run()
+        result = run_sharded_campaign(task, sequences, seed=seed,
+                                      chunk_size=chunk_size,
+                                      executor="process")
         assert result == serial[seed]
     fresh_jobs_s = time.perf_counter() - start
 
@@ -77,10 +77,10 @@ def test_warm_pool_amortization(benchmark):
     with PersistentProcessExecutor(1) as pool:
         for seed in seeds:
             snapshots = []
-            result = ShardedCampaignRunner(
+            result = run_sharded_campaign(
                 task, sequences, seed=seed, chunk_size=chunk_size,
                 executor=pool,
-                progress_callback=snapshots.append).run()
+                progress_callback=snapshots.append)
             assert result == serial[seed]
             progress[seed] = snapshots[-1]
     warm_jobs_s = time.perf_counter() - start

@@ -59,7 +59,7 @@ contribution:
 ``repro.campaigns``
     Campaign orchestration toward the paper's 10^8-sequence scale:
     streaming O(1)-memory mergeable statistics, hash-based
-    seed-splitting, and a sharded multiprocessing runner with
+    seed-splitting, and a sharded multiprocessing scheduler with
     checkpoint/resume whose results are bit-identical for any worker
     count.
 """

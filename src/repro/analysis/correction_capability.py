@@ -332,7 +332,7 @@ def _hamming_code(n: int, k: int) -> HammingCode:
 @dataclass(frozen=True)
 class CorrectionCapabilityTask(CampaignTask):
     """One chunk of the Fig. 10 Monte-Carlo study, for the sharded
-    runner of :mod:`repro.campaigns`."""
+    scheduler of :mod:`repro.campaigns`."""
 
     code_n: int
     code_k: int

@@ -188,7 +188,7 @@ def section4_validation_rows(num_sequences: int = 100,
 
     Runs the paper's two FPGA validation campaigns (single error per
     sequence, clustered multi-bit burst per sequence) through the
-    :mod:`repro.campaigns` runner on the paper's 32x32 FIFO / 80-chain
+    :mod:`repro.campaigns` scheduler on the paper's 32x32 FIFO / 80-chain
     configuration and returns their streaming statistics, keyed
     ``"single_error"`` / ``"multiple_error"`` to match
     :data:`repro.analysis.paper_data.VALIDATION_SUMMARY`.

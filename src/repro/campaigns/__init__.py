@@ -27,11 +27,12 @@ one layer per concern so each can evolve (and be swapped) alone:
   :class:`~repro.campaigns.scheduler.CampaignScheduler` restores each
   job's checkpoint, emits its progress and merges its chunks, and
   interleaves jobs fair-share over one shared executor and memoizes
-  merged results;
-* :mod:`repro.campaigns.runner` -- the task protocol and the
-  single-campaign facade:
-  :class:`~repro.campaigns.runner.ShardedCampaignRunner` runs one
-  campaign as a one-job scheduler;
+  merged results; :func:`~repro.campaigns.scheduler.\
+run_sharded_campaign` is its one-call form for a single campaign of
+  any task;
+* :mod:`repro.campaigns.runner` -- the task protocol
+  (:class:`~repro.campaigns.runner.CampaignTask`, whose checkpoint
+  identity is built from its dataclass fields) and the progress event;
 * :mod:`repro.campaigns.stats` -- counter-based, O(1)-memory,
   mergeable campaign statistics;
 * :mod:`repro.campaigns.seeding` -- SeedSequence-style deterministic
@@ -69,12 +70,12 @@ from repro.campaigns.executors import (
 )
 from repro.campaigns.worker_cache import WorkerStateCache
 from repro.campaigns.checkpoints import CheckpointStore
-from repro.campaigns.runner import (
-    CampaignProgress,
-    CampaignTask,
-    ShardedCampaignRunner,
+from repro.campaigns.runner import CampaignProgress, CampaignTask
+from repro.campaigns.scheduler import (
+    CampaignJob,
+    CampaignScheduler,
+    run_sharded_campaign,
 )
-from repro.campaigns.scheduler import CampaignJob, CampaignScheduler
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 
 __all__ = [
@@ -98,7 +99,7 @@ __all__ = [
     "CampaignTask",
     "CampaignJob",
     "CampaignScheduler",
-    "ShardedCampaignRunner",
+    "run_sharded_campaign",
     "default_chunk_size",
     "FIFOValidationCampaignTask",
 ]

@@ -20,6 +20,7 @@ bump rules stay with the tasks -- a task field added to
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import tempfile
@@ -30,47 +31,26 @@ CHECKPOINT_FORMAT = 1
 
 
 def _fingerprint_fields(fingerprint: Any) -> Optional[Dict[str, str]]:
-    """Parse a dataclass-repr task fingerprint into ``{field: value}``.
+    """Read a task fingerprint as ``{field: value source text}``.
 
-    Task fingerprints are dataclass reprs
-    (``Task(width=32, codes=('a', 'b'), ...)``); splitting happens at
-    top-level commas only (bracket/quote aware).  Returns ``None`` for
-    anything that does not look like one -- custom tasks may fingerprint
-    differently, and the caller then falls back to the generic message.
+    Task fingerprints are ``Type(name=value!r, ...)`` strings (see
+    :meth:`~repro.campaigns.runner.CampaignTask.fingerprint`), so they
+    parse as a Python call; its keywords are the fields.  Returns
+    ``None`` for anything else -- the caller then falls back to the
+    generic message.
     """
-    if not isinstance(fingerprint, str):
+    try:
+        call = ast.parse(fingerprint, mode="eval").body
+    except (SyntaxError, TypeError, ValueError):
         return None
-    start = fingerprint.find("(")
-    if start <= 0 or not fingerprint.endswith(")"):
+    if not isinstance(call, ast.Call) or call.args:
         return None
-    body = fingerprint[start + 1:-1]
     fields: Dict[str, str] = {}
-    depth = 0
-    quote = None
-    token_start = 0
-    tokens = []
-    for i, ch in enumerate(body):
-        if quote is not None:
-            if ch == quote and body[i - 1] != "\\":
-                quote = None
-        elif ch in "'\"":
-            quote = ch
-        elif ch in "([{":
-            depth += 1
-        elif ch in ")]}":
-            depth -= 1
-        elif ch == "," and depth == 0:
-            tokens.append(body[token_start:i])
-            token_start = i + 1
-    tokens.append(body[token_start:])
-    for token in tokens:
-        token = token.strip()
-        if not token:
-            continue
-        name, eq, value = token.partition("=")
-        if not eq or not name.isidentifier():
+    for keyword in call.keywords:
+        value = ast.get_source_segment(fingerprint, keyword.value)
+        if keyword.arg is None or value is None:
             return None
-        fields[name] = value
+        fields[keyword.arg] = value
     return fields
 
 

@@ -1,11 +1,10 @@
-"""Sharded, chunked campaign execution with checkpoint/resume.
+"""The campaign task protocol and its progress event.
 
-The paper's validation campaigns run 10^8 test sequences; the sharded
-runner brings the software reproduction toward that scale by splitting
-a campaign into fixed-size **chunks** and fanning the chunks out over
-an executor.  This module defines the task protocol
-(:class:`CampaignTask`), the progress event (:class:`CampaignProgress`)
-and the single-campaign facade (:class:`ShardedCampaignRunner`); the
+The paper's validation campaigns run 10^8 test sequences; the
+reproduction gets toward that scale by splitting a campaign into
+fixed-size **chunks** and fanning the chunks out over an executor.
+This module defines what a chunk's work is (:class:`CampaignTask`) and
+what a running campaign reports (:class:`CampaignProgress`); the
 mechanics live in one layer each --
 
 * :mod:`repro.campaigns.plan` -- the deterministic chunk plan, pure
@@ -24,29 +23,20 @@ mechanics live in one layer each --
   fixed run resumes from everything that completed);
 * :mod:`repro.campaigns.scheduler` -- the one orchestration path:
   campaign jobs (checkpoint restore, progress, merge) multiplexed
-  fair-share over one shared executor, with result memoization.  The
-  runner is a one-job scheduler.
+  fair-share over one shared executor, with result memoization, and
+  :func:`~repro.campaigns.scheduler.run_sharded_campaign`, its
+  one-call form for a single campaign.
 
-Work is described by a :class:`CampaignTask`: a small picklable object
-that knows how to run one chunk from one chunk seed.  Tasks build
-their (unpicklable) simulation state -- test benches, protected
+Work is described by a :class:`CampaignTask`: a small picklable
+dataclass that knows how to run one chunk from one chunk seed.  Tasks
+build their (unpicklable) simulation state -- test benches, protected
 designs -- in ``build_worker_state``, in the worker.
 """
 
 from __future__ import annotations
 
-import math
-import random
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
-
-from repro.campaigns.executors import ChunkExecutionError, ChunkExecutor
-from repro.campaigns.plan import (
-    ChunkPlan,
-    default_chunk_size,
-    resolve_chunk_size,
-)
-from repro.campaigns.seeding import child_seed
+from dataclasses import dataclass, fields, is_dataclass
+from typing import Any, Callable, Dict, Optional
 
 
 class CampaignTask:
@@ -107,17 +97,34 @@ class CampaignTask:
         A resumed run refuses a checkpoint whose fingerprint differs,
         and the scheduler's result cache keys on it, so statistics
         from one campaign configuration are never merged into (or
-        served for) another.  Dataclass tasks get a faithful default
-        from ``repr``.
+        served for) another.  It is ``Type(name=value!r, ...)`` over
+        every dataclass field -- ``field(repr=False)`` ones included --
+        which for a task with default reprs is its ``repr``.  A task
+        that is not a dataclass has no fields to build it from.
         """
-        return repr(self)
+        if not is_dataclass(self):
+            raise TypeError(
+                f"{type(self).__qualname__} is not a dataclass: a "
+                f"campaign task's fingerprint is built from its "
+                f"dataclass fields")
+        values = ", ".join(f"{field.name}={getattr(self, field.name)!r}"
+                           for field in fields(self))
+        return f"{type(self).__qualname__}({values})"
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        if "fingerprint" in vars(cls):
+            raise TypeError(
+                f"{cls.__qualname__} defines fingerprint(): a campaign "
+                f"task's identity is built from its dataclass fields, "
+                f"so that every field reaches it")
 
     def chunk_granularity(self) -> int:
-        """Preferred multiple for the runner's *default* chunk size.
+        """Preferred multiple for the *default* chunk size.
 
         Tasks whose chunks have internal structure (e.g. batch-engine
         passes of ``batch_size`` sequences) return that size here, and
-        the runner rounds its default chunk size up to a multiple of it
+        the scheduler rounds its default chunk size up to a multiple of it
         -- otherwise a small campaign's default ~total/64 chunks would
         silently truncate every batch.  An explicitly passed
         ``chunk_size`` is always respected as-is.
@@ -127,13 +134,13 @@ class CampaignTask:
 
 @dataclass(frozen=True)
 class CampaignProgress:
-    """Progress snapshot passed to the runner's callback.
+    """Progress snapshot passed to a campaign's progress callback.
 
     ``elapsed`` and ``sequences_restored`` are filled in by the parent
     process (no worker cooperation involved): ``elapsed`` is wall time
-    since ``run()`` started, and restored-from-checkpoint sequences are
-    excluded from the throughput estimate so a resumed campaign does
-    not report an impossible rate.
+    since the scheduler's ``run()`` started, and restored-from-checkpoint
+    sequences are excluded from the throughput estimate so a resumed
+    campaign does not report an impossible rate.
 
     ``setup_seconds``/``compute_seconds`` are the campaign's cumulative
     worker-side setup-vs-compute split, from the per-chunk
@@ -180,150 +187,8 @@ class CampaignProgress:
 ProgressCallback = Callable[[CampaignProgress], None]
 
 
-class ShardedCampaignRunner:
-    """Fan one campaign out over an executor, deterministically.
-
-    Parameters
-    ----------
-    task:
-        The :class:`CampaignTask` describing one chunk's work.
-    total_sequences:
-        Campaign size in test sequences.
-    seed:
-        Campaign root seed (int or str).  Chunk seeds are spawned from
-        it via :mod:`repro.campaigns.seeding`; equal ``(seed,
-        total_sequences, chunk_size)`` triples give bit-identical
-        results for **any** ``num_workers`` and any executor.  ``None``
-        draws a random root (recorded in the checkpoint so a resume
-        stays coherent).
-    num_workers:
-        Worker count; with the default ``executor=None``, ``1`` runs
-        inline (no pool).
-    chunk_size:
-        Sequences per chunk; defaults to
-        :func:`~repro.campaigns.plan.default_chunk_size` rounded to the
-        task's granularity.  This is the determinism granularity *and*
-        the checkpoint granularity -- do not change it between a run
-        and its resume.
-    checkpoint_path:
-        Optional JSON file owned by a
-        :class:`~repro.campaigns.checkpoints.CheckpointStore`.  An
-        existing file is validated against the campaign parameters and
-        its chunks are not re-run.
-    progress_callback:
-        Called in the parent after each chunk with a
-        :class:`CampaignProgress` (including elapsed/rate/ETA fields).
-    start_method:
-        ``multiprocessing`` start method for a process pool; default
-        prefers ``fork`` and falls back to ``spawn``.
-    executor:
-        ``None`` (inline for one worker, a process pool otherwise), an
-        :data:`~repro.campaigns.executors.EXECUTOR_KINDS` string sized
-        by ``num_workers``, or a
-        :class:`~repro.campaigns.executors.ChunkExecutor` instance.
-        A pool the runner resolved from ``None`` or a string is closed
-        when :meth:`run` returns or raises; an instance is left to its
-        owner.
-    save_interval:
-        Checkpoint flush policy: rewrite the payload every this many
-        completed chunks (default 1, the historical write-per-chunk
-        behaviour) plus one final flush.  See
-        :class:`~repro.campaigns.checkpoints.CheckpointStore`.
-    """
-
-    def __init__(self, task: CampaignTask, total_sequences: int,
-                 seed: Optional[Union[int, str]] = None,
-                 num_workers: int = 1,
-                 chunk_size: Optional[int] = None,
-                 checkpoint_path: Optional[str] = None,
-                 progress_callback: Optional[ProgressCallback] = None,
-                 start_method: Optional[str] = None,
-                 executor: "ChunkExecutor | str | None" = None,
-                 save_interval: int = 1):
-        if total_sequences <= 0:
-            raise ValueError("the campaign needs at least one sequence")
-        if num_workers < 1:
-            raise ValueError("num_workers must be >= 1")
-        if save_interval < 1:
-            raise ValueError("save_interval must be >= 1")
-        self.task = task
-        self.total_sequences = total_sequences
-        self.num_workers = num_workers
-        self.chunk_size = resolve_chunk_size(
-            total_sequences, chunk_size,
-            granularity=max(1, task.chunk_granularity()))
-        self.checkpoint_path = checkpoint_path
-        self.progress_callback = progress_callback
-        self.save_interval = save_interval
-        self._start_method = start_method
-        self._executor_spec = executor
-        self._seed = seed
-        self._root = self._resolve_root(seed)
-
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _resolve_root(seed: Optional[Union[int, str]]) -> Union[int, str]:
-        if seed is None:
-            return random.SystemRandom().getrandbits(64)
-        return seed
-
-    @property
-    def root_seed(self) -> Union[int, str]:
-        """The effective campaign root seed: drawn when ``seed=None``,
-        and after :meth:`run` resumed such a campaign, the root its
-        checkpoint recorded."""
-        return self._root
-
-    @property
-    def num_chunks(self) -> int:
-        """Number of chunks in the campaign plan."""
-        return math.ceil(self.total_sequences / self.chunk_size)
-
-    def plan(self) -> ChunkPlan:
-        """The campaign's :class:`~repro.campaigns.plan.ChunkPlan`."""
-        return ChunkPlan.build(self._root, self.total_sequences,
-                               self.chunk_size)
-
-    def plan_chunks(self) -> List[Tuple[int, int, int]]:
-        """The deterministic chunk plan: ``(index, chunk_seed, count)``.
-
-        Only the final chunk may be short.  The plan is a pure function
-        of ``(root_seed, total_sequences, chunk_size)``; see
-        :class:`~repro.campaigns.plan.ChunkPlan`.
-        """
-        return list(self.plan().entries)
-
-    def run(self) -> Any:
-        """Execute the campaign and return the merged statistics.
-
-        The campaign is the only job of a one-job
-        :class:`~repro.campaigns.scheduler.CampaignScheduler`, which
-        restores the checkpoint, emits progress and merges the chunks.
-        """
-        # Imported here: the scheduler module imports this one.
-        from repro.campaigns.scheduler import CampaignScheduler
-
-        with CampaignScheduler(self._executor_spec, self.num_workers,
-                               start_method=self._start_method
-                               ) as scheduler:
-            job = scheduler._submit_plan(
-                self.task, self.plan(),
-                adopt_recorded_seed=self._seed is None,
-                checkpoint_path=self.checkpoint_path,
-                save_interval=self.save_interval,
-                progress_callback=self.progress_callback)
-            try:
-                scheduler.run()
-            finally:
-                self._root = job.root_seed
-        return job.result
-
-
 __all__ = [
     "CampaignTask",
     "CampaignProgress",
-    "ChunkExecutionError",
-    "ShardedCampaignRunner",
-    "default_chunk_size",
-    "child_seed",
+    "ProgressCallback",
 ]

@@ -12,9 +12,9 @@ the same curve returns without executing a single chunk).
 :class:`CampaignScheduler` is those three things, and it is the only
 orchestration path: each :class:`CampaignJob` restores its checkpoint,
 emits its progress and merges its chunks, and
-:class:`~repro.campaigns.runner.ShardedCampaignRunner` runs one
-campaign as a one-job scheduler.  A job's merged result depends only on
-its own :class:`~repro.campaigns.plan.ChunkPlan`, never on what it was
+:func:`run_sharded_campaign` runs one campaign as a one-job scheduler.
+A job's merged result depends only on its own
+:class:`~repro.campaigns.plan.ChunkPlan`, never on what it was
 interleaved with.
 
 Typical use::
@@ -166,10 +166,12 @@ class CampaignScheduler:
         worker-side state caches (close with :meth:`close` or use the
         scheduler as a context manager).  A pre-built executor can
         also be passed in to share one pool across several
-        schedulers/runners; its lifecycle then stays with the caller.
+        schedulers; its lifecycle then stays with the caller.
     num_workers, start_method:
-        Sizing of the default/string-spec executor, as in
-        :class:`~repro.campaigns.runner.ShardedCampaignRunner`.
+        Sizing of the default/string-spec executor: the worker count
+        of a process pool (``1`` with ``executor=None`` runs inline),
+        and its ``multiprocessing`` start method (default prefers
+        ``fork`` and falls back to ``spawn``).
     save_interval:
         Default checkpoint flush interval for jobs that do not pass
         their own (see :class:`~repro.campaigns.checkpoints.\
@@ -220,38 +222,25 @@ CheckpointStore`).
                ) -> CampaignJob:
         """Queue one campaign; returns its :class:`CampaignJob`.
 
-        Parameters mirror the runner's constructor.  ``seed=None``
-        draws a random root (such jobs can never hit the cache); when
-        the job's checkpoint already exists, the job adopts the root
-        recorded there, so the resume continues the same plan.  The
-        job does not execute until :meth:`run`.
+        Parameters are those of :func:`run_sharded_campaign`.
+        ``seed=None`` draws a random root (such jobs can never hit the
+        cache); when the job's checkpoint already exists, the job
+        adopts the root recorded there, so the resume continues the
+        same plan.  The job does not execute until :meth:`run`.
         """
         root = (random.SystemRandom().getrandbits(64)
                 if seed is None else seed)
         size = resolve_chunk_size(total_sequences, chunk_size,
                                   granularity=max(
                                       1, task.chunk_granularity()))
-        return self._submit_plan(
-            task, ChunkPlan.build(root, total_sequences, size),
-            adopt_recorded_seed=seed is None,
-            checkpoint_path=checkpoint_path, save_interval=save_interval,
-            progress_callback=progress_callback)
-
-    def _submit_plan(self, task: CampaignTask, plan: ChunkPlan,
-                     adopt_recorded_seed: bool,
-                     checkpoint_path: Optional[str],
-                     save_interval: Optional[int],
-                     progress_callback: Optional[ProgressCallback]
-                     ) -> CampaignJob:
-        """Queue one campaign whose plan is already built (the
-        runner's entry: it fixes the plan at construction time)."""
         job = CampaignJob(
-            job_id=len(self._jobs), task=task, plan=plan,
+            job_id=len(self._jobs), task=task,
+            plan=ChunkPlan.build(root, total_sequences, size),
             checkpoint_path=checkpoint_path,
             save_interval=(self._save_interval if save_interval is None
                            else save_interval),
             progress_callback=progress_callback,
-            adopt_recorded_seed=adopt_recorded_seed)
+            adopt_recorded_seed=seed is None)
         if job.cache_key in self._cache:
             # Serve a private copy rebuilt through the task's own
             # serialization, so one client mutating its result cannot
@@ -333,4 +322,80 @@ CheckpointStore`).
         self.close()
 
 
-__all__ = ["CampaignJob", "CampaignScheduler"]
+def run_sharded_campaign(task: CampaignTask, num_sequences: int,
+                         seed: Optional[Union[int, str]] = 20100308,
+                         num_workers: int = 1,
+                         chunk_size: Optional[int] = None,
+                         checkpoint_path: Optional[str] = None,
+                         progress_callback: Optional[ProgressCallback] = None,
+                         executor: "ChunkExecutor | str | None" = None,
+                         save_interval: int = 1,
+                         scheduler: Optional[CampaignScheduler] = None
+                         ) -> Any:
+    """Run one campaign of any :class:`~repro.campaigns.runner.\
+CampaignTask` and return its merged result.
+
+    Parameters
+    ----------
+    task:
+        The task describing one chunk's work.
+    num_sequences:
+        Campaign size in test sequences.
+    seed:
+        Campaign root seed (int or str).  Chunk seeds are spawned from
+        it via :mod:`repro.campaigns.seeding`; equal ``(seed,
+        num_sequences, chunk_size)`` triples give bit-identical
+        results for **any** ``num_workers`` and any executor.  ``None``
+        draws a random root, and a resume of such a campaign adopts
+        the root its checkpoint recorded.
+    num_workers, executor:
+        ``executor`` is ``None`` (inline for one worker, a process pool
+        of ``num_workers`` otherwise), an
+        :data:`~repro.campaigns.executors.EXECUTOR_KINDS` string sized
+        by ``num_workers``, or a
+        :class:`~repro.campaigns.executors.ChunkExecutor` instance --
+        pass a pre-built
+        :class:`~repro.campaigns.executors.PersistentProcessExecutor`
+        to serve many calls from one hot pool; the caller then owns its
+        ``close()``.  A pool resolved from a spec is closed on return.
+    chunk_size:
+        Sequences per chunk; defaults to
+        :func:`~repro.campaigns.plan.default_chunk_size` rounded to the
+        task's granularity.  This is the determinism granularity *and*
+        the checkpoint granularity -- do not change it between a run
+        and its resume.
+    checkpoint_path:
+        Optional JSON file owned by a
+        :class:`~repro.campaigns.checkpoints.CheckpointStore`.  An
+        existing file is validated against the campaign parameters and
+        its chunks are not re-run.
+    progress_callback:
+        Called after each chunk with a
+        :class:`~repro.campaigns.runner.CampaignProgress`.
+    save_interval:
+        Checkpoint flush policy: rewrite the payload every this many
+        completed chunks (default 1) plus one final flush.
+    scheduler:
+        A :class:`CampaignScheduler` to run the campaign as one of its
+        jobs, through its shared executor and result cache
+        (``num_workers``/``executor`` are then the scheduler's
+        business); without one, the campaign runs on a one-job
+        scheduler closed on return.
+    """
+    owned = scheduler is None
+    if scheduler is None:
+        scheduler = CampaignScheduler(executor=executor,
+                                      num_workers=num_workers)
+    try:
+        job = scheduler.submit(
+            task, num_sequences, seed=seed, chunk_size=chunk_size,
+            checkpoint_path=checkpoint_path, save_interval=save_interval,
+            progress_callback=progress_callback)
+        scheduler.run()
+    finally:
+        if owned:
+            scheduler.close()
+    return job.result
+
+
+__all__ = ["CampaignJob", "CampaignScheduler", "run_sharded_campaign"]

@@ -19,7 +19,7 @@ same byte string (``("ab", "c")`` vs ``("a", "bc")``, ``1`` vs
 * **independent-by-construction** -- collisions between different
   paths are as likely as a SHA-256 collision;
 * **hierarchical** -- a child seed can serve as the root of its own
-  subtree (the sharded runner derives per-chunk seeds from a campaign
+  subtree (the scheduler derives per-chunk seeds from a campaign
   root that is itself a child of the user's seed).
 """
 
@@ -71,7 +71,7 @@ def spawn_seeds(root: PathElement, count: int,
                 *path: PathElement) -> List[int]:
     """Derive ``count`` independent child seeds ``root/path/0..count-1``.
 
-    This is the sharded runner's per-chunk seed source: the chunk plan
+    This is the scheduler's per-chunk seed source: the chunk plan
     (and hence every chunk's seed) depends only on the campaign root
     seed and the chunk index, never on the worker count, which is what
     makes sharded results bit-identical for any parallelism.

@@ -18,8 +18,8 @@ sequence count:
 
 Both statistics objects are **mergeable** (integer counter addition, so
 merging is associative and commutative) and **serializable** to plain
-dictionaries -- the two properties the sharded runner of
-:mod:`repro.campaigns.runner` builds on: any partition of a campaign
+dictionaries -- the two properties the sharded scheduler of
+:mod:`repro.campaigns.scheduler` builds on: any partition of a campaign
 into chunks, merged in any order, yields bit-identical statistics.
 """
 
@@ -186,10 +186,15 @@ class StreamingCampaignStats:
         return self.corrected_with_errors / self.sequences_with_errors
 
     def bit_correction_rate(self) -> float:
-        """Fraction of injected *bits* that ended up corrected.
+        """Net bit figure ``(injected - residual) / injected``.
 
-        This is the metric plotted in the paper's Fig. 10 ("errors
-        corrected %").
+        It is not a count of corrected bits: residual errors include
+        bits a Hamming miscorrection flipped on top of the injected
+        ones, so under multi-bit bursts it can go negative.  The
+        paper's Fig. 10 ("errors corrected %") counts corrected bits
+        instead -- see
+        :attr:`~repro.analysis.correction_capability.\
+CorrectionCapabilityResult.corrected_fraction`.
         """
         if self.total_injected == 0:
             return 1.0
@@ -230,7 +235,7 @@ class StreamingCampaignResult:
     counters of the paper's Fig. 8 ("Counter" block): errors reported
     by FIFO_A, mismatches reported by the comparator, and sequences
     where the two views disagree.  It keeps no per-sequence records,
-    so it is the result type the sharded runner streams and merges.
+    so it is the result type the sharded scheduler streams and merges.
     """
 
     stats: StreamingCampaignStats = field(

@@ -1,4 +1,4 @@
-"""Campaign tasks: picklable work descriptions for the sharded runner.
+"""Campaign tasks: picklable work descriptions for the scheduler.
 
 A task carries only plain parameters (geometry, code names, pattern
 kind); the unpicklable simulation objects -- the protected design, the
@@ -147,7 +147,7 @@ run_sequence_batch`.  The statistics depend on ``batch_size`` (it
 
     def chunk_granularity(self) -> int:
         """Default chunk sizes align to whole batches, so the batch
-        engines' amortization survives the runner's chunking."""
+        engines' amortization survives the scheduler's chunking."""
         return self.batch_size if self.batch_size is not None else 1
 
     def _pattern_factory(self, num_chains: int, chain_length: int):

@@ -67,10 +67,7 @@ def task_state_key(task: Any) -> str:
     equal-valued task objects; CPython ``id`` is neither (and a freed
     id can be reused by a *different* task mid-run).
     """
-    fingerprint = getattr(task, "fingerprint", None)
-    if callable(fingerprint):
-        return str(fingerprint())
-    return repr(task)
+    return task.fingerprint()
 
 
 class WorkerStateCache:

@@ -78,8 +78,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro-lint",
         description=("Project-invariant static analyzer: determinism, "
-                     "fingerprint completeness, uint64 dtype discipline, "
-                     "task pickle-safety."))
+                     "uint64 dtype discipline, task pickle-safety."))
     parser.add_argument(
         "paths", nargs="*", default=["src"],
         help="files or directories to scan (default: src)")

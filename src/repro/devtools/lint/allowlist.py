@@ -43,23 +43,15 @@ class Allow:
 DEFAULT_ALLOWLIST: Tuple[Allow, ...] = (
     Allow(
         rule="determinism",
-        path="campaigns/runner.py",
-        snippet="random.SystemRandom().getrandbits(64)",
-        justification=(
-            "sanctioned root-seed draw: seed=None explicitly asks for a "
-            "fresh random campaign root; the draw happens once, in the "
-            "parent, and the drawn root is recorded in the checkpoint "
-            "header so resume/replay stay deterministic"),
-    ),
-    Allow(
-        rule="determinism",
         path="campaigns/scheduler.py",
         snippet="random.SystemRandom().getrandbits(64)",
         justification=(
-            "sanctioned root-seed draw, the scheduler-side twin of the "
-            "runner's: seed=None jobs get a fresh random root (and are "
-            "exempt from the result cache); all chunk seeds still "
-            "derive deterministically from the drawn root"),
+            "sanctioned root-seed draw: seed=None explicitly asks for a "
+            "fresh random campaign root (such jobs are exempt from the "
+            "result cache); the draw happens once, in the parent, the "
+            "drawn root is recorded in the checkpoint header so "
+            "resume/replay stay deterministic, and all chunk seeds "
+            "derive deterministically from it"),
     ),
     Allow(
         rule="determinism",

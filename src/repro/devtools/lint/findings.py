@@ -149,17 +149,6 @@ def import_aliases(tree: ast.Module, module: str) -> Tuple[set, set]:
     return module_aliases, member_aliases
 
 
-def decorator_names(node: ast.ClassDef) -> set:
-    """Dotted names of a class's decorators (call or bare)."""
-    names = set()
-    for dec in node.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        name = dotted_name(target)
-        if name:
-            names.add(name)
-    return names
-
-
 def unique_findings(findings: Iterable[Finding]) -> List[Finding]:
     """Drop duplicates, keep (path, line, rule) order stable."""
     seen = set()
@@ -178,7 +167,6 @@ __all__ = [
     "Rule",
     "SourceFile",
     "call_keywords",
-    "decorator_names",
     "dotted_name",
     "import_aliases",
     "iter_python_files",

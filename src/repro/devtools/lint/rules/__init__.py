@@ -15,16 +15,12 @@ from repro.devtools.lint.rules.determinism import (
     RULE as DETERMINISM_RULE,
 )
 from repro.devtools.lint.rules.dtype import RULE as DTYPE_RULE
-from repro.devtools.lint.rules.fingerprint import (
-    RULE as FINGERPRINT_RULE,
-)
 from repro.devtools.lint.rules.pickle_safety import (
     RULE as PICKLE_RULE,
 )
 
 ALL_RULES: Tuple[Rule, ...] = (
     DETERMINISM_RULE,
-    FINGERPRINT_RULE,
     DTYPE_RULE,
     PICKLE_RULE,
 )

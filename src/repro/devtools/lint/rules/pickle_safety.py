@@ -32,7 +32,7 @@ into a campaign, first trips over it.
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from typing import Iterator, List, Optional, Set
 
 from repro.devtools.lint.findings import (
     Finding,
@@ -41,7 +41,33 @@ from repro.devtools.lint.findings import (
     SourceFile,
     dotted_name,
 )
-from repro.devtools.lint.rules.fingerprint import task_classes
+
+#: Root base class the rule keys on.
+TASK_BASE = "CampaignTask"
+
+
+def task_classes(tree: ast.Module) -> List[ast.ClassDef]:
+    """ClassDefs deriving (transitively, within this file) from
+    ``CampaignTask``, however the base was imported."""
+    task_names: Set[str] = {TASK_BASE}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == TASK_BASE:
+                    task_names.add(alias.asname or alias.name)
+    found: List[ast.ClassDef] = []
+    # Two passes resolve in-file subclass chains (A(CampaignTask),
+    # B(A)); deeper chains converge because names only accumulate.
+    for _ in range(2):
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.ClassDef) or node in found:
+                continue
+            bases = {(dotted_name(base) or "").split(".")[-1]
+                     for base in node.bases}
+            if bases & task_names:
+                found.append(node)
+                task_names.add(node.name)
+    return found
 
 #: Annotation substrings that mark a field as unpicklable by design.
 UNPICKLABLE_ANNOTATIONS = (
@@ -145,4 +171,5 @@ class PickleSafetyRule(Rule):
 
 RULE = PickleSafetyRule()
 
-__all__ = ["PickleSafetyRule", "RULE", "UNPICKLABLE_ANNOTATIONS"]
+__all__ = ["PickleSafetyRule", "RULE", "UNPICKLABLE_ANNOTATIONS",
+           "task_classes"]

@@ -20,7 +20,6 @@ from repro.validation.stimulus import StimulusGenerator
 from repro.validation.comparator import Comparator, ComparisonResult
 from repro.validation.testbench import FIFOTestbench, TestSequenceResult
 from repro.validation.campaign import (
-    run_sharded_campaign,
     run_sharded_single_error_campaign,
     run_sharded_multiple_error_campaign,
 )
@@ -31,7 +30,6 @@ __all__ = [
     "ComparisonResult",
     "FIFOTestbench",
     "TestSequenceResult",
-    "run_sharded_campaign",
     "run_sharded_single_error_campaign",
     "run_sharded_multiple_error_campaign",
 ]

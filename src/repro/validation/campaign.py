@@ -11,67 +11,23 @@ test sequences (10^8 on the FPGA):
   but every one was detected, as confirmed by the comparator.
 
 :func:`run_sharded_single_error_campaign` and
-:func:`run_sharded_multiple_error_campaign` run either campaign, and
-:func:`run_sharded_campaign` any
-:class:`~repro.campaigns.tasks.FIFOValidationCampaignTask`, as a job
-of the :mod:`repro.campaigns` subsystem: chunks on a serial executor
-or a pool of worker processes, O(1)-memory streaming statistics and
-checkpoint/resume -- the path toward the paper's 10^8-sequence scale.
+:func:`run_sharded_multiple_error_campaign` build either campaign's
+:class:`~repro.campaigns.tasks.FIFOValidationCampaignTask` and run it
+through :func:`repro.campaigns.scheduler.run_sharded_campaign`, as a
+job of the :mod:`repro.campaigns` subsystem: chunks on a serial
+executor or a pool of worker processes, O(1)-memory streaming
+statistics and checkpoint/resume -- the path toward the paper's
+10^8-sequence scale.  Every chunk reseeds its test bench's stimulus,
+injector and pattern streams from its own seed-split chunk seed.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Union
 
-from repro.campaigns.scheduler import CampaignScheduler
+from repro.campaigns.scheduler import run_sharded_campaign
 from repro.campaigns.stats import StreamingCampaignResult
 from repro.campaigns.tasks import FIFOValidationCampaignTask
-
-
-def run_sharded_campaign(task: FIFOValidationCampaignTask,
-                         num_sequences: int,
-                         seed: Optional[Union[int, str]] = 20100308,
-                         num_workers: int = 1,
-                         chunk_size: Optional[int] = None,
-                         checkpoint_path: Optional[str] = None,
-                         progress_callback=None,
-                         executor=None,
-                         save_interval: int = 1,
-                         scheduler=None) -> StreamingCampaignResult:
-    """Run a validation campaign task as a scheduler job.
-
-    The result is bit-identical for any ``num_workers`` and any
-    ``executor`` (``"serial"``, ``"process"``, or a
-    :class:`~repro.campaigns.executors.ChunkExecutor` instance --
-    pass a pre-built
-    :class:`~repro.campaigns.executors.PersistentProcessExecutor` to
-    serve many calls from one hot pool; the caller then owns its
-    ``close()``) given the same ``(seed, num_sequences, chunk_size)``;
-    see :class:`~repro.campaigns.runner.ShardedCampaignRunner` for the
-    checkpoint/resume (``save_interval`` selects the flush policy) and
-    progress semantics.  Passing a
-    :class:`~repro.campaigns.scheduler.CampaignScheduler` as
-    ``scheduler`` routes the campaign through its shared executor and
-    result cache (``num_workers``/``executor`` are then the
-    scheduler's business); without one, the campaign runs on a
-    one-job scheduler closed on return.  Every chunk reseeds its test
-    bench's stimulus, injector and pattern streams from its own
-    seed-split chunk seed.
-    """
-    owned = scheduler is None
-    if owned:
-        scheduler = CampaignScheduler(executor=executor,
-                                      num_workers=num_workers)
-    try:
-        job = scheduler.submit(
-            task, num_sequences, seed=seed, chunk_size=chunk_size,
-            checkpoint_path=checkpoint_path, save_interval=save_interval,
-            progress_callback=progress_callback)
-        scheduler.run()
-    finally:
-        if owned:
-            scheduler.close()
-    return job.result
 
 
 def run_sharded_single_error_campaign(
@@ -167,7 +123,6 @@ def run_sharded_multiple_error_campaign(
 
 
 __all__ = [
-    "run_sharded_campaign",
     "run_sharded_single_error_campaign",
     "run_sharded_multiple_error_campaign",
 ]

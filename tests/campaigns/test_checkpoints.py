@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from repro.campaigns.checkpoints import CheckpointStore
-from repro.campaigns.runner import ShardedCampaignRunner
+from repro.campaigns.checkpoints import CheckpointStore, _fingerprint_fields
+from repro.campaigns.scheduler import run_sharded_campaign
 from tests.campaigns.test_executors import TrialTask
 
 
@@ -26,8 +26,8 @@ class TestSaveInterval:
     def test_interval_bounds_write_count(self, tmp_path, monkeypatch):
         writes = _count_writes(monkeypatch)
         path = str(tmp_path / "campaign.json")
-        ShardedCampaignRunner(TrialTask(), 120, seed=4, chunk_size=10,
-                              checkpoint_path=path, save_interval=4).run()
+        run_sharded_campaign(TrialTask(), 120, seed=4, chunk_size=10,
+                             checkpoint_path=path, save_interval=4)
         # 12 chunks at interval 4: three flushes, nothing left for the
         # final flush -- not twelve growing rewrites.
         assert writes == [4, 8, 12]
@@ -37,8 +37,8 @@ class TestSaveInterval:
     def test_partial_interval_flushed_at_end(self, tmp_path, monkeypatch):
         writes = _count_writes(monkeypatch)
         path = str(tmp_path / "campaign.json")
-        ShardedCampaignRunner(TrialTask(), 100, seed=4, chunk_size=10,
-                              checkpoint_path=path, save_interval=4).run()
+        run_sharded_campaign(TrialTask(), 100, seed=4, chunk_size=10,
+                             checkpoint_path=path, save_interval=4)
         # 10 chunks: two interval flushes plus the final partial one.
         assert writes == [4, 8, 10]
 
@@ -46,25 +46,25 @@ class TestSaveInterval:
                                                   monkeypatch):
         writes = _count_writes(monkeypatch)
         path = str(tmp_path / "campaign.json")
-        ShardedCampaignRunner(TrialTask(), 60, seed=4, chunk_size=10,
-                              checkpoint_path=path).run()
+        run_sharded_campaign(TrialTask(), 60, seed=4, chunk_size=10,
+                             checkpoint_path=path)
         assert writes == [1, 2, 3, 4, 5, 6]
 
     def test_result_independent_of_save_interval(self, tmp_path):
-        reference = ShardedCampaignRunner(TrialTask(), 90, seed=11,
-                                          chunk_size=9).run()
+        reference = run_sharded_campaign(TrialTask(), 90, seed=11,
+                                         chunk_size=9)
         for interval in (1, 3, 7, 100):
             path = str(tmp_path / f"ckpt{interval}.json")
-            result = ShardedCampaignRunner(
+            result = run_sharded_campaign(
                 TrialTask(), 90, seed=11, chunk_size=9,
-                checkpoint_path=path, save_interval=interval).run()
+                checkpoint_path=path, save_interval=interval)
             assert result == reference
 
     def test_invalid_interval_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             CheckpointStore(str(tmp_path / "x.json"), save_interval=0)
         with pytest.raises(ValueError):
-            ShardedCampaignRunner(TrialTask(), 10, seed=1, save_interval=0)
+            run_sharded_campaign(TrialTask(), 10, seed=1, save_interval=0)
 
 
 class TestCrashWindow:
@@ -72,8 +72,8 @@ class TestCrashWindow:
         """Kill-9 semantics: freeze the file as it was mid-run, resume
         from it, and prove the loss is bounded by ``save_interval``."""
         path = tmp_path / "campaign.json"
-        reference = ShardedCampaignRunner(TrialTask(), 100, seed=42,
-                                          chunk_size=10).run()
+        reference = run_sharded_campaign(TrialTask(), 100, seed=42,
+                                         chunk_size=10)
         interval = 3
         snapshot = {}
 
@@ -82,10 +82,10 @@ class TestCrashWindow:
                 # A hard kill preserves whatever the store last wrote.
                 snapshot["bytes"] = path.read_bytes()
 
-        ShardedCampaignRunner(TrialTask(), 100, seed=42, chunk_size=10,
-                              checkpoint_path=str(path),
-                              save_interval=interval,
-                              progress_callback=crash_after_seven).run()
+        run_sharded_campaign(TrialTask(), 100, seed=42, chunk_size=10,
+                             checkpoint_path=str(path),
+                             save_interval=interval,
+                             progress_callback=crash_after_seven)
         path.write_bytes(snapshot["bytes"])
         persisted = json.loads(path.read_text())["completed"]
         # 7 chunks were done; the file holds the last full interval.
@@ -101,9 +101,9 @@ class TestCrashWindow:
 
         TrialTask.run_chunk_on = counting
         try:
-            resumed = ShardedCampaignRunner(
+            resumed = run_sharded_campaign(
                 TrialTask(), 100, seed=42, chunk_size=10,
-                checkpoint_path=str(path), save_interval=interval).run()
+                checkpoint_path=str(path), save_interval=interval)
         finally:
             TrialTask.run_chunk_on = original
         assert resumed == reference
@@ -113,19 +113,19 @@ class TestCrashWindow:
         """Interval checkpoints restore correctly when the resumed run
         fans out over a pool."""
         path = str(tmp_path / "campaign.json")
-        reference = ShardedCampaignRunner(TrialTask(), 80, seed=5,
-                                          chunk_size=10).run()
-        ShardedCampaignRunner(TrialTask(), 80, seed=5, chunk_size=10,
-                              checkpoint_path=path, save_interval=3).run()
+        reference = run_sharded_campaign(TrialTask(), 80, seed=5,
+                                         chunk_size=10)
+        run_sharded_campaign(TrialTask(), 80, seed=5, chunk_size=10,
+                             checkpoint_path=path, save_interval=3)
         payload = json.loads((tmp_path / "campaign.json").read_text())
         for lost in ("1", "4", "6"):
             del payload["completed"][lost]
         (tmp_path / "campaign.json").write_text(json.dumps(payload))
         for spec in ("serial", "process"):
-            resumed = ShardedCampaignRunner(
+            resumed = run_sharded_campaign(
                 TrialTask(), 80, seed=5, chunk_size=10,
                 checkpoint_path=path, save_interval=3, num_workers=2,
-                executor=spec).run()
+                executor=spec)
             assert resumed == reference
 
 
@@ -140,8 +140,8 @@ class TestStoreMechanics:
 
     def test_atomic_replace_leaves_no_temp_files(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        ShardedCampaignRunner(TrialTask(), 30, seed=2, chunk_size=10,
-                              checkpoint_path=path, save_interval=2).run()
+        run_sharded_campaign(TrialTask(), 30, seed=2, chunk_size=10,
+                             checkpoint_path=path, save_interval=2)
         leftovers = [p for p in tmp_path.iterdir()
                      if p.suffix == ".tmp"]
         assert leftovers == []
@@ -150,6 +150,27 @@ class TestStoreMechanics:
         with pytest.raises(ValueError, match="stale fields: seed"):
             CheckpointStore.validate({"seed": 1, "total": 5},
                                      {"seed": 2, "total": 5})
+
+    @pytest.mark.parametrize("fingerprint", (
+        "T('a', n=1)", "T(**{'n': 1})", "T(n=1", "T.<locals>.U(n=1)",
+        17, None))
+    def test_non_keyword_fingerprints_are_not_read(self, fingerprint):
+        assert _fingerprint_fields(fingerprint) is None
+
+    def test_field_values_keep_their_source_text(self):
+        assert _fingerprint_fields("T(a=(1, 'x'), b=None, c=-1.5e-05)") \
+            == {"a": "(1, 'x')", "b": "None", "c": "-1.5e-05"}
+
+    def test_escaped_quote_in_a_value_does_not_hide_other_fields(self):
+        """A string value ending in a backslash keeps the next field
+        apart from it: only ``n`` differs, and the message says so."""
+        old = "T(name='a\\\\', n=1)"
+        new = "T(name='a\\\\', n=2)"
+        with pytest.raises(ValueError) as excinfo:
+            CheckpointStore.validate({"task": old}, {"task": new})
+        message = str(excinfo.value)
+        assert "task field(s) with different values: n: 1 -> 2" in message
+        assert "name:" not in message
 
 
 #: sha256 and size of the checkpoint file of :func:`_pinned_campaign`,

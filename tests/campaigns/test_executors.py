@@ -18,8 +18,8 @@ from repro.campaigns.executors import (
     resolve_executor,
 )
 from repro.campaigns.plan import ChunkPlan
-from repro.campaigns.runner import CampaignTask, ShardedCampaignRunner
-from repro.campaigns.scheduler import CampaignScheduler
+from repro.campaigns.runner import CampaignTask
+from repro.campaigns.scheduler import CampaignScheduler, run_sharded_campaign
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 
 EXECUTORS = ("serial", "process")
@@ -119,13 +119,13 @@ class TestExecutorEquivalence:
     for every executor kind and worker count."""
 
     def test_trial_task_identical_everywhere(self):
-        reference = ShardedCampaignRunner(
-            TrialTask(), 200, seed=99, chunk_size=13).run()
+        reference = run_sharded_campaign(
+            TrialTask(), 200, seed=99, chunk_size=13)
         for spec in EXECUTORS:
             for workers in WORKER_COUNTS:
-                result = ShardedCampaignRunner(
+                result = run_sharded_campaign(
                     TrialTask(), 200, seed=99, chunk_size=13,
-                    num_workers=workers, executor=spec).run()
+                    num_workers=workers, executor=spec)
                 assert result == reference, (spec, workers)
 
     @pytest.mark.parametrize("mode", ("scalar", "batched", "array"))
@@ -133,25 +133,25 @@ class TestExecutorEquivalence:
         if mode != "scalar":
             pytest.importorskip("numpy")
         task = _sampler_task(mode)
-        reference = ShardedCampaignRunner(
+        reference = run_sharded_campaign(
             task, 12, seed=20100308, chunk_size=4,
-            executor="serial").run()
+            executor="serial")
         assert reference.stats.num_sequences == 12
         for spec, workers in (("process", 2), ("process", 4)):
-            result = ShardedCampaignRunner(
+            result = run_sharded_campaign(
                 task, 12, seed=20100308, chunk_size=4,
-                num_workers=workers, executor=spec).run()
+                num_workers=workers, executor=spec)
             assert result == reference, (mode, spec, workers)
 
     @given(seed=st.integers(0, 2**32), chunk=st.integers(1, 9))
     @settings(max_examples=20, deadline=None)
     def test_process_executor_matches_serial_property(self, seed, chunk):
-        serial = ShardedCampaignRunner(TrialTask(), 30, seed=seed,
-                                       chunk_size=chunk,
-                                       executor="serial").run()
-        pooled = ShardedCampaignRunner(TrialTask(), 30, seed=seed,
-                                       chunk_size=chunk, num_workers=3,
-                                       executor="process").run()
+        serial = run_sharded_campaign(TrialTask(), 30, seed=seed,
+                                      chunk_size=chunk,
+                                      executor="serial")
+        pooled = run_sharded_campaign(TrialTask(), 30, seed=seed,
+                                      chunk_size=chunk, num_workers=3,
+                                      executor="process")
         assert serial == pooled
 
 
@@ -215,17 +215,18 @@ class TestSerialStateCache:
 
 class TestChunkExecutionError:
     def _poisoned(self, executor, workers=2):
+        """A campaign run whose chunk 2 raises, and that chunk's entry."""
         plan = ChunkPlan.build(7, 40, 10)
         poison = plan.entries[2].chunk_seed
-        return ShardedCampaignRunner(
+        return (lambda: run_sharded_campaign(
             FailingTask(poison_seed=poison), 40, seed=7, chunk_size=10,
-            num_workers=workers, executor=executor), plan.entries[2]
+            num_workers=workers, executor=executor)), plan.entries[2]
 
     @pytest.mark.parametrize("spec", EXECUTORS)
     def test_failure_names_the_chunk(self, spec):
-        runner, entry = self._poisoned(spec)
+        run, entry = self._poisoned(spec)
         with pytest.raises(ChunkExecutionError) as excinfo:
-            runner.run()
+            run()
         error = excinfo.value
         assert error.chunk_index == entry.index
         assert error.chunk_seed == entry.chunk_seed
@@ -233,32 +234,32 @@ class TestChunkExecutionError:
         assert str(entry.index) in str(error)
 
     def test_serial_failure_chains_original_exception(self):
-        runner, _ = self._poisoned("serial", workers=1)
+        run, _ = self._poisoned("serial", workers=1)
         with pytest.raises(ChunkExecutionError) as excinfo:
-            runner.run()
+            run()
         assert isinstance(excinfo.value.__cause__, RuntimeError)
 
     def test_process_failure_carries_worker_traceback(self):
-        runner, _ = self._poisoned("process")
+        run, _ = self._poisoned("process")
         with pytest.raises(ChunkExecutionError) as excinfo:
-            runner.run()
+            run()
         assert "poisoned chunk" in (excinfo.value.worker_traceback or "")
 
     def test_checkpoint_survives_failure_and_resumes(self, tmp_path):
         path = str(tmp_path / "campaign.json")
-        reference = ShardedCampaignRunner(TrialTask(), 40, seed=7,
-                                          chunk_size=10).run()
+        reference = run_sharded_campaign(TrialTask(), 40, seed=7,
+                                         chunk_size=10)
         plan = ChunkPlan.build(7, 40, 10)
         poison = plan.entries[2].chunk_seed
-        failing = ShardedCampaignRunner(
-            FailingTask(poison_seed=poison), 40, seed=7, chunk_size=10,
-            checkpoint_path=path, save_interval=4, executor="serial")
-        # FailingTask and TrialTask share repr-based fingerprints only
+        failing = FailingTask(poison_seed=poison)
+        # FailingTask and TrialTask share field-built fingerprints only
         # if the fields match; pin the fingerprint so the resumed
         # (fixed) task accepts the failed run's checkpoint.
-        failing.task.fingerprint = TrialTask().fingerprint
+        failing.fingerprint = TrialTask().fingerprint
         with pytest.raises(ChunkExecutionError):
-            failing.run()
+            run_sharded_campaign(
+                failing, 40, seed=7, chunk_size=10, checkpoint_path=path,
+                save_interval=4, executor="serial")
         # The final flush on the way out persisted the partial
         # interval: both chunks that completed before the poison.
         resumed_calls = []
@@ -271,9 +272,9 @@ class TestChunkExecutionError:
 
         TrialTask.run_chunk_on = counting
         try:
-            resumed = ShardedCampaignRunner(
+            resumed = run_sharded_campaign(
                 fixed_task, 40, seed=7, chunk_size=10,
-                checkpoint_path=path).run()
+                checkpoint_path=path)
         finally:
             TrialTask.run_chunk_on = original
         assert resumed == reference
@@ -288,20 +289,19 @@ class TestNoLeakedWorkers:
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_runner_closes_its_pool(self, spec):
-        result = ShardedCampaignRunner(
+        result = run_sharded_campaign(
             TrialTask(), 60, seed=3, chunk_size=10, num_workers=2,
-            executor=spec).run()
+            executor=spec)
         assert result.sequences == 60
         assert _leftover_workers() == []
 
     @pytest.mark.parametrize("spec", SPECS)
     def test_failed_runner_closes_its_pool(self, spec):
         poison = ChunkPlan.build(7, 40, 10).entries[2].chunk_seed
-        runner = ShardedCampaignRunner(
-            FailingTask(poison_seed=poison), 40, seed=7, chunk_size=10,
-            num_workers=2, executor=spec)
         with pytest.raises(ChunkExecutionError):
-            runner.run()
+            run_sharded_campaign(
+                FailingTask(poison_seed=poison), 40, seed=7, chunk_size=10,
+                num_workers=2, executor=spec)
         assert _leftover_workers() == []
 
     @pytest.mark.parametrize("spec", (None, "process"))
@@ -310,12 +310,11 @@ class TestNoLeakedWorkers:
         # chunks: closing the pool terminates them instead of letting
         # the abandoned chunks run to completion.
         poison = ChunkPlan.build(7, 40, 10).entries[0].chunk_seed
-        runner = ShardedCampaignRunner(
-            SlowFailingTask(poison_seed=poison), 40, seed=7,
-            chunk_size=10, num_workers=2, executor=spec)
         started = time.perf_counter()
         with pytest.raises(ChunkExecutionError):
-            runner.run()
+            run_sharded_campaign(
+                SlowFailingTask(poison_seed=poison), 40, seed=7,
+                chunk_size=10, num_workers=2, executor=spec)
         assert time.perf_counter() - started < 3.0
         assert _leftover_workers() == []
 

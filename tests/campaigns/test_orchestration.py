@@ -1,6 +1,7 @@
-"""One orchestration path: the runner is a one-job scheduler.
+"""One orchestration path: ``run_sharded_campaign`` is a one-job
+scheduler.
 
-Checkpoints written by :class:`ShardedCampaignRunner` and by a one-job
+Checkpoints written by :func:`run_sharded_campaign` and by a one-job
 :class:`CampaignScheduler` are byte-identical and resume in each other
 (this pins checkpoint format 1), both emit the same progress events,
 and the checkpoint rules -- a ``seed=None`` job adopts the recorded
@@ -13,23 +14,21 @@ import json
 
 import pytest
 
-from repro.campaigns.runner import ShardedCampaignRunner
-from repro.campaigns.scheduler import CampaignScheduler
+from repro.campaigns.scheduler import CampaignScheduler, run_sharded_campaign
 from repro.campaigns.tasks import FIFOValidationCampaignTask
-from repro.validation.campaign import (
-    run_sharded_campaign,
-    run_sharded_single_error_campaign,
-)
+from repro.validation.campaign import run_sharded_single_error_campaign
 from tests.campaigns.test_executors import TrialTask
 
 TOTAL, SEED, CHUNK = 60, 4, 10
 
 
-def _run_runner(path=None, callback=None, seed=SEED):
-    runner = ShardedCampaignRunner(
-        TrialTask(), TOTAL, seed=seed, chunk_size=CHUNK,
-        checkpoint_path=path, progress_callback=callback)
-    return runner.run(), runner.root_seed
+def _run_one_call(path=None, callback=None, seed=SEED):
+    with CampaignScheduler() as scheduler:
+        result = run_sharded_campaign(
+            TrialTask(), TOTAL, seed=seed, chunk_size=CHUNK,
+            checkpoint_path=path, progress_callback=callback,
+            scheduler=scheduler)
+    return result, scheduler.jobs[-1].root_seed
 
 
 def _run_scheduler(path=None, callback=None, seed=SEED):
@@ -41,7 +40,7 @@ def _run_scheduler(path=None, callback=None, seed=SEED):
     return job.result, job.root_seed
 
 
-ENTRY_POINTS = {"runner": _run_runner, "scheduler": _run_scheduler}
+ENTRY_POINTS = {"one_call": _run_one_call, "scheduler": _run_scheduler}
 
 
 def _untimed(events):
@@ -66,14 +65,14 @@ class TestCheckpointsInterchangeable:
             events[name] = []
             run(str(path), events[name].append)
             files[name] = path.read_bytes()
-        assert files["runner"] == files["scheduler"]
-        assert json.loads(files["runner"])["format"] == 1
-        assert _untimed(events["runner"]) == _untimed(events["scheduler"])
-        assert len(events["runner"]) == TOTAL // CHUNK
+        assert files["one_call"] == files["scheduler"]
+        assert json.loads(files["one_call"])["format"] == 1
+        assert _untimed(events["one_call"]) == _untimed(events["scheduler"])
+        assert len(events["one_call"]) == TOTAL // CHUNK
 
     @pytest.mark.parametrize("writer", sorted(ENTRY_POINTS))
     def test_half_run_resumes_in_either(self, tmp_path, writer):
-        reference, _ = _run_runner()
+        reference, _ = _run_one_call()
         path = tmp_path / "campaign.json"
         snapshot = []
 
@@ -89,11 +88,11 @@ class TestCheckpointsInterchangeable:
             events[reader] = []
             result, _ = run(str(path), events[reader].append)
             assert result == reference, reader
-        assert _untimed(events["runner"]) == _untimed(events["scheduler"])
-        first = events["runner"][0]
+        assert _untimed(events["one_call"]) == _untimed(events["scheduler"])
+        first = events["one_call"][0]
         assert first.from_checkpoint
         assert first.sequences_completed == 30
-        assert [e.sequences_completed for e in events["runner"][1:]] == \
+        assert [e.sequences_completed for e in events["one_call"][1:]] == \
             [40, 50, 60]
 
 
@@ -141,9 +140,9 @@ class TestChunksOutsideThePlan:
 
     def _poisoned(self, tmp_path):
         path = tmp_path / "campaign.json"
-        ShardedCampaignRunner(TrialTask(), 40, seed=SEED,
-                              chunk_size=CHUNK,
-                              checkpoint_path=str(path)).run()
+        run_sharded_campaign(TrialTask(), 40, seed=SEED,
+                             chunk_size=CHUNK,
+                             checkpoint_path=str(path))
         payload = json.loads(path.read_text())
         payload["completed"]["9"] = payload["completed"]["0"]
         path.write_text(json.dumps(payload))
@@ -153,9 +152,9 @@ class TestChunksOutsideThePlan:
         path = self._poisoned(tmp_path)
         with pytest.raises(ValueError,
                            match=r"outside the campaign plan: \[9\]"):
-            ShardedCampaignRunner(TrialTask(), 40, seed=SEED,
-                                  chunk_size=CHUNK,
-                                  checkpoint_path=path).run()
+            run_sharded_campaign(TrialTask(), 40, seed=SEED,
+                                 chunk_size=CHUNK,
+                                 checkpoint_path=path)
 
     def test_scheduler_submit(self, tmp_path):
         path = self._poisoned(tmp_path)

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro.campaigns.runner import CampaignProgress, ShardedCampaignRunner
-from repro.campaigns.scheduler import CampaignScheduler
+from repro.campaigns.runner import CampaignProgress
+from repro.campaigns.scheduler import CampaignScheduler, run_sharded_campaign
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 from tests.campaigns.test_executors import TrialTask
 
@@ -115,8 +115,8 @@ class TestResultCache:
 class TestSchedulerDeterminism:
     def test_matches_individual_runners(self):
         tasks = [(TrialTask(scale=3), 70, 1), (TrialTask(scale=5), 50, 2)]
-        expected = [ShardedCampaignRunner(task, total, seed=seed,
-                                          chunk_size=10).run()
+        expected = [run_sharded_campaign(task, total, seed=seed,
+                                         chunk_size=10)
                     for task, total, seed in tasks]
         for spec, workers in (("serial", 1), ("process", 3),
                               ("process", 2)):
@@ -132,10 +132,10 @@ class TestSchedulerDeterminism:
         task = FIFOValidationCampaignTask(
             width=4, depth=4, num_chains=4, engine="packed",
             words_per_sequence=2)
-        expected = ShardedCampaignRunner(task, 12, seed=20100308,
-                                         chunk_size=4).run()
-        expected_two = ShardedCampaignRunner(task, 12, seed=77,
-                                             chunk_size=4).run()
+        expected = run_sharded_campaign(task, 12, seed=20100308,
+                                        chunk_size=4)
+        expected_two = run_sharded_campaign(task, 12, seed=77,
+                                            chunk_size=4)
         with CampaignScheduler(executor="process",
                                num_workers=2) as scheduler:
             one = scheduler.submit(task, 12, seed=20100308, chunk_size=4)
@@ -149,13 +149,11 @@ class TestSchedulerDeterminism:
 class TestSchedulerCheckpoints:
     def test_job_resumes_from_checkpoint(self, tmp_path):
         path = str(tmp_path / "job.json")
-        reference = ShardedCampaignRunner(TrialTask(), 60, seed=4,
-                                          chunk_size=10).run()
+        reference = run_sharded_campaign(TrialTask(), 60, seed=4,
+                                         chunk_size=10)
         # Seed the checkpoint with a partial run.
-        partial = ShardedCampaignRunner(TrialTask(), 60, seed=4,
-                                        chunk_size=10,
-                                        checkpoint_path=path)
-        partial.run()
+        run_sharded_campaign(TrialTask(), 60, seed=4, chunk_size=10,
+                             checkpoint_path=path)
         import json
         payload = json.loads((tmp_path / "job.json").read_text())
         for lost in ("3", "4", "5"):
@@ -176,8 +174,8 @@ class TestSchedulerCheckpoints:
 
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = str(tmp_path / "job.json")
-        ShardedCampaignRunner(TrialTask(), 60, seed=4, chunk_size=10,
-                              checkpoint_path=path).run()
+        run_sharded_campaign(TrialTask(), 60, seed=4, chunk_size=10,
+                             checkpoint_path=path)
         scheduler = CampaignScheduler(executor="serial")
         scheduler.submit(TrialTask(), 60, seed=5, chunk_size=10,
                          checkpoint_path=path)

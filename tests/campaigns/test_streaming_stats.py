@@ -71,6 +71,24 @@ class TestStreamingCampaignStats:
         assert stats.correction_rate() == 1.0
         assert stats.bit_correction_rate() == 1.0
 
+    def test_bit_correction_rate_is_net_and_can_go_negative(self):
+        """Hamming miscorrections of clustered burst-2 errors leave more
+        wrong bits than were injected: the net figure is -69/384."""
+        pytest.importorskip("numpy")
+        from repro.validation.campaign import (
+            run_sharded_multiple_error_campaign,
+        )
+
+        result = run_sharded_multiple_error_campaign(
+            192, burst_size=2, clustered=True, width=8, depth=8,
+            num_chains=7, seed=20100308, chunk_size=64, batch_size=16,
+            sampler="array", engine="simd")
+        stats = result.stats
+        assert (stats.total_injected, stats.total_residual_errors) == \
+            (384, 453)
+        assert stats.bit_correction_rate() == -69 / 384
+        assert "bit correction rate      : -17.9688%" in stats.summary()
+
     def test_merge_equals_sequential_accumulation(self):
         records = random_records(300, seed=13)
         whole = StreamingCampaignStats()

@@ -17,7 +17,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.campaigns.checkpoints import CheckpointStore           # noqa: E402
-from repro.campaigns.runner import ShardedCampaignRunner          # noqa: E402
+from repro.campaigns.scheduler import run_sharded_campaign       # noqa: E402
 from repro.campaigns.tasks import FIFOValidationCampaignTask      # noqa: E402
 
 COMMON = dict(width=8, depth=8, codes=("hamming(7,4)", "crc16"),
@@ -210,19 +210,19 @@ def test_checkpoint_with_removed_summary_path_is_refused():
 
 
 def test_resume_with_summary_path_checkpoint_end_to_end(tmp_path):
-    """Through the runner: resuming from a checkpoint whose fingerprint
+    """Through a campaign run: resuming from a checkpoint whose fingerprint
     still has summary_path aborts with the field named."""
     path = str(tmp_path / "campaign.json")
     task = FIFOValidationCampaignTask(**COMMON)
-    ShardedCampaignRunner(task, 32, seed=9, chunk_size=16,
-                          checkpoint_path=path).run()
+    run_sharded_campaign(task, 32, seed=9, chunk_size=16,
+                         checkpoint_path=path)
     payload = json.loads((tmp_path / "campaign.json").read_text())
     payload["task"] = _with_summary_path(payload["task"])
     (tmp_path / "campaign.json").write_text(json.dumps(payload))
     with pytest.raises(ValueError,
                        match="no longer present: summary_path"):
-        ShardedCampaignRunner(task, 64, seed=9, chunk_size=16,
-                              checkpoint_path=path).run()
+        run_sharded_campaign(task, 64, seed=9, chunk_size=16,
+                             checkpoint_path=path)
 
 
 def _strip_field(fingerprint: str, field: str) -> str:
@@ -278,16 +278,16 @@ def test_unparseable_fingerprint_falls_back_to_generic_message():
 
 
 def test_resume_with_stale_checkpoint_end_to_end(tmp_path):
-    """Through the runner: a checkpoint written before a task field
+    """Through a campaign run: a checkpoint written before a task field
     existed (fingerprint without sampler) aborts the resume with the
     field named in the error."""
     path = str(tmp_path / "campaign.json")
     task = FIFOValidationCampaignTask(**COMMON)
-    ShardedCampaignRunner(task, 32, seed=9, chunk_size=16,
-                          checkpoint_path=path).run()
+    run_sharded_campaign(task, 32, seed=9, chunk_size=16,
+                         checkpoint_path=path)
     payload = json.loads((tmp_path / "campaign.json").read_text())
     payload["task"] = _strip_field(payload["task"], "sampler")
     (tmp_path / "campaign.json").write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="sampler"):
-        ShardedCampaignRunner(task, 64, seed=9, chunk_size=16,
-                              checkpoint_path=path).run()
+        run_sharded_campaign(task, 64, seed=9, chunk_size=16,
+                             checkpoint_path=path)

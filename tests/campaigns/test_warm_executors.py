@@ -22,8 +22,8 @@ from repro.campaigns.executors import (
     resolve_executor,
 )
 from repro.campaigns.plan import ChunkPlan
-from repro.campaigns.runner import CampaignTask, ShardedCampaignRunner
-from repro.campaigns.scheduler import CampaignScheduler
+from repro.campaigns.runner import CampaignTask
+from repro.campaigns.scheduler import CampaignScheduler, run_sharded_campaign
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 
 WORKER_COUNTS = (1, 2, 4)
@@ -154,8 +154,8 @@ def _run(pool, task, total=60, seed=11, chunk=10):
 
 
 def _serial(task, total=60, seed=11, chunk=10):
-    return ShardedCampaignRunner(task, total, seed=seed, chunk_size=chunk,
-                                 executor="serial").run()
+    return run_sharded_campaign(task, total, seed=seed, chunk_size=chunk,
+                                executor="serial")
 
 
 class TestLifecycle:
@@ -352,7 +352,7 @@ class _Watchdog:
 
 class TestPipeTransport:
     """Chaos cases of the pipe-pair transport, each run through the
-    real scheduler (the sharded runner is a one-job scheduler)."""
+    real scheduler (``run_sharded_campaign`` is a one-job scheduler)."""
 
     def test_worker_killed_from_outside_is_reported(self, tmp_path):
         plan = ChunkPlan.build(7, 40, 10)
@@ -374,8 +374,8 @@ class TestPipeTransport:
             killer.start()
             try:
                 with pytest.raises(ChunkExecutionError) as excinfo:
-                    ShardedCampaignRunner(task, 40, seed=7, chunk_size=10,
-                                          executor=pool).run()
+                    run_sharded_campaign(task, 40, seed=7, chunk_size=10,
+                                         executor=pool)
             finally:
                 killer.join(timeout=60.0)
             assert not killer.is_alive()
@@ -384,9 +384,9 @@ class TestPipeTransport:
             # The killed worker held the sleeping chunk, and answered
             # everything before it.
             assert excinfo.value.chunk_index == slow.index
-            assert ShardedCampaignRunner(
+            assert run_sharded_campaign(
                 TrialTask(), 60, seed=11, chunk_size=10,
-                executor=pool).run() == _serial(TrialTask())
+                executor=pool) == _serial(TrialTask())
             assert pool.alive_workers == pool.num_workers
 
     @pytest.mark.parametrize("workers", (1, 2))
@@ -414,9 +414,9 @@ class TestPipeTransport:
         with PersistentProcessExecutor(
                 2, start_method=start_method) as pool:
             for _ in range(2):  # fresh, then reused
-                assert ShardedCampaignRunner(
+                assert run_sharded_campaign(
                     TrialTask(), 200, seed=99, chunk_size=13,
-                    executor=pool).run() == reference
+                    executor=pool) == reference
             assert pool.alive_workers == 2
         assert _warm_children() == []
 
@@ -427,12 +427,12 @@ class TestPipeTransport:
             "    CorrectionCapabilityTask)\n"
             "from repro.campaigns.executors import "
             "PersistentProcessExecutor\n"
-            "from repro.campaigns.runner import ShardedCampaignRunner\n"
+            "from repro.campaigns import run_sharded_campaign\n"
             "pool = PersistentProcessExecutor(2)\n"
             "task = CorrectionCapabilityTask(code_n=7, code_k=4,\n"
             "    num_bits=1000, num_errors=2, engine='packed')\n"
-            "ShardedCampaignRunner(task, 40, seed=1, chunk_size=10,\n"
-            "                      executor=pool).run()\n"
+            "run_sharded_campaign(task, 40, seed=1, chunk_size=10,\n"
+            "                     executor=pool)\n"
             "print(*(r.process.pid for r in pool._workers.values()),\n"
             "      flush=True)\n"
             "os.kill(os.getpid(), signal.SIGKILL)\n")
@@ -522,20 +522,20 @@ class TestResolveWarmSpecs:
 
 class TestRunnerIntegration:
     def test_runner_with_warm_spec_closes_its_pool(self):
-        result = ShardedCampaignRunner(
+        result = run_sharded_campaign(
             TrialTask(), 200, seed=99, chunk_size=13, num_workers=2,
-            executor="process").run()
+            executor="process")
         assert result == _serial(TrialTask(), total=200, seed=99,
                                  chunk=13)
-        # The runner resolved the spec, so the runner closed the pool.
+        # The call resolved the spec, so the call closed the pool.
         assert _warm_children() == []
 
     def test_runner_leaves_prebuilt_pool_warm(self):
         with PersistentProcessExecutor(2) as pool:
             for seed in (1, 2):
-                result = ShardedCampaignRunner(
+                result = run_sharded_campaign(
                     TrialTask(), 60, seed=seed, chunk_size=10,
-                    executor=pool).run()
+                    executor=pool)
                 assert result == _serial(TrialTask(), seed=seed)
             # Caller-owned pool: still warm after both runs.
             assert pool.alive_workers == 2
@@ -544,10 +544,10 @@ class TestRunnerIntegration:
     def test_progress_carries_the_setup_compute_split(self):
         task = _sampler_task("scalar")
         snapshots = []
-        ShardedCampaignRunner(
+        run_sharded_campaign(
             task, 12, seed=5, chunk_size=4, num_workers=1,
             executor="process",
-            progress_callback=snapshots.append).run()
+            progress_callback=snapshots.append)
         final = snapshots[-1]
         # One worker built the workspace once (setup), then computed
         # every chunk: both halves of the split are visible.

@@ -77,13 +77,6 @@ class TestTaskStateKey:
         assert a is not b
         assert task_state_key(a) == task_state_key(b)
 
-    def test_fingerprint_free_objects_fall_back_to_repr(self):
-        class Bare:
-            def __repr__(self):
-                return "Bare<fixed>"
-
-        assert task_state_key(Bare()) == "Bare<fixed>"
-
 
 class TestWorkerStateCache:
     def setup_method(self):

@@ -71,6 +71,43 @@ class TestSelfAssignmentHazards:
         assert findings == []
 
 
+class TestSubclassDiscovery:
+    """``task_classes`` finds CampaignTask subclasses however the base
+    is named."""
+
+    def test_aliased_import_is_followed(self, run_rule):
+        findings = run_rule(RULE, textwrap.dedent("""\
+            from repro.campaigns.runner import CampaignTask as Base
+
+            class Hidden(Base):
+                def configure(self):
+                    self.transform = lambda x: x
+            """), "repro/campaigns/fixture.py")
+        assert len(findings) == 1
+        assert "Hidden.configure" in findings[0].message
+
+    def test_in_file_subclass_chain_is_followed(self, run_rule):
+        findings = run_rule(RULE, HEADER + textwrap.dedent("""\
+            @dataclass(frozen=True)
+            class Mid(CampaignTask):
+                width: int = 4
+
+            @dataclass(frozen=True)
+            class Leaf(Mid):
+                factory: Optional[Callable[[int], int]] = None
+            """), "repro/campaigns/fixture.py")
+        assert len(findings) == 1
+        assert "Leaf.factory" in findings[0].message
+
+    def test_unrelated_class_is_ignored(self, run_rule):
+        findings = run_rule(RULE, HEADER + textwrap.dedent("""\
+            @dataclass
+            class NotATask:
+                factory: Optional[Callable[[int], int]] = None
+            """), "repro/campaigns/fixture.py")
+        assert findings == []
+
+
 class TestWorkerCacheScope:
     """In the worker-cache module *every* class is in scope.
 

@@ -99,7 +99,7 @@ class TestThirdPartyRegistration:
 
     def test_registered_engine_accepted_by_campaign_drivers(self):
         from repro.campaigns.tasks import FIFOValidationCampaignTask
-        from repro.validation.campaign import run_sharded_campaign
+        from repro.campaigns.scheduler import run_sharded_campaign
 
         built = []
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaigns.scheduler import CampaignScheduler
 from repro.campaigns.tasks import FIFOValidationCampaignTask
 from repro.circuit.fifo import SyncFIFO
 from repro.codes.hamming import HammingCode
@@ -15,6 +16,12 @@ from repro.validation.testbench import BatchSequenceResult, FIFOTestbench
 
 KWARGS = dict(width=8, depth=8, num_chains=8, seed=20100308, chunk_size=16,
               batch_size=8)
+
+
+def _submitted_chunk_size(task, total, **kwargs):
+    """The chunk size a scheduler plans for one submitted campaign."""
+    with CampaignScheduler() as scheduler:
+        return scheduler.submit(task, total, **kwargs).plan.chunk_size
 
 
 class TestBatchedCampaignEquivalence:
@@ -121,24 +128,18 @@ class TestChunkGranularity:
         """The runner's default chunk size rounds up to a whole number
         of batches, so small campaigns keep full-size batch passes
         instead of silently truncating every batch to the chunk."""
-        from repro.campaigns.runner import ShardedCampaignRunner
-
         task = FIFOValidationCampaignTask(width=8, depth=8, num_chains=8,
                                           engine="simd", batch_size=256)
-        runner = ShardedCampaignRunner(task, 1000, seed=1)
-        assert runner.chunk_size == 256
+        assert _submitted_chunk_size(task, 1000, seed=1) == 256
         unbatched = FIFOValidationCampaignTask(width=8, depth=8,
                                                num_chains=8)
-        assert ShardedCampaignRunner(unbatched, 1000, seed=1).chunk_size \
-            == 16
+        assert _submitted_chunk_size(unbatched, 1000, seed=1) == 16
 
     def test_explicit_chunk_size_is_respected(self):
-        from repro.campaigns.runner import ShardedCampaignRunner
-
         task = FIFOValidationCampaignTask(width=8, depth=8, num_chains=8,
                                           engine="simd", batch_size=256)
-        runner = ShardedCampaignRunner(task, 1000, seed=1, chunk_size=10)
-        assert runner.chunk_size == 10
+        assert _submitted_chunk_size(task, 1000, seed=1,
+                                     chunk_size=10) == 10
 
 
 class TestTaskValidation:
