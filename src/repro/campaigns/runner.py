@@ -101,7 +101,15 @@ class CampaignTask:
         every dataclass field -- ``field(repr=False)`` ones included --
         which for a task with default reprs is its ``repr``.  A task
         that is not a dataclass has no fields to build it from.
+
+        A frozen task (every built-in one) builds the string once and
+        keeps it, so the scheduler, the executors and each worker's
+        state cache can ask for it per job and per chunk; the kept
+        string travels with the task when it is pickled to a worker.
         """
+        kept = self.__dict__.get("_fingerprint")
+        if kept is not None:
+            return kept
         if not is_dataclass(self):
             raise TypeError(
                 f"{type(self).__qualname__} is not a dataclass: a "
@@ -109,7 +117,11 @@ class CampaignTask:
                 f"dataclass fields")
         values = ", ".join(f"{field.name}={getattr(self, field.name)!r}"
                            for field in fields(self))
-        return f"{type(self).__qualname__}({values})"
+        built = f"{type(self).__qualname__}({values})"
+        if self.__dataclass_params__.frozen:
+            # Frozen fields cannot change, so neither can the string.
+            self.__dict__["_fingerprint"] = built
+        return built
 
     def __init_subclass__(cls, **kwargs: Any) -> None:
         super().__init_subclass__(**kwargs)

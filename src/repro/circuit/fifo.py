@@ -16,7 +16,7 @@ configuration.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 from repro.circuit.base import SequentialCircuit
 from repro.circuit.flipflop import RetentionFlipFlop, force_flops
@@ -152,8 +152,14 @@ class SyncFIFO(SequentialCircuit):
     @property
     def occupancy(self) -> int:
         """Number of words currently stored."""
-        span = 1 << self._ptr_bits
-        return (self.write_pointer - self.read_pointer) % span
+        return self._pointers()[2]
+
+    def _pointers(self) -> Tuple[int, int, int]:
+        """The write pointer, the read pointer and the occupancy, each
+        pointer read once (the write pointer first)."""
+        write = self.write_pointer
+        read = self.read_pointer
+        return write, read, (write - read) % (1 << self._ptr_bits)
 
     @property
     def is_full(self) -> bool:
@@ -165,9 +171,17 @@ class SyncFIFO(SequentialCircuit):
         """True when the FIFO holds no words."""
         return self.occupancy == 0
 
-    def _update_flags(self) -> None:
-        self._full_flag.force(1 if self.is_full else 0)
-        self._empty_flag.force(1 if self.is_empty else 0)
+    def _set_flags(self, occupancy: int) -> None:
+        """Set the full and empty flags for ``occupancy`` stored words.
+
+        :meth:`push` and :meth:`pop` read each pointer once and pass the
+        occupancy they saw plus or minus one: the pointers carry one
+        wrap bit more than the address, so they span at least twice the
+        depth and a push (pop) that fits moves the occupancy by exactly
+        one.
+        """
+        self._full_flag.force(1 if occupancy >= self.depth else 0)
+        self._empty_flag.force(1 if occupancy == 0 else 0)
 
     # ------------------------------------------------------------------
     # Functional operations
@@ -188,34 +202,37 @@ class SyncFIFO(SequentialCircuit):
         if len(word) != self.width:
             raise ValueError(
                 f"expected a {self.width}-bit word, got {len(word)} bits")
-        targets = self.next_write_registers()
-        if not targets:
+        write, _, occupancy = self._pointers()
+        if occupancy >= self.depth:
             self._overflow_flag.force(1)
             return False
-        for ff, bit in zip(targets, word):
+        for ff, bit in zip(self._memory[write % self.depth], word):
             v = int(bit)
             if v not in (0, 1):
                 raise ValueError(f"data bits must be 0 or 1, got {bit!r}")
             ff.force(v)
         self._write_value(self._wr_ptr,
-                          (self.write_pointer + 1) % (1 << self._ptr_bits))
-        self._update_flags()
+                          (write + 1) % (1 << self._ptr_bits))
+        self._set_flags(occupancy + 1)
         return True
 
-    def next_write_registers(self) -> List[RetentionFlipFlop]:
-        """The data registers the next :meth:`push` writes, bit 0
-        first; empty when the FIFO is full (that push only sets the
-        overflow flag)."""
-        if self.is_full:
-            return []
-        return list(self._memory[self.write_pointer % self.depth])
+    def next_write_row(self) -> Optional[int]:
+        """The memory row the next :meth:`push` writes, or None when
+        the FIFO is full (that push only sets the overflow flag).  Row
+        ``r``'s data registers are ``registers[r * width:(r + 1) *
+        width]``, bit 0 first."""
+        write, _, occupancy = self._pointers()
+        if occupancy >= self.depth:
+            return None
+        return write % self.depth
 
     def pop(self) -> Optional[List[int]]:
         """Read one word; returns None (and sets underflow) when empty."""
-        if self.is_empty:
+        _, read, occupancy = self._pointers()
+        if occupancy == 0:
             self._underflow_flag.force(1)
             return None
-        row = self.read_pointer % self.depth
+        row = read % self.depth
         word: List[int] = []
         for ff in self._memory[row]:
             bit = ff.q
@@ -223,9 +240,8 @@ class SyncFIFO(SequentialCircuit):
                 raise FIFOError(
                     f"stored data in row {row} holds an unknown value")
             word.append(bit)
-        self._write_value(self._rd_ptr,
-                          (self.read_pointer + 1) % (1 << self._ptr_bits))
-        self._update_flags()
+        self._write_value(self._rd_ptr, (read + 1) % (1 << self._ptr_bits))
+        self._set_flags(occupancy - 1)
         return word
 
     def push_int(self, value: int) -> bool:

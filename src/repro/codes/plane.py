@@ -27,7 +27,6 @@ from typing import Dict, Optional, Tuple
 from repro.codes.base import BlockCode, CodeError
 from repro.codes.crc import CRCCode
 from repro.codes.hamming import HammingCode
-from repro.codes.packed import PackedCRC
 from repro.codes.parity import ParityCode
 from repro.codes.secded import SECDEDCode
 
@@ -85,12 +84,12 @@ class GF2Matrix:
         return tuple(columns)
 
 
-#: Shared matrices memoised on the code *parameters*: campaign workers
-#: rebuild ``ProtectedDesign`` (and with it every engine) per chunk,
-#: and without the cache each rebuild re-derives the same matrices --
-#: the CRC stream matrix in particular costs O(stream bits) serial
-#: steps.  :class:`GF2Matrix` is frozen, so sharing one instance across
-#: designs/engines/processes is safe.  Only the exact built-in code
+#: Shared matrices memoised on the code *parameters*: every campaign
+#: bench (one per worker process, or one per serial campaign call)
+#: builds a ``ProtectedDesign`` and with it every engine, and without
+#: the cache each would re-derive the same matrices.
+#: :class:`GF2Matrix` is frozen, so sharing one instance across
+#: designs/engines is safe.  Only the exact built-in code
 #: types are cached (a subclass may override the defining equations);
 #: keys carry the type object itself, so two same-parameter instances
 #: of one type share and distinct types never collide.
@@ -119,8 +118,9 @@ def block_parity_matrix(code: BlockCode) -> GF2Matrix:
     engines instead.
 
     Matrices for the built-in code types are memoised on the code
-    parameters, so rebuilding a design (as sharded campaign workers do
-    per chunk) reuses the shared instance instead of re-deriving it.
+    parameters, so a second design of the same codes (every campaign
+    bench builds one) reuses the shared instance instead of re-deriving
+    it.
     """
     key = _block_matrix_key(code)
     if key is not None:
@@ -157,21 +157,62 @@ def _build_block_parity_matrix(code: BlockCode) -> GF2Matrix:
         f"use engine='packed' instead")
 
 
+def crc_stream_columns(code: CRCCode, nbits: int
+                       ) -> Tuple[Tuple[int, ...], int]:
+    """The linear and constant parts of an ``nbits`` stream's CRC.
+
+    Returns ``(columns, const_word)``: folding a stream whose bit ``t``
+    (MSB first in time, index 0 folded first) is 1 toggles exactly the
+    signature bits of ``columns[t]``, and ``const_word`` is the
+    signature of the all-zero stream, so a stream's signature is
+    ``const_word`` XORed with the columns of its 1 bits.  The CRC update
+    is linear over GF(2) in (register, input), so a 1 at position ``t``
+    is a unit impulse followed by ``nbits - 1 - t`` zero steps and the
+    columns are built in one backward pass of O(nbits) serial steps.
+
+    numpy-free and not memoised: :func:`crc_stream_matrix` and the
+    SIMD engine's flat stream rows both start from these columns, and
+    each memoises what it builds from them.
+    """
+    if nbits < 0:
+        raise CodeError("stream length must be non-negative")
+    width, poly = code.width, code.poly
+    top, mask = width - 1, (1 << width) - 1
+    columns = [0] * nbits
+    impulse = poly  # a 1 folded into the zero register
+    for position in range(nbits - 1, -1, -1):
+        columns[position] = impulse
+        impulse = ((impulse << 1) & mask) ^ (poly if impulse >> top else 0)
+    if nbits >= width:
+        # ``init`` leaves the register like the first ``width`` stream
+        # bits would: init bit ``b`` shifts out at step ``width - b``,
+        # as a 1 at stream position ``width - 1 - b`` does.
+        const_word = 0
+        for b in range(width):
+            if (code.init >> b) & 1:
+                const_word ^= columns[width - 1 - b]
+    else:
+        const_word = code.init
+        for _ in range(nbits):
+            const_word = (((const_word << 1) & mask)
+                          ^ (poly if const_word >> top else 0))
+    return tuple(columns), const_word
+
+
 def crc_stream_matrix(code: CRCCode, nbits: int) -> GF2Matrix:
     """The affine GF(2) map from an ``nbits`` stream to a CRC signature.
 
     Stream bits are indexed MSB first in time (index 0 is the first bit
     folded); signature rows are MSB first (row ``j`` is signature bit
-    ``width - 1 - j``), matching ``PackedCRC.signature_int``.  The CRC
-    update is linear over GF(2) in (register, input), so the whole-
-    stream signature is ``sig(init, 0...0) XOR (XOR of the columns of
-    the positions holding a 1)``; the columns are built incrementally
-    (a 1 at position ``t`` is a unit impulse followed by
-    ``nbits - 1 - t`` zero steps), costing O(nbits) serial steps total.
+    ``width - 1 - j``), matching ``PackedCRC.signature_int``.  Row ``j``
+    lists the stream positions whose :func:`crc_stream_columns` column
+    holds bit ``width - 1 - j``; ``const`` is the zero stream's
+    signature.  This numpy-free form is the reference the SIMD engine's
+    flat stream rows (:func:`repro.engines.simd._stream_rows`) are
+    tested against.
 
     Memoised on ``(width, poly, init, nbits)`` for plain
-    :class:`CRCCode` instances -- the O(nbits) construction is the
-    dominant per-chunk engine-build cost of sharded campaigns.
+    :class:`CRCCode` instances.
     """
     if nbits < 0:
         raise CodeError("stream length must be non-negative")
@@ -181,33 +222,24 @@ def crc_stream_matrix(code: CRCCode, nbits: int) -> GF2Matrix:
         cached = _MATRIX_CACHE.get(key)
         if cached is not None:
             return cached
-    matrix = _build_crc_stream_matrix(code, nbits)
-    if key is not None:
-        _MATRIX_CACHE[key] = matrix
-    return matrix
-
-
-def _build_crc_stream_matrix(code: CRCCode, nbits: int) -> GF2Matrix:
-    packed = PackedCRC(code)
+    columns, const_word = crc_stream_columns(code, nbits)
     width = code.width
-    columns = [0] * nbits
-    impulse = packed._step(0, 1)
-    for position in range(nbits - 1, -1, -1):
-        columns[position] = impulse
-        impulse = packed._step(impulse, 0)
-    const_word = packed.signature_int(0, nbits)
     rows = []
     const = []
     for j in range(width):
         bit = 1 << (width - 1 - j)
         rows.append(tuple(t for t in range(nbits) if columns[t] & bit))
         const.append(1 if const_word & bit else 0)
-    return GF2Matrix(rows=tuple(rows), const=tuple(const),
-                     num_inputs=max(nbits, 1))
+    matrix = GF2Matrix(rows=tuple(rows), const=tuple(const),
+                       num_inputs=max(nbits, 1))
+    if key is not None:
+        _MATRIX_CACHE[key] = matrix
+    return matrix
 
 
 __all__ = [
     "GF2Matrix",
     "block_parity_matrix",
+    "crc_stream_columns",
     "crc_stream_matrix",
 ]

@@ -378,10 +378,6 @@ class ProtectedDesign:
         self._engine_cache[name] = (self.monitor_bank, geometry, engine)
         return engine
 
-    def _get_packed_engine(self):
-        """The packed-integer engine core (back-compat accessor)."""
-        return self._resolve_engine("packed").engine
-
     def _pack_chains(self) -> Tuple[List[int], List[int]]:
         """Snapshot the chains into packed (states, knowns) integers.
 

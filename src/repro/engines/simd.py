@@ -16,7 +16,7 @@ essentially every sequence of a batch:
 * parities and CRC signatures are GF(2) linear maps, evaluated as XOR
   folds over ndarray gathers using the shared matrices of
   :mod:`repro.codes.plane` (:func:`~repro.codes.plane.block_parity_matrix`
-  / :func:`~repro.codes.plane.crc_stream_matrix`) -- no popcounts, no
+  / :func:`~repro.codes.plane.crc_stream_columns`) -- no popcounts, no
   per-slice work;
 * correcting blocks sharing one code are stacked on a leading *group*
   axis, so one kernel invocation decodes every Hamming block of the
@@ -83,7 +83,7 @@ import numpy as np
 from repro.codes.crc import CRCCode
 from repro.codes.hamming import HammingCode
 from repro.codes.parity import ParityCode
-from repro.codes.plane import block_parity_matrix, crc_stream_matrix
+from repro.codes.plane import block_parity_matrix, crc_stream_columns
 from repro.codes.secded import SECDEDCode
 from repro.core.monitor import MonitorBank, MonitorReport
 from repro.engines.base import (
@@ -123,12 +123,13 @@ def _unpack_bits(words: np.ndarray, batch_size: int) -> np.ndarray:
 # Process-wide (code -> table) cache
 # ----------------------------------------------------------------------
 #: Syndrome tables memoised on the code *parameters*, like the GF(2)
-#: matrix cache of :mod:`repro.codes.plane`: sharded campaign workers
-#: rebuild every engine per chunk, and each rebuild would otherwise
-#: re-derive the same tables.  Only the exact built-in code types are
-#: cached (a subclass may override the defining equations), keys carry
-#: the type object itself, and the cached ndarrays are frozen read-only
-#: so sharing one instance across engines and processes is safe.
+#: matrix cache of :mod:`repro.codes.plane`: every campaign bench (one
+#: per worker process, or one per serial campaign call) builds its own
+#: engines, and each would otherwise re-derive the same tables.  Only
+#: the exact built-in code types are cached (a subclass may override
+#: the defining equations), keys carry the type object itself, and the
+#: cached ndarrays are frozen read-only so sharing one instance across
+#: engines and processes is safe.
 _TABLE_CACHE: Dict[tuple, np.ndarray] = {}
 
 
@@ -401,8 +402,8 @@ class _SimdStreamMonitor:
 #: Each CRC stream block's flat signature rows and constant-row
 #: indices (:func:`_stream_rows`), memoised on the exact CRC
 #: parameters, the block's chains and the chain length: every campaign
-#: builds a new engine, and each would otherwise turn the memoised
-#: stream matrix's rows into ndarrays again.  The arrays are read-only.
+#: bench builds a new engine, and each would otherwise turn the stream's
+#: columns into ndarrays again.  The arrays are read-only.
 _STREAM_ROWS_CACHE: Dict[tuple, Tuple[Tuple[np.ndarray, ...],
                                        np.ndarray]] = {}
 
@@ -412,12 +413,16 @@ def _stream_rows(code: CRCCode, chain_indices: Tuple[int, ...],
                  ) -> Tuple[Tuple[np.ndarray, ...], np.ndarray]:
     """A stream block's CRC signature as ``(rows_flat, const_idx)``.
 
-    ``rows_flat[j]`` lists signature row ``j``'s stream bits as flat
-    ``chain * chain_length + position`` cell indices: stream bit ``s``
-    is chain ``chain_indices[s % width]`` at scan position
-    ``chain_length - 1 - s // width`` (the block's chains interleave,
-    last flop first).  ``const_idx`` lists the rows whose constant
-    term is 1.
+    ``rows_flat[j]`` lists signature row ``j``'s stream bits (the rows
+    of :func:`~repro.codes.plane.crc_stream_matrix`) as flat ``chain *
+    chain_length + position`` cell indices: stream bit ``s`` is chain
+    ``chain_indices[s % width]`` at scan position ``chain_length - 1 -
+    s // width`` (the block's chains interleave, last flop first).
+    ``const_idx`` lists the rows whose constant term is 1.  The rows
+    come from the stream's impulse-response columns
+    (:func:`~repro.codes.plane.crc_stream_columns`): their bits unpack
+    into a ``(stream bit, row)`` matrix, one transpose makes it
+    row-major, and each row's nonzero positions gather the cells.
     """
     key = _code_key(code, "stream")
     if key is not None:
@@ -426,14 +431,24 @@ def _stream_rows(code: CRCCode, chain_indices: Tuple[int, ...],
         if cached is not None:
             return cached
     width = len(chain_indices)
-    matrix = crc_stream_matrix(code, chain_length * width)
-    indices = np.asarray(chain_indices, dtype=np.int64)
-    flat = []
-    for row in matrix.rows:
-        bits = np.asarray(row, dtype=np.int64)
-        flat.append(indices[bits % width] * chain_length
-                    + (chain_length - 1 - bits // width))
-    const_idx = np.flatnonzero(np.array(matrix.const, dtype=np.uint8))
+    signature = code.width
+    columns, const_word = crc_stream_columns(code, chain_length * width)
+    # Column ``t`` as big-endian bytes unpacks MSB first: of its
+    # ``8 * nbytes`` bits, the last ``signature`` are signature rows
+    # ``0, 1, ...`` (row ``j`` is signature bit ``signature - 1 - j``).
+    nbytes = (signature + 7) // 8
+    raw = b"".join(column.to_bytes(nbytes, "big") for column in columns)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(len(columns), nbytes),
+        axis=1)[:, 8 * nbytes - signature:].T
+    # Stream bit ``s = q * width + r`` is chain ``chain_indices[r]`` at
+    # position ``chain_length - 1 - q``.
+    cells = (np.asarray(chain_indices, dtype=np.int64) * chain_length
+             + np.arange(chain_length - 1, -1, -1,
+                         dtype=np.int64)[:, None]).ravel()
+    flat = [cells[np.flatnonzero(row)] for row in bits]
+    const_idx = np.flatnonzero(
+        [(const_word >> (signature - 1 - j)) & 1 for j in range(signature)])
     for values in (*flat, const_idx):
         values.setflags(write=False)
     rows = (tuple(flat), const_idx)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 
 class DampingRegime(enum.Enum):
@@ -115,6 +115,11 @@ SETTLE_TOLERANCE = 0.02
 #: walks.
 _GRID_STEPS = 4000.0
 
+#: Relative widening of the envelope bound before the walk compares it
+#: with the running peaks: far above the few ulps by which the float
+#: evaluation of a waveform can exceed its exact value.
+_ENVELOPE_MARGIN = 1.0 + 1e-9
+
 #: Wake-up transients memoised process-wide on the (frozen) RLC
 #: parameters and switch staging, the only inputs of the transient.  Its
 #: grid walk is by far the most expensive part of a domain's *first*
@@ -170,24 +175,49 @@ def wake_transient(params: RLCParameters,
     return transient
 
 
-def _stage_waveforms(p: RLCParameters
-                     ) -> Tuple[Callable[[float], float],
-                                Callable[[float], float]]:
-    """``i(t)`` and ``di/dt`` of one stage with parameters ``p``, for
-    ``t >= 0``.
+class _StageWaveforms(NamedTuple):
+    """The closed-form step response of one stage (see
+    :func:`_stage_waveforms`).
+
+    ``envelope`` bounds the tail of the response: for every ``t >=
+    envelope_start`` and every ``u >= t``, ``|current(u)| <=
+    envelope(t)`` and ``|slope(u)| <= slope_gain * envelope(t)``.
+    """
+
+    current: Callable[[float], float]
+    slope: Callable[[float], float]
+    envelope: Callable[[float], float]
+    envelope_start: float
+    slope_gain: float
+
+
+def _stage_waveforms(p: RLCParameters) -> _StageWaveforms:
+    """``i(t)``, ``di/dt`` and a decreasing bound on both, of one stage
+    with parameters ``p``, for ``t >= 0``.
 
     The regime and its coefficients are fixed here once; the returned
     functions evaluate the closed-form step response with the same float
-    expressions, in the same order, for every ``t``.
+    expressions, in the same order, for every ``t``.  The envelopes:
+
+    * underdamped, ``i = k e^{-at} sin(wd t)``: ``|i| <= k e^{-at}`` and
+      ``|di/dt| <= w0 k e^{-at}`` (``|wd cos - a sin| <= sqrt(wd^2 +
+      a^2) = w0``);
+    * critically damped, ``i = k t e^{-at}``: ``i`` itself, which
+      decreases for ``t > 1/a``, where ``|di/dt| = k e^{-at} (at - 1)
+      <= a i``;
+    * overdamped, ``i = k (e^{s1 t} - e^{s2 t})`` with ``s2 < s1 < 0``:
+      ``|i| <= k e^{s1 t}`` and ``|di/dt| <= (|s1| + |s2|) k e^{s1 t}``.
     """
     vdd, L = p.vdd, p.inductance
     alpha, omega0 = p.alpha, p.omega0
     regime = p.regime
     exp = math.exp
+    start = 0.0
     if regime is DampingRegime.UNDERDAMPED:
         omega_d = math.sqrt(omega0 ** 2 - alpha ** 2)
         k = vdd / (omega_d * L)
         sin, cos = math.sin, math.cos
+        gain = omega0
 
         def current(t: float) -> float:
             return k * exp(-alpha * t) * sin(omega_d * t)
@@ -195,25 +225,35 @@ def _stage_waveforms(p: RLCParameters
         def slope(t: float) -> float:
             return k * exp(-alpha * t) * (
                 omega_d * cos(omega_d * t) - alpha * sin(omega_d * t))
+
+        def envelope(t: float) -> float:
+            return k * exp(-alpha * t)
     elif regime is DampingRegime.CRITICALLY_DAMPED:
         k = vdd / L
+        start, gain = 1.0 / alpha, alpha
 
         def current(t: float) -> float:
             return k * t * exp(-alpha * t)
 
         def slope(t: float) -> float:
             return k * exp(-alpha * t) * (1.0 - alpha * t)
+
+        envelope = current
     else:
         root = math.sqrt(alpha ** 2 - omega0 ** 2)
         s1, s2 = -alpha + root, -alpha - root
         k = vdd / (L * (s1 - s2))
+        gain = abs(s1) + abs(s2)
 
         def current(t: float) -> float:
             return k * (exp(s1 * t) - exp(s2 * t))
 
         def slope(t: float) -> float:
             return k * (s1 * exp(s1 * t) - s2 * exp(s2 * t))
-    return current, slope
+
+        def envelope(t: float) -> float:
+            return k * exp(s1 * t)
+    return _StageWaveforms(current, slope, envelope, start, gain)
 
 
 class RushCurrentModel:
@@ -248,7 +288,7 @@ class RushCurrentModel:
         self._horizon = 10.0 * max(2.0 * math.pi / stage.omega0,
                                    1.0 / stage.alpha)
         self._dt = self._horizon / _GRID_STEPS
-        self._current, self._slope = _stage_waveforms(stage)
+        self._waveforms = _stage_waveforms(stage)
 
     def __reduce__(self):
         # The waveform closures do not pickle; the constructor rebuilds
@@ -284,13 +324,13 @@ class RushCurrentModel:
         """Rush current ``i(t)`` in amperes at time ``t`` seconds."""
         if t < 0:
             return 0.0
-        return self._current(t)
+        return self._waveforms.current(t)
 
     def current_derivative(self, t: float) -> float:
         """``di/dt`` in A/s at time ``t`` (used for the L*di/dt droop)."""
         if t < 0:
             return 0.0
-        return self._slope(t)
+        return self._waveforms.slope(t)
 
     def droop(self, t: float) -> float:
         """Supply droop (volts) seen at the always-on rail at time ``t``."""
@@ -383,10 +423,21 @@ class RushCurrentModel:
         sample of largest magnitude.  ``di/dt`` is evaluated only when
         the rail shares inductance: with ``share_inductance == 0`` its
         term adds a signed zero, which no ``abs`` can see.
+
+        The walk stops early once the stage's envelope (see
+        :class:`_StageWaveforms`), widened by :data:`_ENVELOPE_MARGIN`
+        for float rounding, lies strictly below both running peaks: no
+        later sample could then raise either, so the figures are those
+        of the full horizon, bit for bit.
         """
-        current, slope = self._current, self._slope
+        waveforms = self._waveforms
+        current, slope = waveforms.current, waveforms.slope
+        envelope, start = waveforms.envelope, waveforms.envelope_start
         share_r = self._params.share_resistance
         share_l = self._params.share_inductance
+        # |droop| <= droop_gain * envelope; a zero gain means a droop of
+        # exactly zero at every sample.
+        droop_gain = share_r + share_l * waveforms.slope_gain
         dt, horizon = self._dt, self._horizon
         peak_t = peak_i = peak_v = 0.0
         t = 0.0
@@ -401,6 +452,11 @@ class RushCurrentModel:
             i = abs(i)
             if i > peak_i:
                 peak_t, peak_i = t, i
+            if t >= start:
+                bound = envelope(t) * _ENVELOPE_MARGIN
+                if bound < peak_i and (bound * droop_gain < peak_v
+                                       or not droop_gain):
+                    break
             t += dt
         return WakeTransient(
             peak_time=peak_t, peak_current=peak_i, peak_droop=peak_v,
@@ -419,7 +475,8 @@ class RushCurrentModel:
         if peak_i <= 0.0:
             return 0.0
         threshold = tolerance * peak_i
-        current, dt, horizon = self._current, self._dt, self._horizon
+        current = self._waveforms.current
+        dt, horizon = self._dt, self._horizon
         t = peak_t
         while t < horizon:
             t += dt

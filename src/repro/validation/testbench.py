@@ -335,10 +335,9 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
 
         The baseline runs the object model once -- ``reset()`` then
         ``words_per_sequence`` all-zero pushes -- and packs the chains,
-        recording the scan cell of every register each push writes
-        (none for a push into a full FIFO).  The padding cells are
-        cleared from the baseline; the DUT's registers are put back
-        afterwards.
+        recording the scan cells of the row each push writes (none for
+        a push into a full FIFO).  The padding cells are cleared from
+        the baseline; the DUT's registers are put back afterwards.
         """
         design = self.dut_design
         image = self._image
@@ -346,21 +345,25 @@ sleep_wake_cycle_batch_summary` whose vectorised state-domain
                 and image.chains is design.chains):
             return image
         length = design.chain_length
+        width = self.dut.width
+        registers = self.dut.registers
         # Every chain holds ``length`` flops, so a flop's place in the
         # chains' concatenation is its cell index.
         flops = [flop for scan_chain in design.chains
                  for flop in scan_chain]
         cells = dict(zip(map(id, flops), range(len(flops))))
-        saved = flop_values(self.dut.registers)
+        saved = flop_values(registers)
         self.dut.reset()
-        zero = [0] * self.dut.width
+        zero = [0] * width
         word_tables = []
         # Rows laid out alike (the FIFO's rows are runs of consecutive
         # cells) share one set of tables.
         shared: Dict[Tuple[int, ...], List[List[int]]] = {}
         for _ in range(self.words_per_sequence):
-            written = [cells[id(flop)]
-                       for flop in self.dut.next_write_registers()]
+            row = self.dut.next_write_row()
+            written = ([] if row is None
+                       else [cells[id(flop)] for flop in
+                             registers[row * width:(row + 1) * width]])
             shift = min(written, default=0)
             offsets = tuple(cell - shift for cell in written)
             tables = shared.get(offsets)

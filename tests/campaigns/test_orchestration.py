@@ -148,14 +148,6 @@ class TestChunksOutsideThePlan:
         path.write_text(json.dumps(payload))
         return str(path)
 
-    def test_runner(self, tmp_path):
-        path = self._poisoned(tmp_path)
-        with pytest.raises(ValueError,
-                           match=r"outside the campaign plan: \[9\]"):
-            run_sharded_campaign(TrialTask(), 40, seed=SEED,
-                                 chunk_size=CHUNK,
-                                 checkpoint_path=path)
-
     def test_scheduler_submit(self, tmp_path):
         path = self._poisoned(tmp_path)
         with CampaignScheduler(executor="serial") as scheduler:

@@ -51,9 +51,9 @@ class TestEngineCacheInvalidation:
     def test_packed_engine_rebuilt_when_bank_is_replaced(self):
         design = _design("packed")
         design.sleep_wake_cycle()
-        stale = design._get_packed_engine()
+        stale = design._resolve_engine("packed").engine
         _swap_bank(design, ["hamming(15,11)", "crc16-ccitt"])
-        rebuilt = design._get_packed_engine()
+        rebuilt = design._resolve_engine("packed").engine
         assert rebuilt is not stale
 
     def test_results_follow_the_new_bank(self):
@@ -80,25 +80,25 @@ class TestEngineCacheInvalidation:
         long as the structure is unchanged."""
         design = _design("packed")
         design.sleep_wake_cycle()
-        first = design._get_packed_engine()
+        first = design._resolve_engine("packed").engine
         design.set_engine("reference")
         design.sleep_wake_cycle()
         design.set_engine("packed")
         design.sleep_wake_cycle()
-        assert design._get_packed_engine() is first
+        assert design._resolve_engine("packed").engine is first
 
     def test_chain_geometry_change_invalidates(self):
         """Re-balancing the chains (same bank object) rebuilds engines."""
         design = _design("packed", num_registers=48, codes=("crc16",),
                          num_chains=4)
         design.sleep_wake_cycle()
-        stale = design._get_packed_engine()
+        stale = design._resolve_engine("packed").engine
         # Re-balance the same flops into 6 chains of length 8.
         flops = [flop for chain in design.chains for flop in chain.flops]
         design.chains = [ScanChain(flops[i * 8:(i + 1) * 8],
                                    name=f"rebal{i}") for i in range(6)]
         _swap_bank(design, ["crc16"])
-        rebuilt = design._get_packed_engine()
+        rebuilt = design._resolve_engine("packed").engine
         assert rebuilt is not stale
         assert rebuilt.num_chains == 6
         assert rebuilt.chain_length == 8

@@ -52,7 +52,7 @@ class TestBuiltins:
         assert design.engine == "reference"
         design.set_engine("Packed")
         assert design.engine == "packed"
-        first = design._get_packed_engine()
+        first = design._resolve_engine("packed").engine
         assert design._resolve_engine().engine is first
 
     def test_unknown_engine_lists_registered_names(self):

@@ -86,7 +86,7 @@ def test_overlapping_correcting_blocks():
     last block's feedback win) must still match bit for bit."""
     codes = ["hamming(7,4)", "hamming(15,11)"]
     design_ref, design_packed = _pair(7, 44, codes, 4)
-    engine = design_packed._get_packed_engine()
+    engine = design_packed._resolve_engine("packed").engine
     assert engine._overlapping_correctors
     w, l = design_ref.num_chains, design_ref.chain_length
     for trial in range(6):
@@ -148,7 +148,7 @@ def test_decode_before_encode_raises():
     circuit = make_random_state_circuit(20, seed=4)
     design = ProtectedDesign(circuit, codes="crc16", num_chains=4,
                              engine="packed")
-    engine = design._get_packed_engine()
+    engine = design._resolve_engine("packed").engine
     states, knowns = design._pack_chains()
     with pytest.raises(RuntimeError):
         engine.decode_pass(states, knowns)
@@ -158,7 +158,7 @@ def test_engine_validates_geometry():
     circuit = make_random_state_circuit(20, seed=4)
     design = ProtectedDesign(circuit, codes="crc16", num_chains=4,
                              engine="packed")
-    engine = design._get_packed_engine()
+    engine = design._resolve_engine("packed").engine
     with pytest.raises(ValueError):
         engine.encode_pass([0, 0], [0, 0])  # wrong chain count
     bad_state = [1 << design.chain_length] + [0] * (design.num_chains - 1)

@@ -374,7 +374,7 @@ class TestSharedGF2Matrices:
 
     @pytest.mark.parametrize("name", ["crc16", "crc16-ccitt", "crc8",
                                       "crc32"])
-    @pytest.mark.parametrize("nbits", (0, 1, 7, 40))
+    @pytest.mark.parametrize("nbits", (0, 1, 7, 16, 40, 1040))
     def test_crc_stream_matrix_matches_packed(self, name, nbits):
         from repro.codes.packed import packed_stream_code
 

@@ -20,6 +20,7 @@ import pytest
 np = pytest.importorskip("numpy")
 
 from repro.circuit.fifo import SyncFIFO                         # noqa: E402
+from repro.circuit.scan import ScanChain                        # noqa: E402
 from repro.core.protected import ProtectedDesign                # noqa: E402
 from repro.engines import simd                                  # noqa: E402
 from repro.faults.batch import sample_pattern_batch             # noqa: E402
@@ -139,6 +140,26 @@ def test_padding_change_after_the_snapshot_does_not_reach_its_fold(folds):
     later, later_knowns = bench._loaded_snapshot(words)
     assert list(later) != eager
     assert later_knowns != eager_knowns
+
+
+def test_chains_laid_out_otherwise_image_their_own_cells():
+    """The image looks each written register and padding flop up in
+    the chains, so chains rebuilt in another order than the design's
+    (here every flop in reverse) image the cells they hold."""
+    bench = _bench()
+    design = bench.dut_design
+    length = design.chain_length
+    flops = [flop for chain in design.chains for flop in chain][::-1]
+    design.chains = [ScanChain(flops[start:start + length],
+                               name=f"reversed{start // length}")
+                     for start in range(0, len(flops), length)]
+    words = [bench.stimulus.next_int()
+             for _ in range(bench.words_per_sequence)]
+    states, knowns = bench._loaded_snapshot(words)
+    bench.dut.reset()
+    for word in words:
+        bench.dut.push_int(word)
+    assert (list(states), list(knowns)) == design._pack_chains()
 
 
 def _campaign_kwargs():
